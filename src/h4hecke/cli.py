@@ -453,7 +453,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (files.FileFormatError, KeyError, ValueError) as exc:
+    except (files.FileFormatError, KeyError, ValueError, OSError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except (LemmaSweepError, sums.ShiftIdentityError, AssertionError) as exc:

@@ -47,7 +47,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Optional, Union
+from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Union
 
 from .quaternions import (
     LatticeVector,
@@ -186,6 +186,9 @@ class QuadExt:
         return f"{self.a} {sign} {abs(self.b)}*sqrt({self.p})"
 
 
+_SCALARS = (QuadExt, int, Fraction)
+
+
 @dataclass(frozen=True, slots=True)
 class QComplex:
     """Complex number with QuadExt real and imaginary parts."""
@@ -197,10 +200,14 @@ class QComplex:
     def of(cls, re: Rational = 0, im: Rational = 0, p: Optional[int] = None) -> "QComplex":
         return cls(QuadExt.of(re, p), QuadExt.of(im, p))
 
-    def __add__(self, other: "QComplex") -> "QComplex":
+    def __add__(self, other):
+        if not isinstance(other, QComplex):
+            return NotImplemented
         return QComplex(self.re + other.re, self.im + other.im)
 
-    def __sub__(self, other: "QComplex") -> "QComplex":
+    def __sub__(self, other):
+        if not isinstance(other, QComplex):
+            return NotImplemented
         return QComplex(self.re - other.re, self.im - other.im)
 
     def __neg__(self) -> "QComplex":
@@ -212,9 +219,11 @@ class QComplex:
                 self.re * other.re - self.im * other.im,
                 self.re * other.im + self.im * other.re,
             )
-        return QComplex(self.re * other, self.im * other)
+        return self.__rmul__(other)
 
     def __rmul__(self, other):
+        if not isinstance(other, _SCALARS):
+            return NotImplemented
         return QComplex(self.re * other, self.im * other)
 
     def conjugate(self) -> "QComplex":
@@ -233,6 +242,37 @@ class QComplex:
         return QComplex(self.re.with_prime(p), self.im.with_prime(p))
 
 
+class _Zero:
+    """Absorbing zero that exact lookups return off the support.
+
+    Adding it returns the other operand and multiplying by it returns
+    itself, so a term that cannot contribute costs one method call and no
+    Fraction work.  Scalar types reach these reflected methods by
+    returning NotImplemented for operands they do not know.
+    """
+
+    __slots__ = ()
+
+    def __add__(self, other):
+        return other
+
+    __radd__ = __add__
+
+    def __mul__(self, other):
+        return self
+
+    __rmul__ = __mul__
+
+    def __bool__(self) -> bool:
+        return False
+
+    def __repr__(self):
+        return "_ZERO"
+
+
+_ZERO = _Zero()
+
+
 def legendre_symbol(a: int, p: int) -> int:
     """(a | p) by Euler's criterion for an odd prime p."""
     if p == 2 or not is_prime(p):
@@ -244,8 +284,21 @@ def legendre_symbol(a: int, p: int) -> int:
     return 1 if val == 1 else -1
 
 
-def divides(m: int, beta: Iterable[int]) -> bool:
-    return all(c % m == 0 for c in beta)
+def _epsilon_case(beta: LatticeVector, p: int) -> int:
+    """Which case of E(beta, p) applies: 0 if p | beta, 1 if p | N(beta),
+    2 if (-N(beta) | p) = 1, else 3."""
+    b0, b1, b2 = beta
+    if b0 % p == 0 and b1 % p == 0 and b2 % p == 0:
+        return 0
+    n = b0 * b0 + b1 * b1 + b2 * b2
+    if n % p == 0:
+        return 1
+    return 2 if pow(-n % p, (p - 1) // 2, p) == 1 else 3
+
+
+def _epsilon_values(p: int) -> tuple[Fraction, ...]:
+    """E(beta, p) for each _epsilon_case."""
+    return tuple(Fraction(num, p * p) for num in (p * p - 1, -1, p - 1, -p - 1))
 
 
 def epsilon_factor(beta: Iterable[int], p: int) -> Fraction:
@@ -254,19 +307,12 @@ def epsilon_factor(beta: Iterable[int], p: int) -> Fraction:
     Cases in order: p | beta gives p^2 - 1; p | N(beta) (but not beta)
     gives -1; (-N(beta) | p) = 1 gives p - 1; otherwise -p - 1.
     """
+    if p == 2 or not is_prime(p):
+        raise ValueError(f"p must be an odd prime, got {p}")
     beta = tuple(beta)
-    if lattice_norm(beta) == 0:
+    if beta == (0, 0, 0):
         raise ValueError("epsilon factor is undefined at beta = 0")
-    n = lattice_norm(beta)
-    if divides(p, beta):
-        num = p * p - 1
-    elif n % p == 0:
-        num = -1
-    elif legendre_symbol(-n, p) == 1:
-        num = p - 1
-    else:
-        num = -p - 1
-    return Fraction(num, p * p)
+    return _epsilon_values(p)[_epsilon_case(beta, p)]
 
 
 # -- coefficient fields ----------------------------------------------------
@@ -434,12 +480,32 @@ class CoefficientField:
 
 # -- the operators -----------------------------------------------------------
 
-def _hecke_value(ell: int, p: int, at: Callable, lift: Callable, inv_sqrt_p, beta: LatticeVector,
+class _HeckeWeights(NamedTuple):
+    """The rational weights of H_2 and H_3, lifted into one scalar domain."""
+
+    eps: tuple  # E(beta, p), indexed by _epsilon_case
+    mid: tuple  # H_3 weight of A(beta), indexed by _epsilon_case (case 0 is 1_p(beta) = 1)
+    ind: tuple  # 1_p - 1/p, indexed by the indicator
+    inv_p: object  # 1/p
+
+
+def _hecke_weights(p: int, lift: Callable) -> _HeckeWeights:
+    """Every rational weight of H_2 and H_3 at p, lifted once by `lift`."""
+    inv_p = Fraction(1, p)
+    eps = _epsilon_values(p)
+    mid = tuple(Fraction(case == 0) - (1 + inv_p) * e - Fraction(p * p + p + 1, p ** 3)
+                for case, e in enumerate(eps))
+    return _HeckeWeights(tuple(map(lift, eps)), tuple(map(lift, mid)),
+                         (lift(-inv_p), lift(1 - inv_p)), lift(inv_p))
+
+
+def _hecke_value(ell: int, p: int, at: Callable, weights: _HeckeWeights, inv_sqrt_p, beta: LatticeVector,
                  conj_mats) -> object:
     """Evaluate (H_ell A)(beta) with scalar arithmetic injected by the caller.
 
-    `at` is a total lookup (None-safe), `lift` embeds a Fraction weight,
-    and `inv_sqrt_p` is 1/sqrt(p) in the target scalar domain.
+    `at` is a total lookup (None-safe), `weights` holds the rational
+    weights lifted into the target scalar domain, and `inv_sqrt_p` is
+    1/sqrt(p) in that domain.
     """
     psq = p * p
     if ell == 1:
@@ -454,24 +520,24 @@ def _hecke_value(ell: int, p: int, at: Callable, lift: Callable, inv_sqrt_p, bet
         for mat in conj_mats:
             conj = apply_matrix(mat, beta)
             inner = inner + at(conj) + at(_divide(conj, psq))
-        return inv_sqrt_p * inner + lift(epsilon_factor(beta, p)) * at(beta)
+        return inv_sqrt_p * inner + weights.eps[_epsilon_case(beta, p)] * at(beta)
 
     if ell == 3:
-        one_over_p = Fraction(1, p)
-        ind_beta = Fraction(1 if divides(p, beta) else 0)
-        mid_weight = ind_beta - Fraction(p + 1, p) * epsilon_factor(beta, p) - Fraction(p * p + p + 1, p ** 3)
-        total = at(_scale(beta, psq)) + lift(mid_weight) * at(beta) + at(_divide(beta, psq))
+        case = _epsilon_case(beta, p)
+        ind = weights.ind
+        beta_weight = ind[case == 0]
+        total = at(_scale(beta, psq)) + weights.mid[case] * at(beta) + at(_divide(beta, psq))
         inner = at(None)
         double = at(None)
         for mat in conj_mats:
             conj = apply_matrix(mat, beta)
-            ind_conj = Fraction(1 if divides(p, conj) else 0)
-            inner = inner + lift(ind_conj - one_over_p) * at(conj)
-            inner = inner + lift(ind_beta - one_over_p) * at(_divide(conj, psq))
+            ind_conj = conj[0] % p == 0 and conj[1] % p == 0 and conj[2] % p == 0
+            inner = inner + ind[ind_conj] * at(conj)
+            inner = inner + beta_weight * at(_divide(conj, psq))
             if ind_conj:
                 for mat2 in conj_mats:
                     double = double + at(_divide(apply_matrix(mat2, conj), psq))
-        return total + inv_sqrt_p * inner + lift(one_over_p) * double
+        return total + inv_sqrt_p * inner + weights.inv_p * double
 
     raise ValueError(f"ell must be 1, 2, or 3, got {ell}")
 
@@ -530,13 +596,15 @@ def apply_hecke(ell: int, p: int, A: CoefficientField, *, representatives=None) 
     A = A.with_prime(p)
     conj_mats, star_mats = _matrices_for(p, representatives)
     inv_sqrt_p = QuadExt.inv_sqrt(p)
+    weights = _hecke_weights(p, lambda fr: QuadExt.of(fr, p))
+    entries = A.entries
 
-    def lift(fr: Fraction) -> QuadExt:
-        return QuadExt.of(fr, p)
+    def at(beta):
+        return _ZERO if beta is None else entries.get(beta, _ZERO)
 
     out: dict[LatticeVector, QComplex] = {}
-    for beta in _hecke_candidates(ell, p, A.entries, star_mats):
-        value = _hecke_value(ell, p, A.at, lift, inv_sqrt_p, beta, conj_mats)
+    for beta in _hecke_candidates(ell, p, entries, star_mats):
+        value = _hecke_value(ell, p, at, weights, inv_sqrt_p, beta, conj_mats)
         if value:
             out[beta] = value
     return CoefficientField(p, out)
@@ -546,15 +614,16 @@ def apply_hecke_float(ell: int, p: int, entries: Mapping[LatticeVector, complex]
     """Floating-point twin of apply_hecke for cross-prime experiments."""
     conj_mats, star_mats = _matrices_for(p, None)
     inv_sqrt_p = 1.0 / math.sqrt(p)
+    weights = _hecke_weights(p, float)
 
     def at(beta):
         if beta is None:
             return 0j
-        return entries.get(tuple(beta), 0j)
+        return entries.get(beta, 0j)
 
     out = {}
     for beta in _hecke_candidates(ell, p, entries, star_mats):
-        value = _hecke_value(ell, p, at, float, inv_sqrt_p, beta, conj_mats)
+        value = _hecke_value(ell, p, at, weights, inv_sqrt_p, beta, conj_mats)
         if value != 0:
             out[beta] = value
     return out

@@ -22,9 +22,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
-from .hecke import CoefficientField, EigenvalueTriple, QComplex, QuadExt
+from .hecke import _ZERO, CoefficientField, EigenvalueTriple, QuadExt
 from .quaternions import (
     LatticeVector,
     apply_matrix,
@@ -60,17 +60,14 @@ def sum_S_d(A: CoefficientField, d: int, z) -> QuadExt:
     return total
 
 
-def sum_R(A: CoefficientField, p: int, ell: int, d: int, z) -> QuadExt:
-    """R^{p,ell}_d(z), computed over the finitely many beta that can contribute.
+def _conj_sums(A: CoefficientField, p: int, ell: int, z, keep: Callable[[LatticeVector], bool]):
+    """Yield sum_i A(alpha_i' beta bar(alpha_i) / p^ell) over the beta with N(beta) <= z and keep(beta).
 
     A beta contributes only if some alpha_i' beta bar(alpha_i) / p^ell
     lies in the support of A; inverting the conjugation enumerates all
     candidates as p^{ell-2} alpha_i^* gamma alpha_i over support points
-    gamma.
+    gamma.  Only support hits are added, and a beta with none is skipped.
     """
-    if ell < 0 or d < 1:
-        raise ValueError("need ell >= 0 and d >= 1")
-    z = _as_threshold(z)
     conj_mats = conjugation_matrices(p)
     star_mats = star_conjugation_matrices(p)
     pl = p ** ell
@@ -78,19 +75,27 @@ def sum_R(A: CoefficientField, p: int, ell: int, d: int, z) -> QuadExt:
     for gamma in A.entries:
         for mat in star_mats:
             star = apply_matrix(mat, gamma)
-            if ell >= 2:
-                beta = _scale(star, p ** (ell - 2))
-            else:
-                beta = _divide(star, p ** (2 - ell))
+            beta = _scale(star, p ** (ell - 2)) if ell >= 2 else _divide(star, p ** (2 - ell))
             if beta is not None and beta != (0, 0, 0):
                 candidates.add(beta)
-    total = QuadExt.of(0, A.p)
+    entries = A.entries
     for beta in candidates:
-        if lattice_norm(beta) > z or not _divides_vector(d, beta):
+        if lattice_norm(beta) > z or not keep(beta):
             continue
-        inner = QComplex.of(0, p=A.p)
+        inner = _ZERO
         for mat in conj_mats:
-            inner = inner + A.at(_divide(apply_matrix(mat, beta), pl))
+            # an off-lattice image is None, which is never a key
+            inner = inner + entries.get(_divide(apply_matrix(mat, beta), pl), _ZERO)
+        if inner is not _ZERO:
+            yield inner
+
+
+def sum_R(A: CoefficientField, p: int, ell: int, d: int, z) -> QuadExt:
+    """R^{p,ell}_d(z), computed over the finitely many beta that can contribute."""
+    if ell < 0 or d < 1:
+        raise ValueError("need ell >= 0 and d >= 1")
+    total = QuadExt.of(0, A.p)
+    for inner in _conj_sums(A, p, ell, _as_threshold(z), lambda beta: _divides_vector(d, beta)):
         total = total + inner.abs_sq()
     return total * Fraction(1, p)
 
@@ -367,25 +372,10 @@ def _report(name: str, left: float, right: float, params: dict) -> SumReport:
 def _conj_square_sum(A: CoefficientField, window: PrimeWindow, K: float, ell: int, z) -> float:
     """sum_{beta in M_1(K), N <= z} sum_{p in window, p nmid beta} (1/p) |sum_i A(conj_i(beta)/p^ell)|^2."""
     z = _as_threshold(z)
+    spec = MultiplicitySpec(1, K, window)
     total = 0.0
     for p in window.primes:
-        spec = MultiplicitySpec(1, K, window)
-        conj_mats = conjugation_matrices(p)
-        star_mats = star_conjugation_matrices(p)
-        pl = p ** ell
-        candidates: set[LatticeVector] = set()
-        for gamma in A.entries:
-            for mat in star_mats:
-                star = apply_matrix(mat, gamma)
-                beta = _scale(star, p ** (ell - 2)) if ell >= 2 else _divide(star, p ** (2 - ell))
-                if beta is not None and beta != (0, 0, 0):
-                    candidates.add(beta)
-        for beta in candidates:
-            if lattice_norm(beta) > z or _divides_vector(p, beta) or not spec.member(beta):
-                continue
-            inner = QComplex.of(0, p=A.p)
-            for mat in conj_mats:
-                inner = inner + A.at(_divide(apply_matrix(mat, beta), pl))
+        for inner in _conj_sums(A, p, ell, z, lambda beta: not _divides_vector(p, beta) and spec.member(beta)):
             total += float(inner.abs_sq()) / p
     return total
 

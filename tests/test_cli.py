@@ -211,6 +211,14 @@ class TestCliCommands:
         path.write_text('{"entries": [{"beta": [1, 0, 0], "re": ["1/x"], "im": ["0"]}]}')
         assert main(["sums", "compute", "--kind", "S", "--in", str(path), "--z", "9"]) == 2
 
+    def test_missing_input_file_exits_2(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.json")
+        assert main(["hecke", "apply", "--op", "1", "--p", "3",
+                     "--in", missing, "--out", str(tmp_path / "out.json")]) == 2
+        assert main(["sums", "compute", "--kind", "S", "--in", missing, "--z", "9"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2 and all("missing.json" in line for line in err)
+
     def test_mixed_prime_context_exits_2(self, tmp_path):
         rng = random.Random(2)
         field = CoefficientField.random(rng, p=3, support=3, sqrt_parts=True)

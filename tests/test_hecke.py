@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from h4hecke.hecke import (
+    _ZERO,
     CoefficientField,
     EigenvalueTriple,
     QComplex,
@@ -17,8 +18,10 @@ from h4hecke.hecke import (
     legendre_symbol,
     verify_commutativity,
     verify_hecke_relation,
+    _epsilon_case,
+    _hecke_weights,
 )
-from h4hecke.quaternions import UNITS, lattice_norm
+from h4hecke.quaternions import UNITS, apply_matrix, conjugation_matrices, divide_lattice, lattice_norm
 
 
 class TestQuadExt:
@@ -51,6 +54,30 @@ class TestQuadExt:
     def test_sqrt_part_needs_prime(self):
         with pytest.raises(ValueError):
             QuadExt(None, Fraction(1), Fraction(1))
+
+
+class TestQComplex:
+    def test_foreign_operands_raise_type_error(self):
+        z = QComplex.of(1)
+        for op in (lambda: z + 1, lambda: 1 + z, lambda: z - 1, lambda: 1 - z,
+                   lambda: z * 1.5, lambda: 1.5 * z):
+            with pytest.raises(TypeError):
+                op()
+
+    def test_scalar_multiples(self):
+        z = QComplex.of(1, 2, p=3)
+        assert z * 2 == 2 * z == QComplex.of(2, 4, p=3)
+        assert z * Fraction(1, 2) == QComplex.of(Fraction(1, 2), 1, p=3)
+        assert QuadExt.sqrt_term(3) * z == QComplex(QuadExt.sqrt_term(3), QuadExt.sqrt_term(3, 2))
+
+    def test_absorbing_zero(self):
+        z = QComplex.of(1, 2, p=3)
+        w = QuadExt.inv_sqrt(3)
+        assert _ZERO + z is z and z + _ZERO is z
+        assert _ZERO + _ZERO is _ZERO
+        assert w * _ZERO is _ZERO and _ZERO * w is _ZERO
+        assert z * _ZERO is _ZERO and _ZERO * z is _ZERO
+        assert not _ZERO
 
 
 class TestLegendre:
@@ -102,6 +129,38 @@ class TestEpsilonFactor:
                             continue
                         assert abs(epsilon_factor(beta, p)) <= Fraction(p + 1, p * p)
 
+    def test_even_or_composite_prime_rejected(self):
+        for p in (2, 9):
+            with pytest.raises(ValueError):
+                epsilon_factor((1, 0, 0), p)
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 11])
+    def test_weight_table_matches_closed_forms(self, p):
+        # every weight the operators use, looked up by case, against the
+        # closed forms of the H_2 and H_3 actions evaluated per beta
+        def lift(fr):
+            return QuadExt.of(fr, p)
+
+        weights = _hecke_weights(p, lift)
+        floats = _hecke_weights(p, float)
+        one_over_p = Fraction(1, p)
+        assert weights.inv_p == lift(one_over_p) and floats.inv_p == float(one_over_p)
+        for b0 in range(-4, 5):
+            for b1 in range(-4, 5):
+                for b2 in range(-4, 5):
+                    beta = (b0, b1, b2)
+                    if beta == (0, 0, 0):
+                        continue
+                    case = _epsilon_case(beta, p)
+                    ind = all(c % p == 0 for c in beta)
+                    eps = epsilon_factor(beta, p)
+                    mid = ind - Fraction(p + 1, p) * eps - Fraction(p * p + p + 1, p ** 3)
+                    assert (case == 0) == ind
+                    assert weights.eps[case] == lift(eps) and floats.eps[case] == float(eps)
+                    assert weights.mid[case] == lift(mid) and floats.mid[case] == float(mid)
+                    assert weights.ind[ind] == lift(ind - one_over_p)
+                    assert floats.ind[ind] == float(ind - one_over_p)
+
 
 class TestApply:
     def test_h1_delta_example(self):
@@ -149,14 +208,33 @@ class TestApply:
         assert out.at((3, 0, 0)) == QComplex.of(1, p=3)
 
     def test_float_twin_matches_exact(self):
+        # exact lookups off the support return an absorbing zero and the
+        # float twin adds 0j, so this is the cross-check of the two paths
         rng = random.Random(8)
-        for p in (3, 5):
-            A = CoefficientField.random(rng, p=p, support=5, sqrt_parts=True)
-            for ell in (1, 2, 3):
-                exact = {b: complex(v) for b, v in apply_hecke(ell, p, A).entries.items()}
-                approx = apply_hecke_float(ell, p, A.as_complex_dict())
-                keys = set(exact) | set(approx)
-                assert max(abs(exact.get(k, 0j) - approx.get(k, 0j)) for k in keys) < 1e-12
+        for p in (3, 5, 7):
+            double_hits = 0
+            for _ in range(2):
+                A = CoefficientField.random(rng, p=p, support=5, sqrt_parts=True)
+                for ell in (1, 2, 3):
+                    out = apply_hecke(ell, p, A)
+                    exact = {b: complex(v) for b, v in out.entries.items()}
+                    approx = apply_hecke_float(ell, p, A.as_complex_dict())
+                    keys = set(exact) | set(approx)
+                    assert max(abs(exact.get(k, 0j) - approx.get(k, 0j)) for k in keys) < 1e-12
+                double_hits += _double_conjugation_hits(p, A, out)
+            assert double_hits > 0, f"H_3 never reached its double-conjugation term at p={p}"
+
+
+def _double_conjugation_hits(p, A, h3):
+    """Support hits of the H_3 term A(conj_j(conj_i(beta))/p^2) with p | conj_i(beta), over beta in h3."""
+    mats = conjugation_matrices(p)
+    hits = 0
+    for beta in h3.entries:
+        for mat in mats:
+            conj = apply_matrix(mat, beta)
+            if all(c % p == 0 for c in conj):
+                hits += sum(divide_lattice(apply_matrix(mat2, conj), p * p) in A.entries for mat2 in mats)
+    return hits
 
 
 class TestRepresentativeIndependence:
