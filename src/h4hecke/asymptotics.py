@@ -27,31 +27,49 @@ from typing import Callable, Sequence
 import numpy as np
 
 
-def compute_R(A: float, M: int, eps: float) -> int:
-    """Smallest integer R >= A satisfying the two damping inequalities."""
-    if A < 10:
-        raise ValueError("A must be at least 10")
-    if not 0 < eps < 1:
-        raise ValueError("eps must lie in (0, 1)")
-    if M < 0:
-        raise ValueError("M must be a non-negative integer")
-    R = math.ceil(A)
-    while True:
-        if (
-            R >= A
-            and 2 * A * math.log(A) ** (A - R) <= 0.25
-            and 2 * A * M * (1 - eps / 2) ** R <= 0.25
-        ):
-            return R
-        R += 1
-
-
 def r_conditions_hold(A: float, M: int, eps: float, R: int) -> bool:
+    """R >= A and both damping inequalities 2 A (log A)^(A - R) <= 1/4, 2 A M (1 - eps/2)^R <= 1/4."""
     return (
         R >= A
         and 2 * A * math.log(A) ** (A - R) <= 0.25
         and 2 * A * M * (1 - eps / 2) ** R <= 0.25
     )
+
+
+def compute_R(A: float, M: int, eps: float) -> int:
+    """Smallest integer R >= ceil(A) with r_conditions_hold(A, M, eps, R).
+
+    For A >= 10 both inequalities only get easier as R grows, so the
+    predicate is monotone in R: the search doubles a step until the
+    predicate holds and then bisects back, O(log R) evaluations.  When
+    M > 0 and 1 - eps/2 rounds to 1.0 in floating point the second
+    inequality never holds, and ValueError is raised.
+    """
+    if not 10 <= A < math.inf:
+        raise ValueError("A must be a finite number of at least 10")
+    if not 0 < eps < 1:
+        raise ValueError("eps must lie in (0, 1)")
+    if M < 0:
+        raise ValueError("M must be a non-negative integer")
+    if M > 0 and 1 - eps / 2 == 1.0:
+        raise ValueError(f"eps = {eps} is too small: 1 - eps/2 rounds to 1, so no R exists")
+    lo = math.ceil(A)
+    if r_conditions_hold(A, M, eps, lo):
+        return lo
+    # Invariant: the predicate fails at lo and holds at hi.
+    step = 1
+    hi = lo + step
+    while not r_conditions_hold(A, M, eps, hi):
+        lo = hi
+        step *= 2
+        hi = lo + step
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if r_conditions_hold(A, M, eps, mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 @dataclass(frozen=True)

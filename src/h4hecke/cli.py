@@ -117,6 +117,9 @@ def _cmd_geom_act(args) -> int:
     vals = args.matrix
     quats = [geometry.Quaternion(*vals[i:i + 4]) for i in range(0, 16, 4)]
     g = geometry.IsometryMatrix(*quats)
+    if not geometry.is_similitude(g):
+        raise ValueError("matrix is not a similitude: it needs a real pseudo-determinant "
+                         "a d^* - b c^* > 0 and a b^*, d c^* without k-component")
     z = geometry.act(g, args.point)
     _emit(args, {"point": z.as_tuple()},
           f"{z.x0:.12g},{z.x1:.12g},{z.x2:.12g},{z.y:.12g}")

@@ -159,6 +159,8 @@ def parse_spectral_form(path: Union[str, Path]) -> SpectralForm:
     coeffs = {}
     for row in data["entries"]:
         beta = tuple(int(c) for c in row["beta"])
+        if len(beta) != 3:
+            raise FileFormatError(f"beta must have 3 coordinates, got {row['beta']!r}")
         if beta in coeffs:
             raise FileFormatError(f"duplicate beta {beta}")
         coeffs[beta] = complex(float(row.get("re", 0.0)), float(row.get("im", 0.0)))

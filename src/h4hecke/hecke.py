@@ -53,6 +53,7 @@ from .quaternions import (
     LatticeVector,
     apply_matrix,
     conjugation_matrices,
+    conjugation_matrix,
     divide_lattice as _divide,
     is_prime,
     lattice_norm,
@@ -579,9 +580,8 @@ def _hecke_candidates(ell: int, p: int, support: Iterable[LatticeVector], star_m
 def _matrices_for(p: int, representatives):
     if representatives is None:
         return conjugation_matrices(p), star_conjugation_matrices(p)
-    from .quaternions import conjugation_matrix, star_conjugation_matrix
-    return (tuple(conjugation_matrix(a) for a in representatives),
-            tuple(star_conjugation_matrix(a) for a in representatives))
+    conj_mats = tuple(conjugation_matrix(a) for a in representatives)
+    return conj_mats, tuple(tuple(zip(*m)) for m in conj_mats)
 
 
 def apply_hecke(ell: int, p: int, A: CoefficientField, *, representatives=None) -> CoefficientField:

@@ -2,9 +2,8 @@
 
 The radial kernel is K_{ir}(x) = integral_0^oo exp(-x cosh t) cos(r t) dt,
 evaluated by adaptive Simpson quadrature on a truncated interval (the
-integrand is below any tolerance once x cosh t is large); a tanh-sinh
-rule provides an independent second scheme.  K_{i*0} is the classical
-K_0.
+integrand is below any tolerance once x cosh t is large).  K_{i*0} is
+the classical K_0.
 
 A spectral mode with parameter r (so the flat-Laplacian eigenvalue is
 9/4 + r^2) and finitely many coefficients A(beta) is the finite sum
@@ -61,50 +60,6 @@ def _adaptive_simpson(f, a: float, b: float, tol: float, max_depth: int = 60) ->
     return total
 
 
-def _tanh_sinh(f, a: float, b: float, tol: float, max_level: int = 12) -> float:
-    """Tanh-sinh quadrature on [a, b] with level doubling until convergence."""
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-
-    def node(u):
-        s = math.sinh(u)
-        x = math.tanh(0.5 * math.pi * s)
-        w = 0.5 * math.pi * math.cosh(u) / math.cosh(0.5 * math.pi * s) ** 2
-        return mid + half * x, half * w
-
-    h = 0.5
-    x0, w0 = node(0.0)
-    total = w0 * f(x0)
-    k = 1
-    while True:
-        u = k * h
-        if u > 4.0:
-            break
-        xp, wp = node(u)
-        xm, wm = node(-u)
-        total += wp * f(xp) + wm * f(xm)
-        k += 1
-    est = total * h
-    for _ in range(max_level):
-        h *= 0.5
-        add = 0.0
-        k = 1
-        while True:
-            u = k * h
-            if u > 4.0:
-                break
-            if k % 2 == 1:  # only the new odd-index nodes
-                xp, wp = node(u)
-                xm, wm = node(-u)
-                add += wp * f(xp) + wm * f(xm)
-            k += 1
-        new_est = est * 0.5 + add * h
-        if abs(new_est - est) <= tol * max(1.0, abs(new_est)):
-            return new_est
-        est = new_est
-    return est
-
-
 def _truncation_point(x: float, tol: float) -> float:
     """t beyond which exp(-x cosh t) stays under tol * 1e-3."""
     target = (math.log(1.0 / tol) + 3.0 + math.log(1e3)) / x
@@ -113,7 +68,7 @@ def _truncation_point(x: float, tol: float) -> float:
     return math.acosh(target) + 0.5
 
 
-def bessel_k_imag_order(r: float, x: float, tol: float = 1e-12, scheme: str = "simpson") -> float:
+def bessel_k_imag_order(r: float, x: float, tol: float = 1e-12) -> float:
     """K_{ir}(x) for real r and x > 0 via the cosine integral representation."""
     if x <= 0:
         raise ValueError("argument x must be positive")
@@ -123,11 +78,7 @@ def bessel_k_imag_order(r: float, x: float, tol: float = 1e-12, scheme: str = "s
     def integrand(t: float) -> float:
         return math.exp(-x * math.cosh(t)) * math.cos(r * t)
 
-    if scheme == "simpson":
-        return _adaptive_simpson(integrand, 0.0, T, tol)
-    if scheme == "tanh-sinh":
-        return _tanh_sinh(integrand, 0.0, T, tol)
-    raise ValueError(f"unknown quadrature scheme {scheme!r}")
+    return _adaptive_simpson(integrand, 0.0, T, tol)
 
 
 @lru_cache(maxsize=65536)
@@ -150,6 +101,8 @@ class SpectralForm:
     def __post_init__(self):
         clean = []
         for beta, value in self.entries:
+            if len(beta) != 3:
+                raise ValueError(f"beta must have 3 coordinates, got {beta!r}")
             beta = (int(beta[0]), int(beta[1]), int(beta[2]))
             if beta == (0, 0, 0):
                 raise ValueError("spectral forms carry no constant term")
@@ -278,6 +231,8 @@ def laplace_eigen_residual(beta, r: float, z, h: float = 1e-3, tol: float = 1e-1
     if y - h <= 0:
         raise ValueError("step h must keep y - h positive")
     beta = tuple(int(b) for b in beta)
+    if beta == (0, 0, 0):
+        raise ValueError("beta must be nonzero: spectral modes carry no beta = 0 term")
     lam = 2.25 + r * r
     u0 = _mode_value(beta, r, x0, x1, x2, y, tol)
     if abs(u0) < 1e-12:

@@ -199,20 +199,9 @@ def conjugate_action(alpha: Quaternion, beta: Sequence[int]) -> LatticeVector:
     return quaternion_to_lattice(q)
 
 
-def star_conjugate_action(alpha: Quaternion, delta: Sequence[int]) -> LatticeVector:
-    """delta -> alpha^* * delta * alpha, the inverse-direction conjugation."""
-    q = alpha.star() * lattice_to_quaternion(delta) * alpha
-    return quaternion_to_lattice(q)
-
-
 def conjugation_matrix(alpha: Quaternion) -> tuple[tuple[int, int, int], ...]:
     """3x3 integer matrix of beta -> alpha' beta bar(alpha) on V3 (rows act on column vectors)."""
     cols = [conjugate_action(alpha, e) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
-    return tuple(tuple(cols[j][i] for j in range(3)) for i in range(3))
-
-
-def star_conjugation_matrix(alpha: Quaternion) -> tuple[tuple[int, int, int], ...]:
-    cols = [star_conjugate_action(alpha, e) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
     return tuple(tuple(cols[j][i] for j in range(3)) for i in range(3))
 
 
@@ -233,7 +222,14 @@ def conjugation_matrices(p: int) -> tuple[tuple[tuple[int, int, int], ...], ...]
 
 @lru_cache(maxsize=None)
 def star_conjugation_matrices(p: int) -> tuple[tuple[tuple[int, int, int], ...], ...]:
-    return tuple(star_conjugation_matrix(a) for a in orbit_representatives(p).representatives)
+    """Matrices of delta -> alpha^* delta alpha for the p+1 orbit representatives.
+
+    Each is the transpose of the conjugation matrix C(alpha): the two maps
+    compose to p^2 on V3 (alpha^* alpha' = bar(alpha) alpha = p), and
+    conjugation scales norms by p^2, so C^T C = p^2 I and the matrix is
+    p^2 C^{-1} = C^T.
+    """
+    return tuple(tuple(zip(*conjugation_matrix(a))) for a in orbit_representatives(p).representatives)
 
 
 def divide_lattice(beta: Sequence[int], m: int) -> Optional[LatticeVector]:
@@ -392,12 +388,13 @@ def verify_conjugation_lemmas(
         idx = int(np.argmax(exceptional))
         raise LemmaSweepError("|I(beta)| > 2", (tuple(betas[idx]), int(exceptional[idx])))
 
-    # (iv): count, per delta, all norm-p alpha with p^2 | alpha^* delta alpha.
+    # (iv): count, per delta, all norm-p alpha with p^2 | alpha^* delta alpha,
+    # whose matrix is the transpose of the conjugation matrix.
     psq = p * p
     counts = np.zeros(n_beta, dtype=np.int64)
     for alpha in table.all_elements:
-        mat = np.array(star_conjugation_matrix(alpha), dtype=np.int64)
-        counts += np.all((betas @ mat.T) % psq == 0, axis=1).astype(np.int64)
+        mat = np.array(conjugation_matrix(alpha), dtype=np.int64)
+        counts += np.all((betas @ mat) % psq == 0, axis=1).astype(np.int64)
     many = counts > 16
     delta_not_sq = np.any(betas % psq != 0, axis=1)
     bad = many & delta_not_sq

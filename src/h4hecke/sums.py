@@ -40,10 +40,6 @@ from .quaternions import (
 Rational = Union[int, Fraction]
 
 
-def _as_threshold(z) -> Fraction:
-    return Fraction(z)
-
-
 def _divides_vector(d: int, beta: LatticeVector) -> bool:
     return beta[0] % d == 0 and beta[1] % d == 0 and beta[2] % d == 0
 
@@ -52,7 +48,7 @@ def sum_S_d(A: CoefficientField, d: int, z) -> QuadExt:
     """S_d(z): the squared-coefficient mass on multiples of d up to norm z."""
     if d < 1:
         raise ValueError("d must be a positive integer")
-    z = _as_threshold(z)
+    z = Fraction(z)
     total = QuadExt.of(0, A.p)
     for beta, value in A.entries.items():
         if lattice_norm(beta) <= z and _divides_vector(d, beta):
@@ -95,7 +91,7 @@ def sum_R(A: CoefficientField, p: int, ell: int, d: int, z) -> QuadExt:
     if ell < 0 or d < 1:
         raise ValueError("need ell >= 0 and d >= 1")
     total = QuadExt.of(0, A.p)
-    for inner in _conj_sums(A, p, ell, _as_threshold(z), lambda beta: _divides_vector(d, beta)):
+    for inner in _conj_sums(A, p, ell, Fraction(z), lambda beta: _divides_vector(d, beta)):
         total = total + inner.abs_sq()
     return total * Fraction(1, p)
 
@@ -108,7 +104,7 @@ class ShiftIdentityError(AssertionError):
 
 def verify_R_shift_identity(A: CoefficientField, p: int, ell: int, d: int, z) -> bool:
     """Exact check of R^{p,ell}_{d p^ell}(z) = R^{p,0}_d(z / p^{2 ell})."""
-    z = _as_threshold(z)
+    z = Fraction(z)
     lhs = sum_R(A, p, ell, d * p ** ell, z)
     rhs = sum_R(A, p, 0, d, z / p ** (2 * ell))
     if lhs != rhs:
@@ -160,10 +156,6 @@ class MultiplicitySpec:
         return self.count(beta) <= self.K
 
 
-def multiplicity_membership(beta: LatticeVector, spec: MultiplicitySpec) -> bool:
-    return spec.member(tuple(beta))
-
-
 @dataclass(frozen=True)
 class SharpFlatSplit:
     sharp: QuadExt
@@ -173,7 +165,7 @@ class SharpFlatSplit:
 
 def split_sharp_flat(A: CoefficientField, specs: Sequence[MultiplicitySpec], z) -> SharpFlatSplit:
     """S^sharp over the intersection of the M_ell(K_ell), and each S_ell^flat over its complement."""
-    z = _as_threshold(z)
+    z = Fraction(z)
     sharp = QuadExt.of(0, A.p)
     flats = [QuadExt.of(0, A.p) for _ in specs]
     total = QuadExt.of(0, A.p)
@@ -204,7 +196,7 @@ def amplified_sum(
     missing = [p for p in window.primes if p not in lam_table]
     if missing:
         raise KeyError(f"eigenvalue table missing primes {missing}")
-    z = _as_threshold(z)
+    z = Fraction(z)
     total = 0.0
     for beta, value in A.entries.items():
         if lattice_norm(beta) > z or not all(s.member(beta) for s in specs):
@@ -371,7 +363,7 @@ def _report(name: str, left: float, right: float, params: dict) -> SumReport:
 
 def _conj_square_sum(A: CoefficientField, window: PrimeWindow, K: float, ell: int, z) -> float:
     """sum_{beta in M_1(K), N <= z} sum_{p in window, p nmid beta} (1/p) |sum_i A(conj_i(beta)/p^ell)|^2."""
-    z = _as_threshold(z)
+    z = Fraction(z)
     spec = MultiplicitySpec(1, K, window)
     total = 0.0
     for p in window.primes:

@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -26,6 +27,21 @@ class TestComputeR:
             assert r_conditions_hold(A, M, eps, R)
             assert not r_conditions_hold(A, M, eps, R - 1)
 
+    def test_matches_linear_search(self):
+        def linear_search(A, M, eps):
+            R = math.ceil(A)
+            while not r_conditions_hold(A, M, eps, R):
+                R += 1
+            return R
+
+        rng = random.Random(17)
+        for _ in range(120):
+            A, M, eps = rng.uniform(10, 50), rng.randrange(4), 10 ** (-1 - 2 * rng.random())
+            R = compute_R(A, M, eps)
+            assert R == linear_search(A, M, eps), (A, M, eps)
+            assert r_conditions_hold(A, M, eps, R)
+            assert not r_conditions_hold(A, M, eps, R - 1)
+
     def test_monotone_in_M(self):
         for M in range(4):
             assert compute_R(10, M + 1, 0.05) >= compute_R(10, M, 0.05)
@@ -37,6 +53,9 @@ class TestComputeR:
             compute_R(10, 0, 1.5)
         with pytest.raises(ValueError):
             compute_R(10, -1, 0.5)
+        with pytest.raises(ValueError, match="rounds to 1"):
+            compute_R(20, 3, 1e-17)
+        assert compute_R(20, 0, 1e-17) == compute_R(20, 0, 0.5)
 
 
 class TestSampledFunction:

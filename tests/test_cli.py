@@ -104,6 +104,12 @@ class TestOtherFiles:
         write_spectral_form(form, path)
         assert parse_spectral_form(path) == form
 
+    def test_spectral_form_short_beta_rejected(self, tmp_path):
+        path = tmp_path / "form.json"
+        path.write_text('{"r": 1.0, "entries": [{"beta": [1, 0], "re": 1.0, "im": 0.0}]}')
+        with pytest.raises(FileFormatError, match="3 coordinates"):
+            parse_spectral_form(path)
+
 
 class TestCliCommands:
     def test_quat_enum_count(self, capsys):
@@ -129,6 +135,22 @@ class TestCliCommands:
                                               "-1", "0", "0", "0", "0", "0", "0", "0"]
         assert main(argv + ["--point", "0,0,0,0.5"]) == 0
         assert "2" in capsys.readouterr().out
+
+    def test_geom_act_non_similitude_exits_2(self, capsys):
+        # c = k: pseudo-determinant 1, but d c^* has a k-component
+        argv = ["geom", "act", "--matrix"] + ["1", "0", "0", "0", "0", "0", "0", "0",
+                                              "0", "0", "0", "1", "1", "0", "0", "0"]
+        assert main(argv + ["--point", "0.1,0.2,0.3,1"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "not a similitude" in err[0]
+
+    def test_geom_reduce_tiny_height(self, capsys):
+        assert main(["geom", "reduce", "--point", "0,0,0,1e-200"]) == 0
+        out = capsys.readouterr().out
+        assert [float(t) for t in out.split("point: ")[1].split(",")] == [0, 0, 0, 1e200]
+        assert main(["geom", "reduce", "--point", "0,0,0,1e-320"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "overflows" in err[0]
 
     def test_geom_verify_cusp(self, capsys):
         assert main(["geom", "verify-cusp", "--T", "2", "--samples", "50", "--seed", "1"]) == 0
@@ -195,6 +217,20 @@ class TestCliCommands:
         assert main(["maass", "parseval", "--form", str(fpath), "--y", "1.0"]) == 0
         assert main(["maass", "cusp", "--form", str(fpath), "--T", "2"]) == 0
         assert main(["maass", "laplace-check", "--beta", "1,0,0", "--r", "1"]) == 0
+
+    def test_asym_compute_R_tiny_eps(self, capsys):
+        assert main(["asym", "compute-R", "--A", "20", "--M", "3", "--eps", "1e-9"]) == 0
+        assert capsys.readouterr().out.strip() == "R = 12347571184"
+        assert main(["asym", "compute-R", "--A", "20", "--M", "3", "--eps", "1e-17"]) == 2
+        assert "rounds to 1" in capsys.readouterr().err
+
+    def test_maass_bad_inputs_exit_2(self, tmp_path, capsys):
+        fpath = tmp_path / "form.json"
+        fpath.write_text('{"r": 1.0, "entries": [{"beta": [1, 0], "re": 1.0, "im": 0.0}]}')
+        assert main(["maass", "eval", "--form", str(fpath), "--point", "0.1,0.2,0.3,1.0"]) == 2
+        assert main(["maass", "laplace-check", "--beta", "0,0,0", "--r", "1"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2 and "3 coordinates" in err[0] and "beta must be nonzero" in err[1]
 
     def test_json_mode(self, capsys):
         assert main(["--json", "asym", "compute-R", "--A", "10", "--M", "0", "--eps", "0.5"]) == 0

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -133,6 +134,19 @@ class TestAction:
         with pytest.raises(ValueError):
             act(g, (0, 0, 0, 1))
 
+    def test_non_similitude_families_rejected(self):
+        # [[1, 0], [x, 1]] and [[1, x], [0, 1]] have mu = 1, but an integral x
+        # with a k-part puts a k-component into d c^* or a b^*.
+        one, zero = Quaternion(1, 0, 0, 0), Quaternion(0, 0, 0, 0)
+        for coords in itertools.product(range(-2, 3), repeat=4):
+            if coords[3] == 0:
+                continue
+            x = Quaternion(*coords)
+            for g in (IsometryMatrix(one, zero, x, one), IsometryMatrix(one, x, zero, one)):
+                assert not is_similitude(g)
+                with pytest.raises(AssertionError):
+                    act(g, (0.1, 0.2, 0.3, 1.0))
+
     def test_matches_exact_clifford_computation(self):
         # same Moebius formula evaluated exactly inside C_3
         def to_c3(q: Quaternion) -> CliffordElement:
@@ -185,6 +199,16 @@ class TestReduction:
         word, point = reduce_to_fundamental_domain((0.1, 0.2, 0.3, 2))
         assert word == ()
         assert point.as_tuple() == (0.1, 0.2, 0.3, 2)
+
+    def test_inversion_without_underflow(self):
+        # |z|^2 = 1e-400 underflows to 0.0; z/|z|^2 does not overflow
+        word, point = reduce_to_fundamental_domain((0, 0, 0, 1e-200))
+        assert word == (("inversion",),)
+        assert point.as_tuple() == (0, 0, 0, 1e200)
+
+    def test_inversion_overflow_rejected(self):
+        with pytest.raises(ValueError, match="overflows"):
+            reduce_to_fundamental_domain((0, 0, 0, 1e-320))
 
     def test_soundness_on_random_points(self):
         rng = random.Random(2)

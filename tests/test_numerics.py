@@ -26,17 +26,10 @@ class TestBessel:
 
     def test_against_reference_values(self):
         for r in (0.0, 0.5, 1.0, 2.0, 5.0, 10.0):
-            for x in (0.1, 0.7, 1.0, 3.0, 6.0, 12.0, 20.0):
+            for x in (0.1, 0.7, 1.0, 3.0, 5.0, 6.0, 12.0, 20.0):
                 mine = bessel_k_imag_order(r, x)
                 ref = mp_bessel(r, x)
                 assert mine == pytest.approx(ref, abs=1e-10), (r, x)
-
-    def test_schemes_agree(self):
-        for r in (0.0, 1.0, 5.0, 10.0):
-            for x in (0.1, 1.0, 5.0, 20.0):
-                simpson = bessel_k_imag_order(r, x, scheme="simpson")
-                ts = bessel_k_imag_order(r, x, scheme="tanh-sinh")
-                assert abs(simpson - ts) <= 1e-9 * max(1.0, abs(simpson))
 
     def test_monotone_decay_in_x(self):
         for r in (0.0, 1.0, 5.0):
@@ -48,10 +41,6 @@ class TestBessel:
     def test_nonpositive_argument_rejected(self):
         with pytest.raises(ValueError):
             bessel_k_imag_order(1.0, 0.0)
-
-    def test_unknown_scheme(self):
-        with pytest.raises(ValueError):
-            bessel_k_imag_order(1.0, 1.0, scheme="romberg")
 
 
 class TestEvaluateForm:
@@ -103,6 +92,10 @@ class TestEvaluateForm:
     def test_constant_term_rejected(self):
         with pytest.raises(ValueError):
             SpectralForm.from_dict(1.0, {(0, 0, 0): 1.0})
+
+    def test_short_beta_rejected(self):
+        with pytest.raises(ValueError, match="3 coordinates"):
+            SpectralForm(r=1.0, entries=(((1, 0), 1.0),))
 
 
 class TestParseval:
@@ -199,6 +192,10 @@ class TestLaplaceResidual:
                 a = m
         with pytest.raises(ValueError, match="vanishes"):
             laplace_eigen_residual((1, 0, 0), 1.0, (0.1, 0.2, 0.3, 0.5 * (a + b)), 1e-3)
+
+    def test_zero_beta_rejected(self):
+        with pytest.raises(ValueError, match="beta must be nonzero"):
+            laplace_eigen_residual((0, 0, 0), 1.0, (0.1, 0.2, 0.3, 0.3))
 
     def test_step_must_keep_y_positive(self):
         with pytest.raises(ValueError):

@@ -8,13 +8,16 @@ from h4hecke.clifford import CliffordElement
 from h4hecke.quaternions import (
     Quaternion,
     UNITS,
+    apply_matrix,
     canonical_orbit_representative,
     conjugate_action,
     conjugation_matrix,
     enumerate_norm,
     lattice_norm,
+    lattice_to_quaternion,
     orbit_representatives,
-    star_conjugate_action,
+    quaternion_to_lattice,
+    star_conjugation_matrices,
     valuation,
     verify_conjugation_lemmas,
 )
@@ -99,14 +102,25 @@ class TestConjugation:
     @settings(max_examples=50, deadline=None)
     @given(small_quats, st.tuples(st.integers(-4, 4), st.integers(-4, 4), st.integers(-4, 4)))
     def test_star_conjugation_in_v3(self, alpha, delta):
-        out = star_conjugate_action(alpha, delta)
-        assert lattice_norm(out) == alpha.norm() ** 2 * lattice_norm(delta)
+        out = alpha.star() * lattice_to_quaternion(delta) * alpha
+        assert out.d == 0
+        assert out.norm() == alpha.norm() ** 2 * lattice_norm(delta)
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+    def test_star_matrix_is_transpose(self, p):
+        # delta -> alpha^* delta alpha has matrix C(alpha)^T for every norm-p alpha
+        for alpha in orbit_representatives(p).all_elements:
+            mat = conjugation_matrix(alpha)
+            for delta in ((1, 0, 0), (0, 1, 0), (0, 0, 1), (2, -3, 5)):
+                expected = quaternion_to_lattice(alpha.star() * lattice_to_quaternion(delta) * alpha)
+                assert apply_matrix(tuple(zip(*mat)), delta) == expected, (alpha, delta)
+        reps = orbit_representatives(p).representatives
+        assert star_conjugation_matrices(p) == tuple(tuple(zip(*conjugation_matrix(a))) for a in reps)
 
     def test_matrix_matches_action(self):
         alpha = Quaternion(2, -1, 0, 1)
         mat = conjugation_matrix(alpha)
         beta = (3, 1, -2)
-        from h4hecke.quaternions import apply_matrix
         assert apply_matrix(mat, beta) == conjugate_action(alpha, beta)
 
     @settings(max_examples=40, deadline=None)
