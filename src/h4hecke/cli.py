@@ -56,6 +56,8 @@ def _parse_point(text: str):
     parts = [float(t) for t in text.split(",")]
     if len(parts) != 4:
         raise argparse.ArgumentTypeError("point must be x0,x1,x2,y")
+    if not all(map(math.isfinite, parts)):
+        raise argparse.ArgumentTypeError(f"point coordinates must be finite, got {text}")
     return geometry.PointH4(*parts)
 
 

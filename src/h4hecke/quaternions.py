@@ -289,26 +289,16 @@ class ConjugationSweepReport:
 _INF_SENTINEL = np.int64(2 ** 60)
 
 
-def _vp_of_gcd(arr: np.ndarray, q: int) -> np.ndarray:
-    """Vectorized v_q of integer row vectors (gcd of |coords|); 0-rows get a huge sentinel."""
-    g = np.gcd.reduce(np.abs(arr), axis=1).astype(np.int64)
-    v = np.zeros(g.shape, dtype=np.int64)
-    alive = g != 0
-    cur = g.copy()
-    while True:
-        div = alive & (cur % q == 0)
-        if not div.any():
-            break
-        v[div] += 1
-        cur[div] //= q
-    v[~alive] = _INF_SENTINEL
-    return v
+def _valuation_table(q: int, m: int) -> np.ndarray:
+    """v_q(n) for 0 <= n <= m from ``valuation``, with v_q(0) = infinity as the sentinel."""
+    return np.array([valuation((n,), q) if n else _INF_SENTINEL for n in range(m + 1)], dtype=np.int64)
 
 
 def _beta_grid(bound: int) -> np.ndarray:
+    """The nonzero integer vectors with |coords| <= bound, as the columns of a 3 x n array."""
     rng = np.arange(-bound, bound + 1, dtype=np.int64)
-    grid = np.stack(np.meshgrid(rng, rng, rng, indexing="ij"), axis=-1).reshape(-1, 3)
-    return grid[np.any(grid != 0, axis=1)]
+    grid = np.stack(np.meshgrid(rng, rng, rng, indexing="ij")).reshape(3, -1)
+    return np.ascontiguousarray(grid[:, np.any(grid != 0, axis=0)])
 
 
 def verify_conjugation_lemmas(
@@ -319,7 +309,7 @@ def verify_conjugation_lemmas(
     """Exhaustive check of the conjugation valuation lemmas over a coordinate box.
 
     Sweeps every nonzero beta with |coords| <= coordinate_bound against
-    every norm-p alpha (cost O(bound^3 * p)), asserting:
+    every norm-p alpha, asserting:
 
       (i)   v_p(beta) <= v_p(alpha' beta bar(alpha)) <= v_p(beta) + 2;
       (ii)  v_q is preserved for each supplied odd prime q != p;
@@ -328,11 +318,23 @@ def verify_conjugation_lemmas(
       (iv)  any delta with more than 16 norm-p alpha satisfying
             p^2 | alpha^* delta alpha is itself divisible by p^2.
 
+    The betas are the columns of one 3 x n array, so each alpha costs a
+    few passes over three contiguous coordinate rows: O(bound^3 * p) in
+    all.  A valuation is the least coordinate valuation,
+    v_q(c) = min_i v_q(c_i) with v_q(0) = infinity, read from a per-call
+    table of v_q(n) for 0 <= n <= m.  m = 3 * bound * (largest absolute
+    entry of the 8(p+1) matrices, at most p) bounds every |c_i|, and a
+    lookup past it raises IndexError.  Part (iii) counts the
+    representatives' v_p rows of part (i) as they are computed, and
+    part (iv) reads p^2 | c_i from the same v_p table.
+
     Returns counts on success; raises LemmaSweepError with the offending
     tuple otherwise.
     """
     if p == 2 or not is_prime(p):
         raise ValueError(f"p must be an odd prime, got {p}")
+    if coordinate_bound < 1:
+        raise ValueError(f"coordinate bound must be at least 1, got {coordinate_bound}")
     if q_primes is None:
         q_primes = [q for q in (3, 5, 7, 11) if q != p]
     q_primes = tuple(q_primes)
@@ -340,19 +342,36 @@ def verify_conjugation_lemmas(
         raise ValueError(f"q primes must be odd primes different from p: {q_primes}")
 
     table = orbit_representatives(p)
+    representatives = set(table.representatives)
+    mats = np.array([conjugation_matrix(alpha) for alpha in table.all_elements], dtype=np.int64)
     betas = _beta_grid(coordinate_bound)
-    n_beta = betas.shape[0]
-    vp_beta = _vp_of_gcd(betas, p)
-    vq_beta = {q: _vp_of_gcd(betas, q) for q in q_primes}
+    n_beta = betas.shape[1]
+    b0, b1, b2 = betas
+    m = 3 * coordinate_bound * int(np.abs(mats).max())
+    tables = {q: _valuation_table(q, m) for q in (p, *q_primes)}
+    psq_divides = tables[p] >= 2
+
+    def abs_rows(mat: np.ndarray) -> list[np.ndarray]:
+        return [np.abs(r[0] * b0 + r[1] * b1 + r[2] * b2) for r in mat]
+
+    def val(rows: Sequence[np.ndarray], q: int) -> np.ndarray:
+        t = tables[q]
+        return np.minimum(np.minimum(t.take(rows[0]), t.take(rows[1])), t.take(rows[2]))
+
+    abs_betas = np.abs(betas)
+    vp_beta = val(abs_betas, p)
+    vq_beta = {q: val(abs_betas, q) for q in q_primes}
 
     max_jump = 0
     pairs = 0
+    unequal = np.zeros(n_beta, dtype=np.int64)
+    exceptional = np.zeros(n_beta, dtype=np.int64)
+    counts = np.zeros(n_beta, dtype=np.int64)
 
-    # (i) + (ii) over every norm-p alpha; conjugation is linear in beta.
-    for alpha in table.all_elements:
-        mat = np.array(conjugation_matrix(alpha), dtype=np.int64)
-        conj = betas @ mat.T
-        vp_conj = _vp_of_gcd(conj, p)
+    for alpha, mat in zip(table.all_elements, mats):
+        # (i) + (ii); conjugation is linear in beta.
+        conj = abs_rows(mat)
+        vp_conj = val(conj, p)
         pairs += n_beta
         low = vp_conj < vp_beta
         high = vp_conj > vp_beta + 2
@@ -360,49 +379,40 @@ def verify_conjugation_lemmas(
             idx = int(np.argmax(low | high))
             raise LemmaSweepError(
                 "two-sided v_p bound failed",
-                (tuple(betas[idx]), alpha, int(vp_beta[idx]), int(vp_conj[idx])),
+                (tuple(betas[:, idx]), alpha, int(vp_beta[idx]), int(vp_conj[idx])),
             )
         max_jump = max(max_jump, int((vp_conj - vp_beta).max()))
         for q in q_primes:
-            vq_conj = _vp_of_gcd(conj, q)
+            vq_conj = val(conj, q)
             bad = vq_conj != vq_beta[q]
             if bad.any():
                 idx = int(np.argmax(bad))
                 raise LemmaSweepError(
                     f"v_{q} not preserved under conjugation",
-                    (tuple(betas[idx]), alpha, int(vq_beta[q][idx]), int(vq_conj[idx])),
+                    (tuple(betas[:, idx]), alpha, int(vq_beta[q][idx]), int(vq_conj[idx])),
                 )
+        # (iii) counts over the p+1 representatives, checked after the loop.
+        if alpha in representatives:
+            unequal += vp_conj != vp_beta
+            exceptional += vp_conj >= vp_beta + 1
+        # (iv): alpha^* delta alpha has the transpose of the conjugation matrix.
+        star = abs_rows(mat.T)
+        counts += psq_divides.take(star[0]) & psq_divides.take(star[1]) & psq_divides.take(star[2])
 
-    # (iii) over the p+1 representatives.
-    unequal = np.zeros(n_beta, dtype=np.int64)
-    exceptional = np.zeros(n_beta, dtype=np.int64)
-    for alpha in table.representatives:
-        mat = np.array(conjugation_matrix(alpha), dtype=np.int64)
-        vp_conj = _vp_of_gcd(betas @ mat.T, p)
-        unequal += (vp_conj != vp_beta).astype(np.int64)
-        exceptional += (vp_conj >= vp_beta + 1).astype(np.int64)
     if int(unequal.max()) > 2:
         idx = int(np.argmax(unequal))
-        raise LemmaSweepError("more than two orbits changed v_p", (tuple(betas[idx]), int(unequal[idx])))
+        raise LemmaSweepError("more than two orbits changed v_p", (tuple(betas[:, idx]), int(unequal[idx])))
     if int(exceptional.max()) > 2:
         idx = int(np.argmax(exceptional))
-        raise LemmaSweepError("|I(beta)| > 2", (tuple(betas[idx]), int(exceptional[idx])))
+        raise LemmaSweepError("|I(beta)| > 2", (tuple(betas[:, idx]), int(exceptional[idx])))
 
-    # (iv): count, per delta, all norm-p alpha with p^2 | alpha^* delta alpha,
-    # whose matrix is the transpose of the conjugation matrix.
-    psq = p * p
-    counts = np.zeros(n_beta, dtype=np.int64)
-    for alpha in table.all_elements:
-        mat = np.array(conjugation_matrix(alpha), dtype=np.int64)
-        counts += np.all((betas @ mat) % psq == 0, axis=1).astype(np.int64)
-    many = counts > 16
-    delta_not_sq = np.any(betas % psq != 0, axis=1)
-    bad = many & delta_not_sq
+    # (iv): p^2 divides a nonzero delta exactly when v_p(delta) >= 2.
+    bad = (counts > 16) & (vp_beta < 2)
     if bad.any():
         idx = int(np.argmax(bad))
         raise LemmaSweepError(
             "more than 16 conjugates divisible by p^2 without p^2 | delta",
-            (tuple(betas[idx]), int(counts[idx])),
+            (tuple(betas[:, idx]), int(counts[idx])),
         )
     # Diagnostic: among delta with v_p(delta) = 0, the largest count observed.
     small = vp_beta == 0

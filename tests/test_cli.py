@@ -152,6 +152,21 @@ class TestCliCommands:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and "overflows" in err[0]
 
+    @pytest.mark.parametrize("point", ["0,0,0,inf", "inf,0,0,1", "0,nan,0,1", "0,0,0,-inf"])
+    def test_geom_reduce_non_finite_point_exits_2(self, point, capsys):
+        # argparse prints its usage line and one error line naming the point
+        with pytest.raises(SystemExit) as exc:
+            main(["geom", "reduce", "--point", point])
+        assert exc.value.code == 2
+        errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and f"point coordinates must be finite, got {point}" in errors[0]
+
+    @pytest.mark.parametrize("bound", ["0", "-2"])
+    def test_quat_verify_lemmas_empty_box_exits_2(self, bound, capsys):
+        assert main(["quat", "verify-lemmas", "--p", "3", "--bound", bound]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "coordinate bound must be at least 1" in err[0]
+
     def test_geom_verify_cusp(self, capsys):
         assert main(["geom", "verify-cusp", "--T", "2", "--samples", "50", "--seed", "1"]) == 0
 

@@ -1,11 +1,16 @@
+import functools
+import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from h4hecke import quaternions
 from h4hecke.clifford import CliffordElement
 from h4hecke.quaternions import (
+    LemmaSweepError,
     Quaternion,
     UNITS,
     apply_matrix,
@@ -190,3 +195,130 @@ class TestLemmaSweeps:
     def test_rejects_composite_p(self):
         with pytest.raises(ValueError):
             verify_conjugation_lemmas(9, 3)
+
+    def test_rejects_empty_box(self):
+        for bound in (0, -2):
+            with pytest.raises(ValueError, match="coordinate bound must be at least 1"):
+                verify_conjugation_lemmas(3, bound)
+
+
+def _brute_force_report(p: int, bound: int, qs: tuple[int, ...]) -> dict:
+    """The report fields from Quaternion products and ``valuation`` alone, without numpy."""
+    table = orbit_representatives(p)
+    reps = set(table.representatives)
+    rng = range(-bound, bound + 1)
+    betas = [b for b in itertools.product(rng, rng, rng) if any(b)]
+    pairs = max_jump = max_unequal = max_exceptional = max_small = 0
+    for beta in betas:
+        vp = valuation(beta, p)
+        unequal = exceptional = divisible = 0
+        for alpha in table.all_elements:
+            conj = conjugate_action(alpha, beta)
+            v = valuation(conj, p)
+            assert vp <= v <= vp + 2
+            assert all(valuation(conj, q) == valuation(beta, q) for q in qs)
+            pairs += 1
+            max_jump = max(max_jump, v - vp)
+            if alpha in reps:
+                unequal += v != vp
+                exceptional += v >= vp + 1
+            star = quaternion_to_lattice(alpha.star() * lattice_to_quaternion(beta) * alpha)
+            divisible += valuation(star, p) >= 2
+        max_unequal = max(max_unequal, unequal)
+        max_exceptional = max(max_exceptional, exceptional)
+        if vp == 0:
+            max_small = max(max_small, divisible)
+    return {"beta_count": len(betas), "pairs_checked": pairs, "max_vp_jump": max_jump,
+            "max_unequal_reps": max_unequal, "max_exceptional_set": max_exceptional,
+            "squared_divisibility_max_small": max_small}
+
+
+_TABLE_BOUND = 3 ** 7
+
+
+@functools.lru_cache(maxsize=None)
+def _valuation_tables(q: int) -> np.ndarray:
+    return quaternions._valuation_table(q, _TABLE_BOUND)
+
+
+@st.composite
+def _coordinate_triples(draw, q: int):
+    """Integer triples with |c_i| <= _TABLE_BOUND, rich in zeros and high powers of q."""
+    def coordinate():
+        e = draw(st.integers(0, 7))
+        unit = draw(st.integers(0, _TABLE_BOUND // q ** e))
+        return draw(st.sampled_from((1, -1))) * unit * q ** e
+    return tuple(coordinate() for _ in range(3))
+
+
+class TestSweepKernel:
+    @pytest.mark.parametrize("p,qs", [(3, (5,)), (5, (3,))])
+    def test_report_matches_brute_force(self, p, qs):
+        report = verify_conjugation_lemmas(p, 3, q_primes=qs)
+        expected = _brute_force_report(p, 3, qs)
+        assert {k: getattr(report, k) for k in expected} == expected
+        assert report.alpha_count == 8 * (p + 1)
+
+    @pytest.mark.parametrize("q", [3, 5, 7])
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_least_coordinate_valuation_matches_valuation(self, q, data):
+        table = _valuation_tables(q)
+        c = np.abs(np.array(data.draw(_coordinate_triples(q)), dtype=np.int64))
+        v = np.minimum(np.minimum(table.take(c[0]), table.take(c[1])), table.take(c[2]))
+        expected = valuation(tuple(int(x) for x in c), q)
+        assert v == (quaternions._INF_SENTINEL if expected == math.inf else expected)
+
+    def test_valuation_table_ends(self):
+        table = _valuation_tables(3)
+        assert table[0] == quaternions._INF_SENTINEL and table[_TABLE_BOUND] == 7
+        with pytest.raises(IndexError):
+            table.take(np.array([_TABLE_BOUND + 1]))
+
+
+class TestSweepChecksFire:
+    """Each check raises its LemmaSweepError when fed matrices that break it."""
+
+    P, BOUND = 3, 2
+    CORNER = (-2, -2, -2)  # the first beta of the box
+
+    def _sweep_with(self, monkeypatch, matrix_of):
+        monkeypatch.setattr(quaternions, "conjugation_matrix", matrix_of)
+        with pytest.raises(LemmaSweepError) as exc:
+            verify_conjugation_lemmas(self.P, self.BOUND, q_primes=(5,))
+        return exc.value
+
+    @staticmethod
+    def _scalar(c: int):
+        return lambda alpha: ((c, 0, 0), (0, c, 0), (0, 0, c))
+
+    def test_upper_vp_bound(self, monkeypatch):
+        err = self._sweep_with(monkeypatch, self._scalar(self.P ** 3))
+        first = orbit_representatives(self.P).all_elements[0]
+        assert "two-sided v_p bound failed" in str(err)
+        assert err.witness == (self.CORNER, first, 0, 3)
+
+    def test_vq_invariance(self, monkeypatch):
+        err = self._sweep_with(monkeypatch, self._scalar(5))
+        first = orbit_representatives(self.P).all_elements[0]
+        assert "v_5 not preserved under conjugation" in str(err)
+        assert err.witness == (self.CORNER, first, 0, 1)
+
+    def test_orbits_changing_vp(self, monkeypatch):
+        err = self._sweep_with(monkeypatch, self._scalar(self.P ** 2))
+        assert "more than two orbits changed v_p" in str(err)
+        assert err.witness == (self.CORNER, self.P + 1)
+
+    def test_squared_divisibility(self, monkeypatch):
+        # True matrices for the representatives keep (i)-(iii) clean; every
+        # other alpha maps delta to p^2 delta, so each delta gets 7(p+1) > 16.
+        table = orbit_representatives(self.P)
+        scaled = self._scalar(self.P ** 2)
+        err = self._sweep_with(monkeypatch, lambda a: conjugation_matrix(a) if a in table.representatives
+                               else scaled(a))
+        delta = lattice_to_quaternion(self.CORNER)
+        from_reps = sum(valuation(alpha.star() * delta * alpha, self.P) >= 2
+                        for alpha in table.representatives)
+        assert "more than 16 conjugates divisible by p^2 without p^2 | delta" in str(err)
+        assert err.witness == (self.CORNER, 7 * (self.P + 1) + from_reps)
+        assert valuation(self.CORNER, self.P) < 2
