@@ -331,17 +331,23 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="h4hecke", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--json", action="store_true", help="emit machine-readable reports")
+    # every command also takes --json after its own arguments; the suppressed
+    # default leaves the top-level value alone when the flag is not repeated there
+    json_flag = argparse.ArgumentParser(add_help=False)
+    json_flag.add_argument("--json", action="store_true", default=argparse.SUPPRESS,
+                           help="emit machine-readable reports")
+    common = [json_flag]
     top = parser.add_subparsers(dest="group", required=True)
 
     quat = top.add_parser("quat", help="integral quaternion tables and lemma sweeps").add_subparsers(
         dest="cmd", required=True)
-    p = quat.add_parser("enum", help="list quaternions of a given norm")
+    p = quat.add_parser("enum", help="list quaternions of a given norm", parents=common)
     p.add_argument("--norm", type=int, required=True)
     p.set_defaults(func=_cmd_quat_enum)
-    p = quat.add_parser("reps", help="list the p+1 orbit representatives")
+    p = quat.add_parser("reps", help="list the p+1 orbit representatives", parents=common)
     p.add_argument("--p", type=int, required=True)
     p.set_defaults(func=_cmd_quat_reps)
-    p = quat.add_parser("verify-lemmas", help="exhaustive conjugation-valuation sweep")
+    p = quat.add_parser("verify-lemmas", help="exhaustive conjugation-valuation sweep", parents=common)
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--bound", type=int, required=True)
     p.add_argument("--q", type=int, action="append", help="odd prime(s) != p for the v_q check")
@@ -349,34 +355,35 @@ def build_parser() -> argparse.ArgumentParser:
 
     geom = top.add_parser("geom", help="hyperbolic actions and fundamental domain").add_subparsers(
         dest="cmd", required=True)
-    p = geom.add_parser("reduce", help="reduce a point into the fundamental domain")
+    p = geom.add_parser("reduce", help="reduce a point into the fundamental domain", parents=common)
     p.add_argument("--point", type=_parse_point, required=True)
     p.set_defaults(func=_cmd_geom_reduce)
-    p = geom.add_parser("act", help="apply a 2x2 quaternion matrix to a point")
+    p = geom.add_parser("act", help="apply a 2x2 quaternion matrix to a point", parents=common)
     p.add_argument("--matrix", type=int, nargs=16, required=True,
                    help="entries a b c d as four quaternion 4-tuples")
     p.add_argument("--point", type=_parse_point, required=True)
     p.set_defaults(func=_cmd_geom_act)
-    p = geom.add_parser("verify-cusp", help="sample the four-fold cusp tiling")
+    p = geom.add_parser("verify-cusp", help="sample the four-fold cusp tiling", parents=common)
     p.add_argument("--T", type=float, default=2.0)
     p.add_argument("--samples", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_geom_verify_cusp)
 
     hk = top.add_parser("hecke", help="coefficient operators").add_subparsers(dest="cmd", required=True)
-    p = hk.add_parser("apply", help="apply H_1, H_2, or H_3 to a coefficient file")
+    p = hk.add_parser("apply", help="apply H_1, H_2, or H_3 to a coefficient file", parents=common)
     p.add_argument("--op", type=int, choices=(1, 2, 3), required=True)
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", dest="outfile", required=True)
     p.set_defaults(func=_cmd_hecke_apply)
-    p = hk.add_parser("verify-relation", help="exact quadratic-relation residual on random fields")
+    p = hk.add_parser("verify-relation", help="exact quadratic-relation residual on random fields",
+                      parents=common)
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--trials", type=int, default=10)
     p.add_argument("--support", type=int, default=8)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_hecke_verify_relation)
-    p = hk.add_parser("commute", help="cross-prime commutator residual in doubles")
+    p = hk.add_parser("commute", help="cross-prime commutator residual in doubles", parents=common)
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--trials", type=int, default=5)
@@ -387,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sm = top.add_parser("sums", help="lattice sums and inequality reports").add_subparsers(
         dest="cmd", required=True)
-    p = sm.add_parser("compute", help="evaluate S_d(z) or R^(p,ell)_d(z)")
+    p = sm.add_parser("compute", help="evaluate S_d(z) or R^(p,ell)_d(z)", parents=common)
     p.add_argument("--kind", choices=("S", "R"), required=True)
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--d", type=int, default=1)
@@ -395,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ell", type=int, default=0)
     p.add_argument("--z", type=_parse_fraction, required=True)
     p.set_defaults(func=_cmd_sums_compute)
-    p = sm.add_parser("report", help="two-sided inequality report")
+    p = sm.add_parser("report", help="two-sided inequality report", parents=common)
     p.add_argument("--which", required=True,
                    choices=("Prop6.1", "Cor6.2", "L6.3i", "L6.3ii", "L6.3iii", "L6.4a", "L6.4b", "L6.5"))
     p.add_argument("--in", dest="infile", required=True)
@@ -412,38 +419,39 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--const-B", type=float, default=1.0)
     p.add_argument("--assert-with-constant", action="store_true")
     p.set_defaults(func=_cmd_sums_report)
-    p = sm.add_parser("partition", help="dyadic eigenvalue partition of the prime window")
+    p = sm.add_parser("partition", help="dyadic eigenvalue partition of the prime window", parents=common)
     p.add_argument("--y", type=float, required=True)
     p.add_argument("--lambda-table", dest="lambda_table", required=True)
     p.set_defaults(func=_cmd_sums_partition)
 
     asym = top.add_parser("asym", help="recursion constants and decay checks").add_subparsers(
         dest="cmd", required=True)
-    p = asym.add_parser("compute-R", help="smallest admissible recursion exponent")
+    p = asym.add_parser("compute-R", help="smallest admissible recursion exponent", parents=common)
     p.add_argument("--A", type=float, required=True)
     p.add_argument("--M", type=int, required=True)
     p.add_argument("--eps", type=float, required=True)
     p.set_defaults(func=_cmd_asym_compute_R)
-    p = asym.add_parser("verify", help="check hypothesis and decay bound for a sampled function")
+    p = asym.add_parser("verify", help="check hypothesis and decay bound for a sampled function",
+                        parents=common)
     p.add_argument("--f", required=True, help="CSV of y,value rows")
     p.add_argument("--params", required=True, help="JSON with delta, eps, A, a, b")
     p.set_defaults(func=_cmd_asym_verify)
 
     ms = top.add_parser("maass", help="spectral-mode numerics").add_subparsers(dest="cmd", required=True)
-    p = ms.add_parser("eval", help="evaluate the Fourier sum at a point")
+    p = ms.add_parser("eval", help="evaluate the Fourier sum at a point", parents=common)
     p.add_argument("--form", required=True)
     p.add_argument("--point", type=_parse_point, required=True)
     p.set_defaults(func=_cmd_maass_eval)
-    p = ms.add_parser("parseval", help="fixed-height orthogonality check")
+    p = ms.add_parser("parseval", help="fixed-height orthogonality check", parents=common)
     p.add_argument("--form", required=True)
     p.add_argument("--y", type=float, required=True)
     p.set_defaults(func=_cmd_maass_parseval)
-    p = ms.add_parser("cusp", help="cusp mass above height T")
+    p = ms.add_parser("cusp", help="cusp mass above height T", parents=common)
     p.add_argument("--form", required=True)
     p.add_argument("--T", type=float, required=True)
     p.add_argument("--cross-check", action="store_true")
     p.set_defaults(func=_cmd_maass_cusp)
-    p = ms.add_parser("laplace-check", help="finite-difference mode annihilation")
+    p = ms.add_parser("laplace-check", help="finite-difference mode annihilation", parents=common)
     p.add_argument("--beta", type=_parse_beta, required=True)
     p.add_argument("--r", type=float, required=True)
     p.add_argument("--point", type=_parse_point)

@@ -283,9 +283,12 @@ def reduce_to_fundamental_domain(
     Repeats: integer-translate x into [-1/2, 1/2]^3; flip signs with the
     rotations diag(u, u') to force x1, x2 >= 0; invert when |z| < 1.
     Each inversion strictly increases y, so the loop terminates; the
-    iteration cap guards the float boundary cases.
+    iteration cap guards the float boundary cases.  A point with an
+    infinite or NaN coordinate raises ValueError.
     """
     cur = as_point(z)
+    if not all(map(math.isfinite, cur.as_tuple())):
+        raise ValueError(f"cannot reduce a point with a non-finite coordinate: {cur.as_tuple()}")
     word: list[Token] = []
     trace = [cur]
     for _ in range(max_iter):

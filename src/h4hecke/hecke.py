@@ -32,6 +32,15 @@ as an exact operator identity on arbitrary fields (any fixed orbit
 table); verify_hecke_relation computes the residual of that identity
 without rounding.
 
+_hecke_value is the one copy of these formulas, and its callers inject
+the scalar domain: complex doubles for the float twin, Python ints for the
+exact operators.  There a field is converted once to integer numerators
+(re/im times rational/sqrt(p) parts) over D p^3, D the lcm of its entry
+denominators, so every looked-up numerator is a multiple of p^3.  Each
+weight's denominator divides p^3, and p^(-1/2) maps a + b sqrt(p) to
+b + (a/p) sqrt(p) on sums that keep p^2, so every division is exact and
+only results are converted back to Fractions.
+
 Two finer properties need the Klein-group sign symmetry
 A(-b0,-b1,b2) = A(-b0,b1,-b2) = A(b0,-b1,-b2) = A(b0,b1,b2) that
 unit-rotation isometries force on genuine Fourier-coefficient data:
@@ -248,8 +257,9 @@ class _Zero:
 
     Adding it returns the other operand and multiplying by it returns
     itself, so a term that cannot contribute costs one method call and no
-    Fraction work.  Scalar types reach these reflected methods by
-    returning NotImplemented for operands they do not know.
+    arithmetic.  The integer scalars of the exact operators test for it;
+    QuadExt and QComplex reach these reflected methods by returning
+    NotImplemented for operands they do not know.
     """
 
     __slots__ = ()
@@ -584,6 +594,109 @@ def _matrices_for(p: int, representatives):
     return conj_mats, tuple(tuple(zip(*m)) for m in conj_mats)
 
 
+def _apply(ell: int, p: int, entries: Mapping[LatticeVector, object], zero, weights: _HeckeWeights,
+           inv_sqrt_p, representatives=None) -> dict:
+    """H_ell on a dict of scalars of one domain: every nonzero (H_ell A)(beta) over the candidates."""
+    conj_mats, star_mats = _matrices_for(p, representatives)
+
+    def at(beta):
+        return zero if beta is None else entries.get(beta, zero)
+
+    out = {}
+    for beta in _hecke_candidates(ell, p, entries, star_mats):
+        value = _hecke_value(ell, p, at, weights, inv_sqrt_p, beta, conj_mats)
+        if value:
+            out[beta] = value
+    return out
+
+
+# -- the integer domain of the exact operators ---------------------------------
+#
+# A field over Q(sqrt p) is converted once: with D the lcm of its entry
+# denominators, each entry becomes four ints, the re/im x rational/sqrt(p)
+# parts, as numerators over the per-call denominator D p^3.  Divisibility
+# invariant: every looked-up numerator is a multiple of p^3.  A weight n/p^k
+# (k <= 3; the weights of H_2 and H_3 in fact have k <= 2) acts as
+# "times n p^(3-k), then // p^3", so it divides exactly and leaves a
+# multiple of p^(3-k).  p^(-1/2) maps a + b sqrt(p) to
+# b + (a/p) sqrt(p); the sums it is applied to are lookups or lookups times
+# 1_p - 1/p, so they keep p^2 and a/p is exact.  An H_1 output is a multiple
+# of p^2, which is why verify_hecke_relation rescales it by p before applying
+# H_1 again.
+
+
+class _Num:
+    """(ra + rb sqrt p) + (ia + ib sqrt p) i as integer numerators over a per-call denominator."""
+
+    __slots__ = ("ra", "rb", "ia", "ib")
+
+    def __init__(self, ra: int, rb: int, ia: int, ib: int):
+        self.ra = ra
+        self.rb = rb
+        self.ia = ia
+        self.ib = ib
+
+    def __add__(self, other):
+        if other is _ZERO:
+            return self
+        return _Num(self.ra + other.ra, self.rb + other.rb, self.ia + other.ia, self.ib + other.ib)
+
+    def __bool__(self) -> bool:
+        return bool(self.ra or self.rb or self.ia or self.ib)
+
+
+class _IntWeight:
+    """The rational m/q acting on numerators: times m, then // q, exact by the invariant."""
+
+    __slots__ = ("m", "q")
+
+    def __init__(self, m: int, q: int = 1):
+        self.m = m
+        self.q = q
+
+    def __mul__(self, v):
+        if v is _ZERO:
+            return v
+        m, q = self.m, self.q
+        return _Num(m * v.ra // q, m * v.rb // q, m * v.ia // q, m * v.ib // q)
+
+
+class _IntInvSqrt:
+    """p^(-1/2) acting on numerators: a + b sqrt(p) -> b + (a/p) sqrt(p)."""
+
+    __slots__ = ("p",)
+
+    def __init__(self, p: int):
+        self.p = p
+
+    def __mul__(self, v):
+        if v is _ZERO:
+            return v
+        p = self.p
+        return _Num(v.rb, v.ra // p, v.ib, v.ia // p)
+
+
+def _int_weights(p: int) -> _HeckeWeights:
+    cube = p ** 3
+    return _hecke_weights(p, lambda fr: _IntWeight(fr.numerator * (cube // fr.denominator), cube))
+
+
+def _numerators(A: CoefficientField, p: int) -> tuple[int, dict[LatticeVector, _Num]]:
+    """(D p^3, {beta: numerators of A(beta) over D p^3}), D the lcm of the entry denominators."""
+    parts = [(v.re.a, v.re.b, v.im.a, v.im.b) for v in A.entries.values()]
+    den = math.lcm(*(x.denominator for row in parts for x in row)) * p ** 3
+    return den, {beta: _Num(*[x.numerator * (den // x.denominator) for x in row])
+                 for beta, row in zip(A.entries, parts)}
+
+
+def _field(p: int, nums: Mapping[LatticeVector, _Num], den: int) -> CoefficientField:
+    return CoefficientField(p, {
+        beta: QComplex(QuadExt(p, Fraction(v.ra, den), Fraction(v.rb, den)),
+                       QuadExt(p, Fraction(v.ia, den), Fraction(v.ib, den)))
+        for beta, v in nums.items()
+    })
+
+
 def apply_hecke(ell: int, p: int, A: CoefficientField, *, representatives=None) -> CoefficientField:
     """H_ell A in exact arithmetic.
 
@@ -592,41 +705,20 @@ def apply_hecke(ell: int, p: int, A: CoefficientField, *, representatives=None) 
     field over a different sqrt-extension is rejected.  The orbit table
     is the canonical one unless an alternative representative set is
     supplied (the output is the same for any valid choice).
+
+    The operator runs on Python ints: A is converted once to integer
+    numerators over D p^3 (D the lcm of its entry denominators), on which
+    every lookup is a multiple of p^3, so each weight n/p^k and p^(-1/2)
+    divide exactly; only the outputs are converted back to Fractions.
     """
     A = A.with_prime(p)
-    conj_mats, star_mats = _matrices_for(p, representatives)
-    inv_sqrt_p = QuadExt.inv_sqrt(p)
-    weights = _hecke_weights(p, lambda fr: QuadExt.of(fr, p))
-    entries = A.entries
-
-    def at(beta):
-        return _ZERO if beta is None else entries.get(beta, _ZERO)
-
-    out: dict[LatticeVector, QComplex] = {}
-    for beta in _hecke_candidates(ell, p, entries, star_mats):
-        value = _hecke_value(ell, p, at, weights, inv_sqrt_p, beta, conj_mats)
-        if value:
-            out[beta] = value
-    return CoefficientField(p, out)
+    den, nums = _numerators(A, p)
+    return _field(p, _apply(ell, p, nums, _ZERO, _int_weights(p), _IntInvSqrt(p), representatives), den)
 
 
 def apply_hecke_float(ell: int, p: int, entries: Mapping[LatticeVector, complex]) -> dict[LatticeVector, complex]:
     """Floating-point twin of apply_hecke for cross-prime experiments."""
-    conj_mats, star_mats = _matrices_for(p, None)
-    inv_sqrt_p = 1.0 / math.sqrt(p)
-    weights = _hecke_weights(p, float)
-
-    def at(beta):
-        if beta is None:
-            return 0j
-        return entries.get(beta, 0j)
-
-    out = {}
-    for beta in _hecke_candidates(ell, p, entries, star_mats):
-        value = _hecke_value(ell, p, at, weights, inv_sqrt_p, beta, conj_mats)
-        if value != 0:
-            out[beta] = value
-    return out
+    return _apply(ell, p, entries, 0j, _hecke_weights(p, float), 1.0 / math.sqrt(p))
 
 
 def hecke_relation_constant(p: int) -> Fraction:
@@ -639,13 +731,28 @@ def verify_hecke_relation(p: int, A: CoefficientField) -> CoefficientField:
     The returned field is identically zero precisely when the quadratic
     relation between the three operators holds on A; a structured
     nonzero residual is a reportable finding, not an error.
+
+    The whole chain runs on the integer numerators of apply_hecke, over
+    D p^3.  An H_1 output is a multiple of p^2, so it is rescaled by p
+    (to numerators over D p^4) before the outer H_1; the other three terms
+    are brought over D p^4 by their weights times p, which are exact on
+    multiples of p^3, and only the residual is converted back.
     """
     A = A.with_prime(p)
-    h1h1 = apply_hecke(1, p, apply_hecke(1, p, A))
-    h2 = apply_hecke(2, p, A).scale(QuadExt.of(1 + Fraction(1, p), p))
-    h3 = apply_hecke(3, p, A)
-    const = A.scale(QuadExt.of(hecke_relation_constant(p), p))
-    return h1h1 - h2 - h3 - const
+    den, nums = _numerators(A, p)
+    weights, inv_sqrt_p = _int_weights(p), _IntInvSqrt(p)
+
+    def op(ell, entries):
+        return _apply(ell, p, entries, _ZERO, weights, inv_sqrt_p)
+
+    to_p = _IntWeight(p)
+    residual = op(1, {beta: to_p * v for beta, v in op(1, nums).items()})
+    for terms, weight in ((op(2, nums), (1 + Fraction(1, p)) * p), (op(3, nums), Fraction(p)),
+                          (nums, hecke_relation_constant(p) * p)):
+        weight = _IntWeight(-weight.numerator, weight.denominator)
+        for beta, v in terms.items():
+            residual[beta] = residual.get(beta, _ZERO) + weight * v
+    return _field(p, {beta: v for beta, v in residual.items() if v}, den * p)
 
 
 def verify_commutativity(p: int, q: int, ell: int, m: int, A: CoefficientField) -> float:

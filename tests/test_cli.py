@@ -174,6 +174,17 @@ class TestCliCommands:
         assert main(["hecke", "verify-relation", "--p", "3", "--trials", "3", "--seed", "7"]) == 0
         assert "residual zero" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("argv", [
+        ["--json", "quat", "verify-lemmas", "--p", "7", "--bound", "3"],
+        ["quat", "verify-lemmas", "--p", "7", "--bound", "3", "--json"],
+        ["--json", "hecke", "verify-relation", "--p", "7", "--trials", "2", "--seed", "1"],
+        ["hecke", "verify-relation", "--p", "7", "--trials", "2", "--seed", "1", "--json"],
+    ])
+    def test_json_flag_before_or_after_command(self, argv, capsys):
+        assert main(argv) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["schema"] == 1 and report["p"] == 7
+
     def test_hecke_commute(self, capsys):
         assert main(["hecke", "commute", "--p", "3", "--q", "5", "--trials", "2"]) == 0
 

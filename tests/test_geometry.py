@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -209,6 +210,14 @@ class TestReduction:
     def test_inversion_overflow_rejected(self):
         with pytest.raises(ValueError, match="overflows"):
             reduce_to_fundamental_domain((0, 0, 0, 1e-320))
+
+    @pytest.mark.parametrize("z", [(0, 0, 0, math.inf), (math.inf, 0, 0, 1), (0, math.nan, 0, 1)])
+    def test_non_finite_point_rejected(self, z):
+        # one ValueError naming the point, before any step: no "already
+        # reduced" answer at y = inf and no OverflowError from math.floor
+        with pytest.raises(ValueError, match="non-finite coordinate") as info:
+            reduce_to_fundamental_domain(z)
+        assert str(tuple(map(float, z))) in str(info.value)
 
     def test_soundness_on_random_points(self):
         rng = random.Random(2)

@@ -1,9 +1,11 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from h4hecke import hecke
 from h4hecke.hecke import (
     _ZERO,
     CoefficientField,
@@ -19,9 +21,19 @@ from h4hecke.hecke import (
     verify_commutativity,
     verify_hecke_relation,
     _epsilon_case,
+    _hecke_candidates,
+    _hecke_value,
     _hecke_weights,
+    _matrices_for,
 )
-from h4hecke.quaternions import UNITS, apply_matrix, conjugation_matrices, divide_lattice, lattice_norm
+from h4hecke.quaternions import (
+    UNITS,
+    apply_matrix,
+    conjugation_matrices,
+    divide_lattice,
+    lattice_norm,
+    orbit_representatives,
+)
 
 
 class TestQuadExt:
@@ -225,6 +237,71 @@ class TestApply:
             assert double_hits > 0, f"H_3 never reached its double-conjugation term at p={p}"
 
 
+def _quadext_apply(ell, p, A, representatives=None):
+    """H_ell A with _hecke_value evaluated on QuadExt/QComplex scalars and true zeros.
+
+    The reference for the integer path: every weight through QuadExt.of,
+    p^(-1/2) as QuadExt.inv_sqrt and Fraction arithmetic throughout, so no
+    division can truncate.
+    """
+    A = A.with_prime(p)
+    conj_mats, star_mats = _matrices_for(p, representatives)
+    zero = QComplex.of(0, p=p)
+    weights = _hecke_weights(p, lambda fr: QuadExt.of(fr, p))
+
+    def at(beta):
+        return zero if beta is None else A.entries.get(beta, zero)
+
+    out = {}
+    for beta in _hecke_candidates(ell, p, A.entries, star_mats):
+        value = _hecke_value(ell, p, at, weights, QuadExt.inv_sqrt(p), beta, conj_mats)
+        if value:
+            out[beta] = value
+    return CoefficientField(p, out)
+
+
+def _snapshot(field):
+    return {b: (v.re.p, v.im.p, repr(v.re), repr(v.im)) for b, v in field.entries.items()}
+
+
+@st.composite
+def _fields(draw):
+    """A prime and a field over Q(sqrt p), or over plain Q, with mixed denominators."""
+    p = draw(st.sampled_from([3, 5, 7]))
+    plain = draw(st.booleans())
+    dens = st.sampled_from([1, 2, 3, 4, 6, p, p * p])
+
+    def scalar():
+        a = Fraction(draw(st.integers(-9, 9)), draw(dens))
+        b = Fraction(0) if plain else Fraction(draw(st.integers(-9, 9)), draw(dens))
+        return QuadExt(None if plain else p, a, b)
+
+    betas = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * 3).filter(any), min_size=1, max_size=6,
+                          unique=True))
+    A = CoefficientField(None if plain else p, {beta: QComplex(scalar(), scalar()) for beta in betas})
+    return p, (A.symmetrized() if draw(st.booleans()) else A)
+
+
+class TestIntegerPath:
+    @settings(max_examples=40, deadline=None)
+    @given(_fields(), st.booleans(), st.randoms(use_true_random=False))
+    def test_matches_quadext_evaluation(self, drawn, alternative_table, rng):
+        # a non-exact // anywhere in the integer domain would truncate and
+        # show here, since the denominators include 2, 3, 4, 6 as well as p, p^2
+        p, A = drawn
+        reps = None
+        if alternative_table:
+            reps = [rng.choice(UNITS) * r for r in orbit_representatives(p).representatives]
+            rng.shuffle(reps)
+            reps = tuple(reps)
+        for ell in (1, 2, 3):
+            got = apply_hecke(ell, p, A, representatives=reps)
+            expected = _quadext_apply(ell, p, A, reps)
+            assert got.p == expected.p == p
+            assert got == expected
+            assert _snapshot(got) == _snapshot(expected)
+
+
 def _double_conjugation_hits(p, A, h3):
     """Support hits of the H_3 term A(conj_j(conj_i(beta))/p^2) with p | conj_i(beta), over beta in h3."""
     mats = conjugation_matrices(p)
@@ -292,6 +369,28 @@ class TestRelation:
             for _ in range(3):
                 A = CoefficientField.random(rng, p=p, support=5, sqrt_parts=True)
                 assert verify_hecke_relation(p, A).is_zero
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_relation_on_every_delta_in_box(self, p):
+        # the operators are Q(sqrt p)(i)-linear, so the identity on every
+        # delta_beta with |b_i| <= 2 proves it for every field supported there
+        box = [beta for beta in itertools.product(range(-2, 3), repeat=3) if any(beta)]
+        assert len(box) == 124
+        for beta in box:
+            assert verify_hecke_relation(p, CoefficientField.delta(beta, 1, p=p)).is_zero
+
+    def test_nonzero_residual_is_exact(self, monkeypatch):
+        # a relation constant off by 5/p^3 leaves exactly 5/p^3 A, on a
+        # field whose denominators are not powers of p
+        constant = hecke.hecke_relation_constant
+        monkeypatch.setattr(hecke, "hecke_relation_constant", lambda p: constant(p) - Fraction(5, p ** 3))
+        rng = random.Random(41)
+        for p in (3, 5, 7):
+            A = CoefficientField.random(rng, p=p, support=5, sqrt_parts=True, symmetric=True)
+            A = A + A.scale(QuadExt.of(Fraction(1, 3), p))
+            expected = A.scale(QuadExt.of(Fraction(5, p ** 3), p))
+            residual = verify_hecke_relation(p, A)
+            assert residual == expected and _snapshot(residual) == _snapshot(expected)
 
     @settings(max_examples=10, deadline=None)
     @given(st.integers(0, 2 ** 31), st.sampled_from([3, 5]))
