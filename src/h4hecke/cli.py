@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import random
@@ -59,6 +60,16 @@ def _parse_point(text: str):
     if not all(map(math.isfinite, parts)):
         raise argparse.ArgumentTypeError(f"point coordinates must be finite, got {text}")
     return geometry.PointH4(*parts)
+
+
+def _parse_finite(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from exc
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+    return value
 
 
 def _parse_beta(text: str):
@@ -413,10 +424,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c", type=int)
     p.add_argument("--k", type=int)
     p.add_argument("--ell", type=int)
-    p.add_argument("--K", type=float)
-    p.add_argument("--window-P", type=float, help="prime window upper bound P")
-    p.add_argument("--const-A", type=float, default=1.0)
-    p.add_argument("--const-B", type=float, default=1.0)
+    p.add_argument("--K", type=_parse_finite)
+    p.add_argument("--window-P", type=_parse_finite, help="prime window upper bound P")
+    p.add_argument("--const-A", type=_parse_finite, default=1.0)
+    p.add_argument("--const-B", type=_parse_finite, default=1.0)
     p.add_argument("--assert-with-constant", action="store_true")
     p.set_defaults(func=_cmd_sums_report)
     p = sm.add_parser("partition", help="dyadic eigenvalue partition of the prime window", parents=common)
@@ -461,9 +472,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser tree, built on first use and shared by every later call of main."""
+    return build_parser()
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (files.FileFormatError, KeyError, ValueError, OSError) as exc:

@@ -595,15 +595,19 @@ def _matrices_for(p: int, representatives):
 
 
 def _apply(ell: int, p: int, entries: Mapping[LatticeVector, object], zero, weights: _HeckeWeights,
-           inv_sqrt_p, representatives=None) -> dict:
-    """H_ell on a dict of scalars of one domain: every nonzero (H_ell A)(beta) over the candidates."""
+           inv_sqrt_p, representatives=None, max_norm: Optional[int] = None) -> dict:
+    """H_ell on a dict of scalars of one domain: every nonzero (H_ell A)(beta) over the candidates,
+    or over those with N(beta) <= max_norm when that is given."""
     conj_mats, star_mats = _matrices_for(p, representatives)
 
     def at(beta):
         return zero if beta is None else entries.get(beta, zero)
 
+    candidates = _hecke_candidates(ell, p, entries, star_mats)
+    if max_norm is not None:
+        candidates = [beta for beta in candidates if lattice_norm(beta) <= max_norm]
     out = {}
-    for beta in _hecke_candidates(ell, p, entries, star_mats):
+    for beta in candidates:
         value = _hecke_value(ell, p, at, weights, inv_sqrt_p, beta, conj_mats)
         if value:
             out[beta] = value
@@ -681,12 +685,13 @@ def _int_weights(p: int) -> _HeckeWeights:
     return _hecke_weights(p, lambda fr: _IntWeight(fr.numerator * (cube // fr.denominator), cube))
 
 
-def _numerators(A: CoefficientField, p: int) -> tuple[int, dict[LatticeVector, _Num]]:
-    """(D p^3, {beta: numerators of A(beta) over D p^3}), D the lcm of the entry denominators."""
+def _numerators(A: CoefficientField, scale: int = 1) -> tuple[int, dict[LatticeVector, _Num]]:
+    """(D scale, {beta: numerators of A(beta) over D scale}), D the lcm of the entry denominators."""
     parts = [(v.re.a, v.re.b, v.im.a, v.im.b) for v in A.entries.values()]
-    den = math.lcm(*(x.denominator for row in parts for x in row)) * p ** 3
-    return den, {beta: _Num(*[x.numerator * (den // x.denominator) for x in row])
-                 for beta, row in zip(A.entries, parts)}
+    den = math.lcm(*(x.denominator for row in parts for x in row)) * scale
+    return den, {beta: _Num(ra.numerator * (den // ra.denominator), rb.numerator * (den // rb.denominator),
+                            ia.numerator * (den // ia.denominator), ib.numerator * (den // ib.denominator))
+                 for beta, (ra, rb, ia, ib) in zip(A.entries, parts)}
 
 
 def _field(p: int, nums: Mapping[LatticeVector, _Num], den: int) -> CoefficientField:
@@ -712,7 +717,7 @@ def apply_hecke(ell: int, p: int, A: CoefficientField, *, representatives=None) 
     divide exactly; only the outputs are converted back to Fractions.
     """
     A = A.with_prime(p)
-    den, nums = _numerators(A, p)
+    den, nums = _numerators(A, p ** 3)
     return _field(p, _apply(ell, p, nums, _ZERO, _int_weights(p), _IntInvSqrt(p), representatives), den)
 
 
@@ -739,7 +744,7 @@ def verify_hecke_relation(p: int, A: CoefficientField) -> CoefficientField:
     multiples of p^3, and only the residual is converted back.
     """
     A = A.with_prime(p)
-    den, nums = _numerators(A, p)
+    den, nums = _numerators(A, p ** 3)
     weights, inv_sqrt_p = _int_weights(p), _IntInvSqrt(p)
 
     def op(ell, entries):
@@ -808,20 +813,31 @@ def eigen_residual(A: CoefficientField, lam: EigenvalueTriple) -> EigenResidualR
     within the declared support radius z0, so truncation cannot leak
     into the comparison.  Evaluated in doubles against the float
     eigenvalue triple; zero (to rounding) for eigenvector data.
+
+    Only the safe ball is evaluated: the float operators run on the
+    candidates with N(beta) <= z0 // p^4 (an integer bound, since N(beta)
+    is an integer), and a ball without lattice points returns at once.
+    The ball holds about p^-6 of the support ball's points, and the
+    values inside it are those of apply_hecke_float, bit for bit.
     """
     p = lam.p
     safe_radius = Fraction(A.support_radius, p ** 4)
     if A.is_zero:
         return EigenResidualReport(safe_radius, 0, (0.0, 0.0, 0.0))
+    max_norm = A.support_radius // p ** 4
+    if max_norm == 0:
+        return EigenResidualReport(safe_radius, 0, None, empty_safe_support=True)
     entries = A.as_complex_dict()
+    safe_entries = [beta for beta in entries if lattice_norm(beta) <= max_norm]
+    weights, inv_sqrt_p = _hecke_weights(p, float), 1.0 / math.sqrt(p)
     residuals = []
     checked = 0
     lams = (lam.lam1, lam.lam2, lam.lam3)
     any_points = False
     for ell in (1, 2, 3):
-        h = apply_hecke_float(ell, p, entries)
+        h = _apply(ell, p, entries, 0j, weights, inv_sqrt_p, max_norm=max_norm)
         worst = 0.0
-        points = {b for b in list(h) + list(entries) if lattice_norm(b) <= safe_radius}
+        points = set(h).union(safe_entries)
         any_points = any_points or bool(points)
         checked = max(checked, len(points))
         for beta in points:

@@ -8,13 +8,23 @@ The basic objects are
                     | sum_i A(alpha_i' beta bar(alpha_i) / p^l) |^2,
 
 computed exactly (thresholds z are rationals compared against the
-integer N(beta), values live in Q or Q(sqrt p)).  On top of these the
+integer N(beta), values live in Q or Q(sqrt q)).  On top of these the
 module provides the multiplicity classes M_l(K) over a prime window,
 the sharp/flat splits, amplified sums weighted by eigenvalue tables,
 the closed-form parameter selections (eigenvalue power sums, K cutoffs),
 the dyadic prime partition, an exact index-shift identity for R, and
 two-sided empirical reports for the comparison inequalities the decay
 argument chains together.
+
+S_d, R and the L6.4 double sum run on Python ints.  A field is converted
+once per call to integer numerators over one denominator D
+(hecke._numerators), each square |v|^2 is taken on those ints, and only
+the total becomes a Fraction over D^2 (for L6.4, the float of the exact
+total).  The conjugate sums of R are scattered from the support rather
+than gathered at candidates: since C_i C_i^T = p^2 I for the conjugation
+matrices, a support point gamma enters sum_i A(conj_i(beta) / p^l) for
+exactly one beta per i, namely beta = p^(l-2) C_i^T gamma when that is
+integral (see _conj_sums).
 """
 
 from __future__ import annotations
@@ -24,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
-from .hecke import _ZERO, CoefficientField, EigenvalueTriple, QuadExt
+from .hecke import CoefficientField, EigenvalueTriple, QuadExt, _join_primes, _numerators
 from .quaternions import (
     LatticeVector,
     apply_matrix,
@@ -34,7 +44,6 @@ from .quaternions import (
     lattice_norm,
     odd_primes_in,
     scale_lattice as _scale,
-    star_conjugation_matrices,
 )
 
 Rational = Union[int, Fraction]
@@ -44,56 +53,79 @@ def _divides_vector(d: int, beta: LatticeVector) -> bool:
     return beta[0] % d == 0 and beta[1] % d == 0 and beta[2] % d == 0
 
 
+def _int_field(A: CoefficientField):
+    """(q, D, {beta: numerators over D}) for A with entries in Q(sqrt q), q None for plain Q."""
+    den, nums = _numerators(A)
+    q = A.p
+    if q is None and any(v.rb or v.ib for v in nums.values()):
+        # a field without a prime context may still hold Q(sqrt q) scalars
+        for v in A.entries.values():
+            q = _join_primes(_join_primes(q, v.re.p), v.im.p)
+    return q, den, nums
+
+
+def _square_sum(values, q: Optional[int]) -> tuple[int, int]:
+    """(a, b) with sum |v|^2 = a + b sqrt(q) over the numerators v, both over the squared denominator.
+
+    |(ra + rb sqrt q) + (ia + ib sqrt q) i|^2
+        = (ra^2 + q rb^2 + ia^2 + q ib^2) + 2 (ra rb + ia ib) sqrt(q).
+    """
+    q = q or 0  # plain Q: every sqrt part is zero
+    a = b = 0
+    for v in values:
+        ra, rb, ia, ib = v.ra, v.rb, v.ia, v.ib
+        a += ra * ra + ia * ia + q * (rb * rb + ib * ib)
+        b += ra * rb + ia * ib
+    return a, 2 * b
+
+
 def sum_S_d(A: CoefficientField, d: int, z) -> QuadExt:
     """S_d(z): the squared-coefficient mass on multiples of d up to norm z."""
     if d < 1:
         raise ValueError("d must be a positive integer")
-    z = Fraction(z)
-    total = QuadExt.of(0, A.p)
-    for beta, value in A.entries.items():
-        if lattice_norm(beta) <= z and _divides_vector(d, beta):
-            total = total + value.abs_sq()
-    return total
+    z = math.floor(Fraction(z))  # N(beta) is an integer
+    q, den, nums = _int_field(A)
+    kept = (v for beta, v in nums.items() if lattice_norm(beta) <= z and _divides_vector(d, beta))
+    a, b = _square_sum(kept, q)
+    return QuadExt(q, Fraction(a, den * den), Fraction(b, den * den))
 
 
-def _conj_sums(A: CoefficientField, p: int, ell: int, z, keep: Callable[[LatticeVector], bool]):
-    """Yield sum_i A(alpha_i' beta bar(alpha_i) / p^ell) over the beta with N(beta) <= z and keep(beta).
+def _conj_sums(nums, p: int, ell: int, z: int, keep: Callable[[LatticeVector], bool]) -> list:
+    """sum_i A(conj_i(beta) / p^ell) over the beta with N(beta) <= z and keep(beta), on numerators.
 
-    A beta contributes only if some alpha_i' beta bar(alpha_i) / p^ell
-    lies in the support of A; inverting the conjugation enumerates all
-    candidates as p^{ell-2} alpha_i^* gamma alpha_i over support points
-    gamma.  Only support hits are added, and a beta with none is skipped.
+    Only the beta with at least one support hit are returned.  The sums
+    are scattered, not gathered.  Let C_i be the matrix of
+    conj_i(beta) = alpha_i' beta bar(alpha_i); then C_i C_i^T = p^2 I, so
+    C_i beta / p^ell = gamma holds exactly when beta = p^(ell-2) C_i^T gamma.
+    Each term A(conj_i(beta) / p^ell) that hits the support point gamma
+    is therefore one pair (gamma, i) with p^(ell-2) C_i^T gamma integral,
+    and each such pair is one term.  Adding A(gamma) into the accumulator
+    of beta for every such pair visits every term once, with no lookups
+    that miss.  N(beta) = p^(2 ell - 2) N(gamma), so gamma is skipped
+    before any product when its beta would leave the ball.
     """
-    conj_mats = conjugation_matrices(p)
-    star_mats = star_conjugation_matrices(p)
-    pl = p ** ell
-    candidates: set[LatticeVector] = set()
-    for gamma in A.entries:
-        for mat in star_mats:
-            star = apply_matrix(mat, gamma)
-            beta = _scale(star, p ** (ell - 2)) if ell >= 2 else _divide(star, p ** (2 - ell))
-            if beta is not None and beta != (0, 0, 0):
-                candidates.add(beta)
-    entries = A.entries
-    for beta in candidates:
-        if lattice_norm(beta) > z or not keep(beta):
+    stars = [tuple(zip(*mat)) for mat in conjugation_matrices(p)]  # the C_i^T
+    shift = p ** abs(ell - 2)
+    acc = {}
+    for gamma, v in nums.items():
+        if lattice_norm(gamma) * p ** (2 * ell) > z * p * p:
             continue
-        inner = _ZERO
-        for mat in conj_mats:
-            # an off-lattice image is None, which is never a key
-            inner = inner + entries.get(_divide(apply_matrix(mat, beta), pl), _ZERO)
-        if inner is not _ZERO:
-            yield inner
+        for star in stars:
+            image = apply_matrix(star, gamma)
+            beta = _scale(image, shift) if ell >= 2 else _divide(image, shift)
+            if beta is not None:
+                acc[beta] = v + acc[beta] if beta in acc else v
+    return [v for beta, v in acc.items() if keep(beta)]
 
 
 def sum_R(A: CoefficientField, p: int, ell: int, d: int, z) -> QuadExt:
     """R^{p,ell}_d(z), computed over the finitely many beta that can contribute."""
     if ell < 0 or d < 1:
         raise ValueError("need ell >= 0 and d >= 1")
-    total = QuadExt.of(0, A.p)
-    for inner in _conj_sums(A, p, ell, Fraction(z), lambda beta: _divides_vector(d, beta)):
-        total = total + inner.abs_sq()
-    return total * Fraction(1, p)
+    q, den, nums = _int_field(A)
+    inners = _conj_sums(nums, p, ell, math.floor(Fraction(z)), lambda beta: _divides_vector(d, beta))
+    a, b = _square_sum(inners, q)
+    return QuadExt(q, Fraction(a, p * den * den), Fraction(b, p * den * den))
 
 
 class ShiftIdentityError(AssertionError):
@@ -362,14 +394,20 @@ def _report(name: str, left: float, right: float, params: dict) -> SumReport:
 
 
 def _conj_square_sum(A: CoefficientField, window: PrimeWindow, K: float, ell: int, z) -> float:
-    """sum_{beta in M_1(K), N <= z} sum_{p in window, p nmid beta} (1/p) |sum_i A(conj_i(beta)/p^ell)|^2."""
-    z = Fraction(z)
+    """sum_{beta in M_1(K), N <= z} sum_{p in window, p nmid beta} (1/p) |sum_i A(conj_i(beta)/p^ell)|^2.
+
+    The double sum is exact, and only its value is rounded to a float.
+    """
+    z = math.floor(Fraction(z))
     spec = MultiplicitySpec(1, K, window)
-    total = 0.0
+    q, den, nums = _int_field(A)
+    a = b = Fraction(0)
     for p in window.primes:
-        for inner in _conj_sums(A, p, ell, z, lambda beta: not _divides_vector(p, beta) and spec.member(beta)):
-            total += float(inner.abs_sq()) / p
-    return total
+        inners = _conj_sums(nums, p, ell, z, lambda beta: not _divides_vector(p, beta) and spec.member(beta))
+        pa, pb = _square_sum(inners, q)
+        a += Fraction(pa, p)
+        b += Fraction(pb, p)
+    return float(QuadExt(q, a / (den * den), b / (den * den)))
 
 
 def inequality_report(which: str, **kw) -> SumReport:

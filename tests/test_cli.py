@@ -222,6 +222,45 @@ class TestCliCommands:
                      "--p", "3", "--d", "1", "--lambda-table", str(lam)]) == 0
         assert "ratio" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--K", "inf"), ("--K", "nan"), ("--window-P", "inf"), ("--window-P", "-inf"),
+        ("--const-A", "nan"), ("--const-B", "inf"),
+    ])
+    def test_sums_report_non_finite_float_exits_2(self, flag, value, tmp_path, capsys):
+        src = tmp_path / "ones.json"
+        write_coefficient_field(CoefficientField.ones_ball(9), src)
+        argv = ["sums", "report", "--which", "L6.4a", "--in", str(src), "--z", "9",
+                "--K", "1", "--window-P", "14"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [f"{flag}={value}"])  # the = form lets a value start with "-"
+        assert exc.value.code == 2
+        errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and f"argument {flag}: must be finite, got {value}" in errors[0]
+
+    def test_sums_report_non_number_exits_2(self, tmp_path, capsys):
+        src = tmp_path / "ones.json"
+        write_coefficient_field(CoefficientField.ones_ball(9), src)
+        with pytest.raises(SystemExit) as exc:
+            main(["sums", "report", "--which", "L6.4a", "--in", str(src), "--z", "9", "--K", "one"])
+        assert exc.value.code == 2
+        assert "argument --K: not a number: 'one'" in capsys.readouterr().err
+
+    def test_consecutive_calls_share_no_arguments(self, capsys):
+        # the parser is built once per process; each call must still parse afresh
+        argv = ["asym", "compute-R", "--A", "10", "--M", "0", "--eps", "0.5"]
+        assert main(argv + ["--json"]) == 0
+        assert json.loads(capsys.readouterr().out) == {"schema": 1, "R": 16}
+        with pytest.raises(SystemExit) as exc:
+            main(["asym", "compute-R", "--A", "10"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert main(argv) == 0
+        assert capsys.readouterr().out.strip() == "R = 16"
+        assert main(["--json"] + argv) == 0
+        assert json.loads(capsys.readouterr().out) == {"schema": 1, "R": 16}
+        assert main(argv) == 0
+        assert capsys.readouterr().out.strip() == "R = 16"
+
     def test_asym_compute_R(self, capsys):
         assert main(["asym", "compute-R", "--A", "10", "--M", "3", "--eps", "0.01"]) == 0
         assert "1094" in capsys.readouterr().out

@@ -9,6 +9,7 @@ from h4hecke import hecke
 from h4hecke.hecke import (
     _ZERO,
     CoefficientField,
+    EigenResidualReport,
     EigenvalueTriple,
     QComplex,
     QuadExt,
@@ -425,7 +426,51 @@ class TestCommutativity:
             verify_commutativity(3, 3, 1, 1, CoefficientField.zero())
 
 
+def _eigen_residual_full(A, lam):
+    """eigen_residual by the earlier algorithm: apply each float operator on its whole
+    candidate set, then keep the points of the safe ball N(beta) <= z0/p^4."""
+    p = lam.p
+    safe_radius = Fraction(A.support_radius, p ** 4)
+    if A.is_zero:
+        return EigenResidualReport(safe_radius, 0, (0.0, 0.0, 0.0))
+    entries = A.as_complex_dict()
+    residuals = []
+    checked = 0
+    any_points = False
+    for ell, lam_ell in zip((1, 2, 3), (lam.lam1, lam.lam2, lam.lam3)):
+        h = apply_hecke_float(ell, p, entries)
+        points = {b for b in list(h) + list(entries) if lattice_norm(b) <= safe_radius}
+        any_points = any_points or bool(points)
+        checked = max(checked, len(points))
+        residuals.append(max((abs(h.get(b, 0j) - lam_ell * entries.get(b, 0j)) for b in points), default=0.0))
+    if not any_points:
+        return EigenResidualReport(safe_radius, 0, None, empty_safe_support=True)
+    return EigenResidualReport(safe_radius, checked, tuple(residuals))
+
+
 class TestEigenResidual:
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_matches_full_evaluation(self, p):
+        # Seeded symmetric fields: small ones have an empty safe ball.  Two far
+        # points (p^2, b1, b2) and (2 p^2, b1', b2') push the support radius past
+        # 4 p^4, so the safe ball holds lattice points, and beta/p^2 reaches them.
+        rng = random.Random(p)
+        lam = EigenvalueTriple.from_lam12(p, rng.uniform(-2, 2), rng.uniform(-2, 2))
+        fields = []
+        for _ in range(3):
+            A = CoefficientField.random(rng, p=None, support=12, coord_bound=3, symmetric=True)
+            far = CoefficientField.random(rng, p=None, support=2, coord_bound=3).entries
+            wide = {**A.entries, **{(p * p * (k + 1), b[1], b[2]): v for k, (b, v) in enumerate(far.items())}}
+            fields += [A, CoefficientField(None, wide).symmetrized()]
+        if p == 3:
+            fields.append(CoefficientField.ones_ball(100))
+        empty = 0
+        for A in fields:
+            rep = eigen_residual(A, lam)
+            assert repr(rep) == repr(_eigen_residual_full(A, lam))
+            empty += rep.empty_safe_support
+        assert 0 < empty < len(fields)
+
     def test_zero_field(self):
         rep = eigen_residual(CoefficientField.zero(3), EigenvalueTriple(3, 0.0, 0.0, 0.0))
         assert rep.residuals == (0.0, 0.0, 0.0)

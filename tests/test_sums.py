@@ -5,7 +5,14 @@ from fractions import Fraction
 import pytest
 
 from h4hecke.hecke import CoefficientField, EigenvalueTriple, QComplex, QuadExt
-from h4hecke.quaternions import conjugation_matrices, apply_matrix, divide_lattice, lattice_norm
+from h4hecke.quaternions import (
+    apply_matrix,
+    conjugate_action,
+    conjugation_matrices,
+    divide_lattice,
+    lattice_norm,
+    orbit_representatives,
+)
 from h4hecke.sums import (
     MultiplicitySpec,
     PrimeWindow,
@@ -47,6 +54,55 @@ def brute_force_R(A, p, ell, d, z):
     return total * Fraction(1, p)
 
 
+def brute_force_S(A, d, z):
+    """Independent evaluation of S_d by enumerating the whole ball."""
+    total = QuadExt.of(0, A.p)
+    for beta in ball_points(math.floor(z)):
+        if all(c % d == 0 for c in beta):
+            total = total + A.at(beta).abs_sq()
+    return total
+
+
+def brute_force_L64_left(A, window, K, ell, z):
+    """The L6.4 double sum in exact Fractions, with conjugates formed as quaternion products.
+
+    sum over p in the window and beta in the ball with p not dividing beta
+    and at most K window primes dividing beta, of
+    (1/p) |sum_alpha A(alpha' beta bar(alpha) / p^ell)|^2.
+    """
+    total = QuadExt.of(0, A.p)
+    for p in window.primes:
+        reps = orbit_representatives(p).representatives
+        for beta in ball_points(math.floor(z)):
+            if all(c % p == 0 for c in beta):
+                continue
+            if sum(1 for r in window.primes if all(c % r == 0 for c in beta)) > K:
+                continue
+            inner = QComplex.of(0, p=A.p)
+            for alpha in reps:
+                inner = inner + A.at(divide_lattice(conjugate_action(alpha, beta), p ** ell))
+            total = total + inner.abs_sq() * Fraction(1, p)
+    return total
+
+
+def fractional_field(rng, q, support, coord_bound, symmetric=False, extra=()):
+    """A random field over Q(sqrt q) whose rational and sqrt parts have denominators 2, 3 and 4.
+
+    The support holds the points of `extra` and random points of the box.
+    """
+    def scalar():
+        return QuadExt(q, Fraction(rng.randint(-9, 9), rng.choice((2, 3, 4))),
+                       Fraction(rng.randint(-9, 9), rng.choice((2, 3, 4))))
+
+    entries = {beta: QComplex(scalar(), scalar()) for beta in extra}
+    while len(entries) < len(extra) + support:
+        beta = tuple(rng.randint(-coord_bound, coord_bound) for _ in range(3))
+        if beta != (0, 0, 0) and beta not in entries:
+            entries[beta] = QComplex(scalar(), scalar())
+    field = CoefficientField(q, entries)
+    return field.symmetrized() if symmetric else field
+
+
 class TestSumS:
     def test_ones_ball_examples(self):
         A = CoefficientField.ones_ball(9)
@@ -74,6 +130,16 @@ class TestSumS:
         assert sum_S_d(A, 1, 3) == 1
         assert sum_S_d(A, 1, Fraction(29, 10)) == 0
 
+    @pytest.mark.parametrize("q", [3, 7])
+    def test_sqrt_field_matches_brute_force(self, q):
+        rng = random.Random(q)
+        A = fractional_field(rng, q, support=12, coord_bound=4)
+        for d, z in ((1, 30), (2, 48), (3, Fraction(100, 3)), (4, 40)):
+            mine = sum_S_d(A, d, z)
+            ref = brute_force_S(A, d, z)
+            assert mine == ref and repr(mine) == repr(ref)
+        assert sum_S_d(A, 1, 48).b != 0
+
 
 class TestSumR:
     def test_zero_field(self):
@@ -96,6 +162,23 @@ class TestSumR:
         rng = random.Random(4)
         A = CoefficientField.random(rng, support=6, coord_bound=3)
         assert sum_R(A, 3, 1, 2, 200) == brute_force_R(A, 3, 1, 2, 200)
+
+    @pytest.mark.parametrize("p,ell,d,z,gamma", [
+        (3, 0, 2, 40, (18, 0, 0)), (3, 1, 2, 40, (6, 0, 0)), (3, 2, 3, 90, (3, 0, 0)),
+        (3, 3, 2, 330, (2, 0, 0)), (3, 3, 3, 90, (1, 0, 0)),
+        (5, 0, 2, 100, (50, 0, 0)), (5, 1, 3, 230, (15, 0, 0)), (5, 2, 2, 110, (2, 0, 0)),
+    ])
+    def test_sqrt_field_fractional_entries(self, p, ell, d, z, gamma):
+        # Entries lie in Q(sqrt 7), so the sqrt parts do not interact with the conjugation prime.
+        # The support point gamma is hit from beta = p^(ell-2) C_i^T gamma, a multiple of d of
+        # norm p^(2 ell - 2) N(gamma) <= z, so every case has mass.
+        rng = random.Random(100 * p + 10 * ell + d)
+        for symmetric in (False, True):
+            A = fractional_field(rng, 7, support=8, coord_bound=3, symmetric=symmetric, extra=[gamma])
+            mine = sum_R(A, p, ell, d, z)
+            ref = brute_force_R(A, p, ell, d, z)
+            assert mine == ref and repr(mine) == repr(ref)
+            assert mine != 0
 
 
 class TestShiftIdentity:
@@ -288,6 +371,25 @@ class TestInequalityReports:
         rep = inequality_report("L6.4a", A=A, z=25, window=w, K=2)
         assert rep.right == 2 * len(list(ball_points(25)))
         assert rep.ratio is not None and rep.ratio >= 0
+
+    @pytest.mark.parametrize("which", ["L6.4a", "L6.4b"])
+    def test_L64_left_is_rounded_exact_sum(self, which):
+        w = PrimeWindow.from_bound(6.0)  # primes 3 and 5
+        ell = 1 if which == "L6.4a" else 2
+        rng = random.Random(17)
+        fields = [
+            CoefficientField.random(rng, support=10, coord_bound=2).symmetrized(),
+            fractional_field(rng, 7, support=8, coord_bound=2),
+            fractional_field(rng, 3, support=8, coord_bound=2, symmetric=True),
+        ]
+        for A in fields:
+            z = A.support_radius * (1 if ell == 1 else 4)
+            for K in (0, 1):
+                exact = brute_force_L64_left(A, w, K, ell, z)
+                rep = inequality_report(which, A=A, z=z, window=w, K=K)
+                assert rep.left == float(exact)
+                if K == 1:
+                    assert exact != 0
 
     def test_L65_asserts_with_generous_constant(self):
         rng = random.Random(11)
