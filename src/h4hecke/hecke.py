@@ -32,14 +32,19 @@ as an exact operator identity on arbitrary fields (any fixed orbit
 table); verify_hecke_relation computes the residual of that identity
 without rounding.
 
-_hecke_value is the one copy of these formulas, and its callers inject
-the scalar domain: complex doubles for the float twin, Python ints for the
-exact operators.  There a field is converted once to integer numerators
-(re/im times rational/sqrt(p) parts) over D p^3, D the lcm of its entry
-denominators, so every looked-up numerator is a multiple of p^3.  Each
-weight's denominator divides p^3, and p^(-1/2) maps a + b sqrt(p) to
-b + (a/p) sqrt(p) on sums that keep p^2, so every division is exact and
-only results are converted back to Fractions.
+_apply is the one copy of these formulas, read transposed.  Every
+conjugation matrix C_i has C_i S_i = p^2 I with S_i = C_i^T, so a term
+that reads A at gamma belongs to exactly one beta, a lattice map of gamma.
+One pass over the support therefore pushes every term from its gamma to
+its beta, and no lookup misses.  Its callers inject the scalar domain:
+complex doubles for the float twin, Python ints for the exact operators.
+There a field is converted once to integer numerators (re/im times
+rational/sqrt(p) parts) over D p^3, D the lcm of its entry denominators,
+so every input numerator is a multiple of p^3.  Each term applies its
+weight, whose denominator divides p^3, to one such numerator, and
+p^(-1/2) maps a + b sqrt(p) to b + (a/p) sqrt(p) on a numerator that
+keeps p^2, so every division is exact term by term and only results are
+converted back to Fractions.
 
 Two finer properties need the Klein-group sign symmetry
 A(-b0,-b1,b2) = A(-b0,b1,-b2) = A(b0,-b1,-b2) = A(b0,b1,b2) that
@@ -67,7 +72,6 @@ from .quaternions import (
     is_prime,
     lattice_norm,
     scale_lattice as _scale,
-    star_conjugation_matrices,
 )
 
 Rational = Union[int, Fraction]
@@ -178,8 +182,17 @@ class QuadExt:
         return hash((self.p, self.a, self.b))
 
     def __float__(self) -> float:
-        root = math.sqrt(self.p) if self.p is not None else 0.0
-        return float(self.a) + float(self.b) * root
+        """The nearest double to a few ulps, also when a and b sqrt(p) nearly cancel.
+
+        For opposite signs the value is (a^2 - p b^2) / (a - b sqrt(p)): the
+        numerator is formed exactly and the denominator adds like signs.
+        """
+        if self.b == 0:
+            return float(self.a)
+        root = math.sqrt(self.p)
+        if (self.a < 0) == (self.b < 0) or self.a == 0:
+            return float(self.a) + float(self.b) * root
+        return float(self.a * self.a - self.p * self.b * self.b) / (float(self.a) - float(self.b) * root)
 
     def with_prime(self, p: Optional[int]) -> "QuadExt":
         return QuadExt(_join_primes(self.p, p) if p is not None else self.p, self.a, self.b)
@@ -250,38 +263,6 @@ class QComplex:
 
     def with_prime(self, p: Optional[int]) -> "QComplex":
         return QComplex(self.re.with_prime(p), self.im.with_prime(p))
-
-
-class _Zero:
-    """Absorbing zero that exact lookups return off the support.
-
-    Adding it returns the other operand and multiplying by it returns
-    itself, so a term that cannot contribute costs one method call and no
-    arithmetic.  The integer scalars of the exact operators test for it;
-    QuadExt and QComplex reach these reflected methods by returning
-    NotImplemented for operands they do not know.
-    """
-
-    __slots__ = ()
-
-    def __add__(self, other):
-        return other
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        return self
-
-    __rmul__ = __mul__
-
-    def __bool__(self) -> bool:
-        return False
-
-    def __repr__(self):
-        return "_ZERO"
-
-
-_ZERO = _Zero()
 
 
 def legendre_symbol(a: int, p: int) -> int:
@@ -510,108 +491,70 @@ def _hecke_weights(p: int, lift: Callable) -> _HeckeWeights:
                          (lift(-inv_p), lift(1 - inv_p)), lift(inv_p))
 
 
-def _hecke_value(ell: int, p: int, at: Callable, weights: _HeckeWeights, inv_sqrt_p, beta: LatticeVector,
-                 conj_mats) -> object:
-    """Evaluate (H_ell A)(beta) with scalar arithmetic injected by the caller.
+def _apply(ell: int, p: int, entries: Mapping[LatticeVector, object], weights: _HeckeWeights, inv_sqrt_p,
+           representatives=None) -> dict:
+    """H_ell on a dict of scalars of one domain: every nonzero (H_ell A)(beta), scattered from the support.
 
-    `at` is a total lookup (None-safe), `weights` holds the rational
-    weights lifted into the target scalar domain, and `inv_sqrt_p` is
-    1/sqrt(p) in that domain.
+    The formulas of the module docstring are read transposed.  Every
+    conjugation matrix satisfies C_i S_i = p^2 I with S_i = C_i^T, so
+    C_i beta / p^k = gamma holds exactly when beta = p^(k-2) S_i gamma.
+    Each term of (H_ell A)(beta) that reads A at a support point gamma is
+    therefore pushed from gamma to the one beta it reaches, with the
+    term's weight, and no lookup misses:
+
+      H_1: gamma/p and p gamma; S_i gamma/p with p^(-1/2).
+      H_2: gamma with E(gamma); S_i gamma/p^2 and S_i gamma with p^(-1/2).
+      H_3: gamma/p^2, p^2 gamma, and gamma with its mid weight;
+           S_i gamma/p^2 with p^(-1/2) (1_p(gamma) - 1/p);
+           S_i gamma with p^(-1/2) (1_p(S_i gamma) - 1/p); and, only when
+           p | S_i gamma, S_j S_i gamma/p^2 with 1/p.
+
+    A target off the lattice (gamma/p with p not dividing gamma) is no
+    term of any beta and is skipped.
     """
+    if ell not in (1, 2, 3):
+        raise ValueError(f"ell must be 1, 2, or 3, got {ell}")
+    conj_mats = conjugation_matrices(p) if representatives is None else map(conjugation_matrix, representatives)
+    stars = [tuple(zip(*mat)) for mat in conj_mats]
     psq = p * p
-    if ell == 1:
-        total = at(_scale(beta, p)) + at(_divide(beta, p))
-        inner = at(None)
-        for mat in conj_mats:
-            inner = inner + at(_divide(apply_matrix(mat, beta), p))
-        return total + inv_sqrt_p * inner
-
-    if ell == 2:
-        inner = at(None)
-        for mat in conj_mats:
-            conj = apply_matrix(mat, beta)
-            inner = inner + at(conj) + at(_divide(conj, psq))
-        return inv_sqrt_p * inner + weights.eps[_epsilon_case(beta, p)] * at(beta)
-
-    if ell == 3:
-        case = _epsilon_case(beta, p)
-        ind = weights.ind
-        beta_weight = ind[case == 0]
-        total = at(_scale(beta, psq)) + weights.mid[case] * at(beta) + at(_divide(beta, psq))
-        inner = at(None)
-        double = at(None)
-        for mat in conj_mats:
-            conj = apply_matrix(mat, beta)
-            ind_conj = conj[0] % p == 0 and conj[1] % p == 0 and conj[2] % p == 0
-            inner = inner + ind[ind_conj] * at(conj)
-            inner = inner + beta_weight * at(_divide(conj, psq))
-            if ind_conj:
-                for mat2 in conj_mats:
-                    double = double + at(_divide(apply_matrix(mat2, conj), psq))
-        return total + inv_sqrt_p * inner + weights.inv_p * double
-
-    raise ValueError(f"ell must be 1, 2, or 3, got {ell}")
-
-
-def _hecke_candidates(ell: int, p: int, support: Iterable[LatticeVector], star_mats) -> set[LatticeVector]:
-    """Every beta at which (H_ell A)(beta) can be nonzero, by inverting each term."""
-    psq = p * p
-    out: set[LatticeVector] = set()
-
-    def put(beta: Optional[LatticeVector]):
-        if beta is not None and beta != (0, 0, 0):
-            out.add(beta)
-
-    for gamma in support:
-        if ell == 1:
-            put(_divide(gamma, p))
-            put(_scale(gamma, p))
-            for mat in star_mats:
-                put(_divide(apply_matrix(mat, gamma), p))
-        elif ell == 2:
-            put(gamma)
-            for mat in star_mats:
-                star = apply_matrix(mat, gamma)
-                put(_divide(star, psq))
-                put(star)
-        else:
-            put(_divide(gamma, psq))
-            put(gamma)
-            put(_scale(gamma, psq))
-            for mat in star_mats:
-                star = apply_matrix(mat, gamma)
-                put(_divide(star, psq))
-                put(star)
-                for mat2 in star_mats:
-                    put(_divide(apply_matrix(mat2, star), psq))
-    return out
-
-
-def _matrices_for(p: int, representatives):
-    if representatives is None:
-        return conjugation_matrices(p), star_conjugation_matrices(p)
-    conj_mats = tuple(conjugation_matrix(a) for a in representatives)
-    return conj_mats, tuple(tuple(zip(*m)) for m in conj_mats)
-
-
-def _apply(ell: int, p: int, entries: Mapping[LatticeVector, object], zero, weights: _HeckeWeights,
-           inv_sqrt_p, representatives=None, max_norm: Optional[int] = None) -> dict:
-    """H_ell on a dict of scalars of one domain: every nonzero (H_ell A)(beta) over the candidates,
-    or over those with N(beta) <= max_norm when that is given."""
-    conj_mats, star_mats = _matrices_for(p, representatives)
-
-    def at(beta):
-        return zero if beta is None else entries.get(beta, zero)
-
-    candidates = _hecke_candidates(ell, p, entries, star_mats)
-    if max_norm is not None:
-        candidates = [beta for beta in candidates if lattice_norm(beta) <= max_norm]
     out = {}
-    for beta in candidates:
-        value = _hecke_value(ell, p, at, weights, inv_sqrt_p, beta, conj_mats)
-        if value:
-            out[beta] = value
-    return out
+
+    def put(beta: Optional[LatticeVector], value):
+        if beta is not None:
+            out[beta] = out[beta] + value if beta in out else value
+
+    for gamma, v in entries.items():
+        if ell == 1:
+            put(_divide(gamma, p), v)
+            put(_scale(gamma, p), v)
+            v = inv_sqrt_p * v
+            for star in stars:
+                put(_divide(apply_matrix(star, gamma), p), v)
+        elif ell == 2:
+            put(gamma, weights.eps[_epsilon_case(gamma, p)] * v)
+            v = inv_sqrt_p * v
+            for star in stars:
+                image = apply_matrix(star, gamma)
+                put(_divide(image, psq), v)
+                put(image, v)
+        else:
+            ind = weights.ind
+            case = _epsilon_case(gamma, p)
+            put(_divide(gamma, psq), v)
+            put(_scale(gamma, psq), v)
+            put(gamma, weights.mid[case] * v)
+            to_quotient = inv_sqrt_p * (ind[case == 0] * v)
+            to_image = (inv_sqrt_p * (ind[0] * v), inv_sqrt_p * (ind[1] * v))
+            double = weights.inv_p * v
+            for star in stars:
+                image = apply_matrix(star, gamma)
+                put(_divide(image, psq), to_quotient)
+                image_ind = image[0] % p == 0 and image[1] % p == 0 and image[2] % p == 0
+                put(image, to_image[image_ind])
+                if image_ind:
+                    for star2 in stars:
+                        put(_divide(apply_matrix(star2, image), psq), double)
+    return {beta: value for beta, value in out.items() if value}
 
 
 # -- the integer domain of the exact operators ---------------------------------
@@ -619,14 +562,14 @@ def _apply(ell: int, p: int, entries: Mapping[LatticeVector, object], zero, weig
 # A field over Q(sqrt p) is converted once: with D the lcm of its entry
 # denominators, each entry becomes four ints, the re/im x rational/sqrt(p)
 # parts, as numerators over the per-call denominator D p^3.  Divisibility
-# invariant: every looked-up numerator is a multiple of p^3.  A weight n/p^k
-# (k <= 3; the weights of H_2 and H_3 in fact have k <= 2) acts as
-# "times n p^(3-k), then // p^3", so it divides exactly and leaves a
-# multiple of p^(3-k).  p^(-1/2) maps a + b sqrt(p) to
-# b + (a/p) sqrt(p); the sums it is applied to are lookups or lookups times
-# 1_p - 1/p, so they keep p^2 and a/p is exact.  An H_1 output is a multiple
-# of p^2, which is why verify_hecke_relation rescales it by p before applying
-# H_1 again.
+# invariant: every input numerator is a multiple of p^3, and the scatter
+# pass applies each term's weight to one such numerator, never to a sum.
+# A weight n/p^k (k <= 3) acts as "times n p^(3-k), then // p^3", so it
+# divides exactly and leaves a multiple of p^(3-k).  p^(-1/2) maps
+# a + b sqrt(p) to b + (a/p) sqrt(p); it is applied to an input numerator
+# or to one times 1_p - 1/p, a multiple of p^2, so a/p is exact.  An H_1
+# output is a multiple of p^2, which is why verify_hecke_relation rescales
+# it by p before applying H_1 again.
 
 
 class _Num:
@@ -641,8 +584,6 @@ class _Num:
         self.ib = ib
 
     def __add__(self, other):
-        if other is _ZERO:
-            return self
         return _Num(self.ra + other.ra, self.rb + other.rb, self.ia + other.ia, self.ib + other.ib)
 
     def __bool__(self) -> bool:
@@ -659,8 +600,6 @@ class _IntWeight:
         self.q = q
 
     def __mul__(self, v):
-        if v is _ZERO:
-            return v
         m, q = self.m, self.q
         return _Num(m * v.ra // q, m * v.rb // q, m * v.ia // q, m * v.ib // q)
 
@@ -674,8 +613,6 @@ class _IntInvSqrt:
         self.p = p
 
     def __mul__(self, v):
-        if v is _ZERO:
-            return v
         p = self.p
         return _Num(v.rb, v.ra // p, v.ib, v.ia // p)
 
@@ -712,18 +649,19 @@ def apply_hecke(ell: int, p: int, A: CoefficientField, *, representatives=None) 
     supplied (the output is the same for any valid choice).
 
     The operator runs on Python ints: A is converted once to integer
-    numerators over D p^3 (D the lcm of its entry denominators), on which
-    every lookup is a multiple of p^3, so each weight n/p^k and p^(-1/2)
-    divide exactly; only the outputs are converted back to Fractions.
+    numerators over D p^3 (D the lcm of its entry denominators), each a
+    multiple of p^3.  The scatter pass weights one such numerator per
+    term, so each weight n/p^k and p^(-1/2) divides exactly; only the
+    outputs are converted back to Fractions.
     """
     A = A.with_prime(p)
     den, nums = _numerators(A, p ** 3)
-    return _field(p, _apply(ell, p, nums, _ZERO, _int_weights(p), _IntInvSqrt(p), representatives), den)
+    return _field(p, _apply(ell, p, nums, _int_weights(p), _IntInvSqrt(p), representatives), den)
 
 
 def apply_hecke_float(ell: int, p: int, entries: Mapping[LatticeVector, complex]) -> dict[LatticeVector, complex]:
     """Floating-point twin of apply_hecke for cross-prime experiments."""
-    return _apply(ell, p, entries, 0j, _hecke_weights(p, float), 1.0 / math.sqrt(p))
+    return _apply(ell, p, entries, _hecke_weights(p, float), 1.0 / math.sqrt(p))
 
 
 def hecke_relation_constant(p: int) -> Fraction:
@@ -748,7 +686,7 @@ def verify_hecke_relation(p: int, A: CoefficientField) -> CoefficientField:
     weights, inv_sqrt_p = _int_weights(p), _IntInvSqrt(p)
 
     def op(ell, entries):
-        return _apply(ell, p, entries, _ZERO, weights, inv_sqrt_p)
+        return _apply(ell, p, entries, weights, inv_sqrt_p)
 
     to_p = _IntWeight(p)
     residual = op(1, {beta: to_p * v for beta, v in op(1, nums).items()})
@@ -756,7 +694,8 @@ def verify_hecke_relation(p: int, A: CoefficientField) -> CoefficientField:
                           (nums, hecke_relation_constant(p) * p)):
         weight = _IntWeight(-weight.numerator, weight.denominator)
         for beta, v in terms.items():
-            residual[beta] = residual.get(beta, _ZERO) + weight * v
+            v = weight * v
+            residual[beta] = residual[beta] + v if beta in residual else v
     return _field(p, {beta: v for beta, v in residual.items() if v}, den * p)
 
 
@@ -814,11 +753,10 @@ def eigen_residual(A: CoefficientField, lam: EigenvalueTriple) -> EigenResidualR
     into the comparison.  Evaluated in doubles against the float
     eigenvalue triple; zero (to rounding) for eigenvector data.
 
-    Only the safe ball is evaluated: the float operators run on the
-    candidates with N(beta) <= z0 // p^4 (an integer bound, since N(beta)
-    is an integer), and a ball without lattice points returns at once.
-    The ball holds about p^-6 of the support ball's points, and the
-    values inside it are those of apply_hecke_float, bit for bit.
+    The float operators are applied in full by scattering from the
+    support, and their outputs are then read on the safe ball only.  A
+    ball without lattice points (z0 < p^4, since N(beta) is an integer)
+    returns at once, before any operator work.
     """
     p = lam.p
     safe_radius = Fraction(A.support_radius, p ** 4)
@@ -828,22 +766,14 @@ def eigen_residual(A: CoefficientField, lam: EigenvalueTriple) -> EigenResidualR
     if max_norm == 0:
         return EigenResidualReport(safe_radius, 0, None, empty_safe_support=True)
     entries = A.as_complex_dict()
-    safe_entries = [beta for beta in entries if lattice_norm(beta) <= max_norm]
-    weights, inv_sqrt_p = _hecke_weights(p, float), 1.0 / math.sqrt(p)
     residuals = []
     checked = 0
-    lams = (lam.lam1, lam.lam2, lam.lam3)
-    any_points = False
-    for ell in (1, 2, 3):
-        h = _apply(ell, p, entries, 0j, weights, inv_sqrt_p, max_norm=max_norm)
-        worst = 0.0
-        points = set(h).union(safe_entries)
-        any_points = any_points or bool(points)
+    for ell, lam_ell in zip((1, 2, 3), (lam.lam1, lam.lam2, lam.lam3)):
+        h = apply_hecke_float(ell, p, entries)
+        points = {beta for beta in (*h, *entries) if lattice_norm(beta) <= max_norm}
         checked = max(checked, len(points))
-        for beta in points:
-            diff = h.get(beta, 0j) - lams[ell - 1] * entries.get(beta, 0j)
-            worst = max(worst, abs(diff))
-        residuals.append(worst)
-    if not any_points:
+        residuals.append(max((abs(h.get(beta, 0j) - lam_ell * entries.get(beta, 0j)) for beta in points),
+                             default=0.0))
+    if not checked:
         return EigenResidualReport(safe_radius, 0, None, empty_safe_support=True)
     return EigenResidualReport(safe_radius, checked, tuple(residuals))

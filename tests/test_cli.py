@@ -3,9 +3,13 @@ import math
 import random
 import subprocess
 import sys
+import tempfile
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from h4hecke.asymptotics import power_law_function
 from h4hecke.cli import main
@@ -20,8 +24,21 @@ from h4hecke.files import (
     write_sampled_function,
     write_spectral_form,
 )
-from h4hecke.hecke import CoefficientField, EigenvalueTriple, QComplex, apply_hecke
+from h4hecke.hecke import CoefficientField, EigenvalueTriple, QComplex, QuadExt, apply_hecke
 from h4hecke.numerics import SpectralForm
+
+
+@st.composite
+def _fractional_fields(draw):
+    """A field over plain Q or over Q(sqrt p) whose entries have assorted denominators."""
+    p = draw(st.sampled_from([None, 3, 5, 7]))
+    rationals = st.builds(Fraction, st.integers(-50, 50), st.integers(1, 12))
+
+    def scalar():
+        return QuadExt(p, draw(rationals), Fraction(0) if p is None else draw(rationals))
+
+    betas = draw(st.lists(st.tuples(*[st.integers(-4, 4)] * 3).filter(any), max_size=8, unique=True))
+    return CoefficientField(p, {beta: QComplex(scalar(), scalar()) for beta in betas})
 
 
 class TestCoefficientFiles:
@@ -35,6 +52,20 @@ class TestCoefficientFiles:
         second = tmp_path / "again.json"
         write_coefficient_field(parse_coefficient_field(path), second)
         assert path.read_bytes() == second.read_bytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(_fractional_fields())
+    def test_round_trip_property(self, field):
+        # parse(write(A)) == A, and write(parse(f)) is byte-identical on the canonical file f
+        with tempfile.TemporaryDirectory() as tmp:
+            path, again = Path(tmp) / "field.json", Path(tmp) / "again.json"
+            write_coefficient_field(field, path)
+            parsed = parse_coefficient_field(path)
+            assert parsed == field and parsed.p == field.p
+            assert {b: (repr(v.re), repr(v.im)) for b, v in parsed.entries.items()} == \
+                {b: (repr(v.re), repr(v.im)) for b, v in field.entries.items()}
+            write_coefficient_field(parsed, again)
+            assert again.read_bytes() == path.read_bytes()
 
     def test_round_trip_sqrt_extension(self, tmp_path):
         rng = random.Random(1)

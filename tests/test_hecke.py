@@ -2,12 +2,12 @@ import itertools
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from h4hecke import hecke
 from h4hecke.hecke import (
-    _ZERO,
     CoefficientField,
     EigenResidualReport,
     EigenvalueTriple,
@@ -22,18 +22,17 @@ from h4hecke.hecke import (
     verify_commutativity,
     verify_hecke_relation,
     _epsilon_case,
-    _hecke_candidates,
-    _hecke_value,
     _hecke_weights,
-    _matrices_for,
 )
 from h4hecke.quaternions import (
     UNITS,
     apply_matrix,
     conjugation_matrices,
+    conjugation_matrix,
     divide_lattice,
     lattice_norm,
     orbit_representatives,
+    scale_lattice,
 )
 
 
@@ -64,6 +63,27 @@ class TestQuadExt:
     def test_float_value(self):
         assert float(QuadExt(3, Fraction(1), Fraction(2))) == pytest.approx(1 + 2 * 3 ** 0.5)
 
+    @pytest.mark.parametrize("p,x,y", [(3, 2, 1), (5, 9, 4), (7, 8, 3), (11, 10, 3), (13, 649, 180)])
+    def test_float_accurate_under_cancellation(self, p, x, y):
+        # x + y sqrt(p) is a unit, so a - b sqrt(p) for (x + y sqrt(p))^n = a + b sqrt(p)
+        # is its tiny inverse: float(a) + float(b) sqrt(p) would lose most digits.
+        # mpmath keeps 50 digits beyond the ones that cancel.
+        a, b = 1, 0
+        for n in range(1, 16):
+            a, b = a * x + p * b * y, a * y + b * x
+            for scale in (Fraction(1), Fraction(-2, 3), Fraction(7, 5)):
+                value = QuadExt(p, a * scale, -b * scale)
+                with mpmath.workdps(50 + 2 * len(str(a))):
+                    exact = (a - b * mpmath.sqrt(p)) * scale.numerator / scale.denominator
+                    assert abs(float(value) - exact) <= 4 * 2.0 ** -52 * abs(exact), (n, scale)
+
+    def test_float_pell_example(self):
+        # L_30 - F_30 sqrt(5) = 2 psi^30, about 1.07e-6
+        with mpmath.workdps(50):
+            exact = 1860498 - 832040 * mpmath.sqrt(5)
+            assert abs(float(QuadExt(5, Fraction(1860498), Fraction(-832040))) - exact) <= 4 * 2.0 ** -52 * exact
+        assert float(QuadExt(5, Fraction(-7, 3), Fraction(0))) == float(Fraction(-7, 3))
+
     def test_sqrt_part_needs_prime(self):
         with pytest.raises(ValueError):
             QuadExt(None, Fraction(1), Fraction(1))
@@ -82,15 +102,6 @@ class TestQComplex:
         assert z * 2 == 2 * z == QComplex.of(2, 4, p=3)
         assert z * Fraction(1, 2) == QComplex.of(Fraction(1, 2), 1, p=3)
         assert QuadExt.sqrt_term(3) * z == QComplex(QuadExt.sqrt_term(3), QuadExt.sqrt_term(3, 2))
-
-    def test_absorbing_zero(self):
-        z = QComplex.of(1, 2, p=3)
-        w = QuadExt.inv_sqrt(3)
-        assert _ZERO + z is z and z + _ZERO is z
-        assert _ZERO + _ZERO is _ZERO
-        assert w * _ZERO is _ZERO and _ZERO * w is _ZERO
-        assert z * _ZERO is _ZERO and _ZERO * z is _ZERO
-        assert not _ZERO
 
 
 class TestLegendre:
@@ -221,8 +232,8 @@ class TestApply:
         assert out.at((3, 0, 0)) == QComplex.of(1, p=3)
 
     def test_float_twin_matches_exact(self):
-        # exact lookups off the support return an absorbing zero and the
-        # float twin adds 0j, so this is the cross-check of the two paths
+        # both paths run the one scatter pass, on integer numerators and on
+        # complex doubles, so this cross-checks the two scalar domains
         rng = random.Random(8)
         for p in (3, 5, 7):
             double_hits = 0
@@ -238,27 +249,89 @@ class TestApply:
             assert double_hits > 0, f"H_3 never reached its double-conjugation term at p={p}"
 
 
+def _hecke_terms(ell, p, weights, inv_sqrt_p, beta, conj_mats):
+    """The terms of (H_ell A)(beta) = sum of weight * A(target), read off the hecke module docstring.
+
+    `weights` holds the rational weights lifted into the target scalar
+    domain and `inv_sqrt_p` is 1/sqrt(p) there; a target off the lattice
+    is None.
+    """
+    psq = p * p
+    conjs = [apply_matrix(mat, beta) for mat in conj_mats]
+    if ell == 1:
+        return ([(1, scale_lattice(beta, p)), (1, divide_lattice(beta, p))]
+                + [(inv_sqrt_p, divide_lattice(conj, p)) for conj in conjs])
+    if ell == 2:
+        return ([(weights.eps[_epsilon_case(beta, p)], beta)] + [(inv_sqrt_p, conj) for conj in conjs]
+                + [(inv_sqrt_p, divide_lattice(conj, psq)) for conj in conjs])
+    case = _epsilon_case(beta, p)
+    ind = weights.ind
+    terms = [(1, scale_lattice(beta, psq)), (weights.mid[case], beta), (1, divide_lattice(beta, psq))]
+    for conj in conjs:
+        ind_conj = all(c % p == 0 for c in conj)
+        terms += [(inv_sqrt_p * ind[ind_conj], conj), (inv_sqrt_p * ind[case == 0], divide_lattice(conj, psq))]
+        if ind_conj:
+            terms += [(weights.inv_p, divide_lattice(apply_matrix(mat2, conj), psq)) for mat2 in conj_mats]
+    return terms
+
+
+def _hecke_candidates(ell, p, support, star_mats):
+    """Every beta at which (H_ell A)(beta) can be nonzero, by inverting each term."""
+    psq = p * p
+    out = set()
+    for gamma in support:
+        if ell == 1:
+            found = [divide_lattice(gamma, p), scale_lattice(gamma, p)]
+            found += [divide_lattice(apply_matrix(mat, gamma), p) for mat in star_mats]
+        elif ell == 2:
+            stars = [apply_matrix(mat, gamma) for mat in star_mats]
+            found = [gamma] + stars + [divide_lattice(star, psq) for star in stars]
+        else:
+            stars = [apply_matrix(mat, gamma) for mat in star_mats]
+            found = [divide_lattice(gamma, psq), gamma, scale_lattice(gamma, psq)] + stars
+            found += [divide_lattice(star, psq) for star in stars]
+            found += [divide_lattice(apply_matrix(mat2, star), psq) for star in stars for mat2 in star_mats]
+        out.update(beta for beta in found if beta is not None)
+    return out
+
+
+def _gather_apply(ell, p, entries, zero, weights, inv_sqrt_p, representatives=None):
+    """The independent reference for hecke._apply: the gather form over the candidates.
+
+    Every candidate beta is evaluated from its own list of terms, each a
+    lookup that may miss the support; hecke._apply instead scatters each
+    term from the support point it reads.
+    """
+    reps = orbit_representatives(p).representatives if representatives is None else representatives
+    conj_mats = tuple(conjugation_matrix(a) for a in reps)
+    star_mats = tuple(tuple(zip(*mat)) for mat in conj_mats)
+    out = {}
+    for beta in _hecke_candidates(ell, p, entries, star_mats):
+        value = zero
+        for weight, target in _hecke_terms(ell, p, weights, inv_sqrt_p, beta, conj_mats):
+            if target in entries:
+                value = value + weight * entries[target]
+        if value:
+            out[beta] = value
+    return out
+
+
 def _quadext_apply(ell, p, A, representatives=None):
-    """H_ell A with _hecke_value evaluated on QuadExt/QComplex scalars and true zeros.
+    """H_ell A by the gather reference on QuadExt/QComplex scalars and true zeros.
 
     The reference for the integer path: every weight through QuadExt.of,
     p^(-1/2) as QuadExt.inv_sqrt and Fraction arithmetic throughout, so no
     division can truncate.
     """
     A = A.with_prime(p)
-    conj_mats, star_mats = _matrices_for(p, representatives)
-    zero = QComplex.of(0, p=p)
     weights = _hecke_weights(p, lambda fr: QuadExt.of(fr, p))
+    return CoefficientField(p, _gather_apply(ell, p, A.entries, QComplex.of(0, p=p), weights,
+                                             QuadExt.inv_sqrt(p), representatives))
 
-    def at(beta):
-        return zero if beta is None else A.entries.get(beta, zero)
 
-    out = {}
-    for beta in _hecke_candidates(ell, p, A.entries, star_mats):
-        value = _hecke_value(ell, p, at, weights, QuadExt.inv_sqrt(p), beta, conj_mats)
-        if value:
-            out[beta] = value
-    return CoefficientField(p, out)
+def _float_apply(ell, p, entries):
+    """H_ell on complex doubles by the gather reference."""
+    return _gather_apply(ell, p, entries, 0j, _hecke_weights(p, float), 1.0 / p ** 0.5)
 
 
 def _snapshot(field):
@@ -301,6 +374,41 @@ class TestIntegerPath:
             assert got.p == expected.p == p
             assert got == expected
             assert _snapshot(got) == _snapshot(expected)
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_every_basis_column_matches_gather_reference(self, p):
+        # the operators are Q(sqrt p)(i)-linear, so equal columns H_ell delta_beta
+        # for every |b_i| <= 3 prove the scatter pass equal to the gather form on
+        # every field supported there, for the canonical and an alternative table
+        rng = random.Random(p)
+        reps = [rng.choice(UNITS[1:]) * r for r in orbit_representatives(p).representatives]
+        rng.shuffle(reps)
+        box = [beta for beta in itertools.product(range(-3, 4), repeat=3) if any(beta)]
+        assert len(box) == 342
+        for table in (None, tuple(reps)):
+            for beta in box:
+                A = CoefficientField.delta(beta, 1, p=p)
+                for ell in (1, 2, 3):
+                    got = apply_hecke(ell, p, A, representatives=table)
+                    expected = _quadext_apply(ell, p, A, table)
+                    assert got == expected and _snapshot(got) == _snapshot(expected), (table, beta, ell)
+
+
+class TestFloatPath:
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_matches_float_gather_reference(self, p):
+        # the scatter pass weights each term where the gather form weights sums,
+        # so the two round differently but agree to a few ulps, key for key
+        rng = random.Random(100 + p)
+        for support, bound in ((6, 2), (12, 3), (20, 4)):
+            entries = CoefficientField.random(rng, support=support, coord_bound=bound,
+                                              symmetric=True).as_complex_dict()
+            for ell in (1, 2, 3):
+                got = apply_hecke_float(ell, p, entries)
+                expected = _float_apply(ell, p, entries)
+                assert got.keys() == expected.keys()
+                for beta, value in expected.items():
+                    assert abs(got[beta] - value) <= 1e-14 * abs(value), (beta, ell)
 
 
 def _double_conjugation_hits(p, A, h3):
