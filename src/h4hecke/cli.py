@@ -72,6 +72,23 @@ def _parse_finite(text: str) -> float:
     return value
 
 
+def _parse_positive(text: str) -> float:
+    value = _parse_finite(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    return value
+
+
+def _parse_count(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
+    return value
+
+
 def _parse_beta(text: str):
     parts = [int(t) for t in text.split(",")]
     if len(parts) != 3:
@@ -375,8 +392,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--point", type=_parse_point, required=True)
     p.set_defaults(func=_cmd_geom_act)
     p = geom.add_parser("verify-cusp", help="sample the four-fold cusp tiling", parents=common)
-    p.add_argument("--T", type=float, default=2.0)
-    p.add_argument("--samples", type=int, default=1000)
+    p.add_argument("--T", type=_parse_finite, default=2.0)
+    p.add_argument("--samples", type=_parse_count, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_geom_verify_cusp)
 
@@ -390,17 +407,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = hk.add_parser("verify-relation", help="exact quadratic-relation residual on random fields",
                       parents=common)
     p.add_argument("--p", type=int, required=True)
-    p.add_argument("--trials", type=int, default=10)
-    p.add_argument("--support", type=int, default=8)
+    p.add_argument("--trials", type=_parse_count, default=10)
+    p.add_argument("--support", type=_parse_count, default=8)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_hecke_verify_relation)
     p = hk.add_parser("commute", help="cross-prime commutator residual in doubles", parents=common)
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--q", type=int, required=True)
-    p.add_argument("--trials", type=int, default=5)
-    p.add_argument("--support", type=int, default=6)
+    p.add_argument("--trials", type=_parse_count, default=5)
+    p.add_argument("--support", type=_parse_count, default=6)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=_parse_positive, default=1e-9)
     p.set_defaults(func=_cmd_hecke_commute)
 
     sm = top.add_parser("sums", help="lattice sums and inequality reports").add_subparsers(
@@ -431,16 +448,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--assert-with-constant", action="store_true")
     p.set_defaults(func=_cmd_sums_report)
     p = sm.add_parser("partition", help="dyadic eigenvalue partition of the prime window", parents=common)
-    p.add_argument("--y", type=float, required=True)
+    p.add_argument("--y", type=_parse_finite, required=True)
     p.add_argument("--lambda-table", dest="lambda_table", required=True)
     p.set_defaults(func=_cmd_sums_partition)
 
     asym = top.add_parser("asym", help="recursion constants and decay checks").add_subparsers(
         dest="cmd", required=True)
     p = asym.add_parser("compute-R", help="smallest admissible recursion exponent", parents=common)
-    p.add_argument("--A", type=float, required=True)
+    p.add_argument("--A", type=_parse_finite, required=True)
     p.add_argument("--M", type=int, required=True)
-    p.add_argument("--eps", type=float, required=True)
+    p.add_argument("--eps", type=_parse_finite, required=True)
     p.set_defaults(func=_cmd_asym_compute_R)
     p = asym.add_parser("verify", help="check hypothesis and decay bound for a sampled function",
                         parents=common)
@@ -455,18 +472,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_maass_eval)
     p = ms.add_parser("parseval", help="fixed-height orthogonality check", parents=common)
     p.add_argument("--form", required=True)
-    p.add_argument("--y", type=float, required=True)
+    p.add_argument("--y", type=_parse_finite, required=True)
     p.set_defaults(func=_cmd_maass_parseval)
     p = ms.add_parser("cusp", help="cusp mass above height T", parents=common)
     p.add_argument("--form", required=True)
-    p.add_argument("--T", type=float, required=True)
+    p.add_argument("--T", type=_parse_finite, required=True)
     p.add_argument("--cross-check", action="store_true")
     p.set_defaults(func=_cmd_maass_cusp)
     p = ms.add_parser("laplace-check", help="finite-difference mode annihilation", parents=common)
     p.add_argument("--beta", type=_parse_beta, required=True)
-    p.add_argument("--r", type=float, required=True)
+    p.add_argument("--r", type=_parse_finite, required=True)
     p.add_argument("--point", type=_parse_point)
-    p.add_argument("--h", type=float, default=1e-3)
+    p.add_argument("--h", type=_parse_positive, default=1e-3)
     p.set_defaults(func=_cmd_maass_laplace)
 
     return parser

@@ -8,23 +8,26 @@ dividing beta), or equal to zero reads as 0.
 
 Three linear operators H_1, H_2, H_3 act on such fields.  Writing
 conj_i(beta) = alpha_i' beta bar(alpha_i) over the fixed norm-p orbit
-representatives alpha_1..alpha_{p+1}:
+representatives alpha_1..alpha_{p+1} and
 
-  (H_1 A)(beta) = A(p beta) + A(beta/p) + p^{-1/2} sum_i A(conj_i(beta)/p)
+    (T_k A)(beta) = sum_i A(conj_i(beta) / p^k),    k = 0, 1, 2,
 
-  (H_2 A)(beta) = p^{-1/2} sum_i [A(conj_i(beta)) + A(conj_i(beta)/p^2)]
-                  + E(beta, p) A(beta)
+for the conjugate sums, with weights and indicators acting pointwise,
 
-  (H_3 A)(beta) = A(p^2 beta) + A(beta) (1_p(beta) - (p+1)/p E(beta,p)
-                  - (p^2+p+1)/p^3) + A(beta/p^2)
-                  + p^{-1/2} sum_i [A(conj_i(beta)) (1_p(conj_i(beta)) - 1/p)
-                  + A(conj_i(beta)/p^2) (1_p(beta) - 1/p)]
-                  + p^{-1} sum_j sum_i A(conj_j(conj_i(beta))/p^2) 1_p(conj_i(beta)),
+  H_1 A = A(p .) + A(./p) + p^{-1/2} T_1 A
+
+  H_2 A = E A + p^{-1/2} (T_0 A + T_2 A)
+
+  H_3 A = A(p^2 .) + mid A + A(./p^2) + p^{-1} T_0(1_p T_2 A)
+          + p^{-1/2} [T_0(1_p A) - (1/p) T_0 A + (1_p - 1/p) T_2 A],
 
 where E(beta, p) is the four-case rational factor driven by p | beta,
-p | N(beta), and the Legendre symbol (-N(beta) | p), and 1_p is the
-indicator of p dividing every coordinate.  On eigenvector data the three
-operators reproduce the normalized eigenvalue triple, and they satisfy
+p | N(beta), and the Legendre symbol (-N(beta) | p), 1_p is the
+indicator of p dividing every coordinate, and mid = 1_p - (p+1)/p E
+- (p^2+p+1)/p^3.  Written out, p^{-1} T_0(1_p T_2 A) at beta is
+p^{-1} sum_i 1_p(conj_i(beta)) sum_j A(conj_j(conj_i(beta))/p^2).  On
+eigenvector data the three operators reproduce the normalized
+eigenvalue triple, and they satisfy
 
     H_1^2 - (1 + 1/p) H_2 - H_3 = (1 + 1/p + 1/p^2 + 1/p^3) Id
 
@@ -32,19 +35,12 @@ as an exact operator identity on arbitrary fields (any fixed orbit
 table); verify_hecke_relation computes the residual of that identity
 without rounding.
 
-_apply is the one copy of these formulas, read transposed.  Every
-conjugation matrix C_i has C_i S_i = p^2 I with S_i = C_i^T, so a term
-that reads A at gamma belongs to exactly one beta, a lattice map of gamma.
-One pass over the support therefore pushes every term from its gamma to
-its beta, and no lookup misses.  Its callers inject the scalar domain:
-complex doubles for the float twin, Python ints for the exact operators.
-There a field is converted once to integer numerators (re/im times
-rational/sqrt(p) parts) over D p^3, D the lcm of its entry denominators,
-so every input numerator is a multiple of p^3.  Each term applies its
-weight, whose denominator divides p^3, to one such numerator, and
-p^(-1/2) maps a + b sqrt(p) to b + (a/p) sqrt(p) on a numerator that
-keeps p^2, so every division is exact term by term and only results are
-converted back to Fractions.
+_conj_sum computes T_k by scattering from the support; its docstring
+holds the transposition argument that makes this exact, and sums.sum_R
+reads R^{p,l}_d off the same map.  _apply is the one copy of the
+formulas above.  Its callers inject the scalar domain: complex doubles
+for the float twin, Python ints for the exact operators, on which every
+division is exact (see the integer-domain note below).
 
 Two finer properties need the Klein-group sign symmetry
 A(-b0,-b1,b2) = A(-b0,b1,-b2) = A(b0,-b1,-b2) = A(b0,b1,b2) that
@@ -374,6 +370,9 @@ class CoefficientField:
         """Random sparse field with integer (or integer + integer*sqrt(p)) entries."""
         if sqrt_parts and p is None:
             raise ValueError("sqrt parts require a prime context")
+        if support > (2 * coord_bound + 1) ** 3 - 1 or (support > 0 and entry_bound < 1):
+            raise ValueError(f"cannot draw {support} nonzero entries at distinct points with "
+                             f"|b_i| <= {coord_bound} and entry_bound {entry_bound}")
         entries: dict[LatticeVector, QComplex] = {}
         while len(entries) < support:
             beta = tuple(rng.randint(-coord_bound, coord_bound) for _ in range(3))
@@ -491,69 +490,89 @@ def _hecke_weights(p: int, lift: Callable) -> _HeckeWeights:
                          (lift(-inv_p), lift(1 - inv_p)), lift(inv_p))
 
 
+def _conj_sum(k: int, p: int, entries: Mapping[LatticeVector, object], mats) -> dict:
+    """T_k A on a dict of scalars: beta -> sum_i A(C_i beta / p^k) at every beta with a support hit.
+
+    C_1..C_{p+1} are the conjugation matrices `mats` (conj_i(beta) = C_i beta),
+    and the sums are scattered from the support.  Each C_i has C_i S_i = p^2 I
+    with S_i = C_i^T, so C_i beta / p^k = gamma exactly when
+    beta = p^(k-2) S_i gamma.  The terms that read A at gamma are therefore
+    the pairs (gamma, i) with p^(k-2) S_i gamma integral, one term per pair:
+    adding A(gamma) into the sum at that beta for each pair visits every
+    term once, and no lookup misses.  N(beta) = p^(2k-2) N(gamma), so a
+    caller that needs a ball of beta drops gamma first.  Sums that cancel
+    to zero are kept.
+    """
+    stars = [tuple(zip(*mat)) for mat in mats]
+    shift = p ** abs(k - 2)
+    acc = {}
+    for gamma, v in entries.items():
+        for star in stars:
+            beta = apply_matrix(star, gamma)
+            if k != 2:
+                beta = _scale(beta, shift) if k > 2 else _divide(beta, shift)
+                if beta is None:
+                    continue
+            acc[beta] = acc[beta] + v if beta in acc else v
+    return acc
+
+
+def _add(acc: dict, beta: Optional[LatticeVector], value) -> None:
+    if beta is not None:
+        acc[beta] = acc[beta] + value if beta in acc else value
+
+
 def _apply(ell: int, p: int, entries: Mapping[LatticeVector, object], weights: _HeckeWeights, inv_sqrt_p,
            representatives=None) -> dict:
-    """H_ell on a dict of scalars of one domain: every nonzero (H_ell A)(beta), scattered from the support.
+    """H_ell on a dict of scalars of one domain: every nonzero (H_ell A)(beta).
 
-    The formulas of the module docstring are read transposed.  Every
-    conjugation matrix satisfies C_i S_i = p^2 I with S_i = C_i^T, so
-    C_i beta / p^k = gamma holds exactly when beta = p^(k-2) S_i gamma.
-    Each term of (H_ell A)(beta) that reads A at a support point gamma is
-    therefore pushed from gamma to the one beta it reaches, with the
-    term's weight, and no lookup misses:
-
-      H_1: gamma/p and p gamma; S_i gamma/p with p^(-1/2).
-      H_2: gamma with E(gamma); S_i gamma/p^2 and S_i gamma with p^(-1/2).
-      H_3: gamma/p^2, p^2 gamma, and gamma with its mid weight;
-           S_i gamma/p^2 with p^(-1/2) (1_p(gamma) - 1/p);
-           S_i gamma with p^(-1/2) (1_p(S_i gamma) - 1/p); and, only when
-           p | S_i gamma, S_j S_i gamma/p^2 with 1/p.
-
-    A target off the lattice (gamma/p with p not dividing gamma) is no
-    term of any beta and is skipped.
+    The module docstring's T_k form.  Weights of gamma (p^(-1/2), 1_p(gamma))
+    go onto the entries before a _conj_sum, weights of beta (1_p(beta) - 1/p)
+    onto its sums.  One pass serves T_0 and T_2 of one input, since
+    (T_0 A)(beta) = (T_2 A)(p^2 beta).  H_3 scatters A itself: its last term
+    needs p^(-1) T_2 A, and in doubles p^(-1/2) p^(-1/2) is not 1/p, which
+    would leave rounding residue where that term cancels the mid term.  Its
+    two T_0(1_p .) terms share one pass, T_0(1_p (p^(-1/2) A + p^(-1) T_2 A)).
+    A shift off the lattice (gamma/p with p not dividing gamma) reaches no
+    beta and is skipped.
     """
     if ell not in (1, 2, 3):
         raise ValueError(f"ell must be 1, 2, or 3, got {ell}")
-    conj_mats = conjugation_matrices(p) if representatives is None else map(conjugation_matrix, representatives)
-    stars = [tuple(zip(*mat)) for mat in conj_mats]
+    mats = conjugation_matrices(p) if representatives is None else tuple(map(conjugation_matrix, representatives))
     psq = p * p
-    out = {}
-
-    def put(beta: Optional[LatticeVector], value):
-        if beta is not None:
-            out[beta] = out[beta] + value if beta in out else value
-
-    for gamma, v in entries.items():
-        if ell == 1:
-            put(_divide(gamma, p), v)
-            put(_scale(gamma, p), v)
-            v = inv_sqrt_p * v
-            for star in stars:
-                put(_divide(apply_matrix(star, gamma), p), v)
-        elif ell == 2:
-            put(gamma, weights.eps[_epsilon_case(gamma, p)] * v)
-            v = inv_sqrt_p * v
-            for star in stars:
-                image = apply_matrix(star, gamma)
-                put(_divide(image, psq), v)
-                put(image, v)
-        else:
-            ind = weights.ind
+    if ell == 1:
+        out = _conj_sum(1, p, {gamma: inv_sqrt_p * v for gamma, v in entries.items()}, mats)
+        for gamma, v in entries.items():
+            _add(out, _divide(gamma, p), v)
+            _add(out, _scale(gamma, p), v)
+    elif ell == 2:
+        t = _conj_sum(2, p, {gamma: inv_sqrt_p * v for gamma, v in entries.items()}, mats)
+        out = dict(t)
+        for beta, v in t.items():
+            _add(out, _divide(beta, psq), v)
+        for gamma, v in entries.items():
+            _add(out, gamma, weights.eps[_epsilon_case(gamma, p)] * v)
+    else:
+        out = {}
+        u = {}
+        for gamma, v in entries.items():
             case = _epsilon_case(gamma, p)
-            put(_divide(gamma, psq), v)
-            put(_scale(gamma, psq), v)
-            put(gamma, weights.mid[case] * v)
-            to_quotient = inv_sqrt_p * (ind[case == 0] * v)
-            to_image = (inv_sqrt_p * (ind[0] * v), inv_sqrt_p * (ind[1] * v))
-            double = weights.inv_p * v
-            for star in stars:
-                image = apply_matrix(star, gamma)
-                put(_divide(image, psq), to_quotient)
-                image_ind = image[0] % p == 0 and image[1] % p == 0 and image[2] % p == 0
-                put(image, to_image[image_ind])
-                if image_ind:
-                    for star2 in stars:
-                        put(_divide(apply_matrix(star2, image), psq), double)
+            _add(out, _divide(gamma, psq), v)
+            _add(out, _scale(gamma, psq), v)
+            _add(out, gamma, weights.mid[case] * v)
+            if case == 0:
+                u[gamma] = inv_sqrt_p * v
+        ind = weights.ind
+        for beta, v in _conj_sum(2, p, entries, mats).items():
+            low = inv_sqrt_p * (ind[0] * v)
+            if beta[0] % p or beta[1] % p or beta[2] % p:
+                _add(out, beta, low)
+            else:
+                _add(out, beta, inv_sqrt_p * (ind[1] * v))
+                _add(out, _divide(beta, psq), low)
+                _add(u, beta, weights.inv_p * v)
+        for beta, v in _conj_sum(0, p, u, mats).items():
+            _add(out, beta, v)
     return {beta: value for beta, value in out.items() if value}
 
 
@@ -562,14 +581,15 @@ def _apply(ell: int, p: int, entries: Mapping[LatticeVector, object], weights: _
 # A field over Q(sqrt p) is converted once: with D the lcm of its entry
 # denominators, each entry becomes four ints, the re/im x rational/sqrt(p)
 # parts, as numerators over the per-call denominator D p^3.  Divisibility
-# invariant: every input numerator is a multiple of p^3, and the scatter
-# pass applies each term's weight to one such numerator, never to a sum.
-# A weight n/p^k (k <= 3) acts as "times n p^(3-k), then // p^3", so it
-# divides exactly and leaves a multiple of p^(3-k).  p^(-1/2) maps
-# a + b sqrt(p) to b + (a/p) sqrt(p); it is applied to an input numerator
-# or to one times 1_p - 1/p, a multiple of p^2, so a/p is exact.  An H_1
-# output is a multiple of p^2, which is why verify_hecke_relation rescales
-# it by p before applying H_1 again.
+# invariant: every input numerator is a multiple of p^3.  A weight n/p^k
+# (k <= 3) acts as "times n p^(3-k), then // p^3", exact on a multiple of
+# p^k, and p^(-1/2) maps a + b sqrt(p) to b + (a/p) sqrt(p), exact on a
+# multiple of p.  _apply weights single numerators and also sums of them,
+# and a sum of multiples of p^k is again one: E, mid and p^(-1/2) act on
+# inputs, 1/p and 1_p - 1/p on H_3's T_2 A (a multiple of p^3), and the
+# p^(-1/2) after them on a multiple of p^2.  An H_1 output is a multiple of
+# p^2, which is why verify_hecke_relation rescales it by p before applying
+# H_1 again.
 
 
 class _Num:
@@ -650,9 +670,9 @@ def apply_hecke(ell: int, p: int, A: CoefficientField, *, representatives=None) 
 
     The operator runs on Python ints: A is converted once to integer
     numerators over D p^3 (D the lcm of its entry denominators), each a
-    multiple of p^3.  The scatter pass weights one such numerator per
-    term, so each weight n/p^k and p^(-1/2) divides exactly; only the
-    outputs are converted back to Fractions.
+    multiple of p^3, so each weight n/p^k and p^(-1/2) divides exactly
+    (see the integer-domain note); only the outputs are converted back
+    to Fractions.
     """
     A = A.with_prime(p)
     den, nums = _numerators(A, p ** 3)

@@ -21,6 +21,7 @@ Delta u = -(9/4 + r^2) u by central finite differences.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -69,9 +70,11 @@ def _truncation_point(x: float, tol: float) -> float:
 
 
 def bessel_k_imag_order(r: float, x: float, tol: float = 1e-12) -> float:
-    """K_{ir}(x) for real r and x > 0 via the cosine integral representation."""
-    if x <= 0:
-        raise ValueError("argument x must be positive")
+    """K_{ir}(x) for finite real r and finite x > 0 via the cosine integral representation."""
+    if not (math.isfinite(x) and x > 0):
+        raise ValueError(f"K_ir argument x must be finite and positive, got {x}")
+    if not math.isfinite(r):
+        raise ValueError(f"spectral parameter r must be finite, got {r}")
     r = abs(float(r))
     T = _truncation_point(x, tol)
 
@@ -99,6 +102,8 @@ class SpectralForm:
     entries: tuple[tuple[tuple[int, int, int], complex], ...]
 
     def __post_init__(self):
+        if not math.isfinite(self.r):
+            raise ValueError(f"spectral parameter r must be finite, got {self.r}")
         clean = []
         for beta, value in self.entries:
             if len(beta) != 3:
@@ -106,6 +111,8 @@ class SpectralForm:
             beta = (int(beta[0]), int(beta[1]), int(beta[2]))
             if beta == (0, 0, 0):
                 raise ValueError("spectral forms carry no constant term")
+            if not cmath.isfinite(value):
+                raise ValueError(f"coefficient at {beta} must be finite, got {value}")
             clean.append((beta, complex(value)))
         object.__setattr__(self, "entries", tuple(clean))
 
@@ -117,7 +124,19 @@ class SpectralForm:
 def _phase_re_beta_z(beta, x0, x1, x2):
     # Re(beta z) for beta = b0 + b1 i + b2 j and z = x0 + x1 i1 + x2 i2 + y i3:
     # the quaternion product leaves b0 x0 - b1 x1 - b2 x2 on the real axis.
+    # The x may be floats or numpy arrays of them.
     return beta[0] * x0 - beta[1] * x1 - beta[2] * x2
+
+
+def _radial(r: float, beta, y: float, tol: float) -> float:
+    """y^(3/2) K_{ir}(2 pi sqrt(N(beta)) y), the radial factor of the mode at beta.
+
+    The kernel goes first: bessel_k_imag_order rejects a height whose
+    argument overflows, and y^(3/2), which overflows past y ~ 1e205, is
+    taken only where the kernel has not underflowed to zero.
+    """
+    k = _bessel_cached(r, TWO_PI * math.sqrt(lattice_norm(beta)) * y, tol)
+    return k * y ** 1.5 if k else k
 
 
 def evaluate_form(form: SpectralForm, z, tol: float = 1e-12) -> complex:
@@ -125,8 +144,8 @@ def evaluate_form(form: SpectralForm, z, tol: float = 1e-12) -> complex:
     x0, x1, x2, y = (z.as_tuple() if hasattr(z, "as_tuple") else tuple(map(float, z)))
     total = 0j
     for beta, coeff in form.entries:
-        radial = y ** 1.5 * _bessel_cached(form.r, TWO_PI * math.sqrt(lattice_norm(beta)) * y, tol)
-        total += coeff * radial * np.exp(2j * math.pi * _phase_re_beta_z(beta, x0, x1, x2))
+        phase = _phase_re_beta_z(beta, x0, x1, x2)
+        total += coeff * _radial(form.r, beta, y, tol) * np.exp(2j * math.pi * phase)
     return complex(total)
 
 
@@ -139,9 +158,8 @@ def _box_integral_abs_sq(form: SpectralForm, y: float, nodes: int, tol: float) -
     W = wts[:, None, None] * wts[None, :, None] * wts[None, None, :]
     phi = np.zeros_like(X0, dtype=complex)
     for beta, coeff in form.entries:
-        radial = y ** 1.5 * _bessel_cached(form.r, TWO_PI * math.sqrt(lattice_norm(beta)) * y, tol)
-        phase = beta[0] * X0 - beta[1] * X1 - beta[2] * X2
-        phi += coeff * radial * np.exp(2j * math.pi * phase)
+        phase = _phase_re_beta_z(beta, X0, X1, X2)
+        phi += coeff * _radial(form.r, beta, y, tol) * np.exp(2j * math.pi * phase)
     return float(np.sum(W * np.abs(phi) ** 2))
 
 
@@ -156,13 +174,14 @@ class ParsevalReport:
 def parseval_check(form: SpectralForm, y: float, tol: float = 1e-12, nodes: int = 32) -> ParsevalReport:
     """Fixed-height orthogonality: the box integral of |phi|^2 equals
     sum_beta |A(beta)|^2 y^3 |K_{ir}(2 pi sqrt(N(beta)) y)|^2."""
-    if y <= 0:
-        raise ValueError("height y must be positive")
+    if not (math.isfinite(y) and y > 0):
+        raise ValueError(f"height y must be finite and positive, got {y}")
     box = _box_integral_abs_sq(form, y, nodes, tol)
-    coeff = sum(
-        abs(c) ** 2 * y ** 3 * _bessel_cached(form.r, TWO_PI * math.sqrt(lattice_norm(b)) * y, tol) ** 2
-        for b, c in form.entries
-    )
+    coeff = 0
+    for b, c in form.entries:
+        k = _bessel_cached(form.r, TWO_PI * math.sqrt(lattice_norm(b)) * y, tol)
+        # y^3 overflows past y ~ 5.6e102, where every kernel value has underflowed to 0
+        coeff += abs(c) ** 2 * y ** 3 * k ** 2 if k else 0.0
     scale = max(abs(coeff), 1e-300)
     return ParsevalReport(y=y, box_integral=box, coefficient_sum=coeff,
                           rel_error=abs(box - coeff) / scale)
@@ -175,8 +194,8 @@ def cusp_sum_I(form: SpectralForm, T: float, tol: float = 1e-10) -> float:
     |K_{ir}(2 pi y)|^2 dy/y; each 1-d integral is truncated where the
     exponential decay of the kernel makes the tail negligible.
     """
-    if T < 1:
-        raise ValueError("T must be >= 1")
+    if not (math.isfinite(T) and T >= 1):
+        raise ValueError(f"T must be finite and >= 1, got {T}")
     total = 0.0
     for beta, coeff in form.entries:
         a = T * math.sqrt(lattice_norm(beta))
@@ -197,8 +216,8 @@ def direct_cusp_integral(form: SpectralForm, T: float, *, x_nodes: int = 24,
     Gauss-Legendre in each x coordinate at every y node, composite
     Gauss-Legendre in y on [T, Y] with Y set by the kernel decay.
     """
-    if T < 1:
-        raise ValueError("T must be >= 1")
+    if not (math.isfinite(T) and T >= 1):
+        raise ValueError(f"T must be finite and >= 1, got {T}")
     n_min = min(lattice_norm(b) for b, _ in form.entries)
     Y = T + max(3.0, (math.log(1 / tol) + 5.0) / (4.0 * math.pi * math.sqrt(n_min)))
     ypts, ywts = np.polynomial.legendre.leggauss(y_nodes)
@@ -216,8 +235,7 @@ def direct_cusp_integral(form: SpectralForm, T: float, *, x_nodes: int = 24,
 # -- mode Laplacian -------------------------------------------------------------
 
 def _mode_value(beta, r: float, x0: float, x1: float, x2: float, y: float, tol: float) -> complex:
-    radial = y ** 1.5 * _bessel_cached(r, TWO_PI * math.sqrt(lattice_norm(beta)) * y, tol)
-    return radial * np.exp(2j * math.pi * _phase_re_beta_z(beta, x0, x1, x2))
+    return _radial(r, beta, y, tol) * np.exp(2j * math.pi * _phase_re_beta_z(beta, x0, x1, x2))
 
 
 def laplace_eigen_residual(beta, r: float, z, h: float = 1e-3, tol: float = 1e-14) -> float:
@@ -228,6 +246,8 @@ def laplace_eigen_residual(beta, r: float, z, h: float = 1e-3, tol: float = 1e-1
     ratio is pure discretization error, O(h^2).
     """
     x0, x1, x2, y = (z.as_tuple() if hasattr(z, "as_tuple") else tuple(map(float, z)))
+    if not (math.isfinite(h) and h > 0):
+        raise ValueError(f"step h must be finite and positive, got {h}")
     if y - h <= 0:
         raise ValueError("step h must keep y - h positive")
     beta = tuple(int(b) for b in beta)

@@ -20,11 +20,10 @@ S_d, R and the L6.4 double sum run on Python ints.  A field is converted
 once per call to integer numerators over one denominator D
 (hecke._numerators), each square |v|^2 is taken on those ints, and only
 the total becomes a Fraction over D^2 (for L6.4, the float of the exact
-total).  The conjugate sums of R are scattered from the support rather
-than gathered at candidates: since C_i C_i^T = p^2 I for the conjugation
-matrices, a support point gamma enters sum_i A(conj_i(beta) / p^l) for
-exactly one beta per i, namely beta = p^(l-2) C_i^T gamma when that is
-integral (see _conj_sums).
+total).  The inner sums sum_i A(conj_i(beta) / p^l) are the map T_l of
+the Hecke operators, scattered from the support by hecke._conj_sum.
+Since N(beta) = p^(2l-2) N(gamma) for the beta a support point gamma
+reaches, every gamma with p^(2l-2) N(gamma) > z is dropped first.
 """
 
 from __future__ import annotations
@@ -32,19 +31,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
-from .hecke import CoefficientField, EigenvalueTriple, QuadExt, _join_primes, _numerators
-from .quaternions import (
-    LatticeVector,
-    apply_matrix,
-    conjugation_matrices,
-    divide_lattice as _divide,
-    is_prime,
-    lattice_norm,
-    odd_primes_in,
-    scale_lattice as _scale,
+from .hecke import (
+    CoefficientField,
+    EigenvalueTriple,
+    QuadExt,
+    _conj_sum,
+    _join_primes,
+    _numerators,
+    hecke_relation_constant,
 )
+from .quaternions import LatticeVector, conjugation_matrices, is_prime, lattice_norm, odd_primes_in
 
 Rational = Union[int, Fraction]
 
@@ -90,40 +88,15 @@ def sum_S_d(A: CoefficientField, d: int, z) -> QuadExt:
     return QuadExt(q, Fraction(a, den * den), Fraction(b, den * den))
 
 
-def _conj_sums(nums, p: int, ell: int, z: int, keep: Callable[[LatticeVector], bool]) -> list:
-    """sum_i A(conj_i(beta) / p^ell) over the beta with N(beta) <= z and keep(beta), on numerators.
-
-    Only the beta with at least one support hit are returned.  The sums
-    are scattered, not gathered.  Let C_i be the matrix of
-    conj_i(beta) = alpha_i' beta bar(alpha_i); then C_i C_i^T = p^2 I, so
-    C_i beta / p^ell = gamma holds exactly when beta = p^(ell-2) C_i^T gamma.
-    Each term A(conj_i(beta) / p^ell) that hits the support point gamma
-    is therefore one pair (gamma, i) with p^(ell-2) C_i^T gamma integral,
-    and each such pair is one term.  Adding A(gamma) into the accumulator
-    of beta for every such pair visits every term once, with no lookups
-    that miss.  N(beta) = p^(2 ell - 2) N(gamma), so gamma is skipped
-    before any product when its beta would leave the ball.
-    """
-    stars = [tuple(zip(*mat)) for mat in conjugation_matrices(p)]  # the C_i^T
-    shift = p ** abs(ell - 2)
-    acc = {}
-    for gamma, v in nums.items():
-        if lattice_norm(gamma) * p ** (2 * ell) > z * p * p:
-            continue
-        for star in stars:
-            image = apply_matrix(star, gamma)
-            beta = _scale(image, shift) if ell >= 2 else _divide(image, shift)
-            if beta is not None:
-                acc[beta] = v + acc[beta] if beta in acc else v
-    return [v for beta, v in acc.items() if keep(beta)]
-
-
 def sum_R(A: CoefficientField, p: int, ell: int, d: int, z) -> QuadExt:
     """R^{p,ell}_d(z), computed over the finitely many beta that can contribute."""
     if ell < 0 or d < 1:
         raise ValueError("need ell >= 0 and d >= 1")
+    z = math.floor(Fraction(z))
     q, den, nums = _int_field(A)
-    inners = _conj_sums(nums, p, ell, math.floor(Fraction(z)), lambda beta: _divides_vector(d, beta))
+    near = {gamma: v for gamma, v in nums.items() if lattice_norm(gamma) * p ** (2 * ell) <= z * p * p}
+    inners = (v for beta, v in _conj_sum(ell, p, near, conjugation_matrices(p)).items()
+              if _divides_vector(d, beta))
     a, b = _square_sum(inners, q)
     return QuadExt(q, Fraction(a, p * den * den), Fraction(b, p * den * den))
 
@@ -362,8 +335,7 @@ def lambda3_lower_bound_sq(p: int) -> Fraction:
     - 1/100 - (1 + 1/p)/10; the square of that bound is returned as an
     exact rational (it exceeds 1/2 for every odd prime).
     """
-    c = 1 + Fraction(1, p) + Fraction(1, p * p) + Fraction(1, p ** 3)
-    bound = c - Fraction(1, 100) - (1 + Fraction(1, p)) * Fraction(1, 10)
+    bound = hecke_relation_constant(p) - Fraction(1, 100) - (1 + Fraction(1, p)) * Fraction(1, 10)
     if bound < 0:
         return Fraction(0)
     return bound * bound
@@ -403,7 +375,9 @@ def _conj_square_sum(A: CoefficientField, window: PrimeWindow, K: float, ell: in
     q, den, nums = _int_field(A)
     a = b = Fraction(0)
     for p in window.primes:
-        inners = _conj_sums(nums, p, ell, z, lambda beta: not _divides_vector(p, beta) and spec.member(beta))
+        near = {gamma: v for gamma, v in nums.items() if lattice_norm(gamma) * p ** (2 * ell) <= z * p * p}
+        inners = (v for beta, v in _conj_sum(ell, p, near, conjugation_matrices(p)).items()
+                  if not _divides_vector(p, beta) and spec.member(beta))
         pa, pb = _square_sum(inners, q)
         a += Fraction(pa, p)
         b += Fraction(pb, p)

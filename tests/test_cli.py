@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from h4hecke.asymptotics import power_law_function
 from h4hecke.cli import main
@@ -379,3 +379,88 @@ class TestCliCommands:
                               capture_output=True, text=True)
         assert proc.returncode == 0
         assert len(proc.stdout.strip().splitlines()) == 4
+
+
+def _exit_code(argv, time_limit, seconds=30):
+    """main(argv)'s exit code, argparse's SystemExit included, within a time limit."""
+    with time_limit(seconds):
+        try:
+            return main(argv)
+        except SystemExit as exc:
+            return exc.code
+
+
+@pytest.fixture
+def form_files(tmp_path):
+    """A valid one-mode form file, and two whose r or coefficient is NaN."""
+    paths = {name: tmp_path / f"{name}.json" for name in ("form", "nan_r", "nan_coeff")}
+    write_spectral_form(SpectralForm.from_dict(1.0, {(1, 0, 0): 1.0}), paths["form"])
+    paths["nan_r"].write_text('{"r": NaN, "entries": [{"beta": [1, 0, 0], "re": 1.0, "im": 0.0}]}')
+    paths["nan_coeff"].write_text('{"r": 1.0, "entries": [{"beta": [1, 0, 0], "re": NaN, "im": 0.0}]}')
+    return {name: str(path) for name, path in paths.items()}
+
+
+class TestBadInputsExit2:
+    # each argv once hung, ended in a traceback, or printed OK on zero samples
+    @pytest.mark.parametrize("argv", [
+        ["maass", "parseval", "--form", "{form}", "--y", "nan"],
+        ["maass", "parseval", "--form", "{form}", "--y", "1e308"],
+        ["maass", "cusp", "--form", "{form}", "--T", "nan"],
+        ["maass", "cusp", "--form", "{form}", "--T", "inf"],
+        ["maass", "cusp", "--form", "{form}", "--T", "1e308"],
+        ["maass", "eval", "--form", "{form}", "--point", "0,0,0,1e308"],
+        ["maass", "laplace-check", "--beta", "1,0,0", "--r", "nan"],
+        ["maass", "laplace-check", "--beta", "1,0,0", "--r", "1", "--h", "nan"],
+        ["maass", "laplace-check", "--beta", "1,0,0", "--r", "1", "--h", "0"],
+        ["maass", "eval", "--form", "{nan_r}", "--point", "0.1,0.2,0.3,1"],
+        ["maass", "parseval", "--form", "{nan_r}", "--y", "1"],
+        ["maass", "cusp", "--form", "{nan_r}", "--T", "2"],
+        ["maass", "parseval", "--form", "{nan_coeff}", "--y", "1"],
+        ["hecke", "verify-relation", "--p", "3", "--support", "400"],
+        ["hecke", "commute", "--p", "3", "--q", "5", "--support", "400"],
+        ["hecke", "commute", "--p", "3", "--q", "5", "--tol", "nan"],
+        ["hecke", "commute", "--p", "3", "--q", "5", "--tol", "0"],
+        ["hecke", "commute", "--p", "3", "--q", "5", "--tol=-1"],
+        ["hecke", "verify-relation", "--p", "3", "--trials", "0"],
+        ["hecke", "verify-relation", "--p", "3", "--support", "0"],
+        ["hecke", "commute", "--p", "3", "--q", "5", "--trials=-1"],
+        ["hecke", "commute", "--p", "3", "--q", "5", "--support", "0"],
+        ["geom", "verify-cusp", "--samples", "0"],
+    ])
+    def test_exits_2_with_one_error_line(self, argv, form_files, capsys, time_limit):
+        assert _exit_code([a.format(**form_files) for a in argv], time_limit) == 2
+        err = capsys.readouterr().err
+        # argparse adds its usage lines before the one error line
+        assert len([line for line in err.splitlines() if "error:" in line]) == 1, err
+        assert "Traceback" not in err
+
+
+_FUZZ_FLOATS = ["nan", "inf", "-inf", "-1", "0", "0.5", "1e308", "x"]
+_FUZZ_COUNTS = ["-1", "0", "1"]
+# (fixed arguments, float flags, count flags) of every maass, hecke and geom
+# command that takes a float or count flag
+_FUZZ_COMMANDS = [
+    (["maass", "parseval", "--form", "{form}"], ["--y"], []),
+    (["maass", "cusp", "--form", "{form}"], ["--T"], []),
+    (["maass", "cusp", "--form", "{form}", "--cross-check"], ["--T"], []),
+    (["maass", "laplace-check", "--beta", "1,0,0"], ["--r", "--h"], []),
+    (["hecke", "verify-relation", "--p", "3"], [], ["--trials", "--support"]),
+    (["hecke", "commute", "--p", "3", "--q", "5"], ["--tol"], ["--trials", "--support"]),
+    (["geom", "verify-cusp"], ["--T"], ["--samples"]),
+]
+
+
+class TestCliFuzz:
+    @settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_exit_codes_without_traceback(self, data, form_files, capsys, time_limit):
+        fixed, floats, counts = data.draw(st.sampled_from(_FUZZ_COMMANDS))
+        argv = [a.format(**form_files) for a in fixed]
+        # the flag=value form lets a value start with "-"
+        argv += [f"{flag}={data.draw(st.sampled_from(_FUZZ_FLOATS))}" for flag in floats]
+        argv += [f"{flag}={data.draw(st.sampled_from(_FUZZ_COUNTS))}" for flag in counts]
+        capsys.readouterr()
+        code = _exit_code(argv, time_limit)
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2), (argv, code, err)
+        assert "Traceback" not in err, (argv, err)

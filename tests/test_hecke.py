@@ -394,6 +394,18 @@ class TestIntegerPath:
                     assert got == expected and _snapshot(got) == _snapshot(expected), (table, beta, ell)
 
 
+class TestRandomFields:
+    @pytest.mark.parametrize("kw", [{"support": 343, "coord_bound": 3}, {"support": 27, "coord_bound": 1},
+                                    {"support": 3, "entry_bound": 0}])
+    def test_impossible_draw_raises(self, kw, time_limit):
+        # 342 nonzero points in |b_i| <= 3, 26 in |b_i| <= 1; entries in [0, 0] are all zero
+        with time_limit(5), pytest.raises(ValueError, match="cannot draw"):
+            CoefficientField.random(random.Random(0), **kw)
+
+    def test_full_box_is_drawn(self):
+        assert len(CoefficientField.random(random.Random(0), support=26, coord_bound=1).entries) == 26
+
+
 class TestFloatPath:
     @pytest.mark.parametrize("p", [3, 5, 7])
     def test_matches_float_gather_reference(self, p):

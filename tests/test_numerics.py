@@ -200,3 +200,47 @@ class TestLaplaceResidual:
     def test_step_must_keep_y_positive(self):
         with pytest.raises(ValueError):
             laplace_eigen_residual((1, 0, 0), 1.0, (0, 0, 0, 0.0005), 1e-3)
+
+
+class TestNonFiniteInputs:
+    # NaN never meets the quadrature tolerance, so each of these once bisected
+    # to depth 60 and never returned, or overflowed in y^(3/2)
+    @pytest.mark.parametrize("r,x", [(1.0, math.nan), (math.nan, 1.0), (math.inf, 1.0), (1.0, math.inf),
+                                     (1.0, -1.0)])
+    def test_bessel_rejects(self, r, x, time_limit):
+        with time_limit(5), pytest.raises(ValueError, match="finite"):
+            bessel_k_imag_order(r, x)
+
+    @pytest.mark.parametrize("r,coeff", [(math.nan, 1.0), (-math.inf, 1.0), (1.0, complex(math.nan, 0.0)),
+                                         (1.0, complex(0.0, math.inf))])
+    def test_form_rejects(self, r, coeff):
+        with pytest.raises(ValueError, match="finite"):
+            SpectralForm.from_dict(r, {(1, 0, 0): coeff})
+
+    @pytest.mark.parametrize("call", [
+        lambda form: parseval_check(form, math.nan),
+        lambda form: parseval_check(form, math.inf),
+        lambda form: parseval_check(form, 1e308),
+        lambda form: cusp_sum_I(form, math.nan),
+        lambda form: cusp_sum_I(form, math.inf),
+        lambda form: cusp_sum_I(form, 1e308),
+        lambda form: direct_cusp_integral(form, math.nan),
+        lambda form: evaluate_form(form, (0.0, 0.0, 0.0, 1e308)),
+        lambda form: evaluate_form(form, (0.0, 0.0, 0.0, math.nan)),
+        lambda form: laplace_eigen_residual((1, 0, 0), math.nan, (0.1, 0.2, 0.3, 0.3)),
+        lambda form: laplace_eigen_residual((1, 0, 0), 1.0, (0.1, 0.2, 0.3, 0.3), math.nan),
+        lambda form: laplace_eigen_residual((1, 0, 0), 1.0, (0.1, 0.2, 0.3, 0.3), 0.0),
+        lambda form: laplace_eigen_residual((1, 0, 0), 1.0, (0.1, 0.2, 0.3, 0.3), -1e-3),
+    ])
+    def test_entry_points_reject(self, call, time_limit):
+        form = SpectralForm.from_dict(1.0, {(1, 0, 0): 1.0, (0, 1, 1): 0.5j})
+        with time_limit(10), pytest.raises(ValueError):
+            call(form)
+
+    @pytest.mark.parametrize("y", [1e200, 1e250])
+    def test_kernel_underflow_does_not_overflow(self, y):
+        # y^3 and y^(3/2) overflow at these heights, where K_ir has long underflowed to 0
+        form = SpectralForm.from_dict(1.0, {(1, 0, 0): 1.0, (0, 1, 1): 0.5j})
+        assert evaluate_form(form, (0.1, 0.2, 0.3, y)) == 0
+        report = parseval_check(form, y)
+        assert report.box_integral == report.coefficient_sum == 0.0
