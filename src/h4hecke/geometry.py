@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .quaternions import Quaternion
+from .quaternions import Quaternion, hamilton_product
 
 Token = tuple
 GeneratorWord = tuple[Token, ...]
@@ -64,6 +64,39 @@ def as_point(z) -> PointH4:
     return PointH4(*map(float, z))
 
 
+# The matrix layer composes on coordinate 4-tuples with the one Hamilton
+# product and builds Quaternion objects only for the matrices it returns.
+
+def _add(p, q):
+    return (p[0] + q[0], p[1] + q[1], p[2] + q[2], p[3] + q[3])
+
+
+def _sub(p, q):
+    return (p[0] - q[0], p[1] - q[1], p[2] - q[2], p[3] - q[3])
+
+
+def _star(p):
+    """Reversal on a 4-tuple: fix i and j, negate k."""
+    return (p[0], p[1], p[2], -p[3])
+
+
+def _compose(g, h):
+    """Product of two matrices given as 4-tuples of coordinate 4-tuples."""
+    a1, b1, c1, d1 = g
+    a2, b2, c2, d2 = h
+    return (
+        _add(hamilton_product(a1, a2), hamilton_product(b1, c2)),
+        _add(hamilton_product(a1, b2), hamilton_product(b1, d2)),
+        _add(hamilton_product(c1, a2), hamilton_product(d1, c2)),
+        _add(hamilton_product(c1, b2), hamilton_product(d1, d2)),
+    )
+
+
+def _twisted(p, q, r, s):
+    """p r^* - q s^*: the shape of the pseudo-determinant and of the g J g-dagger entries."""
+    return _sub(hamilton_product(p, _star(r)), hamilton_product(q, _star(s)))
+
+
 @dataclass(frozen=True)
 class IsometryMatrix:
     """2x2 quaternion matrix [[a, b], [c, d]] with exact entries."""
@@ -74,12 +107,7 @@ class IsometryMatrix:
     d: Quaternion
 
     def __matmul__(self, other: "IsometryMatrix") -> "IsometryMatrix":
-        return IsometryMatrix(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
+        return IsometryMatrix._from_coords(_compose(self.coords(), other.coords()))
 
     @classmethod
     def identity(cls) -> "IsometryMatrix":
@@ -88,22 +116,38 @@ class IsometryMatrix:
     def entries(self) -> tuple[Quaternion, Quaternion, Quaternion, Quaternion]:
         return (self.a, self.b, self.c, self.d)
 
+    def coords(self) -> tuple[tuple, tuple, tuple, tuple]:
+        """The four entries as coordinate 4-tuples."""
+        return (self.a.coords(), self.b.coords(), self.c.coords(), self.d.coords())
+
+    @classmethod
+    def _from_coords(cls, entries) -> "IsometryMatrix":
+        return cls(*(Quaternion(*q) for q in entries))
+
+
+def _pseudo_det(entries) -> Fraction:
+    """pseudo_det on the coordinate tuples of [[a, b], [c, d]]."""
+    a, b, c, d = entries
+    val = _twisted(a, b, d, c)
+    if val[1] != 0 or val[2] != 0 or val[3] != 0:
+        raise ValueError(f"not a similitude: pseudo-determinant {Quaternion(*val)} is not a real scalar")
+    return Fraction(val[0])
+
 
 def pseudo_det(g: IsometryMatrix) -> Fraction:
     """a d^* - b c^*, when it is a real scalar; otherwise the matrix is not a similitude."""
-    val = g.a * g.d.star() - g.b * g.c.star()
-    if val.b != 0 or val.c != 0 or val.d != 0:
-        raise ValueError(f"not a similitude: pseudo-determinant {val} is not a real scalar")
-    return Fraction(val.a)
+    return _pseudo_det(g.coords())
 
 
 def is_similitude(g: IsometryMatrix) -> bool:
     """Positive real pseudo-determinant and a b^*, d c^* without k-component."""
+    entries = g.coords()
     try:
-        mu = pseudo_det(g)
+        mu = _pseudo_det(entries)
     except ValueError:
         return False
-    return mu > 0 and (g.a * g.b.star()).d == 0 and (g.d * g.c.star()).d == 0
+    a, b, c, d = entries
+    return mu > 0 and hamilton_product(a, _star(b))[3] == 0 and hamilton_product(d, _star(c))[3] == 0
 
 
 def is_integral_sv2(g: IsometryMatrix) -> bool:
@@ -114,16 +158,13 @@ def is_integral_sv2(g: IsometryMatrix) -> bool:
     """
     if not all(q.is_integral for q in g.entries()):
         return False
-    a, b, c, d = g.entries()
-    top_left = a * b.star() - b * a.star()
-    top_right = a * d.star() - b * c.star()
-    bot_left = c * b.star() - d * a.star()
-    bot_right = c * d.star() - d * c.star()
+    a, b, c, d = g.coords()
+    # the entries of g J g-dagger: top left, bottom right, top right, bottom left
     return (
-        top_left == _Q_ZERO
-        and bot_right == _Q_ZERO
-        and top_right == _Q_ONE
-        and bot_left == -_Q_ONE
+        _twisted(a, b, b, a) == (0, 0, 0, 0)
+        and _twisted(c, d, d, c) == (0, 0, 0, 0)
+        and _twisted(a, b, d, c) == (1, 0, 0, 0)
+        and _twisted(c, d, b, a) == (-1, 0, 0, 0)
     )
 
 
@@ -139,10 +180,12 @@ def inversion() -> IsometryMatrix:
     return IsometryMatrix(_Q_ZERO, _Q_ONE, -_Q_ONE, _Q_ZERO)
 
 
+_UNITS = {"i": Quaternion(0, 1, 0, 0), "j": Quaternion(0, 0, 1, 0), "k": Quaternion(0, 0, 0, 1)}
+
+
 def rotation(axis: str) -> IsometryMatrix:
     """diag(u, u') for u in {i, j, k}: the three sign-flip rotations."""
-    units = {"i": Quaternion(0, 1, 0, 0), "j": Quaternion(0, 0, 1, 0), "k": Quaternion(0, 0, 0, 1)}
-    u = units[axis]
+    u = _UNITS[axis]
     return IsometryMatrix(u, _Q_ZERO, _Q_ZERO, u.main())
 
 
@@ -157,31 +200,15 @@ def _token_matrix(token: Token) -> IsometryMatrix:
 
 def word_to_matrix(word: GeneratorWord) -> IsometryMatrix:
     """Product of token matrices, applied left-to-right as actions."""
-    g = IsometryMatrix.identity()
-    for token in word:
-        g = _token_matrix(token) @ g
-    return g
+    if len(word) < 2:
+        return _token_matrix(word[0]) if word else IsometryMatrix.identity()
+    g = _token_matrix(word[0]).coords()
+    for token in word[1:]:
+        g = _compose(_token_matrix(token).coords(), g)
+    return IsometryMatrix._from_coords(g)
 
 
 # -- the action -------------------------------------------------------------
-
-def _fq_mul(p, q):
-    """Quaternion product on float 4-tuples (1, i, j, k).
-
-    act builds its six products on plain tuples: the same closed form on
-    frozen Quaternion objects took about 75 us per call instead of 31 (on
-    points drawn as in acceptance 13, 2-vCPU Xeon host), because
-    constructing the dataclass dominates.
-    """
-    a1, b1, c1, d1 = p
-    a2, b2, c2, d2 = q
-    return (
-        a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2,
-        a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
-        a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2,
-        a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2,
-    )
-
 
 def act(g: IsometryMatrix, z, *, tol: float = 1e-9) -> PointH4:
     """g . z = (a z + b)(c z + d)^{-1} for a matrix with mu(g) > 0, in closed form.
@@ -197,16 +224,17 @@ def act(g: IsometryMatrix, z, *, tol: float = 1e-9) -> PointH4:
     is a similitude is not checked exactly here; callers taking matrices
     from outside the program test is_similitude first.
     """
-    mu = pseudo_det(g)
+    entries = g.coords()
+    mu = _pseudo_det(entries)
     if not mu > 0:
         raise ValueError(f"action requires positive pseudo-determinant, got {mu}")
     z = as_point(z)
     y = z.y
     y2 = y * y
     v = (z.x0, z.x1, z.x2, 0.0)
-    a, b, c, d = ((float(q.a), float(q.b), float(q.c), float(q.d)) for q in g.entries())
-    av = _fq_mul(a, v)
-    cv = _fq_mul(c, v)
+    a, b, c, d = ((float(q[0]), float(q[1]), float(q[2]), float(q[3])) for q in entries)
+    av = hamilton_product(a, v)
+    cv = hamilton_product(c, v)
     P = (av[0] + b[0], av[1] + b[1], av[2] + b[2], av[3] + b[3])
     N = (cv[0] + d[0], cv[1] + d[1], cv[2] + d[2], cv[3] + d[3])
     D = N[0] * N[0] + N[1] * N[1] + N[2] * N[2] + N[3] * N[3] + y2 * (
@@ -215,10 +243,10 @@ def act(g: IsometryMatrix, z, *, tol: float = 1e-9) -> PointH4:
     if D < tol * 1e-300:
         raise ArithmeticError("c z + d is numerically non-invertible")
 
-    pn = _fq_mul(P, (N[0], -N[1], -N[2], -N[3]))
-    ac = _fq_mul(a, (c[0], -c[1], -c[2], -c[3]))
-    an = _fq_mul(a, (N[0], N[1], N[2], -N[3]))
-    pc = _fq_mul(P, (c[0], c[1], c[2], -c[3]))
+    pn = hamilton_product(P, (N[0], -N[1], -N[2], -N[3]))
+    ac = hamilton_product(a, (c[0], -c[1], -c[2], -c[3]))
+    an = hamilton_product(a, (N[0], N[1], N[2], -N[3]))
+    pc = hamilton_product(P, (c[0], c[1], c[2], -c[3]))
     q = (pn[0] + y2 * ac[0], pn[1] + y2 * ac[1], pn[2] + y2 * ac[2], pn[3] + y2 * ac[3])
     w = (y * (an[0] - pc[0]), y * (an[1] - pc[1]), y * (an[2] - pc[2]), y * (an[3] - pc[3]))
     # Result must be a vector: q in V3 and w a positive real scalar.
@@ -347,10 +375,12 @@ def verify_cusp_decomposition(
     Each sampled z in S~_T must lie in exactly one of S_T, i.S_T, j.S_T,
     k.S_T; the four rotations are involutive actions, so membership is
     tested by flipping z back and asking for z' in S_T.  Samples within
-    tol of a sign boundary are reported as ties, not failures.
+    tol of a sign boundary are reported as ties, not failures.  Heights
+    are drawn from [T, 4T], so 4T must be finite: past it every sample
+    would sit at y = inf, outside the space.
     """
-    if T < 1:
-        raise ValueError("T must be >= 1")
+    if not (T >= 1 and math.isfinite(4.0 * T)):
+        raise ValueError(f"T must be >= 1 with 4T finite, got {T}")
     rng = random.Random(seed)
     matches_by_matrix = {name: 0 for name, _ in _CUSP_FLIPS}
     interior = 0

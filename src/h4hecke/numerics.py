@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -173,18 +174,26 @@ class ParsevalReport:
 
 def parseval_check(form: SpectralForm, y: float, tol: float = 1e-12, nodes: int = 32) -> ParsevalReport:
     """Fixed-height orthogonality: the box integral of |phi|^2 equals
-    sum_beta |A(beta)|^2 y^3 |K_{ir}(2 pi sqrt(N(beta)) y)|^2."""
+    sum_beta |A(beta)|^2 y^3 |K_{ir}(2 pi sqrt(N(beta)) y)|^2.
+
+    A height where the coefficient side is 0 or subnormal raises
+    ValueError: once every term y^3 |K_{ir}|^2 has underflowed (from y of
+    about 59 at N(beta) = 1), both sides read 0 and the check would pass
+    on nothing, and just below that the sides keep too few digits to
+    compare (at y = 58 they differ by 6e-6 relative)."""
     if not (math.isfinite(y) and y > 0):
         raise ValueError(f"height y must be finite and positive, got {y}")
-    box = _box_integral_abs_sq(form, y, nodes, tol)
     coeff = 0
     for b, c in form.entries:
         k = _bessel_cached(form.r, TWO_PI * math.sqrt(lattice_norm(b)) * y, tol)
         # y^3 overflows past y ~ 5.6e102, where every kernel value has underflowed to 0
         coeff += abs(c) ** 2 * y ** 3 * k ** 2 if k else 0.0
-    scale = max(abs(coeff), 1e-300)
+    if not coeff >= sys.float_info.min:
+        raise ValueError(f"the coefficient side at height y = {y} is {coeff:g}, 0 or subnormal: the K_ir "
+                         f"terms underflow or the coefficients are 0, so there is nothing to compare")
+    box = _box_integral_abs_sq(form, y, nodes, tol)
     return ParsevalReport(y=y, box_integral=box, coefficient_sum=coeff,
-                          rel_error=abs(box - coeff) / scale)
+                          rel_error=abs(box - coeff) / coeff)
 
 
 def cusp_sum_I(form: SpectralForm, T: float, tol: float = 1e-10) -> float:

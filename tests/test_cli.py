@@ -426,6 +426,8 @@ class TestBadInputsExit2:
         ["hecke", "commute", "--p", "3", "--q", "5", "--trials=-1"],
         ["hecke", "commute", "--p", "3", "--q", "5", "--support", "0"],
         ["geom", "verify-cusp", "--samples", "0"],
+        ["geom", "verify-cusp", "--T", "1e308", "--samples", "3"],
+        ["maass", "parseval", "--form", "{form}", "--y", "150"],
     ])
     def test_exits_2_with_one_error_line(self, argv, form_files, capsys, time_limit):
         assert _exit_code([a.format(**form_files) for a in argv], time_limit) == 2

@@ -67,6 +67,75 @@ class TestPseudoDet:
         assert is_similitude(g)
 
 
+def _c2(q: Quaternion) -> CliffordElement:
+    """q in C_2 with i = e1, j = e2, k = e12."""
+    return CliffordElement(2, {(): Fraction(q.a), (1,): Fraction(q.b), (2,): Fraction(q.c),
+                               (1, 2): Fraction(q.d)})
+
+
+def _c2_matmul(g, h):
+    """2x2 product of matrices given as Clifford 4-tuples (a, b, c, d)."""
+    a1, b1, c1, d1 = g
+    a2, b2, c2, d2 = h
+    return (a1 * a2 + b1 * c2, a1 * b2 + b1 * d2, c1 * a2 + d1 * c2, c1 * b2 + d1 * d2)
+
+
+def _random_word(rng: random.Random, length: int) -> tuple:
+    tokens = [("inversion",), ("rot_i",), ("rot_j",), ("rot_k",)]
+    return tuple(rng.choice(tokens) if rng.random() < 0.5
+                 else ("translate", tuple(rng.randint(-3, 3) for _ in range(3)))
+                 for _ in range(length))
+
+
+def _random_fraction_matrix(rng: random.Random) -> IsometryMatrix:
+    def entry():
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+    return IsometryMatrix(*(Quaternion(*(entry() for _ in range(4))) for _ in range(4)))
+
+
+class TestTupleLayerAgainstClifford:
+    """The matrix layer's products on coordinate tuples against the same products in C_2."""
+
+    def test_word_to_matrix(self):
+        rng = random.Random(31)
+        one, zero = CliffordElement.scalar(2, 1), CliffordElement.zero(2)
+        for _ in range(200):
+            word = _random_word(rng, rng.randint(0, 10))
+            expected = (one, zero, zero, one)
+            for token in word:
+                token_c2 = tuple(_c2(q) for q in word_to_matrix((token,)).entries())
+                expected = _c2_matmul(token_c2, expected)
+            g = word_to_matrix(word)
+            assert tuple(_c2(q) for q in g.entries()) == expected
+            # integral words keep Python int entries
+            assert all(type(x) is int for q in g.entries() for x in q.coords())
+
+    def test_matmul_with_fraction_entries(self):
+        rng = random.Random(32)
+        for _ in range(100):
+            g, h = _random_fraction_matrix(rng), _random_fraction_matrix(rng)
+            expected = _c2_matmul(tuple(map(_c2, g.entries())), tuple(map(_c2, h.entries())))
+            assert tuple(_c2(q) for q in (g @ h).entries()) == expected
+
+    def test_pseudo_det(self):
+        rng = random.Random(33)
+        for _ in range(200):
+            if rng.random() < 0.5:
+                g = _random_fraction_matrix(rng)
+            else:
+                # a word scaled by a rational: mu = scale^2, Fraction entries
+                scale = Fraction(rng.randint(1, 9), rng.randint(1, 9))
+                g = IsometryMatrix(*(q * scale for q in word_to_matrix(_random_word(rng, 10)).entries()))
+            a, b, c, d = map(_c2, g.entries())
+            mu = a * d.reverse() - b * c.reverse()
+            if mu.is_scalar:
+                assert pseudo_det(g) == mu.real_part
+                assert type(pseudo_det(g)) is Fraction
+            else:
+                with pytest.raises(ValueError, match="not a similitude"):
+                    pseudo_det(g)
+
+
 class TestIntegralMembership:
     def test_generators_integral(self):
         for g in (IsometryMatrix.identity(), inversion(), translation((1, -2, 0)),
@@ -247,6 +316,12 @@ class TestCuspDecomposition:
         z = PointH4(0.2, 0.0, 0.4, 7)
         hits = [name for name, flip in _CUSP_FLIPS if is_in_region(flip(z), "S_T", T=2)]
         assert len(hits) == 2  # boundary x1 = 0 is shared
+
+    @pytest.mark.parametrize("T", [0.5, math.nan, 1e308, math.inf])
+    def test_rejects_T_without_finite_sample_range(self, T):
+        # heights are drawn from [T, 4T]; at T = 1e308 every one would be inf
+        with pytest.raises(ValueError, match="4T finite"):
+            verify_cusp_decomposition(T, 3)
 
     def test_sampled_tiling(self):
         report = verify_cusp_decomposition(2.0, 300, seed=4)

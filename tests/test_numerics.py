@@ -1,5 +1,6 @@
 import cmath
 import math
+import sys
 
 import mpmath as mp
 import pytest
@@ -126,6 +127,26 @@ class TestParseval:
         with pytest.raises(ValueError):
             parseval_check(SpectralForm(r=0.0, entries=()), 0.0)
 
+    def test_refuses_zero_coefficients(self):
+        form = SpectralForm.from_dict(1.0, {(1, 0, 0): 0.0})
+        with pytest.raises(ValueError, match="is 0, 0 or subnormal"):
+            parseval_check(form, 1.0)
+
+    def test_refuses_subnormal_coefficient_side(self):
+        # at y = 58 both sides are subnormal and differ by 6e-6 relative
+        form = SpectralForm.from_dict(1.0, {(1, 0, 0): 1.0})
+        with pytest.raises(ValueError, match="0 or subnormal"):
+            parseval_check(form, 58.0)
+
+    def test_error_is_relative_near_underflow(self):
+        # at y = 56 the coefficient side is 2.5e-303; the error is relative
+        # to it, not to a floor of 1e-300
+        form = SpectralForm.from_dict(1.0, {(1, 0, 0): 1.0})
+        report = parseval_check(form, 56.0)
+        assert sys.float_info.min <= report.coefficient_sum < 1e-300
+        assert report.rel_error == abs(report.box_integral - report.coefficient_sum) / report.coefficient_sum
+        assert report.rel_error < 1e-12
+
 
 class TestCuspMass:
     def test_zero_form(self):
@@ -231,6 +252,7 @@ class TestNonFiniteInputs:
         lambda form: laplace_eigen_residual((1, 0, 0), 1.0, (0.1, 0.2, 0.3, 0.3), math.nan),
         lambda form: laplace_eigen_residual((1, 0, 0), 1.0, (0.1, 0.2, 0.3, 0.3), 0.0),
         lambda form: laplace_eigen_residual((1, 0, 0), 1.0, (0.1, 0.2, 0.3, 0.3), -1e-3),
+        lambda form: parseval_check(form, 150.0),
     ])
     def test_entry_points_reject(self, call, time_limit):
         form = SpectralForm.from_dict(1.0, {(1, 0, 0): 1.0, (0, 1, 1): 0.5j})
@@ -239,8 +261,9 @@ class TestNonFiniteInputs:
 
     @pytest.mark.parametrize("y", [1e200, 1e250])
     def test_kernel_underflow_does_not_overflow(self, y):
-        # y^3 and y^(3/2) overflow at these heights, where K_ir has long underflowed to 0
+        # y^3 and y^(3/2) overflow at these heights, where K_ir has long underflowed to 0;
+        # Parseval refuses the height rather than compare 0 with 0
         form = SpectralForm.from_dict(1.0, {(1, 0, 0): 1.0, (0, 1, 1): 0.5j})
         assert evaluate_form(form, (0.1, 0.2, 0.3, y)) == 0
-        report = parseval_check(form, y)
-        assert report.box_integral == report.coefficient_sum == 0.0
+        with pytest.raises(ValueError, match="0 or subnormal"):
+            parseval_check(form, y)

@@ -269,6 +269,10 @@ class TestSweepKernel:
         expected = valuation(tuple(int(x) for x in c), q)
         assert v == (quaternions._INF_SENTINEL if expected == math.inf else expected)
 
+    def test_narrowest_int(self):
+        assert [quaternions._narrowest_int(m) for m in (1, 127, 128, 32767, 32768, 2 ** 31)] == [
+            np.int8, np.int8, np.int16, np.int16, np.int32, np.int64]
+
     def test_valuation_table_ends(self):
         table = _valuation_tables(3)
         assert table[0] == quaternions._INF_SENTINEL and table[_TABLE_BOUND] == 7
@@ -286,6 +290,8 @@ class TestSweepChecksFire:
         monkeypatch.setattr(quaternions, "conjugation_matrix", matrix_of)
         with pytest.raises(LemmaSweepError) as exc:
             verify_conjugation_lemmas(self.P, self.BOUND, q_primes=(5,))
+        # the witness prints as plain ints, not as numpy scalars
+        assert "witness ((-2, -2, -2), " in str(exc.value)
         return exc.value
 
     @staticmethod
@@ -297,6 +303,13 @@ class TestSweepChecksFire:
         first = orbit_representatives(self.P).all_elements[0]
         assert "two-sided v_p bound failed" in str(err)
         assert err.witness == (self.CORNER, first, 0, 3)
+
+    def test_upper_vp_bound_past_int16(self, monkeypatch):
+        # entries of 3^10 need a 32-bit sweep; a wrapped int16 product would hide the jump
+        err = self._sweep_with(monkeypatch, self._scalar(self.P ** 10))
+        first = orbit_representatives(self.P).all_elements[0]
+        assert "two-sided v_p bound failed" in str(err)
+        assert err.witness == (self.CORNER, first, 0, 10)
 
     def test_vq_invariance(self, monkeypatch):
         err = self._sweep_with(monkeypatch, self._scalar(5))
