@@ -8,9 +8,11 @@ Coefficient fields travel as JSON:
 where a scalar ["a/b", "c/d"] means a/b + (c/d) sqrt(p); plain-rational
 files omit the second component and the "p" key.  Eigenvalue tables are
 CSV with header p,lambda1,lambda2,lambda3; sampled functions are CSV
-y,value rows with ascending y.  Writers emit a canonical form (entries
-sorted by norm then coordinates, fractions in lowest terms) so that
-write(parse(f)) is byte-identical on canonical files.
+y,value rows with ascending y; decay parameters are JSON
+{"delta": d, "eps": e, "A": A, "a": [...], "b": [...]}.  Writers emit a
+canonical form (entries sorted by norm then coordinates, fractions in
+lowest terms) so that write(parse(f)) is byte-identical on canonical
+files.  A file of the wrong shape raises FileFormatError.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .asymptotics import SampledFunction
+from .asymptotics import DecayParams, SampledFunction
 from .hecke import CoefficientField, EigenvalueTriple, QComplex, QuadExt
 from .numerics import SpectralForm
 from .quaternions import lattice_norm
@@ -42,6 +44,31 @@ def _parse_rational(text) -> Fraction:
         raise FileFormatError(f"malformed rational {text!r}") from exc
 
 
+def _number(kind: type, raw, what: str):
+    """kind(raw) for kind int or float; a value it cannot convert raises FileFormatError naming `what`."""
+    try:
+        return kind(raw)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise FileFormatError(f"{what} must be a number, got {raw!r}") from exc
+
+
+def _entries(data, what: str) -> dict[tuple[int, int, int], dict]:
+    """{beta: row} over the 'entries' list of a JSON object; each beta is 3 integers, none repeated."""
+    if not isinstance(data, dict) or not isinstance(data.get("entries"), list):
+        raise FileFormatError(f"{what} must be an object with an 'entries' list")
+    rows = {}
+    for row in data["entries"]:
+        if not isinstance(row, dict) or not isinstance(row.get("beta"), list):
+            raise FileFormatError(f"each entry must be an object with a 'beta' list, got {row!r}")
+        beta = tuple(_number(int, c, "beta") for c in row["beta"])
+        if len(beta) != 3:
+            raise FileFormatError(f"beta must have 3 coordinates, got {row['beta']!r}")
+        if beta in rows:
+            raise FileFormatError(f"duplicate beta {beta}")
+        rows[beta] = row
+    return rows
+
+
 def _parse_scalar(raw, p: Optional[int]) -> QuadExt:
     if isinstance(raw, str):
         raw = [raw]
@@ -58,20 +85,12 @@ def parse_coefficient_field(path: Union[str, Path]) -> CoefficientField:
     """Read a coefficient field; rejects duplicate beta, beta = 0, malformed rationals."""
     with open(path) as fh:
         data = json.load(fh)
-    if not isinstance(data, dict) or "entries" not in data:
-        raise FileFormatError("coefficient file must be an object with an 'entries' list")
-    p = data.get("p")
-    if p is not None:
-        p = int(p)
+    rows = _entries(data, "coefficient file")
+    p = None if data.get("p") is None else _number(int, data["p"], "p")
     entries = {}
-    for row in data["entries"]:
-        beta = tuple(int(c) for c in row["beta"])
-        if len(beta) != 3:
-            raise FileFormatError(f"beta must have 3 coordinates, got {row['beta']!r}")
+    for beta, row in rows.items():
         if beta == (0, 0, 0):
             raise FileFormatError("entry at beta = 0 is not allowed")
-        if beta in entries:
-            raise FileFormatError(f"duplicate beta {beta}")
         re = _parse_scalar(row.get("re", "0"), p)
         im = _parse_scalar(row.get("im", "0"), p)
         entries[beta] = QComplex(re, im)
@@ -111,6 +130,8 @@ def parse_lambda_table(path: Union[str, Path]) -> dict[int, EigenvalueTriple]:
         if reader.fieldnames != expected:
             raise FileFormatError(f"lambda table header must be {','.join(expected)}")
         for row in reader:
+            if len(row) != 4 or None in row.values():
+                raise FileFormatError(f"lambda table line {reader.line_num} must have 4 fields")
             p = int(row["p"])
             table[p] = EigenvalueTriple(
                 p=p,
@@ -135,12 +156,16 @@ def parse_sampled_function(path: Union[str, Path]) -> SampledFunction:
     ys, vals = [], []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, [])
         if [h.strip() for h in header] != ["y", "value"]:
             raise FileFormatError("function file header must be y,value")
         for row in reader:
+            if len(row) != 2:
+                raise FileFormatError(f"function file line {reader.line_num} must be y,value, got {row!r}")
             ys.append(float(row[0]))
             vals.append(float(row[1]))
+    if not ys:
+        raise FileFormatError("function file has no y,value rows")
     return SampledFunction(grid=np.array(ys), values=np.array(vals), support_bound=ys[-1])
 
 
@@ -157,14 +182,21 @@ def parse_spectral_form(path: Union[str, Path]) -> SpectralForm:
     with open(path) as fh:
         data = json.load(fh)
     coeffs = {}
-    for row in data["entries"]:
-        beta = tuple(int(c) for c in row["beta"])
-        if len(beta) != 3:
-            raise FileFormatError(f"beta must have 3 coordinates, got {row['beta']!r}")
-        if beta in coeffs:
-            raise FileFormatError(f"duplicate beta {beta}")
-        coeffs[beta] = complex(float(row.get("re", 0.0)), float(row.get("im", 0.0)))
-    return SpectralForm.from_dict(float(data["r"]), coeffs)
+    for beta, row in _entries(data, "spectral form").items():
+        coeffs[beta] = complex(_number(float, row.get("re", 0.0), "re"), _number(float, row.get("im", 0.0), "im"))
+    return SpectralForm.from_dict(_number(float, data.get("r"), "r"), coeffs)
+
+
+def parse_decay_params(path: Union[str, Path]) -> DecayParams:
+    """JSON {"delta": d, "eps": e, "A": A, "a": [...], "b": [...]}; each a_m and b_n is a constant."""
+    with open(path) as fh:
+        raw = json.load(fh)
+    if not isinstance(raw, dict) or not all(isinstance(raw.get(key, []), list) for key in "ab"):
+        raise FileFormatError("params file must be an object with numbers delta, eps, A and lists a, b")
+    const = lambda v: (lambda y: v)  # noqa: E731
+    funcs = {key: tuple(const(_number(float, v, key)) for v in raw.get(key, [])) for key in "ab"}
+    return DecayParams(delta=_number(float, raw.get("delta"), "delta"), eps=_number(float, raw.get("eps"), "eps"),
+                       A=_number(float, raw.get("A"), "A"), a_funcs=funcs["a"], b_funcs=funcs["b"])
 
 
 def write_spectral_form(form: SpectralForm, path: Union[str, Path]) -> None:

@@ -65,8 +65,8 @@ from .quaternions import (
     conjugation_matrices,
     conjugation_matrix,
     divide_lattice as _divide,
-    is_prime,
     lattice_norm,
+    require_odd_prime,
     scale_lattice as _scale,
 )
 
@@ -191,7 +191,7 @@ class QuadExt:
         return float(self.a * self.a - self.p * self.b * self.b) / (float(self.a) - float(self.b) * root)
 
     def with_prime(self, p: Optional[int]) -> "QuadExt":
-        return QuadExt(_join_primes(self.p, p) if p is not None else self.p, self.a, self.b)
+        return QuadExt(_join_primes(self.p, p), self.a, self.b)
 
     def __repr__(self):
         if self.b == 0:
@@ -263,9 +263,7 @@ class QComplex:
 
 def legendre_symbol(a: int, p: int) -> int:
     """(a | p) by Euler's criterion for an odd prime p."""
-    if p == 2 or not is_prime(p):
-        raise ValueError(f"p must be an odd prime, got {p}")
-    a %= p
+    a %= require_odd_prime(p)
     if a == 0:
         return 0
     val = pow(a, (p - 1) // 2, p)
@@ -295,8 +293,7 @@ def epsilon_factor(beta: Iterable[int], p: int) -> Fraction:
     Cases in order: p | beta gives p^2 - 1; p | N(beta) (but not beta)
     gives -1; (-N(beta) | p) = 1 gives p - 1; otherwise -p - 1.
     """
-    if p == 2 or not is_prime(p):
-        raise ValueError(f"p must be an odd prime, got {p}")
+    require_odd_prime(p)
     beta = tuple(beta)
     if beta == (0, 0, 0):
         raise ValueError("epsilon factor is undefined at beta = 0")
@@ -315,21 +312,25 @@ class CoefficientField:
 
     Entries at beta = 0 are forbidden, zero values are dropped, and the
     lookup `at` follows the total-extension convention (0 off the
-    support and off the lattice).
+    support and off the lattice).  `p` is inferred from the entries, as the
+    declared prime joined with the primes of their parts, and every entry is
+    promoted to it; two primes, or one that is not odd, raise ValueError.
     """
 
     __slots__ = ("p", "entries")
 
     def __init__(self, p: Optional[int], entries: Mapping[LatticeVector, QComplex]):
-        if p is not None and (p == 2 or not is_prime(p)):
-            raise ValueError(f"p must be an odd prime or None, got {p}")
+        if p is None:
+            for value in entries.values():
+                p = _join_primes(_join_primes(p, value.re.p), value.im.p)
+        if p is not None:
+            require_odd_prime(p)
         clean: dict[LatticeVector, QComplex] = {}
         for beta, value in entries.items():
             beta = (int(beta[0]), int(beta[1]), int(beta[2]))
             if beta == (0, 0, 0):
                 raise ValueError("coefficient fields store no entry at beta = 0")
             value = value.with_prime(p) if p is not None else value
-            _join_primes(_join_primes(value.re.p, value.im.p), p)
             if value:
                 clean[beta] = value
         self.p = p
@@ -458,9 +459,6 @@ class CoefficientField:
         if not isinstance(other, CoefficientField):
             return NotImplemented
         return self.entries == other.entries
-
-    def max_abs(self) -> float:
-        return max((abs(complex(v)) for v in self.entries.values()), default=0.0)
 
     def as_complex_dict(self) -> dict[LatticeVector, complex]:
         return {b: complex(v) for b, v in self.entries.items()}
@@ -752,9 +750,8 @@ class EigenvalueTriple:
 
     @classmethod
     def from_lam12(cls, p: int, lam1: float, lam2: float) -> "EigenvalueTriple":
-        """Complete (lam1, lam2) to a relation-consistent triple."""
-        lam3 = lam1 ** 2 - (1 + 1 / p) * lam2 - float(hecke_relation_constant(p))
-        return cls(p, lam1, lam2, lam3)
+        """Complete (lam1, lam2) to a relation-consistent triple: lam3 is the residual at lam3 = 0."""
+        return cls(p, lam1, lam2, cls(p, lam1, lam2, 0.0).relation_residual())
 
 
 @dataclass(frozen=True)

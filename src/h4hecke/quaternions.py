@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -42,10 +42,17 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def odd_primes_in(lo: float, hi: float) -> list[int]:
-    """Odd primes p with lo <= p <= hi, ascending."""
+def require_odd_prime(n: int, name: str = "p") -> int:
+    """n itself when it is an odd prime; a ValueError naming it otherwise."""
+    if n == 2 or not is_prime(n):
+        raise ValueError(f"{name} must be an odd prime, got {n}")
+    return n
+
+
+def odd_primes_in(lo: float, hi: float) -> Iterator[int]:
+    """Odd primes p with lo <= p <= hi, ascending, found one at a time."""
     start = max(3, math.ceil(lo))
-    return [p for p in range(start, math.floor(hi) + 1) if p % 2 and is_prime(p)]
+    return (p for p in range(start, math.floor(hi) + 1) if p % 2 and is_prime(p))
 
 
 def hamilton_product(p: Sequence, q: Sequence) -> tuple:
@@ -121,10 +128,6 @@ class Quaternion:
         return all(isinstance(v, int) or (isinstance(v, Fraction) and v.denominator == 1)
                    for v in (self.a, self.b, self.c, self.d))
 
-    @property
-    def in_v3(self) -> bool:
-        return self.d == 0
-
     def coords(self) -> tuple:
         return (self.a, self.b, self.c, self.d)
 
@@ -132,7 +135,6 @@ class Quaternion:
         return f"Quaternion({self.a}, {self.b}, {self.c}, {self.d})"
 
 
-ONE = Quaternion(1, 0, 0, 0)
 UNITS: tuple[Quaternion, ...] = tuple(
     Quaternion(*(s if idx == pos else 0 for idx in range(4)))
     for pos in range(4) for s in (1, -1)
@@ -196,8 +198,7 @@ class NormPOrbitTable:
 @lru_cache(maxsize=None)
 def orbit_representatives(p: int) -> NormPOrbitTable:
     """Deterministic orbit table for an odd prime p: exactly p+1 representatives."""
-    if p == 2 or not is_prime(p):
-        raise ValueError(f"p must be an odd prime, got {p}")
+    require_odd_prime(p)
     elements = enumerate_norm(p)
     if len(elements) != 8 * (p + 1):
         raise AssertionError(f"expected {8 * (p + 1)} norm-{p} quaternions, found {len(elements)}")
@@ -365,15 +366,14 @@ def verify_conjugation_lemmas(
     Returns counts on success; raises LemmaSweepError with the offending
     tuple otherwise.
     """
-    if p == 2 or not is_prime(p):
-        raise ValueError(f"p must be an odd prime, got {p}")
+    require_odd_prime(p)
     if coordinate_bound < 1:
         raise ValueError(f"coordinate bound must be at least 1, got {coordinate_bound}")
     if q_primes is None:
         q_primes = [q for q in (3, 5, 7, 11) if q != p]
-    q_primes = tuple(q_primes)
-    if any(q == p or q == 2 or not is_prime(q) for q in q_primes):
-        raise ValueError(f"q primes must be odd primes different from p: {q_primes}")
+    q_primes = tuple(require_odd_prime(q, "each q") for q in q_primes)
+    if p in q_primes:
+        raise ValueError(f"q primes must differ from p: {q_primes}")
 
     table = orbit_representatives(p)
     representatives = set(table.representatives)

@@ -16,14 +16,16 @@ the dyadic prime partition, an exact index-shift identity for R, and
 two-sided empirical reports for the comparison inequalities the decay
 argument chains together.
 
-S_d, R and the L6.4 double sum run on Python ints.  A field is converted
-once per call to integer numerators over one denominator D
-(hecke._numerators), each square |v|^2 is taken on those ints, and only
-the total becomes a Fraction over D^2 (for L6.4, the float of the exact
-total).  The inner sums sum_i A(conj_i(beta) / p^l) are the map T_l of
-the Hecke operators, scattered from the support by hecke._conj_sum.
-Since N(beta) = p^(2l-2) N(gamma) for the beta a support point gamma
-reaches, every gamma with p^(2l-2) N(gamma) > z is dropped first.
+Every exact sum (S_d, R, the L6.4 double sum, the sharp/flat split and
+the amplified sum) runs on Python ints: a field is converted once per
+call to integer numerators over one denominator D (hecke._numerators),
+_square_sum takes each |v|^2 on those ints, and only a total becomes an
+element of Q(sqrt p) over D^2, p the field's own prime (or its float).
+The inner sums sum_i A(conj_i(beta) / p^l) of R and L6.4 are the map T_l
+of the Hecke operators, scattered from the support by hecke._conj_sum.
+_conj_ball holds their one condition N(beta) <= z: since
+N(beta) = p^(2l-2) N(gamma) for the beta a support point gamma reaches,
+it drops every gamma with p^(2l) N(gamma) > z p^2 first.
 """
 
 from __future__ import annotations
@@ -31,35 +33,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, Optional, Sequence
 
-from .hecke import (
-    CoefficientField,
-    EigenvalueTriple,
-    QuadExt,
-    _conj_sum,
-    _join_primes,
-    _numerators,
-    hecke_relation_constant,
-)
-from .quaternions import LatticeVector, conjugation_matrices, is_prime, lattice_norm, odd_primes_in
-
-Rational = Union[int, Fraction]
+from .hecke import CoefficientField, EigenvalueTriple, QuadExt, _conj_sum, _numerators, hecke_relation_constant
+from .quaternions import LatticeVector, conjugation_matrices, lattice_norm, odd_primes_in, require_odd_prime
 
 
 def _divides_vector(d: int, beta: LatticeVector) -> bool:
     return beta[0] % d == 0 and beta[1] % d == 0 and beta[2] % d == 0
-
-
-def _int_field(A: CoefficientField):
-    """(q, D, {beta: numerators over D}) for A with entries in Q(sqrt q), q None for plain Q."""
-    den, nums = _numerators(A)
-    q = A.p
-    if q is None and any(v.rb or v.ib for v in nums.values()):
-        # a field without a prime context may still hold Q(sqrt q) scalars
-        for v in A.entries.values():
-            q = _join_primes(_join_primes(q, v.re.p), v.im.p)
-    return q, den, nums
 
 
 def _square_sum(values, q: Optional[int]) -> tuple[int, int]:
@@ -77,28 +58,35 @@ def _square_sum(values, q: Optional[int]) -> tuple[int, int]:
     return a, 2 * b
 
 
+def _mass(q: Optional[int], values, den: int) -> QuadExt:
+    """sum |v|^2 over the numerators v, as the exact element of Q(sqrt q) over den."""
+    a, b = _square_sum(values, q)
+    return QuadExt(q, Fraction(a, den), Fraction(b, den))
+
+
+def _conj_ball(nums: Mapping, p: int, ell: int, z: int) -> dict:
+    """beta -> sum_i v(conj_i(beta) / p^ell) at every beta with N(beta) <= z that the numerators reach."""
+    near = {gamma: v for gamma, v in nums.items() if lattice_norm(gamma) * p ** (2 * ell) <= z * p * p}
+    return _conj_sum(ell, p, near, conjugation_matrices(p))
+
+
 def sum_S_d(A: CoefficientField, d: int, z) -> QuadExt:
     """S_d(z): the squared-coefficient mass on multiples of d up to norm z."""
     if d < 1:
         raise ValueError("d must be a positive integer")
     z = math.floor(Fraction(z))  # N(beta) is an integer
-    q, den, nums = _int_field(A)
+    den, nums = _numerators(A)
     kept = (v for beta, v in nums.items() if lattice_norm(beta) <= z and _divides_vector(d, beta))
-    a, b = _square_sum(kept, q)
-    return QuadExt(q, Fraction(a, den * den), Fraction(b, den * den))
+    return _mass(A.p, kept, den * den)
 
 
 def sum_R(A: CoefficientField, p: int, ell: int, d: int, z) -> QuadExt:
     """R^{p,ell}_d(z), computed over the finitely many beta that can contribute."""
     if ell < 0 or d < 1:
         raise ValueError("need ell >= 0 and d >= 1")
-    z = math.floor(Fraction(z))
-    q, den, nums = _int_field(A)
-    near = {gamma: v for gamma, v in nums.items() if lattice_norm(gamma) * p ** (2 * ell) <= z * p * p}
-    inners = (v for beta, v in _conj_sum(ell, p, near, conjugation_matrices(p)).items()
-              if _divides_vector(d, beta))
-    a, b = _square_sum(inners, q)
-    return QuadExt(q, Fraction(a, p * den * den), Fraction(b, p * den * den))
+    den, nums = _numerators(A)
+    inners = _conj_ball(nums, p, ell, math.floor(Fraction(z)))
+    return _mass(A.p, (v for beta, v in inners.items() if _divides_vector(d, beta)), p * den * den)
 
 
 class ShiftIdentityError(AssertionError):
@@ -131,8 +119,7 @@ class PrimeWindow:
 
     def __post_init__(self):
         for p in self.primes:
-            if p == 2 or not is_prime(p):
-                raise ValueError(f"{p} is not an odd prime")
+            require_odd_prime(p)
             if not (self.P / 2 - 1e-12 <= p <= self.P + 1e-12):
                 raise ValueError(f"prime {p} outside window [{self.P / 2}, {self.P}]")
 
@@ -171,20 +158,13 @@ class SharpFlatSplit:
 def split_sharp_flat(A: CoefficientField, specs: Sequence[MultiplicitySpec], z) -> SharpFlatSplit:
     """S^sharp over the intersection of the M_ell(K_ell), and each S_ell^flat over its complement."""
     z = Fraction(z)
-    sharp = QuadExt.of(0, A.p)
-    flats = [QuadExt.of(0, A.p) for _ in specs]
-    total = QuadExt.of(0, A.p)
-    for beta, value in A.entries.items():
-        if lattice_norm(beta) > z:
-            continue
-        sq = value.abs_sq()
-        total = total + sq
-        if all(s.member(beta) for s in specs):
-            sharp = sharp + sq
-        for idx, s in enumerate(specs):
-            if not s.member(beta):
-                flats[idx] = flats[idx] + sq
-    return SharpFlatSplit(sharp=sharp, flats=tuple(flats), total=total)
+    den, nums = _numerators(A)
+    kept = {beta: v for beta, v in nums.items() if lattice_norm(beta) <= z}
+    outside = [[beta for beta in kept if not s.member(beta)] for s in specs]
+    sharp = set(kept).difference(*outside)
+    return SharpFlatSplit(sharp=_mass(A.p, (kept[beta] for beta in sharp), den * den),
+                          flats=tuple(_mass(A.p, (kept[beta] for beta in out), den * den) for out in outside),
+                          total=_mass(A.p, kept.values(), den * den))
 
 
 # -- amplification -------------------------------------------------------------
@@ -202,8 +182,9 @@ def amplified_sum(
     if missing:
         raise KeyError(f"eigenvalue table missing primes {missing}")
     z = Fraction(z)
+    den, nums = _numerators(A)
     total = 0.0
-    for beta, value in A.entries.items():
+    for beta, v in nums.items():
         if lattice_norm(beta) > z or not all(s.member(beta) for s in specs):
             continue
         weight = sum(
@@ -211,7 +192,7 @@ def amplified_sum(
             for p in window.primes
             if not _divides_vector(p, beta)
         )
-        total += float(value.abs_sq()) * weight
+        total += float(_mass(A.p, (v,), den * den)) * weight
     return total
 
 
@@ -301,10 +282,15 @@ def partition_primes(lam_table: Mapping[int, EigenvalueTriple], y: float) -> Pri
     if y < 1:
         raise ValueError("y must be >= 1")
     P = y ** 0.125
-    Q = tuple(odd_primes_in(P / 2, P))
-    missing = [p for p in Q if p not in lam_table]
-    if missing:
-        raise KeyError(f"eigenvalue table missing primes {missing}")
+    top = max(lam_table, default=0)
+    if P > 6 and P / 2 > top:  # by Bertrand's postulate the window then holds a prime the table lacks
+        raise KeyError(f"eigenvalue table ends at {top}, below the prime window [{P / 2:.6g}, {P:.6g}]")
+    Q = []
+    for p in odd_primes_in(P / 2, P):  # the scan stops at the first prime the table lacks
+        if p not in lam_table:
+            raise KeyError(f"eigenvalue table missing the prime {p} of the window [{P / 2:.6g}, {P:.6g}]")
+        Q.append(p)
+    Q = tuple(Q)
     J = math.ceil(2 * math.log(y)) if y > 1 else 1
     cells: dict[tuple[int, int, int], list[int]] = {}
     for p in Q:
@@ -372,16 +358,15 @@ def _conj_square_sum(A: CoefficientField, window: PrimeWindow, K: float, ell: in
     """
     z = math.floor(Fraction(z))
     spec = MultiplicitySpec(1, K, window)
-    q, den, nums = _int_field(A)
+    den, nums = _numerators(A)
     a = b = Fraction(0)
     for p in window.primes:
-        near = {gamma: v for gamma, v in nums.items() if lattice_norm(gamma) * p ** (2 * ell) <= z * p * p}
-        inners = (v for beta, v in _conj_sum(ell, p, near, conjugation_matrices(p)).items()
+        inners = (v for beta, v in _conj_ball(nums, p, ell, z).items()
                   if not _divides_vector(p, beta) and spec.member(beta))
-        pa, pb = _square_sum(inners, q)
+        pa, pb = _square_sum(inners, A.p)
         a += Fraction(pa, p)
         b += Fraction(pb, p)
-    return float(QuadExt(q, a / (den * den), b / (den * den)))
+    return float(QuadExt(A.p, a / (den * den), b / (den * den)))
 
 
 def inequality_report(which: str, **kw) -> SumReport:
@@ -412,15 +397,23 @@ def inequality_report(which: str, **kw) -> SumReport:
         const_A = kw.get("const_A", 1.0)
         if d % 2 == 0:
             raise ValueError("d must be odd")
-        prod = 1.0
-        dd = d
-        for p in range(3, d + 1, 2):
-            if dd % p == 0 and is_prime(p):
-                v = 0
-                while dd % p == 0:
-                    dd //= p
-                    v += 1
+        prod, top = 1.0, max(lam_table, default=0)
+        rest, p = d, 3
+        while rest > 1:  # trial division up to sqrt(rest) or past the table's largest prime
+            if p * p > rest:
+                p = rest  # no factor up to its square root: rest is prime
+            elif p > top:
+                raise KeyError(f"eigenvalue table ends at {top}, below every prime factor of {rest}, "
+                               f"which divides d = {d}")
+            v = 0
+            while rest % p == 0:
+                rest //= p
+                v += 1
+            if v:
+                if p not in lam_table:
+                    raise KeyError(f"eigenvalue table missing the prime {p} of d = {d}")
                 prod *= const_A ** v * eigen_power_sum(lam_table[p], v)
+            p += 2
         left = float(sum_S_d(A, d, z))
         right = prod * float(sum_S_d(A, 1, Fraction(z) / (d * d)))
         return _report(which, left, right, {"d": d, "A": const_A})

@@ -26,6 +26,7 @@ from h4hecke.files import (
 )
 from h4hecke.hecke import CoefficientField, EigenvalueTriple, QComplex, QuadExt, apply_hecke
 from h4hecke.numerics import SpectralForm
+from h4hecke.quaternions import LemmaSweepError
 
 
 @st.composite
@@ -74,6 +75,19 @@ class TestCoefficientFiles:
         write_coefficient_field(field, path)
         parsed = parse_coefficient_field(path)
         assert parsed == field and parsed.p == 5
+
+    def test_round_trip_prime_inferred_from_entries(self, tmp_path):
+        # declared over plain Q, but a sqrt(3) part makes the field one over Q(sqrt 3),
+        # so the file keeps the sqrt(3) part
+        field = CoefficientField(None, {(1, 0, 0): QComplex(QuadExt(3, Fraction(1), Fraction(2)), QuadExt.of(0))})
+        assert field.p == 3
+        path, again = tmp_path / "field.json", tmp_path / "again.json"
+        write_coefficient_field(field, path)
+        assert json.loads(path.read_text())["entries"][0]["re"] == ["1", "2"]
+        parsed = parse_coefficient_field(path)
+        assert parsed == field and parsed.p == 3
+        write_coefficient_field(parsed, again)
+        assert again.read_bytes() == path.read_bytes()
 
     def test_empty_entries_is_zero_field(self, tmp_path):
         path = tmp_path / "zero.json"
@@ -338,6 +352,37 @@ class TestCliCommands:
             main(["quat", "enum", "--wrong", "3"])
         assert exc.value.code == 2
 
+    def test_valid_neighbours_of_the_bad_files_run(self, bad_files, capsys):
+        # the good files next to the malformed ones pass, so each bad case fails on its own defect
+        assert main(["asym", "verify", "--f", bad_files["csv_ok"], "--params", bad_files["params"]]) == 0
+        assert main(["sums", "compute", "--kind", "R", "--p", "3", "--in", bad_files["coeff"], "--z", "9"]) == 0
+        assert main(["sums", "partition", "--y", str(2.0 ** 24), "--lambda-table", bad_files["lam_3_primes"]]) == 0
+
+    def test_compute_R_without_p_is_a_usage_error(self, bad_files, capsys):
+        assert main(["sums", "compute", "--kind", "R", "--in", bad_files["coeff"], "--z", "9"]) == 2
+        assert capsys.readouterr().err.splitlines() == ["usage error: sums compute --kind R requires --p"]
+
+    @pytest.mark.parametrize("command", ["quat", "geom", "sums"])
+    def test_verification_failure_exits_1_from_main(self, command, bad_files, monkeypatch, capsys):
+        # quat verify-lemmas, geom verify-cusp and sums report --assert-with-constant share main's FAIL path
+        if command == "quat":
+            def sweep(*args):
+                raise LemmaSweepError("upper v_p bound violated", {"beta": (3, 0, 0)})
+            monkeypatch.setattr("h4hecke.cli.verify_conjugation_lemmas", sweep)
+            argv = ["quat", "verify-lemmas", "--p", "3", "--bound", "2"]
+        elif command == "geom":
+            def tiling(*args, **kw):
+                raise AssertionError("sample matched twice")
+            monkeypatch.setattr("h4hecke.geometry.verify_cusp_decomposition", tiling)
+            argv = ["geom", "verify-cusp", "--samples", "3"]
+        else:
+            # K = 0 makes the right side 0 while the left side is positive
+            argv = ["sums", "report", "--which", "L6.4a", "--in", bad_files["coeff"], "--z", "9",
+                    "--K", "0", "--window-P", "14", "--assert-with-constant"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("FAIL: "), err
+
     def test_malformed_file_exits_2(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"entries": [{"beta": [1, 0, 0], "re": ["1/x"], "im": ["0"]}]}')
@@ -400,8 +445,35 @@ def form_files(tmp_path):
     return {name: str(path) for name, path in paths.items()}
 
 
+@pytest.fixture
+def bad_files(tmp_path):
+    """A valid coefficient file, function file, params file and 3-prime table, and malformed files of each kind."""
+    texts = {
+        "coeff.json": '{"p": 7, "entries": [{"beta": [1, 0, 0], "re": ["1/2", "1"], "im": ["0", "0"]}]}',
+        "coeff_entries_5.json": '{"entries": 5}',
+        "coeff_row_list.json": '{"entries": [[1, 0, 0]]}',
+        "coeff_list.json": '[{"beta": [1, 0, 0], "re": ["1"]}]',
+        "form_list.json": '[{"r": 1.0}]',
+        "form_entries_3.json": '{"r": 1.0, "entries": 3}',
+        "csv_ok.csv": "y,value\n1,1\n2,0.5\n",
+        "csv_empty.csv": "",
+        "csv_header_only.csv": "y,value\n",
+        "csv_one_column.csv": "y,value\n1\n",
+        "lam_short_row.csv": "p,lambda1,lambda2,lambda3\n3,1.0,0.5\n",
+        "lam_3_primes.csv": "p,lambda1,lambda2,lambda3\n3,1.0,0.5,0.1\n5,0.2,0.1,1.5\n7,0.3,0.4,1.2\n",
+        "params.json": '{"delta": 0.5, "eps": 0.5, "A": 10}',
+        "params_list.json": "[0.5, 0.5, 10]",
+        "params_a_5.json": '{"delta": 0.5, "eps": 0.5, "A": 10, "a": 5}',
+    }
+    paths = {"out": str(tmp_path / "out.json")}
+    for name, text in texts.items():
+        (tmp_path / name).write_text(text)
+        paths[name.split(".")[0]] = str(tmp_path / name)
+    return paths
+
+
 class TestBadInputsExit2:
-    # each argv once hung, ended in a traceback, or printed OK on zero samples
+    # each argv once hung, ended in a traceback, exited 1, or printed OK on zero samples
     @pytest.mark.parametrize("argv", [
         ["maass", "parseval", "--form", "{form}", "--y", "nan"],
         ["maass", "parseval", "--form", "{form}", "--y", "1e308"],
@@ -428,9 +500,26 @@ class TestBadInputsExit2:
         ["geom", "verify-cusp", "--samples", "0"],
         ["geom", "verify-cusp", "--T", "1e308", "--samples", "3"],
         ["maass", "parseval", "--form", "{form}", "--y", "150"],
+        ["hecke", "apply", "--op", "1", "--p", "3", "--in", "{coeff_entries_5}", "--out", "{out}"],
+        ["sums", "compute", "--kind", "S", "--in", "{coeff_entries_5}", "--z", "9"],
+        ["hecke", "apply", "--op", "1", "--p", "3", "--in", "{coeff_row_list}", "--out", "{out}"],
+        ["sums", "compute", "--kind", "S", "--in", "{coeff_row_list}", "--z", "9"],
+        ["maass", "eval", "--form", "{form_list}", "--point", "0.1,0.2,0.3,1"],
+        ["maass", "eval", "--form", "{form_entries_3}", "--point", "0.1,0.2,0.3,1"],
+        ["asym", "verify", "--f", "{csv_empty}", "--params", "{params}"],
+        ["asym", "verify", "--f", "{csv_header_only}", "--params", "{params}"],
+        ["asym", "verify", "--f", "{csv_one_column}", "--params", "{params}"],
+        ["sums", "partition", "--y", "1e6", "--lambda-table", "{lam_short_row}"],
+        ["asym", "verify", "--f", "{csv_ok}", "--params", "{params_list}"],
+        ["asym", "verify", "--f", "{csv_ok}", "--params", "{params_a_5}"],
+        ["sums", "compute", "--kind", "R", "--in", "{coeff}", "--z", "9"],
+        ["sums", "partition", "--y", "1e80", "--lambda-table", "{lam_3_primes}"],
+        ["sums", "report", "--which", "Cor6.2", "--in", "{coeff}", "--z", "9", "--d", "999999937",
+         "--lambda-table", "{lam_3_primes}"],
+        ["sums", "compute", "--kind", "S", "--in", "{coeff_list}", "--z", "9"],
     ])
-    def test_exits_2_with_one_error_line(self, argv, form_files, capsys, time_limit):
-        assert _exit_code([a.format(**form_files) for a in argv], time_limit) == 2
+    def test_exits_2_with_one_error_line(self, argv, form_files, bad_files, capsys, time_limit):
+        assert _exit_code([a.format(**form_files, **bad_files) for a in argv], time_limit) == 2
         err = capsys.readouterr().err
         # argparse adds its usage lines before the one error line
         assert len([line for line in err.splitlines() if "error:" in line]) == 1, err

@@ -664,3 +664,34 @@ class TestFieldContainer:
 
     def test_ones_ball_count(self):
         assert len(CoefficientField.ones_ball(9).entries) == 122
+
+    def test_prime_inferred_from_entries(self):
+        # a field declared over plain Q that holds sqrt(3) parts is over Q(sqrt 3)
+        A = CoefficientField(None, {(1, 0, 0): QComplex(QuadExt(3, Fraction(1), Fraction(2)), QuadExt.of(0)),
+                                    (0, 1, 0): QComplex.of(5)})
+        assert A.p == 3
+        assert all(v.re.p == v.im.p == 3 for v in A.entries.values())
+        assert CoefficientField(None, {(1, 0, 0): QComplex.of(1, p=5)}).p == 5
+        assert CoefficientField(None, {(1, 0, 0): QComplex.of(1)}).p is None
+
+    @pytest.mark.parametrize("q", [4, 2, 9])
+    def test_entries_over_a_non_odd_prime_rejected(self, q):
+        with pytest.raises(ValueError, match="odd prime"):
+            CoefficientField(None, {(1, 0, 0): QComplex(QuadExt(q, Fraction(1), Fraction(2)), QuadExt.of(0))})
+
+    def test_entries_over_two_primes_rejected(self):
+        with pytest.raises(ValueError, match="mixed"):
+            CoefficientField(None, {(1, 0, 0): QComplex(QuadExt.sqrt_term(3), QuadExt.sqrt_term(5))})
+        with pytest.raises(ValueError, match="mixed"):
+            CoefficientField(5, {(1, 0, 0): QComplex(QuadExt.sqrt_term(3), QuadExt.of(0))})
+
+
+class TestEigenvalueTriple:
+    @pytest.mark.parametrize("p", [3, 5, 7, 11])
+    def test_from_lam12_is_relation_consistent(self, p):
+        rng = random.Random(p)
+        for _ in range(50):
+            lam = EigenvalueTriple.from_lam12(p, rng.uniform(-3, 3), rng.uniform(-3, 3))
+            # lam3 is the residual of the triple with lam3 = 0, so the relation holds to rounding
+            assert lam.lam3 == lam.lam1 ** 2 - (1 + 1 / p) * lam.lam2 - float(hecke_relation_constant(p))
+            assert abs(lam.relation_residual()) < 1e-12

@@ -9,6 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from h4hecke import quaternions
 from h4hecke.clifford import CliffordElement
+from h4hecke.hecke import CoefficientField, epsilon_factor, legendre_symbol
+from h4hecke.sums import PrimeWindow
 from h4hecke.quaternions import (
     LemmaSweepError,
     Quaternion,
@@ -335,3 +337,24 @@ class TestSweepChecksFire:
         assert "more than 16 conjugates divisible by p^2 without p^2 | delta" in str(err)
         assert err.witness == (self.CORNER, 7 * (self.P + 1) + from_reps)
         assert valuation(self.CORNER, self.P) < 2
+
+
+class TestOddPrimeGuard:
+    # every entry point that needs an odd prime refuses 2, 1, 9 and -3 with the same message
+    @pytest.mark.parametrize("n", [2, 1, 9, -3])
+    @pytest.mark.parametrize("call", [
+        lambda n: legendre_symbol(1, n),
+        lambda n: epsilon_factor((1, 0, 0), n),
+        lambda n: CoefficientField(n, {}),
+        lambda n: orbit_representatives(n),
+        lambda n: verify_conjugation_lemmas(n, 1),
+        lambda n: verify_conjugation_lemmas(3, 1, q_primes=(5, n)),
+        lambda n: PrimeWindow(P=10.0, primes=(n,)),
+    ])
+    def test_rejected_everywhere(self, call, n):
+        with pytest.raises(ValueError, match=f"must be an odd prime, got {n}"):
+            call(n)
+
+    def test_odd_primes_pass(self):
+        assert [quaternions.require_odd_prime(n) for n in (3, 5, 7, 97)] == [3, 5, 7, 97]
+        assert list(quaternions.odd_primes_in(2, 20)) == [3, 5, 7, 11, 13, 17, 19]

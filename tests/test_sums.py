@@ -103,6 +103,20 @@ def fractional_field(rng, q, support, coord_bound, symmetric=False, extra=()):
     return field.symmetrized() if symmetric else field
 
 
+def brute_force_split(A, specs, z):
+    """(sharp, flats, total) of the sharp/flat split, each |A(beta)|^2 formed in QComplex arithmetic."""
+    sharp, flats, total = QuadExt.of(0, A.p), [QuadExt.of(0, A.p) for _ in specs], QuadExt.of(0, A.p)
+    for beta in ball_points(math.floor(z)):
+        sq = A.at(beta).abs_sq()
+        total = total + sq
+        if all(s.member(beta) for s in specs):
+            sharp = sharp + sq
+        for idx, s in enumerate(specs):
+            if not s.member(beta):
+                flats[idx] = flats[idx] + sq
+    return sharp, flats, total
+
+
 class TestSumS:
     def test_ones_ball_examples(self):
         A = CoefficientField.ones_ball(9)
@@ -215,6 +229,22 @@ class TestMultiplicity:
         w3 = PrimeWindow.from_bound(3.0, subset=(3,))
         assert MultiplicitySpec(2, 1, w3).member((9, 0, 0))
 
+    @pytest.mark.parametrize("q", [None, 3, 5, 7])
+    def test_split_matches_brute_force(self, q):
+        rng = random.Random(70 + (q or 0))
+        w = PrimeWindow.from_bound(6.0, subset=(3, 5))
+        specs = [MultiplicitySpec(1, 0, w), MultiplicitySpec(1, 1, w), MultiplicitySpec(2, 0, w)]
+        for symmetric in (False, True):
+            if q is None:
+                A = CoefficientField.random(rng, support=12, coord_bound=5, symmetric=symmetric)
+            else:
+                A = fractional_field(rng, q, 10, 5, symmetric=symmetric, extra=[(3, 0, 0), (5, 0, 0), (0, 9, 0)])
+            for z in (0, 9, Fraction(51, 2), 75):
+                split = split_sharp_flat(A, specs, z)
+                sharp, flats, total = brute_force_split(A, specs, z)
+                assert (split.sharp, list(split.flats), split.total) == (sharp, flats, total)
+                assert split.sharp.p == split.total.p == A.p and all(f.p == A.p for f in split.flats)
+
     def test_split_consistency(self):
         rng = random.Random(7)
         A = CoefficientField.random(rng, support=12, coord_bound=5)
@@ -252,6 +282,23 @@ class TestAmplified:
         amp = amplified_sum(A, w, lam, 1, [spec], 40)
         sharp = float(split_sharp_flat(A, [spec], 40).sharp)
         assert amp >= 0.5 * L * (len(w) - K1) * sharp - 1e-12
+
+    @pytest.mark.parametrize("q", [None, 3, 7])
+    def test_matches_quadext_evaluation(self, q):
+        # the amplified sum in doubles of each exact |A(beta)|^2, in support order
+        rng = random.Random(80 + (q or 0))
+        w = PrimeWindow.from_bound(6.0, subset=(3, 5))
+        lam = {3: EigenvalueTriple(3, 0.7, -1.1, 0.3), 5: EigenvalueTriple(5, -0.2, 0.9, 1.7)}
+        A = CoefficientField.random(rng, support=14, coord_bound=5) if q is None else \
+            fractional_field(rng, q, 12, 5, extra=[(3, 0, 0), (15, 0, 0)])
+        specs = [MultiplicitySpec(1, 1, w)]
+        for ell in (1, 2, 3):
+            expected = 0.0
+            for beta, value in A.entries.items():
+                if lattice_norm(beta) <= 60 and specs[0].member(beta):
+                    weight = sum(getattr(lam[p], f"lam{ell}") ** 2 for p in w.primes if any(c % p for c in beta))
+                    expected += float(value.abs_sq()) * weight
+            assert amplified_sum(A, w, lam, ell, specs, 60) == expected
 
     def test_missing_primes(self):
         w = PrimeWindow.from_bound(6.0, subset=(3, 5))
@@ -325,6 +372,19 @@ class TestPartition:
         part = partition_primes(lam, 2.0 ** 40)
         (i, j, k) = part.best
         assert i == 1  # |lam1|^2 = 2/100 sits at the top of bin 1
+
+    def test_missing_primes_found_quickly(self, time_limit):
+        # P = 10^10 and 10^37.5: windows of about 2 * 10^8 and 10^35 primes, none in the table
+        lam = {p: EigenvalueTriple(p, 0.1, 0.1, 0.1) for p in (3, 5, 7)}
+        windows = ((1e80, r"\[5e\+09, 1e\+10\]"), (1e300, r"\[1\.58114e\+37, 3\.16228e\+37\]"))
+        for y, window in windows:
+            with time_limit(10), pytest.raises(KeyError, match="table ends at 7, below the prime window " + window):
+                partition_primes(lam, y)
+        # a window that starts inside the table: the scan stops at, and names, its first missing prime
+        table = {p: lam[3] for p in (17, 19, 23, 29, 31, 97)}
+        with time_limit(10), pytest.raises(KeyError, match=r"missing the prime 37 of the window \[20\.7"):
+            partition_primes(table, 2.0 ** 43)
+        assert partition_primes(table, 2.0 ** 40).Q == (17, 19, 23, 29, 31)
 
     def test_out_of_range_eigenvalue(self):
         lam = {p: EigenvalueTriple(p, 10.0 ** 9, 0.0, 0.0) for p in (17, 19, 23, 29, 31)}
@@ -436,6 +496,30 @@ class TestInequalityReports:
         assert rep.left == pytest.approx(float(sum_S_d(A, 15, 225)))
         assert rep.left == 6.0  # multiples of 15 with norm <= 225: the six unit directions
         rep.asserted() if rep.left <= rep.right else None
+
+    def test_cor62_factors_with_multiplicity(self):
+        # d = 3^2 * 5 * 7: the product of A^v * power sum over the prime powers of d
+        A = CoefficientField.ones_ball(30)
+        lam = {p: EigenvalueTriple.from_lam12(p, 0.1 * p, -0.3) for p in (3, 5, 7, 11)}
+        rep = inequality_report("Cor6.2", A=A, z=Fraction(3 * 315 ** 2), d=315, lam_table=lam, const_A=1.5)
+        prod = 1.5 ** 2 * eigen_power_sum(lam[3], 2) * 1.5 * eigen_power_sum(lam[5], 1) \
+            * 1.5 * eigen_power_sum(lam[7], 1)
+        assert rep.right == prod * float(sum_S_d(A, 1, 3))
+        assert inequality_report("Cor6.2", A=A, z=9, d=1, lam_table={}).right == float(sum_S_d(A, 1, 9))
+
+    @pytest.mark.parametrize("d,primes,message", [
+        (999999937, (3, 5, 7), "ends at 7, below every prime factor of 999999937, which divides d = 999999937"),
+        (3 * 999999937, (3, 5, 7), "below every prime factor of 999999937, which divides d = 2999999811"),
+        (5 * 7 * 1000003 ** 2, (3, 5, 7), "ends at 7, below every prime factor of 1000006000009, which divides"),
+        (2 ** 89 - 1, (3, 5, 7), "ends at 7, below every prime factor of 618970019642690137449562111, which"),
+        (3 * 11, (3, 5, 7), "missing the prime 11 of d = 33"),
+        (1000003 * 1000033, (1000033,), "missing the prime 1000003 of d = 1000036000099"),
+    ])
+    def test_cor62_names_missing_factor_quickly(self, d, primes, message, time_limit):
+        # trial division stops at sqrt(rest) or past the table's largest prime, whichever comes first
+        lam = {p: EigenvalueTriple.from_lam12(p, 0.1, 0.1) for p in primes}
+        with time_limit(10), pytest.raises(KeyError, match=message):
+            inequality_report("Cor6.2", A=CoefficientField.ones_ball(4), z=9, d=d, lam_table=lam)
 
     def test_unknown_inequality(self):
         with pytest.raises(ValueError):
