@@ -217,6 +217,11 @@ def _cmd_sums_compute(args) -> int:
     return 0
 
 
+# the option that supplies each keyword of sums.inequality_report
+_REPORT_FLAGS = {"p": "--p", "d": "--d", "c": "--c", "k": "--k", "ell": "--ell", "K": "--K", "window": "--window-P",
+                 "lam_table": "--lambda-table", "lam": "--lambda-table with a row for --p"}
+
+
 def _cmd_sums_report(args) -> int:
     field = files.parse_coefficient_field(args.infile)
     table = files.parse_lambda_table(args.lambda_table) if args.lambda_table else None
@@ -235,7 +240,12 @@ def _cmd_sums_report(args) -> int:
         kw["window"] = sums.PrimeWindow.from_bound(args.window_P)
     kw["const_A"] = args.const_A
     kw["const_B"] = args.const_B
-    report = sums.inequality_report(args.which, **kw)
+    try:
+        report = sums.inequality_report(args.which, **kw)
+    except KeyError as exc:
+        if exc.args and exc.args[0] in _REPORT_FLAGS:  # a keyword the inequality reads was not given
+            raise ValueError(f"sums report --which {args.which} needs {_REPORT_FLAGS[exc.args[0]]}") from None
+        raise
     if args.assert_with_constant:
         report.asserted()
     ratio = "n/a (vacuous)" if report.ratio is None else f"{report.ratio:.6g}"
@@ -475,7 +485,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         return args.func(args)
     except (files.FileFormatError, KeyError, ValueError, OSError) as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
+        # str() of a KeyError is the repr of its message, quotes included
+        print(f"usage error: {exc.args[0] if isinstance(exc, KeyError) and exc.args else exc}", file=sys.stderr)
         return 2
     except AssertionError as exc:  # LemmaSweepError and ShiftIdentityError among them
         print(f"FAIL: {exc}", file=sys.stderr)

@@ -60,7 +60,10 @@ def _entries(data, what: str) -> dict[tuple[int, int, int], dict]:
     for row in data["entries"]:
         if not isinstance(row, dict) or not isinstance(row.get("beta"), list):
             raise FileFormatError(f"each entry must be an object with a 'beta' list, got {row!r}")
-        beta = tuple(_number(int, c, "beta") for c in row["beta"])
+        # int() would truncate 1.5 to 1 and read true as 1; an integral float such as 2.0 is kept
+        if not all(type(c) is int or (type(c) is float and c.is_integer()) for c in row["beta"]):
+            raise FileFormatError(f"beta coordinates must be integers, got {row['beta']!r} in entry {row!r}")
+        beta = tuple(int(c) for c in row["beta"])
         if len(beta) != 3:
             raise FileFormatError(f"beta must have 3 coordinates, got {row['beta']!r}")
         if beta in rows:

@@ -1,22 +1,21 @@
 """Floating-point layer: K-Bessel of imaginary order and spectral-mode numerics.
 
 The radial kernel is K_{ir}(x) = integral_0^oo exp(-x cosh t) cos(r t) dt,
-evaluated by adaptive Simpson quadrature on a truncated interval (the
-integrand is below any tolerance once x cosh t is large).  K_{i*0} is
-the classical K_0.
+evaluated by adaptive Simpson quadrature on an interval cut where the
+integrand falls below the tolerance.  K_{i*0} is the classical K_0.
 
 A spectral mode with parameter r (so the flat-Laplacian eigenvalue is
 9/4 + r^2) and finitely many coefficients A(beta) is the finite sum
 
-    phi(z) = sum_beta A(beta) y^{3/2} K_{ir}(2 pi sqrt(N(beta)) y)
-             e(b0 x0 - b1 x1 - b2 x2),
+    phi(z) = sum_beta a_beta(y) e(Re(beta x)),   a_beta(y) = A(beta) y^{3/2} K_{ir}(2 pi sqrt(N(beta)) y),
 
-with e(t) = exp(2 pi i t); the phase is Re(beta z) expanded once and
-hard-coded.  On top of phi the module checks the fixed-height Parseval
-identity over the unit period box, computes the cusp mass
-integral_{y >= T, x in box} |phi|^2 dvol both from the coefficient side
-and by direct 4-d quadrature, and verifies the mode annihilation
-Delta u = -(9/4 + r^2) u by central finite differences.
+with e(t) = exp(2 pi i t).  On top of phi the module checks the
+fixed-height Parseval identity over the unit period box, computes the cusp
+mass integral_{y >= T, x in box} |phi|^2 dvol both from the coefficient
+side and by direct 4-d quadrature, and verifies the mode annihilation
+Delta u = -(9/4 + r^2) u by central finite differences.  Box integrals are
+tensor Gauss-Legendre rules applied through the mode Gram matrix (_gram).
+Only bessel_k_imag_order takes a tolerance; the rest use fixed ones.
 """
 
 from __future__ import annotations
@@ -125,43 +124,54 @@ class SpectralForm:
 def _phase_re_beta_z(beta, x0, x1, x2):
     # Re(beta z) for beta = b0 + b1 i + b2 j and z = x0 + x1 i1 + x2 i2 + y i3:
     # the quaternion product leaves b0 x0 - b1 x1 - b2 x2 on the real axis.
-    # The x may be floats or numpy arrays of them.
+    # beta and the x may be numbers or numpy arrays that broadcast together.
     return beta[0] * x0 - beta[1] * x1 - beta[2] * x2
 
 
-def _radial(r: float, beta, y: float, tol: float) -> float:
-    """y^(3/2) K_{ir}(2 pi sqrt(N(beta)) y), the radial factor of the mode at beta.
+def _character(beta, x0, x1, x2):
+    """e(Re(beta x)) = exp(2 pi i Re(beta x)), elementwise over arrays."""
+    return np.exp(2j * math.pi * _phase_re_beta_z(beta, x0, x1, x2))
 
-    The kernel goes first: bessel_k_imag_order rejects a height whose
-    argument overflows, and y^(3/2), which overflows past y ~ 1e205, is
-    taken only where the kernel has not underflowed to zero.
+
+def _amplitudes(form: SpectralForm, y: float, tol: float) -> list[complex]:
+    """a_beta(y) = A(beta) y^(3/2) K_{ir}(2 pi sqrt(N(beta)) y) per entry, so phi = sum_beta a_beta e(Re(beta x)).
+
+    K_{ir} goes first: it rejects a height whose argument overflows, and y^(3/2),
+    which overflows past y ~ 1e205, is taken only where K_{ir} has not underflowed to 0.
     """
-    k = _bessel_cached(r, TWO_PI * math.sqrt(lattice_norm(beta)) * y, tol)
-    return k * y ** 1.5 if k else k
+    ks = [_bessel_cached(form.r, TWO_PI * math.sqrt(lattice_norm(beta)) * y, tol) for beta, _ in form.entries]
+    return [coeff * (k * y ** 1.5 if k else k) for (_, coeff), k in zip(form.entries, ks)]
 
 
-def evaluate_form(form: SpectralForm, z, tol: float = 1e-12) -> complex:
-    """phi(z) as a finite Fourier sum; z is a PointH4 or (x0, x1, x2, y)."""
+def _phi(form: SpectralForm, x0: float, x1: float, x2: float, y: float, tol: float) -> complex:
+    """The Fourier sum at one point, its terms added in entry order."""
+    return sum(a * _character(beta, x0, x1, x2) for a, (beta, _) in zip(_amplitudes(form, y, tol), form.entries))
+
+
+def evaluate_form(form: SpectralForm, z) -> complex:
+    """phi(z) with K_{ir} to 1e-12; z is a PointH4 or (x0, x1, x2, y)."""
     x0, x1, x2, y = (z.as_tuple() if hasattr(z, "as_tuple") else tuple(map(float, z)))
-    total = 0j
-    for beta, coeff in form.entries:
-        phase = _phase_re_beta_z(beta, x0, x1, x2)
-        total += coeff * _radial(form.r, beta, y, tol) * np.exp(2j * math.pi * phase)
-    return complex(total)
+    return complex(_phi(form, x0, x1, x2, y, 1e-12))
 
 
-def _box_integral_abs_sq(form: SpectralForm, y: float, nodes: int, tol: float) -> float:
-    """integral over the unit period box of |phi(x, y)|^2 dx by tensor Gauss-Legendre."""
-    pts, wts = np.polynomial.legendre.leggauss(nodes)
-    pts = 0.5 * pts  # [-1/2, 1/2]
-    wts = 0.5 * wts
-    X0, X1, X2 = np.meshgrid(pts, pts, pts, indexing="ij")
-    W = wts[:, None, None] * wts[None, :, None] * wts[None, None, :]
-    phi = np.zeros_like(X0, dtype=complex)
-    for beta, coeff in form.entries:
-        phase = _phase_re_beta_z(beta, X0, X1, X2)
-        phi += coeff * _radial(form.r, beta, y, tol) * np.exp(2j * math.pi * phase)
-    return float(np.sum(W * np.abs(phi) ** 2))
+def _gram(form: SpectralForm, nodes: int) -> np.ndarray:
+    """G_jk = sum_x w(x) e(Re((beta_j - beta_k) x)) over the tensor Gauss-Legendre grid of the period box.
+
+    The rule for the box integral of |phi|^2 at height y is a G conj(a), a the amplitudes,
+    so the grid is summed once per form.  The weight w(x) is a product over the three
+    coordinates and Re(beta x) a sum of one term per coordinate: G is a product of 1-d sums.
+    """
+    pts, wts = (0.5 * v for v in np.polynomial.legendre.leggauss(nodes))  # on [-1/2, 1/2]
+    betas = np.array([beta for beta, _ in form.entries], dtype=np.int64).reshape(-1, 3).T
+    diff = (betas[:, :, None] - betas[:, None, :])[..., None]  # beta_j - beta_k, shape (3, k, k, 1)
+    # one factor per coordinate: the nodes along it, the other two coordinates held at 0
+    return np.prod([_character(diff, *(unit[:, None] * pts)) @ wts for unit in np.eye(3)], axis=0)
+
+
+def _box_integral(a, gram: np.ndarray) -> float:
+    """a G conj(a): the box rule with Gram matrix G for |phi|^2 at the height of the amplitudes a."""
+    a = np.asarray(a, dtype=complex)
+    return float((a @ gram @ a.conj()).real)
 
 
 @dataclass(frozen=True)
@@ -172,89 +182,83 @@ class ParsevalReport:
     rel_error: float
 
 
-def parseval_check(form: SpectralForm, y: float, tol: float = 1e-12, nodes: int = 32) -> ParsevalReport:
-    """Fixed-height orthogonality: the box integral of |phi|^2 equals
-    sum_beta |A(beta)|^2 y^3 |K_{ir}(2 pi sqrt(N(beta)) y)|^2.
+def parseval_check(form: SpectralForm, y: float) -> ParsevalReport:
+    """Fixed-height orthogonality: the 32-node box rule of |phi|^2 against the coefficient side
+    sum_beta |a_beta(y)|^2 = sum_beta |A(beta)|^2 y^3 |K_{ir}(2 pi sqrt(N(beta)) y)|^2, K_{ir} to 1e-12.
 
-    A height where the coefficient side is 0 or subnormal raises
-    ValueError: once every term y^3 |K_{ir}|^2 has underflowed (from y of
-    about 59 at N(beta) = 1), both sides read 0 and the check would pass
-    on nothing, and just below that the sides keep too few digits to
-    compare (at y = 58 they differ by 6e-6 relative)."""
+    A height where the coefficient side is 0 or subnormal raises ValueError: once every term
+    has underflowed (from y of about 59 at N(beta) = 1), both sides read 0 and the check would
+    pass on nothing, and just below that the sides keep too few digits to compare."""
     if not (math.isfinite(y) and y > 0):
         raise ValueError(f"height y must be finite and positive, got {y}")
-    coeff = 0
-    for b, c in form.entries:
-        k = _bessel_cached(form.r, TWO_PI * math.sqrt(lattice_norm(b)) * y, tol)
-        # y^3 overflows past y ~ 5.6e102, where every kernel value has underflowed to 0
-        coeff += abs(c) ** 2 * y ** 3 * k ** 2 if k else 0.0
+    a = np.array(_amplitudes(form, y, 1e-12), dtype=complex)
+    coeff = float(np.vdot(a, a).real)
     if not coeff >= sys.float_info.min:
         raise ValueError(f"the coefficient side at height y = {y} is {coeff:g}, 0 or subnormal: the K_ir "
                          f"terms underflow or the coefficients are 0, so there is nothing to compare")
-    box = _box_integral_abs_sq(form, y, nodes, tol)
-    return ParsevalReport(y=y, box_integral=box, coefficient_sum=coeff,
-                          rel_error=abs(box - coeff) / coeff)
+    box = _box_integral(a, _gram(form, 32))
+    return ParsevalReport(y=y, box_integral=box, coefficient_sum=coeff, rel_error=abs(box - coeff) / coeff)
 
 
-def cusp_sum_I(form: SpectralForm, T: float, tol: float = 1e-10) -> float:
+def _cusp_tail(n: int) -> float:
+    """Length of the y-range kept above a cusp integral's lower end, for modes of norm >= n:
+    |K_{ir}(2 pi sqrt(n) y)|^2 falls like exp(-4 pi sqrt(n) y), so past it by 1e-10 e^-5."""
+    return max(3.0, (math.log(1e10) + 5.0) / (4.0 * math.pi * math.sqrt(n)))
+
+
+def cusp_sum_I(form: SpectralForm, T: float) -> float:
     """Coefficient-side cusp mass: integral over the box times [T, oo) of |phi|^2 dvol.
 
-    Equals sum_beta |A(beta)|^2 integral_{T sqrt(N(beta))}^oo
-    |K_{ir}(2 pi y)|^2 dy/y; each 1-d integral is truncated where the
-    exponential decay of the kernel makes the tail negligible.
+    Equals sum_beta |A(beta)|^2 integral_{T sqrt(N(beta))}^oo |K_{ir}(2 pi y)|^2 dy/y,
+    each integral cut where the kernel decay makes the tail negligible and taken by
+    adaptive Simpson to 1e-12 on K_{ir} values to 1e-12.
     """
     if not (math.isfinite(T) and T >= 1):
         raise ValueError(f"T must be finite and >= 1, got {T}")
+
+    def integrand(y: float) -> float:
+        k = _bessel_cached(form.r, TWO_PI * y, 1e-12)
+        return k * k / y
+
     total = 0.0
     for beta, coeff in form.entries:
         a = T * math.sqrt(lattice_norm(beta))
-        b = a + max(3.0, (math.log(1 / tol) + 5.0) / (4.0 * math.pi))
-
-        def integrand(y: float) -> float:
-            k = _bessel_cached(form.r, TWO_PI * y, tol * 1e-2)
-            return k * k / y
-
-        total += abs(coeff) ** 2 * _adaptive_simpson(integrand, a, b, tol * 1e-2)
+        total += abs(coeff) ** 2 * _adaptive_simpson(integrand, a, a + _cusp_tail(1), 1e-12)
     return total
 
 
-def direct_cusp_integral(form: SpectralForm, T: float, *, x_nodes: int = 24,
-                         y_panels: int = 12, y_nodes: int = 12, tol: float = 1e-10) -> float:
+def direct_cusp_integral(form: SpectralForm, T: float) -> float:
     """4-d quadrature of |phi|^2 dvol over the cusp box, independent of unfolding.
 
-    Gauss-Legendre in each x coordinate at every y node, composite
-    Gauss-Legendre in y on [T, Y] with Y set by the kernel decay.
+    The 24-node box rule in x at every y node, and 12-node Gauss-Legendre
+    on 12 panels of [T, Y] in y, with Y set by the kernel decay.
     """
     if not (math.isfinite(T) and T >= 1):
         raise ValueError(f"T must be finite and >= 1, got {T}")
-    n_min = min(lattice_norm(b) for b, _ in form.entries)
-    Y = T + max(3.0, (math.log(1 / tol) + 5.0) / (4.0 * math.pi * math.sqrt(n_min)))
-    ypts, ywts = np.polynomial.legendre.leggauss(y_nodes)
-    edges = np.linspace(T, Y, y_panels + 1)
+    Y = T + _cusp_tail(min(lattice_norm(b) for b, _ in form.entries))
+    gram = _gram(form, 24)
+    ypts, ywts = np.polynomial.legendre.leggauss(12)
+    edges = np.linspace(T, Y, 12 + 1)
     total = 0.0
     for lo, hi in zip(edges[:-1], edges[1:]):
         mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
         for t, w in zip(ypts, ywts):
             y = mid + half * t
-            inner = _box_integral_abs_sq(form, float(y), x_nodes, tol * 1e-2)
-            total += half * w * inner / y ** 4
+            total += half * w * _box_integral(_amplitudes(form, float(y), 1e-12), gram) / y ** 4
     return float(total)
 
 
 # -- mode Laplacian -------------------------------------------------------------
 
-def _mode_value(beta, r: float, x0: float, x1: float, x2: float, y: float, tol: float) -> complex:
-    return _radial(r, beta, y, tol) * np.exp(2j * math.pi * _phase_re_beta_z(beta, x0, x1, x2))
-
-
-def laplace_eigen_residual(beta, r: float, z, h: float = 1e-3, tol: float = 1e-14) -> float:
+def laplace_eigen_residual(beta, r: float, z, h: float = 1e-3) -> float:
     """|Delta u + (9/4 + r^2) u| / |u| for the single mode at beta, by central differences.
 
     Delta = y^2 (d^2/dx0^2 + d^2/dx1^2 + d^2/dx2^2 + d^2/dy^2) - 2y d/dy;
     the mode satisfies Delta u = -(9/4 + r^2) u exactly, so the returned
-    ratio is pure discretization error, O(h^2).
+    ratio is pure discretization error, O(h^2).  K_{ir} is taken to 1e-14,
+    since the second difference divides its error by h^2.
     """
-    x0, x1, x2, y = (z.as_tuple() if hasattr(z, "as_tuple") else tuple(map(float, z)))
+    x0, x1, x2, y = point = (z.as_tuple() if hasattr(z, "as_tuple") else tuple(map(float, z)))
     if not (math.isfinite(h) and h > 0):
         raise ValueError(f"step h must be finite and positive, got {h}")
     if y - h <= 0:
@@ -262,18 +266,14 @@ def laplace_eigen_residual(beta, r: float, z, h: float = 1e-3, tol: float = 1e-1
     beta = tuple(int(b) for b in beta)
     if beta == (0, 0, 0):
         raise ValueError("beta must be nonzero: spectral modes carry no beta = 0 term")
-    lam = 2.25 + r * r
-    u0 = _mode_value(beta, r, x0, x1, x2, y, tol)
+    mode = SpectralForm(r, ((beta, 1.0),))
+    u0 = _phi(mode, *point, 1e-14)
     if abs(u0) < 1e-12:
         raise ValueError("mode nearly vanishes at z; pick another evaluation point")
     second = 0j
-    for idx in range(4):
-        args_p = [x0, x1, x2, y]
-        args_m = [x0, x1, x2, y]
-        args_p[idx] += h
-        args_m[idx] -= h
-        second += _mode_value(beta, r, *args_p, tol) - 2 * u0 + _mode_value(beta, r, *args_m, tol)
-    dy = (_mode_value(beta, r, x0, x1, x2, y + h, tol)
-          - _mode_value(beta, r, x0, x1, x2, y - h, tol)) / (2 * h)
+    for idx in range(4):  # u at the point moved by +h and by -h along coordinate idx
+        u_p, u_m = (_phi(mode, *(c + s if i == idx else c for i, c in enumerate(point)), 1e-14) for s in (h, -h))
+        second += u_p - 2 * u0 + u_m
+    dy = (u_p - u_m) / (2 * h)  # the last pair is u(y + h) and u(y - h)
     lap = y * y * second / (h * h) - 2 * y * dy
-    return abs(lap + lam * u0) / abs(u0)
+    return abs(lap + (2.25 + r * r) * u0) / abs(u0)

@@ -121,6 +121,19 @@ class TestCoefficientFiles:
         with pytest.raises(FileFormatError, match="malformed rational"):
             parse_coefficient_field(path)
 
+    @pytest.mark.parametrize("coordinate", ["1.5", "true", '"1"'])
+    def test_non_integer_beta_rejected(self, tmp_path, coordinate):
+        # int() once truncated 1.5 to 1, so S_1(9) read 1.0 on a field with no lattice point
+        path = tmp_path / "frac.json"
+        path.write_text('{"entries": [{"beta": [%s, 0, 0], "re": ["1"]}]}' % coordinate)
+        with pytest.raises(FileFormatError, match="beta coordinates must be integers"):
+            parse_coefficient_field(path)
+
+    def test_integral_float_beta_kept(self, tmp_path):
+        path = tmp_path / "float.json"
+        path.write_text('{"entries": [{"beta": [2.0, 0, -1.0], "re": ["1"]}]}')
+        assert set(parse_coefficient_field(path).entries) == {(2, 0, -1)}
+
 
 class TestOtherFiles:
     def test_lambda_table_round_trip(self, tmp_path):
@@ -153,6 +166,14 @@ class TestOtherFiles:
         path = tmp_path / "form.json"
         path.write_text('{"r": 1.0, "entries": [{"beta": [1, 0], "re": 1.0, "im": 0.0}]}')
         with pytest.raises(FileFormatError, match="3 coordinates"):
+            parse_spectral_form(path)
+
+    @pytest.mark.parametrize("coordinate", ["1.5", "true", '"1"'])
+    def test_spectral_form_non_integer_beta_rejected(self, tmp_path, coordinate):
+        # int() once truncated 1.5 to 1, so the mode evaluated as if beta were (1, 0, 0)
+        path = tmp_path / "form.json"
+        path.write_text('{"r": 1.0, "entries": [{"beta": [%s, 0, 0], "re": 1.0, "im": 0.0}]}' % coordinate)
+        with pytest.raises(FileFormatError, match="beta coordinates must be integers"):
             parse_spectral_form(path)
 
 
@@ -453,6 +474,8 @@ def bad_files(tmp_path):
         "coeff_entries_5.json": '{"entries": 5}',
         "coeff_row_list.json": '{"entries": [[1, 0, 0]]}',
         "coeff_list.json": '[{"beta": [1, 0, 0], "re": ["1"]}]',
+        "coeff_frac_beta.json": '{"entries": [{"beta": [1.5, 0, 0], "re": ["1"]}]}',
+        "form_frac_beta.json": '{"r": 1.0, "entries": [{"beta": [1.5, 0, 0], "re": 1.0, "im": 0.0}]}',
         "form_list.json": '[{"r": 1.0}]',
         "form_entries_3.json": '{"r": 1.0, "entries": 3}',
         "csv_ok.csv": "y,value\n1,1\n2,0.5\n",
@@ -470,6 +493,14 @@ def bad_files(tmp_path):
         (tmp_path / name).write_text(text)
         paths[name.split(".")[0]] = str(tmp_path / name)
     return paths
+
+
+# sums report without an option its inequality reads, and the option the error line names
+_REPORT_MISSING_OPTION = [
+    (["sums", "report", "--which", "Cor6.2", "--in", "{coeff}", "--z", "9", "--d", "3"], "--lambda-table"),
+    (["sums", "report", "--which", "L6.3i", "--in", "{coeff}", "--z", "9", "--d", "1"], "--p"),
+    (["sums", "report", "--which", "L6.4a", "--in", "{coeff}", "--z", "9", "--K", "1"], "--window-P"),
+]
 
 
 class TestBadInputsExit2:
@@ -517,6 +548,9 @@ class TestBadInputsExit2:
         ["sums", "report", "--which", "Cor6.2", "--in", "{coeff}", "--z", "9", "--d", "999999937",
          "--lambda-table", "{lam_3_primes}"],
         ["sums", "compute", "--kind", "S", "--in", "{coeff_list}", "--z", "9"],
+        ["sums", "compute", "--kind", "S", "--in", "{coeff_frac_beta}", "--z", "9"],
+        ["maass", "eval", "--form", "{form_frac_beta}", "--point", "0.1,0.2,0.3,1"],
+        *[argv for argv, _ in _REPORT_MISSING_OPTION],
     ])
     def test_exits_2_with_one_error_line(self, argv, form_files, bad_files, capsys, time_limit):
         assert _exit_code([a.format(**form_files, **bad_files) for a in argv], time_limit) == 2
@@ -524,6 +558,19 @@ class TestBadInputsExit2:
         # argparse adds its usage lines before the one error line
         assert len([line for line in err.splitlines() if "error:" in line]) == 1, err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv,flag", _REPORT_MISSING_OPTION)
+    def test_missing_report_option_is_named(self, argv, flag, bad_files, capsys, time_limit):
+        # these once printed only the keyword: usage error: 'lam_table', 'p' or 'window'
+        assert _exit_code([a.format(**bad_files) for a in argv], time_limit) == 2
+        err = capsys.readouterr().err.strip()
+        assert err == f"usage error: sums report --which {argv[3]} needs {flag}", err
+
+    def test_key_error_message_printed_without_quotes(self, bad_files, capsys, time_limit):
+        argv = ["sums", "report", "--which", "Cor6.2", "--in", bad_files["coeff"], "--z", "9", "--d", "11",
+                "--lambda-table", bad_files["lam_3_primes"]]
+        assert _exit_code(argv, time_limit) == 2
+        assert capsys.readouterr().err.strip() == "usage error: eigenvalue table missing the prime 11 of d = 11"
 
 
 _FUZZ_FLOATS = ["nan", "inf", "-inf", "-1", "0", "0.5", "1e308", "x"]

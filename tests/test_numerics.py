@@ -1,8 +1,10 @@
 import cmath
 import math
+import random
 import sys
 
 import mpmath as mp
+import numpy as np
 import pytest
 
 from h4hecke.geometry import PointH4
@@ -15,10 +17,45 @@ from h4hecke.numerics import (
     laplace_eigen_residual,
     parseval_check,
 )
+from h4hecke.numerics import _amplitudes, _box_integral, _gram
 
 
 def mp_bessel(r, x):
     return float(mp.besselk(1j * r, x).real)
+
+
+def grid_box_integral(form, y, nodes):
+    """Reference box rule: W |phi|^2 summed over the whole nodes^3 tensor Gauss-Legendre grid at height y.
+
+    This is how the spectral layer took the box integral at each height
+    before the mode Gram matrix; the phase is written out here, not taken
+    from the library.
+    """
+    pts, wts = np.polynomial.legendre.leggauss(nodes)
+    pts = 0.5 * pts  # [-1/2, 1/2]
+    wts = 0.5 * wts
+    X0, X1, X2 = np.meshgrid(pts, pts, pts, indexing="ij")
+    W = wts[:, None, None] * wts[None, :, None] * wts[None, None, :]
+    phi = np.zeros_like(X0, dtype=complex)
+    for beta, coeff in form.entries:
+        k = bessel_k_imag_order(form.r, 2 * math.pi * math.sqrt(sum(b * b for b in beta)) * y)
+        radial = k * y ** 1.5 if k else 0.0
+        phi += coeff * radial * np.exp(2j * math.pi * (beta[0] * X0 - beta[1] * X1 - beta[2] * X2))
+    return float(np.sum(W * np.abs(phi) ** 2))
+
+
+def mp_cusp_mass(form, T, nodes=16):
+    """sum_beta |A(beta)|^2 integral_{T sqrt N(beta)}^oo K_{ir}(2 pi y)^2 dy/y with mpmath's K_{ir},
+    by Gauss-Laguerre in u = 4 pi (y - T sqrt N(beta)), which takes out the decay exp(-4 pi y)."""
+    u, w = np.polynomial.laguerre.laggauss(nodes)
+    total = 0.0
+    with mp.workdps(20):
+        for beta, coeff in form.entries:
+            a = T * math.sqrt(sum(b * b for b in beta))
+            ys = a + u / (4 * math.pi)
+            mass = sum(wi * math.exp(ui) * mp_bessel(form.r, 2 * math.pi * y) ** 2 / y for ui, wi, y in zip(u, w, ys))
+            total += abs(coeff) ** 2 * mass / (4 * math.pi)
+    return total
 
 
 class TestBessel:
@@ -148,6 +185,44 @@ class TestParseval:
         assert report.rel_error < 1e-12
 
 
+def _gram_test_forms():
+    """Seeded forms with 1-8 modes of norm <= 6, half of them holding a conjugate pair beta, -beta,
+    and three fixed ones: a conjugate pair, four modes of one norm, and modes of norm 6."""
+    betas = [(a, b, c) for a in range(-2, 3) for b in range(-2, 3) for c in range(-2, 3)
+             if 0 < a * a + b * b + c * c <= 6]
+    rng = random.Random(17)
+    forms = [SpectralForm.from_dict(0.5, {(1, 2, 0): 1 + 2j, (-1, -2, 0): 1 - 2j}),
+             SpectralForm.from_dict(1.0, {(1, 0, 0): 1.0, (0, 1, 0): -0.5j, (0, 0, 1): 2.0, (-1, 0, 0): 0.3 + 0.1j}),
+             SpectralForm.from_dict(2.0, {(2, 1, 1): 1.0, (-1, 2, -1): 1j, (1, -1, 2): -0.7, (1, 1, 0): 0.2})]
+    for k in range(1, 9):
+        chosen = rng.sample(betas, k)
+        if k % 2 == 0:
+            chosen[-1] = tuple(-b for b in chosen[0])
+        coeffs = {beta: complex(rng.gauss(0, 1), rng.gauss(0, 1)) for beta in chosen}
+        forms.append(SpectralForm.from_dict(3 * rng.random(), coeffs))
+    return forms
+
+
+class TestGramBoxRule:
+    @pytest.mark.parametrize("nodes", [8, 24, 32])
+    def test_matches_per_height_grid(self, nodes):
+        checked = 0
+        for form in _gram_test_forms():
+            gram = _gram(form, nodes)
+            for y in (0.3, 1.0, 3.0, 12.0, 56.0):
+                ref = grid_box_integral(form, y, nodes)
+                value = _box_integral(_amplitudes(form, y, 1e-12), gram)
+                assert abs(value - ref) <= 1e-12 * ref, (form, y, value, ref)
+                checked += ref > 0
+        assert checked >= 40
+
+    def test_gram_is_hermitian_with_unit_diagonal(self):
+        for form in _gram_test_forms():
+            gram = _gram(form, 24)
+            assert np.array_equal(gram, gram.conj().T)
+            assert np.allclose(np.diag(gram), 1.0, rtol=0, atol=1e-14)
+
+
 class TestCuspMass:
     def test_zero_form(self):
         assert cusp_sum_I(SpectralForm(r=1.0, entries=()), 2.0) == 0.0
@@ -171,6 +246,12 @@ class TestCuspMass:
         coeff_side = cusp_sum_I(form, 1.5)
         direct = direct_cusp_integral(form, 1.5)
         assert abs(coeff_side - direct) / coeff_side < 1e-3
+
+    def test_direct_quadrature_against_mpmath(self):
+        # by orthogonality the 4-d integral equals the coefficient-side mass, here taken on mpmath's K_{ir}
+        form = SpectralForm.from_dict(1.0, {(1, 0, 0): 1 + 0.5j, (0, 1, 0): -0.3 + 1j, (1, 1, 0): 0.7j})
+        ref = mp_cusp_mass(form, 1.5)
+        assert abs(direct_cusp_integral(form, 1.5) - ref) / ref < 1e-6
 
     def test_T_below_one_rejected(self):
         with pytest.raises(ValueError):
