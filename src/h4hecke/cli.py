@@ -43,8 +43,6 @@ def _jsonify(obj):
         return str(obj)
     if isinstance(obj, complex):
         return {"re": obj.real, "im": obj.imag}
-    if isinstance(obj, tuple):
-        return list(obj)
     raise TypeError(f"cannot serialize {type(obj)}")
 
 
@@ -136,6 +134,8 @@ def _cmd_geom_reduce(args) -> int:
 
 def _cmd_geom_act(args) -> int:
     vals = args.matrix
+    if any(abs(v) > sys.float_info.max for v in vals):  # act works in doubles
+        raise ValueError(f"matrix entries must lie within the double range, +-{sys.float_info.max:g}")
     quats = [geometry.Quaternion(*vals[i:i + 4]) for i in range(0, 16, 4)]
     g = geometry.IsometryMatrix(*quats)
     if not geometry.is_similitude(g):
@@ -318,8 +318,10 @@ def _cmd_maass_cusp(args) -> int:
     payload = {"T": args.T, "coefficient_side": value}
     human = f"cusp mass (coefficient side, T={args.T}): {value:.12g}"
     if args.cross_check:
+        if not value >= sys.float_info.min:
+            raise ValueError(f"the coefficient side at T = {args.T} is {value:g}, 0 or subnormal: nothing to compare")
         direct = numerics.direct_cusp_integral(form, args.T)
-        rel = abs(value - direct) / max(abs(value), 1e-300)
+        rel = abs(value - direct) / value
         payload.update({"direct": direct, "rel_error": rel})
         human += f"\ndirect 4-d quadrature: {direct:.12g} (relative difference {rel:.3e})"
         if rel >= 1e-3:

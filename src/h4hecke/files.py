@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Union
@@ -136,12 +137,10 @@ def parse_lambda_table(path: Union[str, Path]) -> dict[int, EigenvalueTriple]:
             if len(row) != 4 or None in row.values():
                 raise FileFormatError(f"lambda table line {reader.line_num} must have 4 fields")
             p = int(row["p"])
-            table[p] = EigenvalueTriple(
-                p=p,
-                lam1=float(row["lambda1"]),
-                lam2=float(row["lambda2"]),
-                lam3=float(row["lambda3"]),
-            )
+            lams = [_number(float, row[key], key) for key in expected[1:]]
+            if not all(map(math.isfinite, lams)):
+                raise FileFormatError(f"lambda table line {reader.line_num} has a non-finite eigenvalue: {lams}")
+            table[p] = EigenvalueTriple(p, *lams)
     return table
 
 

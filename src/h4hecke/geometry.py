@@ -30,10 +30,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .quaternions import Quaternion, hamilton_product
+from .quaternions import UNIT_FLIPS, Quaternion, hamilton_product
 
 Token = tuple
 GeneratorWord = tuple[Token, ...]
+
+# The boundary slack of reduction, cusp tiling and is_in_region, and the reduction's iteration cap.
+_TOL = 1e-9
+_MAX_ITER = 10_000
 
 _Q_ZERO = Quaternion(0, 0, 0, 0)
 _Q_ONE = Quaternion(1, 0, 0, 0)
@@ -180,13 +184,20 @@ def inversion() -> IsometryMatrix:
     return IsometryMatrix(_Q_ZERO, _Q_ONE, -_Q_ONE, _Q_ZERO)
 
 
-_UNITS = {"i": Quaternion(0, 1, 0, 0), "j": Quaternion(0, 0, 1, 0), "k": Quaternion(0, 0, 0, 1)}
-
-
 def rotation(axis: str) -> IsometryMatrix:
     """diag(u, u') for u in {i, j, k}: the three sign-flip rotations."""
-    u = _UNITS[axis]
+    u = UNIT_FLIPS[axis][0]
     return IsometryMatrix(u, _Q_ZERO, _Q_ZERO, u.main())
+
+
+def _point_flip(flip):
+    """diag(u, u') on points: x_r -> flip[r] x_r with y kept, for the flip of u in UNIT_FLIPS."""
+    s0, s1, s2 = flip
+    return lambda z: PointH4(s0 * z.x0, s1 * z.x1, s2 * z.x2, z.y)
+
+
+# (token name, point map) of each rotation, keyed by whether its flip negates x1 and x2
+_ROTATIONS = {(flip[1] < 0, flip[2] < 0): (f"rot_{name}", _point_flip(flip)) for name, (_, flip) in UNIT_FLIPS.items()}
 
 
 def _token_matrix(token: Token) -> IsometryMatrix:
@@ -195,7 +206,7 @@ def _token_matrix(token: Token) -> IsometryMatrix:
         return translation(token[1])
     if token[0] == "inversion":
         return inversion()
-    return rotation({"rot_i": "i", "rot_j": "j", "rot_k": "k"}[token[0]])
+    return rotation(token[0].removeprefix("rot_"))
 
 
 def word_to_matrix(word: GeneratorWord) -> IsometryMatrix:
@@ -210,7 +221,7 @@ def word_to_matrix(word: GeneratorWord) -> IsometryMatrix:
 
 # -- the action -------------------------------------------------------------
 
-def act(g: IsometryMatrix, z, *, tol: float = 1e-9) -> PointH4:
+def act(g: IsometryMatrix, z) -> PointH4:
     """g . z = (a z + b)(c z + d)^{-1} for a matrix with mu(g) > 0, in closed form.
 
     With z = v + y e3, v = x0 + x1 i + x2 j, P = a v + b, N = c v + d and
@@ -240,7 +251,7 @@ def act(g: IsometryMatrix, z, *, tol: float = 1e-9) -> PointH4:
     D = N[0] * N[0] + N[1] * N[1] + N[2] * N[2] + N[3] * N[3] + y2 * (
         c[0] * c[0] + c[1] * c[1] + c[2] * c[2] + c[3] * c[3])
     # mu > 0 rules out c = d = 0, so D vanishes only by underflow.
-    if D < tol * 1e-300:
+    if D < 1e-309:
         raise ArithmeticError("c z + d is numerically non-invertible")
 
     pn = hamilton_product(P, (N[0], -N[1], -N[2], -N[3]))
@@ -273,7 +284,7 @@ def cosh_distance(z, w) -> float:
 
 # -- regions and reduction ---------------------------------------------------
 
-def is_in_region(z, region: str, T: float = 1.0, tol: float = 1e-9) -> bool:
+def is_in_region(z, region: str, T: float = 1.0, tol: float = _TOL) -> bool:
     """Membership in F, S_T, or the symmetric cusp box S~_T, with boundary slack."""
     z = as_point(z)
     if region == "F":
@@ -303,9 +314,7 @@ class ReductionError(RuntimeError):
         self.trace = trace
 
 
-def reduce_to_fundamental_domain(
-    z, *, tol: float = 1e-9, max_iter: int = 10_000
-) -> tuple[GeneratorWord, PointH4]:
+def reduce_to_fundamental_domain(z) -> tuple[GeneratorWord, PointH4]:
     """Reduce z into F, returning the generator word that carries z there.
 
     Repeats: integer-translate x into [-1/2, 1/2]^3; flip signs with the
@@ -319,21 +328,16 @@ def reduce_to_fundamental_domain(
         raise ValueError(f"cannot reduce a point with a non-finite coordinate: {cur.as_tuple()}")
     word: list[Token] = []
     trace = [cur]
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         shifts = tuple(-math.floor(c + 0.5) for c in (cur.x0, cur.x1, cur.x2))
         if any(shifts):
             word.append(("translate", shifts))
             cur = PointH4(cur.x0 + shifts[0], cur.x1 + shifts[1], cur.x2 + shifts[2], cur.y)
-        if cur.x1 < -tol and cur.x2 < -tol:
-            word.append(("rot_k",))
-            cur = PointH4(cur.x0, -cur.x1, -cur.x2, cur.y)
-        elif cur.x1 < -tol:
-            word.append(("rot_i",))
-            cur = PointH4(-cur.x0, -cur.x1, cur.x2, cur.y)
-        elif cur.x2 < -tol:
-            word.append(("rot_j",))
-            cur = PointH4(-cur.x0, cur.x1, -cur.x2, cur.y)
-        if cur.norm_sq < 1.0 - tol:
+        rot = _ROTATIONS.get((cur.x1 < -_TOL, cur.x2 < -_TOL))
+        if rot is not None:
+            word.append((rot[0],))
+            cur = rot[1](cur)
+        if cur.norm_sq < 1.0 - _TOL:
             # Dividing twice by |z| keeps z/|z|^2 exact where |z|^2 underflows.
             r = math.hypot(cur.x0, cur.x1, cur.x2, cur.y)
             word.append(("inversion",))
@@ -342,20 +346,15 @@ def reduce_to_fundamental_domain(
                 raise ValueError(f"inversion at |z| = {r:g} overflows the float range")
             trace.append(cur)
             continue
-        if is_in_region(cur, "F", tol=tol):
+        if is_in_region(cur, "F"):
             return tuple(word), cur
         trace.append(cur)
-    raise ReductionError(f"reduction did not converge after {max_iter} iterations", trace)
+    raise ReductionError(f"reduction did not converge after {_MAX_ITER} iterations", trace)
 
 
 # -- cusp decomposition -------------------------------------------------------
 
-_CUSP_FLIPS = (
-    ("identity", lambda z: z),
-    ("rot_i", lambda z: PointH4(-z.x0, -z.x1, z.x2, z.y)),
-    ("rot_j", lambda z: PointH4(-z.x0, z.x1, -z.x2, z.y)),
-    ("rot_k", lambda z: PointH4(z.x0, -z.x1, -z.x2, z.y)),
-)
+_CUSP_FLIPS = (("identity", lambda z: z), *_ROTATIONS.values())
 
 
 @dataclass(frozen=True)
@@ -367,15 +366,13 @@ class CuspDecompositionReport:
     matches_by_matrix: dict
 
 
-def verify_cusp_decomposition(
-    T: float, sample_count: int, *, seed: int = 0, tol: float = 1e-9
-) -> CuspDecompositionReport:
+def verify_cusp_decomposition(T: float, sample_count: int, *, seed: int = 0) -> CuspDecompositionReport:
     """Sample the cusp box y >= T and check the four-fold tiling by copies of S_T.
 
     Each sampled z in S~_T must lie in exactly one of S_T, i.S_T, j.S_T,
     k.S_T; the four rotations are involutive actions, so membership is
     tested by flipping z back and asking for z' in S_T.  Samples within
-    tol of a sign boundary are reported as ties, not failures.  Heights
+    _TOL of a sign boundary are reported as ties, not failures.  Heights
     are drawn from [T, 4T], so 4T must be finite: past it every sample
     would sit at y = inf, outside the space.
     """
@@ -388,8 +385,8 @@ def verify_cusp_decomposition(
     for _ in range(sample_count):
         z = PointH4(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5),
                     rng.uniform(T, 4.0 * T))
-        near_boundary = min(abs(z.x1), abs(z.x2)) <= tol
-        hits = [name for name, flip in _CUSP_FLIPS if is_in_region(flip(z), "S_T", T=T, tol=tol)]
+        near_boundary = min(abs(z.x1), abs(z.x2)) <= _TOL
+        hits = [name for name, flip in _CUSP_FLIPS if is_in_region(flip(z), "S_T", T=T)]
         if near_boundary:
             ties += 1
             continue

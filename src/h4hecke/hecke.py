@@ -60,6 +60,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Union
 
 from .quaternions import (
+    UNIT_FLIPS,
     LatticeVector,
     apply_matrix,
     conjugation_matrices,
@@ -302,9 +303,8 @@ def epsilon_factor(beta: Iterable[int], p: int) -> Fraction:
 
 # -- coefficient fields ----------------------------------------------------
 
-# Images of (b0, b1, b2) under conjugation by the unit quaternions:
-# u' gamma bar(u) flips two coordinate signs for u in {i, j, k}.
-_SIGN_PATTERNS = ((1, 1, 1), (-1, -1, 1), (-1, 1, -1), (1, -1, -1))
+# Images of (b0, b1, b2) under conjugation by the units 1, i, j, k.
+_SIGN_PATTERNS = ((1, 1, 1), *(flip for _, flip in UNIT_FLIPS.values()))
 
 
 class CoefficientField:
@@ -414,12 +414,8 @@ class CoefficientField:
 
     @property
     def is_sign_symmetric(self) -> bool:
-        for beta, value in self.entries.items():
-            for s in _SIGN_PATTERNS:
-                key = (s[0] * beta[0], s[1] * beta[1], s[2] * beta[2])
-                if self.entries.get(key) != value:
-                    return False
-        return True
+        """Whether symmetrized, a projection, fixes the field."""
+        return self.symmetrized() == self
 
     def at(self, beta: Optional[Iterable[int]]) -> QComplex:
         """Total lookup: zero off the support, off the lattice, and at 0."""

@@ -111,6 +111,8 @@ class SpectralForm:
             beta = (int(beta[0]), int(beta[1]), int(beta[2]))
             if beta == (0, 0, 0):
                 raise ValueError("spectral forms carry no constant term")
+            if lattice_norm(beta) > sys.float_info.max:  # K_{ir} takes 2 pi sqrt(N(beta)) y in doubles
+                raise ValueError("a beta of the form has a norm beyond the double range")
             if not cmath.isfinite(value):
                 raise ValueError(f"coefficient at {beta} must be finite, got {value}")
             clean.append((beta, complex(value)))
@@ -162,7 +164,8 @@ def _gram(form: SpectralForm, nodes: int) -> np.ndarray:
     coordinates and Re(beta x) a sum of one term per coordinate: G is a product of 1-d sums.
     """
     pts, wts = (0.5 * v for v in np.polynomial.legendre.leggauss(nodes))  # on [-1/2, 1/2]
-    betas = np.array([beta for beta, _ in form.entries], dtype=np.int64).reshape(-1, 3).T
+    # doubles, exact for |beta_i| < 2^53, so that no beta a form accepts overflows
+    betas = np.array([beta for beta, _ in form.entries], dtype=float).reshape(-1, 3).T
     diff = (betas[:, :, None] - betas[:, None, :])[..., None]  # beta_j - beta_k, shape (3, k, k, 1)
     # one factor per coordinate: the nodes along it, the other two coordinates held at 0
     return np.prod([_character(diff, *(unit[:, None] * pts)) @ wts for unit in np.eye(3)], axis=0)

@@ -220,8 +220,7 @@ def conjugate_action(alpha: Quaternion, beta: Sequence[int]) -> LatticeVector:
 
 def conjugation_matrix(alpha: Quaternion) -> tuple[tuple[int, int, int], ...]:
     """3x3 integer matrix of beta -> alpha' beta bar(alpha) on V3 (rows act on column vectors)."""
-    cols = [conjugate_action(alpha, e) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
-    return tuple(tuple(cols[j][i] for j in range(3)) for i in range(3))
+    return tuple(zip(*(conjugate_action(alpha, e) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))))
 
 
 def apply_matrix(mat: Sequence[Sequence[int]], beta: Sequence[int]) -> LatticeVector:
@@ -231,6 +230,11 @@ def apply_matrix(mat: Sequence[Sequence[int]], beta: Sequence[int]) -> LatticeVe
         mat[1][0] * b0 + mat[1][1] * b1 + mat[1][2] * b2,
         mat[2][0] * b0 + mat[2][1] * b1 + mat[2][2] * b2,
     )
+
+
+# name -> (u, flip) for the units u = i, j, k, in that order: conjugation by u multiplies
+# beta_r by flip[r], the diagonal of conjugation_matrix(u).  The one table of these flips.
+UNIT_FLIPS = {name: (u, tuple(conjugation_matrix(u)[r][r] for r in range(3))) for name, u in zip("ijk", UNITS[2::2])}
 
 
 @lru_cache(maxsize=None)
@@ -264,13 +268,8 @@ def scale_lattice(beta: Sequence[int], m: int) -> LatticeVector:
 
 def valuation(gamma, q: int):
     """Largest e with q^e dividing every coordinate; infinity for gamma = 0."""
-    if isinstance(gamma, Quaternion):
-        coords = [int(v) for v in gamma.coords()]
-    else:
-        coords = [int(v) for v in gamma]
-    g = 0
-    for c in coords:
-        g = math.gcd(g, abs(c))
+    coords = gamma.coords() if isinstance(gamma, Quaternion) else gamma
+    g = math.gcd(*(int(c) for c in coords))
     if g == 0:
         return math.inf
     e = 0
@@ -354,7 +353,10 @@ def verify_conjugation_lemmas(
     (int8 or int16 at the bounds the CLI, demos and benchmark use), and
     the tables as int8, since no valuation of an int64 exceeds 63.
     Part (iii) counts the representatives' v_p rows of part (i) as they
-    are computed, and part (iv) reads p^2 | c_i from the same v_p table.
+    are computed, and part (iv) counts v_p(C(alpha) delta) >= 2 on them:
+    alpha^* delta alpha = C(bar(alpha)) delta = C(alpha)^T delta, and
+    alpha -> bar(alpha) permutes the norm-p alpha, so each delta has as many
+    alpha with p^2 | C(alpha)^T delta as with p^2 | C(alpha) delta.
 
     Only the upper half of (i) and the orbit count of (iii) can fail, so
     only they are checked.  An integer matrix never lowers v_p: if p^k
@@ -386,10 +388,6 @@ def verify_conjugation_lemmas(
     n_beta = betas.shape[1]
     b0, b1, b2 = betas
     tables = {q: _valuation_table(q, m) for q in (p, *q_primes)}
-    psq_divides = tables[p] >= 2
-
-    def abs_rows(mat: np.ndarray) -> list[np.ndarray]:
-        return [np.abs(r[0] * b0 + r[1] * b1 + r[2] * b2) for r in mat]
 
     def val(rows: Sequence[np.ndarray], q: int) -> np.ndarray:
         t = tables[q]
@@ -409,7 +407,7 @@ def verify_conjugation_lemmas(
 
     for alpha, mat in zip(table.all_elements, mats):
         # (i) + (ii); conjugation is linear in beta.
-        conj = abs_rows(mat)
+        conj = [np.abs(r[0] * b0 + r[1] * b1 + r[2] * b2) for r in mat]
         vp_conj = val(conj, p)
         pairs += n_beta
         high = vp_conj > vp_beta + 2
@@ -432,9 +430,8 @@ def verify_conjugation_lemmas(
         # (iii) counts over the p+1 representatives, checked after the loop.
         if alpha in representatives:
             unequal += vp_conj != vp_beta
-        # (iv): alpha^* delta alpha has the transpose of the conjugation matrix.
-        star = abs_rows(mat.T)
-        counts += psq_divides.take(star[0]) & psq_divides.take(star[1]) & psq_divides.take(star[2])
+        # (iv), counted over bar(alpha): see the docstring.
+        counts += vp_conj >= 2
 
     if int(unequal.max()) > 2:
         idx = int(np.argmax(unequal))

@@ -169,6 +169,13 @@ def split_sharp_flat(A: CoefficientField, specs: Sequence[MultiplicitySpec], z) 
 
 # -- amplification -------------------------------------------------------------
 
+def _require_window_rows(lam_table: Mapping[int, EigenvalueTriple], window: PrimeWindow) -> None:
+    """A KeyError naming the primes of the window that the eigenvalue table lacks."""
+    missing = [p for p in window.primes if p not in lam_table]
+    if missing:
+        raise KeyError(f"eigenvalue table missing primes {missing}")
+
+
 def amplified_sum(
     A: CoefficientField,
     window: PrimeWindow,
@@ -178,9 +185,7 @@ def amplified_sum(
     z,
 ) -> float:
     """sum over beta in M(K) of |A(beta)|^2 * sum_{p in window, p not dividing beta} |lambda_ell(p)|^2."""
-    missing = [p for p in window.primes if p not in lam_table]
-    if missing:
-        raise KeyError(f"eigenvalue table missing primes {missing}")
+    _require_window_rows(lam_table, window)
     z = Fraction(z)
     den, nums = _numerators(A)
     total = 0.0
@@ -464,6 +469,7 @@ def inequality_report(which: str, **kw) -> SumReport:
         window: PrimeWindow = kw["window"]
         K, ell = kw["K"], kw["ell"]
         lam_table = kw["lam_table"]
+        _require_window_rows(lam_table, window)
         const_B = kw.get("const_B", 1.0)
         spec = MultiplicitySpec(ell, K, window)
         split = split_sharp_flat(A, [spec], z)

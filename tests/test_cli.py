@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import re
 import subprocess
 import sys
 import tempfile
@@ -146,6 +147,15 @@ class TestOtherFiles:
         path = tmp_path / "bad.csv"
         path.write_text("p,l1,l2,l3\n3,1,1,1\n")
         with pytest.raises(FileFormatError, match="header"):
+            parse_lambda_table(path)
+
+    @pytest.mark.parametrize("row,message", [("5,inf,0.1,1.5", "non-finite"), ("5,0.2,nan,1.5", "non-finite"),
+                                             ("5,0.2,0.1,x", "lambda3 must be a number")])
+    def test_lambda_table_values_checked(self, tmp_path, row, message):
+        # an inf row once reached sums partition and ended in an OverflowError traceback
+        path = tmp_path / "lam.csv"
+        path.write_text(f"p,lambda1,lambda2,lambda3\n3,1.0,0.5,0.1\n{row}\n")
+        with pytest.raises(FileFormatError, match=message):
             parse_lambda_table(path)
 
     def test_sampled_function_round_trip(self, tmp_path):
@@ -476,6 +486,7 @@ def bad_files(tmp_path):
         "coeff_list.json": '[{"beta": [1, 0, 0], "re": ["1"]}]',
         "coeff_frac_beta.json": '{"entries": [{"beta": [1.5, 0, 0], "re": ["1"]}]}',
         "form_frac_beta.json": '{"r": 1.0, "entries": [{"beta": [1.5, 0, 0], "re": 1.0, "im": 0.0}]}',
+        "form_huge_beta.json": '{"r": 1.0, "entries": [{"beta": [1e300, 0, 0], "re": 1.0, "im": 0.0}]}',
         "form_list.json": '[{"r": 1.0}]',
         "form_entries_3.json": '{"r": 1.0, "entries": 3}',
         "csv_ok.csv": "y,value\n1,1\n2,0.5\n",
@@ -484,6 +495,8 @@ def bad_files(tmp_path):
         "csv_one_column.csv": "y,value\n1\n",
         "lam_short_row.csv": "p,lambda1,lambda2,lambda3\n3,1.0,0.5\n",
         "lam_3_primes.csv": "p,lambda1,lambda2,lambda3\n3,1.0,0.5,0.1\n5,0.2,0.1,1.5\n7,0.3,0.4,1.2\n",
+        "lam_one_row.csv": "p,lambda1,lambda2,lambda3\n3,1.0,0.5,0.1\n",
+        "lam_inf_row.csv": "p,lambda1,lambda2,lambda3\n3,1.0,0.5,0.1\n5,inf,0.1,1.5\n7,0.3,0.4,1.2\n",
         "params.json": '{"delta": 0.5, "eps": 0.5, "A": 10}',
         "params_list.json": "[0.5, 0.5, 10]",
         "params_a_5.json": '{"delta": 0.5, "eps": 0.5, "A": 10, "a": 5}',
@@ -501,6 +514,9 @@ _REPORT_MISSING_OPTION = [
     (["sums", "report", "--which", "L6.3i", "--in", "{coeff}", "--z", "9", "--d", "1"], "--p"),
     (["sums", "report", "--which", "L6.4a", "--in", "{coeff}", "--z", "9", "--K", "1"], "--window-P"),
 ]
+
+
+_HUGE = str(10 ** 400)  # past the double range
 
 
 class TestBadInputsExit2:
@@ -551,6 +567,10 @@ class TestBadInputsExit2:
         ["sums", "compute", "--kind", "S", "--in", "{coeff_frac_beta}", "--z", "9"],
         ["maass", "eval", "--form", "{form_frac_beta}", "--point", "0.1,0.2,0.3,1"],
         *[argv for argv, _ in _REPORT_MISSING_OPTION],
+        ["maass", "eval", "--form", "{form_huge_beta}", "--point", "0.1,0.2,0.3,1"],
+        ["maass", "laplace-check", "--beta", f"{_HUGE},0,0", "--r", "1"],
+        ["geom", "act", "--matrix", _HUGE, *["0"] * 11, _HUGE, "0", "0", "0", "--point", "0,0,0,0.5"],
+        ["sums", "partition", "--y", "1e8", "--lambda-table", "{lam_inf_row}"],
     ])
     def test_exits_2_with_one_error_line(self, argv, form_files, bad_files, capsys, time_limit):
         assert _exit_code([a.format(**form_files, **bad_files) for a in argv], time_limit) == 2
@@ -566,11 +586,36 @@ class TestBadInputsExit2:
         err = capsys.readouterr().err.strip()
         assert err == f"usage error: sums report --which {argv[3]} needs {flag}", err
 
+    def test_missing_window_prime_is_named(self, bad_files, capsys, time_limit):
+        # this once printed only "usage error: 7", the first prime of the window [7, 14]
+        argv = ["sums", "report", "--which", "L6.5", "--in", bad_files["coeff"], "--z", "9", "--K", "1",
+                "--ell", "1", "--window-P", "14", "--lambda-table", bad_files["lam_one_row"]]
+        assert _exit_code(argv, time_limit) == 2
+        assert capsys.readouterr().err.strip() == "usage error: eigenvalue table missing primes [7, 11, 13]"
+
     def test_key_error_message_printed_without_quotes(self, bad_files, capsys, time_limit):
         argv = ["sums", "report", "--which", "Cor6.2", "--in", bad_files["coeff"], "--z", "9", "--d", "11",
                 "--lambda-table", bad_files["lam_3_primes"]]
         assert _exit_code(argv, time_limit) == 2
         assert capsys.readouterr().err.strip() == "usage error: eigenvalue table missing the prime 11 of d = 11"
+
+
+class TestCuspCrossCheck:
+    # the difference was once divided by max(|value|, 1e-300), so at T = 55 the sides
+    # 1.765e-305 and 6.009e-306 read 1.2e-5 apart and passed, as did a subnormal or zero side
+    def test_disagreeing_sides_fail(self, form_files, capsys, time_limit):
+        argv = ["maass", "cusp", "--form", form_files["form"], "--T", "55", "--cross-check"]
+        assert _exit_code(argv, time_limit) == 1
+        rel = float(re.search(r"relative difference ([^)]+)\)", capsys.readouterr().err).group(1))
+        assert 0.6 < rel < 0.7
+
+    @pytest.mark.parametrize("T", ["58", "60"])
+    def test_subnormal_or_zero_side_refused(self, T, form_files, capsys, time_limit):
+        argv = ["maass", "cusp", "--form", form_files["form"], "--T", T, "--cross-check"]
+        assert _exit_code(argv, time_limit) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage error: the coefficient side at T = {float(T)} is ")
+        assert "0 or subnormal" in err and len(err.splitlines()) == 1
 
 
 _FUZZ_FLOATS = ["nan", "inf", "-inf", "-1", "0", "0.5", "1e308", "x"]

@@ -303,6 +303,27 @@ class TestReduction:
             assert max(abs(a - b) for a, b in zip(via_word.as_tuple(), reduced.as_tuple())) < 1e-9
 
 
+class TestRotationFlips:
+    def test_act_of_rotation_is_the_flipped_point(self):
+        # diag(u, u') moves (x0, x1, x2, y) by the sign flip of u and keeps y
+        rng = random.Random(11)
+        flips = {"i": (-1, -1, 1), "j": (-1, 1, -1), "k": (1, -1, -1)}
+        for _ in range(300):
+            z = PointH4(rng.uniform(-3, 3), rng.uniform(-3, 3), rng.uniform(-3, 3), rng.uniform(0.05, 50))
+            for axis, (s0, s1, s2) in flips.items():
+                assert act(rotation(axis), z) == PointH4(s0 * z.x0, s1 * z.x1, s2 * z.x2, z.y), (axis, z)
+
+    def test_cusp_flips_match_the_rotations(self):
+        from h4hecke.geometry import _CUSP_FLIPS
+        rng = random.Random(12)
+        assert [name for name, _ in _CUSP_FLIPS] == ["identity", "rot_i", "rot_j", "rot_k"]
+        for _ in range(100):
+            z = PointH4(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5), rng.uniform(1, 8))
+            assert _CUSP_FLIPS[0][1](z) == z
+            for name, flip in _CUSP_FLIPS[1:]:
+                assert flip(z) == act(rotation(name[-1]), z)
+
+
 class TestCuspDecomposition:
     def test_specific_interior_points(self):
         from h4hecke.geometry import _CUSP_FLIPS

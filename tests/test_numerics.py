@@ -135,6 +135,12 @@ class TestEvaluateForm:
         with pytest.raises(ValueError, match="3 coordinates"):
             SpectralForm(r=1.0, entries=(((1, 0), 1.0),))
 
+    def test_beta_past_the_double_range_rejected(self):
+        # such an N(beta) once reached math.sqrt and raised OverflowError
+        with pytest.raises(ValueError, match="beyond the double range"):
+            SpectralForm.from_dict(1.0, {(10 ** 155, 0, 0): 1.0})
+        SpectralForm.from_dict(1.0, {(10 ** 154, 0, 0): 1.0})  # N(beta) = 1e308 fits
+
 
 class TestParseval:
     def test_single_coefficient(self):
@@ -215,6 +221,13 @@ class TestGramBoxRule:
                 assert abs(value - ref) <= 1e-12 * ref, (form, y, value, ref)
                 checked += ref > 0
         assert checked >= 40
+
+    def test_beta_past_int64(self):
+        # the betas were once an int64 array, which a coordinate of 1e19 overflowed
+        one = SpectralForm.from_dict(1.0, {(1, 0, 0): 1.0})
+        wide = SpectralForm.from_dict(1.0, {(1, 0, 0): 1.0, (10 ** 19, 0, 0): 1.0})
+        assert parseval_check(wide, 1.0).rel_error < 1e-12
+        assert direct_cusp_integral(wide, 1.5) == pytest.approx(direct_cusp_integral(one, 1.5), rel=1e-12)
 
     def test_gram_is_hermitian_with_unit_diagonal(self):
         for form in _gram_test_forms():

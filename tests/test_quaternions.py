@@ -12,6 +12,7 @@ from h4hecke.clifford import CliffordElement
 from h4hecke.hecke import CoefficientField, epsilon_factor, legendre_symbol
 from h4hecke.sums import PrimeWindow
 from h4hecke.quaternions import (
+    UNIT_FLIPS,
     LemmaSweepError,
     Quaternion,
     UNITS,
@@ -124,6 +125,14 @@ class TestConjugation:
         reps = orbit_representatives(p).representatives
         assert star_conjugation_matrices(p) == tuple(tuple(zip(*conjugation_matrix(a))) for a in reps)
 
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+    def test_conjugate_alpha_has_transposed_matrix(self, p):
+        # C(bar(alpha)) = C(alpha)^T, and bar permutes the norm-p alpha: the sweep counts (iv) by this
+        elements = orbit_representatives(p).all_elements
+        for alpha in elements:
+            assert conjugation_matrix(alpha.conjugate()) == tuple(zip(*conjugation_matrix(alpha))), alpha
+        assert sorted((a.conjugate() for a in elements), key=Quaternion.coords) == list(elements)
+
     def test_matrix_matches_action(self):
         alpha = Quaternion(2, -1, 0, 1)
         mat = conjugation_matrix(alpha)
@@ -140,6 +149,19 @@ def _to_clifford(q: Quaternion) -> CliffordElement:
     return CliffordElement(2, {
         (): Fraction(q.a), (1,): Fraction(q.b), (2,): Fraction(q.c), (1, 2): Fraction(q.d),
     })
+
+
+class TestUnitFlips:
+    def test_table(self):
+        assert [(name, u.coords(), flip) for name, (u, flip) in UNIT_FLIPS.items()] == [
+            ("i", (0, 1, 0, 0), (-1, -1, 1)), ("j", (0, 0, 1, 0), (-1, 1, -1)), ("k", (0, 0, 0, 1), (1, -1, -1))]
+
+    def test_flips_are_the_diagonals_of_the_unit_conjugations(self):
+        for u, flip in UNIT_FLIPS.values():
+            assert conjugation_matrix(u) == tuple(tuple(flip[r] if r == c else 0 for c in range(3)) for r in range(3))
+            for beta in ((1, 0, 0), (0, 1, 0), (0, 0, 1), (2, -3, 5)):
+                image = quaternion_to_lattice(u.main() * lattice_to_quaternion(beta) * u.conjugate())
+                assert image == tuple(s * b for s, b in zip(flip, beta))
 
 
 class TestCliffordAgreement:
