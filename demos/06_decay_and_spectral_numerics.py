@@ -34,7 +34,7 @@ params = DecayParams(delta=0.125, eps=0.25, A=10.0)
 R = compute_R(params.A, params.M, params.eps)
 f = power_law_function(0.125, log_power=2.0, scale=3.0, y_max=math.exp(24))
 hyp = check_recursive_hypothesis(f, params)
-conclusion = check_decay_conclusion(f, math.inf, R, params.delta)
+conclusion = check_decay_conclusion(f, R, params.delta)
 print(f"synthetic f: hypothesis passed = {hyp.passed} (worst margin {hyp.worst_margin:.3f})")
 print(f"decay envelope C (1+log y)^{R} / y^{params.delta}: minimal C = {conclusion.minimal_C:.4f}")
 

@@ -21,8 +21,8 @@ All logs are natural.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -74,17 +74,19 @@ def compute_R(A: float, M: int, eps: float) -> int:
 
 @dataclass(frozen=True)
 class SampledFunction:
-    """f on a multiplicative grid, in [0, 1], f(1) = 1, zero beyond the grid."""
+    """f on a multiplicative grid, finite and in [0, 1], f(1) = 1, zero past the last grid point."""
 
     grid: np.ndarray        # ascending y values, grid[0] == 1
     values: np.ndarray      # f(grid)
-    support_bound: float    # f == 0 for y > support_bound
+    log_grid: np.ndarray = field(init=False, repr=False)  # log(grid), the one log every read shares
 
     def __post_init__(self):
         grid = np.asarray(self.grid, dtype=float)
         values = np.asarray(self.values, dtype=float)
         if grid.ndim != 1 or grid.shape != values.shape or grid.size < 2:
             raise ValueError("grid and values must be matching 1-d arrays")
+        if not (np.isfinite(grid).all() and np.isfinite(values).all()):
+            raise ValueError("grid and values must be finite numbers")
         if abs(grid[0] - 1.0) > 1e-12:
             raise ValueError("grid must start at y = 1")
         if np.any(np.diff(grid) <= 0):
@@ -95,25 +97,25 @@ class SampledFunction:
             raise ValueError("values must lie in [0, 1]")
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "values", np.clip(values, 0.0, 1.0))
+        object.__setattr__(self, "log_grid", np.log(grid))
 
     @classmethod
     def from_callable(cls, f: Callable[[float], float], *, y_max: float, h: float = 0.05) -> "SampledFunction":
         n = math.ceil(math.log(y_max) / h)
         grid = np.exp(h * np.arange(n + 1))
         values = np.array([f(float(y)) for y in grid])
-        return cls(grid=grid, values=values, support_bound=float(grid[-1]))
+        return cls(grid=grid, values=values)
 
-    @property
-    def log_spacing(self) -> float:
-        return float(np.max(np.diff(np.log(self.grid))))
+    def at_log(self, t: np.ndarray) -> np.ndarray:
+        """f(exp(t)) by log-linear interpolation for t >= 0; 0 where exp(t) > grid[-1] (1 + 1e-12)."""
+        inside = t <= self.log_grid[-1] + math.log1p(1e-12)
+        return np.where(inside, np.interp(t, self.log_grid, self.values), 0.0)
 
     def value(self, y: float) -> float:
-        """Log-linear interpolation; 0 beyond the support bound."""
+        """f(y), read as at_log reads it."""
         if y < 1:
             raise ValueError("domain is [1, oo)")
-        if y > self.support_bound * (1 + 1e-12):
-            return 0.0
-        return float(np.interp(math.log(y), np.log(self.grid), self.values))
+        return float(self.at_log(math.log(y)))
 
 
 @dataclass(frozen=True)
@@ -125,33 +127,38 @@ class DecayParams:
     b_funcs: tuple[Callable[[float], float], ...] = ()
 
     def __post_init__(self):
-        if self.delta <= 0:
-            raise ValueError("Delta must be positive")
+        if not 0 < self.delta < math.inf:
+            raise ValueError("Delta must be a positive finite number")
         if not 0 < self.eps < 1:
             raise ValueError("eps must lie in (0, 1)")
-        if self.A < 10:
-            raise ValueError("A must be at least 10")
+        if not 10 <= self.A < math.inf:
+            raise ValueError("A must be a finite number of at least 10")
 
     @property
     def M(self) -> int:
         return len(self.a_funcs)
 
-    @property
-    def N(self) -> int:
-        return len(self.b_funcs)
+    def envelopes(self, ys: np.ndarray, logy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """a_m(ys) and b_n(ys) as rows, each envelope called once per point; logy = log(ys).
 
-    def validate_envelopes(self, grid: Sequence[float]) -> None:
-        """Check 1 >= a_m(y) >= eps and b_n(y) >= eps (1 + log y)^eps on the grid."""
-        for y in grid:
-            for m, a in enumerate(self.a_funcs):
-                v = a(float(y))
-                if not self.eps - 1e-12 <= v <= 1 + 1e-12:
-                    raise ValueError(f"a_{m + 1}({y}) = {v} outside [eps, 1]")
-            floor = self.eps * (1 + math.log(y)) ** self.eps
-            for n, b in enumerate(self.b_funcs):
-                v = b(float(y))
-                if v < floor - 1e-12:
-                    raise ValueError(f"b_{n + 1}({y}) = {v} below eps (1 + log y)^eps = {floor}")
+        Raises at the first y, a before b, where 1 >= a_m(y) >= eps or
+        oo > b_n(y) >= eps (1 + log y)^eps fails; NaN fails both.
+        """
+        raw = [[g(float(y)) for y in ys] for g in (*self.a_funcs, *self.b_funcs)]
+        vals = np.array(raw, dtype=float).reshape(-1, len(ys))
+        a, b = vals[:self.M], vals[self.M:]
+        floor = self.eps * (1 + logy) ** self.eps
+        good = np.concatenate([(self.eps - 1e-12 <= a) & (a <= 1 + 1e-12), (floor - 1e-12 <= b) & (b < math.inf)])
+        if not good.all():
+            i, k = divmod(int(np.argmin(good.T)), len(raw))
+            y, v, n = ys[i], raw[k][i], k - self.M + 1
+            if n < 1:
+                raise ValueError(f"a_{k + 1}({y}) = {v} outside [eps, 1]")
+            if not v < math.inf:
+                raise ValueError(f"b_{n}({y}) = {v} is not a finite number")
+            floor_y = self.eps * (1 + math.log(y)) ** self.eps
+            raise ValueError(f"b_{n}({y}) = {v} below eps (1 + log y)^eps = {floor_y}")
+        return a, b
 
 
 @dataclass(frozen=True)
@@ -163,59 +170,50 @@ class HypothesisReport:
 
 
 def check_recursive_hypothesis(f: SampledFunction, params: DecayParams) -> HypothesisReport:
-    """Evaluate the self-improving inequality at every grid point y >= A.
+    """Evaluate the self-improving inequality at every grid point y >= A, as arrays over the points.
 
-    The right-hand side uses log-linear interpolation for the shifted
-    arguments; the grid must be fine enough that the shortest shift
-    y -> y^(1+eps) spans at least one grid cell at y = A.
+    Each shift y -> y^c is the product c log y, read back by log-linear
+    interpolation; the grid must be fine enough that the shortest shift
+    y -> y^(1+eps) spans at least one grid cell at y = A.  A term whose
+    f factor is 0 adds 0 even when its weight overflows, and a weight past
+    the double range against f > 0 makes that point's right side +inf.
     """
-    if f.log_spacing > params.eps * math.log(params.A):
-        raise ValueError(
-            f"grid too sparse: spacing {f.log_spacing} exceeds eps*log(A) = {params.eps * math.log(params.A)}"
-        )
-    params.validate_envelopes([y for y in f.grid if y >= params.A])
-    A, delta = params.A, params.delta
-    worst_margin = math.inf
-    worst_y = float(f.grid[0])
-    checked = 0
-    for y, fy in zip(f.grid, f.values):
-        y = float(y)
-        if y < A:
-            continue
-        checked += 1
-        rhs = math.log(y) ** A / y ** delta + f.value(y ** (1 + params.eps))
-        for a in params.a_funcs:
-            av = a(y)
-            rhs += y ** (-delta * av) * f.value(y ** (1 - av))
-        for b in params.b_funcs:
-            bv = b(y)
-            rhs += math.exp(-params.eps * bv) * y ** (delta * bv) * f.value(y ** (1 + bv))
-        rhs *= A
-        margin = rhs - float(fy)
-        if margin < worst_margin:
-            worst_margin = margin
-            worst_y = y
-    if checked == 0:
-        return HypothesisReport(passed=True, worst_margin=math.inf, worst_y=worst_y, points_checked=0)
-    return HypothesisReport(passed=worst_margin >= -1e-12, worst_margin=worst_margin,
-                            worst_y=worst_y, points_checked=checked)
+    A, delta, eps = params.A, params.delta, params.eps
+    spacing = float(np.diff(f.log_grid).max())
+    if spacing > eps * math.log(A):
+        raise ValueError(f"grid too sparse: spacing {spacing} exceeds eps*log(A) = {eps * math.log(A)}")
+    at = f.grid >= A
+    ys, logy = f.grid[at], f.log_grid[at]
+    if not ys.size:
+        return HypothesisReport(passed=True, worst_margin=math.inf, worst_y=float(f.grid[0]), points_checked=0)
+    a_vals, b_vals = params.envelopes(ys, logy)
+    with np.errstate(over="ignore"):
+        rhs = logy ** A / ys ** delta + f.at_log((1 + eps) * logy)
+        for av in a_vals:
+            rhs += ys ** (-delta * av) * f.at_log((1 - av) * logy)
+        for bv in b_vals:
+            fb = f.at_log((1 + bv) * logy)
+            # e^(-eps b) y^(Delta b) as one exp, so an underflowing factor never meets an overflowing one
+            rhs += np.where(fb > 0, np.exp(bv * (delta * logy - eps)), 0.0) * fb
+    margins = A * rhs - f.values[at]
+    i = int(np.argmin(margins))
+    return HypothesisReport(passed=bool(margins[i] >= -1e-12), worst_margin=float(margins[i]),
+                            worst_y=float(ys[i]), points_checked=int(ys.size))
 
 
 @dataclass(frozen=True)
 class ConclusionReport:
-    holds: bool
     minimal_C: float
     worst_y: float
 
 
-def check_decay_conclusion(f: SampledFunction, C: float, R: int, delta: float) -> ConclusionReport:
-    """Check f(y) <= C (1 + log y)^R / y^delta on the grid; report the minimal C."""
-    envelope = (1 + np.log(f.grid)) ** R / f.grid ** delta
-    ratios = f.values / envelope
+def check_decay_conclusion(f: SampledFunction, R: int, delta: float) -> ConclusionReport:
+    """The least C with f(y) <= C (1 + log y)^R / y^delta on the grid, and the y that needs it."""
+    with np.errstate(over="ignore", divide="ignore"):
+        envelope = (1 + f.log_grid) ** R / f.grid ** delta
+        ratios = np.divide(f.values, envelope, out=np.zeros_like(f.values), where=f.values > 0)
     idx = int(np.argmax(ratios))
-    minimal_C = float(ratios[idx])
-    return ConclusionReport(holds=bool(np.all(f.values <= C * envelope * (1 + 1e-12))),
-                            minimal_C=minimal_C, worst_y=float(f.grid[idx]))
+    return ConclusionReport(minimal_C=float(ratios[idx]), worst_y=float(f.grid[idx]))
 
 
 def half_sup_witness(f: SampledFunction, delta: float, r: float) -> float:
@@ -226,7 +224,7 @@ def half_sup_witness(f: SampledFunction, delta: float, r: float) -> float:
     holds on the grid with constant 1.
     """
     g = f.grid ** delta * f.values
-    ratios = g / (1 + np.log(f.grid)) ** r
+    ratios = g / (1 + f.log_grid) ** r
     return float(f.grid[int(np.argmax(ratios))])
 
 

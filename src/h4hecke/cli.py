@@ -279,7 +279,7 @@ def _cmd_asym_verify(args) -> int:
     params = files.parse_decay_params(args.params)
     hyp = asymptotics.check_recursive_hypothesis(f, params)
     R = asymptotics.compute_R(params.A, params.M, params.eps)
-    conclusion = asymptotics.check_decay_conclusion(f, math.inf, R, params.delta)
+    conclusion = asymptotics.check_decay_conclusion(f, R, params.delta)
     payload = {
         "hypothesis_passed": hyp.passed,
         "worst_margin": hyp.worst_margin,

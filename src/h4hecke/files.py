@@ -168,7 +168,7 @@ def parse_sampled_function(path: Union[str, Path]) -> SampledFunction:
             vals.append(float(row[1]))
     if not ys:
         raise FileFormatError("function file has no y,value rows")
-    return SampledFunction(grid=np.array(ys), values=np.array(vals), support_bound=ys[-1])
+    return SampledFunction(grid=np.array(ys), values=np.array(vals))
 
 
 def write_sampled_function(f: SampledFunction, path: Union[str, Path]) -> None:

@@ -231,7 +231,8 @@ def act(g: IsometryMatrix, z) -> PointH4:
 
     where ^* negates k only and w is the real scalar mu(g).  A k-part in the
     first term or an i, j, k part in w means g is not a similitude, and
-    raises AssertionError; a vanishing D raises ArithmeticError.  Whether g
+    raises AssertionError; a vanishing D raises ArithmeticError, and a result
+    outside the double range raises ValueError.  Whether g
     is a similitude is not checked exactly here; callers taking matrices
     from outside the program test is_similitude first.
     """
@@ -264,7 +265,10 @@ def act(g: IsometryMatrix, z) -> PointH4:
     stray = math.hypot(q[3], w[1], w[2], w[3])
     if stray > 1e-6 * (D + math.hypot(*q, *w)):
         raise AssertionError(f"action left the upper half-space model (stray part {stray / D})")
-    return PointH4(q[0] / D, q[1] / D, q[2] / D, w[0] / D)
+    out = (q[0] / D, q[1] / D, q[2] / D, w[0] / D)
+    if not (math.isfinite(out[0] + out[1] + out[2]) and 0 < out[3] < math.inf):
+        raise ValueError(f"the action overflows the double range: g . z computes to {out}")
+    return PointH4(*out)
 
 
 def apply_word(word: GeneratorWord, z) -> PointH4:

@@ -26,6 +26,14 @@ import numpy as np
 
 LatticeVector = tuple[int, int, int]
 
+# The largest prime p whose orbit table is built, and the largest bound P of a prime window.
+# One table costs about 0.2 s at p = 1009, 1.8 s at p = 10007 and 4.1 s at p = 20011, and a
+# full L6.4a window of the 73 primes in [500, 1000] takes about 8 s (2-vCPU host).
+MAX_PRIME = 1000
+# The largest coordinate bound of a lemma sweep.  Peak RSS grows by about 73 bytes per beta
+# (33 MB at bound 20, 44 MB at bound 30, p = 3), so bound 64, with 129^3 betas, needs an estimated 190 MB.
+MAX_SWEEP_BOUND = 64
+
 
 def is_prime(n: int) -> bool:
     if n < 2:
@@ -197,7 +205,9 @@ class NormPOrbitTable:
 
 @lru_cache(maxsize=None)
 def orbit_representatives(p: int) -> NormPOrbitTable:
-    """Deterministic orbit table for an odd prime p: exactly p+1 representatives."""
+    """Deterministic orbit table for an odd prime p <= MAX_PRIME: exactly p+1 representatives."""
+    if not p <= MAX_PRIME:
+        raise ValueError(f"p = {p} is past {MAX_PRIME}, the largest supported prime")
     require_odd_prime(p)
     elements = enumerate_norm(p)
     if len(elements) != 8 * (p + 1):
@@ -368,16 +378,17 @@ def verify_conjugation_lemmas(
     Returns counts on success; raises LemmaSweepError with the offending
     tuple otherwise.
     """
-    require_odd_prime(p)
     if coordinate_bound < 1:
         raise ValueError(f"coordinate bound must be at least 1, got {coordinate_bound}")
+    if coordinate_bound > MAX_SWEEP_BOUND:
+        raise ValueError(f"coordinate bound must be at most {MAX_SWEEP_BOUND}, got {coordinate_bound}")
+    table = orbit_representatives(p)
     if q_primes is None:
         q_primes = [q for q in (3, 5, 7, 11) if q != p]
     q_primes = tuple(require_odd_prime(q, "each q") for q in q_primes)
     if p in q_primes:
         raise ValueError(f"q primes must differ from p: {q_primes}")
 
-    table = orbit_representatives(p)
     representatives = set(table.representatives)
     mats = np.array([conjugation_matrix(alpha) for alpha in table.all_elements], dtype=np.int64)
     m = 3 * coordinate_bound * int(np.abs(mats).max())

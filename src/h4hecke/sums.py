@@ -36,7 +36,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .hecke import CoefficientField, EigenvalueTriple, QuadExt, _conj_sum, _numerators, hecke_relation_constant
-from .quaternions import LatticeVector, conjugation_matrices, lattice_norm, odd_primes_in, require_odd_prime
+from .quaternions import MAX_PRIME, LatticeVector, conjugation_matrices, lattice_norm, odd_primes_in, require_odd_prime
 
 
 def _divides_vector(d: int, beta: LatticeVector) -> bool:
@@ -125,6 +125,8 @@ class PrimeWindow:
 
     @classmethod
     def from_bound(cls, P: float, subset: Optional[Iterable[int]] = None) -> "PrimeWindow":
+        if not P <= MAX_PRIME:
+            raise ValueError(f"window bound P = {P:g} is past {MAX_PRIME}, the largest supported prime")
         primes = tuple(subset) if subset is not None else tuple(odd_primes_in(P / 2, P))
         return cls(P=float(P), primes=tuple(sorted(primes)))
 
@@ -241,6 +243,7 @@ def choose_parameters(
     K = math.ceil(math.e * B * scale * len(window) / (window.P / 2) ** (2 * ell * nu)) - 1
     table = {}
     if lam_table is not None:
+        _require_window_rows(lam_table, window)
         table = {p: eigen_power_sum(lam_table[p], ell) for p in window.primes}
     return ParameterChoice(power_sums=table, K=K, used_L=use_L)
 

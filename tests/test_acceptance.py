@@ -187,8 +187,8 @@ def test_accept_09_recursion_end_to_end():
         coarse = power_law_function(0.125, log_power=k, scale=scale, y_max=math.exp(24), h=0.05)
         fine = power_law_function(0.125, log_power=k, scale=scale, y_max=math.exp(24), h=0.025)
         assert check_recursive_hypothesis(coarse, params).passed
-        c0 = check_decay_conclusion(coarse, math.inf, R, params.delta).minimal_C
-        c1 = check_decay_conclusion(fine, math.inf, R, params.delta).minimal_C
+        c0 = check_decay_conclusion(coarse, R, params.delta).minimal_C
+        c1 = check_decay_conclusion(fine, R, params.delta).minimal_C
         assert math.isfinite(c0) and c0 > 0
         assert abs(c1 - c0) <= 0.10 * c0
     _pass(9, t0, f"5 hypothesis-passing functions decay with finite C, stable within 10% under h -> h/2")

@@ -1,5 +1,6 @@
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -61,11 +62,17 @@ class TestComputeR:
 class TestSampledFunction:
     def test_requires_f_of_one_equal_one(self):
         with pytest.raises(ValueError):
-            SampledFunction(grid=np.array([1.0, 2.0]), values=np.array([0.5, 0.1]), support_bound=2.0)
+            SampledFunction(grid=np.array([1.0, 2.0]), values=np.array([0.5, 0.1]))
+
+    @pytest.mark.parametrize("grid,values", [([1.0, 2.0, 3.0], [1.0, math.nan, 0.5]),
+                                             ([1.0, 2.0, math.inf], [1.0, 0.5, 0.5]),
+                                             ([1.0, math.nan, 3.0], [1.0, 0.5, 0.5])])
+    def test_non_finite_refused(self, grid, values):
+        with pytest.raises(ValueError, match="finite"):
+            SampledFunction(grid=np.array(grid), values=np.array(values))
 
     def test_interpolation_is_log_linear(self):
-        f = SampledFunction(grid=np.array([1.0, math.e ** 2]), values=np.array([1.0, 0.0]),
-                            support_bound=math.e ** 2)
+        f = SampledFunction(grid=np.array([1.0, math.e ** 2]), values=np.array([1.0, 0.0]))
         assert f.value(math.e) == pytest.approx(0.5)
 
     def test_zero_beyond_support(self):
@@ -78,6 +85,46 @@ class TestSampledFunction:
         assert f.values[0] == 1.0
 
 
+def reference_hypothesis(f, params):
+    """The per-point loop that the array check replaced: (passed, worst_margin, worst_y, points_checked).
+
+    It reads f by its own log-linear interpolation, zero past grid[-1] (1 + 1e-12),
+    and makes each power y^c with Python floats.
+    """
+    log_grid = np.log(f.grid)
+
+    def value(y):
+        return 0.0 if y > f.grid[-1] * (1 + 1e-12) else float(np.interp(math.log(y), log_grid, f.values))
+
+    A, delta, eps = params.A, params.delta, params.eps
+    worst_margin, worst_y, checked = math.inf, float(f.grid[0]), 0
+    for y, fy in zip(f.grid, f.values):
+        y = float(y)
+        if y < A:
+            continue
+        checked += 1
+        rhs = math.log(y) ** A / y ** delta + value(y ** (1 + eps))
+        for a in params.a_funcs:
+            av = a(y)
+            rhs += y ** (-delta * av) * value(y ** (1 - av))
+        for b in params.b_funcs:
+            bv = b(y)
+            rhs += math.exp(-eps * bv) * y ** (delta * bv) * value(y ** (1 + bv))
+        margin = A * rhs - float(fy)
+        if margin < worst_margin:
+            worst_margin, worst_y = margin, y
+    return worst_margin >= -1e-12, worst_margin, worst_y, checked
+
+
+class TestDecayParams:
+    @pytest.mark.parametrize("kw,message", [({"delta": math.nan}, "Delta"), ({"delta": math.inf}, "Delta"),
+                                            ({"A": math.nan}, "A must"), ({"A": math.inf}, "A must"),
+                                            ({"eps": math.nan}, "eps")])
+    def test_non_finite_refused(self, kw, message):
+        with pytest.raises(ValueError, match=message):
+            DecayParams(**{"delta": 0.125, "eps": 0.25, "A": 10.0, **kw})
+
+
 class TestHypothesis:
     def params(self, delta=0.125, eps=0.25, A=10.0, a=(), b=()):
         return DecayParams(delta=delta, eps=eps, A=A,
@@ -88,7 +135,7 @@ class TestHypothesis:
         grid = np.exp(0.05 * np.arange(200))
         values = np.zeros(200)
         values[0] = 1.0
-        f = SampledFunction(grid=grid, values=values, support_bound=float(grid[-1]))
+        f = SampledFunction(grid=grid, values=values)
         report = check_recursive_hypothesis(f, self.params())
         assert report.passed
 
@@ -128,6 +175,58 @@ class TestHypothesis:
         with pytest.raises(ValueError, match="below"):
             check_recursive_hypothesis(f, bad_b)
 
+    @pytest.mark.parametrize("a,b", [((), ()), ((0.5, 0.25), (3.0,))])
+    def test_matches_per_point_reference(self, a, b):
+        wild = SampledFunction.from_callable(lambda y: 1.0 if y < 10 else min(1.0, y ** -0.125),
+                                             y_max=math.exp(20), h=0.04)
+        profiles = [power_law_function(0.125, log_power=k, scale=scale, y_max=math.exp(24), h=h)
+                    for h in (0.05, 0.01) for scale, k in ((1.0, 0.0), (3.0, 1.0), (1.5, 3.0))]
+        cases = [(f, self.params(a=a, b=b)) for f in (*profiles, wild)]
+        failing = SampledFunction.from_callable(lambda y: 1.0, y_max=60.0, h=0.05)
+        cases.append((failing, self.params(delta=5.0, eps=1.0 - 1e-9, a=(1.0,) if a else ())))
+        for f, params in cases:
+            report = check_recursive_hypothesis(f, params)
+            passed, worst_margin, worst_y, checked = reference_hypothesis(f, params)
+            assert (report.passed, report.worst_y, report.points_checked) == (passed, worst_y, checked)
+            assert report.worst_margin == pytest.approx(worst_margin, rel=1e-12)
+
+    def test_each_envelope_called_once_per_point(self):
+        f = power_law_function(0.125, y_max=math.exp(20))
+        calls = {"a1": 0, "a2": 0, "b1": 0}
+
+        def counting(name, v):
+            def g(y):
+                calls[name] += 1
+                return v
+            return g
+
+        params = DecayParams(delta=0.125, eps=0.25, A=10.0, a_funcs=(counting("a1", 0.5), counting("a2", 0.25)),
+                             b_funcs=(counting("b1", 3.0),))
+        report = check_recursive_hypothesis(f, params)
+        assert report.points_checked == int(np.sum(f.grid >= 10.0))
+        assert calls == dict.fromkeys(calls, report.points_checked)
+
+    def test_hundred_thousand_point_grid(self, time_limit):
+        n = 100_001
+        grid = np.exp(np.linspace(0.0, 25.0, n))
+        f = SampledFunction(grid=grid, values=np.minimum(1.0, grid ** -0.125))
+        with time_limit(10):
+            report = check_recursive_hypothesis(f, self.params(a=(0.5,), b=(3.0,)))
+        assert report.passed
+        assert report.points_checked == int(np.sum(grid >= 10.0))
+
+    def test_overflowing_weights_give_a_verdict_without_warnings(self):
+        f = power_law_function(0.125, y_max=math.exp(20))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            # every b-term of y^(Delta b) with b = 400 lies past the support, so it adds 0
+            assert check_recursive_hypothesis(f, self.params(b=(400.0,))).passed
+            assert check_recursive_hypothesis(f, self.params(b=(4000.0,))).passed
+            # Delta = 1e300 asks f to vanish past y = A, which it does not
+            steep = check_recursive_hypothesis(f, self.params(delta=1e300, b=(400.0,)))
+            assert not steep.passed and math.isfinite(steep.worst_margin)
+            assert check_decay_conclusion(f, 16, 1e300).minimal_C == math.inf
+
     def test_behavior_below_A_is_unconstrained(self):
         # wild values on [1, A) must not affect the verdict
         def wild(y):
@@ -143,21 +242,20 @@ class TestConclusion:
         grid = np.exp(0.05 * np.arange(100))
         values = np.zeros(100)
         values[0] = 1.0
-        f = SampledFunction(grid=grid, values=values, support_bound=float(grid[-1]))
-        report = check_decay_conclusion(f, 1.0, 16, 0.125)
-        assert report.holds
+        f = SampledFunction(grid=grid, values=values)
+        report = check_decay_conclusion(f, 16, 0.125)
+        assert report.minimal_C <= 1.0 * (1 + 1e-12)
         assert report.minimal_C == pytest.approx(1.0)
 
     def test_pure_power_law_needs_C_one(self):
         f = power_law_function(0.125, y_max=math.exp(20))
-        report = check_decay_conclusion(f, 1.0, 16, 0.125)
-        assert report.holds
+        report = check_decay_conclusion(f, 16, 0.125)
+        assert report.minimal_C <= 1.0 * (1 + 1e-12)
         assert report.minimal_C == pytest.approx(1.0)
 
     def test_insufficient_C_detected(self):
         f = power_law_function(0.125, log_power=2.0, scale=5.0, y_max=math.exp(20))
-        tight = check_decay_conclusion(f, 1e-6, 16, 0.125)
-        assert not tight.holds
+        tight = check_decay_conclusion(f, 16, 0.125)
         assert tight.minimal_C > 1e-6
 
 
@@ -174,17 +272,18 @@ class TestEndToEnd:
         R = compute_R(params.A, params.M, params.eps)
         for f in self.synthetic_family(0.05):
             assert check_recursive_hypothesis(f, params).passed
-            report = check_decay_conclusion(f, math.inf, R, params.delta)
+            report = check_decay_conclusion(f, R, params.delta)
             assert math.isfinite(report.minimal_C)
-            assert check_decay_conclusion(f, report.minimal_C, R, params.delta).holds
+            envelope = (1 + np.log(f.grid)) ** R / f.grid ** params.delta
+            assert np.all(f.values <= report.minimal_C * envelope * (1 + 1e-12))
 
     def test_minimal_C_stable_under_refinement(self):
         R = 16
         coarse = self.synthetic_family(0.05)
         fine = self.synthetic_family(0.025)
         for fc, ff in zip(coarse, fine):
-            c0 = check_decay_conclusion(fc, math.inf, R, 0.125).minimal_C
-            c1 = check_decay_conclusion(ff, math.inf, R, 0.125).minimal_C
+            c0 = check_decay_conclusion(fc, R, 0.125).minimal_C
+            c1 = check_decay_conclusion(ff, R, 0.125).minimal_C
             assert abs(c1 - c0) <= 0.1 * c0
 
 

@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -220,6 +221,14 @@ class TestCliCommands:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and "not a similitude" in err[0]
 
+    def test_geom_act_overflow_is_named(self, capsys):
+        # this once blamed the point: "point must have y > 0, got y = nan"
+        big = str(10 ** 200)
+        argv = ["geom", "act", "--matrix", big, *["0"] * 11, big, "0", "0", "0", "--point", "0,0,0,0.5"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == ("usage error: the action overflows the double range: "
+                                           "g . z computes to (0.0, 0.0, 0.0, nan)\n")
+
     def test_geom_reduce_tiny_height(self, capsys):
         assert main(["geom", "reduce", "--point", "0,0,0,1e-200"]) == 0
         out = capsys.readouterr().out
@@ -349,6 +358,20 @@ class TestCliCommands:
         ppath.write_text(json.dumps({"delta": 0.125, "eps": 0.25, "A": 10.0, "a": [], "b": []}))
         assert main(["asym", "verify", "--f", str(fpath), "--params", str(ppath)]) == 0
         assert "PASS" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("params,codes", [
+        ({"delta": 0.125, "eps": 0.25, "A": 10, "b": [400]}, (0,)),
+        ({"delta": 1e300, "eps": 0.25, "A": 10}, (0, 1)),
+    ])
+    def test_asym_verify_large_constants_give_a_verdict(self, params, codes, tmp_path, capsys):
+        # both once ended in OverflowError: (34, 'Numerical result out of range')
+        write_sampled_function(power_law_function(0.125, y_max=math.exp(20)), tmp_path / "f.csv")
+        (tmp_path / "params.json").write_text(json.dumps(params))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["asym", "verify", "--f", str(tmp_path / "f.csv"), "--params", str(tmp_path / "params.json")])
+        assert code in codes
+        assert capsys.readouterr().err == ""
 
     def test_maass_commands(self, tmp_path, capsys):
         form = SpectralForm.from_dict(1.0, {(1, 0, 0): 1.0, (0, 1, 0): 0.5j})
@@ -493,6 +516,8 @@ def bad_files(tmp_path):
         "csv_empty.csv": "",
         "csv_header_only.csv": "y,value\n",
         "csv_one_column.csv": "y,value\n1\n",
+        "csv_nan_row.csv": "y,value\n1,1\n2,nan\n3,0.5\n",
+        "csv_to_32.csv": "y,value\n1,1\n2,0.9\n4,0.8\n8,0.7\n16,0.6\n32,0.5\n",
         "lam_short_row.csv": "p,lambda1,lambda2,lambda3\n3,1.0,0.5\n",
         "lam_3_primes.csv": "p,lambda1,lambda2,lambda3\n3,1.0,0.5,0.1\n5,0.2,0.1,1.5\n7,0.3,0.4,1.2\n",
         "lam_one_row.csv": "p,lambda1,lambda2,lambda3\n3,1.0,0.5,0.1\n",
@@ -500,6 +525,8 @@ def bad_files(tmp_path):
         "params.json": '{"delta": 0.5, "eps": 0.5, "A": 10}',
         "params_list.json": "[0.5, 0.5, 10]",
         "params_a_5.json": '{"delta": 0.5, "eps": 0.5, "A": 10, "a": 5}',
+        "params_nan_delta.json": '{"delta": NaN, "eps": 0.5, "A": 10}',
+        "params_nan_b.json": '{"delta": 0.5, "eps": 0.5, "A": 10, "b": [NaN]}',
     }
     paths = {"out": str(tmp_path / "out.json")}
     for name, text in texts.items():
@@ -571,6 +598,14 @@ class TestBadInputsExit2:
         ["maass", "laplace-check", "--beta", f"{_HUGE},0,0", "--r", "1"],
         ["geom", "act", "--matrix", _HUGE, *["0"] * 11, _HUGE, "0", "0", "0", "--point", "0,0,0,0.5"],
         ["sums", "partition", "--y", "1e8", "--lambda-table", "{lam_inf_row}"],
+        ["asym", "verify", "--f", "{csv_nan_row}", "--params", "{params}"],
+        ["asym", "verify", "--f", "{csv_to_32}", "--params", "{params_nan_delta}"],
+        ["asym", "verify", "--f", "{csv_to_32}", "--params", "{params_nan_b}"],
+        ["sums", "report", "--which", "L6.4a", "--in", "{coeff}", "--z", "9", "--K", "1", "--window-P", "1e7"],
+        ["sums", "report", "--which", "L6.4a", "--in", "{coeff}", "--z", "9", "--K", "1", "--window-P", "1e300"],
+        ["quat", "reps", "--p", "1000003"],
+        ["sums", "compute", "--kind", "R", "--in", "{coeff}", "--p", "1000003", "--ell", "1", "--d", "1", "--z", "9"],
+        ["quat", "verify-lemmas", "--p", "3", "--bound", "100000"],
     ])
     def test_exits_2_with_one_error_line(self, argv, form_files, bad_files, capsys, time_limit):
         assert _exit_code([a.format(**form_files, **bad_files) for a in argv], time_limit) == 2

@@ -340,6 +340,12 @@ class TestParameters:
         with pytest.raises(ValueError):
             choose_parameters(1.0, w, 1.0, 1, 1.5)
 
+    def test_missing_window_primes_named(self):
+        # this once raised a bare KeyError(7)
+        lam = {3: EigenvalueTriple(3, 0.1, 0.1, 0.1)}
+        with pytest.raises(KeyError, match=r"missing primes \[7, 11, 13\]"):
+            choose_parameters(1.0, PrimeWindow.from_bound(14), 1.0, 1, 0.125, lam)
+
 
 class TestPartition:
     def table(self, lam1=0.001, lam2=0.001, lam3=1.2):
