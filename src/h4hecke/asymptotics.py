@@ -208,10 +208,14 @@ class ConclusionReport:
 
 
 def check_decay_conclusion(f: SampledFunction, R: int, delta: float) -> ConclusionReport:
-    """The least C with f(y) <= C (1 + log y)^R / y^delta on the grid, and the y that needs it."""
+    """The least C with f(y) <= C (1 + log y)^R / y^delta on the grid, and the y that needs it.
+
+    The ratio f y^delta / (1 + log y)^R is formed in log space, so it reads
+    +inf where it is past the double range (where (1 + log y)^R and y^delta
+    both overflow) and 0 where f is 0.
+    """
     with np.errstate(over="ignore", divide="ignore"):
-        envelope = (1 + f.log_grid) ** R / f.grid ** delta
-        ratios = np.divide(f.values, envelope, out=np.zeros_like(f.values), where=f.values > 0)
+        ratios = np.exp(np.log(f.values) + delta * f.log_grid - R * np.log1p(f.log_grid))
     idx = int(np.argmax(ratios))
     return ConclusionReport(minimal_C=float(ratios[idx]), worst_y=float(f.grid[idx]))
 

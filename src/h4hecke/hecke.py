@@ -37,10 +37,16 @@ without rounding.
 
 _conj_sum computes T_k by scattering from the support; its docstring
 holds the transposition argument that makes this exact, and sums.sum_R
-reads R^{p,l}_d off the same map.  _apply is the one copy of the
+reads R^{p,l}_d off the same map.  Every image S_i gamma of the support
+comes from one integer matrix product with a cached star block, the S_i
+side by side; it runs in int64 when the largest coordinate times
+3 max|C_i entry| p^max(k-2, 0) stays below 2^62, and on Python ints in
+an object array otherwise.  _apply is the one copy of the
 formulas above.  Its callers inject the scalar domain: complex doubles
 for the float twin, Python ints for the exact operators, on which every
-division is exact (see the integer-domain note below).
+division is exact (see the integer-domain note below).  A field converts
+to integer numerators over one per-field denominator once, and keeps
+them.
 
 Two finer properties need the Klein-group sign symmetry
 A(-b0,-b1,b2) = A(-b0,b1,-b2) = A(b0,-b1,-b2) = A(b0,b1,b2) that
@@ -57,12 +63,15 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from itertools import chain
 from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Union
+
+import numpy as np
 
 from .quaternions import (
     UNIT_FLIPS,
     LatticeVector,
-    apply_matrix,
     conjugation_matrices,
     conjugation_matrix,
     divide_lattice as _divide,
@@ -315,9 +324,11 @@ class CoefficientField:
     support and off the lattice).  `p` is inferred from the entries, as the
     declared prime joined with the primes of their parts, and every entry is
     promoted to it; two primes, or one that is not odd, raise ValueError.
+    A field is not changed after construction: it keeps its integer
+    numerators once they are first read (_numerators).
     """
 
-    __slots__ = ("p", "entries")
+    __slots__ = ("p", "entries", "_nums")
 
     def __init__(self, p: Optional[int], entries: Mapping[LatticeVector, QComplex]):
         if p is None:
@@ -335,6 +346,7 @@ class CoefficientField:
                 clean[beta] = value
         self.p = p
         self.entries = clean
+        self._nums = None
 
     @classmethod
     def zero(cls, p: Optional[int] = None) -> "CoefficientField":
@@ -433,7 +445,9 @@ class CoefficientField:
         return not self.entries
 
     def with_prime(self, p: int) -> "CoefficientField":
-        if self.p is not None and self.p != p:
+        if self.p == p:
+            return self
+        if self.p is not None:
             raise ValueError(f"field over Q(sqrt {self.p}) cannot be promoted to Q(sqrt {p})")
         return CoefficientField(p, self.entries)
 
@@ -484,6 +498,33 @@ def _hecke_weights(p: int, lift: Callable) -> _HeckeWeights:
                          (lift(-inv_p), lift(1 - inv_p)), lift(inv_p))
 
 
+@lru_cache(maxsize=128)
+def _star_block(mats) -> tuple[np.ndarray, int]:
+    """The S_i side by side as one (3, 3(p+1)) int64 block, and 3 max|C_i entry|.
+
+    Columns 3i..3i+2 of the block are C_i itself: gamma^T C_i = (S_i gamma)^T,
+    so one row gamma^T of the support times the block holds every S_i gamma.
+    The second value bounds max|S_i gamma| / max|gamma| (it is at most 3p
+    for norm-p representatives).
+    """
+    stack = np.array(mats, dtype=np.int64)
+    block = stack.transpose(1, 0, 2).reshape(3, -1)
+    block.flags.writeable = False  # one cached array serves every caller
+    return block, 3 * int(np.abs(stack).max())
+
+
+def _support_array(points: list, growth: int) -> np.ndarray:
+    """The points as an (n, 3) array: int64 when max|coordinate| * growth < 2^62, else Python ints."""
+    try:
+        arr = np.fromiter(chain.from_iterable(points), np.int64, 3 * len(points)).reshape(-1, 3)
+        # |x| read as uint64 is exact for every int64, -2^63 included
+        if not len(arr) or int(np.abs(arr).view(np.uint64).max()) * growth < 2 ** 62:
+            return arr
+    except OverflowError:
+        pass
+    return np.array(points, dtype=object).reshape(-1, 3)
+
+
 def _conj_sum(k: int, p: int, entries: Mapping[LatticeVector, object], mats) -> dict:
     """T_k A on a dict of scalars: beta -> sum_i A(C_i beta / p^k) at every beta with a support hit.
 
@@ -496,18 +537,35 @@ def _conj_sum(k: int, p: int, entries: Mapping[LatticeVector, object], mats) -> 
     term once, and no lookup misses.  N(beta) = p^(2k-2) N(gamma), so a
     caller that needs a ball of beta drops gamma first.  Sums that cancel
     to zero are kept.
+
+    Every S_i gamma comes from one integer matrix product of the (n, 3)
+    support with the star block (_star_block), and divisibility by p^(2-k)
+    is one array mask.  The product runs in int64 when
+    max|gamma_i| 3 max|C_i entry| p^max(k-2, 0) < 2^62, else on Python ints
+    in an object array, so it is exact either way.  The values are added
+    by the domain's own `+`, gamma-major and then star, as a loop over the
+    pairs would add them.
     """
-    stars = [tuple(zip(*mat)) for mat in mats]
-    shift = p ** abs(k - 2)
+    block, reach = _star_block(mats)
+    up = p ** max(k - 2, 0)
+    gammas = _support_array(list(entries), reach * up)
+    if gammas.dtype == object:
+        block = block.astype(object)
+    images = (gammas @ block).reshape(-1, 3)  # row g (p+1) + i is S_i gamma_g
+    values = list(entries.values())
+    m = len(mats)
+    if k < 2:
+        down = p ** (2 - k)
+        rest = images % down  # each in [0, down), so the OR of a row is 0 when all three are
+        rows = np.flatnonzero((rest[:, 0] | rest[:, 1] | rest[:, 2]) == 0)
+        images = images[rows] // down
+        values = [values[g] for g in (rows // m).tolist()]
+    else:
+        images = images * up if k > 2 else images
+        values = [v for v in values for _ in range(m)]
     acc = {}
-    for gamma, v in entries.items():
-        for star in stars:
-            beta = apply_matrix(star, gamma)
-            if k != 2:
-                beta = _scale(beta, shift) if k > 2 else _divide(beta, shift)
-                if beta is None:
-                    continue
-            acc[beta] = acc[beta] + v if beta in acc else v
+    for beta, v in zip(map(tuple, images.tolist()), values):
+        acc[beta] = acc[beta] + v if beta in acc else v
     return acc
 
 
@@ -572,12 +630,12 @@ def _apply(ell: int, p: int, entries: Mapping[LatticeVector, object], weights: _
 
 # -- the integer domain of the exact operators ---------------------------------
 #
-# A field over Q(sqrt p) is converted once: with D the lcm of its entry
-# denominators, each entry becomes four ints, the re/im x rational/sqrt(p)
-# parts, as numerators over the per-call denominator D p^3.  Divisibility
-# invariant: every input numerator is a multiple of p^3.  A weight n/p^k
-# (k <= 3) acts as "times n p^(3-k), then // p^3", exact on a multiple of
-# p^k, and p^(-1/2) maps a + b sqrt(p) to b + (a/p) sqrt(p), exact on a
+# A field over Q(sqrt p) is converted once, and keeps the result: with D the
+# lcm of its entry denominators, each entry becomes four ints, the re/im x
+# rational/sqrt(p) parts, as numerators over the per-field denominator D.  An
+# operator reads them over D p^3.  Divisibility invariant: every input
+# numerator is a multiple of p^3.  A weight n/p^k (k <= 3) acts as "times
+# n p^(3-k), then // p^3", exact on a multiple of p^k, and p^(-1/2) maps a + b sqrt(p) to b + (a/p) sqrt(p), exact on a
 # multiple of p.  _apply weights single numerators and also sums of them,
 # and a sum of multiples of p^k is again one: E, mid and p^(-1/2) act on
 # inputs, 1/p and 1_p - 1/p on H_3's T_2 A (a multiple of p^3), and the
@@ -587,7 +645,7 @@ def _apply(ell: int, p: int, entries: Mapping[LatticeVector, object], weights: _
 
 
 class _Num:
-    """(ra + rb sqrt p) + (ia + ib sqrt p) i as integer numerators over a per-call denominator."""
+    """(ra + rb sqrt p) + (ia + ib sqrt p) i as integer numerators over one shared denominator."""
 
     __slots__ = ("ra", "rb", "ia", "ib")
 
@@ -637,12 +695,22 @@ def _int_weights(p: int) -> _HeckeWeights:
 
 
 def _numerators(A: CoefficientField, scale: int = 1) -> tuple[int, dict[LatticeVector, _Num]]:
-    """(D scale, {beta: numerators of A(beta) over D scale}), D the lcm of the entry denominators."""
-    parts = [(v.re.a, v.re.b, v.im.a, v.im.b) for v in A.entries.values()]
-    den = math.lcm(*(x.denominator for row in parts for x in row)) * scale
-    return den, {beta: _Num(ra.numerator * (den // ra.denominator), rb.numerator * (den // rb.denominator),
-                            ia.numerator * (den // ia.denominator), ib.numerator * (den // ib.denominator))
-                 for beta, (ra, rb, ia, ib) in zip(A.entries, parts)}
+    """(D scale, {beta: numerators of A(beta) over D scale}), D the lcm of the entry denominators.
+
+    The pair at scale 1 is converted once per field and kept on it; every
+    other scale is one integer rescale of it.  Callers only read the dict.
+    """
+    if A._nums is None:
+        parts = [(v.re.a, v.re.b, v.im.a, v.im.b) for v in A.entries.values()]
+        den = math.lcm(*(x.denominator for row in parts for x in row))
+        A._nums = den, {beta: _Num(ra.numerator * (den // ra.denominator), rb.numerator * (den // rb.denominator),
+                                   ia.numerator * (den // ia.denominator), ib.numerator * (den // ib.denominator))
+                        for beta, (ra, rb, ia, ib) in zip(A.entries, parts)}
+    den, nums = A._nums
+    if scale == 1:
+        return den, nums
+    return den * scale, {beta: _Num(v.ra * scale, v.rb * scale, v.ia * scale, v.ib * scale)
+                         for beta, v in nums.items()}
 
 
 def _field(p: int, nums: Mapping[LatticeVector, _Num], den: int) -> CoefficientField:

@@ -51,7 +51,13 @@ def is_prime(n: int) -> bool:
 
 
 def require_odd_prime(n: int, name: str = "p") -> int:
-    """n itself when it is an odd prime; a ValueError naming it otherwise."""
+    """n itself when it is an odd prime up to MAX_PRIME; a ValueError naming it otherwise.
+
+    The ceiling is checked first, so a huge n is refused before is_prime
+    trial-divides up to its square root.
+    """
+    if not n <= MAX_PRIME:
+        raise ValueError(f"{name} = {n} is past {MAX_PRIME}, the largest supported prime")
     if n == 2 or not is_prime(n):
         raise ValueError(f"{name} must be an odd prime, got {n}")
     return n
@@ -206,8 +212,6 @@ class NormPOrbitTable:
 @lru_cache(maxsize=None)
 def orbit_representatives(p: int) -> NormPOrbitTable:
     """Deterministic orbit table for an odd prime p <= MAX_PRIME: exactly p+1 representatives."""
-    if not p <= MAX_PRIME:
-        raise ValueError(f"p = {p} is past {MAX_PRIME}, the largest supported prime")
     require_odd_prime(p)
     elements = enumerate_norm(p)
     if len(elements) != 8 * (p + 1):

@@ -17,12 +17,15 @@ two-sided empirical reports for the comparison inequalities the decay
 argument chains together.
 
 Every exact sum (S_d, R, the L6.4 double sum, the sharp/flat split and
-the amplified sum) runs on Python ints: a field is converted once per
-call to integer numerators over one denominator D (hecke._numerators),
+the amplified sum) runs on Python ints: a field is converted once to
+integer numerators over one per-field denominator D, which it keeps
+(hecke._numerators),
 _square_sum takes each |v|^2 on those ints, and only a total becomes an
 element of Q(sqrt p) over D^2, p the field's own prime (or its float).
 The inner sums sum_i A(conj_i(beta) / p^l) of R and L6.4 are the map T_l
-of the Hecke operators, scattered from the support by hecke._conj_sum.
+of the Hecke operators, scattered from the support by hecke._conj_sum
+as one integer matrix product with the star block of the S_i side by
+side (int64 while the images fit, Python ints beyond).
 _conj_ball holds their one condition N(beta) <= z: since
 N(beta) = p^(2l-2) N(gamma) for the beta a support point gamma reaches,
 it drops every gamma with p^(2l) N(gamma) > z p^2 first.

@@ -227,6 +227,18 @@ class TestHypothesis:
             assert not steep.passed and math.isfinite(steep.worst_margin)
             assert check_decay_conclusion(f, 16, 1e300).minimal_C == math.inf
 
+    def test_conclusion_past_the_double_range_reads_inf(self):
+        # R = 1094 with Delta = 1e300: (1 + log y)^R and y^Delta both overflow, and their
+        # quotient once read nan with a RuntimeWarning
+        f = power_law_function(0.125, y_max=math.exp(20), h=0.02)
+        R = compute_R(10, 3, 0.01)
+        assert R == 1094
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = check_decay_conclusion(f, R, 1e300)
+        assert report.minimal_C == math.inf
+        assert report.worst_y == f.grid[1]
+
     def test_behavior_below_A_is_unconstrained(self):
         # wild values on [1, A) must not affect the verdict
         def wild(y):

@@ -373,6 +373,17 @@ class TestCliCommands:
         assert code in codes
         assert capsys.readouterr().err == ""
 
+    def test_asym_verify_conclusion_past_the_double_range(self, tmp_path, capsys):
+        # R = 1094: this once printed minimal C=nan after a RuntimeWarning from the divide
+        write_sampled_function(power_law_function(0.125, y_max=math.exp(20), h=0.02), tmp_path / "f.csv")
+        (tmp_path / "params.json").write_text(json.dumps({"delta": 1e300, "eps": 0.01, "A": 10, "a": [0.5] * 3}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["asym", "verify", "--f", str(tmp_path / "f.csv"), "--params", str(tmp_path / "params.json")])
+        out, err = capsys.readouterr()
+        assert code == 1 and err == ""
+        assert "R=1094; minimal C=inf" in out
+
     def test_maass_commands(self, tmp_path, capsys):
         form = SpectralForm.from_dict(1.0, {(1, 0, 0): 1.0, (0, 1, 0): 0.5j})
         fpath = tmp_path / "form.json"
@@ -606,6 +617,8 @@ class TestBadInputsExit2:
         ["quat", "reps", "--p", "1000003"],
         ["sums", "compute", "--kind", "R", "--in", "{coeff}", "--p", "1000003", "--ell", "1", "--d", "1", "--z", "9"],
         ["quat", "verify-lemmas", "--p", "3", "--bound", "100000"],
+        ["hecke", "verify-relation", "--p", "1000000000000000000000000000057", "--trials", "1"],
+        ["quat", "verify-lemmas", "--p", "3", "--bound", "3", "--q", "1000000000000000000000000000057"],
     ])
     def test_exits_2_with_one_error_line(self, argv, form_files, bad_files, capsys, time_limit):
         assert _exit_code([a.format(**form_files, **bad_files) for a in argv], time_limit) == 2

@@ -3,10 +3,11 @@ import random
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from h4hecke import hecke
+from h4hecke import hecke, sums
 from h4hecke.hecke import (
     CoefficientField,
     EigenResidualReport,
@@ -380,12 +381,9 @@ class TestIntegerPath:
         # the operators are Q(sqrt p)(i)-linear, so equal columns H_ell delta_beta
         # for every |b_i| <= 3 prove the scatter pass equal to the gather form on
         # every field supported there, for the canonical and an alternative table
-        rng = random.Random(p)
-        reps = [rng.choice(UNITS[1:]) * r for r in orbit_representatives(p).representatives]
-        rng.shuffle(reps)
         box = [beta for beta in itertools.product(range(-3, 4), repeat=3) if any(beta)]
         assert len(box) == 342
-        for table in (None, tuple(reps)):
+        for table in (None, _alternative_reps(p, p)):
             for beta in box:
                 A = CoefficientField.delta(beta, 1, p=p)
                 for ell in (1, 2, 3):
@@ -421,6 +419,130 @@ class TestFloatPath:
                 assert got.keys() == expected.keys()
                 for beta, value in expected.items():
                     assert abs(got[beta] - value) <= 1e-14 * abs(value), (beta, ell)
+
+
+def _pair_conj_sum(k, p, entries, mats):
+    """T_k A by one apply_matrix per (support point, representative) pair: the reference for _conj_sum.
+
+    Adds A(gamma) at beta = p^(k-2) S_i gamma for every pair whose beta is
+    integral, gamma-major and then i, on the domain's own `+`.
+    """
+    shift = p ** abs(k - 2)
+    acc = {}
+    for gamma, v in entries.items():
+        for mat in mats:
+            beta = apply_matrix(tuple(zip(*mat)), gamma)
+            beta = scale_lattice(beta, shift) if k > 2 else divide_lattice(beta, shift)
+            if beta is not None:
+                acc[beta] = acc[beta] + v if beta in acc else v
+    return acc
+
+
+def _alternative_reps(p, seed):
+    """The canonical representatives times seeded non-identity units, shuffled."""
+    rng = random.Random(seed)
+    reps = [rng.choice(UNITS[1:]) * r for r in orbit_representatives(p).representatives]
+    rng.shuffle(reps)
+    return tuple(reps)
+
+
+class TestConjSum:
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_matches_pair_reference(self, p):
+        # equal dicts in equal order: the float sums then add in the same order, bit for bit
+        rng = random.Random(200 + p)
+        for table in (conjugation_matrices(p), tuple(map(conjugation_matrix, _alternative_reps(p, p)))):
+            for support, bound in ((1, 1), (8, 2), (30, 4), (60, 2 * p * p)):
+                points = {tuple(rng.randint(-bound, bound) for _ in range(3)) for _ in range(support)}
+                points.discard((0, 0, 0))
+                ints = {beta: rng.randint(-9, 9) for beta in points}
+                floats = {beta: complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for beta in points}
+                for k in range(5):
+                    for entries in (ints, floats):
+                        got = hecke._conj_sum(k, p, entries, table)
+                        expected = _pair_conj_sum(k, p, entries, table)
+                        assert list(got.items()) == list(expected.items()), (k, support, bound)
+
+    def test_zero_support(self):
+        assert hecke._conj_sum(0, 3, {}, conjugation_matrices(3)) == {}
+
+    @pytest.mark.parametrize("p", [3, 7])
+    def test_object_path_past_int64_matches_pair_reference(self, p):
+        mats = conjugation_matrices(p)
+        reach = hecke._star_block(mats)[1]
+        assert reach <= 3 * p
+        for k in range(5):
+            growth = reach * p ** max(k - 2, 0)
+            edge = 2 ** 62 // growth
+            assert hecke._support_array([(edge - 1, 0, 1)], growth).dtype == np.int64
+            for top in (edge + 1, 10 ** 30):
+                assert hecke._support_array([(-top, 0, 1)], growth).dtype == object
+                entries = {(top, 3, 0): 5, (-top, p * p, 2 * p): -2, (p * top, 1, -1): 7, (1, 2, 3): 1}
+                got = hecke._conj_sum(k, p, entries, mats)
+                expected = _pair_conj_sum(k, p, entries, mats)
+                assert list(got.items()) == list(expected.items()), (k, top)
+                assert all(type(c) is int for beta in got for c in beta)
+
+    @pytest.mark.parametrize("top", ["edge", 10 ** 30])
+    def test_huge_coordinates_exact_through_the_operators(self, top):
+        # the object path through H_1..H_3, both tables, against the QuadExt gather reference
+        p = 7
+        if top == "edge":  # the least coordinate the T_0, T_1, T_2 scatters take past int64
+            top = 2 ** 62 // hecke._star_block(conjugation_matrices(p))[1] + 1
+        A = CoefficientField(p, {(top, 3, 0): QComplex(QuadExt(p, Fraction(1, 3), Fraction(2)), QuadExt.of(1, p)),
+                                 (1, 2, 3): QComplex.of(5, p=p)})
+        for table in (None, _alternative_reps(p, 3)):
+            for ell in (1, 2, 3):
+                got = apply_hecke(ell, p, A, representatives=table)
+                expected = _quadext_apply(ell, p, A, table)
+                assert got == expected and _snapshot(got) == _snapshot(expected), (table, ell)
+        assert verify_hecke_relation(p, A).is_zero
+
+    def test_representatives_path_reads_its_own_block(self):
+        # an alternative table builds its own star block: its _conj_sum follows that table
+        p = 5
+        reps = _alternative_reps(p, 11)
+        alternative = tuple(map(conjugation_matrix, reps))
+        assert alternative != conjugation_matrices(p)
+        entries = {(1, 2, 0): 1, (0, 1, 1): 2, (3, -1, 4): -3}
+        for k in range(3):
+            assert hecke._conj_sum(k, p, entries, alternative) == _pair_conj_sum(k, p, entries, alternative)
+        A = CoefficientField(None, {beta: QComplex.of(v) for beta, v in entries.items()})
+        for ell in (1, 2, 3):
+            assert apply_hecke(ell, p, A, representatives=reps) == _quadext_apply(ell, p, A, reps)
+
+
+class TestNumeratorCache:
+    def test_repeated_reads_agree(self):
+        rng = random.Random(5)
+        for p in (3, 5, 7):
+            A = CoefficientField.random(rng, p=p, support=12, sqrt_parts=True).symmetrized()
+            first = [sums.sum_R(A, p, ell, 1, A.support_radius * p ** 2) for ell in (0, 1, 2)]
+            applied = [apply_hecke(ell, p, A) for ell in (1, 2, 3)]
+            again = [sums.sum_R(A, p, ell, 1, A.support_radius * p ** 2) for ell in (0, 1, 2)]
+            assert [repr(x) for x in first] == [repr(x) for x in again]
+            assert applied == [apply_hecke(ell, p, A) for ell in (1, 2, 3)]
+            fresh = CoefficientField(p, dict(A.entries))
+            assert applied == [apply_hecke(ell, p, fresh) for ell in (1, 2, 3)]
+
+    def test_scaled_read_leaves_the_cache_unchanged(self):
+        p = 5
+        A = CoefficientField(p, {(1, 0, 0): QComplex(QuadExt(p, Fraction(1, 2), Fraction(1, 3)), QuadExt.of(0)),
+                                 (0, 2, 1): QComplex.of(Fraction(-3, 4), 2, p=p)})
+        den, nums = hecke._numerators(A)
+        snapshot = {beta: (v.ra, v.rb, v.ia, v.ib) for beta, v in nums.items()}
+        assert den == 12 and snapshot == {(1, 0, 0): (6, 4, 0, 0), (0, 2, 1): (-9, 0, 24, 0)}
+        big_den, big = hecke._numerators(A, p ** 3)
+        assert big_den == 12 * p ** 3
+        assert {beta: (v.ra, v.rb, v.ia, v.ib) for beta, v in big.items()} == {
+            beta: tuple(c * p ** 3 for c in row) for beta, row in snapshot.items()}
+        assert hecke._numerators(A)[1] is nums
+        assert {beta: (v.ra, v.rb, v.ia, v.ib) for beta, v in nums.items()} == snapshot
+
+    def test_with_prime_keeps_the_field(self):
+        A = CoefficientField.delta((1, 2, 3), 2, p=7)
+        assert A.with_prime(7) is A
+        assert CoefficientField.delta((1, 2, 3), 2).with_prime(7) == A
 
 
 def _double_conjugation_hits(p, A, h3):

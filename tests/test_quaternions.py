@@ -377,6 +377,20 @@ class TestOddPrimeGuard:
         with pytest.raises(ValueError, match=f"must be an odd prime, got {n}"):
             call(n)
 
+    # a prime past MAX_PRIME is refused before is_prime trial-divides up to its square root
+    @pytest.mark.parametrize("n", [1009, 10 ** 30 + 57])
+    @pytest.mark.parametrize("call", [
+        lambda n: legendre_symbol(1, n),
+        lambda n: epsilon_factor((1, 0, 0), n),
+        lambda n: CoefficientField(n, {}),
+        lambda n: orbit_representatives(n),
+        lambda n: verify_conjugation_lemmas(3, 1, q_primes=(5, n)),
+        lambda n: PrimeWindow(P=2.0 * n, primes=(n,)),
+    ])
+    def test_past_max_prime_rejected_at_once(self, call, n, time_limit):
+        with time_limit(1), pytest.raises(ValueError, match=f"= {n} is past 1000, the largest supported prime"):
+            call(n)
+
     def test_odd_primes_pass(self):
         assert [quaternions.require_odd_prime(n) for n in (3, 5, 7, 97)] == [3, 5, 7, 97]
         assert list(quaternions.odd_primes_in(2, 20)) == [3, 5, 7, 11, 13, 17, 19]
