@@ -30,6 +30,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+import numpy as np
+
 from .quaternions import UNIT_FLIPS, Quaternion, hamilton_product
 
 Token = tuple
@@ -288,20 +290,25 @@ def cosh_distance(z, w) -> float:
 
 # -- regions and reduction ---------------------------------------------------
 
+def _in_F(x0, x1, x2, y, tol):
+    """F's inequalities with boundary slack tol, on floats or elementwise on numpy arrays."""
+    return (
+        (-0.5 - tol <= x0) & (x0 <= 0.5 + tol)
+        & (-tol <= x1) & (x1 <= 0.5 + tol)
+        & (-tol <= x2) & (x2 <= 0.5 + tol)
+        & (x0 * x0 + x1 * x1 + x2 * x2 + y * y >= 1.0 - tol)
+    )
+
+
 def is_in_region(z, region: str, T: float = 1.0, tol: float = _TOL) -> bool:
     """Membership in F, S_T, or the symmetric cusp box S~_T, with boundary slack."""
     z = as_point(z)
     if region == "F":
-        return (
-            -0.5 - tol <= z.x0 <= 0.5 + tol
-            and -tol <= z.x1 <= 0.5 + tol
-            and -tol <= z.x2 <= 0.5 + tol
-            and z.norm_sq >= 1.0 - tol
-        )
+        return _in_F(z.x0, z.x1, z.x2, z.y, tol)
     if region == "S_T":
         if T < 1:
             raise ValueError("cusp regions require T >= 1")
-        return z.y >= T - tol and is_in_region(z, "F", tol=tol)
+        return z.y >= T - tol and _in_F(z.x0, z.x1, z.x2, z.y, tol)
     if region == "S~_T":
         if T < 1:
             raise ValueError("cusp regions require T >= 1")
@@ -358,7 +365,13 @@ def reduce_to_fundamental_domain(z) -> tuple[GeneratorWord, PointH4]:
 
 # -- cusp decomposition -------------------------------------------------------
 
-_CUSP_FLIPS = (("identity", lambda z: z), *_ROTATIONS.values())
+# The four copies of S_T that tile the cusp box, in the report's order: the identity and the
+# rotations, each as (name, sign flip of its coordinates).  The rotations are involutions, so
+# z lies in u.S_T exactly when its flip lies in S_T.
+_CUSP_COPIES = (("identity", (1, 1, 1)), *((f"rot_{name}", flip) for name, (_, flip) in UNIT_FLIPS.items()))
+# Samples per array pass of verify_cusp_decomposition: about 1 MB of working arrays, and
+# faster than larger blocks (200,000 samples: 0.09 s in blocks of 4,096, 0.11 s of 65,536).
+_CUSP_BLOCK = 4_096
 
 
 @dataclass(frozen=True)
@@ -370,6 +383,15 @@ class CuspDecompositionReport:
     matches_by_matrix: dict
 
 
+def _cusp_hits(x: np.ndarray, T: float) -> np.ndarray:
+    """(copies, n) membership of the points in the columns of x = (x0, x1, x2, y) in each copy of S_T."""
+    signs = np.array([flip for _, flip in _CUSP_COPIES], dtype=float).T[:, :, None]
+    x0, x1, x2 = signs * x[:3, None, :]
+    y = x[3]
+    with np.errstate(over="ignore"):  # |z|^2 reads inf past about 1e154, as float arithmetic has it
+        return (y >= T - _TOL) & _in_F(x0, x1, x2, y, _TOL)
+
+
 def verify_cusp_decomposition(T: float, sample_count: int, *, seed: int = 0) -> CuspDecompositionReport:
     """Sample the cusp box y >= T and check the four-fold tiling by copies of S_T.
 
@@ -379,29 +401,41 @@ def verify_cusp_decomposition(T: float, sample_count: int, *, seed: int = 0) -> 
     _TOL of a sign boundary are reported as ties, not failures.  Heights
     are drawn from [T, 4T], so 4T must be finite: past it every sample
     would sit at y = inf, outside the space.
+
+    The samples are drawn as random.Random(seed).uniform would draw them,
+    x0, x1, x2 and y for each in turn, and tested on arrays in blocks of
+    _CUSP_BLOCK, so memory stays flat in sample_count.  The first interior
+    sample not in exactly one copy raises AssertionError naming it and the
+    copies it is in.
     """
     if not (T >= 1 and math.isfinite(4.0 * T)):
         raise ValueError(f"T must be >= 1 with 4T finite, got {T}")
+    if sample_count < 0:
+        raise ValueError(f"sample count must be at least 0, got {sample_count}")
     rng = random.Random(seed)
-    matches_by_matrix = {name: 0 for name, _ in _CUSP_FLIPS}
-    interior = 0
+    # random.uniform(a, b) is a + (b - a) * random(), one random() per coordinate.
+    low = np.array([-0.5, -0.5, -0.5, T])[:, None]
+    width = np.array([1.0, 1.0, 1.0, 4.0 * T - T])[:, None]
+    matches = np.zeros(len(_CUSP_COPIES), dtype=np.int64)
     ties = 0
-    for _ in range(sample_count):
-        z = PointH4(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5),
-                    rng.uniform(T, 4.0 * T))
-        near_boundary = min(abs(z.x1), abs(z.x2)) <= _TOL
-        hits = [name for name, flip in _CUSP_FLIPS if is_in_region(flip(z), "S_T", T=T)]
-        if near_boundary:
-            ties += 1
-            continue
-        interior += 1
-        if len(hits) != 1:
-            raise AssertionError(f"sample {z} matched {hits!r} instead of exactly one region")
-        matches_by_matrix[hits[0]] += 1
+    for start in range(0, sample_count, _CUSP_BLOCK):
+        n = min(_CUSP_BLOCK, sample_count - start)
+        u = np.fromiter(iter(rng.random, None), dtype=float, count=4 * n)  # 4n rng.random() calls, in order
+        x = low + width * u.reshape(n, 4).T
+        hits = _cusp_hits(x, T)
+        near_boundary = np.minimum(np.abs(x[1]), np.abs(x[2])) <= _TOL
+        bad = ~near_boundary & (hits.sum(axis=0) != 1)
+        if bad.any():
+            i = int(np.argmax(bad))
+            z = PointH4(*(float(c) for c in x[:, i]))
+            names = [name for (name, _), hit in zip(_CUSP_COPIES, hits[:, i]) if hit]
+            raise AssertionError(f"sample {z} matched {names!r} instead of exactly one region")
+        ties += int(near_boundary.sum())
+        matches += hits[:, ~near_boundary].sum(axis=1)
     return CuspDecompositionReport(
         T=T,
         samples=sample_count,
-        interior_checked=interior,
+        interior_checked=sample_count - ties,
         boundary_ties=ties,
-        matches_by_matrix=matches_by_matrix,
+        matches_by_matrix={name: int(c) for (name, _), c in zip(_CUSP_COPIES, matches)},
     )

@@ -30,8 +30,9 @@ LatticeVector = tuple[int, int, int]
 # One table costs about 0.2 s at p = 1009, 1.8 s at p = 10007 and 4.1 s at p = 20011, and a
 # full L6.4a window of the 73 primes in [500, 1000] takes about 8 s (2-vCPU host).
 MAX_PRIME = 1000
-# The largest coordinate bound of a lemma sweep.  Peak RSS grows by about 73 bytes per beta
-# (33 MB at bound 20, 44 MB at bound 30, p = 3), so bound 64, with 129^3 betas, needs an estimated 190 MB.
+# The largest coordinate bound of a lemma sweep.  Peak RSS grows by about 57 bytes per beta over
+# the 30 MB of the imported package: 34 MB at bound 20, 44 MB at bound 30 and 146 MB at bound 64,
+# with 129^3 betas (p = 3).
 MAX_SWEEP_BOUND = 64
 
 
@@ -318,13 +319,67 @@ class ConjugationSweepReport:
     violations: int = 0
 
 
-# v_q(0) = infinity, as an int8 that stays representable after vp_beta + 2.
-_INF_SENTINEL = np.iinfo(np.int8).max - 2
+# The widest word of the packed divisibility table, in bits.  Each word keeps 2 of them
+# spare, so a field shifted left by 2 stays inside its dtype.
+_WORD_BITS = 64
 
 
-def _valuation_table(q: int, m: int) -> np.ndarray:
-    """v_q(n) for 0 <= n <= m from ``valuation``, with v_q(0) = infinity as the sentinel."""
-    return np.array([valuation((n,), q) if n else _INF_SENTINEL for n in range(m + 1)], dtype=np.int8)
+class _DivisibilityTable:
+    """Which powers of each prime divide n, for 0 <= n <= m, packed into words of bits.
+
+    Prime q owns E_q = floor(log_q m) bits of one word, from its offset o_q up: bit
+    o_q + e - 1 of row n says q^e | n.  The primes fill the words in the order given, and
+    one that would leave a word fewer than 2 spare bits of _WORD_BITS opens the next (the
+    widest field at an allowed p and bound is E_3 = 11, so one always fits).  Each word is
+    held in the narrowest unsigned dtype that keeps its 2 spare bits.  Row n > 0 holds the
+    thermometer code 2^v - 1 of v = valuation(n, q) in q's bits, and row 0 has every bit
+    set: v(0) = infinity is the identity of min as all-ones is of AND.  So the AND of a
+    vector's coordinate rows holds, in each field, the code of its least coordinate
+    valuation, and the popcount of the field is that valuation.
+    """
+
+    def __init__(self, primes: Sequence[int], m: int):
+        self.fields: dict[int, tuple[int, int, int]] = {}  # q -> (word, offset, E_q)
+        used = [0]
+        for q in primes:
+            width = 0
+            while q ** (width + 1) <= m:
+                width += 1
+            if used[-1] and used[-1] + width > _WORD_BITS - 2:
+                used.append(0)
+            self.fields[q] = (len(used) - 1, used[-1], width)
+            used[-1] += width
+        uints = (np.uint8, np.uint16, np.uint32, np.uint64)
+        self.words = [np.zeros(m + 1, dtype=next(t for t in uints if np.iinfo(t).bits >= bits + 2))
+                      for bits in used]
+        for table in self.words:
+            table[0] = np.iinfo(table.dtype).max
+        for q, (word, offset, width) in self.fields.items():
+            v = np.fromiter((valuation((n,), q) for n in range(1, m + 1)), dtype=np.intp, count=m)
+            codes = np.array([((1 << e) - 1) << offset for e in range(width + 1)], dtype=self.words[word].dtype)
+            self.words[word][1:] |= codes[v]
+
+    def lookup(self, rows: Sequence[np.ndarray]) -> list[np.ndarray]:
+        """The packed words of the vectors whose |coordinates| are rows[0], rows[1], rows[2].
+
+        A coordinate past m raises IndexError.
+        """
+        out = []
+        for table in self.words:
+            w = table.take(rows[0])
+            w &= table.take(rows[1])
+            w &= table.take(rows[2])
+            out.append(w)
+        return out
+
+    def field(self, words: Sequence[np.ndarray], q: int) -> np.ndarray:
+        """q's thermometer field 2^v - 1 of each vector in the packed words."""
+        word, offset, width = self.fields[q]
+        return (words[word] >> offset) & ((1 << width) - 1)
+
+    def valuation_at(self, words: Sequence[np.ndarray], q: int, idx: int) -> int:
+        """v_q of vector idx of the packed words, the popcount of its field."""
+        return int(self.field(words, q)[idx]).bit_count()
 
 
 def _narrowest_int(m: int) -> type:
@@ -359,14 +414,20 @@ def verify_conjugation_lemmas(
     The betas are the columns of one 3 x n array, so each alpha costs a
     few passes over three contiguous coordinate rows: O(bound^3 * p) in
     all.  A valuation is the least coordinate valuation,
-    v_q(c) = min_i v_q(c_i) with v_q(0) = infinity, read from a per-call
-    table of v_q(n) for 0 <= n <= m.  m = 3 * bound * (largest absolute
-    entry of the 8(p+1) matrices, at most p) bounds every |c_i|, and a
-    lookup past it raises IndexError.  The betas, the matrices and their
-    products are held in the narrowest signed integer dtype that holds m
-    (int8 or int16 at the bounds the CLI, demos and benchmark use), and
-    the tables as int8, since no valuation of an int64 exceeds 63.
-    Part (iii) counts the representatives' v_p rows of part (i) as they
+    v_q(c) = min_i v_q(c_i) with v_q(0) = infinity.  All of them come from
+    one packed per-call table of the prime powers dividing each n,
+    0 <= n <= m (``_DivisibilityTable``): the AND of the rows of |c_0|,
+    |c_1|, |c_2| holds 2^v - 1 in each prime's bit field, so one alpha
+    makes three lookups per word (one word for the default primes at
+    every allowed p and bound), whatever the number of primes.  On the
+    p-field f, v_c > v_b + 2 is f_c > (f_b << 2 | 3), p^2 | c is
+    f_c > 1, and v_c != v_b is f_c != f_b; every v_q with q != p is kept
+    exactly when the words agree on the q bits.  m = 3 * bound * (largest
+    absolute entry of the 8(p+1) matrices, at most p) bounds every |c_i|,
+    and a lookup past it raises IndexError.  The betas, the matrices and
+    their products are held in the narrowest signed integer dtype that
+    holds m (int8 or int16 at the bounds the CLI, demos and benchmark
+    use).  Part (iii) counts the representatives' v_p rows of part (i) as they
     are computed, and part (iv) counts v_p(C(alpha) delta) >= 2 on them:
     alpha^* delta alpha = C(bar(alpha)) delta = C(alpha)^T delta, and
     alpha -> bar(alpha) permutes the norm-p alpha, so each delta has as many
@@ -402,18 +463,20 @@ def verify_conjugation_lemmas(
     betas = _beta_grid(coordinate_bound, dtype)
     n_beta = betas.shape[1]
     b0, b1, b2 = betas
-    tables = {q: _valuation_table(q, m) for q in (p, *q_primes)}
-
-    def val(rows: Sequence[np.ndarray], q: int) -> np.ndarray:
-        t = tables[q]
-        return np.minimum(np.minimum(t.take(rows[0]), t.take(rows[1])), t.take(rows[2]))
+    div = _DivisibilityTable((p, *q_primes), m)
+    # The q bits of each word: v_q is kept for every q != p when these agree.
+    q_masks = [0] * len(div.words)
+    for q in q_primes:
+        word, offset, width = div.fields[q]
+        q_masks[word] |= ((1 << width) - 1) << offset
 
     def beta_at(idx: int) -> LatticeVector:
         return tuple(int(c) for c in betas[:, idx])
 
-    abs_betas = np.abs(betas)
-    vp_beta = val(abs_betas, p)
-    vq_beta = {q: val(abs_betas, q) for q in q_primes}
+    words_beta = div.lookup(np.abs(betas))
+    f_beta = div.field(words_beta, p)
+    jump_past_2 = f_beta << 2 | 3  # f_c > this <=> v_p(conj) > v_p(beta) + 2
+    jump_past_1 = f_beta << 1 | 1
 
     max_jump = 0
     pairs = 0
@@ -422,38 +485,42 @@ def verify_conjugation_lemmas(
 
     for alpha, mat in zip(table.all_elements, mats):
         # (i) + (ii); conjugation is linear in beta.
-        conj = [np.abs(r[0] * b0 + r[1] * b1 + r[2] * b2) for r in mat]
-        vp_conj = val(conj, p)
+        words = div.lookup([np.abs(r[0] * b0 + r[1] * b1 + r[2] * b2) for r in mat])
+        f_conj = div.field(words, p)
         pairs += n_beta
-        high = vp_conj > vp_beta + 2
+        high = f_conj > jump_past_2
         if high.any():
             idx = int(np.argmax(high))
             raise LemmaSweepError(
                 "two-sided v_p bound failed",
-                (beta_at(idx), alpha, int(vp_beta[idx]), int(vp_conj[idx])),
+                (beta_at(idx), alpha, div.valuation_at(words_beta, p, idx), div.valuation_at(words, p, idx)),
             )
-        max_jump = max(max_jump, int((vp_conj - vp_beta).max()))
-        for q in q_primes:
-            vq_conj = val(conj, q)
-            bad = vq_conj != vq_beta[q]
-            if bad.any():
-                idx = int(np.argmax(bad))
-                raise LemmaSweepError(
-                    f"v_{q} not preserved under conjugation",
-                    (beta_at(idx), alpha, int(vq_beta[q][idx]), int(vq_conj[idx])),
-                )
+        # v_p(conj) >= v_p(beta) always (see the docstring), so the jump is 0, 1 or 2.
+        if max_jump < 2 and (f_conj > jump_past_1).any():
+            max_jump = 2
+        elif max_jump < 1 and (f_conj != f_beta).any():
+            max_jump = 1
+        if any(((w ^ wb) & mask).any() for w, wb, mask in zip(words, words_beta, q_masks) if mask):
+            for q in q_primes:
+                bad = div.field(words, q) != div.field(words_beta, q)
+                if bad.any():
+                    idx = int(np.argmax(bad))
+                    raise LemmaSweepError(
+                        f"v_{q} not preserved under conjugation",
+                        (beta_at(idx), alpha, div.valuation_at(words_beta, q, idx), div.valuation_at(words, q, idx)),
+                    )
         # (iii) counts over the p+1 representatives, checked after the loop.
         if alpha in representatives:
-            unequal += vp_conj != vp_beta
-        # (iv), counted over bar(alpha): see the docstring.
-        counts += vp_conj >= 2
+            unequal += f_conj != f_beta
+        # (iv), counted over bar(alpha): see the docstring.  v_p >= 2 <=> f > 1.
+        counts += f_conj > 1
 
     if int(unequal.max()) > 2:
         idx = int(np.argmax(unequal))
         raise LemmaSweepError("more than two orbits changed v_p", (beta_at(idx), int(unequal[idx])))
 
     # (iv): p^2 divides a nonzero delta exactly when v_p(delta) >= 2.
-    bad = (counts > 16) & (vp_beta < 2)
+    bad = (counts > 16) & (f_beta <= 1)
     if bad.any():
         idx = int(np.argmax(bad))
         raise LemmaSweepError(
@@ -461,7 +528,7 @@ def verify_conjugation_lemmas(
             (beta_at(idx), int(counts[idx])),
         )
     # Diagnostic: among delta with v_p(delta) = 0, the largest count observed.
-    small = vp_beta == 0
+    small = f_beta == 0
     max_small = int(counts[small].max()) if small.any() else 0
 
     return ConjugationSweepReport(

@@ -1,12 +1,16 @@
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from h4hecke import geometry
 from h4hecke.clifford import CliffordElement, inverse as cl_inverse
 from h4hecke.geometry import (
+    CuspDecompositionReport,
     IsometryMatrix,
     PointH4,
     act,
@@ -314,29 +318,60 @@ class TestRotationFlips:
                 assert act(rotation(axis), z) == PointH4(s0 * z.x0, s1 * z.x1, s2 * z.x2, z.y), (axis, z)
 
     def test_cusp_flips_match_the_rotations(self):
-        from h4hecke.geometry import _CUSP_FLIPS
+        from h4hecke.geometry import _CUSP_COPIES
         rng = random.Random(12)
-        assert [name for name, _ in _CUSP_FLIPS] == ["identity", "rot_i", "rot_j", "rot_k"]
+        assert [name for name, _ in _CUSP_COPIES] == ["identity", "rot_i", "rot_j", "rot_k"]
+        assert _CUSP_COPIES[0][1] == (1, 1, 1)
         for _ in range(100):
             z = PointH4(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5), rng.uniform(1, 8))
-            assert _CUSP_FLIPS[0][1](z) == z
-            for name, flip in _CUSP_FLIPS[1:]:
-                assert flip(z) == act(rotation(name[-1]), z)
+            for name, (s0, s1, s2) in _CUSP_COPIES[1:]:
+                assert PointH4(s0 * z.x0, s1 * z.x1, s2 * z.x2, z.y) == act(rotation(name[-1]), z)
+
+
+# The copies of S_T as the sign flips of test_act_of_rotation_is_the_flipped_point, in report order.
+_COPIES = (("identity", (1, 1, 1)), ("rot_i", (-1, -1, 1)), ("rot_j", (-1, 1, -1)), ("rot_k", (1, -1, -1)))
+
+
+def _reference_hits(z: PointH4, T: float, copies=_COPIES) -> list[str]:
+    """The copies holding z: z flipped back by each copy's rotation lies in S_T."""
+    return [name for name, (s0, s1, s2) in copies
+            if is_in_region(PointH4(s0 * z.x0, s1 * z.x1, s2 * z.x2, z.y), "S_T", T=T)]
+
+
+def _reference_cusp_report(T: float, sample_count: int, seed: int, copies=_COPIES) -> CuspDecompositionReport:
+    """verify_cusp_decomposition as a per-sample loop on PointH4 flips and is_in_region."""
+    rng = random.Random(seed)
+    matches = {name: 0 for name, _ in copies}
+    interior = ties = 0
+    for _ in range(sample_count):
+        z = PointH4(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5),
+                    rng.uniform(T, 4.0 * T))
+        hits = _reference_hits(z, T, copies)
+        if min(abs(z.x1), abs(z.x2)) <= 1e-9:
+            ties += 1
+            continue
+        interior += 1
+        if len(hits) != 1:
+            raise AssertionError(f"sample {z} matched {hits!r} instead of exactly one region")
+        matches[hits[0]] += 1
+    return CuspDecompositionReport(T=T, samples=sample_count, interior_checked=interior,
+                                   boundary_ties=ties, matches_by_matrix=matches)
 
 
 class TestCuspDecomposition:
     def test_specific_interior_points(self):
-        from h4hecke.geometry import _CUSP_FLIPS
-        hits = [name for name, flip in _CUSP_FLIPS if is_in_region(flip(PointH4(0.2, 0.3, 0.4, 7)), "S_T", T=2)]
-        assert hits == ["identity"]
-        hits = [name for name, flip in _CUSP_FLIPS if is_in_region(flip(PointH4(0.2, -0.3, 0.4, 7)), "S_T", T=2)]
-        assert hits == ["rot_i"]
+        from h4hecke.geometry import _cusp_hits
+        for z, expected in ((PointH4(0.2, 0.3, 0.4, 7), ["identity"]), (PointH4(0.2, -0.3, 0.4, 7), ["rot_i"]),
+                            (PointH4(-0.2, 0.3, -0.4, 7), ["rot_j"]), (PointH4(0.2, -0.3, -0.4, 7), ["rot_k"])):
+            assert _reference_hits(z, 2) == expected
+            hits = _cusp_hits(np.array(z.as_tuple())[:, None], 2)[:, 0]
+            assert [name for (name, _), hit in zip(_COPIES, hits) if hit] == expected
 
     def test_boundary_tie_reported(self):
-        from h4hecke.geometry import _CUSP_FLIPS
+        from h4hecke.geometry import _cusp_hits
         z = PointH4(0.2, 0.0, 0.4, 7)
-        hits = [name for name, flip in _CUSP_FLIPS if is_in_region(flip(z), "S_T", T=2)]
-        assert len(hits) == 2  # boundary x1 = 0 is shared
+        assert len(_reference_hits(z, 2)) == 2  # boundary x1 = 0 is shared
+        assert _cusp_hits(np.array(z.as_tuple())[:, None], 2).sum() == 2
 
     @pytest.mark.parametrize("T", [0.5, math.nan, 1e308, math.inf])
     def test_rejects_T_without_finite_sample_range(self, T):
@@ -349,3 +384,65 @@ class TestCuspDecomposition:
         assert report.interior_checked + report.boundary_ties == 300
         assert report.interior_checked == sum(report.matches_by_matrix.values())
         assert all(v > 0 for v in report.matches_by_matrix.values())
+
+    def test_negative_count_refused(self):
+        with pytest.raises(ValueError, match="sample count must be at least 0, got -3"):
+            verify_cusp_decomposition(2.0, -3)
+        empty = verify_cusp_decomposition(2.0, 0)
+        assert (empty.samples, empty.interior_checked, empty.boundary_ties) == (0, 0, 0)
+        assert empty.matches_by_matrix == {"identity": 0, "rot_i": 0, "rot_j": 0, "rot_k": 0}
+
+    @pytest.mark.parametrize("T", [1.0, 1.5, 2.0, 1e6])
+    def test_matches_per_sample_loop(self, monkeypatch, T):
+        # 157 samples in blocks of 64: two full blocks and a partial one
+        monkeypatch.setattr(geometry, "_CUSP_BLOCK", 64)
+        for seed in range(20):
+            for count in (1, 63, 157):
+                report = verify_cusp_decomposition(T, count, seed=seed)
+                expected = _reference_cusp_report(T, count, seed)
+                assert report == expected
+                assert list(report.matches_by_matrix) == list(expected.matches_by_matrix)
+
+    def test_matches_per_sample_loop_past_one_full_block(self):
+        count = geometry._CUSP_BLOCK + 1001
+        assert verify_cusp_decomposition(1.0, count, seed=3) == _reference_cusp_report(1.0, count, 3)
+
+    def test_boundary_ties_match_per_sample_loop(self, monkeypatch):
+        # draws within 2e-9 of 0.5 put x1 and x2 within 2e-9 of the sign boundaries, so about
+        # three samples in four are ties
+        class NearHalf(random.Random):
+            def random(self):
+                return 0.5 + (super().random() - 0.5) * 4e-9
+
+        monkeypatch.setattr(random, "Random", NearHalf)  # for the reference too
+        report = verify_cusp_decomposition(2.0, 200, seed=5)
+        assert report == _reference_cusp_report(2.0, 200, 5)
+        assert 0 < report.boundary_ties < 200 and report.interior_checked > 0
+
+    @pytest.mark.parametrize("copies", [
+        (*_COPIES, ("again", (1, 1, 1))),  # the identity twice: every sample with x1, x2 > 0 overlaps
+        _COPIES[1:],  # the identity missing: a sample with x1, x2 > 0 is in no copy
+    ])
+    def test_overlap_or_gap_fires(self, monkeypatch, copies):
+        monkeypatch.setattr(geometry, "_CUSP_COPIES", copies)
+        for seed in range(5):
+            with pytest.raises(AssertionError) as exc:
+                verify_cusp_decomposition(2.0, 1000, seed=seed)
+            with pytest.raises(AssertionError) as expected:
+                _reference_cusp_report(2.0, 1000, seed, copies)
+            assert str(exc.value) == str(expected.value)
+            assert "instead of exactly one region" in str(exc.value)
+
+    def test_memory_flat_in_sample_count(self):
+        block = geometry._CUSP_BLOCK
+
+        def peak(count):
+            tracemalloc.start()
+            try:
+                verify_cusp_decomposition(2.0, count, seed=1)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one_block = peak(block)
+        assert peak(16 * block + 5) < 1.25 * one_block

@@ -258,17 +258,26 @@ def _brute_force_report(p: int, bound: int, qs: tuple[int, ...]) -> dict:
 
 
 _TABLE_BOUND = 3 ** 7
+_DEFAULT_PRIMES = (3, 5, 7, 11)
 
 
 @functools.lru_cache(maxsize=None)
-def _valuation_tables(q: int) -> np.ndarray:
-    return quaternions._valuation_table(q, _TABLE_BOUND)
+def _packed_table(first: int, word_bits: int = quaternions._WORD_BITS) -> quaternions._DivisibilityTable:
+    """The packed table of 3, 5, 7, 11 up to _TABLE_BOUND, ``first`` in front as a sweep's p."""
+    primes = (first, *(q for q in _DEFAULT_PRIMES if q != first))
+    saved = quaternions._WORD_BITS
+    quaternions._WORD_BITS = word_bits
+    try:
+        return quaternions._DivisibilityTable(primes, _TABLE_BOUND)
+    finally:
+        quaternions._WORD_BITS = saved
 
 
 @st.composite
-def _coordinate_triples(draw, q: int):
-    """Integer triples with |c_i| <= _TABLE_BOUND, rich in zeros and high powers of q."""
+def _coordinate_triples(draw, primes):
+    """Integer triples with |c_i| <= _TABLE_BOUND, rich in zeros and high powers of the primes."""
     def coordinate():
+        q = draw(st.sampled_from(primes))
         e = draw(st.integers(0, 7))
         unit = draw(st.integers(0, _TABLE_BOUND // q ** e))
         return draw(st.sampled_from((1, -1))) * unit * q ** e
@@ -276,32 +285,81 @@ def _coordinate_triples(draw, q: int):
 
 
 class TestSweepKernel:
-    @pytest.mark.parametrize("p,qs", [(3, (5,)), (5, (3,))])
+    @pytest.mark.parametrize("p,qs", [(3, (5,)), (5, (3,)), (7, (3, 5, 11)), (3, (5, 7, 11))])
     def test_report_matches_brute_force(self, p, qs):
         report = verify_conjugation_lemmas(p, 3, q_primes=qs)
         expected = _brute_force_report(p, 3, qs)
         assert {k: getattr(report, k) for k in expected} == expected
         assert report.alpha_count == 8 * (p + 1)
 
+    def test_default_q_primes_at_p7(self):
+        # the default q primes at p = 7 are 3, 5, 11
+        report = verify_conjugation_lemmas(7, 3)
+        assert report.q_primes == (3, 5, 11)
+        assert report == verify_conjugation_lemmas(7, 3, q_primes=(3, 5, 11))
+
     @pytest.mark.parametrize("q", [3, 5, 7])
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_least_coordinate_valuation_matches_valuation(self, q, data):
-        table = _valuation_tables(q)
-        c = np.abs(np.array(data.draw(_coordinate_triples(q)), dtype=np.int64))
-        v = np.minimum(np.minimum(table.take(c[0]), table.take(c[1])), table.take(c[2]))
-        expected = valuation(tuple(int(x) for x in c), q)
-        assert v == (quaternions._INF_SENTINEL if expected == math.inf else expected)
+        # for every packed prime the AND of the three rows decodes to valuation() of the triple
+        for word_bits in (quaternions._WORD_BITS, 8):
+            table = _packed_table(q, word_bits)
+            triple = data.draw(_coordinate_triples(tuple(table.fields)))
+            words = table.lookup(np.abs(np.array(triple, dtype=np.int64))[:, None])
+            for prime, (_, _, width) in table.fields.items():
+                expected = valuation(triple, prime)
+                field = int(table.field(words, prime)[0])
+                if expected == math.inf:
+                    assert field == (1 << width) - 1  # v(0) = infinity: every bit of the field
+                else:
+                    assert field == (1 << expected) - 1
+                    assert table.valuation_at(words, prime, 0) == expected
 
     def test_narrowest_int(self):
         assert [quaternions._narrowest_int(m) for m in (1, 127, 128, 32767, 32768, 2 ** 31)] == [
             np.int8, np.int8, np.int16, np.int16, np.int32, np.int64]
 
     def test_valuation_table_ends(self):
-        table = _valuation_tables(3)
-        assert table[0] == quaternions._INF_SENTINEL and table[_TABLE_BOUND] == 7
+        table = _packed_table(3)
+        assert table.fields == {3: (0, 0, 7), 5: (0, 7, 4), 7: (0, 11, 3), 11: (0, 14, 3)}
+        (word,) = table.words
+        assert word.dtype == np.uint32  # 17 bits and 2 spare
+        assert word[0] == np.iinfo(np.uint32).max
+        assert word[_TABLE_BOUND] == 2 ** 7 - 1  # 3^7: seven bits of 3, none of 5, 7, 11
         with pytest.raises(IndexError):
-            table.take(np.array([_TABLE_BOUND + 1]))
+            table.lookup(np.array([[0], [1], [_TABLE_BOUND + 1]]))
+
+    def test_words_fill_in_order(self):
+        # 8-bit words keep 6 bits for fields: 3 needs 7 and fills a 16-bit word alone, 5 opens
+        # the next word, and 7 and 11 share the last
+        table = _packed_table(3, 8)
+        assert table.fields == {3: (0, 0, 7), 5: (1, 0, 4), 7: (2, 0, 3), 11: (2, 3, 3)}
+        assert [w.dtype for w in table.words] == [np.uint16, np.uint8, np.uint8]
+
+    @pytest.mark.parametrize("word_bits", [8, 6])
+    def test_sweep_over_several_words(self, monkeypatch, word_bits):
+        qs = (5, 7, 11)
+        expected = verify_conjugation_lemmas(3, 5, q_primes=qs)
+        monkeypatch.setattr(quaternions, "_WORD_BITS", word_bits)
+        assert len(quaternions._DivisibilityTable((3, *qs), 3 * 5 * 3).words) >= 2
+        assert verify_conjugation_lemmas(3, 5, q_primes=qs) == expected
+        brute = _brute_force_report(3, 2, qs)
+        report = verify_conjugation_lemmas(3, 2, q_primes=qs)
+        assert {k: getattr(report, k) for k in brute} == brute
+
+    def test_vq_failure_in_a_later_word(self, monkeypatch):
+        # a scalar 11 breaks v_11, which sits in the last of several words
+        monkeypatch.setattr(quaternions, "conjugation_matrix", lambda alpha: ((11, 0, 0), (0, 11, 0), (0, 0, 11)))
+        with pytest.raises(LemmaSweepError) as one_word:
+            verify_conjugation_lemmas(3, 2, q_primes=(5, 7, 11))
+        monkeypatch.setattr(quaternions, "_WORD_BITS", 6)
+        with pytest.raises(LemmaSweepError) as many_words:
+            verify_conjugation_lemmas(3, 2, q_primes=(5, 7, 11))
+        first = orbit_representatives(3).all_elements[0]
+        assert str(one_word.value) == str(many_words.value)
+        assert "v_11 not preserved under conjugation" in str(many_words.value)
+        assert many_words.value.witness == ((-2, -2, -2), first, 0, 1)
 
 
 class TestSweepChecksFire:
