@@ -44,7 +44,7 @@ worst_err = 0.0
 for _ in range(500):
     z = PointH4(rng.uniform(-3, 3), rng.uniform(-3, 3), rng.uniform(-3, 3), rng.uniform(0.05, 50))
     word, reduced = reduce_to_fundamental_domain(z)
-    assert is_in_region(reduced, "F", tol=1e-9)
+    assert is_in_region(reduced, "F")
     g = word_to_matrix(word)
     assert is_integral_sv2(g) and pseudo_det(g) == 1
     if word:

@@ -39,7 +39,7 @@ for p, ell, d, z in ((3, 1, 1, 2000), (3, 2, 2, 20000), (5, 1, 3, 30000)):
 
 print()
 print("== sharp/flat split over a prime window ==")
-window = PrimeWindow.from_bound(6.0, subset=(3, 5))
+window = PrimeWindow.from_bound(6.0)  # the primes 3 and 5
 big = CoefficientField.ones_ball(250)
 spec = MultiplicitySpec(1, 0, window)  # sharp part: beta divisible by no window prime
 split = split_sharp_flat(big, [spec], 225)

@@ -92,7 +92,7 @@ def _parse_beta(text: str):
 def _parse_fraction(text: str) -> Fraction:
     try:
         return Fraction(text)
-    except ValueError as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from exc
 
 

@@ -138,11 +138,6 @@ class CliffordElement:
     def is_vector(self) -> bool:
         return all(len(b) <= 1 for b in self.coeffs)
 
-    def vector_coords(self) -> tuple[Fraction, ...]:
-        if not self.is_vector:
-            raise ValueError("element is not a vector")
-        return tuple(self.coeffs.get(b, Fraction(0)) for b in [()] + [(h,) for h in range(1, self.n + 1)])
-
     # -- ring operations ----------------------------------------------
 
     def _check_rank(self, other: "CliffordElement"):

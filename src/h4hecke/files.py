@@ -9,10 +9,11 @@ where a scalar ["a/b", "c/d"] means a/b + (c/d) sqrt(p); plain-rational
 files omit the second component and the "p" key.  Eigenvalue tables are
 CSV with header p,lambda1,lambda2,lambda3; sampled functions are CSV
 y,value rows with ascending y; decay parameters are JSON
-{"delta": d, "eps": e, "A": A, "a": [...], "b": [...]}.  Writers emit a
-canonical form (entries sorted by norm then coordinates, fractions in
-lowest terms) so that write(parse(f)) is byte-identical on canonical
-files.  A file of the wrong shape raises FileFormatError.
+{"delta": d, "eps": e, "A": A, "a": [...], "b": [...]}.  The
+coefficient-field writer emits a canonical form (entries sorted by norm
+then coordinates, fractions in lowest terms) so that write(parse(f)) is
+byte-identical on canonical files.  A file of the wrong shape raises
+FileFormatError.
 """
 
 from __future__ import annotations
@@ -144,15 +145,6 @@ def parse_lambda_table(path: Union[str, Path]) -> dict[int, EigenvalueTriple]:
     return table
 
 
-def write_lambda_table(table: dict[int, EigenvalueTriple], path: Union[str, Path]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["p", "lambda1", "lambda2", "lambda3"])
-        for p in sorted(table):
-            lam = table[p]
-            writer.writerow([p, repr(lam.lam1), repr(lam.lam2), repr(lam.lam3)])
-
-
 def parse_sampled_function(path: Union[str, Path]) -> SampledFunction:
     """CSV of y,value rows with ascending y starting at 1."""
     ys, vals = [], []
@@ -199,17 +191,3 @@ def parse_decay_params(path: Union[str, Path]) -> DecayParams:
     funcs = {key: tuple(const(_number(float, v, key)) for v in raw.get(key, [])) for key in "ab"}
     return DecayParams(delta=_number(float, raw.get("delta"), "delta"), eps=_number(float, raw.get("eps"), "eps"),
                        A=_number(float, raw.get("A"), "A"), a_funcs=funcs["a"], b_funcs=funcs["b"])
-
-
-def write_spectral_form(form: SpectralForm, path: Union[str, Path]) -> None:
-    doc = {
-        "schema": SCHEMA_VERSION,
-        "r": form.r,
-        "entries": [
-            {"beta": list(b), "re": c.real, "im": c.imag}
-            for b, c in sorted(form.entries, key=lambda e: (lattice_norm(e[0]), e[0]))
-        ],
-    }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")

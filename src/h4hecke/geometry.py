@@ -273,56 +273,39 @@ def act(g: IsometryMatrix, z) -> PointH4:
     return PointH4(*out)
 
 
-def apply_word(word: GeneratorWord, z) -> PointH4:
-    out = as_point(z)
-    for token in word:
-        out = act(_token_matrix(token), out)
-    return out
-
-
-def cosh_distance(z, w) -> float:
-    """cosh of the hyperbolic distance: 1 + |z - w|^2 / (2 y_z y_w)."""
-    z = as_point(z)
-    w = as_point(w)
-    diff = sum((zc - wc) ** 2 for zc, wc in zip(z.as_tuple(), w.as_tuple()))
-    return 1.0 + diff / (2.0 * z.y * w.y)
-
-
 # -- regions and reduction ---------------------------------------------------
 
-def _in_F(x0, x1, x2, y, tol):
-    """F's inequalities with boundary slack tol, on floats or elementwise on numpy arrays."""
+def _in_F(x0, x1, x2, y):
+    """F's inequalities with boundary slack _TOL, on floats or elementwise on numpy arrays."""
     return (
-        (-0.5 - tol <= x0) & (x0 <= 0.5 + tol)
-        & (-tol <= x1) & (x1 <= 0.5 + tol)
-        & (-tol <= x2) & (x2 <= 0.5 + tol)
-        & (x0 * x0 + x1 * x1 + x2 * x2 + y * y >= 1.0 - tol)
+        (-0.5 - _TOL <= x0) & (x0 <= 0.5 + _TOL)
+        & (-_TOL <= x1) & (x1 <= 0.5 + _TOL)
+        & (-_TOL <= x2) & (x2 <= 0.5 + _TOL)
+        & (x0 * x0 + x1 * x1 + x2 * x2 + y * y >= 1.0 - _TOL)
     )
 
 
-def is_in_region(z, region: str, T: float = 1.0, tol: float = _TOL) -> bool:
-    """Membership in F, S_T, or the symmetric cusp box S~_T, with boundary slack."""
+def is_in_region(z, region: str, T: float = 1.0) -> bool:
+    """Membership in F, S_T, or the symmetric cusp box S~_T, with boundary slack _TOL."""
     z = as_point(z)
     if region == "F":
-        return _in_F(z.x0, z.x1, z.x2, z.y, tol)
+        return _in_F(z.x0, z.x1, z.x2, z.y)
     if region == "S_T":
         if T < 1:
             raise ValueError("cusp regions require T >= 1")
-        return z.y >= T - tol and _in_F(z.x0, z.x1, z.x2, z.y, tol)
+        return z.y >= T - _TOL and _in_F(z.x0, z.x1, z.x2, z.y)
     if region == "S~_T":
         if T < 1:
             raise ValueError("cusp regions require T >= 1")
         return (
-            z.y >= T - tol
-            and all(-0.5 - tol <= c <= 0.5 + tol for c in (z.x0, z.x1, z.x2))
+            z.y >= T - _TOL
+            and all(-0.5 - _TOL <= c <= 0.5 + _TOL for c in (z.x0, z.x1, z.x2))
         )
     raise ValueError(f"unknown region {region!r}")
 
 
 class ReductionError(RuntimeError):
-    def __init__(self, message: str, trace: list[PointH4]):
-        super().__init__(message)
-        self.trace = trace
+    """The reduction loop ran past its iteration cap."""
 
 
 def reduce_to_fundamental_domain(z) -> tuple[GeneratorWord, PointH4]:
@@ -338,7 +321,6 @@ def reduce_to_fundamental_domain(z) -> tuple[GeneratorWord, PointH4]:
     if not all(map(math.isfinite, cur.as_tuple())):
         raise ValueError(f"cannot reduce a point with a non-finite coordinate: {cur.as_tuple()}")
     word: list[Token] = []
-    trace = [cur]
     for _ in range(_MAX_ITER):
         shifts = tuple(-math.floor(c + 0.5) for c in (cur.x0, cur.x1, cur.x2))
         if any(shifts):
@@ -355,12 +337,10 @@ def reduce_to_fundamental_domain(z) -> tuple[GeneratorWord, PointH4]:
             cur = PointH4(-cur.x0 / r / r, cur.x1 / r / r, cur.x2 / r / r, cur.y / r / r)
             if not all(map(math.isfinite, cur.as_tuple())):
                 raise ValueError(f"inversion at |z| = {r:g} overflows the float range")
-            trace.append(cur)
             continue
         if is_in_region(cur, "F"):
             return tuple(word), cur
-        trace.append(cur)
-    raise ReductionError(f"reduction did not converge after {_MAX_ITER} iterations", trace)
+    raise ReductionError(f"reduction did not converge after {_MAX_ITER} iterations")
 
 
 # -- cusp decomposition -------------------------------------------------------
@@ -389,7 +369,7 @@ def _cusp_hits(x: np.ndarray, T: float) -> np.ndarray:
     x0, x1, x2 = signs * x[:3, None, :]
     y = x[3]
     with np.errstate(over="ignore"):  # |z|^2 reads inf past about 1e154, as float arithmetic has it
-        return (y >= T - _TOL) & _in_F(x0, x1, x2, y, _TOL)
+        return (y >= T - _TOL) & _in_F(x0, x1, x2, y)
 
 
 def verify_cusp_decomposition(T: float, sample_count: int, *, seed: int = 0) -> CuspDecompositionReport:

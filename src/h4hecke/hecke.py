@@ -107,15 +107,6 @@ class QuadExt:
     def of(cls, value: Rational, p: Optional[int] = None) -> "QuadExt":
         return cls(p, Fraction(value), Fraction(0))
 
-    @classmethod
-    def sqrt_term(cls, p: int, coeff: Rational = 1) -> "QuadExt":
-        return cls(p, Fraction(0), Fraction(coeff))
-
-    @classmethod
-    def inv_sqrt(cls, p: int) -> "QuadExt":
-        """1/sqrt(p) = sqrt(p)/p."""
-        return cls(p, Fraction(0), Fraction(1, p))
-
     def _coerce(self, other) -> "QuadExt":
         if isinstance(other, QuadExt):
             return other
@@ -423,11 +414,6 @@ class CoefficientField:
                 acc = out.get(key)
                 out[key] = share if acc is None else acc + share
         return CoefficientField(self.p, {b: v for b, v in out.items() if v})
-
-    @property
-    def is_sign_symmetric(self) -> bool:
-        """Whether symmetrized, a projection, fixes the field."""
-        return self.symmetrized() == self
 
     def at(self, beta: Optional[Iterable[int]]) -> QComplex:
         """Total lookup: zero off the support, off the lattice, and at 0."""
@@ -743,6 +729,7 @@ def apply_hecke(ell: int, p: int, A: CoefficientField, *, representatives=None) 
 
 def apply_hecke_float(ell: int, p: int, entries: Mapping[LatticeVector, complex]) -> dict[LatticeVector, complex]:
     """Floating-point twin of apply_hecke for cross-prime experiments."""
+    require_odd_prime(p)
     return _apply(ell, p, entries, _hecke_weights(p, float), 1.0 / math.sqrt(p))
 
 
@@ -783,6 +770,8 @@ def verify_hecke_relation(p: int, A: CoefficientField) -> CoefficientField:
 
 def verify_commutativity(p: int, q: int, ell: int, m: int, A: CoefficientField) -> float:
     """Max-abs entry of [H_ell(p), H_m(q)] A evaluated in doubles."""
+    require_odd_prime(p, "p")
+    require_odd_prime(q, "q")
     if p == q:
         raise ValueError("commutativity check needs distinct primes")
     entries = A.as_complex_dict()

@@ -30,6 +30,10 @@ LatticeVector = tuple[int, int, int]
 # One table costs about 0.2 s at p = 1009, 1.8 s at p = 10007 and 4.1 s at p = 20011, and a
 # full L6.4a window of the 73 primes in [500, 1000] takes about 8 s (2-vCPU host).
 MAX_PRIME = 1000
+# The largest norm that enumerate_norm takes; orbit_representatives enumerates norm p, so it is
+# at least MAX_PRIME.  The cubic loop takes about 0.05 s at n = 1009, 0.4 s at 5003 and 1.1 s at
+# 10007 (2-vCPU host).
+MAX_NORM = 10_000
 # The largest coordinate bound of a lemma sweep.  Peak RSS grows by about 57 bytes per beta over
 # the 30 MB of the imported package: 34 MB at bound 20, 44 MB at bound 30 and 146 MB at bound 64,
 # with 129^3 betas (p = 3).
@@ -171,7 +175,12 @@ def lattice_norm(beta: Sequence[int]) -> int:
 
 
 def enumerate_norm(n: int) -> list[Quaternion]:
-    """All integral quaternions of norm n, in lexicographic coordinate order."""
+    """All integral quaternions of norm n <= MAX_NORM, in lexicographic coordinate order.
+
+    The ceiling is checked first, so a huge n is refused before the cubic loop.
+    """
+    if not n <= MAX_NORM:
+        raise ValueError(f"norm {n} is past {MAX_NORM}, the largest supported norm")
     if n < 1:
         raise ValueError("norm must be a positive integer")
     m = math.isqrt(n)
@@ -236,15 +245,6 @@ def conjugate_action(alpha: Quaternion, beta: Sequence[int]) -> LatticeVector:
 def conjugation_matrix(alpha: Quaternion) -> tuple[tuple[int, int, int], ...]:
     """3x3 integer matrix of beta -> alpha' beta bar(alpha) on V3 (rows act on column vectors)."""
     return tuple(zip(*(conjugate_action(alpha, e) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))))
-
-
-def apply_matrix(mat: Sequence[Sequence[int]], beta: Sequence[int]) -> LatticeVector:
-    b0, b1, b2 = beta
-    return (
-        mat[0][0] * b0 + mat[0][1] * b1 + mat[0][2] * b2,
-        mat[1][0] * b0 + mat[1][1] * b1 + mat[1][2] * b2,
-        mat[2][0] * b0 + mat[2][1] * b1 + mat[2][2] * b2,
-    )
 
 
 # name -> (u, flip) for the units u = i, j, k, in that order: conjugation by u multiplies
@@ -335,7 +335,8 @@ class _DivisibilityTable:
     thermometer code 2^v - 1 of v = valuation(n, q) in q's bits, and row 0 has every bit
     set: v(0) = infinity is the identity of min as all-ones is of AND.  So the AND of a
     vector's coordinate rows holds, in each field, the code of its least coordinate
-    valuation, and the popcount of the field is that valuation.
+    valuation, and the popcount of the field is that valuation.  The table is built by one
+    strided slice per prime power: bit o_q + e - 1 is set on the rows q^e, 2 q^e, ...
     """
 
     def __init__(self, primes: Sequence[int], m: int):
@@ -355,9 +356,8 @@ class _DivisibilityTable:
         for table in self.words:
             table[0] = np.iinfo(table.dtype).max
         for q, (word, offset, width) in self.fields.items():
-            v = np.fromiter((valuation((n,), q) for n in range(1, m + 1)), dtype=np.intp, count=m)
-            codes = np.array([((1 << e) - 1) << offset for e in range(width + 1)], dtype=self.words[word].dtype)
-            self.words[word][1:] |= codes[v]
+            for e in range(1, width + 1):
+                self.words[word][q ** e::q ** e] |= 1 << (offset + e - 1)
 
     def lookup(self, rows: Sequence[np.ndarray]) -> list[np.ndarray]:
         """The packed words of the vectors whose |coordinates| are rows[0], rows[1], rows[2].

@@ -36,7 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .hecke import CoefficientField, EigenvalueTriple, QuadExt, _conj_sum, _numerators, hecke_relation_constant
 from .quaternions import MAX_PRIME, LatticeVector, conjugation_matrices, lattice_norm, odd_primes_in, require_odd_prime
@@ -115,7 +115,7 @@ def verify_R_shift_identity(A: CoefficientField, p: int, ell: int, d: int, z) ->
 
 @dataclass(frozen=True)
 class PrimeWindow:
-    """A subset of the odd primes in [P/2, P]."""
+    """Odd primes, each in [P/2, P]."""
 
     P: float
     primes: tuple[int, ...]
@@ -127,11 +127,11 @@ class PrimeWindow:
                 raise ValueError(f"prime {p} outside window [{self.P / 2}, {self.P}]")
 
     @classmethod
-    def from_bound(cls, P: float, subset: Optional[Iterable[int]] = None) -> "PrimeWindow":
+    def from_bound(cls, P: float) -> "PrimeWindow":
+        """Every odd prime in [P/2, P]."""
         if not P <= MAX_PRIME:
             raise ValueError(f"window bound P = {P:g} is past {MAX_PRIME}, the largest supported prime")
-        primes = tuple(subset) if subset is not None else tuple(odd_primes_in(P / 2, P))
-        return cls(P=float(P), primes=tuple(sorted(primes)))
+        return cls(P=float(P), primes=tuple(odd_primes_in(P / 2, P)))
 
     def __len__(self) -> int:
         return len(self.primes)

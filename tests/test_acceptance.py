@@ -241,7 +241,7 @@ def test_accept_13_fundamental_domain_reduction():
         z = PointH4(rng.uniform(-3, 3), rng.uniform(-3, 3), rng.uniform(-3, 3),
                     rng.uniform(0.05, 50))
         word, reduced = reduce_to_fundamental_domain(z)
-        assert is_in_region(reduced, "F", tol=1e-9)
+        assert is_in_region(reduced, "F")
         g = word_to_matrix(word)
         assert is_integral_sv2(g)
         moved = act(g, z) if word else z

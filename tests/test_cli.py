@@ -22,13 +22,12 @@ from h4hecke.files import (
     parse_sampled_function,
     parse_spectral_form,
     write_coefficient_field,
-    write_lambda_table,
     write_sampled_function,
-    write_spectral_form,
 )
 from h4hecke.hecke import CoefficientField, EigenvalueTriple, QComplex, QuadExt, apply_hecke
 from h4hecke.numerics import SpectralForm
 from h4hecke.quaternions import LemmaSweepError
+from reference import write_lambda_table, write_spectral_form
 
 
 @st.composite
@@ -619,6 +618,13 @@ class TestBadInputsExit2:
         ["quat", "verify-lemmas", "--p", "3", "--bound", "100000"],
         ["hecke", "verify-relation", "--p", "1000000000000000000000000000057", "--trials", "1"],
         ["quat", "verify-lemmas", "--p", "3", "--bound", "3", "--q", "1000000000000000000000000000057"],
+        ["sums", "compute", "--kind", "S", "--in", "{coeff}", "--z", "1/0"],
+        ["sums", "report", "--which", "L6.4a", "--in", "{coeff}", "--z", "1/0", "--K", "1", "--window-P", "6"],
+        ["hecke", "commute", "--p", "0", "--q", "5"],
+        ["hecke", "commute", "--p", "3", "--q", "0"],
+        ["hecke", "commute", "--p", "-3", "--q", "5"],
+        ["quat", "enum", "--norm", "1000000"],
+        ["quat", "enum", "--norm", "1000000000000000000000000000057"],
     ])
     def test_exits_2_with_one_error_line(self, argv, form_files, bad_files, capsys, time_limit):
         assert _exit_code([a.format(**form_files, **bad_files) for a in argv], time_limit) == 2

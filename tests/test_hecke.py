@@ -27,7 +27,6 @@ from h4hecke.hecke import (
 )
 from h4hecke.quaternions import (
     UNITS,
-    apply_matrix,
     conjugation_matrices,
     conjugation_matrix,
     divide_lattice,
@@ -35,13 +34,15 @@ from h4hecke.quaternions import (
     orbit_representatives,
     scale_lattice,
 )
+from reference import apply_matrix
 
 
 class TestQuadExt:
     def test_inv_sqrt(self):
-        s = QuadExt.inv_sqrt(3)
-        assert s * QuadExt.sqrt_term(3) == 1
-        assert s == QuadExt(3, Fraction(0), Fraction(1, 3))
+        root = QuadExt(3, Fraction(0), Fraction(1))
+        s = QuadExt(3, Fraction(0), Fraction(1, 3))
+        assert s * root == 1
+        assert 1 / root == s
 
     def test_field_operations(self):
         x = QuadExt(5, Fraction(2), Fraction(1))
@@ -56,10 +57,10 @@ class TestQuadExt:
 
     def test_mixed_primes_rejected(self):
         with pytest.raises(ValueError, match="mixed"):
-            QuadExt.sqrt_term(3) + QuadExt.sqrt_term(5)
+            QuadExt(3, Fraction(0), Fraction(1)) + QuadExt(5, Fraction(0), Fraction(1))
 
     def test_rational_promotes(self):
-        assert QuadExt.of(2) * QuadExt.sqrt_term(7) == QuadExt.sqrt_term(7, 2)
+        assert QuadExt.of(2) * QuadExt(7, Fraction(0), Fraction(1)) == QuadExt(7, Fraction(0), Fraction(2))
 
     def test_float_value(self):
         assert float(QuadExt(3, Fraction(1), Fraction(2))) == pytest.approx(1 + 2 * 3 ** 0.5)
@@ -102,7 +103,8 @@ class TestQComplex:
         z = QComplex.of(1, 2, p=3)
         assert z * 2 == 2 * z == QComplex.of(2, 4, p=3)
         assert z * Fraction(1, 2) == QComplex.of(Fraction(1, 2), 1, p=3)
-        assert QuadExt.sqrt_term(3) * z == QComplex(QuadExt.sqrt_term(3), QuadExt.sqrt_term(3, 2))
+        root = QuadExt(3, Fraction(0), Fraction(1))
+        assert root * z == QComplex(root, QuadExt(3, Fraction(0), Fraction(2)))
 
 
 class TestLegendre:
@@ -321,13 +323,13 @@ def _quadext_apply(ell, p, A, representatives=None):
     """H_ell A by the gather reference on QuadExt/QComplex scalars and true zeros.
 
     The reference for the integer path: every weight through QuadExt.of,
-    p^(-1/2) as QuadExt.inv_sqrt and Fraction arithmetic throughout, so no
+    p^(-1/2) as sqrt(p)/p and Fraction arithmetic throughout, so no
     division can truncate.
     """
     A = A.with_prime(p)
     weights = _hecke_weights(p, lambda fr: QuadExt.of(fr, p))
     return CoefficientField(p, _gather_apply(ell, p, A.entries, QComplex.of(0, p=p), weights,
-                                             QuadExt.inv_sqrt(p), representatives))
+                                             QuadExt(p, Fraction(0), Fraction(1, p)), representatives))
 
 
 def _float_apply(ell, p, entries):
@@ -565,7 +567,7 @@ class TestRepresentativeIndependence:
         rng = random.Random(17)
         p = 3
         A = CoefficientField.random(rng, p=p, support=5, sqrt_parts=True, symmetric=True)
-        assert A.is_sign_symmetric
+        assert A.symmetrized() == A
         baseline = [apply_hecke(ell, p, A) for ell in (1, 2, 3)]
         canonical = orbit_representatives(p).representatives
         for _ in range(8):
@@ -580,7 +582,7 @@ class TestRepresentativeIndependence:
         from h4hecke.quaternions import orbit_representatives
         p = 3
         A = CoefficientField.delta((1, 2, 0), 1, p=p)
-        assert not A.is_sign_symmetric
+        assert A.symmetrized() != A
         canonical = orbit_representatives(p).representatives
         twisted = tuple(UNITS[2] * r for r in canonical)  # left-multiply by i
         base = apply_hecke(1, p, A)
@@ -591,7 +593,6 @@ class TestRepresentativeIndependence:
         rng = random.Random(23)
         A = CoefficientField.random(rng, p=5, support=6, sqrt_parts=True)
         S = A.symmetrized()
-        assert S.is_sign_symmetric
         assert S.symmetrized() == S
         already = CoefficientField.delta((1, 0, 0), 1).symmetrized()
         assert already.symmetrized() == already
@@ -666,6 +667,13 @@ class TestCommutativity:
     def test_same_prime_rejected(self):
         with pytest.raises(ValueError):
             verify_commutativity(3, 3, 1, 1, CoefficientField.zero())
+
+    @pytest.mark.parametrize("p,q,name", [(0, 5, "p"), (3, 0, "q"), (-3, 5, "p")])
+    def test_each_prime_checked_by_name(self, p, q, name):
+        # these once ended in ZeroDivisionError or "math domain error" from the float weights
+        bad = p if name == "p" else q
+        with pytest.raises(ValueError, match=f"^{name} must be an odd prime, got {bad}$"):
+            verify_commutativity(p, q, 1, 1, CoefficientField.delta((1, 0, 0), 1))
 
 
 def _eigen_residual_full(A, lam):
@@ -803,9 +811,10 @@ class TestFieldContainer:
 
     def test_entries_over_two_primes_rejected(self):
         with pytest.raises(ValueError, match="mixed"):
-            CoefficientField(None, {(1, 0, 0): QComplex(QuadExt.sqrt_term(3), QuadExt.sqrt_term(5))})
+            CoefficientField(None, {(1, 0, 0): QComplex(QuadExt(3, Fraction(0), Fraction(1)),
+                                                        QuadExt(5, Fraction(0), Fraction(1)))})
         with pytest.raises(ValueError, match="mixed"):
-            CoefficientField(5, {(1, 0, 0): QComplex(QuadExt.sqrt_term(3), QuadExt.of(0))})
+            CoefficientField(5, {(1, 0, 0): QComplex(QuadExt(3, Fraction(0), Fraction(1)), QuadExt.of(0))})
 
 
 class TestEigenvalueTriple:

@@ -9,14 +9,13 @@ from hypothesis import given, settings, strategies as st
 
 from h4hecke import quaternions
 from h4hecke.clifford import CliffordElement
-from h4hecke.hecke import CoefficientField, epsilon_factor, legendre_symbol
+from h4hecke.hecke import CoefficientField, apply_hecke_float, epsilon_factor, legendre_symbol, verify_commutativity
 from h4hecke.sums import PrimeWindow
 from h4hecke.quaternions import (
     UNIT_FLIPS,
     LemmaSweepError,
     Quaternion,
     UNITS,
-    apply_matrix,
     canonical_orbit_representative,
     conjugate_action,
     conjugation_matrix,
@@ -29,6 +28,7 @@ from h4hecke.quaternions import (
     valuation,
     verify_conjugation_lemmas,
 )
+from reference import apply_matrix
 
 
 def jacobi_r4(n: int) -> int:
@@ -59,6 +59,17 @@ class TestEnumeration:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             enumerate_norm(0)
+
+    @pytest.mark.parametrize("n", [quaternions.MAX_NORM + 1, 10 ** 30 + 57])
+    def test_past_max_norm_rejected_at_once(self, n, time_limit):
+        # the cubic loop once ran for minutes at 10^6 and did not end at 10^30
+        with time_limit(1), pytest.raises(ValueError, match=f"norm {n} is past {quaternions.MAX_NORM}"):
+            enumerate_norm(n)
+
+    def test_max_norm_covers_every_orbit_table(self):
+        # orbit_representatives(p) enumerates norm p for every p up to MAX_PRIME
+        assert quaternions.MAX_NORM >= quaternions.MAX_PRIME
+        assert len(orbit_representatives(997).all_elements) == 8 * 998
 
 
 class TestOrbits:
@@ -316,6 +327,28 @@ class TestSweepKernel:
                     assert field == (1 << expected) - 1
                     assert table.valuation_at(words, prime, 0) == expected
 
+    @pytest.mark.parametrize("p,bound,qs", [
+        (7, 12, (3, 5, 11)),
+        (3, 64, (5, 7, 11)),
+        (997, 3, tuple(quaternions.odd_primes_in(3, 200))),  # 84 bits: two words
+    ])
+    def test_table_matches_valuation(self, p, bound, qs):
+        # the table a sweep builds equals one filled from valuation() row by row
+        mats = np.array([conjugation_matrix(a) for a in orbit_representatives(p).all_elements])
+        m = 3 * bound * int(np.abs(mats).max())
+        table = quaternions._DivisibilityTable((p, *qs), m)
+        expected = [np.zeros(m + 1, dtype=w.dtype) for w in table.words]
+        for word in expected:
+            word[0] = np.iinfo(word.dtype).max
+        for q, (word, offset, _) in table.fields.items():
+            v = np.fromiter((valuation((n,), q) for n in range(1, m + 1)), dtype=np.int64, count=m)
+            expected[word][1:] |= (((1 << v) - 1) << offset).astype(expected[word].dtype)
+        for got, want in zip(table.words, expected):
+            np.testing.assert_array_equal(got, want)
+        if p == 997:
+            assert len(table.words) == 2
+            assert sum(width for _, _, width in table.fields.values()) == 84
+
     def test_narrowest_int(self):
         assert [quaternions._narrowest_int(m) for m in (1, 127, 128, 32767, 32768, 2 ** 31)] == [
             np.int8, np.int8, np.int16, np.int16, np.int32, np.int64]
@@ -430,6 +463,9 @@ class TestOddPrimeGuard:
         lambda n: verify_conjugation_lemmas(n, 1),
         lambda n: verify_conjugation_lemmas(3, 1, q_primes=(5, n)),
         lambda n: PrimeWindow(P=10.0, primes=(n,)),
+        lambda n: apply_hecke_float(1, n, {(1, 0, 0): 1.0}),
+        lambda n: verify_commutativity(n, 5, 1, 1, CoefficientField.zero()),
+        lambda n: verify_commutativity(3, n, 1, 1, CoefficientField.zero()),
     ])
     def test_rejected_everywhere(self, call, n):
         with pytest.raises(ValueError, match=f"must be an odd prime, got {n}"):
@@ -444,6 +480,8 @@ class TestOddPrimeGuard:
         lambda n: orbit_representatives(n),
         lambda n: verify_conjugation_lemmas(3, 1, q_primes=(5, n)),
         lambda n: PrimeWindow(P=2.0 * n, primes=(n,)),
+        lambda n: apply_hecke_float(1, n, {(1, 0, 0): 1.0}),
+        lambda n: verify_commutativity(3, n, 1, 1, CoefficientField.zero()),
     ])
     def test_past_max_prime_rejected_at_once(self, call, n, time_limit):
         with time_limit(1), pytest.raises(ValueError, match=f"= {n} is past 1000, the largest supported prime"):

