@@ -131,18 +131,18 @@ class IsometryMatrix:
         return cls(*(Quaternion(*q) for q in entries))
 
 
-def _pseudo_det(entries) -> Fraction:
-    """pseudo_det on the coordinate tuples of [[a, b], [c, d]]."""
+def _pseudo_det(entries):
+    """The real part of a d^* - b c^* on the coordinate tuples of [[a, b], [c, d]], in their own type."""
     a, b, c, d = entries
     val = _twisted(a, b, d, c)
     if val[1] != 0 or val[2] != 0 or val[3] != 0:
         raise ValueError(f"not a similitude: pseudo-determinant {Quaternion(*val)} is not a real scalar")
-    return Fraction(val[0])
+    return val[0]
 
 
 def pseudo_det(g: IsometryMatrix) -> Fraction:
     """a d^* - b c^*, when it is a real scalar; otherwise the matrix is not a similitude."""
-    return _pseudo_det(g.coords())
+    return Fraction(_pseudo_det(g.coords()))
 
 
 def is_similitude(g: IsometryMatrix) -> bool:
@@ -192,33 +192,34 @@ def rotation(axis: str) -> IsometryMatrix:
     return IsometryMatrix(u, _Q_ZERO, _Q_ZERO, u.main())
 
 
-def _point_flip(flip):
-    """diag(u, u') on points: x_r -> flip[r] x_r with y kept, for the flip of u in UNIT_FLIPS."""
-    s0, s1, s2 = flip
-    return lambda z: PointH4(s0 * z.x0, s1 * z.x1, s2 * z.x2, z.y)
-
-
-# (token name, point map) of each rotation, keyed by whether its flip negates x1 and x2
-_ROTATIONS = {(flip[1] < 0, flip[2] < 0): (f"rot_{name}", _point_flip(flip)) for name, (_, flip) in UNIT_FLIPS.items()}
-
-
-def _token_matrix(token: Token) -> IsometryMatrix:
-    """The generator matrix that a reduction token names."""
-    if token[0] == "translate":
-        return translation(token[1])
-    if token[0] == "inversion":
-        return inversion()
-    return rotation(token[0].removeprefix("rot_"))
+# axis -> the coordinate tuples of u and u' for diag(u, u'), from the units of UNIT_FLIPS
+_ROTATION_UNITS = {name: (u.coords(), u.main().coords()) for name, (u, _) in UNIT_FLIPS.items()}
+# (x1 negated, x2 negated) -> (token, flip) of the rotation whose flip does that: diag(u, u') on
+# points is x_r -> flip[r] x_r with y kept
+_ROTATION_TOKENS = {(flip[1] < 0, flip[2] < 0): ((f"rot_{name}",), flip) for name, (_, flip) in UNIT_FLIPS.items()}
 
 
 def word_to_matrix(word: GeneratorWord) -> IsometryMatrix:
-    """Product of token matrices, applied left-to-right as actions."""
-    if len(word) < 2:
-        return _token_matrix(word[0]) if word else IsometryMatrix.identity()
-    g = _token_matrix(word[0]).coords()
-    for token in word[1:]:
-        g = _compose(_token_matrix(token).coords(), g)
-    return IsometryMatrix._from_coords(g)
+    """Product of token matrices, applied left-to-right as actions.
+
+    Each token left-multiplies [[a, b], [c, d]] in closed form on coordinate
+    tuples: the translation by t gives [[a + t c, b + t d], [c, d]], the
+    inversion [[c, d], [-a, -b]] and diag(u, u') [[u a, u b], [u' c, u' d]].
+    The entries equal the product of the ``translation``, ``inversion`` and
+    ``rotation`` matrices by ``@``; one matrix is built, at the end.
+    """
+    a, b, c, d = (1, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0), (1, 0, 0, 0)
+    for token in word:
+        if token[0] == "translate":
+            t = (int(token[1][0]), int(token[1][1]), int(token[1][2]), 0)
+            a, b = _add(a, hamilton_product(t, c)), _add(b, hamilton_product(t, d))
+        elif token[0] == "inversion":
+            a, b, c, d = c, d, (-a[0], -a[1], -a[2], -a[3]), (-b[0], -b[1], -b[2], -b[3])
+        else:
+            u, u_main = _ROTATION_UNITS[token[0].removeprefix("rot_")]
+            a, b = hamilton_product(u, a), hamilton_product(u, b)
+            c, d = hamilton_product(u_main, c), hamilton_product(u_main, d)
+    return IsometryMatrix._from_coords((a, b, c, d))
 
 
 # -- the action -------------------------------------------------------------
@@ -239,9 +240,8 @@ def act(g: IsometryMatrix, z) -> PointH4:
     from outside the program test is_similitude first.
     """
     entries = g.coords()
-    mu = _pseudo_det(entries)
-    if not mu > 0:
-        raise ValueError(f"action requires positive pseudo-determinant, got {mu}")
+    if not _pseudo_det(entries) > 0:
+        raise ValueError(f"action requires positive pseudo-determinant, got {Fraction(_pseudo_det(entries))}")
     z = as_point(z)
     y = z.y
     y2 = y * y
@@ -317,29 +317,30 @@ def reduce_to_fundamental_domain(z) -> tuple[GeneratorWord, PointH4]:
     iteration cap guards the float boundary cases.  A point with an
     infinite or NaN coordinate raises ValueError.
     """
-    cur = as_point(z)
-    if not all(map(math.isfinite, cur.as_tuple())):
-        raise ValueError(f"cannot reduce a point with a non-finite coordinate: {cur.as_tuple()}")
+    x0, x1, x2, y = as_point(z).as_tuple()
+    if not all(map(math.isfinite, (x0, x1, x2, y))):
+        raise ValueError(f"cannot reduce a point with a non-finite coordinate: {(x0, x1, x2, y)}")
     word: list[Token] = []
     for _ in range(_MAX_ITER):
-        shifts = tuple(-math.floor(c + 0.5) for c in (cur.x0, cur.x1, cur.x2))
+        shifts = (-math.floor(x0 + 0.5), -math.floor(x1 + 0.5), -math.floor(x2 + 0.5))
         if any(shifts):
             word.append(("translate", shifts))
-            cur = PointH4(cur.x0 + shifts[0], cur.x1 + shifts[1], cur.x2 + shifts[2], cur.y)
-        rot = _ROTATIONS.get((cur.x1 < -_TOL, cur.x2 < -_TOL))
+            x0, x1, x2 = x0 + shifts[0], x1 + shifts[1], x2 + shifts[2]
+        rot = _ROTATION_TOKENS.get((x1 < -_TOL, x2 < -_TOL))
         if rot is not None:
-            word.append((rot[0],))
-            cur = rot[1](cur)
-        if cur.norm_sq < 1.0 - _TOL:
+            token, (s0, s1, s2) = rot
+            word.append(token)
+            x0, x1, x2 = s0 * x0, s1 * x1, s2 * x2
+        if x0 * x0 + x1 * x1 + x2 * x2 + y * y < 1.0 - _TOL:
             # Dividing twice by |z| keeps z/|z|^2 exact where |z|^2 underflows.
-            r = math.hypot(cur.x0, cur.x1, cur.x2, cur.y)
+            r = math.hypot(x0, x1, x2, y)
             word.append(("inversion",))
-            cur = PointH4(-cur.x0 / r / r, cur.x1 / r / r, cur.x2 / r / r, cur.y / r / r)
-            if not all(map(math.isfinite, cur.as_tuple())):
+            x0, x1, x2, y = -x0 / r / r, x1 / r / r, x2 / r / r, y / r / r
+            if not all(map(math.isfinite, (x0, x1, x2, y))):
                 raise ValueError(f"inversion at |z| = {r:g} overflows the float range")
             continue
-        if is_in_region(cur, "F"):
-            return tuple(word), cur
+        if _in_F(x0, x1, x2, y):
+            return tuple(word), PointH4(x0, x1, x2, y)
     raise ReductionError(f"reduction did not converge after {_MAX_ITER} iterations")
 
 

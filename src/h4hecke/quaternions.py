@@ -35,9 +35,15 @@ MAX_PRIME = 1000
 # 10007 (2-vCPU host).
 MAX_NORM = 10_000
 # The largest coordinate bound of a lemma sweep.  Peak RSS grows by about 57 bytes per beta over
-# the 30 MB of the imported package: 34 MB at bound 20, 44 MB at bound 30 and 146 MB at bound 64,
-# with 129^3 betas (p = 3).
+# the 30 MB of the imported package: 34 MB at bound 20, 44 MB at bound 30 and 150 MB at bound 64,
+# with 129^3 betas (p = 3; 195 MB at p = 13 and 19, whose products need int16).
 MAX_SWEEP_BOUND = 64
+# The largest work (p+1)(2 bound + 1)^3 of a lemma sweep: one pass over the (2 bound + 1)^3 betas
+# for each of the p+1 classes.  At p = 997 a sweep takes about 0.3 s at bound 10 (work 9.2e6),
+# 0.7 s at bound 17 (4.3e7, the largest admitted; 1.5 s with the 45 odd primes up to 200 as q) and
+# 9.3 s at bound 32 (2.7e8), so about 70 s at bound 64; p = 3 at bound 64 (8.6e6) takes 0.4 s and
+# p = 19 at bound 64 (4.3e7) 1.6 s (2-vCPU host, after the orbit table is built).
+MAX_SWEEP_WORK = 50_000_000
 
 
 def is_prime(n: int) -> bool:
@@ -77,15 +83,17 @@ def odd_primes_in(lo: float, hi: float) -> Iterator[int]:
 def hamilton_product(p: Sequence, q: Sequence) -> tuple:
     """The quaternion product on coordinate 4-tuples (1, i, j, k).
 
-    The one copy of the formula: ``Quaternion`` products, the exact 2x2
-    matrix layer of ``geometry`` and its float action all call it, on int,
-    Fraction or float coordinates alike.  Composing on tuples rather than
-    on frozen ``Quaternion`` objects skips a dataclass construction and an
-    ABC isinstance check per product.  On the reduction words of 2,000
-    points drawn as in acceptance 13 (2-vCPU Xeon host, medians of 6 runs),
-    ``word_to_matrix`` took 16 us per word instead of 58, a matrix product
-    12 instead of 28, ``pseudo_det`` 2.5 instead of 9.9 and ``act`` 15
-    instead of 23.
+    The one copy of the formula: ``Quaternion`` products, ``conjugate_action``,
+    the exact 2x2 matrix layer of ``geometry`` and its float action all call
+    it, on int, Fraction or float coordinates alike.  Composing on tuples
+    rather than on frozen ``Quaternion`` objects skips a dataclass
+    construction and an ABC isinstance check per product.  On the reduction
+    words of 2,000 points drawn as in acceptance 13 (mean length 1.8;
+    2-vCPU Xeon host, medians of 6 runs, the range over three runs on a
+    loaded host), ``word_to_matrix`` took 6.5-12 us per word instead of
+    11-20 with the same closed forms on ``Quaternion`` objects, a matrix
+    product 8.4-14 instead of 15-27, ``pseudo_det`` 2.1-3.4 instead of 5.9-10
+    and ``act`` 8.7-12 instead of 36-62.
     """
     a1, b1, c1, d1 = p
     a2, b2, c2, d2 = q
@@ -238,8 +246,12 @@ def conjugate_action(alpha: Quaternion, beta: Sequence[int]) -> LatticeVector:
     Raises ArithmeticError if the product acquires a k-component (it
     cannot; a nonzero k-component signals an internal inconsistency).
     """
-    q = alpha.main() * lattice_to_quaternion(beta) * alpha.conjugate()
-    return quaternion_to_lattice(q)
+    a, b, c, d = alpha.coords()
+    q = hamilton_product(hamilton_product((a, -b, -c, d), (int(beta[0]), int(beta[1]), int(beta[2]), 0)),
+                         (a, -b, -c, -d))
+    if q[3] != 0:
+        raise ArithmeticError(f"quaternion {Quaternion(*q)} has nonzero k-component, not in V3")
+    return (int(q[0]), int(q[1]), int(q[2]))
 
 
 def conjugation_matrix(alpha: Quaternion) -> tuple[tuple[int, int, int], ...]:
@@ -387,11 +399,29 @@ def _narrowest_int(m: int) -> type:
     return next(t for t in (np.int8, np.int16, np.int32, np.int64) if np.iinfo(t).max >= m)
 
 
+@lru_cache(maxsize=8)
 def _beta_grid(bound: int, dtype: type) -> np.ndarray:
-    """The nonzero integer vectors with |coords| <= bound, as the columns of a 3 x n array."""
+    """The nonzero integer vectors with |coords| <= bound, as the columns of a read-only 3 x n array."""
     rng = np.arange(-bound, bound + 1, dtype=dtype)
     grid = np.stack(np.meshgrid(rng, rng, rng, indexing="ij")).reshape(3, -1)
-    return np.ascontiguousarray(grid[:, np.any(grid != 0, axis=0)])
+    grid = np.ascontiguousarray(grid[:, np.any(grid != 0, axis=0)])
+    grid.flags.writeable = False
+    return grid
+
+
+def _sweep_classes(table: NormPOrbitTable) -> list[tuple]:
+    """The norm-p alpha grouped by the row-sign form of conjugation_matrix(alpha), in order of first
+    appearance: (first member, its matrix, class size, representatives in the class) for each."""
+    representatives = set(table.representatives)
+    classes: dict[tuple, list] = {}
+    for alpha in table.all_elements:
+        mat = conjugation_matrix(alpha)
+        # each row times the sign of its first nonzero entry, r[0] or r[1] or r[2]
+        form = tuple((-r[0], -r[1], -r[2]) if (r[0] or r[1] or r[2]) < 0 else tuple(r) for r in mat)
+        cls = classes.setdefault(form, [alpha, mat, 0, 0])
+        cls[2] += 1
+        cls[3] += alpha in representatives
+    return [tuple(cls) for cls in classes.values()]
 
 
 def verify_conjugation_lemmas(
@@ -411,24 +441,39 @@ def verify_conjugation_lemmas(
       (iv)  any delta with more than 16 norm-p alpha satisfying
             p^2 | alpha^* delta alpha is itself divisible by p^2.
 
-    The betas are the columns of one 3 x n array, so each alpha costs a
-    few passes over three contiguous coordinate rows: O(bound^3 * p) in
-    all.  A valuation is the least coordinate valuation,
-    v_q(c) = min_i v_q(c_i) with v_q(0) = infinity.  All of them come from
-    one packed per-call table of the prime powers dividing each n,
-    0 <= n <= m (``_DivisibilityTable``): the AND of the rows of |c_0|,
-    |c_1|, |c_2| holds 2^v - 1 in each prime's bit field, so one alpha
-    makes three lookups per word (one word for the default primes at
-    every allowed p and bound), whatever the number of primes.  On the
-    p-field f, v_c > v_b + 2 is f_c > (f_b << 2 | 3), p^2 | c is
-    f_c > 1, and v_c != v_b is f_c != f_b; every v_q with q != p is kept
-    exactly when the words agree on the q bits.  m = 3 * bound * (largest
-    absolute entry of the 8(p+1) matrices, at most p) bounds every |c_i|,
-    and a lookup past it raises IndexError.  The betas, the matrices and
-    their products are held in the narrowest signed integer dtype that
-    holds m (int8 or int16 at the bounds the CLI, demos and benchmark
-    use).  Part (iii) counts the representatives' v_p rows of part (i) as they
-    are computed, and part (iv) counts v_p(C(alpha) delta) >= 2 on them:
+    Every valuation read below depends on C(alpha) beta only through its
+    absolute coordinates, so alpha whose matrices agree up to the sign of
+    each row give the same answers.  The 8(p+1) alpha are grouped by the
+    row-sign normal form of C(alpha) (each row times the sign of its first
+    nonzero entry), formed from the matrices at each call, and each class
+    is swept once with the matrix of its first member, in order of first
+    appearance: part (iii) weighs it by its number of representatives and
+    part (iv) by its size, and a failure of (i) or (ii) names its first
+    member, which is the first failing alpha of the table's order.  Since
+    C(u alpha) = C(u) C(alpha) with C(u) a sign diagonal for the 8 units u,
+    there are p+1 classes of 8, one representative in each.
+    pairs_checked counts the (beta, alpha) pairs the classes cover,
+    beta_count * 8(p+1).  The work (p+1)(2 bound + 1)^3 is refused past
+    MAX_SWEEP_WORK before anything is built.
+
+    The betas are the columns of one 3 x n array, so each class costs a
+    few passes over three contiguous coordinate rows.  A valuation is the
+    least coordinate valuation, v_q(c) = min_i v_q(c_i) with
+    v_q(0) = infinity.  All of them come from one packed per-call table
+    of the prime powers dividing each n, 0 <= n <= m
+    (``_DivisibilityTable``): the AND of the rows of |c_0|, |c_1|, |c_2|
+    holds 2^v - 1 in each prime's bit field, so one class makes three
+    lookups per word (one word for the default primes at every allowed p
+    and bound), whatever the number of primes.  On the p-field f,
+    v_c > v_b + 2 is f_c > (f_b << 2 | 3), p^2 | c is f_c > 1, and
+    v_c != v_b is f_c != f_b; every v_q with q != p is kept exactly when
+    the words agree on the q bits.  m = 3 * bound * (largest absolute
+    entry of the 8(p+1) matrices, at most p) bounds every |c_i|, and a
+    lookup past it raises IndexError.  The betas, the matrices and their
+    products are held in the narrowest signed integer dtype that holds m
+    (int8 or int16 at the bounds the CLI, demos and benchmark use).  Part
+    (iii) counts the representatives' v_p rows of part (i) as they are
+    computed, and part (iv) counts v_p(C(alpha) delta) >= 2 on them:
     alpha^* delta alpha = C(bar(alpha)) delta = C(alpha)^T delta, and
     alpha -> bar(alpha) permutes the norm-p alpha, so each delta has as many
     alpha with p^2 | C(alpha)^T delta as with p^2 | C(alpha) delta.
@@ -447,6 +492,11 @@ def verify_conjugation_lemmas(
         raise ValueError(f"coordinate bound must be at least 1, got {coordinate_bound}")
     if coordinate_bound > MAX_SWEEP_BOUND:
         raise ValueError(f"coordinate bound must be at most {MAX_SWEEP_BOUND}, got {coordinate_bound}")
+    require_odd_prime(p)
+    work = (p + 1) * (2 * coordinate_bound + 1) ** 3
+    if work > MAX_SWEEP_WORK:
+        raise ValueError(f"a sweep of (p+1)(2 bound+1)^3 = {work} at p = {p} and bound {coordinate_bound} "
+                         f"is past {MAX_SWEEP_WORK}, the largest supported sweep")
     table = orbit_representatives(p)
     if q_primes is None:
         q_primes = [q for q in (3, 5, 7, 11) if q != p]
@@ -454,8 +504,8 @@ def verify_conjugation_lemmas(
     if p in q_primes:
         raise ValueError(f"q primes must differ from p: {q_primes}")
 
-    representatives = set(table.representatives)
-    mats = np.array([conjugation_matrix(alpha) for alpha in table.all_elements], dtype=np.int64)
+    classes = _sweep_classes(table)
+    mats = np.array([mat for _, mat, _, _ in classes], dtype=np.int64)
     m = 3 * coordinate_bound * int(np.abs(mats).max())
     # Every |entry|, |beta_i| and |(C beta)_i| is at most m, so no product or sum wraps.
     dtype = _narrowest_int(m)
@@ -479,15 +529,13 @@ def verify_conjugation_lemmas(
     jump_past_1 = f_beta << 1 | 1
 
     max_jump = 0
-    pairs = 0
     unequal = np.zeros(n_beta, dtype=np.int64)
     counts = np.zeros(n_beta, dtype=np.int64)
 
-    for alpha, mat in zip(table.all_elements, mats):
+    for (alpha, _, size, reps), mat in zip(classes, mats):
         # (i) + (ii); conjugation is linear in beta.
         words = div.lookup([np.abs(r[0] * b0 + r[1] * b1 + r[2] * b2) for r in mat])
         f_conj = div.field(words, p)
-        pairs += n_beta
         high = f_conj > jump_past_2
         if high.any():
             idx = int(np.argmax(high))
@@ -496,9 +544,10 @@ def verify_conjugation_lemmas(
                 (beta_at(idx), alpha, div.valuation_at(words_beta, p, idx), div.valuation_at(words, p, idx)),
             )
         # v_p(conj) >= v_p(beta) always (see the docstring), so the jump is 0, 1 or 2.
+        changed = f_conj != f_beta
         if max_jump < 2 and (f_conj > jump_past_1).any():
             max_jump = 2
-        elif max_jump < 1 and (f_conj != f_beta).any():
+        elif max_jump < 1 and changed.any():
             max_jump = 1
         if any(((w ^ wb) & mask).any() for w, wb, mask in zip(words, words_beta, q_masks) if mask):
             for q in q_primes:
@@ -510,10 +559,9 @@ def verify_conjugation_lemmas(
                         (beta_at(idx), alpha, div.valuation_at(words_beta, q, idx), div.valuation_at(words, q, idx)),
                     )
         # (iii) counts over the p+1 representatives, checked after the loop.
-        if alpha in representatives:
-            unequal += f_conj != f_beta
+        unequal += reps * changed
         # (iv), counted over bar(alpha): see the docstring.  v_p >= 2 <=> f > 1.
-        counts += f_conj > 1
+        counts += size * (f_conj > 1)
 
     if int(unequal.max()) > 2:
         idx = int(np.argmax(unequal))
@@ -537,7 +585,7 @@ def verify_conjugation_lemmas(
         q_primes=q_primes,
         beta_count=n_beta,
         alpha_count=len(table.all_elements),
-        pairs_checked=pairs,
+        pairs_checked=n_beta * len(table.all_elements),
         max_vp_jump=max_jump,
         max_unequal_reps=int(unequal.max()),
         max_exceptional_set=int(unequal.max()),

@@ -2,12 +2,19 @@
 
 import csv
 import json
+import math
 from fractions import Fraction
 
+import numpy as np
+
+from h4hecke import geometry, quaternions
 from h4hecke.clifford import CliffordElement
 from h4hecke.files import SCHEMA_VERSION
-from h4hecke.geometry import PointH4, act, as_point, word_to_matrix
-from h4hecke.quaternions import lattice_norm
+from h4hecke.geometry import (
+    _MAX_ITER, _TOL, IsometryMatrix, PointH4, ReductionError, as_point, inversion, is_in_region, pseudo_det, rotation,
+    translation,
+)
+from h4hecke.quaternions import UNIT_FLIPS, hamilton_product, lattice_norm
 
 
 def apply_matrix(mat, beta):
@@ -20,12 +27,180 @@ def apply_matrix(mat, beta):
     )
 
 
+def token_matrix(token) -> IsometryMatrix:
+    """The generator matrix that a reduction token names."""
+    if token[0] == "translate":
+        return translation(token[1])
+    if token[0] == "inversion":
+        return inversion()
+    return rotation(token[0].removeprefix("rot_"))
+
+
+def word_matrix(word) -> IsometryMatrix:
+    """The product of the token matrices by ``@``, the reference for ``geometry.word_to_matrix``."""
+    g = IsometryMatrix.identity()
+    for token in word:
+        g = token_matrix(token) @ g
+    return g
+
+
 def apply_word(word, z) -> PointH4:
     """z carried through a reduction word one generator at a time."""
     out = as_point(z)
     for token in word:
-        out = act(word_to_matrix((token,)), out)
+        out = geometry.act(token_matrix(token), out)
     return out
+
+
+def act_reference(g: IsometryMatrix, z) -> PointH4:
+    """g . z through Quaternion objects and an exact Fraction pseudo-determinant: the reference for
+    ``geometry.act``, with the same float operations in the same order and the same errors."""
+    mu = pseudo_det(g)
+    if not mu > 0:
+        raise ValueError(f"action requires positive pseudo-determinant, got {mu}")
+    z = as_point(z)
+    y = z.y
+    y2 = y * y
+    v = (z.x0, z.x1, z.x2, 0.0)
+    a, b, c, d = ((float(q.a), float(q.b), float(q.c), float(q.d)) for q in g.entries())
+    av = hamilton_product(a, v)
+    cv = hamilton_product(c, v)
+    P = (av[0] + b[0], av[1] + b[1], av[2] + b[2], av[3] + b[3])
+    N = (cv[0] + d[0], cv[1] + d[1], cv[2] + d[2], cv[3] + d[3])
+    D = N[0] * N[0] + N[1] * N[1] + N[2] * N[2] + N[3] * N[3] + y2 * (
+        c[0] * c[0] + c[1] * c[1] + c[2] * c[2] + c[3] * c[3])
+    if D < 1e-309:
+        raise ArithmeticError("c z + d is numerically non-invertible")
+    pn = hamilton_product(P, (N[0], -N[1], -N[2], -N[3]))
+    ac = hamilton_product(a, (c[0], -c[1], -c[2], -c[3]))
+    an = hamilton_product(a, (N[0], N[1], N[2], -N[3]))
+    pc = hamilton_product(P, (c[0], c[1], c[2], -c[3]))
+    q = (pn[0] + y2 * ac[0], pn[1] + y2 * ac[1], pn[2] + y2 * ac[2], pn[3] + y2 * ac[3])
+    w = (y * (an[0] - pc[0]), y * (an[1] - pc[1]), y * (an[2] - pc[2]), y * (an[3] - pc[3]))
+    stray = math.hypot(q[3], w[1], w[2], w[3])
+    if stray > 1e-6 * (D + math.hypot(*q, *w)):
+        raise AssertionError(f"action left the upper half-space model (stray part {stray / D})")
+    out = (q[0] / D, q[1] / D, q[2] / D, w[0] / D)
+    if not (math.isfinite(out[0] + out[1] + out[2]) and 0 < out[3] < math.inf):
+        raise ValueError(f"the action overflows the double range: g . z computes to {out}")
+    return PointH4(*out)
+
+
+def _point_flip(flip):
+    s0, s1, s2 = flip
+    return lambda z: PointH4(s0 * z.x0, s1 * z.x1, s2 * z.x2, z.y)
+
+
+_ROTATIONS = {(flip[1] < 0, flip[2] < 0): (f"rot_{name}", _point_flip(flip)) for name, (_, flip) in UNIT_FLIPS.items()}
+
+
+def reduce_reference(z):
+    """The reduction with one PointH4 per step: the reference for ``geometry.reduce_to_fundamental_domain``."""
+    cur = as_point(z)
+    if not all(map(math.isfinite, cur.as_tuple())):
+        raise ValueError(f"cannot reduce a point with a non-finite coordinate: {cur.as_tuple()}")
+    word = []
+    for _ in range(_MAX_ITER):
+        shifts = tuple(-math.floor(c + 0.5) for c in (cur.x0, cur.x1, cur.x2))
+        if any(shifts):
+            word.append(("translate", shifts))
+            cur = PointH4(cur.x0 + shifts[0], cur.x1 + shifts[1], cur.x2 + shifts[2], cur.y)
+        rot = _ROTATIONS.get((cur.x1 < -_TOL, cur.x2 < -_TOL))
+        if rot is not None:
+            word.append((rot[0],))
+            cur = rot[1](cur)
+        if cur.norm_sq < 1.0 - _TOL:
+            r = math.hypot(cur.x0, cur.x1, cur.x2, cur.y)
+            word.append(("inversion",))
+            cur = PointH4(-cur.x0 / r / r, cur.x1 / r / r, cur.x2 / r / r, cur.y / r / r)
+            if not all(map(math.isfinite, cur.as_tuple())):
+                raise ValueError(f"inversion at |z| = {r:g} overflows the float range")
+            continue
+        if is_in_region(cur, "F"):
+            return tuple(word), cur
+    raise ReductionError(f"reduction did not converge after {_MAX_ITER} iterations")
+
+
+def sweep_per_alpha(p, coordinate_bound, q_primes=None):
+    """The lemma sweep with one pass per norm-p alpha: the reference for the per-class sweep of
+    ``quaternions.verify_conjugation_lemmas``, reading ``quaternions.conjugation_matrix`` at call time."""
+    Q = quaternions
+    if coordinate_bound < 1:
+        raise ValueError(f"coordinate bound must be at least 1, got {coordinate_bound}")
+    if coordinate_bound > Q.MAX_SWEEP_BOUND:
+        raise ValueError(f"coordinate bound must be at most {Q.MAX_SWEEP_BOUND}, got {coordinate_bound}")
+    table = Q.orbit_representatives(p)
+    if q_primes is None:
+        q_primes = [q for q in (3, 5, 7, 11) if q != p]
+    q_primes = tuple(Q.require_odd_prime(q, "each q") for q in q_primes)
+    if p in q_primes:
+        raise ValueError(f"q primes must differ from p: {q_primes}")
+
+    representatives = set(table.representatives)
+    mats = np.array([Q.conjugation_matrix(alpha) for alpha in table.all_elements], dtype=np.int64)
+    m = 3 * coordinate_bound * int(np.abs(mats).max())
+    dtype = Q._narrowest_int(m)
+    mats = mats.astype(dtype)
+    betas = Q._beta_grid(coordinate_bound, dtype)
+    n_beta = betas.shape[1]
+    b0, b1, b2 = betas
+    div = Q._DivisibilityTable((p, *q_primes), m)
+
+    def beta_at(idx):
+        return tuple(int(c) for c in betas[:, idx])
+
+    words_beta = div.lookup(np.abs(betas))
+    f_beta = div.field(words_beta, p)
+    max_jump = pairs = 0
+    unequal = np.zeros(n_beta, dtype=np.int64)
+    counts = np.zeros(n_beta, dtype=np.int64)
+    for alpha, mat in zip(table.all_elements, mats):
+        words = div.lookup([np.abs(r[0] * b0 + r[1] * b1 + r[2] * b2) for r in mat])
+        f_conj = div.field(words, p)
+        pairs += n_beta
+        high = f_conj > (f_beta << 2 | 3)
+        if high.any():
+            idx = int(np.argmax(high))
+            raise Q.LemmaSweepError(
+                "two-sided v_p bound failed",
+                (beta_at(idx), alpha, div.valuation_at(words_beta, p, idx), div.valuation_at(words, p, idx)),
+            )
+        if max_jump < 2 and (f_conj > (f_beta << 1 | 1)).any():
+            max_jump = 2
+        elif max_jump < 1 and (f_conj != f_beta).any():
+            max_jump = 1
+        for q in q_primes:
+            bad = div.field(words, q) != div.field(words_beta, q)
+            if bad.any():
+                idx = int(np.argmax(bad))
+                raise Q.LemmaSweepError(
+                    f"v_{q} not preserved under conjugation",
+                    (beta_at(idx), alpha, div.valuation_at(words_beta, q, idx), div.valuation_at(words, q, idx)),
+                )
+        if alpha in representatives:
+            unequal += f_conj != f_beta
+        counts += f_conj > 1
+    if int(unequal.max()) > 2:
+        idx = int(np.argmax(unequal))
+        raise Q.LemmaSweepError("more than two orbits changed v_p", (beta_at(idx), int(unequal[idx])))
+    bad = (counts > 16) & (f_beta <= 1)
+    if bad.any():
+        idx = int(np.argmax(bad))
+        raise Q.LemmaSweepError(
+            "more than 16 conjugates divisible by p^2 without p^2 | delta", (beta_at(idx), int(counts[idx])))
+    small = f_beta == 0
+    return Q.ConjugationSweepReport(
+        p=p,
+        bound=coordinate_bound,
+        q_primes=q_primes,
+        beta_count=n_beta,
+        alpha_count=len(table.all_elements),
+        pairs_checked=pairs,
+        max_vp_jump=max_jump,
+        max_unequal_reps=int(unequal.max()),
+        max_exceptional_set=int(unequal.max()),
+        squared_divisibility_max_small=int(counts[small].max()) if small.any() else 0,
+    )
 
 
 def cosh_distance(z, w) -> float:

@@ -625,6 +625,9 @@ class TestBadInputsExit2:
         ["hecke", "commute", "--p", "-3", "--q", "5"],
         ["quat", "enum", "--norm", "1000000"],
         ["quat", "enum", "--norm", "1000000000000000000000000000057"],
+        ["quat", "verify-lemmas", "--p", "997", "--bound", "64"],
+        ["quat", "verify-lemmas", "--p", "997", "--bound", "18"],
+        ["quat", "verify-lemmas", "--p", "23", "--bound", "64"],
     ])
     def test_exits_2_with_one_error_line(self, argv, form_files, bad_files, capsys, time_limit):
         assert _exit_code([a.format(**form_files, **bad_files) for a in argv], time_limit) == 2

@@ -26,7 +26,7 @@ from h4hecke.geometry import (
     word_to_matrix,
 )
 from h4hecke.quaternions import Quaternion
-from reference import apply_word, cosh_distance, vector_coords
+from reference import act_reference, apply_word, cosh_distance, reduce_reference, vector_coords, word_matrix
 
 
 def random_integral_matrix(rng: random.Random, length: int = 6) -> IsometryMatrix:
@@ -325,6 +325,105 @@ class TestRotationFlips:
             z = PointH4(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5), rng.uniform(1, 8))
             for name, (s0, s1, s2) in _CUSP_COPIES[1:]:
                 assert PointH4(s0 * z.x0, s1 * z.x1, s2 * z.x2, z.y) == act(rotation(name[-1]), z)
+
+
+def _acceptance_points(count: int, seed: int) -> list[PointH4]:
+    """Acceptance 13's distribution: x uniform in [-3, 3]^3, y uniform in [0.05, 50]."""
+    rng = random.Random(seed)
+    return [PointH4(rng.uniform(-3, 3), rng.uniform(-3, 3), rng.uniform(-3, 3), rng.uniform(0.05, 50))
+            for _ in range(count)]
+
+
+def _outcome(f, *args):
+    """repr of what f returns, or the type and text of what it raises."""
+    try:
+        return repr(f(*args))
+    except Exception as err:  # every error the references raise is compared, whatever its type
+        return type(err), str(err)
+
+
+_ONE, _ZERO = Quaternion(1, 0, 0, 0), Quaternion(0, 0, 0, 0)
+_BIG = 10 ** 200
+
+
+# (g, z) that reach each error of act, and edges past the double range
+_ACT_CASES = [
+    (IsometryMatrix(Quaternion(0, 1, 0, 0), _ZERO, _ZERO, _ONE), (0.1, 0.2, 0.3, 1.0)),  # mu = i
+    (IsometryMatrix(_ONE, _ZERO, Quaternion(0, 0, 0, 1), _ONE), (0.1, 0.2, 0.3, 1.0)),  # k in d c^*
+    (IsometryMatrix(_ONE, Quaternion(0, 1, 0, 1), _ZERO, Quaternion(2, 0, 0, 0)), (0.1, 0.2, 0.3, 1.0)),
+    (IsometryMatrix(-_ONE, _ZERO, _ZERO, _ONE), (0, 0, 0, 1)),  # mu = -1
+    (IsometryMatrix(_ZERO, _ZERO, _ZERO, _ZERO), (0, 0, 0, 1)),  # mu = 0
+    (IsometryMatrix(Quaternion(Fraction(-1, 2), 0, 0, 0), _ZERO, _ZERO, _ONE), (0, 0, 0, 1)),  # mu = -1/2
+    (IsometryMatrix(Quaternion(_BIG, 0, 0, 0), _ZERO, _ZERO, Quaternion(Fraction(1, _BIG), 0, 0, 0)),
+     (0, 0, 0, 1.0)),  # N = 1e-200: D underflows
+    (IsometryMatrix(Quaternion(_BIG, 0, 0, 0), _ZERO, _ZERO, Quaternion(_BIG, 0, 0, 0)), (0, 0, 0, 0.5)),
+    (IsometryMatrix(Quaternion(_BIG ** 2, 0, 0, 0), _ZERO, _ZERO, _ONE), (0, 0, 0, 0.5)),  # past float
+    (IsometryMatrix(Quaternion(10 ** 300, 0, 0, 0), _ZERO, _ZERO, _ONE), (0, 0, 0, 1e10)),  # y overflows
+    (inversion(), (math.nan, 0, 0, 1)),
+    (inversion(), (0, 0, 0, math.inf)),
+    (inversion(), (0, 0, 0, math.nan)),
+    (inversion(), (0, 0, 0, 5e-324)),
+    (IsometryMatrix(Quaternion(Fraction(1, 2), 0, 0, 0), _ZERO, _ZERO, Quaternion(2, 0, 0, 0)), (0.1, 0.2, 0.3, 1)),
+]
+
+
+class TestClosedFormMatrixLayer:
+    """word_to_matrix, act and the reduction against their matrix-by-matrix and point-by-point references."""
+
+    def test_reduction_words_points_matrices_and_actions(self):
+        for z in _acceptance_points(2000, 13):
+            word, reduced = result = reduce_to_fundamental_domain(z)
+            assert repr(result) == repr(reduce_reference(z))
+            g = word_to_matrix(word)
+            assert g == word_matrix(word) and repr(g) == repr(word_matrix(word))
+            assert repr(act(g, z)) == repr(act_reference(g, z))
+
+    @pytest.mark.parametrize("word", [
+        (),
+        (("translate", (1, -2, 0)),),
+        (("inversion",),),
+        (("rot_i",),),
+        (("rot_j",),),
+        (("rot_k",),),
+        (("translate", (10 ** 30, -(10 ** 30), 3)), ("inversion",), ("translate", (0, 10 ** 30, -1)), ("rot_j",)),
+        _random_word(random.Random(50), 50),
+    ])
+    def test_hand_made_words(self, word):
+        g = word_to_matrix(word)
+        assert g == word_matrix(word) and repr(g) == repr(word_matrix(word))
+        assert all(type(x) is int for q in g.entries() for x in q.coords())
+
+    def test_unknown_token_raises_the_same_error(self):
+        assert _outcome(word_to_matrix, (("rot_x",),)) == _outcome(word_matrix, (("rot_x",),))
+
+    @pytest.mark.parametrize("g,z", _ACT_CASES)
+    def test_act_errors_and_edges(self, g, z):
+        assert _outcome(act, g, z) == _outcome(act_reference, g, z)
+
+    def test_act_cases_reach_every_error(self):
+        messages = {_outcome(act, g, z)[1].split(":")[0].split(" (")[0] for g, z in _ACT_CASES}
+        assert messages >= {"not a similitude", "action left the upper half-space model",
+                            "action requires positive pseudo-determinant, got -1/2",
+                            "action requires positive pseudo-determinant, got 0",
+                            "c z + d is numerically non-invertible", "the action overflows the double range",
+                            "int too large to convert to float", "point must have y > 0, got y = nan"}
+
+    @pytest.mark.parametrize("z", [
+        (0, 0, 0, 5e-324),  # the inversion overflows
+        (0, 0, 0, 1e-320),
+        (0, 0, 0, 1e-200),
+        (math.inf, 0, 0, 1),
+        (0, math.nan, 0, 1),
+        (0, 0, 0, math.inf),
+        (0, 0, 0, math.nan),  # not y > 0
+        (0, 0, 0, -1.0),
+        (1e300, -1e300, 0.5, 1e-300),
+        (-0.0, -0.0, -0.0, 0.5),
+        (0.5, -1e-10, 0.5, 1.0),
+        PointH4(1, -2, 3, 1),  # int coordinates
+    ])
+    def test_reduction_errors_and_edges(self, z):
+        assert _outcome(reduce_to_fundamental_domain, z) == _outcome(reduce_reference, z)
 
 
 # The copies of S_T as the sign flips of test_act_of_rotation_is_the_flipped_point, in report order.

@@ -28,7 +28,7 @@ from h4hecke.quaternions import (
     valuation,
     verify_conjugation_lemmas,
 )
-from reference import apply_matrix
+from reference import apply_matrix, sweep_per_alpha
 
 
 def jacobi_r4(n: int) -> int:
@@ -235,6 +235,26 @@ class TestLemmaSweeps:
         for bound in (0, -2):
             with pytest.raises(ValueError, match="coordinate bound must be at least 1"):
                 verify_conjugation_lemmas(3, bound)
+
+    @pytest.mark.parametrize("p,bound", [(997, 64), (997, 18), (23, 64), (29, 60)])
+    def test_past_max_sweep_work_rejected_at_once(self, p, bound, time_limit):
+        work = (p + 1) * (2 * bound + 1) ** 3
+        assert work > quaternions.MAX_SWEEP_WORK
+        with time_limit(1), pytest.raises(ValueError, match=f"= {work} at p = {p} and bound {bound} is past"):
+            verify_conjugation_lemmas(p, bound)
+
+    def test_max_sweep_work_admits_the_used_sizes(self):
+        # p = 3 at the largest bound, p = 997 at bound 3 (the two-word sweep) and at bound 17, and the
+        # p = 3, 5, 7 sweeps at bound 12 of the benchmark, the demos and the README
+        for p, bound in ((3, 64), (19, 64), (997, 3), (997, 17), (3, 12), (5, 12), (7, 12)):
+            assert (p + 1) * (2 * bound + 1) ** 3 <= quaternions.MAX_SWEEP_WORK
+        assert 998 * 37 ** 3 > quaternions.MAX_SWEEP_WORK  # p = 997 stops at bound 17
+
+    def test_bad_prime_named_before_the_work_ceiling(self):
+        with pytest.raises(ValueError, match="p = 1009 is past 1000"):
+            verify_conjugation_lemmas(1009, 64)
+        with pytest.raises(ValueError, match="must be an odd prime, got 999"):
+            verify_conjugation_lemmas(999, 64)
 
 
 def _brute_force_report(p: int, bound: int, qs: tuple[int, ...]) -> dict:
@@ -450,6 +470,100 @@ class TestSweepChecksFire:
         assert "more than 16 conjugates divisible by p^2 without p^2 | delta" in str(err)
         assert err.witness == (self.CORNER, 7 * (self.P + 1) + from_reps)
         assert valuation(self.CORNER, self.P) < 2
+
+
+def _outcome(sweep, *args):
+    """The report of a sweep, or the type, text and witness of what it raised."""
+    try:
+        return sweep(*args)
+    except (LemmaSweepError, ValueError) as err:
+        return type(err), str(err), getattr(err, "witness", None)
+
+
+def _scaled(mat, c):
+    return tuple(tuple(c * x for x in row) for row in mat)
+
+
+class TestSweepClasses:
+    """The sweep over row-sign classes against the per-alpha loop it replaces."""
+
+    @pytest.mark.parametrize("qs", [None, (), (5,)])
+    @pytest.mark.parametrize("bound", [1, 2, 3, 5, 12])
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+    def test_matches_per_alpha_loop(self, p, bound, qs):
+        expected = _outcome(sweep_per_alpha, p, bound, qs)
+        assert _outcome(verify_conjugation_lemmas, p, bound, qs) == expected
+        if p == 5 and qs == (5,):
+            assert expected[0] is ValueError
+
+    @staticmethod
+    def _fake(p, fake_of):
+        """conjugation_matrix with fake_of(index, alpha, true matrix) in place of the true matrix."""
+        index = {alpha: i for i, alpha in enumerate(orbit_representatives(p).all_elements)}
+        return lambda alpha: fake_of(index[alpha], alpha, conjugation_matrix(alpha))
+
+    # each breaks the orbit symmetry that makes the classes p+1 orbits, so a wrong merge or weight shows
+    FAKES = {
+        "p^2 on alternate elements": lambda p, i, a, m: _scaled(m, p * p) if i % 2 else m,
+        "p on every third element": lambda p, i, a, m: _scaled(m, p) if i % 3 == 0 else m,
+        "p^3 on the last element": lambda p, i, a, m: _scaled(m, p ** 3) if i == 8 * (p + 1) - 1 else m,
+        "5 on every fifth element": lambda p, i, a, m: _scaled(m, 5) if i % 5 == 4 else m,
+        "rows negated on alternate elements": lambda p, i, a, m: _scaled(m, -1) if i % 2 else m,
+        "rows permuted on alternate elements": lambda p, i, a, m: (m[1], m[2], m[0]) if i % 2 else m,
+        "p^2 on the representatives": lambda p, i, a, m: (
+            _scaled(m, p * p) if a in orbit_representatives(p).representatives else m),
+        "p^2 I off the representatives": lambda p, i, a, m: (
+            m if a in orbit_representatives(p).representatives else ((p * p, 0, 0), (0, p * p, 0), (0, 0, p * p))),
+        "p^2 on a row of one element per orbit": lambda p, i, a, m: (
+            (m[0], _scaled(m, p * p)[1], m[2]) if i % 8 == 3 else m),
+        "the same matrix for every element": lambda p, i, a, m: (
+            conjugation_matrix(orbit_representatives(p).all_elements[1])),
+    }
+
+    @pytest.mark.parametrize("fake", list(FAKES))
+    @pytest.mark.parametrize("p,bound,qs", [(3, 2, (5,)), (3, 3, None), (5, 3, ()), (7, 2, (3, 5))])
+    def test_matches_per_alpha_loop_on_fake_matrices(self, monkeypatch, p, bound, qs, fake):
+        fake_of = self._fake(p, functools.partial(self.FAKES[fake], p))
+        monkeypatch.setattr(quaternions, "conjugation_matrix", fake_of)
+        expected = _outcome(sweep_per_alpha, p, bound, qs)
+        assert _outcome(verify_conjugation_lemmas, p, bound, qs) == expected
+
+    def test_fakes_reach_every_outcome(self, monkeypatch):
+        # the fakes above fail each check at least once, and pass at least once
+        seen = set()
+        for fake in self.FAKES.values():
+            for p, bound, qs in [(3, 2, (5,)), (3, 3, None), (5, 3, ()), (7, 2, (3, 5))]:
+                monkeypatch.setattr(quaternions, "conjugation_matrix",
+                                    self._fake(p, functools.partial(fake, p)))
+                out = _outcome(verify_conjugation_lemmas, p, bound, qs)
+                seen.add(out[1].split(":")[0] if isinstance(out, tuple) else "report")
+                monkeypatch.undo()
+        assert seen == {"report", "two-sided v_p bound failed", "v_5 not preserved under conjugation",
+                        "more than two orbits changed v_p",
+                        "more than 16 conjugates divisible by p^2 without p^2 | delta"}
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 101, 997])
+    def test_p_plus_one_classes_of_eight(self, p):
+        # C(u alpha) = C(u) C(alpha) with C(u) a sign diagonal, so each class is one unit orbit
+        table = orbit_representatives(p)
+        classes = quaternions._sweep_classes(table)
+        assert len(classes) == p + 1
+        assert [(size, reps) for _, _, size, reps in classes] == [(8, 1)] * (p + 1)
+        firsts = [alpha for alpha, _, _, _ in classes]
+        assert firsts == sorted(firsts, key=table.all_elements.index)
+        assert {canonical_orbit_representative(alpha) for alpha in firsts} == set(table.representatives)
+        assert all(mat == conjugation_matrix(alpha) for alpha, mat, _, _ in classes)
+
+    def test_rows_differing_in_sign_share_a_class(self, monkeypatch):
+        # the row-sign form multiplies each row by the sign of its first nonzero entry, zero rows kept
+        signed = [((0, -2, 1), (0, 0, -3), (0, 0, 0)), ((0, 2, -1), (0, 0, 3), (0, 0, 0)),
+                  ((0, -2, 1), (0, 0, 3), (0, 0, 0)), ((0, 2, 1), (0, 0, 3), (0, 0, 0))]
+        table = orbit_representatives(3)
+        index = {alpha: i for i, alpha in enumerate(table.all_elements)}
+        monkeypatch.setattr(quaternions, "conjugation_matrix", lambda alpha: signed[index[alpha] % 4])
+        classes = quaternions._sweep_classes(table)
+        assert [(alpha, mat, size) for alpha, mat, size, _ in classes] == [
+            (table.all_elements[0], signed[0], 24), (table.all_elements[3], signed[3], 8)]
 
 
 class TestOddPrimeGuard:
