@@ -10,10 +10,13 @@ files omit the second component and the "p" key.  Eigenvalue tables are
 CSV with header p,lambda1,lambda2,lambda3; sampled functions are CSV
 y,value rows with ascending y; decay parameters are JSON
 {"delta": d, "eps": e, "A": A, "a": [...], "b": [...]}.  The
-coefficient-field writer emits a canonical form (entries sorted by norm
-then coordinates, fractions in lowest terms) so that write(parse(f)) is
-byte-identical on canonical files.  A file of the wrong shape raises
-FileFormatError.
+coefficient-field writer emits a canonical form, so that write(parse(f))
+is byte-identical on canonical files: the keys schema, p (only when the
+field has a prime) and entries, the entries sorted by norm then
+coordinates, fractions in lowest terms, laid out exactly as
+json.dump(doc, fh, indent=1) followed by a newline lays them out, but
+written directly.  "p" and each beta coordinate must be a JSON integer or
+an integral float.  A file of the wrong shape raises FileFormatError.
 """
 
 from __future__ import annotations
@@ -54,6 +57,11 @@ def _number(kind: type, raw, what: str):
         raise FileFormatError(f"{what} must be a number, got {raw!r}") from exc
 
 
+def _is_integer(raw) -> bool:
+    """A JSON int, or an integral float such as 2.0: int() would truncate 1.5 to 1 and read true or "3" as well."""
+    return type(raw) is int or (type(raw) is float and raw.is_integer())
+
+
 def _entries(data, what: str) -> dict[tuple[int, int, int], dict]:
     """{beta: row} over the 'entries' list of a JSON object; each beta is 3 integers, none repeated."""
     if not isinstance(data, dict) or not isinstance(data.get("entries"), list):
@@ -62,8 +70,7 @@ def _entries(data, what: str) -> dict[tuple[int, int, int], dict]:
     for row in data["entries"]:
         if not isinstance(row, dict) or not isinstance(row.get("beta"), list):
             raise FileFormatError(f"each entry must be an object with a 'beta' list, got {row!r}")
-        # int() would truncate 1.5 to 1 and read true as 1; an integral float such as 2.0 is kept
-        if not all(type(c) is int or (type(c) is float and c.is_integer()) for c in row["beta"]):
+        if not all(map(_is_integer, row["beta"])):
             raise FileFormatError(f"beta coordinates must be integers, got {row['beta']!r} in entry {row!r}")
         beta = tuple(int(c) for c in row["beta"])
         if len(beta) != 3:
@@ -91,7 +98,11 @@ def parse_coefficient_field(path: Union[str, Path]) -> CoefficientField:
     with open(path) as fh:
         data = json.load(fh)
     rows = _entries(data, "coefficient file")
-    p = None if data.get("p") is None else _number(int, data["p"], "p")
+    p = data.get("p")
+    if p is not None:
+        if not _is_integer(p):
+            raise FileFormatError(f"p must be an integer, got {p!r}")
+        p = int(p)
     entries = {}
     for beta, row in rows.items():
         if beta == (0, 0, 0):
@@ -102,28 +113,30 @@ def parse_coefficient_field(path: Union[str, Path]) -> CoefficientField:
     return CoefficientField(p, entries)
 
 
-def _format_scalar(s: QuadExt, p: Optional[int]) -> list[str]:
-    if p is None:
-        return [str(s.a)]
-    return [str(s.a), str(s.b)]
-
-
 def write_coefficient_field(field: CoefficientField, path: Union[str, Path]) -> None:
-    rows = []
-    for beta in sorted(field.entries, key=lambda b: (lattice_norm(b), b)):
-        value = field.entries[beta]
-        rows.append({
-            "beta": list(beta),
-            "re": _format_scalar(value.re, field.p),
-            "im": _format_scalar(value.im, field.p),
-        })
-    doc: dict = {"schema": SCHEMA_VERSION}
-    if field.p is not None:
-        doc["p"] = field.p
-    doc["entries"] = rows
+    """Write the canonical file (module docstring) straight from f-strings.
+
+    The text is the one json.dump(doc, fh, indent=1) plus a newline gives:
+    each value is an int or the str of a Fraction, which needs no JSON
+    escaping, while the stdlib encoder runs its pure-Python path for indent.
+    Rows go out one at a time, so no copy of the whole text is held.
+    """
+    if field.p is None:
+        def scalar(s: QuadExt) -> str:
+            return f'[\n    "{s.a!s}"\n   ]'
+    else:
+        def scalar(s: QuadExt) -> str:
+            return f'[\n    "{s.a!s}",\n    "{s.b!s}"\n   ]'
+
+    rows = sorted(field.entries.items(), key=lambda item: (lattice_norm(item[0]), item[0]))
+    seps = ("\n", ",\n")
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+        fh.write(f'{{\n "schema": {SCHEMA_VERSION},\n' + ("" if field.p is None else f' "p": {field.p},\n')
+                 + ' "entries": [')
+        fh.writelines(f'{seps[i > 0]}  {{\n   "beta": [\n    {b[0]},\n    {b[1]},\n    {b[2]}\n   ],\n'
+                      f'   "re": {scalar(v.re)},\n   "im": {scalar(v.im)}\n  }}'
+                      for i, (b, v) in enumerate(rows))
+        fh.write("\n ]\n}\n" if rows else "]\n}\n")
 
 
 def parse_lambda_table(path: Union[str, Path]) -> dict[int, EigenvalueTriple]:

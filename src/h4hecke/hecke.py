@@ -313,8 +313,9 @@ class CoefficientField:
     Entries at beta = 0 are forbidden, zero values are dropped, and the
     lookup `at` follows the total-extension convention (0 off the
     support and off the lattice).  `p` is inferred from the entries, as the
-    declared prime joined with the primes of their parts, and every entry is
-    promoted to it; two primes, or one that is not odd, raise ValueError.
+    declared prime joined with the primes of their parts, and every entry not
+    already over it is promoted to it; two primes, or one that is not odd,
+    raise ValueError.
     A field is not changed after construction: it keeps its integer
     numerators once they are first read (_numerators).
     """
@@ -332,7 +333,8 @@ class CoefficientField:
             beta = (int(beta[0]), int(beta[1]), int(beta[2]))
             if beta == (0, 0, 0):
                 raise ValueError("coefficient fields store no entry at beta = 0")
-            value = value.with_prime(p) if p is not None else value
+            if value.re.p != p or value.im.p != p:
+                value = value.with_prime(p)
             if value:
                 clean[beta] = value
         self.p = p

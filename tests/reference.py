@@ -240,3 +240,18 @@ def write_spectral_form(form, path) -> None:
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")
+
+
+def write_coefficient_field_json(field, path) -> None:
+    """A coefficient-field file through json.dump(indent=1): the reference for ``files.write_coefficient_field``."""
+    def scalar(s):
+        return [str(s.a)] if field.p is None else [str(s.a), str(s.b)]
+
+    doc = {"schema": SCHEMA_VERSION}
+    if field.p is not None:
+        doc["p"] = field.p
+    doc["entries"] = [{"beta": list(beta), "re": scalar(field.entries[beta].re), "im": scalar(field.entries[beta].im)}
+                      for beta in sorted(field.entries, key=lambda b: (lattice_norm(b), b))]
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=1)
+        fh.write("\n")

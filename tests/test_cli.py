@@ -27,7 +27,7 @@ from h4hecke.files import (
 from h4hecke.hecke import CoefficientField, EigenvalueTriple, QComplex, QuadExt, apply_hecke
 from h4hecke.numerics import SpectralForm
 from h4hecke.quaternions import LemmaSweepError
-from reference import write_lambda_table, write_spectral_form
+from reference import write_coefficient_field_json, write_lambda_table, write_spectral_form
 
 
 @st.composite
@@ -134,6 +134,71 @@ class TestCoefficientFiles:
         path = tmp_path / "float.json"
         path.write_text('{"entries": [{"beta": [2.0, 0, -1.0], "re": ["1"]}]}')
         assert set(parse_coefficient_field(path).entries) == {(2, 0, -1)}
+
+    @pytest.mark.parametrize("p", ["3.5", '"3"', "true"])
+    def test_non_integer_p_rejected(self, tmp_path, p):
+        # int() once truncated 3.5 to 3, so hecke apply --p 3 ran on the file and wrote "p": 3
+        path = tmp_path / "frac_p.json"
+        path.write_text('{"p": %s, "entries": [{"beta": [1, 0, 0], "re": ["1", "1"]}]}' % p)
+        with pytest.raises(FileFormatError, match="p must be an integer"):
+            parse_coefficient_field(path)
+
+    def test_integral_float_p_kept(self, tmp_path):
+        path = tmp_path / "float_p.json"
+        path.write_text('{"p": 3.0, "entries": [{"beta": [1, 0, 0], "re": ["1", "1"]}]}')
+        assert parse_coefficient_field(path).p == 3
+
+
+def _layout_cases():
+    """Named fields for the layout test: empty, plain Q, huge numerators, negative coordinates, operator outputs."""
+    q = lambda a, b=0, p=None: QuadExt(p, Fraction(a), Fraction(b))  # noqa: E731
+    huge = 10 ** 30
+    cases = {
+        "empty": CoefficientField(None, {}),
+        "empty_p7": CoefficientField(7, {}),
+        "plain_q": CoefficientField(None, {(1, 0, 0): QComplex(q(Fraction(-1, 2)), q(3)),
+                                           (0, 2, -1): QComplex(q(0), q(5))}),
+        "huge_numerators": CoefficientField(5, {
+            (1, 1, 0): QComplex(q(huge, -huge - 7, 5), q(Fraction(huge ** 2 + 1, 3), 0, 5)),
+            (2, 0, 0): QComplex(q(-(10 ** 40)), q(0, Fraction(1, huge), 5)),
+        }),
+        "negative_coordinates": CoefficientField(3, {
+            (-1, -2, -3): QComplex(q(1, 1, 3), q(-1, 0, 3)), (-4, 0, 1): QComplex(q(0, -2, 3), q(7, 0, 3)),
+            (0, -1, 0): QComplex(q(Fraction(-5, 6), Fraction(1, 9), 3), q(0, 0, 3)),
+        }),
+    }
+    rng = random.Random(19)
+    for p in (3, 5, 7):
+        A = CoefficientField.random(rng, p=p, support=8, coord_bound=3, entry_bound=10, sqrt_parts=True)
+        for ell in (1, 2, 3):
+            cases[f"H{ell}_p{p}"] = apply_hecke(ell, p, A)
+    return cases
+
+
+_LAYOUT_CASES = _layout_cases()
+
+
+class TestCoefficientFileLayout:
+    """The writer's bytes equal those of json.dump(indent=1) plus a newline, the layout files have always had."""
+
+    @staticmethod
+    def _assert_same_bytes(field):
+        with tempfile.TemporaryDirectory() as tmp:
+            got, expected = Path(tmp) / "got.json", Path(tmp) / "expected.json"
+            write_coefficient_field(field, got)
+            write_coefficient_field_json(field, expected)
+            assert got.read_bytes() == expected.read_bytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(_fractional_fields())
+    def test_matches_json_dump_on_drawn_fields(self, field):
+        self._assert_same_bytes(field)
+
+    @pytest.mark.parametrize("name", sorted(_LAYOUT_CASES))
+    def test_matches_json_dump(self, name):
+        field = _LAYOUT_CASES[name]
+        assert name.startswith("empty") or field.entries
+        self._assert_same_bytes(field)
 
 
 class TestOtherFiles:
@@ -518,6 +583,8 @@ def bad_files(tmp_path):
         "coeff_row_list.json": '{"entries": [[1, 0, 0]]}',
         "coeff_list.json": '[{"beta": [1, 0, 0], "re": ["1"]}]',
         "coeff_frac_beta.json": '{"entries": [{"beta": [1.5, 0, 0], "re": ["1"]}]}',
+        "coeff_float_p.json": '{"p": 3.5, "entries": [{"beta": [1, 0, 0], "re": ["1", "1"]}]}',
+        "coeff_str_p.json": '{"p": "3", "entries": [{"beta": [1, 0, 0], "re": ["1", "1"]}]}',
         "form_frac_beta.json": '{"r": 1.0, "entries": [{"beta": [1.5, 0, 0], "re": 1.0, "im": 0.0}]}',
         "form_huge_beta.json": '{"r": 1.0, "entries": [{"beta": [1e300, 0, 0], "re": 1.0, "im": 0.0}]}',
         "form_list.json": '[{"r": 1.0}]',
@@ -628,6 +695,8 @@ class TestBadInputsExit2:
         ["quat", "verify-lemmas", "--p", "997", "--bound", "64"],
         ["quat", "verify-lemmas", "--p", "997", "--bound", "18"],
         ["quat", "verify-lemmas", "--p", "23", "--bound", "64"],
+        ["hecke", "apply", "--op", "1", "--p", "3", "--in", "{coeff_float_p}", "--out", "{out}"],
+        ["hecke", "apply", "--op", "1", "--p", "3", "--in", "{coeff_str_p}", "--out", "{out}"],
     ])
     def test_exits_2_with_one_error_line(self, argv, form_files, bad_files, capsys, time_limit):
         assert _exit_code([a.format(**form_files, **bad_files) for a in argv], time_limit) == 2

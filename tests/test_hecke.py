@@ -394,6 +394,23 @@ class TestIntegerPath:
                     assert got == expected and _snapshot(got) == _snapshot(expected), (table, beta, ell)
 
 
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_outputs_hold_the_field_invariants(self, p):
+        # the constructor promotes only entries whose parts are not already over p,
+        # so an operator output must arrive with every part over p and no zero entry
+        box = [beta for beta in itertools.product(range(-3, 4), repeat=3) if any(beta)]
+        assert len(box) == 342
+        for beta in box:
+            A = CoefficientField.delta(beta, 1, p=p)
+            for ell in (1, 2, 3):
+                out = apply_hecke(ell, p, A)
+                assert out.p == p and out.entries, (beta, ell)
+                assert all(v.re.p == p and v.im.p == p and v for v in out.entries.values()), (beta, ell)
+                assert all(type(key) is tuple and all(type(c) is int for c in key) for key in out.entries)
+                rebuilt = CoefficientField(p, dict(out.entries))
+                assert rebuilt == out and _snapshot(rebuilt) == _snapshot(out), (beta, ell)
+
+
 class TestRandomFields:
     @pytest.mark.parametrize("kw", [{"support": 343, "coord_bound": 3}, {"support": 27, "coord_bound": 1},
                                     {"support": 3, "entry_bound": 0}])
