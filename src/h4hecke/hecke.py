@@ -39,14 +39,17 @@ _conj_sum computes T_k by scattering from the support; its docstring
 holds the transposition argument that makes this exact, and sums.sum_R
 reads R^{p,l}_d off the same map.  Every image S_i gamma of the support
 comes from one integer matrix product with a cached star block, the S_i
-side by side; it runs in int64 when the largest coordinate times
-3 max|C_i entry| p^max(k-2, 0) stays below 2^62, and on Python ints in
-an object array otherwise.  _apply is the one copy of the
-formulas above.  Its callers inject the scalar domain: complex doubles
-for the float twin, Python ints for the exact operators, on which every
+side by side (_star_images); it runs in int64 when the largest
+coordinate times 3 max|C_i entry| p^max(k-2, 0) stays below 2^62, and on
+Python ints in an object array otherwise.  The exact operators run the
+formulas above in _apply, on dicts of Python ints, on which every
 division is exact (see the integer-domain note below).  A field converts
 to integer numerators over one per-field denominator once, and keeps
-them.
+them.  The float twin no longer shares _apply: _apply_float runs the
+same formulas on (keys, values) arrays, adding the same terms in the
+same order, and apply_hecke_float returns a read-only mapping backed by
+those arrays, so verify_commutativity and eigen_residual chain
+operators without building dicts (see the float-twin note below).
 
 Two finer properties need the Klein-group sign symmetry
 A(-b0,-b1,b2) = A(-b0,b1,-b2) = A(b0,-b1,-b2) = A(b0,b1,b2) that
@@ -137,12 +140,12 @@ class QuadExt:
         if other is NotImplemented:
             return NotImplemented
         p = _join_primes(self.p, other.p)
-        root_sq = Fraction(p) if p is not None else Fraction(0)
-        return QuadExt(
-            p,
-            self.a * other.a + root_sq * self.b * other.b,
-            self.a * other.b + self.b * other.a,
-        )
+        # two Fraction products when either factor is rational, as in every scaling by a weight
+        if other.b == 0:
+            return QuadExt(p, self.a * other.a, self.b * other.a)
+        if self.b == 0:
+            return QuadExt(p, self.a * other.a, self.a * other.b)
+        return QuadExt(p, self.a * other.a + p * self.b * other.b, self.a * other.b + self.b * other.a)
 
     __rmul__ = __mul__
 
@@ -505,12 +508,41 @@ def _support_array(points: list, growth: int) -> np.ndarray:
     """The points as an (n, 3) array: int64 when max|coordinate| * growth < 2^62, else Python ints."""
     try:
         arr = np.fromiter(chain.from_iterable(points), np.int64, 3 * len(points)).reshape(-1, 3)
-        # |x| read as uint64 is exact for every int64, -2^63 included
-        if not len(arr) or int(np.abs(arr).view(np.uint64).max()) * growth < 2 ** 62:
-            return arr
     except OverflowError:
-        pass
-    return np.array(points, dtype=object).reshape(-1, 3)
+        return np.array(points, dtype=object).reshape(-1, 3)
+    return _widened(arr, growth)
+
+
+def _widened(arr: np.ndarray, growth: int) -> np.ndarray:
+    """arr itself when it is on Python ints or max|coordinate| * growth < 2^62, else arr on Python ints."""
+    # |x| read as uint64 is exact for every int64, -2^63 included
+    if arr.dtype == object or not len(arr) or int(np.abs(arr).view(np.uint64).max()) * growth < 2 ** 62:
+        return arr
+    return arr.astype(object)
+
+
+def _star_images(k: int, p: int, gammas: np.ndarray, mats) -> tuple[np.ndarray, np.ndarray]:
+    """(images, rows): every integral p^(k-2) S_i gamma of the rows of `gammas`, gamma-major and
+    then star, and the row of gamma that each image comes from.
+
+    The caller sizes `gammas` (_support_array, _widened) so that the product cannot leave int64.
+    """
+    block, _ = _star_block(mats)
+    if gammas.dtype == object:
+        block = block.astype(object)
+    images = (gammas @ block).reshape(-1, 3)  # row g (p+1) + i is S_i gamma_g
+    m = len(mats)
+    if k < 2:
+        down = p ** (2 - k)
+        rows = np.flatnonzero(_divisible(images, down))
+        return images[rows] // down, rows // m
+    return (images * p ** (k - 2) if k > 2 else images), np.arange(len(images)) // m
+
+
+def _divisible(keys: np.ndarray, d: int) -> np.ndarray:
+    """The mask of the rows of an (n, 3) key array that d divides."""
+    rest = keys % d  # each in [0, d), so the OR of a row is 0 when all three are
+    return (rest[:, 0] | rest[:, 1] | rest[:, 2]) == 0
 
 
 def _conj_sum(k: int, p: int, entries: Mapping[LatticeVector, object], mats) -> dict:
@@ -527,32 +559,19 @@ def _conj_sum(k: int, p: int, entries: Mapping[LatticeVector, object], mats) -> 
     to zero are kept.
 
     Every S_i gamma comes from one integer matrix product of the (n, 3)
-    support with the star block (_star_block), and divisibility by p^(2-k)
+    support with the star block (_star_images), and divisibility by p^(2-k)
     is one array mask.  The product runs in int64 when
     max|gamma_i| 3 max|C_i entry| p^max(k-2, 0) < 2^62, else on Python ints
     in an object array, so it is exact either way.  The values are added
     by the domain's own `+`, gamma-major and then star, as a loop over the
     pairs would add them.
     """
-    block, reach = _star_block(mats)
-    up = p ** max(k - 2, 0)
-    gammas = _support_array(list(entries), reach * up)
-    if gammas.dtype == object:
-        block = block.astype(object)
-    images = (gammas @ block).reshape(-1, 3)  # row g (p+1) + i is S_i gamma_g
+    _, reach = _star_block(mats)
+    images, rows = _star_images(k, p, _support_array(list(entries), reach * p ** max(k - 2, 0)), mats)
     values = list(entries.values())
-    m = len(mats)
-    if k < 2:
-        down = p ** (2 - k)
-        rest = images % down  # each in [0, down), so the OR of a row is 0 when all three are
-        rows = np.flatnonzero((rest[:, 0] | rest[:, 1] | rest[:, 2]) == 0)
-        images = images[rows] // down
-        values = [values[g] for g in (rows // m).tolist()]
-    else:
-        images = images * up if k > 2 else images
-        values = [v for v in values for _ in range(m)]
     acc = {}
-    for beta, v in zip(map(tuple, images.tolist()), values):
+    for beta, g in zip(map(tuple, images.tolist()), rows.tolist()):
+        v = values[g]
         acc[beta] = acc[beta] + v if beta in acc else v
     return acc
 
@@ -677,6 +696,7 @@ class _IntInvSqrt:
         return _Num(v.rb, v.ra // p, v.ib, v.ia // p)
 
 
+@lru_cache(maxsize=128)
 def _int_weights(p: int) -> _HeckeWeights:
     cube = p ** 3
     return _hecke_weights(p, lambda fr: _IntWeight(fr.numerator * (cube // fr.denominator), cube))
@@ -729,10 +749,199 @@ def apply_hecke(ell: int, p: int, A: CoefficientField, *, representatives=None) 
     return _field(p, _apply(ell, p, nums, _int_weights(p), _IntInvSqrt(p), representatives), den)
 
 
-def apply_hecke_float(ell: int, p: int, entries: Mapping[LatticeVector, complex]) -> dict[LatticeVector, complex]:
-    """Floating-point twin of apply_hecke for cross-prime experiments."""
+# -- the float twin on arrays ----------------------------------------------------
+#
+# A float field is an (n, 3) key array and a complex128 value array.  _apply_float
+# adds the terms of the dict _apply in the same order, so its outputs equal the
+# dict path's, keys and values (bincount starts each sum from +0.0, so only the
+# sign of a zero part can differ): each loop of _add calls over rows is one
+# _interleave, and each merge of equal keys (_merge, also every _conj_sum) adds in
+# input order and keeps the keys in first-occurrence order, as a dict would.  The
+# exact operators stay on the dict _apply: on object arrays of _Num, the same
+# array code took 0.76-0.86 ms for the four applies of a relation on 8-entry
+# fields, against 0.44-0.47 ms on dicts.
+
+# The largest bound len(A)(p+1)(q+1) on the rows of the outer float scatters of a
+# commutator.  One [H_2(p), H_2(q)] takes about 0.17 s and 75 MB peak at 1.2e5 (p = 97,
+# q = 101, 12 entries), 0.35 s and 120 MB at 2.4e5 (24 entries; [H_3, H_3] 2.4 s and
+# 220 MB), 0.8 s and 230 MB at 5.7e5 and 1.7 s and 440 MB at 1.1e6 (p = 211, q = 223);
+# H_1 is cheaper, since T_1 keeps only the images that p divides (2-vCPU host).
+MAX_SCATTER_ROWS = 250_000
+
+
+class _FloatTables(NamedTuple):
+    """The float weights of H_2 and H_3 at p as arrays, and the tables that index them."""
+
+    eps: np.ndarray  # E(beta, p), indexed by _epsilon_case
+    mid: np.ndarray  # H_3 weight of A(beta), indexed by _epsilon_case
+    ind: np.ndarray  # 1_p - 1/p, indexed by the indicator
+    inv_p: float
+    inv_sqrt_p: float
+    residue: np.ndarray  # residue[r]: r is a nonzero square mod p
+    growth: int  # bounds max|coordinate| of every key one operator forms, over that of its input
+
+
+@lru_cache(maxsize=128)
+def _float_tables(p: int) -> _FloatTables:
+    weights = _hecke_weights(p, float)
+    residue = np.zeros(p, bool)
+    residue[np.arange(1, p) ** 2 % p] = True
+    arrays = (np.array(weights.eps), np.array(weights.mid), np.array(weights.ind), residue)
+    for arr in arrays:
+        arr.flags.writeable = False  # one cached table serves every caller
+    _, reach = _star_block(conjugation_matrices(p))
+    # S_i S_j gamma (H_3's T_0(1_p T_2 A)) and p^2 gamma are the largest keys formed
+    return _FloatTables(*arrays[:3], weights.inv_p, 1.0 / math.sqrt(p), residue, reach * max(reach, p * p))
+
+
+def _epsilon_cases(keys: np.ndarray, p: int, residue: np.ndarray) -> np.ndarray:
+    """_epsilon_case of every row of an (n, 3) key array."""
+    r = (keys % p).astype(np.int64)
+    n = (r * r).sum(axis=1) % p
+    cases = np.where(residue[-n % p], 2, 3)
+    cases[n == 0] = 1
+    cases[~r.any(axis=1)] = 0
+    return cases
+
+
+def _groups(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(inv, first): the group of equal keys of each row, groups numbered in order of first
+    occurrence, and the first row of each group.
+
+    Keys whose span fits are packed into one int64 and sorted once; the first row of a
+    group is its least row, so the sort need not be stable.  Others go through a dict.
+    """
+    span = 2 ** 63  # keys on Python ints go through the dict
+    if keys.dtype != object:
+        lo = keys.min()
+        span = int(keys.max()) - int(lo) + 1
+    if span ** 3 > 2 ** 63:
+        seen = {}
+        inv = np.fromiter((seen.setdefault(k, len(seen)) for k in map(tuple, keys.tolist())), np.intp, len(keys))
+        return inv, np.unique(inv, return_index=True)[1]
+    c = keys - lo
+    packed = (c[:, 0] * span + c[:, 1]) * span + c[:, 2]
+    order = np.argsort(packed)
+    ordered = packed[order]
+    new = np.empty(len(keys), bool)
+    new[0] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    first = np.minimum.reduceat(order, np.flatnonzero(new))  # groups in key order
+    is_first = np.zeros(len(keys), bool)
+    is_first[first] = True
+    rank = np.cumsum(is_first) - 1  # at a first row: its group's number in first-occurrence order
+    inv = np.empty(len(keys), np.intp)
+    inv[order] = rank[first][np.cumsum(new) - 1]
+    return inv, np.flatnonzero(is_first)
+
+
+def _merge(*parts: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """The (keys, values) parts concatenated, with the values of equal keys summed.
+
+    Keys come out in order of first occurrence, and each sum adds its terms in input
+    order (bincount does), starting from +0.0.
+    """
+    keys = np.concatenate([k for k, _ in parts])
+    vals = np.concatenate([v for _, v in parts])
+    if not len(keys):
+        return keys, vals
+    inv, first = _groups(keys)
+    out = np.empty(len(first), complex)
+    out.real = np.bincount(inv, vals.real, len(first))
+    out.imag = np.bincount(inv, vals.imag, len(first))
+    return keys[first], out
+
+
+def _interleave(*groups: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """The terms of (keys, values, mask or None) groups of one length, row by row: row 0
+    of each group where its mask holds, then row 1, as a loop of _add calls over rows."""
+    keys = np.stack([g[0] for g in groups], axis=1).reshape(-1, 3)
+    vals = np.stack([g[1] for g in groups], axis=1).reshape(-1)
+    n = len(groups[0][1])
+    mask = np.stack([np.ones(n, bool) if g[2] is None else g[2] for g in groups], axis=1).reshape(-1)
+    return keys[mask], vals[mask]
+
+
+def _star_terms(k: int, p: int, keys: np.ndarray, vals: np.ndarray, mats) -> tuple[np.ndarray, np.ndarray]:
+    """The terms of T_k on a float field, unmerged: each image with the value of its gamma."""
+    images, rows = _star_images(k, p, keys, mats)
+    return images, vals[rows]
+
+
+def _apply_float(ell: int, p: int, keys: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """H_ell on a float field: the keys and values of its nonzero outputs, as _apply adds them."""
+    t = _float_tables(p)
+    keys = _widened(keys, t.growth)
+    mats = conjugation_matrices(p)
+    psq, s = p * p, t.inv_sqrt_p
+    if ell == 1:
+        out = _merge(_star_terms(1, p, keys, s * vals, mats),
+                     _interleave((keys // p, vals, _divisible(keys, p)), (keys * p, vals, None)))
+    elif ell == 2:
+        tk, tv = _merge(_star_terms(2, p, keys, s * vals, mats))
+        on = _divisible(tk, psq)
+        out = _merge((tk, tv), (tk[on] // psq, tv[on]), (keys, t.eps[_epsilon_cases(keys, p, t.residue)] * vals))
+    else:
+        cases = _epsilon_cases(keys, p, t.residue)
+        own = _interleave((keys // psq, vals, _divisible(keys, psq)), (keys * psq, vals, None),
+                          (keys, t.mid[cases] * vals, None))
+        tk, tv = _merge(_star_terms(2, p, keys, vals, mats))
+        by_p = _divisible(tk, p)
+        low = s * (t.ind[0] * tv)
+        conj = _interleave((tk, s * (t.ind[by_p.astype(np.intp)] * tv), None), (tk // psq, low, _divisible(tk, psq)))
+        zero = cases == 0
+        u = _merge((keys[zero], s * vals[zero]), (tk[by_p], t.inv_p * tv[by_p]))
+        out = _merge(own, conj, _merge(_star_terms(0, p, *u, mats)))
+    keep = out[1] != 0
+    return out[0][keep], out[1][keep]
+
+
+class _FloatField(Mapping):
+    """A read-only map beta -> complex held as arrays: (n, 3) keys and complex128 values.
+
+    apply_hecke_float returns one and reads one without conversion, so chained
+    float operators stay on arrays.  A dict of tuple keys is built on the first lookup.
+    """
+
+    __slots__ = ("_keys", "_vals", "_dict")
+
+    def __init__(self, keys: np.ndarray, vals: np.ndarray):
+        keys.flags.writeable = vals.flags.writeable = False
+        self._keys, self._vals, self._dict = keys, vals, None
+
+    @classmethod
+    def of(cls, entries: Mapping[LatticeVector, complex]) -> "_FloatField":
+        if isinstance(entries, cls):
+            return entries
+        return cls(_support_array(list(entries), 1), np.fromiter(entries.values(), complex, len(entries)))
+
+    def _lookup(self) -> dict:
+        if self._dict is None:
+            self._dict = dict(zip(map(tuple, self._keys.tolist()), self._vals.tolist()))
+        return self._dict
+
+    def __getitem__(self, beta):
+        return self._lookup()[beta]
+
+    def __iter__(self):
+        return iter(self._lookup())
+
+    def __len__(self) -> int:
+        return len(self._vals)
+
+
+def apply_hecke_float(ell: int, p: int, entries: Mapping[LatticeVector, complex]) -> Mapping[LatticeVector, complex]:
+    """Floating-point twin of apply_hecke for cross-prime experiments.
+
+    The nonzero outputs come back as a read-only mapping held as arrays, in
+    the order the dict form of the operator inserts them; passing it to
+    another call chains operators without building dicts.
+    """
     require_odd_prime(p)
-    return _apply(ell, p, entries, _hecke_weights(p, float), 1.0 / math.sqrt(p))
+    if ell not in (1, 2, 3):
+        raise ValueError(f"ell must be 1, 2, or 3, got {ell}")
+    field = _FloatField.of(entries)
+    return _FloatField(*_apply_float(ell, p, field._keys, field._vals))
 
 
 def hecke_relation_constant(p: int) -> Fraction:
@@ -771,16 +980,24 @@ def verify_hecke_relation(p: int, A: CoefficientField) -> CoefficientField:
 
 
 def verify_commutativity(p: int, q: int, ell: int, m: int, A: CoefficientField) -> float:
-    """Max-abs entry of [H_ell(p), H_m(q)] A evaluated in doubles."""
+    """Max-abs entry of [H_ell(p), H_m(q)] A evaluated in doubles.
+
+    len(A)(p+1)(q+1), which bounds the rows of the outer scatters, is refused
+    past MAX_SCATTER_ROWS before any operator work.
+    """
     require_odd_prime(p, "p")
     require_odd_prime(q, "q")
     if p == q:
         raise ValueError("commutativity check needs distinct primes")
-    entries = A.as_complex_dict()
-    pq = apply_hecke_float(ell, p, apply_hecke_float(m, q, entries))
-    qp = apply_hecke_float(m, q, apply_hecke_float(ell, p, entries))
-    keys = set(pq) | set(qp)
-    return max((abs(pq.get(k, 0j) - qp.get(k, 0j)) for k in keys), default=0.0)
+    rows = len(A.entries) * (p + 1) * (q + 1)
+    if rows > MAX_SCATTER_ROWS:
+        raise ValueError(f"a commutator at p = {p} and q = {q} on {len(A.entries)} entries scatters up to "
+                         f"len(A)(p+1)(q+1) = {rows} rows, past {MAX_SCATTER_ROWS}, the largest supported")
+    entries = _FloatField.of(A.as_complex_dict())
+    pq = _FloatField.of(apply_hecke_float(ell, p, apply_hecke_float(m, q, entries)))
+    qp = _FloatField.of(apply_hecke_float(m, q, apply_hecke_float(ell, p, entries)))
+    _, diff = _merge((pq._keys, pq._vals), (qp._keys, -qp._vals))
+    return float(np.abs(diff).max()) if len(diff) else 0.0
 
 
 # -- eigenvalue data ----------------------------------------------------------
@@ -817,6 +1034,18 @@ class EigenResidualReport:
     empty_safe_support: bool = False
 
 
+def _in_ball(keys: np.ndarray, bound: int) -> np.ndarray:
+    """The mask of the rows beta of an (n, 3) key array with N(beta) <= bound."""
+    r = math.isqrt(bound)
+    if r > 2 ** 30 and keys.dtype != object:  # 3 r^2 must stay below 2^63
+        keys = keys.astype(object)
+    small = (np.abs(keys) <= r).all(axis=1)
+    c = keys[small]
+    mask = small.copy()
+    mask[small] = (c * c).sum(axis=1) <= bound
+    return mask
+
+
 def eigen_residual(A: CoefficientField, lam: EigenvalueTriple) -> EigenResidualReport:
     """Sup-norm of H_ell A - lambda_ell A over the truncation-safe ball N(beta) <= z0/p^4.
 
@@ -826,8 +1055,8 @@ def eigen_residual(A: CoefficientField, lam: EigenvalueTriple) -> EigenResidualR
     eigenvalue triple; zero (to rounding) for eigenvector data.
 
     The float operators are applied in full by scattering from the
-    support, and their outputs are then read on the safe ball only.  A
-    ball without lattice points (z0 < p^4, since N(beta) is an integer)
+    support, and one norm mask on their output arrays reads the safe ball.
+    A ball without lattice points (z0 < p^4, since N(beta) is an integer)
     returns at once, before any operator work.
     """
     p = lam.p
@@ -837,15 +1066,17 @@ def eigen_residual(A: CoefficientField, lam: EigenvalueTriple) -> EigenResidualR
     max_norm = A.support_radius // p ** 4
     if max_norm == 0:
         return EigenResidualReport(safe_radius, 0, None, empty_safe_support=True)
-    entries = A.as_complex_dict()
+    entries = _FloatField.of(A.as_complex_dict())
+    near = _in_ball(entries._keys, max_norm)
+    own = entries._keys[near], entries._vals[near]
     residuals = []
     checked = 0
     for ell, lam_ell in zip((1, 2, 3), (lam.lam1, lam.lam2, lam.lam3)):
-        h = apply_hecke_float(ell, p, entries)
-        points = {beta for beta in (*h, *entries) if lattice_norm(beta) <= max_norm}
+        h = _FloatField.of(apply_hecke_float(ell, p, entries))
+        inside = _in_ball(h._keys, max_norm)
+        points, diff = _merge((h._keys[inside], h._vals[inside]), (own[0], -(lam_ell * own[1])))
         checked = max(checked, len(points))
-        residuals.append(max((abs(h.get(beta, 0j) - lam_ell * entries.get(beta, 0j)) for beta in points),
-                             default=0.0))
+        residuals.append(max(map(abs, diff.tolist()), default=0.0))  # Python's abs, as the dict form took it
     if not checked:
         return EigenResidualReport(safe_radius, 0, None, empty_safe_support=True)
     return EigenResidualReport(safe_radius, checked, tuple(residuals))

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from h4hecke import geometry, quaternions
+from h4hecke import geometry, hecke, quaternions
 from h4hecke.clifford import CliffordElement
 from h4hecke.files import SCHEMA_VERSION
 from h4hecke.geometry import (
@@ -255,3 +255,18 @@ def write_coefficient_field_json(field, path) -> None:
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")
+
+
+def apply_hecke_float_dict(ell, p, entries) -> dict:
+    """H_ell on a dict of complex doubles through the dict hecke._apply: the reference for
+    ``hecke.apply_hecke_float``, which adds the same terms in the same order on arrays."""
+    quaternions.require_odd_prime(p)
+    return hecke._apply(ell, p, dict(entries), hecke._hecke_weights(p, float), 1.0 / math.sqrt(p))
+
+
+def commutator_dict(p, q, ell, m, A) -> float:
+    """Max-abs entry of [H_ell(p), H_m(q)] A on dicts: the reference for ``hecke.verify_commutativity``."""
+    entries = A.as_complex_dict()
+    pq = apply_hecke_float_dict(ell, p, apply_hecke_float_dict(m, q, entries))
+    qp = apply_hecke_float_dict(m, q, apply_hecke_float_dict(ell, p, entries))
+    return max((abs(pq.get(k, 0j) - qp.get(k, 0j)) for k in set(pq) | set(qp)), default=0.0)

@@ -690,6 +690,7 @@ class TestBadInputsExit2:
         ["hecke", "commute", "--p", "0", "--q", "5"],
         ["hecke", "commute", "--p", "3", "--q", "0"],
         ["hecke", "commute", "--p", "-3", "--q", "5"],
+        ["hecke", "commute", "--p", "211", "--q", "223", "--trials", "1", "--support", "6"],
         ["quat", "enum", "--norm", "1000000"],
         ["quat", "enum", "--norm", "1000000000000000000000000000057"],
         ["quat", "verify-lemmas", "--p", "997", "--bound", "64"],

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections.abc import Mapping
 from fractions import Fraction
 
 import mpmath
@@ -23,6 +24,8 @@ from h4hecke.hecke import (
     verify_commutativity,
     verify_hecke_relation,
     _epsilon_case,
+    _epsilon_cases,
+    _float_tables,
     _hecke_weights,
 )
 from h4hecke.quaternions import (
@@ -34,7 +37,7 @@ from h4hecke.quaternions import (
     orbit_representatives,
     scale_lattice,
 )
-from reference import apply_matrix
+from reference import apply_hecke_float_dict, apply_matrix, commutator_dict
 
 
 class TestQuadExt:
@@ -89,6 +92,23 @@ class TestQuadExt:
     def test_sqrt_part_needs_prime(self):
         with pytest.raises(ValueError):
             QuadExt(None, Fraction(1), Fraction(1))
+
+    @settings(max_examples=300, deadline=None)
+    @given(p=st.sampled_from([None, 3, 5, 7]), parts=st.lists(
+        st.fractions(min_value=-50, max_value=50, max_denominator=30), min_size=4, max_size=4),
+        zero_b=st.sampled_from([(False, False), (True, False), (False, True), (True, True)]))
+    def test_product_matches_four_product_formula(self, p, parts, zero_b):
+        # a rational factor takes two Fraction products; the value and the prime stay those of
+        # (a + b sqrt p)(c + d sqrt p) = (ac + p bd) + (ad + bc) sqrt p
+        a, b, c, d = parts
+        b = Fraction(0) if zero_b[0] or p is None else b
+        d = Fraction(0) if zero_b[1] or p is None else d
+        for x, y in ((QuadExt(p, a, b), QuadExt(p, c, d)), (QuadExt(p, a, b), QuadExt(None, c, Fraction(0)))):
+            root_sq = Fraction(p if p is not None else 0)
+            expected = (p, x.a * y.a + root_sq * x.b * y.b, x.a * y.b + x.b * y.a)
+            for got in (x * y, y * x):
+                assert (got.p, got.a, got.b) == expected
+                assert type(got.a) is Fraction and type(got.b) is Fraction
 
 
 class TestQComplex:
@@ -235,8 +255,8 @@ class TestApply:
         assert out.at((3, 0, 0)) == QComplex.of(1, p=3)
 
     def test_float_twin_matches_exact(self):
-        # both paths run the one scatter pass, on integer numerators and on
-        # complex doubles, so this cross-checks the two scalar domains
+        # the exact operators run the dict _apply on integer numerators and the
+        # float twin _apply_float on arrays, so this cross-checks the two copies
         rng = random.Random(8)
         for p in (3, 5, 7):
             double_hits = 0
@@ -438,6 +458,95 @@ class TestFloatPath:
                 assert got.keys() == expected.keys()
                 for beta, value in expected.items():
                     assert abs(got[beta] - value) <= 1e-14 * abs(value), (beta, ell)
+
+
+def _assert_same_as_dict_path(got, expected):
+    """got has expected's keys in expected's order, and == values.
+
+    The array path adds the dict path's terms in the same order, but each bincount
+    sum starts from +0.0, so a repr may differ in the sign of a zero part alone.
+    """
+    assert list(got) == list(expected)
+    for beta, value in expected.items():
+        x = got[beta]
+        assert x == value, (beta, x, value)
+        assert repr(x) == repr(value) or (x.real == value.real and x.imag == value.imag
+                                          and 0.0 in (x.real, x.imag)), (beta, x, value)
+
+
+def _conj_sums_fields(rng, count):
+    """Sign-symmetric fields shaped like the benchmark's conj_sums fields (48-96 entries)."""
+    return [CoefficientField.random(rng, p=None, support=12 + k % 13, coord_bound=3 + k % 2,
+                                    entry_bound=10).symmetrized() for k in range(count)]
+
+
+class TestFloatArrayPath:
+    # apply_hecke_float against the dict path it replaced (reference.apply_hecke_float_dict)
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_basis_columns_equal_dict_path(self, p):
+        box = [beta for beta in itertools.product(range(-3, 4), repeat=3) if beta != (0, 0, 0)]
+        assert len(box) == 342
+        for beta in box:
+            for ell in (1, 2, 3):
+                _assert_same_as_dict_path(apply_hecke_float(ell, p, {beta: 1.0 + 0j}),
+                                          apply_hecke_float_dict(ell, p, {beta: 1.0 + 0j}))
+
+    @pytest.mark.parametrize("p,q", [(3, 5), (5, 7), (7, 3)])
+    def test_conj_sums_fields_equal_dict_path_when_chained(self, p, q):
+        for A in _conj_sums_fields(random.Random(p * q), 6):
+            entries = A.as_complex_dict()
+            for ell in (1, 2, 3):
+                got, expected = apply_hecke_float(ell, p, entries), apply_hecke_float_dict(ell, p, entries)
+                _assert_same_as_dict_path(got, expected)
+                for m in (1, 2, 3):
+                    # a returned mapping is read without conversion
+                    _assert_same_as_dict_path(apply_hecke_float(m, q, got), apply_hecke_float_dict(m, q, expected))
+
+    def test_empty_field(self):
+        for ell in (1, 2, 3):
+            out = apply_hecke_float(ell, 5, {})
+            assert len(out) == 0 and out == {} and apply_hecke_float_dict(ell, 5, {}) == {}
+
+    @pytest.mark.parametrize("top", [2 ** 25, 2 ** 40, 2 ** 58, 10 ** 30])
+    def test_coordinates_past_the_int64_packing(self, top):
+        # from 2^25 on, keys span too wide to pack three into one int64; at 2^58 the keys fit
+        # int64 but the images of one operator do not; 10^30 leaves int64 itself
+        entries = {(top, 3, 0): 1 + 2j, (9 * top, 0, 9): -1.0 + 0j, (1, 0, 0): 0.5j, (3, 6, 9): 2.0 + 0j,
+                   (0, top, -top): 0.25 - 1j}
+        for p in (3, 5, 7):
+            for ell in (1, 2, 3):
+                got, expected = apply_hecke_float(ell, p, entries), apply_hecke_float_dict(ell, p, entries)
+                _assert_same_as_dict_path(got, expected)
+                assert any(max(map(abs, beta)) >= top for beta in got)
+                _assert_same_as_dict_path(apply_hecke_float(2, 11, got), apply_hecke_float_dict(2, 11, expected))
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+    def test_vectorized_epsilon_case(self, p):
+        box = [beta for beta in itertools.product(range(-p - 2, p + 3), repeat=3) if beta != (0, 0, 0)]
+        cases = _epsilon_cases(np.array(box, dtype=np.int64), p, _float_tables(p).residue)
+        assert cases.tolist() == [_epsilon_case(beta, p) for beta in box]
+        assert set(cases.tolist()) == {0, 1, 2, 3}
+        huge = np.array([(10 ** 30 * p, 0, p), (10 ** 30 + 1, 2, 0)], dtype=object)
+        assert _epsilon_cases(huge, p, _float_tables(p).residue).tolist() == [_epsilon_case(tuple(b), p)
+                                                                             for b in huge.tolist()]
+
+    def test_returned_mapping(self):
+        entries = CoefficientField.random(random.Random(3), support=6, symmetric=True).as_complex_dict()
+        out = apply_hecke_float(2, 3, entries)
+        expected = apply_hecke_float_dict(2, 3, entries)
+        assert isinstance(out, Mapping) and not isinstance(out, dict)
+        assert len(out) == len(expected) > 0
+        assert list(out) == list(expected) and list(out.items()) == list(expected.items())
+        beta = next(iter(expected))
+        assert out.get(beta) == expected[beta] and out.get((0, 0, 0)) is None and out.get((0, 0, 0), 7) == 7
+        assert (0, 0, 0) not in out and beta in out
+        assert out == expected and expected == out and out != {}
+        with pytest.raises(TypeError):
+            out[beta] = 0j
+        with pytest.raises(TypeError):
+            del out[beta]
+        assert not hasattr(out, "update") and not hasattr(out, "pop")
 
 
 def _pair_conj_sum(k, p, entries, mats):
@@ -685,6 +794,35 @@ class TestCommutativity:
         with pytest.raises(ValueError):
             verify_commutativity(3, 3, 1, 1, CoefficientField.zero())
 
+    def test_matches_dict_commutator(self):
+        # the same sums as the dict path; only np.abs and Python's abs may differ in the last bit
+        rng = random.Random(21)
+        fields = _conj_sums_fields(rng, 4) + [CoefficientField.random(rng, support=8, coord_bound=3)]
+        for A in fields:
+            for p, q in ((3, 5), (3, 7), (5, 7)):
+                for ell, m in itertools.product((1, 2, 3), repeat=2):
+                    got, expected = verify_commutativity(p, q, ell, m, A), commutator_dict(p, q, ell, m, A)
+                    assert type(got) is float
+                    assert abs(got - expected) <= 1e-15 * expected, (p, q, ell, m)
+
+    def test_past_the_scatter_ceiling_refused_before_any_operator(self, monkeypatch, time_limit):
+        def unreachable(*args):
+            raise AssertionError("operator work before the ceiling check")
+
+        A = CoefficientField.random(random.Random(0), support=6, symmetric=True)
+        rows = len(A.entries) * 212 * 224
+        assert rows > hecke.MAX_SCATTER_ROWS
+        monkeypatch.setattr(hecke, "apply_hecke_float", unreachable)
+        with time_limit(1), pytest.raises(ValueError, match=f"= {rows} rows, past {hecke.MAX_SCATTER_ROWS}"):
+            verify_commutativity(211, 223, 1, 1, A)
+
+    def test_ceiling_reads_len_times_both_star_counts(self):
+        A = CoefficientField.ones_ball(3)  # 26 entries, sign-symmetric
+        assert len(A.entries) * 90 * 98 <= hecke.MAX_SCATTER_ROWS < len(A.entries) * 98 * 102
+        assert verify_commutativity(89, 97, 1, 2, A) < 1e-9
+        with pytest.raises(ValueError, match="past"):
+            verify_commutativity(97, 101, 1, 2, A)
+
     @pytest.mark.parametrize("p,q,name", [(0, 5, "p"), (3, 0, "q"), (-3, 5, "p")])
     def test_each_prime_checked_by_name(self, p, q, name):
         # these once ended in ZeroDivisionError or "math domain error" from the float weights
@@ -731,6 +869,11 @@ class TestEigenResidual:
             fields += [A, CoefficientField(None, wide).symmetrized()]
         if p == 3:
             fields.append(CoefficientField.ones_ball(100))
+        # a safe radius past 2^60, whose norms no longer fit int64 arithmetic; at p = 3 the
+        # coordinates of (c, c, c) are inside the ball's bounding box, and N(c, c, c) is not
+        c = 3 * 2 ** 35
+        fields.append(CoefficientField(None, {(2 ** 40, 1, 0): QComplex.of(1), (3, 1, 0): QComplex.of(2, -1),
+                                              (p, 0, 0): QComplex.of(0, 5), (c, c, c): QComplex.of(1)}).symmetrized())
         empty = 0
         for A in fields:
             rep = eigen_residual(A, lam)
