@@ -141,7 +141,10 @@ def _cmd_geom_act(args) -> int:
     if not geometry.is_similitude(g):
         raise ValueError("matrix is not a similitude: it needs a real pseudo-determinant "
                          "a d^* - b c^* > 0 and a b^*, d c^* without k-component")
-    z = geometry.act(g, args.point)
+    try:
+        z = geometry.act(g, args.point)
+    except ArithmeticError as exc:  # c z + d vanishes in doubles: the point is too close to a pole of g
+        raise ValueError(f"cannot act on {args.point.as_tuple()}: {exc}") from exc
     _emit(args, {"point": z.as_tuple()},
           f"{z.x0:.12g},{z.x1:.12g},{z.x2:.12g},{z.y:.12g}")
     return 0

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -71,7 +71,8 @@ def as_point(z) -> PointH4:
 
 
 # The matrix layer composes on coordinate 4-tuples with the one Hamilton
-# product and builds Quaternion objects only for the matrices it returns.
+# product, and IsometryMatrix holds those tuples as they are: no Quaternion
+# object is built on the way from a word to its matrix and its action.
 
 def _add(p, q):
     return (p[0] + q[0], p[1] + q[1], p[2] + q[2], p[3] + q[3])
@@ -103,32 +104,65 @@ def _twisted(p, q, r, s):
     return _sub(hamilton_product(p, _star(r)), hamilton_product(q, _star(s)))
 
 
-@dataclass(frozen=True)
 class IsometryMatrix:
-    """2x2 quaternion matrix [[a, b], [c, d]] with exact entries."""
+    """2x2 quaternion matrix [[a, b], [c, d]] with exact entries.
 
-    a: Quaternion
-    b: Quaternion
-    c: Quaternion
-    d: Quaternion
+    Immutable, and held as the coordinate 4-tuples of its entries, which the
+    matrix layer and the action compute on: the Quaternion entries are built
+    only when read through .a-.d or entries().  Equality and hashing are those
+    of the entries, so int and integral Fraction coordinates compare equal.
+    """
 
-    def __matmul__(self, other: "IsometryMatrix") -> "IsometryMatrix":
-        return IsometryMatrix._from_coords(_compose(self.coords(), other.coords()))
+    __slots__ = ("_coords",)
+
+    def __init__(self, a: Quaternion, b: Quaternion, c: Quaternion, d: Quaternion):
+        _set_coords(self, (a.coords(), b.coords(), c.coords(), d.coords()))
 
     @classmethod
-    def identity(cls) -> "IsometryMatrix":
-        return cls(_Q_ONE, _Q_ZERO, _Q_ZERO, _Q_ONE)
+    def _from_coords(cls, entries: tuple[tuple, tuple, tuple, tuple]) -> "IsometryMatrix":
+        """The matrix held as `entries` itself, a tuple of four coordinate 4-tuples."""
+        g = object.__new__(cls)
+        _set_coords(g, entries)
+        return g
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return IsometryMatrix, self.entries()
+
+    a = property(lambda self: Quaternion(*self._coords[0]))
+    b = property(lambda self: Quaternion(*self._coords[1]))
+    c = property(lambda self: Quaternion(*self._coords[2]))
+    d = property(lambda self: Quaternion(*self._coords[3]))
+
+    def __matmul__(self, other: "IsometryMatrix") -> "IsometryMatrix":
+        return IsometryMatrix._from_coords(_compose(self._coords, other._coords))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._coords == other._coords
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._coords)
+
+    def __repr__(self) -> str:
+        a, b, c, d = self.entries()
+        return f"IsometryMatrix(a={a!r}, b={b!r}, c={c!r}, d={d!r})"
 
     def entries(self) -> tuple[Quaternion, Quaternion, Quaternion, Quaternion]:
-        return (self.a, self.b, self.c, self.d)
+        return tuple(Quaternion(*q) for q in self._coords)
 
     def coords(self) -> tuple[tuple, tuple, tuple, tuple]:
         """The four entries as coordinate 4-tuples."""
-        return (self.a.coords(), self.b.coords(), self.c.coords(), self.d.coords())
+        return self._coords
 
-    @classmethod
-    def _from_coords(cls, entries) -> "IsometryMatrix":
-        return cls(*(Quaternion(*q) for q in entries))
+
+_set_coords = IsometryMatrix._coords.__set__  # the slot's own setter, past the refusing __setattr__
 
 
 def _pseudo_det(entries):
@@ -206,7 +240,8 @@ def word_to_matrix(word: GeneratorWord) -> IsometryMatrix:
     tuples: the translation by t gives [[a + t c, b + t d], [c, d]], the
     inversion [[c, d], [-a, -b]] and diag(u, u') [[u a, u b], [u' c, u' d]].
     The entries equal the product of the ``translation``, ``inversion`` and
-    ``rotation`` matrices by ``@``; one matrix is built, at the end.
+    ``rotation`` matrices by ``@``; one matrix is built, at the end, around
+    the four tuples.
     """
     a, b, c, d = (1, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0), (1, 0, 0, 0)
     for token in word:
@@ -239,28 +274,29 @@ def act(g: IsometryMatrix, z) -> PointH4:
     is a similitude is not checked exactly here; callers taking matrices
     from outside the program test is_similitude first.
     """
-    entries = g.coords()
-    if not _pseudo_det(entries) > 0:
-        raise ValueError(f"action requires positive pseudo-determinant, got {Fraction(_pseudo_det(entries))}")
+    entries = g._coords
+    mu = _pseudo_det(entries)
+    if not mu > 0:
+        raise ValueError(f"action requires positive pseudo-determinant, got {Fraction(mu)}")
     z = as_point(z)
     y = z.y
     y2 = y * y
     v = (z.x0, z.x1, z.x2, 0.0)
-    a, b, c, d = ((float(q[0]), float(q[1]), float(q[2]), float(q[3])) for q in entries)
+    a, b, c, d = [(float(q[0]), float(q[1]), float(q[2]), float(q[3])) for q in entries]
+    c0, c1, c2, c3 = c
     av = hamilton_product(a, v)
     cv = hamilton_product(c, v)
     P = (av[0] + b[0], av[1] + b[1], av[2] + b[2], av[3] + b[3])
-    N = (cv[0] + d[0], cv[1] + d[1], cv[2] + d[2], cv[3] + d[3])
-    D = N[0] * N[0] + N[1] * N[1] + N[2] * N[2] + N[3] * N[3] + y2 * (
-        c[0] * c[0] + c[1] * c[1] + c[2] * c[2] + c[3] * c[3])
+    N0, N1, N2, N3 = cv[0] + d[0], cv[1] + d[1], cv[2] + d[2], cv[3] + d[3]
+    D = N0 * N0 + N1 * N1 + N2 * N2 + N3 * N3 + y2 * (c0 * c0 + c1 * c1 + c2 * c2 + c3 * c3)
     # mu > 0 rules out c = d = 0, so D vanishes only by underflow.
     if D < 1e-309:
         raise ArithmeticError("c z + d is numerically non-invertible")
 
-    pn = hamilton_product(P, (N[0], -N[1], -N[2], -N[3]))
-    ac = hamilton_product(a, (c[0], -c[1], -c[2], -c[3]))
-    an = hamilton_product(a, (N[0], N[1], N[2], -N[3]))
-    pc = hamilton_product(P, (c[0], c[1], c[2], -c[3]))
+    pn = hamilton_product(P, (N0, -N1, -N2, -N3))
+    ac = hamilton_product(a, (c0, -c1, -c2, -c3))
+    an = hamilton_product(a, (N0, N1, N2, -N3))
+    pc = hamilton_product(P, (c0, c1, c2, -c3))
     q = (pn[0] + y2 * ac[0], pn[1] + y2 * ac[1], pn[2] + y2 * ac[2], pn[3] + y2 * ac[3])
     w = (y * (an[0] - pc[0]), y * (an[1] - pc[1]), y * (an[2] - pc[2]), y * (an[3] - pc[3]))
     # Result must be a vector: q in V3 and w a positive real scalar.
@@ -353,6 +389,9 @@ _CUSP_COPIES = (("identity", (1, 1, 1)), *((f"rot_{name}", flip) for name, (_, f
 # Samples per array pass of verify_cusp_decomposition: about 1 MB of working arrays, and
 # faster than larger blocks (200,000 samples: 0.09 s in blocks of 4,096, 0.11 s of 65,536).
 _CUSP_BLOCK = 4_096
+# The largest sample count of verify_cusp_decomposition, whose time is linear in it: about
+# 0.09 s per 200,000 samples and 0.5 s per million (2-vCPU host), so about 5 s at the ceiling.
+MAX_CUSP_SAMPLES = 10 ** 7
 
 
 @dataclass(frozen=True)
@@ -381,7 +420,8 @@ def verify_cusp_decomposition(T: float, sample_count: int, *, seed: int = 0) -> 
     tested by flipping z back and asking for z' in S_T.  Samples within
     _TOL of a sign boundary are reported as ties, not failures.  Heights
     are drawn from [T, 4T], so 4T must be finite: past it every sample
-    would sit at y = inf, outside the space.
+    would sit at y = inf, outside the space.  A sample count past
+    MAX_CUSP_SAMPLES is refused before any sampling.
 
     The samples are drawn as random.Random(seed).uniform would draw them,
     x0, x1, x2 and y for each in turn, and tested on arrays in blocks of
@@ -393,6 +433,9 @@ def verify_cusp_decomposition(T: float, sample_count: int, *, seed: int = 0) -> 
         raise ValueError(f"T must be >= 1 with 4T finite, got {T}")
     if sample_count < 0:
         raise ValueError(f"sample count must be at least 0, got {sample_count}")
+    if sample_count > MAX_CUSP_SAMPLES:
+        raise ValueError(f"sample count {sample_count} is past MAX_CUSP_SAMPLES = {MAX_CUSP_SAMPLES}, "
+                         f"the largest supported")
     rng = random.Random(seed)
     # random.uniform(a, b) is a + (b - a) * random(), one random() per coordinate.
     low = np.array([-0.5, -0.5, -0.5, T])[:, None]

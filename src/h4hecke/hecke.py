@@ -761,11 +761,13 @@ def apply_hecke(ell: int, p: int, A: CoefficientField, *, representatives=None) 
 # array code took 0.76-0.86 ms for the four applies of a relation on 8-entry
 # fields, against 0.44-0.47 ms on dicts.
 
-# The largest bound len(A)(p+1)(q+1) on the rows of the outer float scatters of a
-# commutator.  One [H_2(p), H_2(q)] takes about 0.17 s and 75 MB peak at 1.2e5 (p = 97,
-# q = 101, 12 entries), 0.35 s and 120 MB at 2.4e5 (24 entries; [H_3, H_3] 2.4 s and
-# 220 MB), 0.8 s and 230 MB at 5.7e5 and 1.7 s and 440 MB at 1.1e6 (p = 211, q = 223);
-# H_1 is cheaper, since T_1 keeps only the images that p divides (2-vCPU host).
+# The largest bound on the rows of the outer float scatters of a commutator
+# (_commutator_rows: len(A)(p+1)(q+1), and more for H_3).  One [H_2(p), H_2(q)] takes about
+# 0.17 s and 75 MB peak at 1.2e5 (p = 97, q = 101, 12 entries), 0.35 s and 120 MB at 2.4e5
+# (24 entries), 0.8 s and 230 MB at 5.7e5 and 1.7 s and 440 MB at 1.1e6 (p = 211, q = 223).
+# [H_3, H_3] at (97, 101) counts 5 len(A)(p+1)(q+1) on keys that neither prime divides: 5
+# entries, 2.5e5 rows, take 0.48 s and 81 MB, where 24 entries took 2.7 s.  H_1 is cheaper,
+# since T_1 keeps only the images that p divides (2-vCPU host).
 MAX_SCATTER_ROWS = 250_000
 
 
@@ -979,20 +981,41 @@ def verify_hecke_relation(p: int, A: CoefficientField) -> CoefficientField:
     return _field(p, {beta: v for beta, v in residual.items() if v}, den * p)
 
 
+def _commutator_rows(p: int, q: int, ell: int, m: int, A: CoefficientField) -> tuple[int, str]:
+    """A bound on the rows of the outer scatters of [H_ell(p), H_m(q)] A, and its formula.
+
+    The outer operator reads about len(A)(q+1) keys (or (p+1)), and its T_2 or T_1
+    pass scatters each to p+1 rows: len(A)(p+1)(q+1).  An H_3 at p adds its
+    T_0(1_p T_2 A) pass, which scatters again every key of 1_p T_2 A: the gammas
+    that p divides and their p+1 images, and at most 2 of the p+1 images of any
+    other gamma (the isotropic lines mod p in the plane orthogonal to it).  The
+    inner operator at the other prime keeps whether p divides a key, so with n_p
+    the entries of A that p divides, H_3 at p adds (p+1)(q+1)(2 len(A) + p n_p) rows.
+    """
+    n = len(A.entries)
+    rows, formula = n * (p + 1) * (q + 1), "len(A)(p+1)(q+1)"
+    for k, r, name in ((ell, p, "p"), (m, q, "q")):
+        if k == 3:
+            n_r = sum(1 for beta in A.entries if not (beta[0] % r or beta[1] % r or beta[2] % r))
+            rows += (p + 1) * (q + 1) * (2 * n + r * n_r)
+            formula += f" + (p+1)(q+1)(2 len(A) + {name} n_{name}) with n_{name} = {n_r}"
+    return rows, formula
+
+
 def verify_commutativity(p: int, q: int, ell: int, m: int, A: CoefficientField) -> float:
     """Max-abs entry of [H_ell(p), H_m(q)] A evaluated in doubles.
 
-    len(A)(p+1)(q+1), which bounds the rows of the outer scatters, is refused
+    A bound on the rows of the outer scatters (_commutator_rows) is refused
     past MAX_SCATTER_ROWS before any operator work.
     """
     require_odd_prime(p, "p")
     require_odd_prime(q, "q")
     if p == q:
         raise ValueError("commutativity check needs distinct primes")
-    rows = len(A.entries) * (p + 1) * (q + 1)
+    rows, formula = _commutator_rows(p, q, ell, m, A)
     if rows > MAX_SCATTER_ROWS:
         raise ValueError(f"a commutator at p = {p} and q = {q} on {len(A.entries)} entries scatters up to "
-                         f"len(A)(p+1)(q+1) = {rows} rows, past {MAX_SCATTER_ROWS}, the largest supported")
+                         f"{formula} = {rows} rows, past {MAX_SCATTER_ROWS}, the largest supported")
     entries = _FloatField.of(A.as_complex_dict())
     pq = _FloatField.of(apply_hecke_float(ell, p, apply_hecke_float(m, q, entries)))
     qp = _FloatField.of(apply_hecke_float(m, q, apply_hecke_float(ell, p, entries)))

@@ -87,13 +87,13 @@ def hamilton_product(p: Sequence, q: Sequence) -> tuple:
     the exact 2x2 matrix layer of ``geometry`` and its float action all call
     it, on int, Fraction or float coordinates alike.  Composing on tuples
     rather than on frozen ``Quaternion`` objects skips a dataclass
-    construction and an ABC isinstance check per product.  On the reduction
-    words of 2,000 points drawn as in acceptance 13 (mean length 1.8;
-    2-vCPU Xeon host, medians of 6 runs, the range over three runs on a
-    loaded host), ``word_to_matrix`` took 6.5-12 us per word instead of
-    11-20 with the same closed forms on ``Quaternion`` objects, a matrix
-    product 8.4-14 instead of 15-27, ``pseudo_det`` 2.1-3.4 instead of 5.9-10
-    and ``act`` 8.7-12 instead of 36-62.
+    construction and an ABC isinstance check per product, and
+    ``IsometryMatrix`` holds the tuples themselves.  On the reduction words
+    of 2,000 points drawn as in acceptance 13 (mean length 1.8; 2-vCPU Xeon
+    host, best and median of 30 runs), ``word_to_matrix`` takes 2.8-3.6 us
+    per word and ``act`` 7.7-10.2.  A matrix that kept its entries as four
+    ``Quaternion`` objects built from the tuples took 7.1-8.7 and 8.4-10.7,
+    and the same closed forms on ``Quaternion`` objects 11-20 and 36-62.
     """
     a1, b1, c1, d1 = p
     a2, b2, c2, d2 = q
@@ -166,16 +166,6 @@ UNITS: tuple[Quaternion, ...] = tuple(
     Quaternion(*(s if idx == pos else 0 for idx in range(4)))
     for pos in range(4) for s in (1, -1)
 )
-
-
-def lattice_to_quaternion(beta: Sequence[int]) -> Quaternion:
-    return Quaternion(int(beta[0]), int(beta[1]), int(beta[2]), 0)
-
-
-def quaternion_to_lattice(q: Quaternion) -> LatticeVector:
-    if q.d != 0:
-        raise ArithmeticError(f"quaternion {q} has nonzero k-component, not in V3")
-    return (int(q.a), int(q.b), int(q.c))
 
 
 def lattice_norm(beta: Sequence[int]) -> int:

@@ -14,7 +14,7 @@ from h4hecke.geometry import (
     _MAX_ITER, _TOL, IsometryMatrix, PointH4, ReductionError, as_point, inversion, is_in_region, pseudo_det, rotation,
     translation,
 )
-from h4hecke.quaternions import UNIT_FLIPS, hamilton_product, lattice_norm
+from h4hecke.quaternions import UNIT_FLIPS, Quaternion, hamilton_product, lattice_norm
 
 
 def apply_matrix(mat, beta):
@@ -25,6 +25,23 @@ def apply_matrix(mat, beta):
         mat[1][0] * b0 + mat[1][1] * b1 + mat[1][2] * b2,
         mat[2][0] * b0 + mat[2][1] * b1 + mat[2][2] * b2,
     )
+
+
+def lattice_to_quaternion(beta) -> Quaternion:
+    """beta in V3 as the quaternion beta_0 + beta_1 i + beta_2 j."""
+    return Quaternion(int(beta[0]), int(beta[1]), int(beta[2]), 0)
+
+
+def quaternion_to_lattice(q: Quaternion):
+    """A quaternion without k-part as its V3 coordinate triple."""
+    if q.d != 0:
+        raise ArithmeticError(f"quaternion {q} has nonzero k-component, not in V3")
+    return (int(q.a), int(q.b), int(q.c))
+
+
+def identity() -> IsometryMatrix:
+    """The 2x2 identity matrix."""
+    return IsometryMatrix(Quaternion(1, 0, 0, 0), Quaternion(0, 0, 0, 0), Quaternion(0, 0, 0, 0), Quaternion(1, 0, 0, 0))
 
 
 def token_matrix(token) -> IsometryMatrix:
@@ -38,7 +55,7 @@ def token_matrix(token) -> IsometryMatrix:
 
 def word_matrix(word) -> IsometryMatrix:
     """The product of the token matrices by ``@``, the reference for ``geometry.word_to_matrix``."""
-    g = IsometryMatrix.identity()
+    g = identity()
     for token in word:
         g = token_matrix(token) @ g
     return g

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from h4hecke import geometry
 from h4hecke.asymptotics import power_law_function
 from h4hecke.cli import main
 from h4hecke.files import (
@@ -292,6 +293,21 @@ class TestCliCommands:
         assert main(argv) == 2
         assert capsys.readouterr().err == ("usage error: the action overflows the double range: "
                                            "g . z computes to (0.0, 0.0, 0.0, nan)\n")
+
+    def test_geom_act_non_invertible_denominator_exits_2(self, capsys):
+        # this once ended in a traceback: ArithmeticError from act, which main did not catch
+        argv = ["geom", "act", "--matrix"] + ["0", "0", "0", "0", "1", "0", "0", "0",
+                                              "-1", "0", "0", "0", "0", "0", "0", "0"]
+        assert main(argv + ["--point", "0,0,0,1e-320"]) == 2
+        assert capsys.readouterr().err == ("usage error: cannot act on (0.0, 0.0, 0.0, 1e-320): "
+                                           "c z + d is numerically non-invertible\n")
+
+    def test_geom_verify_cusp_past_the_sample_ceiling_exits_2(self, capsys, time_limit):
+        # this once sampled for hours: the loop is linear in the sample count
+        with time_limit(1):
+            assert main(["geom", "verify-cusp", "--T", "2", "--samples", "1000000000000", "--seed", "0"]) == 2
+        assert capsys.readouterr().err == ("usage error: sample count 1000000000000 is past "
+                                           f"MAX_CUSP_SAMPLES = {geometry.MAX_CUSP_SAMPLES}, the largest supported\n")
 
     def test_geom_reduce_tiny_height(self, capsys):
         assert main(["geom", "reduce", "--point", "0,0,0,1e-200"]) == 0
@@ -674,6 +690,8 @@ class TestBadInputsExit2:
         ["maass", "eval", "--form", "{form_huge_beta}", "--point", "0.1,0.2,0.3,1"],
         ["maass", "laplace-check", "--beta", f"{_HUGE},0,0", "--r", "1"],
         ["geom", "act", "--matrix", _HUGE, *["0"] * 11, _HUGE, "0", "0", "0", "--point", "0,0,0,0.5"],
+        ["geom", "act", "--matrix", "0", "0", "0", "0", "1", *["0"] * 3, "-1", *["0"] * 7, "--point", "0,0,0,1e-320"],
+        ["geom", "verify-cusp", "--T", "2", "--samples", "1000000000000", "--seed", "0"],
         ["sums", "partition", "--y", "1e8", "--lambda-table", "{lam_inf_row}"],
         ["asym", "verify", "--f", "{csv_nan_row}", "--params", "{params}"],
         ["asym", "verify", "--f", "{csv_to_32}", "--params", "{params_nan_delta}"],

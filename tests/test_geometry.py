@@ -1,5 +1,7 @@
+import copy
 import itertools
 import math
+import pickle
 import random
 import tracemalloc
 from fractions import Fraction
@@ -26,11 +28,13 @@ from h4hecke.geometry import (
     word_to_matrix,
 )
 from h4hecke.quaternions import Quaternion
-from reference import act_reference, apply_word, cosh_distance, reduce_reference, vector_coords, word_matrix
+from reference import (
+    act_reference, apply_word, cosh_distance, identity, reduce_reference, vector_coords, word_matrix,
+)
 
 
 def random_integral_matrix(rng: random.Random, length: int = 6) -> IsometryMatrix:
-    g = IsometryMatrix.identity()
+    g = identity()
     for _ in range(length):
         choice = rng.randrange(5)
         if choice == 0:
@@ -45,7 +49,7 @@ def random_integral_matrix(rng: random.Random, length: int = 6) -> IsometryMatri
 
 class TestPseudoDet:
     def test_identity(self):
-        assert pseudo_det(IsometryMatrix.identity()) == 1
+        assert pseudo_det(identity()) == 1
 
     def test_inversion(self):
         assert pseudo_det(inversion()) == 1
@@ -141,7 +145,7 @@ class TestTupleLayerAgainstClifford:
 
 class TestIntegralMembership:
     def test_generators_integral(self):
-        for g in (IsometryMatrix.identity(), inversion(), translation((1, -2, 0)),
+        for g in (identity(), inversion(), translation((1, -2, 0)),
                   rotation("i"), rotation("j"), rotation("k")):
             assert is_integral_sv2(g)
 
@@ -367,6 +371,86 @@ _ACT_CASES = [
 ]
 
 
+def _matrices_by_each_path():
+    """(path, matrix) for integral matrices built by the constructor, @, word_to_matrix and the generators."""
+    word = (("translate", (1, -2, 3)), ("inversion",), ("rot_j",), ("translate", (0, 1, 0)), ("inversion",))
+    return [
+        ("constructor", IsometryMatrix(Quaternion(1, 2, 0, 0), Quaternion(0, 0, 1, 0), _ZERO, Quaternion(1, -2, 0, 0))),
+        ("matmul", translation((1, 0, -1)) @ inversion() @ rotation("k")),
+        ("word_to_matrix", word_to_matrix(word)),
+        ("empty word", word_to_matrix(())),
+        ("translation", translation((2, -1, 5))),
+        ("inversion", inversion()),
+        *((f"rotation {axis}", rotation(axis)) for axis in "ijk"),
+    ]
+
+
+def _with_fraction_coords(g: IsometryMatrix) -> IsometryMatrix:
+    return IsometryMatrix(*(Quaternion(*map(Fraction, q.coords())) for q in g.entries()))
+
+
+class TestMatrixContract:
+    """IsometryMatrix holds coordinate tuples but keeps the frozen dataclass contract of Quaternion entries."""
+
+    @pytest.mark.parametrize("path,g", _matrices_by_each_path())
+    def test_eq_and_hash_across_int_and_fraction_coords(self, path, g):
+        twin = _with_fraction_coords(g)
+        assert all(type(x) is Fraction for q in twin.coords() for x in q)
+        assert g == twin and twin == g and not g != twin
+        assert hash(g) == hash(twin)
+        assert len({g, twin}) == 1
+        assert g != _with_fraction_coords(g @ translation((1, 0, 0)))
+        assert g != g.coords() and g != g.entries()
+
+    def test_fraction_one_equals_int_one(self):
+        one_q, zero_q = Quaternion(Fraction(1), 0, 0, 0), Quaternion(0, 0, 0, 0)
+        assert IsometryMatrix(one_q, zero_q, zero_q, one_q) == IsometryMatrix(_ONE, _ZERO, _ZERO, _ONE) == identity()
+
+    @pytest.mark.parametrize("path,g", _matrices_by_each_path())
+    def test_entries_are_quaternions(self, path, g):
+        quats = (g.a, g.b, g.c, g.d)
+        assert all(type(q) is Quaternion for q in quats)
+        assert g.entries() == quats
+        assert tuple(q.coords() for q in quats) == g.coords()
+        assert IsometryMatrix(*quats) == g
+
+    def test_constructor_entries_read_back_equal(self):
+        given = (Quaternion(Fraction(1, 2), 0, 3, 0), Quaternion(0, Fraction(-7, 3), 0, 1), _ZERO, _ONE)
+        g = IsometryMatrix(*given)
+        assert (g.a, g.b, g.c, g.d) == g.entries() == given
+
+    @pytest.mark.parametrize("path,g", _matrices_by_each_path())
+    def test_coords_hold_plain_ints(self, path, g):
+        coords = g.coords()
+        assert type(coords) is tuple and len(coords) == 4
+        assert all(type(q) is tuple and len(q) == 4 and all(type(x) is int for x in q) for q in coords)
+
+    @pytest.mark.parametrize("path,g", _matrices_by_each_path())
+    def test_immutable(self, path, g):
+        before = repr(g)
+        for name in ("a", "b", "c", "d", "_coords", "other"):
+            with pytest.raises(AttributeError):
+                setattr(g, name, _ONE)
+            with pytest.raises(AttributeError):
+                delattr(g, name)
+        assert repr(g) == before
+
+    def test_repr_text(self):
+        assert repr(inversion()) == ("IsometryMatrix(a=Quaternion(0, 0, 0, 0), b=Quaternion(1, 0, 0, 0), "
+                                     "c=Quaternion(-1, 0, 0, 0), d=Quaternion(0, 0, 0, 0))")
+        assert repr(word_to_matrix((("translate", (1, -2, 0)),))) == (
+            "IsometryMatrix(a=Quaternion(1, 0, 0, 0), b=Quaternion(1, -2, 0, 0), "
+            "c=Quaternion(0, 0, 0, 0), d=Quaternion(1, 0, 0, 0))")
+        g = IsometryMatrix(_ONE, Quaternion(Fraction(1, 2), 0, 0, 0), _ZERO, Quaternion(Fraction(4, 2), 0, 0, -1))
+        assert repr(g) == ("IsometryMatrix(a=Quaternion(1, 0, 0, 0), b=Quaternion(1/2, 0, 0, 0), "
+                           "c=Quaternion(0, 0, 0, 0), d=Quaternion(2, 0, 0, -1))")
+
+    @pytest.mark.parametrize("path,g", _matrices_by_each_path())
+    def test_pickle_and_copy_round_trip(self, path, g):
+        for twin in (pickle.loads(pickle.dumps(g)), copy.copy(g), copy.deepcopy(g)):
+            assert twin == g and repr(twin) == repr(g) and twin.coords() == g.coords()
+
+
 class TestClosedFormMatrixLayer:
     """word_to_matrix, act and the reduction against their matrix-by-matrix and point-by-point references."""
 
@@ -482,6 +566,15 @@ class TestCuspDecomposition:
         assert report.interior_checked + report.boundary_ties == 300
         assert report.interior_checked == sum(report.matches_by_matrix.values())
         assert all(v > 0 for v in report.matches_by_matrix.values())
+
+    @pytest.mark.parametrize("count", [geometry.MAX_CUSP_SAMPLES + 1, 10 ** 12])
+    def test_past_the_sample_ceiling_refused_before_sampling(self, monkeypatch, time_limit, count):
+        def unreachable(*args):
+            raise AssertionError("sampling before the ceiling check")
+
+        monkeypatch.setattr(geometry, "_cusp_hits", unreachable)
+        with time_limit(1), pytest.raises(ValueError, match=f"^sample count {count} is past MAX_CUSP_SAMPLES = "):
+            verify_cusp_decomposition(2.0, count)
 
     def test_negative_count_refused(self):
         with pytest.raises(ValueError, match="sample count must be at least 0, got -3"):

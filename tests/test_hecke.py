@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from collections.abc import Mapping
 from fractions import Fraction
 
@@ -822,6 +823,52 @@ class TestCommutativity:
         assert verify_commutativity(89, 97, 1, 2, A) < 1e-9
         with pytest.raises(ValueError, match="past"):
             verify_commutativity(97, 101, 1, 2, A)
+
+    def test_ceiling_counts_the_second_scatter_of_h3(self, monkeypatch, time_limit):
+        # [H_3, H_3] once ran 2.4 s at 24 entries, under a ceiling that counted only len(A)(p+1)(q+1)
+        def unreachable(*args):
+            raise AssertionError("operator work before the ceiling check")
+
+        A = CoefficientField.ones_ball(3)  # 26 entries, none that 89 or 97 divides
+        base = len(A.entries) * 90 * 98
+        assert base <= hecke.MAX_SCATTER_ROWS < 5 * base
+        monkeypatch.setattr(hecke, "apply_hecke_float", unreachable)
+        formula = ("len(A)(p+1)(q+1) + (p+1)(q+1)(2 len(A) + p n_p) with n_p = 0 "
+                   "+ (p+1)(q+1)(2 len(A) + q n_q) with n_q = 0")
+        with time_limit(1), pytest.raises(ValueError, match=re.escape(
+                f"scatters up to {formula} = {5 * base} rows, past {hecke.MAX_SCATTER_ROWS}, the largest supported")):
+            verify_commutativity(89, 97, 3, 3, A)
+        with time_limit(1), pytest.raises(ValueError, match=f"= {3 * base} rows, past"):
+            verify_commutativity(89, 97, 3, 1, A)
+        with time_limit(1), pytest.raises(ValueError, match=f"= {3 * base} rows, past"):
+            verify_commutativity(89, 97, 2, 3, A)
+
+    def test_ceiling_counts_keys_that_the_h3_prime_divides(self):
+        # every image of a key that p divides is scattered again: p n_p more per (p+1)(q+1)
+        A = CoefficientField.delta((3, 0, 3)) + CoefficientField.delta((1, 2, 0))
+        rows, formula = hecke._commutator_rows(3, 5, 3, 1, A)
+        assert rows == 2 * 4 * 6 + 4 * 6 * (2 * 2 + 3 * 1)
+        assert formula == "len(A)(p+1)(q+1) + (p+1)(q+1)(2 len(A) + p n_p) with n_p = 1"
+        assert hecke._commutator_rows(3, 5, 1, 3, A)[0] == 2 * 4 * 6 + 4 * 6 * (2 * 2 + 5 * 0)
+        assert hecke._commutator_rows(3, 5, 1, 2, A) == (2 * 4 * 6, "len(A)(p+1)(q+1)")
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 11])
+    def test_h3_second_scatter_within_its_count(self, monkeypatch, p):
+        # the T_0(1_p T_2 A) pass reads at most 2 len(A) + p n_p keys on one application of H_3
+        rows = []
+        star_images = hecke._star_images
+
+        def counting(k, p_, gammas, mats):
+            if k == 0:
+                rows.append(len(gammas))
+            return star_images(k, p_, gammas, mats)
+
+        monkeypatch.setattr(hecke, "_star_images", counting)
+        keys = [b for b in itertools.product(range(-p, p + 1), repeat=3) if any(b)]
+        entries = {b: 1.0 for b in keys}
+        n_p = sum(1 for b in keys if not (b[0] % p or b[1] % p or b[2] % p))
+        hecke.apply_hecke_float(3, p, entries)
+        assert 0 < rows[-1] <= 2 * len(keys) + p * n_p
 
     @pytest.mark.parametrize("p,q,name", [(0, 5, "p"), (3, 0, "q"), (-3, 5, "p")])
     def test_each_prime_checked_by_name(self, p, q, name):

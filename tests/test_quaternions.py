@@ -21,14 +21,12 @@ from h4hecke.quaternions import (
     conjugation_matrix,
     enumerate_norm,
     lattice_norm,
-    lattice_to_quaternion,
     orbit_representatives,
-    quaternion_to_lattice,
     star_conjugation_matrices,
     valuation,
     verify_conjugation_lemmas,
 )
-from reference import apply_matrix, sweep_per_alpha
+from reference import apply_matrix, lattice_to_quaternion, quaternion_to_lattice, sweep_per_alpha
 
 
 def jacobi_r4(n: int) -> int:
