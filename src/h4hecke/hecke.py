@@ -36,20 +36,24 @@ table); verify_hecke_relation computes the residual of that identity
 without rounding.
 
 _conj_sum computes T_k by scattering from the support; its docstring
-holds the transposition argument that makes this exact, and sums.sum_R
-reads R^{p,l}_d off the same map.  Every image S_i gamma of the support
-comes from one integer matrix product with a cached star block, the S_i
-side by side (_star_images); it runs in int64 when the largest
-coordinate times 3 max|C_i entry| p^max(k-2, 0) stays below 2^62, and on
-Python ints in an object array otherwise.  The exact operators run the
-formulas above in _apply, on dicts of Python ints, on which every
-division is exact (see the integer-domain note below).  A field converts
-to integer numerators over one per-field denominator once, and keeps
-them.  The float twin no longer shares _apply: _apply_float runs the
-same formulas on (keys, values) arrays, adding the same terms in the
-same order, and apply_hecke_float returns a read-only mapping backed by
-those arrays, so verify_commutativity and eigen_residual chain
-operators without building dicts (see the float-twin note below).
+holds the transposition argument that makes this exact.  Every image
+S_i gamma of the support comes from one integer matrix product with a
+cached star block, the S_i side by side (_star_images); it runs in int64
+when the largest coordinate times 3 max|C_i entry| p^max(k-2, 0) stays
+below 2^62, and on Python ints in an object array otherwise.  The exact
+operators run the formulas above in _apply, on dicts of Python ints, on
+which every division is exact (see the integer-domain note below), and
+only they read the dict _conj_sum.  The lattice sums of the sums module
+(R^{p,l}_d and the L6.4 double sum) read T_l off _conj_sum_rows, the
+same scatter on arrays, with the integer numerators of equal betas
+summed.  A field converts once, and keeps each result: to integer
+numerators over one per-field denominator, as a dict (_numerators) and
+as arrays (_numerator_arrays), and to complex128 arrays (_float_field).
+The float twin no longer shares _apply: _apply_float runs the same
+formulas on (keys, values) arrays, adding the same terms in the same
+order, and apply_hecke_float returns a read-only mapping backed by those
+arrays, so verify_commutativity and eigen_residual chain operators
+without building dicts (see the float-twin note below).
 
 Two finer properties need the Klein-group sign symmetry
 A(-b0,-b1,b2) = A(-b0,b1,-b2) = A(b0,-b1,-b2) = A(b0,b1,b2) that
@@ -136,11 +140,13 @@ class QuadExt:
         return QuadExt(self.p, -self.a, -self.b)
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):  # a rational scalar: no coercion, and a zero sqrt part is kept
+            return QuadExt(self.p, self.a * other, self.b * other if self.b else self.b)
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         p = _join_primes(self.p, other.p)
-        # two Fraction products when either factor is rational, as in every scaling by a weight
+        # two Fraction products when either factor is rational
         if other.b == 0:
             return QuadExt(p, self.a * other.a, self.b * other.a)
         if self.b == 0:
@@ -319,11 +325,14 @@ class CoefficientField:
     declared prime joined with the primes of their parts, and every entry not
     already over it is promoted to it; two primes, or one that is not odd,
     raise ValueError.
-    A field is not changed after construction: it keeps its integer
-    numerators once they are first read (_numerators).
+    A field is not changed after construction: it keeps its support radius
+    and each conversion of its entries once first read, to the dict of
+    integer numerators of the exact operators (_numerators), to the numerator
+    arrays of the lattice sums (_numerator_arrays) and to the complex128
+    arrays of the float operators (_float_field).
     """
 
-    __slots__ = ("p", "entries", "_nums")
+    __slots__ = ("p", "entries", "_radius", "_nums", "_arrays", "_floats")
 
     def __init__(self, p: Optional[int], entries: Mapping[LatticeVector, QComplex]):
         if p is None:
@@ -342,7 +351,7 @@ class CoefficientField:
                 clean[beta] = value
         self.p = p
         self.entries = clean
-        self._nums = None
+        self._radius = self._nums = self._arrays = self._floats = None
 
     @classmethod
     def zero(cls, p: Optional[int] = None) -> "CoefficientField":
@@ -429,7 +438,9 @@ class CoefficientField:
 
     @property
     def support_radius(self) -> int:
-        return max((lattice_norm(b) for b in self.entries), default=0)
+        if self._radius is None:
+            self._radius = max((lattice_norm(b) for b in self.entries), default=0)
+        return self._radius
 
     @property
     def is_zero(self) -> bool:
@@ -513,10 +524,18 @@ def _support_array(points: list, growth: int) -> np.ndarray:
     return _widened(arr, growth)
 
 
+def _peak(arr: np.ndarray) -> int:
+    """max|entry| of an int64 or object array as a Python int, 0 when it is empty."""
+    if not arr.size:
+        return 0
+    if arr.dtype == object:
+        return int(np.abs(arr).max())
+    return int(np.abs(arr).view(np.uint64).max())  # |x| read as uint64 is exact for every int64, -2^63 included
+
+
 def _widened(arr: np.ndarray, growth: int) -> np.ndarray:
     """arr itself when it is on Python ints or max|coordinate| * growth < 2^62, else arr on Python ints."""
-    # |x| read as uint64 is exact for every int64, -2^63 included
-    if arr.dtype == object or not len(arr) or int(np.abs(arr).view(np.uint64).max()) * growth < 2 ** 62:
+    if arr.dtype == object or _peak(arr) * growth < 2 ** 62:
         return arr
     return arr.astype(object)
 
@@ -533,16 +552,35 @@ def _star_images(k: int, p: int, gammas: np.ndarray, mats) -> tuple[np.ndarray, 
     images = (gammas @ block).reshape(-1, 3)  # row g (p+1) + i is S_i gamma_g
     m = len(mats)
     if k < 2:
-        down = p ** (2 - k)
-        rows = np.flatnonzero(_divisible(images, down))
-        return images[rows] // down, rows // m
+        quo, hit = _divided(images, p ** (2 - k))
+        rows = hit.nonzero()[0]
+        return quo.take(rows, axis=0), rows // m
     return (images * p ** (k - 2) if k > 2 else images), np.arange(len(images)) // m
 
 
+def _mod(keys: np.ndarray, d: int) -> np.ndarray:
+    """keys % d for a positive integer d, each in [0, d).
+
+    numpy divides int64 by a scalar several times faster than it takes the
+    remainder, so the remainder is keys - (keys // d) d.  The product lies in
+    (keys - d, keys], which stays in int64 while |key| < 2^62 and d < 2^63: every
+    int64 key array here keeps the first (_widened), and _divided the second.
+    """
+    return keys - keys // d * d
+
+
+def _divided(keys: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """(keys // d, the mask of the rows of the (n, 3) key array that the positive integer d divides)."""
+    if d >= 2 ** 63 and keys.dtype != object:  # past int64: the quotients are taken on Python ints
+        keys = keys.astype(object)
+    quo = keys // d
+    rest = keys - quo * d  # _mod(keys, d): each in [0, d), so the OR of a row is 0 when all three are
+    return quo, (rest[:, 0] | rest[:, 1] | rest[:, 2]) == 0
+
+
 def _divisible(keys: np.ndarray, d: int) -> np.ndarray:
-    """The mask of the rows of an (n, 3) key array that d divides."""
-    rest = keys % d  # each in [0, d), so the OR of a row is 0 when all three are
-    return (rest[:, 0] | rest[:, 1] | rest[:, 2]) == 0
+    """The mask of the rows of an (n, 3) key array that the positive integer d divides."""
+    return _divided(keys, d)[1]
 
 
 def _conj_sum(k: int, p: int, entries: Mapping[LatticeVector, object], mats) -> dict:
@@ -574,6 +612,39 @@ def _conj_sum(k: int, p: int, entries: Mapping[LatticeVector, object], mats) -> 
         v = values[g]
         acc[beta] = acc[beta] + v if beta in acc else v
     return acc
+
+
+def _conj_sum_rows(k: int, p: int, keys: np.ndarray, rows: np.ndarray, mats,
+                   peaks: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """T_k on an array field: (betas, sums), one beta per key with a support hit, in no fixed order.
+
+    `keys` is the (n, 3) support and `rows` its (n, m) integer values, numerators say.  The
+    images are _conj_sum's (_star_images), so the same transposition argument makes the
+    scatter exact, and the rows of each beta are summed.  A beta gets at most one term per
+    C_i, so each sum stays in int64 when max|row entry| len(mats) < 2^63; past that the rows
+    are summed on Python ints.  Sums that cancel to zero are kept.  `peaks` bounds
+    (max|key coordinate|, max|row entry|), as a field's _NumeratorArrays keeps them, so
+    neither array is scanned here.
+    """
+    if not len(keys):  # no support point: no image
+        return keys, rows
+    _, reach = _star_block(mats)
+    key_peak, row_peak = peaks
+    if keys.dtype != object and key_peak * reach * p ** max(k - 2, 0) >= 2 ** 62:  # as _widened
+        keys = keys.astype(object)
+    images, src = _star_images(k, p, keys, mats)
+    if rows.dtype != object and row_peak * len(mats) >= 2 ** 63:
+        rows = rows.astype(object)
+    if not len(images):
+        return images, rows.take(src, axis=0)
+    if images.dtype == object:
+        inv, first = _groups(images)
+        sums = np.zeros((len(first), rows.shape[1]), object)
+        np.add.at(sums, inv, rows[src])
+        return images[first], sums
+    order, new = _runs(images)
+    starts = new.nonzero()[0]
+    return images.take(order[starts], axis=0), np.add.reduceat(rows.take(src[order], axis=0), starts)
 
 
 def _add(acc: dict, beta: Optional[LatticeVector], value) -> None:
@@ -702,6 +773,14 @@ def _int_weights(p: int) -> _HeckeWeights:
     return _hecke_weights(p, lambda fr: _IntWeight(fr.numerator * (cube // fr.denominator), cube))
 
 
+def _integer_numerators(A: CoefficientField) -> tuple[int, list[int]]:
+    """(D, flat): D the lcm of the entry denominators, and the numerators ra, rb, ia, ib of
+    each entry over D in turn."""
+    ratios = [x.as_integer_ratio() for v in A.entries.values() for x in (v.re.a, v.re.b, v.im.a, v.im.b)]
+    den = math.lcm(*{d for _, d in ratios})
+    return den, [n * (den // d) for n, d in ratios]
+
+
 def _numerators(A: CoefficientField, scale: int = 1) -> tuple[int, dict[LatticeVector, _Num]]:
     """(D scale, {beta: numerators of A(beta) over D scale}), D the lcm of the entry denominators.
 
@@ -709,16 +788,42 @@ def _numerators(A: CoefficientField, scale: int = 1) -> tuple[int, dict[LatticeV
     other scale is one integer rescale of it.  Callers only read the dict.
     """
     if A._nums is None:
-        parts = [(v.re.a, v.re.b, v.im.a, v.im.b) for v in A.entries.values()]
-        den = math.lcm(*(x.denominator for row in parts for x in row))
-        A._nums = den, {beta: _Num(ra.numerator * (den // ra.denominator), rb.numerator * (den // rb.denominator),
-                                   ia.numerator * (den // ia.denominator), ib.numerator * (den // ib.denominator))
-                        for beta, (ra, rb, ia, ib) in zip(A.entries, parts)}
+        den, flat = _integer_numerators(A)
+        A._nums = den, {beta: _Num(*row) for beta, row in zip(A.entries, zip(*[iter(flat)] * 4))}
     den, nums = A._nums
     if scale == 1:
         return den, nums
     return den * scale, {beta: _Num(v.ra * scale, v.rb * scale, v.ia * scale, v.ib * scale)
                          for beta, v in nums.items()}
+
+
+class _NumeratorArrays(NamedTuple):
+    """A field as arrays: its support, the numerators of its entries over one denominator, and their norms."""
+
+    den: int  # D, the lcm of the entry denominators
+    keys: np.ndarray  # (n, 3) support points, int64 when they fit, else Python ints
+    nums: np.ndarray  # (n, 4) numerators (ra, rb, ia, ib) over D, int64 when they fit, else Python ints
+    norms: np.ndarray  # N(beta) of each key, int64 when 3 max|coordinate|^2 < 2^63, else Python ints
+    key_peak: int  # max|coordinate| of the keys
+    num_peak: int  # max|numerator|
+
+
+def _numerator_arrays(A: CoefficientField) -> _NumeratorArrays:
+    """The field's _NumeratorArrays, converted once per field and kept on it (read-only)."""
+    if A._arrays is None:
+        den, flat = _integer_numerators(A)
+        keys = _support_array(list(A.entries), 1)
+        try:
+            nums = np.fromiter(flat, np.int64, len(flat)).reshape(-1, 4)
+        except OverflowError:
+            nums = np.array(flat, dtype=object).reshape(-1, 4)
+        key_peak = _peak(keys)
+        wide = keys if keys.dtype == object or 3 * key_peak ** 2 < 2 ** 63 else keys.astype(object)
+        norms = (wide * wide).sum(axis=1)
+        for arr in (keys, nums, norms):
+            arr.flags.writeable = False
+        A._arrays = _NumeratorArrays(den, keys, nums, norms, key_peak, _peak(nums))
+    return A._arrays
 
 
 def _field(p: int, nums: Mapping[LatticeVector, _Num], den: int) -> CoefficientField:
@@ -798,43 +903,68 @@ def _float_tables(p: int) -> _FloatTables:
 
 def _epsilon_cases(keys: np.ndarray, p: int, residue: np.ndarray) -> np.ndarray:
     """_epsilon_case of every row of an (n, 3) key array."""
-    r = (keys % p).astype(np.int64)
-    n = (r * r).sum(axis=1) % p
-    cases = np.where(residue[-n % p], 2, 3)
+    r = _mod(keys, p).astype(np.int64)
+    n = _mod((r * r).sum(axis=1), p)
+    cases = np.where(residue[-n], 2, 3)  # residue[-n] is residue[p - n], the residue of -n mod p
     cases[n == 0] = 1
     cases[~r.any(axis=1)] = 0
     return cases
+
+
+def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(order, new): an order of the rows of an int64 key array that puts equal keys next to
+    each other, the rows of one key in increasing order, and the mask of the positions in
+    that order that start a run of equal keys.
+
+    While span^3 n fits in int64, each key is packed into one int64, sum_i b_i span^(2-i),
+    and that times n plus the row number is sorted once: np.sort is several times faster
+    than np.argsort, and the row comes back as the remainder.  The packing is one-to-one,
+    since shifting every b_i by the least coordinate shifts it by a constant; it skips
+    that shift when the keys straddle 0, which keeps every |b_i| < span and so
+    |packed| < span^3.  Past span^3 n the rows are sorted by np.lexsort on the three
+    columns, which is stable.
+    """
+    n = len(keys)
+    lo, hi = int(keys.min()), int(keys.max())
+    span = hi - lo + 1
+    new = np.empty(n, bool)
+    new[0] = True
+    if span ** 3 * n <= 2 ** 63:
+        c = keys if lo <= 0 <= hi else keys - lo
+        tagged = c[:, 0] * (span * span * n)
+        tagged += c[:, 1] * (span * n)
+        tagged += c[:, 2] * n
+        tagged += np.arange(n)
+        tagged.sort()
+        packed = tagged // n
+        order = tagged - packed * n
+        np.not_equal(packed[1:], packed[:-1], out=new[1:])
+    else:
+        order = np.lexsort((keys[:, 2], keys[:, 1], keys[:, 0]))
+        ordered = keys.take(order, axis=0)
+        np.any(ordered[1:] != ordered[:-1], axis=1, out=new[1:])
+    return order, new
 
 
 def _groups(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(inv, first): the group of equal keys of each row, groups numbered in order of first
     occurrence, and the first row of each group.
 
-    Keys whose span fits are packed into one int64 and sorted once; the first row of a
-    group is its least row, so the sort need not be stable.  Others go through a dict.
+    int64 keys of any span are sorted once (_runs), which leads each run with the least
+    row of its key.  Keys on Python ints go through a dict.
     """
-    span = 2 ** 63  # keys on Python ints go through the dict
-    if keys.dtype != object:
-        lo = keys.min()
-        span = int(keys.max()) - int(lo) + 1
-    if span ** 3 > 2 ** 63:
+    if keys.dtype == object:
         seen = {}
         inv = np.fromiter((seen.setdefault(k, len(seen)) for k in map(tuple, keys.tolist())), np.intp, len(keys))
         return inv, np.unique(inv, return_index=True)[1]
-    c = keys - lo
-    packed = (c[:, 0] * span + c[:, 1]) * span + c[:, 2]
-    order = np.argsort(packed)
-    ordered = packed[order]
-    new = np.empty(len(keys), bool)
-    new[0] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
-    first = np.minimum.reduceat(order, np.flatnonzero(new))  # groups in key order
-    is_first = np.zeros(len(keys), bool)
-    is_first[first] = True
-    rank = np.cumsum(is_first) - 1  # at a first row: its group's number in first-occurrence order
+    order, new = _runs(keys)
+    by_key = order.compress(new)  # the first row of each group, groups in key order
+    first = np.sort(by_key)  # groups in order of first occurrence
+    rank = np.empty(len(keys), np.intp)
+    rank[first] = np.arange(len(first))  # at a first row: its group's number
     inv = np.empty(len(keys), np.intp)
-    inv[order] = rank[first][np.cumsum(new) - 1]
-    return inv, np.flatnonzero(is_first)
+    inv[order] = rank[by_key][np.cumsum(new) - 1]
+    return inv, first
 
 
 def _merge(*parts: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
@@ -843,25 +973,34 @@ def _merge(*parts: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarra
     Keys come out in order of first occurrence, and each sum adds its terms in input
     order (bincount does), starting from +0.0.
     """
-    keys = np.concatenate([k for k, _ in parts])
-    vals = np.concatenate([v for _, v in parts])
+    if len(parts) == 1:
+        keys, vals = parts[0]
+    else:
+        keys = np.concatenate([k for k, _ in parts])
+        vals = np.concatenate([v for _, v in parts])
     if not len(keys):
         return keys, vals
     inv, first = _groups(keys)
     out = np.empty(len(first), complex)
     out.real = np.bincount(inv, vals.real, len(first))
     out.imag = np.bincount(inv, vals.imag, len(first))
-    return keys[first], out
+    return keys.take(first, axis=0), out
 
 
 def _interleave(*groups: tuple) -> tuple[np.ndarray, np.ndarray]:
     """The terms of (keys, values, mask or None) groups of one length, row by row: row 0
     of each group where its mask holds, then row 1, as a loop of _add calls over rows."""
-    keys = np.stack([g[0] for g in groups], axis=1).reshape(-1, 3)
-    vals = np.stack([g[1] for g in groups], axis=1).reshape(-1)
-    n = len(groups[0][1])
-    mask = np.stack([np.ones(n, bool) if g[2] is None else g[2] for g in groups], axis=1).reshape(-1)
-    return keys[mask], vals[mask]
+    n, width = len(groups[0][1]), len(groups)
+    keys = np.empty((n, width, 3), np.result_type(*(g[0] for g in groups)))
+    vals = np.empty((n, width), complex)
+    mask = np.ones((n, width), bool)
+    for j, (k, v, m) in enumerate(groups):
+        keys[:, j] = k
+        vals[:, j] = v
+        if m is not None:
+            mask[:, j] = m
+    mask = mask.reshape(-1)
+    return keys.reshape(-1, 3).compress(mask, axis=0), vals.reshape(-1).compress(mask)
 
 
 def _star_terms(k: int, p: int, keys: np.ndarray, vals: np.ndarray, mats) -> tuple[np.ndarray, np.ndarray]:
@@ -877,25 +1016,28 @@ def _apply_float(ell: int, p: int, keys: np.ndarray, vals: np.ndarray) -> tuple[
     mats = conjugation_matrices(p)
     psq, s = p * p, t.inv_sqrt_p
     if ell == 1:
-        out = _merge(_star_terms(1, p, keys, s * vals, mats),
-                     _interleave((keys // p, vals, _divisible(keys, p)), (keys * p, vals, None)))
+        quo, hit = _divided(keys, p)
+        out = _merge(_star_terms(1, p, keys, s * vals, mats), _interleave((quo, vals, hit), (keys * p, vals, None)))
     elif ell == 2:
         tk, tv = _merge(_star_terms(2, p, keys, s * vals, mats))
-        on = _divisible(tk, psq)
-        out = _merge((tk, tv), (tk[on] // psq, tv[on]), (keys, t.eps[_epsilon_cases(keys, p, t.residue)] * vals))
+        quo, on = _divided(tk, psq)
+        out = _merge((tk, tv), (quo.compress(on, axis=0), tv.compress(on)),
+                     (keys, t.eps[_epsilon_cases(keys, p, t.residue)] * vals))
     else:
         cases = _epsilon_cases(keys, p, t.residue)
-        own = _interleave((keys // psq, vals, _divisible(keys, psq)), (keys * psq, vals, None),
-                          (keys, t.mid[cases] * vals, None))
+        quo, hit = _divided(keys, psq)
+        own = _interleave((quo, vals, hit), (keys * psq, vals, None), (keys, t.mid[cases] * vals, None))
         tk, tv = _merge(_star_terms(2, p, keys, vals, mats))
         by_p = _divisible(tk, p)
         low = s * (t.ind[0] * tv)
-        conj = _interleave((tk, s * (t.ind[by_p.astype(np.intp)] * tv), None), (tk // psq, low, _divisible(tk, psq)))
+        quo, hit = _divided(tk, psq)
+        conj = _interleave((tk, s * (t.ind[by_p.astype(np.intp)] * tv), None), (quo, low, hit))
         zero = cases == 0
-        u = _merge((keys[zero], s * vals[zero]), (tk[by_p], t.inv_p * tv[by_p]))
+        u = _merge((keys.compress(zero, axis=0), s * vals.compress(zero)),
+                   (tk.compress(by_p, axis=0), t.inv_p * tv.compress(by_p)))
         out = _merge(own, conj, _merge(_star_terms(0, p, *u, mats)))
     keep = out[1] != 0
-    return out[0][keep], out[1][keep]
+    return out[0].compress(keep, axis=0), out[1].compress(keep)
 
 
 class _FloatField(Mapping):
@@ -930,6 +1072,14 @@ class _FloatField(Mapping):
 
     def __len__(self) -> int:
         return len(self._vals)
+
+
+def _float_field(A: CoefficientField) -> _FloatField:
+    """A.as_complex_dict() as a _FloatField, converted once per field and kept on it."""
+    if A._floats is None:
+        A._floats = _FloatField(_support_array(list(A.entries), 1),
+                                np.fromiter(map(complex, A.entries.values()), complex, len(A.entries)))
+    return A._floats
 
 
 def apply_hecke_float(ell: int, p: int, entries: Mapping[LatticeVector, complex]) -> Mapping[LatticeVector, complex]:
@@ -1016,11 +1166,20 @@ def verify_commutativity(p: int, q: int, ell: int, m: int, A: CoefficientField) 
     if rows > MAX_SCATTER_ROWS:
         raise ValueError(f"a commutator at p = {p} and q = {q} on {len(A.entries)} entries scatters up to "
                          f"{formula} = {rows} rows, past {MAX_SCATTER_ROWS}, the largest supported")
-    entries = _FloatField.of(A.as_complex_dict())
+    entries = _float_field(A)
     pq = _FloatField.of(apply_hecke_float(ell, p, apply_hecke_float(m, q, entries)))
     qp = _FloatField.of(apply_hecke_float(m, q, apply_hecke_float(ell, p, entries)))
-    _, diff = _merge((pq._keys, pq._vals), (qp._keys, -qp._vals))
-    return float(np.abs(diff).max()) if len(diff) else 0.0
+    keys = np.concatenate((pq._keys, qp._keys))
+    if not len(keys):
+        return 0.0
+    if keys.dtype == object:
+        _, diff = _merge((pq._keys, pq._vals), (qp._keys, -qp._vals))
+    else:
+        # Each side holds a key once, so a key's difference is its pq value, -qp, or pq - qp,
+        # which reduceat forms over the sorted runs; the largest |difference| needs no key order.
+        order, new = _runs(keys)
+        diff = np.add.reduceat(np.concatenate((pq._vals, -qp._vals))[order], new.nonzero()[0])
+    return float(np.abs(diff).max())
 
 
 # -- eigenvalue data ----------------------------------------------------------
@@ -1063,7 +1222,7 @@ def _in_ball(keys: np.ndarray, bound: int) -> np.ndarray:
     if r > 2 ** 30 and keys.dtype != object:  # 3 r^2 must stay below 2^63
         keys = keys.astype(object)
     small = (np.abs(keys) <= r).all(axis=1)
-    c = keys[small]
+    c = keys.compress(small, axis=0)
     mask = small.copy()
     mask[small] = (c * c).sum(axis=1) <= bound
     return mask
@@ -1083,21 +1242,23 @@ def eigen_residual(A: CoefficientField, lam: EigenvalueTriple) -> EigenResidualR
     returns at once, before any operator work.
     """
     p = lam.p
-    safe_radius = Fraction(A.support_radius, p ** 4)
+    radius = A.support_radius
+    safe_radius = Fraction(radius, p ** 4)
     if A.is_zero:
         return EigenResidualReport(safe_radius, 0, (0.0, 0.0, 0.0))
-    max_norm = A.support_radius // p ** 4
+    max_norm = radius // p ** 4
     if max_norm == 0:
         return EigenResidualReport(safe_radius, 0, None, empty_safe_support=True)
-    entries = _FloatField.of(A.as_complex_dict())
+    entries = _float_field(A)
     near = _in_ball(entries._keys, max_norm)
-    own = entries._keys[near], entries._vals[near]
+    own = entries._keys.compress(near, axis=0), entries._vals.compress(near)
     residuals = []
     checked = 0
     for ell, lam_ell in zip((1, 2, 3), (lam.lam1, lam.lam2, lam.lam3)):
         h = _FloatField.of(apply_hecke_float(ell, p, entries))
         inside = _in_ball(h._keys, max_norm)
-        points, diff = _merge((h._keys[inside], h._vals[inside]), (own[0], -(lam_ell * own[1])))
+        points, diff = _merge((h._keys.compress(inside, axis=0), h._vals.compress(inside)),
+                              (own[0], -(lam_ell * own[1])))
         checked = max(checked, len(points))
         residuals.append(max(map(abs, diff.tolist()), default=0.0))  # Python's abs, as the dict form took it
     if not checked:

@@ -17,18 +17,25 @@ two-sided empirical reports for the comparison inequalities the decay
 argument chains together.
 
 Every exact sum (S_d, R, the L6.4 double sum, the sharp/flat split and
-the amplified sum) runs on Python ints: a field is converted once to
-integer numerators over one per-field denominator D, which it keeps
-(hecke._numerators),
-_square_sum takes each |v|^2 on those ints, and only a total becomes an
-element of Q(sqrt p) over D^2, p the field's own prime (or its float).
-The inner sums sum_i A(conj_i(beta) / p^l) of R and L6.4 are the map T_l
-of the Hecke operators, scattered from the support by hecke._conj_sum
-as one integer matrix product with the star block of the S_i side by
-side (int64 while the images fit, Python ints beyond).
+the amplified sum) runs on integer arrays: a field is converted once, and
+keeps the result (hecke._numerator_arrays), to an (n, 3) key array, an
+(n, 4) array of integer numerators (ra, rb, ia, ib) over one per-field
+denominator D, and the norms of its keys.  Each condition on beta (the
+ball, d | beta, p not dividing beta, membership in M_l(K)) is one mask,
+_square_sum takes every |v|^2 as one vector expression on the numerator
+columns, and only a total becomes an element of Q(sqrt p) over D^2, p
+the field's own prime (or its float).  The arrays are int64 only while a
+bound proves that no sum or product can leave it, and Python ints in
+object arrays otherwise.  The inner sums sum_i A(conj_i(beta) / p^l) of
+R and L6.4 are the map T_l of the Hecke operators, scattered from the
+support by hecke._conj_sum_rows (the star images of hecke._star_images,
+one integer matrix product, with the numerators of equal betas summed).
 _conj_ball holds their one condition N(beta) <= z: since
 N(beta) = p^(2l-2) N(gamma) for the beta a support point gamma reaches,
-it drops every gamma with p^(2l) N(gamma) > z p^2 first.
+it drops every gamma with p^(2l) N(gamma) > z p^2 first (and at l = 0
+every gamma whose norm p^2 does not divide, which reaches no beta).  A field
+keeps bounds on its largest coordinate and numerator with its arrays,
+so the int64 guards scan no array per call.
 """
 
 from __future__ import annotations
@@ -38,39 +45,70 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
-from .hecke import CoefficientField, EigenvalueTriple, QuadExt, _conj_sum, _numerators, hecke_relation_constant
-from .quaternions import MAX_PRIME, LatticeVector, conjugation_matrices, lattice_norm, odd_primes_in, require_odd_prime
+import numpy as np
+
+from .hecke import (
+    CoefficientField,
+    EigenvalueTriple,
+    QuadExt,
+    _NumeratorArrays,
+    _conj_sum_rows,
+    _divisible,
+    _numerator_arrays,
+    hecke_relation_constant,
+)
+from .quaternions import MAX_PRIME, LatticeVector, conjugation_matrices, odd_primes_in, require_odd_prime
 
 
-def _divides_vector(d: int, beta: LatticeVector) -> bool:
-    return beta[0] % d == 0 and beta[1] % d == 0 and beta[2] % d == 0
-
-
-def _square_sum(values, q: Optional[int]) -> tuple[int, int]:
-    """(a, b) with sum |v|^2 = a + b sqrt(q) over the numerators v, both over the squared denominator.
+def _square_sum(nums: np.ndarray, q: Optional[int], peak: int, total: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """(a, b) with |v|^2 = a + b sqrt(q) for each numerator row v, both over the squared
+    denominator; with `total`, (a, b) of the sum of |v|^2 over the rows, as two scalars.
 
     |(ra + rb sqrt q) + (ia + ib sqrt q) i|^2
         = (ra^2 + q rb^2 + ia^2 + q ib^2) + 2 (ra rb + ia ib) sqrt(q).
+
+    With M = `peak`, a bound on max|numerator|, each |a| <= (2 + 2q) M^2
+    and each |b| <= 4 M^2, so the n rows are squared in int64 only while
+    n (4 + 2q) M^2 < 2^63, which also keeps every column sum and both totals in int64;
+    otherwise on Python ints.
     """
     q = q or 0  # plain Q: every sqrt part is zero
-    a = b = 0
-    for v in values:
-        ra, rb, ia, ib = v.ra, v.rb, v.ia, v.ib
-        a += ra * ra + ia * ia + q * (rb * rb + ib * ib)
-        b += ra * rb + ia * ib
-    return a, 2 * b
+    if nums.dtype != object and len(nums) * (4 + 2 * q) * peak ** 2 >= 2 ** 63:
+        nums = nums.astype(object)
+    squares, cross = nums * nums, nums[:, 0::2] * nums[:, 1::2]  # ra^2 rb^2 ia^2 ib^2, and ra rb, ia ib
+    if total:
+        squares, cross = squares.sum(axis=0), cross.sum(axis=0)
+    return (squares[..., 0] + squares[..., 2] + q * (squares[..., 1] + squares[..., 3]),
+            2 * (cross[..., 0] + cross[..., 1]))
 
 
-def _mass(q: Optional[int], values, den: int) -> QuadExt:
-    """sum |v|^2 over the numerators v, as the exact element of Q(sqrt q) over den."""
-    a, b = _square_sum(values, q)
-    return QuadExt(q, Fraction(a, den), Fraction(b, den))
+def _mass(q: Optional[int], nums: np.ndarray, den: int, peak: int) -> QuadExt:
+    """sum |v|^2 over the numerator rows v, as the exact element of Q(sqrt q) over den; `peak`
+    bounds max|numerator|."""
+    if not len(nums):
+        return QuadExt(q, Fraction(0), Fraction(0))
+    a, b = _square_sum(nums, q, peak, total=True)
+    return QuadExt(q, Fraction(int(a), den), Fraction(int(b), den))
 
 
-def _conj_ball(nums: Mapping, p: int, ell: int, z: int) -> dict:
-    """beta -> sum_i v(conj_i(beta) / p^ell) at every beta with N(beta) <= z that the numerators reach."""
-    near = {gamma: v for gamma, v in nums.items() if lattice_norm(gamma) * p ** (2 * ell) <= z * p * p}
-    return _conj_sum(ell, p, near, conjugation_matrices(p))
+def _conj_ball(arrays: _NumeratorArrays, p: int, ell: int, z: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """(betas, numerators, peak): sum_i v(conj_i(beta) / p^ell) at every beta with N(beta) <= z
+    that the field reaches, and a bound on max|numerator| of those sums.
+
+    N(gamma) p^(2 ell) <= z p^2 holds for an integer N(gamma) exactly when
+    N(gamma) <= floor(z p^2 / p^(2 ell)), so no product of the norms is formed.  At
+    ell = 0 a gamma reaches a beta only when p^2 divides some S_i gamma, whose norm is
+    p^2 N(gamma); so p^2 | N(gamma), and the other gamma are dropped before the scatter.
+    """
+    mats = conjugation_matrices(p)
+    keys, nums = arrays.keys, arrays.nums
+    near = arrays.norms <= z * p * p // p ** (2 * ell)  # exact against any Python int
+    if ell == 0:
+        near &= arrays.norms % (p * p) == 0
+    if not near.all():
+        keys, nums = keys.compress(near, axis=0), nums.compress(near, axis=0)
+    betas, sums = _conj_sum_rows(ell, p, keys, nums, mats, (arrays.key_peak, arrays.num_peak))
+    return betas, sums, arrays.num_peak * len(mats)  # each sum adds at most one numerator per C_i
 
 
 def sum_S_d(A: CoefficientField, d: int, z) -> QuadExt:
@@ -78,18 +116,22 @@ def sum_S_d(A: CoefficientField, d: int, z) -> QuadExt:
     if d < 1:
         raise ValueError("d must be a positive integer")
     z = math.floor(Fraction(z))  # N(beta) is an integer
-    den, nums = _numerators(A)
-    kept = (v for beta, v in nums.items() if lattice_norm(beta) <= z and _divides_vector(d, beta))
-    return _mass(A.p, kept, den * den)
+    arrays = _numerator_arrays(A)
+    kept = arrays.norms <= z
+    if d > 1:
+        kept &= _divisible(arrays.keys, d)
+    return _mass(A.p, arrays.nums.compress(kept, axis=0), arrays.den ** 2, arrays.num_peak)
 
 
 def sum_R(A: CoefficientField, p: int, ell: int, d: int, z) -> QuadExt:
     """R^{p,ell}_d(z), computed over the finitely many beta that can contribute."""
     if ell < 0 or d < 1:
         raise ValueError("need ell >= 0 and d >= 1")
-    den, nums = _numerators(A)
-    inners = _conj_ball(nums, p, ell, math.floor(Fraction(z)))
-    return _mass(A.p, (v for beta, v in inners.items() if _divides_vector(d, beta)), p * den * den)
+    arrays = _numerator_arrays(A)
+    betas, inners, peak = _conj_ball(arrays, p, ell, math.floor(Fraction(z)))
+    if d > 1:
+        inners = inners.compress(_divisible(betas, d), axis=0)
+    return _mass(A.p, inners, p * arrays.den ** 2, peak)
 
 
 class ShiftIdentityError(AssertionError):
@@ -146,11 +188,21 @@ class MultiplicitySpec:
     window: PrimeWindow
 
     def count(self, beta: LatticeVector) -> int:
-        pe = [p ** self.ell for p in self.window.primes]
-        return sum(1 for q in pe if _divides_vector(q, beta))
+        return sum(1 for p in self.window.primes if not any(c % p ** self.ell for c in beta))
 
     def member(self, beta: LatticeVector) -> bool:
         return self.count(beta) <= self.K
+
+    def hits(self, keys: np.ndarray) -> list[np.ndarray]:
+        """For each prime p of the window in turn, the mask of the rows of an (n, 3) key array that p^ell divides."""
+        return [_divisible(keys, p ** self.ell) for p in self.window.primes]
+
+    def members(self, keys: np.ndarray, hits: Optional[list[np.ndarray]] = None) -> np.ndarray:
+        """member of each row of an (n, 3) key array, as one mask; `hits` is self.hits(keys) when the caller has it."""
+        count = np.zeros(len(keys), np.intp)
+        for hit in self.hits(keys) if hits is None else hits:
+            count += hit
+        return count <= self.K
 
 
 @dataclass(frozen=True)
@@ -162,14 +214,15 @@ class SharpFlatSplit:
 
 def split_sharp_flat(A: CoefficientField, specs: Sequence[MultiplicitySpec], z) -> SharpFlatSplit:
     """S^sharp over the intersection of the M_ell(K_ell), and each S_ell^flat over its complement."""
-    z = Fraction(z)
-    den, nums = _numerators(A)
-    kept = {beta: v for beta, v in nums.items() if lattice_norm(beta) <= z}
-    outside = [[beta for beta in kept if not s.member(beta)] for s in specs]
-    sharp = set(kept).difference(*outside)
-    return SharpFlatSplit(sharp=_mass(A.p, (kept[beta] for beta in sharp), den * den),
-                          flats=tuple(_mass(A.p, (kept[beta] for beta in out), den * den) for out in outside),
-                          total=_mass(A.p, kept.values(), den * den))
+    arrays = _numerator_arrays(A)
+    kept = arrays.norms <= math.floor(Fraction(z))
+    keys, nums, den2 = arrays.keys.compress(kept, axis=0), arrays.nums.compress(kept, axis=0), arrays.den ** 2
+    inside = [s.members(keys) for s in specs]
+    sharp = np.logical_and.reduce(inside, axis=0) if inside else np.ones(len(keys), bool)
+    peak = arrays.num_peak
+    return SharpFlatSplit(sharp=_mass(A.p, nums.compress(sharp, axis=0), den2, peak),
+                          flats=tuple(_mass(A.p, nums.compress(~m, axis=0), den2, peak) for m in inside),
+                          total=_mass(A.p, nums, den2, peak))
 
 
 # -- amplification -------------------------------------------------------------
@@ -189,20 +242,24 @@ def amplified_sum(
     specs: Sequence[MultiplicitySpec],
     z,
 ) -> float:
-    """sum over beta in M(K) of |A(beta)|^2 * sum_{p in window, p not dividing beta} |lambda_ell(p)|^2."""
+    """sum over beta in M(K) of |A(beta)|^2 * sum_{p in window, p not dividing beta} |lambda_ell(p)|^2.
+
+    Each |A(beta)|^2 is the float of its exact value, and the terms are added in
+    support order, each weight in window order.
+    """
     _require_window_rows(lam_table, window)
-    z = Fraction(z)
-    den, nums = _numerators(A)
+    arrays = _numerator_arrays(A)
+    kept = arrays.norms <= math.floor(Fraction(z))
+    for s in specs:
+        kept &= s.members(arrays.keys)
+    keys, den2 = arrays.keys.compress(kept, axis=0), arrays.den ** 2
+    weights = np.zeros(len(keys))
+    for p in window.primes:
+        weights += np.where(_divisible(keys, p), 0.0, getattr(lam_table[p], f"lam{ell}") ** 2)
+    a, b = _square_sum(arrays.nums.compress(kept, axis=0), A.p, arrays.num_peak)
     total = 0.0
-    for beta, v in nums.items():
-        if lattice_norm(beta) > z or not all(s.member(beta) for s in specs):
-            continue
-        weight = sum(
-            getattr(lam_table[p], f"lam{ell}") ** 2
-            for p in window.primes
-            if not _divides_vector(p, beta)
-        )
-        total += float(_mass(A.p, (v,), den * den)) * weight
+    for ai, bi, weight in zip(a.tolist(), b.tolist(), weights.tolist()):
+        total += float(QuadExt(A.p, Fraction(ai, den2), Fraction(bi, den2))) * weight
     return total
 
 
@@ -369,15 +426,18 @@ def _conj_square_sum(A: CoefficientField, window: PrimeWindow, K: float, ell: in
     """
     z = math.floor(Fraction(z))
     spec = MultiplicitySpec(1, K, window)
-    den, nums = _numerators(A)
-    a = b = Fraction(0)
-    for p in window.primes:
-        inners = (v for beta, v in _conj_ball(nums, p, ell, z).items()
-                  if not _divides_vector(p, beta) and spec.member(beta))
-        pa, pb = _square_sum(inners, A.p)
-        a += Fraction(pa, p)
-        b += Fraction(pb, p)
-    return float(QuadExt(A.p, a / (den * den), b / (den * den)))
+    arrays = _numerator_arrays(A)
+    common = math.prod(window.primes)  # the 1/p weights over one denominator
+    a = b = 0
+    for i, p in enumerate(window.primes):
+        betas, inners, peak = _conj_ball(arrays, p, ell, z)
+        hits = spec.hits(betas)  # hits[i] is the mask of p | beta
+        kept = inners.compress(spec.members(betas, hits) & ~hits[i], axis=0)
+        pa, pb = _square_sum(kept, A.p, peak, total=True)
+        a += int(pa) * (common // p)
+        b += int(pb) * (common // p)
+    den = common * arrays.den ** 2
+    return float(QuadExt(A.p, Fraction(a, den), Fraction(b, den)))
 
 
 def inequality_report(which: str, **kw) -> SumReport:

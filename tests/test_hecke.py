@@ -59,6 +59,16 @@ class TestQuadExt:
         with pytest.raises(ZeroDivisionError):
             QuadExt.of(1, 5) / QuadExt.of(0, 5)
 
+    def test_rational_scalar_product_equals_the_coerced_product(self):
+        # a product by an int or a Fraction skips the coercion to QuadExt: same parts, types and prime
+        for x in (QuadExt(5, Fraction(2, 3), Fraction(-1, 7)), QuadExt(7, Fraction(3), Fraction(0)),
+                  QuadExt.of(Fraction(-5, 4)), QuadExt.of(0, 3)):
+            for c in (0, 1, -3, True, Fraction(1, 4), Fraction(-9, 2), 2 ** 70):
+                coerced = x * QuadExt.of(c)
+                for got in (x * c, c * x):
+                    assert (got.p, got.a, got.b) == (coerced.p, coerced.a, coerced.b) == (x.p, x.a * c, x.b * c)
+                    assert type(got.a) is type(got.b) is Fraction
+
     def test_mixed_primes_rejected(self):
         with pytest.raises(ValueError, match="mixed"):
             QuadExt(3, Fraction(0), Fraction(1)) + QuadExt(5, Fraction(0), Fraction(1))
@@ -522,6 +532,73 @@ class TestFloatArrayPath:
                 assert any(max(map(abs, beta)) >= top for beta in got)
                 _assert_same_as_dict_path(apply_hecke_float(2, 11, got), apply_hecke_float_dict(2, 11, expected))
 
+    def test_commutator_on_python_int_keys_equals_dict_path(self):
+        # a coordinate of 10^30 keeps every key on Python ints, so the difference takes _merge's dict
+        A = (CoefficientField.random(random.Random(29), support=5, coord_bound=2, entry_bound=4)
+             + CoefficientField(None, {(10 ** 30, 3, 0): QComplex.of(1, 2)})).symmetrized()
+        for ell, m in itertools.product((1, 2), repeat=2):
+            got, expected = verify_commutativity(3, 5, ell, m, A), commutator_dict(3, 5, ell, m, A)
+            assert abs(got - expected) <= 1e-15 * expected, (ell, m)
+
+    def test_wide_key_span_commutator_equals_dict_path(self):
+        # a coordinate of 10^6 makes every key span pass 2^21, so no three keys pack into one int64
+        # and each merge sorts the columns (np.lexsort); outputs and key order stay the dict path's
+        rng = random.Random(23)
+        base = CoefficientField.random(rng, support=4, coord_bound=2, entry_bound=4)
+        A = (base + CoefficientField(None, {(10 ** 6, 2, 1): QComplex.of(3, -1), (1, 10 ** 6, 0): QComplex.of(0, 2)})
+             ).symmetrized()
+        entries = A.as_complex_dict()
+        for p, q in ((3, 5), (5, 7)):
+            for ell, m in itertools.product((1, 2, 3), repeat=2):
+                inner = apply_hecke_float(m, q, entries)
+                keys = np.array(list(inner))
+                assert int(keys.max()) - int(keys.min()) + 1 > 2 ** 21
+                expected_inner = apply_hecke_float_dict(m, q, entries)
+                _assert_same_as_dict_path(inner, expected_inner)
+                _assert_same_as_dict_path(apply_hecke_float(ell, p, inner), apply_hecke_float_dict(ell, p, expected_inner))
+                got, expected = verify_commutativity(p, q, ell, m, A), commutator_dict(p, q, ell, m, A)
+                assert abs(got - expected) <= 1e-15 * expected, (p, q, ell, m)
+
+    @pytest.mark.parametrize("top", [2 ** 20, 2 ** 21, 2 ** 40, 2 ** 62])
+    def test_groups_sort_any_int64_span_as_the_dict_does(self, top):
+        rng = random.Random(top)
+        picks = [(rng.choice((-top, 0, 5, top - 1)), rng.randint(-3, 3), rng.choice((0, top - 1))) for _ in range(300)]
+        keys = np.array(picks, dtype=np.int64)
+        inv, first = hecke._groups(keys)
+        ref_inv, ref_first = hecke._groups(keys.astype(object))
+        assert inv.tolist() == ref_inv.tolist() and first.tolist() == ref_first.tolist()
+        assert first.tolist() == sorted({k: i for i, k in reversed(list(enumerate(picks)))}.values())
+
+    @pytest.mark.parametrize("top", [5, 2 ** 20, 2 ** 40, 2 ** 62 - 1])
+    def test_runs_keep_rows_of_a_key_in_input_order(self, top):
+        # both sorts of _runs: packed with the row below the key (negative keys, and keys that do
+        # not straddle 0), and np.lexsort past span^3 n
+        rng = random.Random(top)
+        for shift in (0, -top // 2, top // 3):
+            picks = [(rng.choice((-top, 0, top)) // 2 + shift, rng.randint(-2, 2), rng.choice((1, top // 2)))
+                     for _ in range(200)]
+            order, new = hecke._runs(np.array(picks, dtype=np.int64))
+            runs = np.split(order, new.nonzero()[0][1:])
+            assert sorted(order.tolist()) == list(range(len(picks)))
+            assert all(sorted(run.tolist()) == run.tolist() for run in runs)
+            assert all(len({picks[i] for i in run}) == 1 for run in runs)
+            assert len(runs) == len(set(picks))
+
+    @pytest.mark.parametrize("d", [1, 3, 49, 2 ** 31 + 11, 2 ** 62 + 1, 2 ** 63 - 1, 2 ** 63, 10 ** 30])
+    def test_divided_and_mod_match_python(self, d):
+        rng = random.Random(d % 1000)
+        edge = 2 ** 62 - 1
+        rows = [(edge, -edge, 0), (-edge, d % edge, -(d % edge)), (0, 0, 0)] + [
+            tuple(rng.randint(-edge, edge) for _ in range(3)) for _ in range(50)] + [
+            tuple(d * rng.randint(-3, 3) % edge for _ in range(3)) for _ in range(10)]
+        for keys in (np.array(rows, dtype=np.int64), np.array(rows, dtype=object)):
+            quo, hit = hecke._divided(keys, d)
+            assert quo.tolist() == [[c // d for c in row] for row in rows]
+            assert hit.tolist() == [all(c % d == 0 for c in row) for row in rows]
+            assert hecke._divisible(keys, d).tolist() == hit.tolist()
+            if d < 2 ** 63:
+                assert hecke._mod(keys, d).tolist() == [[c % d for c in row] for row in rows]
+
     @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
     def test_vectorized_epsilon_case(self, p):
         box = [beta for beta in itertools.product(range(-p - 2, p + 3), repeat=3) if beta != (0, 0, 0)]
@@ -626,6 +703,32 @@ class TestConjSum:
                 expected = _quadext_apply(ell, p, A, table)
                 assert got == expected and _snapshot(got) == _snapshot(expected), (table, ell)
         assert verify_hecke_relation(p, A).is_zero
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_rows_scatter_matches_pair_reference(self, p):
+        # _conj_sum_rows sums the same terms as the pair reference, on int64 and on Python ints:
+        # coordinates past the images' int64 guard, and values past the sums' guard
+        mats = conjugation_matrices(p)
+        rng = random.Random(300 + p)
+        widest = 2 ** 62 // hecke._star_block(mats)[1] + 1
+        past_sums = 2 ** 63 // len(mats) + 1
+        for top, value in ((4, 9), (2 * p * p, 9), (widest, 9), (10 ** 30, 9), (4, past_sums), (4, 2 ** 63 - 1)):
+            points = {tuple(rng.randint(-4, 4) for _ in range(3)) for _ in range(40)} | {(top, 0, p), (p, top, 0)}
+            points.discard((0, 0, 0))
+            ints = {beta: rng.randint(-value, value) for beta in points}
+            keys = hecke._support_array(list(ints), 1)
+            rows = np.array([[v, -v] for v in ints.values()], dtype=object if keys.dtype == object else np.int64)
+            for k in range(4):
+                betas, sums_ = hecke._conj_sum_rows(k, p, keys, rows, mats, (hecke._peak(keys), hecke._peak(rows)))
+                got = {tuple(b): tuple(r) for b, r in zip(betas.tolist(), sums_.tolist())}
+                expected = _pair_conj_sum(k, p, ints, mats)
+                assert len(got) == len(betas) and got == {b: (v, -v) for b, v in expected.items()}, (top, value, k)
+                assert all(type(c) is int for row in got.values() for c in row)
+
+    def test_rows_scatter_on_an_empty_support(self):
+        betas, rows = hecke._conj_sum_rows(1, 3, np.zeros((0, 3), np.int64), np.zeros((0, 4), np.int64),
+                                           conjugation_matrices(3), (0, 0))
+        assert betas.shape == (0, 3) and rows.shape == (0, 4)
 
     def test_representatives_path_reads_its_own_block(self):
         # an alternative table builds its own star block: its _conj_sum follows that table
@@ -1001,6 +1104,13 @@ class TestFieldContainer:
 
     def test_ones_ball_count(self):
         assert len(CoefficientField.ones_ball(9).entries) == 122
+
+    def test_support_radius_is_kept(self):
+        rng = random.Random(9)
+        for A in [CoefficientField.zero(), CoefficientField.delta((2 ** 40, 0, 1), 1)] + [
+                CoefficientField.random(rng, support=k, coord_bound=4) for k in (1, 5, 20)]:
+            expected = max((lattice_norm(b) for b in A.entries), default=0)
+            assert A.support_radius == expected and A.support_radius == expected
 
     def test_prime_inferred_from_entries(self):
         # a field declared over plain Q that holds sqrt(3) parts is over Q(sqrt 3)

@@ -2,8 +2,10 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from h4hecke import hecke, sums
 from h4hecke.hecke import CoefficientField, EigenvalueTriple, QComplex, QuadExt
 from h4hecke.quaternions import (
     conjugate_action,
@@ -304,6 +306,200 @@ class TestAmplified:
         w = PrimeWindow(6.0, (3, 5))
         with pytest.raises(KeyError):
             amplified_sum(CoefficientField.ones_ball(4), w, {3: EigenvalueTriple(3, 1, 1, 1)}, 1, [], 4)
+
+
+def boundary_field(q, peak, support, seed):
+    """A field over Q(sqrt q) on `support` random points of [-1, 1]^3 whose numerators reach `peak` in size."""
+    rng = random.Random(seed)
+
+    def scalar():
+        return QuadExt(q, Fraction(peak - rng.randint(0, 9)), Fraction(rng.choice((-1, 1)) * (peak - rng.randint(0, 9))))
+
+    entries = {}
+    while len(entries) < support:
+        beta = tuple(rng.randint(-1, 1) for _ in range(3))
+        if beta != (0, 0, 0):
+            entries[beta] = QComplex(scalar(), scalar())
+    return CoefficientField(q, entries)
+
+
+# Two support points past the int64 range of the norms (2^31 + 11) and of the keys (10^30 + 1),
+# each a multiple M gamma_0 of a short vector.  M is prime to 2, 3, 5 and 7, so for every d, p and
+# window here, d | M beta exactly when d | beta, and T_l A at M beta is T_l of the far entry at beta.
+FAR = ((2 ** 31 + 11, (1, 1, 0)), (10 ** 30 + 1, (0, 0, 1)))
+WINDOW = PrimeWindow.from_bound(6.0)  # primes 3 and 5
+
+
+def far_variants(A):
+    """(far, variants): the far entries as (M, delta field at gamma_0), and (field, k) for A with its
+    first k - 1 far entries added: A itself, A past int64 in the norms, and A past it in the keys."""
+    values = [QComplex(QuadExt(A.p, Fraction(5, 2), Fraction(-1)), QuadExt.of(3, A.p)),
+              QComplex(QuadExt.of(-2, A.p), QuadExt(A.p, Fraction(1, 3), Fraction(4)))]
+    far = [(M, CoefficientField(A.p, {gamma: v})) for (M, gamma), v in zip(FAR, values)]
+    variants = [(A, 1)]
+    for k in (1, 2):
+        entries = dict(A.entries)
+        entries.update({tuple(M * c for c in gamma): v for (M, gamma), v in zip(FAR[:k], values)})
+        variants.append((CoefficientField(A.p, entries), k + 1))
+    return far, variants
+
+
+def by_norm_classes(reference, A, far, z, reach):
+    """[reference(A, z), then reference(far part, z) for each far part], each from a run on a small ball.
+
+    Every sum here adds over beta whose norm is reach N(gamma) for the support point gamma that
+    reaches it, so the near part and each far part add separately: on A with the far points the
+    sum is the total of the list.  The near part needs no ball past reach * A.support_radius, and
+    the part of M gamma_0 is the sum of its delta at z / M^2.
+    """
+    return [reference(A, min(Fraction(z), reach * A.support_radius))] + [
+        reference(delta, min(Fraction(z) / M ** 2, reach * delta.support_radius)) for M, delta in far]
+
+
+def amplified_reference(A, window, lam, ell, specs, z):
+    """amplified_sum in doubles of each exact |A(beta)|^2, in support order."""
+    total = 0.0
+    for beta, value in A.entries.items():
+        if lattice_norm(beta) <= z and all(s.member(beta) for s in specs):
+            weight = sum(getattr(lam[p], f"lam{ell}") ** 2 for p in window.primes if any(c % p for c in beta))
+            total += float(value.abs_sq()) * weight
+    return total
+
+
+class TestInt64Boundary:
+    """Every exact sum on numerators and coordinates on both sides of its int64 guards."""
+
+    Q = 7
+    SUPPORT = 10
+    # |a| <= n (2 + 2q) M^2 and |b| <= 4 n M^2 on the n squares: int64 while n (4 + 2q) M^2 < 2^63
+    SQUARE_EDGE = math.isqrt((2 ** 63 - 1) // (SUPPORT * (4 + 2 * Q)))
+    # a T_l sum adds up to p + 1 numerators: int64 while M (p + 1) < 2^63, here for p = 3 and 5
+    PEAKS = (SQUARE_EDGE, SQUARE_EDGE + 1, 10 ** 12, 2 ** 63 // 6 - 1, 2 ** 63 // 4 + 1, 2 ** 63 - 1, 2 ** 63 + 5)
+    ZS = (0, Fraction(37, 3), 10 ** 30)
+
+    def fields(self, peak):
+        A = boundary_field(self.Q, peak, self.SUPPORT, seed=peak % 1000)
+        arrays = hecke._numerator_arrays(A)
+        assert max(abs(c) for row in arrays.nums.tolist() for c in row) == peak
+        return A
+
+    def test_square_totals_equal_the_row_sums(self):
+        for M in self.PEAKS:
+            nums = hecke._numerator_arrays(self.fields(M)).nums
+            a, b = sums._square_sum(nums, self.Q, M)
+            for peak in (M, 2 ** 70):  # a bound past the true peak only widens the dtype
+                ta, tb = sums._square_sum(nums, self.Q, peak, total=True)
+                assert (int(ta), int(tb)) == (sum(map(int, a)), sum(map(int, b)))
+        empty = np.zeros((0, 4), np.int64)
+        assert [int(x) for x in sums._square_sum(empty, self.Q, 0, total=True)] == [0, 0]
+
+    def test_the_peaks_straddle_the_guards(self):
+        square_dtypes = [sums._square_sum(hecke._numerator_arrays(self.fields(M)).nums, self.Q, M)[0].dtype
+                         for M in self.PEAKS]
+        assert square_dtypes == [np.int64] + [object] * (len(self.PEAKS) - 1)
+        mats = conjugation_matrices(3)
+        sum_dtypes = []
+        for M in self.PEAKS:
+            arrays = hecke._numerator_arrays(self.fields(M))
+            sum_dtypes.append(hecke._conj_sum_rows(1, 3, arrays.keys, arrays.nums, mats,
+                                                   (arrays.key_peak, arrays.num_peak))[1].dtype)
+        assert sum_dtypes == [np.int64] * 4 + [object] * 3
+        assert hecke._numerator_arrays(self.fields(2 ** 63 + 5)).nums.dtype == object
+        _, variants = far_variants(self.fields(10 ** 12))
+        dtypes = [(hecke._numerator_arrays(B).keys.dtype, hecke._numerator_arrays(B).norms.dtype) for B, _ in variants]
+        assert dtypes == [(np.int64, np.int64), (np.int64, object), (object, object)]
+
+    @pytest.mark.parametrize("peak", PEAKS)
+    def test_S_and_split(self, peak):
+        A = self.fields(peak)
+        far, variants = far_variants(A)
+        specs = [MultiplicitySpec(1, 0, WINDOW), MultiplicitySpec(2, 0, WINDOW)]
+        for z in self.ZS:
+            for d in (1, 2, 3):
+                parts = by_norm_classes(lambda C, y: brute_force_S(C, d, y), A, far, z, 1)
+                for field, k in variants:
+                    got, expected = sum_S_d(field, d, z), sum(parts[1:k], parts[0])
+                    assert got == expected and repr(got) == repr(expected), (z, d, k)
+            parts = by_norm_classes(lambda C, y: brute_force_split(C, specs, y), A, far, z, 1)
+            for field, k in variants:
+                split, used = split_sharp_flat(field, specs, z), parts[:k]
+                assert split.sharp == sum((sharp for sharp, _, _ in used[1:]), used[0][0])
+                assert list(split.flats) == [sum((flats[i] for _, flats, _ in used[1:]), used[0][1][i]) for i in range(2)]
+                assert split.total == sum((total for _, _, total in used[1:]), used[0][2])
+
+    @pytest.mark.parametrize("peak", PEAKS)
+    def test_R(self, peak):
+        A = self.fields(peak)
+        far, variants = far_variants(A)
+        for p, ell, d in ((3, 0, 1), (3, 1, 1), (5, 1, 2), (3, 2, 3), (5, 2, 1)):
+            for z in self.ZS:
+                parts = by_norm_classes(lambda C, y: brute_force_R(C, p, ell, d, y), A, far, z,
+                                        Fraction(p) ** (2 * ell - 2))
+                for field, k in variants:
+                    got, expected = sum_R(field, p, ell, d, z), sum(parts[1:k], parts[0])
+                    assert got == expected and repr(got) == repr(expected), (p, ell, d, z, k)
+
+    @pytest.mark.parametrize("peak", PEAKS[3:5])  # the inner sums just under and past their guard
+    @pytest.mark.parametrize("ell", [1, 2])
+    def test_L64_left(self, peak, ell):
+        A = self.fields(peak)
+        far, variants = far_variants(A)
+        which = "L6.4a" if ell == 1 else "L6.4b"
+        window = WINDOW if ell == 1 else PrimeWindow(3.0, (3,))  # keeps the brute-force ball at norm 27
+        for z in self.ZS:
+            for K in (0, 1):
+                parts = by_norm_classes(lambda C, y: brute_force_L64_left(C, window, K, ell, y), A, far, z,
+                                        max(window.primes) ** (2 * ell - 2))
+                for field, k in variants:
+                    left = inequality_report(which, A=field, z=z, window=window, K=K).left
+                    assert left == float(sum(parts[1:k], parts[0])), (z, K, k)
+
+    @pytest.mark.parametrize("peak", PEAKS[::3])
+    def test_amplified(self, peak):
+        lam = {3: EigenvalueTriple(3, 0.7, -1.1, 0.3), 5: EigenvalueTriple(5, -0.2, 0.9, 1.7)}
+        for A, _ in far_variants(self.fields(peak))[1]:
+            for specs in ([], [MultiplicitySpec(1, 1, WINDOW)],
+                          [MultiplicitySpec(1, 0, WINDOW), MultiplicitySpec(2, 0, WINDOW)]):
+                for z in self.ZS:
+                    for ell in (1, 2):
+                        got = amplified_sum(A, WINDOW, lam, ell, specs, z)
+                        assert got == amplified_reference(A, WINDOW, lam, ell, specs, z)
+
+    def test_divisors_past_int64(self):
+        # d, p^ell past 2^63 divide no int64 key; on Python-int keys they divide the multiples
+        A = self.fields(10 ** 12)
+        huge = 3 ** 40
+        B = CoefficientField(A.p, {**A.entries, (huge, 0, -huge): A.entries[next(iter(A.entries))]})
+        assert hecke._numerator_arrays(A).keys.dtype == np.int64 and hecke._numerator_arrays(B).keys.dtype == object
+        for d in (2 ** 63 + 1, huge):
+            for field in (A, B):
+                expected = A.entries[next(iter(A.entries))].abs_sq() if field is B and d == huge else 0
+                assert sum_S_d(field, d, 10 ** 40) == expected
+        assert sum_R(A, 3, 1, 2 ** 63 + 1, 10 ** 40) == sum_R(A, 3, 1, huge, 10 ** 40) == 0
+        assert sum_R(B, 5, 1, 2 ** 63 + 1, 10 ** 40) == 0
+        window = PrimeWindow(1000.0, (997,))  # 997^7 > 2^63
+        for points in (list(ball_points(12)), [(997 ** 7, 0, 0), (0, 2 * 997 ** 7, 997 ** 8), (997 ** 6, 0, 0)]):
+            for K in (0, 1):
+                spec = MultiplicitySpec(7, K, window)
+                assert spec.members(hecke._support_array(points, 1)).tolist() == [spec.member(b) for b in points]
+
+    @pytest.mark.parametrize("ell", [1, 2])
+    def test_members_mask_equals_member(self, ell):
+        ball = list(ball_points(200))
+        far = [tuple(M * c for c in gamma) for M, gamma in FAR] + [(15 * 2 ** 40, 0, 45), (225, 10 ** 30 * 225, 0)]
+        for window in (WINDOW, PrimeWindow.from_bound(14.0), PrimeWindow(3.0, (3,))):
+            for K in (0, 1, 2):
+                spec = MultiplicitySpec(ell, K, window)
+                for points in (ball, ball + far):
+                    keys = hecke._support_array(points, 1)
+                    assert spec.members(keys).tolist() == [spec.member(beta) for beta in points]
+                assert spec.members(np.zeros((0, 3), np.int64)).tolist() == []
+                keys = hecke._support_array(ball + far, 1)
+                hits = spec.hits(keys)
+                assert [h.tolist() for h in hits] == [[all(c % p ** ell == 0 for c in beta) for beta in ball + far]
+                                                      for p in window.primes]
+                assert spec.members(keys, hits).tolist() == spec.members(keys).tolist()
+        assert not all(MultiplicitySpec(ell, 0, WINDOW).members(hecke._support_array(ball, 1)))
 
 
 class TestParameters:
