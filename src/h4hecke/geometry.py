@@ -64,6 +64,20 @@ class PointH4:
         return (self.x0, self.x1, self.x2, self.y)
 
 
+_new_point = object.__new__
+_set_x0, _set_x1, _set_x2, _set_y = (PointH4.__dict__[name].__set__ for name in ("x0", "x1", "x2", "y"))
+
+
+def _point(x0, x1, x2, y) -> PointH4:
+    """PointH4(x0, x1, x2, y) without the y > 0 check, for callers that have proved 0 < y < inf."""
+    z = _new_point(PointH4)
+    _set_x0(z, x0)
+    _set_x1(z, x1)
+    _set_x2(z, x2)
+    _set_y(z, y)
+    return z
+
+
 def as_point(z) -> PointH4:
     if isinstance(z, PointH4):
         return z
@@ -167,11 +181,15 @@ _set_coords = IsometryMatrix._coords.__set__  # the slot's own setter, past the 
 
 def _pseudo_det(entries):
     """The real part of a d^* - b c^* on the coordinate tuples of [[a, b], [c, d]], in their own type."""
-    a, b, c, d = entries
-    val = _twisted(a, b, d, c)
-    if val[1] != 0 or val[2] != 0 or val[3] != 0:
-        raise ValueError(f"not a similitude: pseudo-determinant {Quaternion(*val)} is not a real scalar")
-    return val[0]
+    (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), (d0, d1, d2, d3) = entries
+    # the i, j and k parts of a d^* - b c^*, with ^* negating k
+    m1 = a0 * d1 + a1 * d0 - a2 * d3 - a3 * d2 - (b0 * c1 + b1 * c0 - b2 * c3 - b3 * c2)
+    m2 = a0 * d2 + a1 * d3 + a2 * d0 + a3 * d1 - (b0 * c2 + b1 * c3 + b2 * c0 + b3 * c1)
+    m3 = a1 * d2 - a0 * d3 - a2 * d1 + a3 * d0 - (b1 * c2 - b0 * c3 - b2 * c1 + b3 * c0)
+    m0 = a0 * d0 - a1 * d1 - a2 * d2 + a3 * d3 - (b0 * c0 - b1 * c1 - b2 * c2 + b3 * c3)
+    if m1 != 0 or m2 != 0 or m3 != 0:
+        raise ValueError(f"not a similitude: pseudo-determinant {Quaternion(m0, m1, m2, m3)} is not a real scalar")
+    return m0
 
 
 def pseudo_det(g: IsometryMatrix) -> Fraction:
@@ -226,8 +244,15 @@ def rotation(axis: str) -> IsometryMatrix:
     return IsometryMatrix(u, _Q_ZERO, _Q_ZERO, u.main())
 
 
-# axis -> the coordinate tuples of u and u' for diag(u, u'), from the units of UNIT_FLIPS
-_ROTATION_UNITS = {name: (u.coords(), u.main().coords()) for name, (u, _) in UNIT_FLIPS.items()}
+def _left_unit(u) -> tuple:
+    """(perm, signs) of the unit u: hamilton_product(u, q)[r] = signs[r] * q[perm[r]]."""
+    images = [hamilton_product(u.coords(), e) for e in ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))]
+    perm = tuple(next(m for m in range(4) if images[m][r]) for r in range(4))
+    return perm, tuple(images[perm[r]][r] for r in range(4))
+
+
+# axis -> the signed coordinate permutations of u and u' for diag(u, u'), from the units of UNIT_FLIPS
+_ROTATION_PERMS = {name: (_left_unit(u), _left_unit(u.main())) for name, (u, _) in UNIT_FLIPS.items()}
 # (x1 negated, x2 negated) -> (token, flip) of the rotation whose flip does that: diag(u, u') on
 # points is x_r -> flip[r] x_r with y kept
 _ROTATION_TOKENS = {(flip[1] < 0, flip[2] < 0): ((f"rot_{name}",), flip) for name, (_, flip) in UNIT_FLIPS.items()}
@@ -237,23 +262,34 @@ def word_to_matrix(word: GeneratorWord) -> IsometryMatrix:
     """Product of token matrices, applied left-to-right as actions.
 
     Each token left-multiplies [[a, b], [c, d]] in closed form on coordinate
-    tuples: the translation by t gives [[a + t c, b + t d], [c, d]], the
-    inversion [[c, d], [-a, -b]] and diag(u, u') [[u a, u b], [u' c, u' d]].
-    The entries equal the product of the ``translation``, ``inversion`` and
-    ``rotation`` matrices by ``@``; one matrix is built, at the end, around
-    the four tuples.
+    tuples: the translation by t gives [[a + t c, b + t d], [c, d]], with t's
+    k-part 0, the inversion [[c, d], [-a, -b]] and diag(u, u')
+    [[u a, u b], [u' c, u' d]], where left multiplication by a unit is a
+    signed permutation of the coordinates.  The entries equal the product
+    of the ``translation``, ``inversion`` and ``rotation`` matrices by ``@``;
+    one matrix is built, at the end, around the four tuples.
     """
     a, b, c, d = (1, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0), (1, 0, 0, 0)
     for token in word:
-        if token[0] == "translate":
-            t = (int(token[1][0]), int(token[1][1]), int(token[1][2]), 0)
-            a, b = _add(a, hamilton_product(t, c)), _add(b, hamilton_product(t, d))
-        elif token[0] == "inversion":
+        kind = token[0]
+        if kind == "translate":
+            t = token[1]
+            t0, t1, t2 = int(t[0]), int(t[1]), int(t[2])
+            c0, c1, c2, c3 = c
+            d0, d1, d2, d3 = d
+            a = (a[0] + t0 * c0 - t1 * c1 - t2 * c2, a[1] + t0 * c1 + t1 * c0 + t2 * c3,
+                 a[2] + t0 * c2 - t1 * c3 + t2 * c0, a[3] + t0 * c3 + t1 * c2 - t2 * c1)
+            b = (b[0] + t0 * d0 - t1 * d1 - t2 * d2, b[1] + t0 * d1 + t1 * d0 + t2 * d3,
+                 b[2] + t0 * d2 - t1 * d3 + t2 * d0, b[3] + t0 * d3 + t1 * d2 - t2 * d1)
+        elif kind == "inversion":
             a, b, c, d = c, d, (-a[0], -a[1], -a[2], -a[3]), (-b[0], -b[1], -b[2], -b[3])
         else:
-            u, u_main = _ROTATION_UNITS[token[0].removeprefix("rot_")]
-            a, b = hamilton_product(u, a), hamilton_product(u, b)
-            c, d = hamilton_product(u_main, c), hamilton_product(u_main, d)
+            ((p0, p1, p2, p3), (s0, s1, s2, s3)), ((q0, q1, q2, q3), (r0, r1, r2, r3)) = \
+                _ROTATION_PERMS[kind.removeprefix("rot_")]
+            a = (s0 * a[p0], s1 * a[p1], s2 * a[p2], s3 * a[p3])
+            b = (s0 * b[p0], s1 * b[p1], s2 * b[p2], s3 * b[p3])
+            c = (r0 * c[q0], r1 * c[q1], r2 * c[q2], r3 * c[q3])
+            d = (r0 * d[q0], r1 * d[q1], r2 * d[q2], r3 * d[q3])
     return IsometryMatrix._from_coords((a, b, c, d))
 
 
@@ -267,10 +303,15 @@ def act(g: IsometryMatrix, z) -> PointH4:
 
         g . z = (P bar(N) + y^2 a bar(c)) / D + (y w / D) e3,   w = a N^* - P c^*,
 
-    where ^* negates k only and w is the real scalar mu(g).  A k-part in the
+    where ^* negates k only and w is the real scalar mu(g).  The products
+    are written out on scalars, in the order of the Hamilton product on the
+    entries converted to floats and v = (x0, x1, x2, 0.0).  A k-part in the
     first term or an i, j, k part in w means g is not a similitude, and
     raises AssertionError; a vanishing D raises ArithmeticError, and a result
-    outside the double range raises ValueError.  Whether g
+    outside the double range raises ValueError.  Those two refusals can come
+    from y^2 or D alone leaving the double range: then z is evaluated once
+    more at z / 4^j with g diag(2^j, 2^-j), for |z| near 4^j, which has the
+    same image, and the first refusal stands if that fails too.  Whether g
     is a similitude is not checked exactly here; callers taking matrices
     from outside the program test is_similitude first.
     """
@@ -278,35 +319,79 @@ def act(g: IsometryMatrix, z) -> PointH4:
     mu = _pseudo_det(entries)
     if not mu > 0:
         raise ValueError(f"action requires positive pseudo-determinant, got {Fraction(mu)}")
-    z = as_point(z)
-    y = z.y
+    x0, x1, x2, y = as_point(z).as_tuple()
+    (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), (d0, d1, d2, d3) = entries
+    try:
+        return _moebius(float(a0), float(a1), float(a2), float(a3), float(b0), float(b1), float(b2), float(b3),
+                        float(c0), float(c1), float(c2), float(c3), float(d0), float(d1), float(d2), float(d3),
+                        x0, x1, x2, y)
+    except OverflowError:  # an entry or coordinate past the double range
+        raise
+    except (ArithmeticError, ValueError):
+        out = _rescaled(entries, x0, x1, x2, y)
+        if out is None:
+            raise
+        return out
+
+
+def _moebius(a0, a1, a2, a3, b0, b1, b2, b3, c0, c1, c2, c3, d0, d1, d2, d3, x0, x1, x2, y):
+    """act's closed form on float entries and a point's coordinates, with its three refusals.
+
+    Each quaternion product is written as hamilton_product evaluates it;
+    a factor's negated coordinate is moved to the sign of its term, which
+    IEEE arithmetic keeps bit for bit, signed zeros included.
+    """
     y2 = y * y
-    v = (z.x0, z.x1, z.x2, 0.0)
-    a, b, c, d = [(float(q[0]), float(q[1]), float(q[2]), float(q[3])) for q in entries]
-    c0, c1, c2, c3 = c
-    av = hamilton_product(a, v)
-    cv = hamilton_product(c, v)
-    P = (av[0] + b[0], av[1] + b[1], av[2] + b[2], av[3] + b[3])
-    N0, N1, N2, N3 = cv[0] + d[0], cv[1] + d[1], cv[2] + d[2], cv[3] + d[3]
+    # P = a v + b and N = c v + d, v = (x0, x1, x2, 0.0)
+    P0 = a0 * x0 - a1 * x1 - a2 * x2 - a3 * 0.0 + b0
+    P1 = a0 * x1 + a1 * x0 + a2 * 0.0 - a3 * x2 + b1
+    P2 = a0 * x2 - a1 * 0.0 + a2 * x0 + a3 * x1 + b2
+    P3 = a0 * 0.0 + a1 * x2 - a2 * x1 + a3 * x0 + b3
+    N0 = c0 * x0 - c1 * x1 - c2 * x2 - c3 * 0.0 + d0
+    N1 = c0 * x1 + c1 * x0 + c2 * 0.0 - c3 * x2 + d1
+    N2 = c0 * x2 - c1 * 0.0 + c2 * x0 + c3 * x1 + d2
+    N3 = c0 * 0.0 + c1 * x2 - c2 * x1 + c3 * x0 + d3
     D = N0 * N0 + N1 * N1 + N2 * N2 + N3 * N3 + y2 * (c0 * c0 + c1 * c1 + c2 * c2 + c3 * c3)
     # mu > 0 rules out c = d = 0, so D vanishes only by underflow.
     if D < 1e-309:
         raise ArithmeticError("c z + d is numerically non-invertible")
-
-    pn = hamilton_product(P, (N0, -N1, -N2, -N3))
-    ac = hamilton_product(a, (c0, -c1, -c2, -c3))
-    an = hamilton_product(a, (N0, N1, N2, -N3))
-    pc = hamilton_product(P, (c0, c1, c2, -c3))
-    q = (pn[0] + y2 * ac[0], pn[1] + y2 * ac[1], pn[2] + y2 * ac[2], pn[3] + y2 * ac[3])
-    w = (y * (an[0] - pc[0]), y * (an[1] - pc[1]), y * (an[2] - pc[2]), y * (an[3] - pc[3]))
+    # q = P bar(N) + y^2 a bar(c) and w = y (a N^* - P c^*)
+    q0 = P0 * N0 + P1 * N1 + P2 * N2 + P3 * N3 + y2 * (a0 * c0 + a1 * c1 + a2 * c2 + a3 * c3)
+    q1 = -P0 * N1 + P1 * N0 - P2 * N3 + P3 * N2 + y2 * (-a0 * c1 + a1 * c0 - a2 * c3 + a3 * c2)
+    q2 = -P0 * N2 + P1 * N3 + P2 * N0 - P3 * N1 + y2 * (-a0 * c2 + a1 * c3 + a2 * c0 - a3 * c1)
+    q3 = -P0 * N3 - P1 * N2 + P2 * N1 + P3 * N0 + y2 * (-a0 * c3 - a1 * c2 + a2 * c1 + a3 * c0)
+    w0 = y * (a0 * N0 - a1 * N1 - a2 * N2 + a3 * N3 - (P0 * c0 - P1 * c1 - P2 * c2 + P3 * c3))
+    w1 = y * (a0 * N1 + a1 * N0 - a2 * N3 - a3 * N2 - (P0 * c1 + P1 * c0 - P2 * c3 - P3 * c2))
+    w2 = y * (a0 * N2 + a1 * N3 + a2 * N0 + a3 * N1 - (P0 * c2 + P1 * c3 + P2 * c0 + P3 * c1))
+    w3 = y * (-a0 * N3 + a1 * N2 - a2 * N1 + a3 * N0 - (-P0 * c3 + P1 * c2 - P2 * c1 + P3 * c0))
     # Result must be a vector: q in V3 and w a positive real scalar.
-    stray = math.hypot(q[3], w[1], w[2], w[3])
-    if stray > 1e-6 * (D + math.hypot(*q, *w)):
+    stray = math.hypot(q3, w1, w2, w3)
+    if stray > 1e-6 * (D + math.hypot(q0, q1, q2, q3, w0, w1, w2, w3)):
         raise AssertionError(f"action left the upper half-space model (stray part {stray / D})")
-    out = (q[0] / D, q[1] / D, q[2] / D, w[0] / D)
-    if not (math.isfinite(out[0] + out[1] + out[2]) and 0 < out[3] < math.inf):
-        raise ValueError(f"the action overflows the double range: g . z computes to {out}")
-    return PointH4(*out)
+    out0, out1, out2, out3 = q0 / D, q1 / D, q2 / D, w0 / D
+    if not (math.isfinite(out0 + out1 + out2) and 0 < out3 < math.inf):
+        raise ValueError(f"the action overflows the double range: g . z computes to {(out0, out1, out2, out3)}")
+    return _point(out0, out1, out2, out3)
+
+
+def _rescaled(entries, x0, x1, x2, y):
+    """g . z as g diag(2^j, 2^-j) . (z / 4^j) for |z| near 4^j, or None if j = 0 or that refuses too.
+
+    diag(2^j, 2^-j) acts as z -> 4^j z and has mu = 1, so the image is the
+    same; z / 4^j is exact while it stays normal, and the entries are
+    scaled exactly before their conversion to floats.
+    """
+    a, b, c, d = entries
+    try:
+        j = math.frexp(math.hypot(x0, x1, x2, y))[1] // 2
+        if j == 0:
+            return None
+        up, down = Fraction(2) ** j, Fraction(2) ** -j
+        return _moebius(*(float(x * up) for x in a), *(float(x * down) for x in b),
+                        *(float(x * up) for x in c), *(float(x * down) for x in d),
+                        math.ldexp(x0, -2 * j), math.ldexp(x1, -2 * j), math.ldexp(x2, -2 * j), math.ldexp(y, -2 * j))
+    except (ArithmeticError, ValueError, AssertionError):
+        return None
 
 
 # -- regions and reduction ---------------------------------------------------
@@ -354,29 +439,31 @@ def reduce_to_fundamental_domain(z) -> tuple[GeneratorWord, PointH4]:
     infinite or NaN coordinate raises ValueError.
     """
     x0, x1, x2, y = as_point(z).as_tuple()
-    if not all(map(math.isfinite, (x0, x1, x2, y))):
+    isfinite = math.isfinite
+    if not (isfinite(x0) and isfinite(x1) and isfinite(x2) and isfinite(y)):
         raise ValueError(f"cannot reduce a point with a non-finite coordinate: {(x0, x1, x2, y)}")
+    floor, tol = math.floor, _TOL
     word: list[Token] = []
     for _ in range(_MAX_ITER):
-        shifts = (-math.floor(x0 + 0.5), -math.floor(x1 + 0.5), -math.floor(x2 + 0.5))
-        if any(shifts):
-            word.append(("translate", shifts))
-            x0, x1, x2 = x0 + shifts[0], x1 + shifts[1], x2 + shifts[2]
-        rot = _ROTATION_TOKENS.get((x1 < -_TOL, x2 < -_TOL))
-        if rot is not None:
-            token, (s0, s1, s2) = rot
+        s0, s1, s2 = -floor(x0 + 0.5), -floor(x1 + 0.5), -floor(x2 + 0.5)
+        if s0 or s1 or s2:
+            word.append(("translate", (s0, s1, s2)))
+            x0, x1, x2 = x0 + s0, x1 + s1, x2 + s2
+        if x1 < -tol or x2 < -tol:
+            token, (f0, f1, f2) = _ROTATION_TOKENS[x1 < -tol, x2 < -tol]
             word.append(token)
-            x0, x1, x2 = s0 * x0, s1 * x1, s2 * x2
-        if x0 * x0 + x1 * x1 + x2 * x2 + y * y < 1.0 - _TOL:
+            x0, x1, x2 = f0 * x0, f1 * x1, f2 * x2
+        if x0 * x0 + x1 * x1 + x2 * x2 + y * y < 1.0 - tol:
             # Dividing twice by |z| keeps z/|z|^2 exact where |z|^2 underflows.
             r = math.hypot(x0, x1, x2, y)
             word.append(("inversion",))
             x0, x1, x2, y = -x0 / r / r, x1 / r / r, x2 / r / r, y / r / r
-            if not all(map(math.isfinite, (x0, x1, x2, y))):
+            if not (isfinite(x0) and isfinite(x1) and isfinite(x2) and isfinite(y)):
                 raise ValueError(f"inversion at |z| = {r:g} overflows the float range")
             continue
         if _in_F(x0, x1, x2, y):
-            return tuple(word), PointH4(x0, x1, x2, y)
+            # y > 0 holds: the input's y is, and an inversion divides y by r^2 < 1
+            return tuple(word), _point(x0, x1, x2, y)
     raise ReductionError(f"reduction did not converge after {_MAX_ITER} iterations")
 
 

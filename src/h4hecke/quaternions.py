@@ -84,16 +84,17 @@ def hamilton_product(p: Sequence, q: Sequence) -> tuple:
     """The quaternion product on coordinate 4-tuples (1, i, j, k).
 
     The one copy of the formula: ``Quaternion`` products, ``conjugate_action``,
-    the exact 2x2 matrix layer of ``geometry`` and its float action all call
-    it, on int, Fraction or float coordinates alike.  Composing on tuples
-    rather than on frozen ``Quaternion`` objects skips a dataclass
-    construction and an ABC isinstance check per product, and
-    ``IsometryMatrix`` holds the tuples themselves.  On the reduction words
-    of 2,000 points drawn as in acceptance 13 (mean length 1.8; 2-vCPU Xeon
-    host, best and median of 30 runs), ``word_to_matrix`` takes 2.8-3.6 us
-    per word and ``act`` 7.7-10.2.  A matrix that kept its entries as four
-    ``Quaternion`` objects built from the tuples took 7.1-8.7 and 8.4-10.7,
-    and the same closed forms on ``Quaternion`` objects 11-20 and 36-62.
+    ``conjugation_matrix`` and the products ``@`` of ``geometry``'s exact 2x2
+    matrices call it, on int, Fraction or float coordinates alike.  The
+    per-point paths of ``geometry`` (``act``, its pseudo-determinant and
+    ``word_to_matrix``) write the products out on scalars, term by term in
+    this order, and the tests check them bit for bit against evaluations
+    through this function.  On the reduction words of 2,000 points drawn as
+    in acceptance 13 (mean length 1.8; 2-vCPU Xeon host, best and median of
+    30 runs), ``word_to_matrix`` takes 1.7-1.9 us per word and ``act``
+    4.2-4.4; through this function on coordinate tuples they took 2.8-2.9
+    and 7.2-7.6, with four ``Quaternion`` entries per matrix 7.1-8.7 and
+    8.4-10.7, and on ``Quaternion`` objects throughout 11-20 and 36-62.
     """
     a1, b1, c1, d1 = p
     a2, b2, c2, d2 = q
@@ -245,8 +246,19 @@ def conjugate_action(alpha: Quaternion, beta: Sequence[int]) -> LatticeVector:
 
 
 def conjugation_matrix(alpha: Quaternion) -> tuple[tuple[int, int, int], ...]:
-    """3x3 integer matrix of beta -> alpha' beta bar(alpha) on V3 (rows act on column vectors)."""
-    return tuple(zip(*(conjugate_action(alpha, e) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))))
+    """3x3 integer matrix of beta -> alpha' beta bar(alpha) on V3 (rows act on column vectors).
+
+    Column m is alpha' e_m bar(alpha) for e_m = 1, i, j, as in conjugate_action; alpha' e_m is a
+    signed permutation of alpha's coordinates, so each column costs one product.
+    """
+    a, b, c, d = alpha.coords()
+    bar = (a, -b, -c, -d)
+    # alpha' = a - b i - c j + d k, times 1, i and j
+    c0, c1, c2 = (hamilton_product(q, bar) for q in ((a, -b, -c, d), (b, a, d, c), (c, -d, a, -b)))
+    for q in (c0, c1, c2):
+        if q[3] != 0:
+            raise ArithmeticError(f"quaternion {Quaternion(*q)} has nonzero k-component, not in V3")
+    return (c0[0], c1[0], c2[0]), (c0[1], c1[1], c2[1]), (c0[2], c1[2], c2[2])
 
 
 # name -> (u, flip) for the units u = i, j, k, in that order: conjugation by u multiplies

@@ -71,11 +71,34 @@ def apply_word(word, z) -> PointH4:
 
 def act_reference(g: IsometryMatrix, z) -> PointH4:
     """g . z through Quaternion objects and an exact Fraction pseudo-determinant: the reference for
-    ``geometry.act``, with the same float operations in the same order and the same errors."""
+    ``geometry.act``, with the same float operations in the same order and the same errors.
+
+    Where that evaluation refuses but for an entry past the double range, g @ diag(2^j, 2^-j) is
+    evaluated at z / 4^j, with 2^j the square root of |z|'s power of two; the first refusal stands
+    if j = 0 or that refuses too."""
     mu = pseudo_det(g)
     if not mu > 0:
         raise ValueError(f"action requires positive pseudo-determinant, got {mu}")
     z = as_point(z)
+    try:
+        return _evaluate(g, z)
+    except OverflowError:
+        raise
+    except (ArithmeticError, ValueError) as err:
+        first = err
+    try:
+        j = math.frexp(math.hypot(*z.as_tuple()))[1] // 2
+        if j != 0:
+            scale = IsometryMatrix(Quaternion(Fraction(2) ** j, 0, 0, 0), Quaternion(0, 0, 0, 0),
+                                   Quaternion(0, 0, 0, 0), Quaternion(Fraction(2) ** -j, 0, 0, 0))
+            return _evaluate(g @ scale, PointH4(*(math.ldexp(c, -2 * j) for c in z.as_tuple())))
+    except (ArithmeticError, ValueError, AssertionError):
+        pass
+    raise first
+
+
+def _evaluate(g: IsometryMatrix, z: PointH4) -> PointH4:
+    """act_reference's closed form, on the four products of hamilton_product."""
     y = z.y
     y2 = y * y
     v = (z.x0, z.x1, z.x2, 0.0)

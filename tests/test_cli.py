@@ -278,6 +278,16 @@ class TestCliCommands:
         assert main(argv + ["--point", "0,0,0,0.5"]) == 0
         assert "2" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("matrix,point,printed", [
+        ("1 0 0 0 0 0 0 0 0 0 0 0 1 0 0 0", "0,0,0,1e308", "0,0,0,1e+308"),
+        ("1 0 0 0 0 0 0 0 0 0 0 0 1 0 0 0", "0.1,0,0,2e154", "0.1,0,0,2e+154"),
+        ("0 0 0 0 1 0 0 0 -1 0 0 0 0 0 0 0", "0,0,0,1e-200", "0,0,0,1e+200"),
+    ])
+    def test_geom_act_past_the_square_range(self, matrix, point, printed, capsys):
+        # y^2 or |cz + d|^2 leaves the double range, the image does not: these once exited 2
+        assert main(["geom", "act", "--matrix", *matrix.split(), "--point", point]) == 0
+        assert capsys.readouterr().out == printed + "\n"
+
     def test_geom_act_non_similitude_exits_2(self, capsys):
         # c = k: pseudo-determinant 1, but d c^* has a k-component
         argv = ["geom", "act", "--matrix"] + ["1", "0", "0", "0", "0", "0", "0", "0",

@@ -9,6 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import reference
 from h4hecke import geometry
 from h4hecke.clifford import CliffordElement, inverse as cl_inverse
 from h4hecke.geometry import (
@@ -508,6 +509,151 @@ class TestClosedFormMatrixLayer:
     ])
     def test_reduction_errors_and_edges(self, z):
         assert _outcome(reduce_to_fundamental_domain, z) == _outcome(reduce_reference, z)
+
+
+def _fuzz_word(rng: random.Random, length: int) -> tuple:
+    """Every token kind, with translations up to 9 * 10^30."""
+    def shift():
+        return rng.randint(-9, 9) * 10 ** rng.choice((0, rng.randint(1, 29), 30))
+    kinds = ["inversion", "rot_i", "rot_j", "rot_k", "translate"]
+    return tuple(("translate", (shift(), shift(), shift())) if kind == "translate" else (kind,)
+                 for kind in (rng.choice(kinds) for _ in range(length)))
+
+
+def _fuzz_point(rng: random.Random):
+    """A point as a tuple of floats, a tuple of ints or a PointH4, with signed zeros, x near +-1/2 and
+    y from 5e-324 to 1e300."""
+    def x():
+        kind = rng.randrange(4)
+        if kind == 0:
+            return rng.choice((0.0, -0.0))
+        if kind == 1:
+            return rng.choice((0.5, -0.5)) + rng.choice((1e-10, -1e-10))
+        return rng.uniform(-3, 3)
+    y = rng.choice((5e-324, 1e300, 10 ** rng.uniform(-323, 300), rng.uniform(0.05, 50)))
+    form = rng.randrange(4)
+    if form == 0:
+        return (x(), x(), x(), y)
+    if form == 1:
+        return tuple(rng.randint(-3, 3) for _ in range(3)) + (rng.randint(1, 10 ** 6),)
+    if form == 2:
+        return PointH4(rng.randint(-3, 3), rng.randint(-3, 3), rng.randint(-3, 3), rng.randint(1, 10 ** 6))
+    return PointH4(x(), x(), x(), y)
+
+
+def _exact_action(g: IsometryMatrix, z) -> list[float]:
+    """(a z + b)(c z + d)^{-1} evaluated in C_3 on Fractions, rounded to floats at the end."""
+    def to_c3(q: Quaternion) -> CliffordElement:
+        return CliffordElement(3, {(): Fraction(q.a), (1,): Fraction(q.b), (2,): Fraction(q.c),
+                                   (1, 2): Fraction(q.d)})
+    zc = CliffordElement(3, {(): Fraction(z[0]), (1,): Fraction(z[1]), (2,): Fraction(z[2]), (3,): Fraction(z[3])})
+    a, b, c, d = (to_c3(q) for q in g.entries())
+    exact = (a * zc + b) * cl_inverse(c * zc + d)
+    assert exact.is_vector
+    return [float(x) for x in vector_coords(exact)]
+
+
+def _relative_error(got, expected) -> float:
+    return max(abs(x - e) / abs(e) if e else abs(x) for x, e in zip(got, expected))
+
+
+class TestScalarForms:
+    """act, word_to_matrix and the reduction on scalars against the tuple-product references, bit for bit."""
+
+    def test_fuzzed_words_and_points(self):
+        rng = random.Random(23)
+        reached = set()
+        for _ in range(600):
+            word = _fuzz_word(rng, rng.choice((rng.randint(0, 3), rng.randint(0, 50))))
+            if rng.random() < 0.1:  # entries past the double range: 10^30 per translation between inversions
+                word = (("translate", (10 ** 30, 0, 1)), ("inversion",)) * rng.randint(10, 12) + word
+            z = _fuzz_point(rng)
+            assert _outcome(word_to_matrix, word) == _outcome(word_matrix, word), word
+            reduced = _outcome(reduce_to_fundamental_domain, z)
+            assert reduced == _outcome(reduce_reference, z), z
+            matrices = [word_to_matrix(word)]
+            if isinstance(reduced, str):
+                matrices.append(word_to_matrix(reduce_to_fundamental_domain(z)[0]))
+            for g in matrices:
+                moved = _outcome(act, g, z)
+                assert moved == _outcome(act_reference, g, z), (word, z)
+                reached.add(moved[0].__name__ if isinstance(moved, tuple) else "point")
+        assert reached >= {"point", "OverflowError", "ArithmeticError", "ValueError"}
+
+    def test_private_point_is_a_point(self):
+        for coords in [(0.1, -0.0, 3.0, 2.5), (1, -2, 3, 1), (0.0, 0.0, 0.0, 5e-324)]:
+            made, public = geometry._point(*coords), PointH4(*coords)
+            assert type(made) is PointH4
+            assert made == public and hash(made) == hash(public) and repr(made) == repr(public)
+            for twin in (pickle.loads(pickle.dumps(made)), copy.copy(made), copy.deepcopy(made)):
+                assert twin == public and repr(twin) == repr(public)
+            for name in ("x0", "x1", "x2", "y", "other"):
+                assert _outcome(setattr, made, name, 1.0) == _outcome(setattr, public, name, 1.0)
+                assert _outcome(delattr, made, name) == _outcome(delattr, public, name)
+            with pytest.raises(AttributeError):
+                made.y = 1.0
+            assert repr(made) == repr(public)
+
+
+# identity, a translation, rot_i and the inversion at points whose images the unscaled closed form
+# refuses: y^2 overflows past about 1.34e154, and D underflows below |z| = 1e-154 or so
+_RESCALED_CASES = [
+    (identity(), (0.1, 0.0, 0.0, 2e154)),
+    (identity(), (0.0, 0.0, 0.0, 1e308)),
+    (translation((1, -2, 3)), (0.25, 0.5, -0.125, 1.4e154)),
+    (rotation("i"), (0.3, -0.7, 1.1, 1e160)),
+    (inversion(), (0.0, 0.0, 0.0, 1e-200)),
+    (inversion(), (3e-250, -1e-250, 2e-250, 4e-250)),
+    (inversion(), (0.5, 0.25, -1.5, 1e300)),
+]
+
+
+class TestRescaledAction:
+    """act evaluates again at z / 4^j where y^2 or D alone leave the double range."""
+
+    @pytest.mark.parametrize("g,z", _RESCALED_CASES)
+    def test_listed_images_against_exact(self, g, z):
+        with pytest.raises((ArithmeticError, ValueError)):
+            reference._evaluate(g, PointH4(*z))  # the unscaled closed form refuses
+        got = act(g, z)
+        assert _relative_error(got.as_tuple(), _exact_action(g, z)) < 1e-15
+        assert repr(got) == repr(act_reference(g, z))
+
+    def test_identity_keeps_the_point(self):
+        for z in [(0.1, 0.0, 0.0, 2e154), (0.0, 0.0, 0.0, 1e308), (-0.0, 0.5, -3.0, 1e200)]:
+            assert act(identity(), z).as_tuple() == z
+
+    def test_random_images_against_exact(self):
+        rng = random.Random(29)
+        accepted = 0
+        for _ in range(150):
+            g = word_to_matrix(_random_word(rng, rng.randint(0, 4)))
+            if rng.random() < 0.5:
+                z = (rng.uniform(-3, 3), rng.uniform(-3, 3), rng.uniform(-3, 3), 10 ** rng.uniform(154.2, 300))
+            else:
+                s = 10 ** rng.uniform(-300, -154.2)
+                z = tuple(s * rng.uniform(-1, 1) for _ in range(3)) + (s * rng.uniform(0.1, 1),)
+            try:
+                reference._evaluate(g, PointH4(*z))
+                continue
+            except (ArithmeticError, ValueError):
+                pass
+            accepted += 1
+            assert _relative_error(act(g, z).as_tuple(), _exact_action(g, z)) < 1e-15, (g, z)
+        assert accepted >= 50
+
+    @pytest.mark.parametrize("g,z", [
+        (inversion(), (0, 0, 0, 1e-320)),  # the image 1e320 is past the double range
+        (inversion(), (0, 0, 0, 5e-324)),
+        (IsometryMatrix(Quaternion(10 ** 300, 0, 0, 0), _ZERO, _ZERO, _ONE), (0, 0, 0, 1e10)),
+        (inversion(), (1e300, 0, 0, 1e-30)),  # the image's y is 1e-630, and z / 4^j makes y 0
+    ])
+    def test_out_of_range_keeps_the_first_refusal(self, g, z):
+        with pytest.raises((ArithmeticError, ValueError)) as unscaled:
+            reference._evaluate(g, PointH4(*z))
+        with pytest.raises(type(unscaled.value)) as exc:
+            act(g, z)
+        assert str(exc.value) == str(unscaled.value)
 
 
 # The copies of S_T as the sign flips of test_act_of_rotation_is_the_flipped_point, in report order.

@@ -142,6 +142,23 @@ class TestConjugation:
             assert conjugation_matrix(alpha.conjugate()) == tuple(zip(*conjugation_matrix(alpha))), alpha
         assert sorted((a.conjugate() for a in elements), key=Quaternion.coords) == list(elements)
 
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+    def test_matrix_columns_are_the_action_on_the_basis(self, p):
+        # one product per column against conjugate_action's two products on each basis vector
+        for alpha in orbit_representatives(p).all_elements:
+            mat = conjugation_matrix(alpha)
+            assert mat == tuple(zip(*(conjugate_action(alpha, e) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))))
+            assert all(type(x) is int for row in mat for x in row)
+
+    def test_matrix_k_part_check(self):
+        # float coordinates leave a rounding k-part, which both paths refuse with the same text
+        alpha = Quaternion(-0.7312715117751976, 0.6948674738744653, 0.5275492379532281, -0.4898619485211566)
+        with pytest.raises(ArithmeticError, match="nonzero k-component") as exc:
+            conjugation_matrix(alpha)
+        with pytest.raises(ArithmeticError) as ref:
+            conjugate_action(alpha, (0, 1, 0))  # the first column with a k-part
+        assert str(exc.value) == str(ref.value)
+
     def test_matrix_matches_action(self):
         alpha = Quaternion(2, -1, 0, 1)
         mat = conjugation_matrix(alpha)
