@@ -23,9 +23,8 @@ from fractions import Fraction
 from typing import Optional
 
 from . import asymptotics, files, geometry, hecke, numerics, sums
+from .files import SCHEMA_VERSION
 from .quaternions import enumerate_norm, orbit_representatives, verify_conjugation_lemmas
-
-SCHEMA_VERSION = 1
 
 
 def _emit(args, payload: dict, human: str) -> None:

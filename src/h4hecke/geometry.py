@@ -305,15 +305,16 @@ def act(g: IsometryMatrix, z) -> PointH4:
 
     where ^* negates k only and w is the real scalar mu(g).  The products
     are written out on scalars, in the order of the Hamilton product on the
-    entries converted to floats and v = (x0, x1, x2, 0.0).  A k-part in the
-    first term or an i, j, k part in w means g is not a similitude, and
-    raises AssertionError; a vanishing D raises ArithmeticError, and a result
-    outside the double range raises ValueError.  Those two refusals can come
-    from y^2 or D alone leaving the double range: then z is evaluated once
-    more at z / 4^j with g diag(2^j, 2^-j), for |z| near 4^j, which has the
-    same image, and the first refusal stands if that fails too.  Whether g
-    is a similitude is not checked exactly here; callers taking matrices
-    from outside the program test is_similitude first.
+    entries converted to floats and v = (x0, x1, x2, 0.0), less the products
+    by v's zero k-part.  A k-part in the first term or an i, j, k part in w
+    means g is not a similitude, and raises AssertionError; a vanishing D
+    raises ArithmeticError, and a result outside the double range raises
+    ValueError.  Those two refusals can come from y^2 or D alone leaving
+    the double range: then z is evaluated once more at z / 4^j with
+    g diag(2^j, 2^-j), for |z| near 4^j, which has the same image, and the
+    first refusal stands if that fails too.  Whether g is a similitude is
+    not checked exactly here; callers taking matrices from outside the
+    program test is_similitude first.
     """
     entries = g._coords
     mu = _pseudo_det(entries)
@@ -339,18 +340,21 @@ def _moebius(a0, a1, a2, a3, b0, b1, b2, b3, c0, c1, c2, c3, d0, d1, d2, d3, x0,
 
     Each quaternion product is written as hamilton_product evaluates it;
     a factor's negated coordinate is moved to the sign of its term, which
-    IEEE arithmetic keeps bit for bit, signed zeros included.
+    IEEE arithmetic keeps bit for bit, signed zeros included.  P and N skip
+    the products by v's zero k-part: a finite entry times 0.0 is a signed
+    zero, which can only flip the sign of a zero partial sum, and each sum
+    then adds b_r or d_r, the float of an exact value and never -0.0.
     """
     y2 = y * y
     # P = a v + b and N = c v + d, v = (x0, x1, x2, 0.0)
-    P0 = a0 * x0 - a1 * x1 - a2 * x2 - a3 * 0.0 + b0
-    P1 = a0 * x1 + a1 * x0 + a2 * 0.0 - a3 * x2 + b1
-    P2 = a0 * x2 - a1 * 0.0 + a2 * x0 + a3 * x1 + b2
-    P3 = a0 * 0.0 + a1 * x2 - a2 * x1 + a3 * x0 + b3
-    N0 = c0 * x0 - c1 * x1 - c2 * x2 - c3 * 0.0 + d0
-    N1 = c0 * x1 + c1 * x0 + c2 * 0.0 - c3 * x2 + d1
-    N2 = c0 * x2 - c1 * 0.0 + c2 * x0 + c3 * x1 + d2
-    N3 = c0 * 0.0 + c1 * x2 - c2 * x1 + c3 * x0 + d3
+    P0 = a0 * x0 - a1 * x1 - a2 * x2 + b0
+    P1 = a0 * x1 + a1 * x0 - a3 * x2 + b1
+    P2 = a0 * x2 + a2 * x0 + a3 * x1 + b2
+    P3 = a1 * x2 - a2 * x1 + a3 * x0 + b3
+    N0 = c0 * x0 - c1 * x1 - c2 * x2 + d0
+    N1 = c0 * x1 + c1 * x0 - c3 * x2 + d1
+    N2 = c0 * x2 + c2 * x0 + c3 * x1 + d2
+    N3 = c1 * x2 - c2 * x1 + c3 * x0 + d3
     D = N0 * N0 + N1 * N1 + N2 * N2 + N3 * N3 + y2 * (c0 * c0 + c1 * c1 + c2 * c2 + c3 * c3)
     # mu > 0 rules out c = d = 0, so D vanishes only by underflow.
     if D < 1e-309:

@@ -47,8 +47,10 @@ only they read the dict _conj_sum.  The lattice sums of the sums module
 (R^{p,l}_d and the L6.4 double sum) read T_l off _conj_sum_rows, the
 same scatter on arrays, with the integer numerators of equal betas
 summed.  A field converts once, and keeps each result: to integer
-numerators over one per-field denominator, as a dict (_numerators) and
-as arrays (_numerator_arrays), and to complex128 arrays (_float_field).
+numerator arrays over one per-field denominator (_numerator_arrays),
+which the exact operators read as a dict rescaled on Python ints
+(_numerators), and to complex128 arrays (_float_field).  Every merge of
+equal keys, on int64 or on Python ints, sorts them once (_runs).
 The float twin no longer shares _apply: _apply_float runs the same
 formulas on (keys, values) arrays, adding the same terms in the same
 order, and apply_hecke_float returns a read-only mapping backed by those
@@ -326,13 +328,13 @@ class CoefficientField:
     already over it is promoted to it; two primes, or one that is not odd,
     raise ValueError.
     A field is not changed after construction: it keeps its support radius
-    and each conversion of its entries once first read, to the dict of
-    integer numerators of the exact operators (_numerators), to the numerator
-    arrays of the lattice sums (_numerator_arrays) and to the complex128
-    arrays of the float operators (_float_field).
+    and each of two conversions of its entries once first read, to the
+    integer numerator arrays of the lattice sums and the exact operators
+    (_numerator_arrays) and to the complex128 arrays of the float operators
+    (_float_field).
     """
 
-    __slots__ = ("p", "entries", "_radius", "_nums", "_arrays", "_floats")
+    __slots__ = ("p", "entries", "_radius", "_arrays", "_floats")
 
     def __init__(self, p: Optional[int], entries: Mapping[LatticeVector, QComplex]):
         if p is None:
@@ -351,7 +353,7 @@ class CoefficientField:
                 clean[beta] = value
         self.p = p
         self.entries = clean
-        self._radius = self._nums = self._arrays = self._floats = None
+        self._radius = self._arrays = self._floats = None
 
     @classmethod
     def zero(cls, p: Optional[int] = None) -> "CoefficientField":
@@ -637,11 +639,6 @@ def _conj_sum_rows(k: int, p: int, keys: np.ndarray, rows: np.ndarray, mats,
         rows = rows.astype(object)
     if not len(images):
         return images, rows.take(src, axis=0)
-    if images.dtype == object:
-        inv, first = _groups(images)
-        sums = np.zeros((len(first), rows.shape[1]), object)
-        np.add.at(sums, inv, rows[src])
-        return images[first], sums
     order, new = _runs(images)
     starts = new.nonzero()[0]
     return images.take(order[starts], axis=0), np.add.reduceat(rows.take(src[order], axis=0), starts)
@@ -773,28 +770,14 @@ def _int_weights(p: int) -> _HeckeWeights:
     return _hecke_weights(p, lambda fr: _IntWeight(fr.numerator * (cube // fr.denominator), cube))
 
 
-def _integer_numerators(A: CoefficientField) -> tuple[int, list[int]]:
-    """(D, flat): D the lcm of the entry denominators, and the numerators ra, rb, ia, ib of
-    each entry over D in turn."""
-    ratios = [x.as_integer_ratio() for v in A.entries.values() for x in (v.re.a, v.re.b, v.im.a, v.im.b)]
-    den = math.lcm(*{d for _, d in ratios})
-    return den, [n * (den // d) for n, d in ratios]
-
-
-def _numerators(A: CoefficientField, scale: int = 1) -> tuple[int, dict[LatticeVector, _Num]]:
+def _numerators(A: CoefficientField, scale: int) -> tuple[int, dict[LatticeVector, _Num]]:
     """(D scale, {beta: numerators of A(beta) over D scale}), D the lcm of the entry denominators.
 
-    The pair at scale 1 is converted once per field and kept on it; every
-    other scale is one integer rescale of it.  Callers only read the dict.
+    One integer rescale of the field's _numerator_arrays, on Python ints.
     """
-    if A._nums is None:
-        den, flat = _integer_numerators(A)
-        A._nums = den, {beta: _Num(*row) for beta, row in zip(A.entries, zip(*[iter(flat)] * 4))}
-    den, nums = A._nums
-    if scale == 1:
-        return den, nums
-    return den * scale, {beta: _Num(v.ra * scale, v.rb * scale, v.ia * scale, v.ib * scale)
-                         for beta, v in nums.items()}
+    arrays = _numerator_arrays(A)
+    return arrays.den * scale, {beta: _Num(ra * scale, rb * scale, ia * scale, ib * scale)
+                                for beta, (ra, rb, ia, ib) in zip(A.entries, arrays.nums.tolist())}
 
 
 class _NumeratorArrays(NamedTuple):
@@ -811,7 +794,9 @@ class _NumeratorArrays(NamedTuple):
 def _numerator_arrays(A: CoefficientField) -> _NumeratorArrays:
     """The field's _NumeratorArrays, converted once per field and kept on it (read-only)."""
     if A._arrays is None:
-        den, flat = _integer_numerators(A)
+        ratios = [x.as_integer_ratio() for v in A.entries.values() for x in (v.re.a, v.re.b, v.im.a, v.im.b)]
+        den = math.lcm(*{d for _, d in ratios})
+        flat = [n * (den // d) for n, d in ratios]
         keys = _support_array(list(A.entries), 1)
         try:
             nums = np.fromiter(flat, np.int64, len(flat)).reshape(-1, 4)
@@ -843,11 +828,11 @@ def apply_hecke(ell: int, p: int, A: CoefficientField, *, representatives=None) 
     is the canonical one unless an alternative representative set is
     supplied (the output is the same for any valid choice).
 
-    The operator runs on Python ints: A is converted once to integer
-    numerators over D p^3 (D the lcm of its entry denominators), each a
-    multiple of p^3, so each weight n/p^k and p^(-1/2) divides exactly
-    (see the integer-domain note); only the outputs are converted back
-    to Fractions.
+    The operator runs on Python ints: A's integer numerators, converted
+    once per field, are read over D p^3 (D the lcm of its entry
+    denominators), each a multiple of p^3, so each weight n/p^k and
+    p^(-1/2) divides exactly (see the integer-domain note); only the
+    outputs are converted back to Fractions.
     """
     A = A.with_prime(p)
     den, nums = _numerators(A, p ** 3)
@@ -858,7 +843,7 @@ def apply_hecke(ell: int, p: int, A: CoefficientField, *, representatives=None) 
 #
 # A float field is an (n, 3) key array and a complex128 value array.  _apply_float
 # adds the terms of the dict _apply in the same order, so its outputs equal the
-# dict path's, keys and values (bincount starts each sum from +0.0, so only the
+# dict path's, keys and values (np.add.at starts each sum from +0.0, so only the
 # sign of a zero part can differ): each loop of _add calls over rows is one
 # _interleave, and each merge of equal keys (_merge, also every _conj_sum) adds in
 # input order and keeps the keys in first-occurrence order, as a dict would.  The
@@ -912,37 +897,38 @@ def _epsilon_cases(keys: np.ndarray, p: int, residue: np.ndarray) -> np.ndarray:
 
 
 def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(order, new): an order of the rows of an int64 key array that puts equal keys next to
-    each other, the rows of one key in increasing order, and the mask of the positions in
-    that order that start a run of equal keys.
+    """(order, new): an order of the rows of a nonempty int64 or object key array that puts
+    equal keys next to each other, the rows of one key in increasing order, and the mask of
+    the positions in that order that start a run of equal keys.
 
-    While span^3 n fits in int64, each key is packed into one int64, sum_i b_i span^(2-i),
+    While span^3 n fits in int64, each int64 key is packed into one int64, sum_i b_i span^(2-i),
     and that times n plus the row number is sorted once: np.sort is several times faster
     than np.argsort, and the row comes back as the remainder.  The packing is one-to-one,
     since shifting every b_i by the least coordinate shifts it by a constant; it skips
     that shift when the keys straddle 0, which keeps every |b_i| < span and so
-    |packed| < span^3.  Past span^3 n the rows are sorted by np.lexsort on the three
-    columns, which is stable.
+    |packed| < span^3.  Past span^3 n, and on Python ints, the rows are sorted by
+    np.lexsort on the three columns, which is stable and exact.
     """
     n = len(keys)
-    lo, hi = int(keys.min()), int(keys.max())
-    span = hi - lo + 1
     new = np.empty(n, bool)
     new[0] = True
-    if span ** 3 * n <= 2 ** 63:
-        c = keys if lo <= 0 <= hi else keys - lo
-        tagged = c[:, 0] * (span * span * n)
-        tagged += c[:, 1] * (span * n)
-        tagged += c[:, 2] * n
-        tagged += np.arange(n)
-        tagged.sort()
-        packed = tagged // n
-        order = tagged - packed * n
-        np.not_equal(packed[1:], packed[:-1], out=new[1:])
-    else:
-        order = np.lexsort((keys[:, 2], keys[:, 1], keys[:, 0]))
-        ordered = keys.take(order, axis=0)
-        np.any(ordered[1:] != ordered[:-1], axis=1, out=new[1:])
+    if keys.dtype != object:
+        lo, hi = int(keys.min()), int(keys.max())
+        span = hi - lo + 1
+        if span ** 3 * n <= 2 ** 63:
+            c = keys if lo <= 0 <= hi else keys - lo
+            tagged = c[:, 0] * (span * span * n)
+            tagged += c[:, 1] * (span * n)
+            tagged += c[:, 2] * n
+            tagged += np.arange(n)
+            tagged.sort()
+            packed = tagged // n
+            order = tagged - packed * n
+            np.not_equal(packed[1:], packed[:-1], out=new[1:])
+            return order, new
+    order = np.lexsort((keys[:, 2], keys[:, 1], keys[:, 0]))
+    ordered = keys.take(order, axis=0)
+    np.any(ordered[1:] != ordered[:-1], axis=1, out=new[1:])
     return order, new
 
 
@@ -950,13 +936,8 @@ def _groups(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(inv, first): the group of equal keys of each row, groups numbered in order of first
     occurrence, and the first row of each group.
 
-    int64 keys of any span are sorted once (_runs), which leads each run with the least
-    row of its key.  Keys on Python ints go through a dict.
+    The keys are sorted once (_runs), which leads each run with the least row of its key.
     """
-    if keys.dtype == object:
-        seen = {}
-        inv = np.fromiter((seen.setdefault(k, len(seen)) for k in map(tuple, keys.tolist())), np.intp, len(keys))
-        return inv, np.unique(inv, return_index=True)[1]
     order, new = _runs(keys)
     by_key = order.compress(new)  # the first row of each group, groups in key order
     first = np.sort(by_key)  # groups in order of first occurrence
@@ -971,7 +952,7 @@ def _merge(*parts: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarra
     """The (keys, values) parts concatenated, with the values of equal keys summed.
 
     Keys come out in order of first occurrence, and each sum adds its terms in input
-    order (bincount does), starting from +0.0.
+    order (np.add.at does), starting from +0.0.
     """
     if len(parts) == 1:
         keys, vals = parts[0]
@@ -981,9 +962,8 @@ def _merge(*parts: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarra
     if not len(keys):
         return keys, vals
     inv, first = _groups(keys)
-    out = np.empty(len(first), complex)
-    out.real = np.bincount(inv, vals.real, len(first))
-    out.imag = np.bincount(inv, vals.imag, len(first))
+    out = np.zeros(len(first), vals.dtype)
+    np.add.at(out, inv, vals)
     return keys.take(first, axis=0), out
 
 
@@ -1077,8 +1057,7 @@ class _FloatField(Mapping):
 def _float_field(A: CoefficientField) -> _FloatField:
     """A.as_complex_dict() as a _FloatField, converted once per field and kept on it."""
     if A._floats is None:
-        A._floats = _FloatField(_support_array(list(A.entries), 1),
-                                np.fromiter(map(complex, A.entries.values()), complex, len(A.entries)))
+        A._floats = _FloatField.of(A.as_complex_dict())
     return A._floats
 
 
@@ -1172,13 +1151,10 @@ def verify_commutativity(p: int, q: int, ell: int, m: int, A: CoefficientField) 
     keys = np.concatenate((pq._keys, qp._keys))
     if not len(keys):
         return 0.0
-    if keys.dtype == object:
-        _, diff = _merge((pq._keys, pq._vals), (qp._keys, -qp._vals))
-    else:
-        # Each side holds a key once, so a key's difference is its pq value, -qp, or pq - qp,
-        # which reduceat forms over the sorted runs; the largest |difference| needs no key order.
-        order, new = _runs(keys)
-        diff = np.add.reduceat(np.concatenate((pq._vals, -qp._vals))[order], new.nonzero()[0])
+    # Each side holds a key once, so a key's difference is its pq value, -qp, or pq - qp,
+    # which reduceat forms over the sorted runs; the largest |difference| needs no key order.
+    order, new = _runs(keys)
+    diff = np.add.reduceat(np.concatenate((pq._vals, -qp._vals))[order], new.nonzero()[0])
     return float(np.abs(diff).max())
 
 

@@ -31,11 +31,12 @@ import numpy as np
 from .quaternions import lattice_norm
 
 TWO_PI = 2.0 * math.pi
+_SIMPSON_MAX_DEPTH = 60  # bisection depth at which _adaptive_simpson accepts an interval
 
 
 # -- quadrature kernels -------------------------------------------------------
 
-def _adaptive_simpson(f, a: float, b: float, tol: float, max_depth: int = 60) -> float:
+def _adaptive_simpson(f, a: float, b: float, tol: float) -> float:
     """Classic adaptive Simpson with interval bisection."""
     def simpson(x0, x2, f0, f1, f2):
         return (x2 - x0) / 6.0 * (f0 + 4.0 * f1 + f2)
@@ -53,7 +54,7 @@ def _adaptive_simpson(f, a: float, b: float, tol: float, max_depth: int = 60) ->
         left = simpson(x0, x1, f0, flm, f1)
         right = simpson(x1, x2, f1, frm, f2)
         err = left + right - est
-        if depth >= max_depth or abs(err) <= 15.0 * tl:
+        if depth >= _SIMPSON_MAX_DEPTH or abs(err) <= 15.0 * tl:
             total += left + right + err / 15.0
         else:
             stack.append((x0, lm, x1, f0, flm, f1, left, tl / 2.0, depth + 1))

@@ -533,7 +533,7 @@ class TestFloatArrayPath:
                 _assert_same_as_dict_path(apply_hecke_float(2, 11, got), apply_hecke_float_dict(2, 11, expected))
 
     def test_commutator_on_python_int_keys_equals_dict_path(self):
-        # a coordinate of 10^30 keeps every key on Python ints, so the difference takes _merge's dict
+        # a coordinate of 10^30 keeps every key on Python ints, so the difference sorts them by np.lexsort
         A = (CoefficientField.random(random.Random(29), support=5, coord_bound=2, entry_bound=4)
              + CoefficientField(None, {(10 ** 30, 3, 0): QComplex.of(1, 2)})).symmetrized()
         for ell, m in itertools.product((1, 2), repeat=2):
@@ -561,28 +561,34 @@ class TestFloatArrayPath:
 
     @pytest.mark.parametrize("top", [2 ** 20, 2 ** 21, 2 ** 40, 2 ** 62])
     def test_groups_sort_any_int64_span_as_the_dict_does(self, top):
+        # int64 keys of any span, and the same keys on Python ints, then keys past 2^63
         rng = random.Random(top)
         picks = [(rng.choice((-top, 0, 5, top - 1)), rng.randint(-3, 3), rng.choice((0, top - 1))) for _ in range(300)]
-        keys = np.array(picks, dtype=np.int64)
-        inv, first = hecke._groups(keys)
-        ref_inv, ref_first = hecke._groups(keys.astype(object))
-        assert inv.tolist() == ref_inv.tolist() and first.tolist() == ref_first.tolist()
-        assert first.tolist() == sorted({k: i for i, k in reversed(list(enumerate(picks)))}.values())
+        wide = [(b0 * 2 ** 64 + 1, b1, -b2 * 10 ** 30) for b0, b1, b2 in picks]
+        for rows, keys in ((picks, np.array(picks, dtype=np.int64)), (picks, np.array(picks, dtype=object)),
+                           (wide, np.array(wide, dtype=object))):
+            inv, first = hecke._groups(keys)
+            seen = {}
+            ref_inv = [seen.setdefault(k, len(seen)) for k in rows]
+            assert inv.tolist() == ref_inv
+            assert first.tolist() == sorted({k: i for i, k in reversed(list(enumerate(rows)))}.values())
 
     @pytest.mark.parametrize("top", [5, 2 ** 20, 2 ** 40, 2 ** 62 - 1])
     def test_runs_keep_rows_of_a_key_in_input_order(self, top):
         # both sorts of _runs: packed with the row below the key (negative keys, and keys that do
-        # not straddle 0), and np.lexsort past span^3 n
+        # not straddle 0), and np.lexsort past span^3 n and on Python ints (keys moved past 2^63)
         rng = random.Random(top)
-        for shift in (0, -top // 2, top // 3):
+        for shift in (0, -top // 2, top // 3, 2 ** 64 + 7):
             picks = [(rng.choice((-top, 0, top)) // 2 + shift, rng.randint(-2, 2), rng.choice((1, top // 2)))
                      for _ in range(200)]
-            order, new = hecke._runs(np.array(picks, dtype=np.int64))
+            order, new = hecke._runs(np.array(picks, dtype=np.int64 if shift < 2 ** 62 else object))
             runs = np.split(order, new.nonzero()[0][1:])
             assert sorted(order.tolist()) == list(range(len(picks)))
             assert all(sorted(run.tolist()) == run.tolist() for run in runs)
-            assert all(len({picks[i] for i in run}) == 1 for run in runs)
-            assert len(runs) == len(set(picks))
+            rows_of = {}
+            for i, k in enumerate(picks):
+                rows_of.setdefault(k, []).append(i)
+            assert sorted(run.tolist() for run in runs) == sorted(rows_of.values())
 
     @pytest.mark.parametrize("d", [1, 3, 49, 2 ** 31 + 11, 2 ** 62 + 1, 2 ** 63 - 1, 2 ** 63, 10 ** 30])
     def test_divided_and_mod_match_python(self, d):
@@ -761,15 +767,16 @@ class TestNumeratorCache:
         p = 5
         A = CoefficientField(p, {(1, 0, 0): QComplex(QuadExt(p, Fraction(1, 2), Fraction(1, 3)), QuadExt.of(0)),
                                  (0, 2, 1): QComplex.of(Fraction(-3, 4), 2, p=p)})
-        den, nums = hecke._numerators(A)
-        snapshot = {beta: (v.ra, v.rb, v.ia, v.ib) for beta, v in nums.items()}
-        assert den == 12 and snapshot == {(1, 0, 0): (6, 4, 0, 0), (0, 2, 1): (-9, 0, 24, 0)}
+        arrays = hecke._numerator_arrays(A)
+        rows = [[6, 4, 0, 0], [-9, 0, 24, 0]]
+        assert arrays.den == 12 and arrays.keys.tolist() == [[1, 0, 0], [0, 2, 1]] and arrays.nums.tolist() == rows
+        assert hecke._numerator_arrays(A) is arrays
+        assert not arrays.keys.flags.writeable and not arrays.nums.flags.writeable
         big_den, big = hecke._numerators(A, p ** 3)
         assert big_den == 12 * p ** 3
         assert {beta: (v.ra, v.rb, v.ia, v.ib) for beta, v in big.items()} == {
-            beta: tuple(c * p ** 3 for c in row) for beta, row in snapshot.items()}
-        assert hecke._numerators(A)[1] is nums
-        assert {beta: (v.ra, v.rb, v.ia, v.ib) for beta, v in nums.items()} == snapshot
+            (1, 0, 0): tuple(c * p ** 3 for c in rows[0]), (0, 2, 1): tuple(c * p ** 3 for c in rows[1])}
+        assert hecke._numerator_arrays(A) is arrays and arrays.den == 12 and arrays.nums.tolist() == rows
 
     def test_with_prime_keeps_the_field(self):
         A = CoefficientField.delta((1, 2, 3), 2, p=7)
