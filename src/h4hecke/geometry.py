@@ -309,10 +309,11 @@ def act(g: IsometryMatrix, z) -> PointH4:
     by v's zero k-part.  A k-part in the first term or an i, j, k part in w
     means g is not a similitude, and raises AssertionError; a vanishing D
     raises ArithmeticError, and a result outside the double range raises
-    ValueError.  Those two refusals can come from y^2 or D alone leaving
-    the double range: then z is evaluated once more at z / 4^j with
-    g diag(2^j, 2^-j), for |z| near 4^j, which has the same image, and the
-    first refusal stands if that fails too.  Whether g is a similitude is
+    ValueError.  Those two refusals can come from y^2, D or a product of
+    entries alone leaving the double range: then z is evaluated once more
+    at z / 4^j with g diag(2^j, 2^-j) / 2^k, for |z| near 4^j and the
+    largest entry of g near 2^k, which has the same image, and the first
+    refusal stands if that fails too.  Whether g is a similitude is
     not checked exactly here; callers taking matrices from outside the
     program test is_similitude first.
     """
@@ -379,18 +380,23 @@ def _moebius(a0, a1, a2, a3, b0, b1, b2, b3, c0, c1, c2, c3, d0, d1, d2, d3, x0,
 
 
 def _rescaled(entries, x0, x1, x2, y):
-    """g . z as g diag(2^j, 2^-j) . (z / 4^j) for |z| near 4^j, or None if j = 0 or that refuses too.
+    """g . z as (g diag(2^j, 2^-j) / 2^k) . (z / 4^j) for |z| near 4^j and the largest entry of g near
+    2^k, or None if j = k = 0 or that refuses too.
 
-    diag(2^j, 2^-j) acts as z -> 4^j z and has mu = 1, so the image is the
-    same; z / 4^j is exact while it stays normal, and the entries are
-    scaled exactly before their conversion to floats.
+    diag(2^j, 2^-j) acts as z -> 4^j z and has mu = 1, and the real scalar
+    2^-k divides mu by 4^k, so the image is the same; z / 4^j is exact while
+    it stays normal, and the entries are scaled exactly before their
+    conversion to floats.  k is floor(log2 |x|) of the largest entry x, to
+    within one, from the bit lengths of its numerator and denominator.
     """
     a, b, c, d = entries
     try:
         j = math.frexp(math.hypot(x0, x1, x2, y))[1] // 2
-        if j == 0:
+        k = max(abs(n).bit_length() - m.bit_length()
+                for n, m in (x.as_integer_ratio() for q in entries for x in q if x))
+        if j == 0 and k == 0:
             return None
-        up, down = Fraction(2) ** j, Fraction(2) ** -j
+        up, down = Fraction(2) ** (j - k), Fraction(2) ** (-j - k)
         return _moebius(*(float(x * up) for x in a), *(float(x * down) for x in b),
                         *(float(x * up) for x in c), *(float(x * down) for x in d),
                         math.ldexp(x0, -2 * j), math.ldexp(x1, -2 * j), math.ldexp(x2, -2 * j), math.ldexp(y, -2 * j))

@@ -41,21 +41,21 @@ S_i gamma of the support comes from one integer matrix product with a
 cached star block, the S_i side by side (_star_images); it runs in int64
 when the largest coordinate times 3 max|C_i entry| p^max(k-2, 0) stays
 below 2^62, and on Python ints in an object array otherwise.  The exact
-operators run the formulas above in _apply, on dicts of Python ints, on
-which every division is exact (see the integer-domain note below), and
-only they read the dict _conj_sum.  The lattice sums of the sums module
-(R^{p,l}_d and the L6.4 double sum) read T_l off _conj_sum_rows, the
-same scatter on arrays, with the integer numerators of equal betas
-summed.  A field converts once, and keeps each result: to integer
-numerator arrays over one per-field denominator (_numerator_arrays),
-which the exact operators read as a dict rescaled on Python ints
-(_numerators), and to complex128 arrays (_float_field).  Every merge of
-equal keys, on int64 or on Python ints, sorts them once (_runs).
-The float twin no longer shares _apply: _apply_float runs the same
-formulas on (keys, values) arrays, adding the same terms in the same
-order, and apply_hecke_float returns a read-only mapping backed by those
-arrays, so verify_commutativity and eigen_residual chain operators
-without building dicts (see the float-twin note below).
+operators run the formulas above in _apply, on dicts of plain Python
+ints: the four integer numerators of each value are packed into one int,
+so a term is one int product or sum and builds no object, and every
+division is exact (see the integer-domain note below).  Only they read
+the dict _conj_sum.  The lattice sums of the sums module (R^{p,l}_d and
+the L6.4 double sum) read T_l off _conj_sum_rows, the same scatter on
+arrays, with the integer numerators of equal betas summed.  A field
+converts once, and keeps each result: to integer numerator arrays over
+one per-field denominator (_numerator_arrays), which the exact operators
+pack into a dict (_packed), and to complex128 arrays (_float_field).
+Every merge of equal keys, on int64 or on Python ints, sorts them once
+(_runs).  The float twin _apply_float runs the same formulas on
+(keys, values) arrays, and apply_hecke_float returns a read-only mapping
+backed by those arrays, so verify_commutativity and eigen_residual chain
+operators without building dicts (see the float-twin note below).
 
 Two finer properties need the Klein-group sign symmetry
 A(-b0,-b1,b2) = A(-b0,b1,-b2) = A(b0,-b1,-b2) = A(b0,b1,b2) that
@@ -644,140 +644,168 @@ def _conj_sum_rows(k: int, p: int, keys: np.ndarray, rows: np.ndarray, mats,
     return images.take(order[starts], axis=0), np.add.reduceat(rows.take(src[order], axis=0), starts)
 
 
-def _add(acc: dict, beta: Optional[LatticeVector], value) -> None:
-    if beta is not None:
-        acc[beta] = acc[beta] + value if beta in acc else value
+def _apply(ell: int, p: int, entries: Mapping[LatticeVector, int], w: int, representatives=None) -> dict:
+    """H_ell on a dict of packed values of lane width w: every nonzero (H_ell A)(beta), packed.
 
-
-def _apply(ell: int, p: int, entries: Mapping[LatticeVector, object], weights: _HeckeWeights, inv_sqrt_p,
-           representatives=None) -> dict:
-    """H_ell on a dict of scalars of one domain: every nonzero (H_ell A)(beta).
-
-    The module docstring's T_k form.  Weights of gamma (p^(-1/2), 1_p(gamma))
-    go onto the entries before a _conj_sum, weights of beta (1_p(beta) - 1/p)
-    onto its sums.  One pass serves T_0 and T_2 of one input, since
-    (T_0 A)(beta) = (T_2 A)(p^2 beta).  H_3 scatters A itself: its last term
-    needs p^(-1) T_2 A, and in doubles p^(-1/2) p^(-1/2) is not 1/p, which
-    would leave rounding residue where that term cancels the mid term.  Its
-    two T_0(1_p .) terms share one pass, T_0(1_p (p^(-1/2) A + p^(-1) T_2 A)).
-    A shift off the lattice (gamma/p with p not dividing gamma) reaches no
-    beta and is skipped.
+    The module docstring's T_k form, on the integer domain below.  Weights of
+    gamma (p^(-1/2), 1_p(gamma)) go onto the entries before a _conj_sum,
+    weights of beta (1_p(beta) - 1/p) onto its sums.  One pass serves T_0 and
+    T_2 of one input, since (T_0 A)(beta) = (T_2 A)(p^2 beta).  H_3 scatters A
+    itself, and its two T_0(1_p .) terms share one pass,
+    T_0(1_p (p^(-1/2) A + p^(-1) T_2 A)).  A shift off the lattice (gamma/p
+    with p not dividing gamma) reaches no beta and is skipped.
     """
     if ell not in (1, 2, 3):
         raise ValueError(f"ell must be 1, 2, or 3, got {ell}")
     mats = conjugation_matrices(p) if representatives is None else tuple(map(conjugation_matrix, representatives))
-    psq = p * p
+    psq, cube = p * p, p ** 3
+    inv_sqrt = _inv_sqrt(p, w)
     if ell == 1:
-        out = _conj_sum(1, p, {gamma: inv_sqrt_p * v for gamma, v in entries.items()}, mats)
+        out = _conj_sum(1, p, {gamma: inv_sqrt(v) for gamma, v in entries.items()}, mats)
+        get = out.get
         for gamma, v in entries.items():
-            _add(out, _divide(gamma, p), v)
-            _add(out, _scale(gamma, p), v)
+            beta = _divide(gamma, p)
+            if beta is not None:
+                out[beta] = get(beta, 0) + v
+            beta = _scale(gamma, p)
+            out[beta] = get(beta, 0) + v
     elif ell == 2:
-        t = _conj_sum(2, p, {gamma: inv_sqrt_p * v for gamma, v in entries.items()}, mats)
+        eps = _int_weights(p).eps
+        t = _conj_sum(2, p, {gamma: inv_sqrt(v) for gamma, v in entries.items()}, mats)
         out = dict(t)
+        get = out.get
         for beta, v in t.items():
-            _add(out, _divide(beta, psq), v)
+            beta = _divide(beta, psq)
+            if beta is not None:
+                out[beta] = get(beta, 0) + v
         for gamma, v in entries.items():
-            _add(out, gamma, weights.eps[_epsilon_case(gamma, p)] * v)
+            out[gamma] = get(gamma, 0) + eps[_epsilon_case(gamma, p)] * v // cube
     else:
-        out = {}
-        u = {}
+        weights = _int_weights(p)
+        mid, (low_w, high_w), inv_p = weights.mid, weights.ind, weights.inv_p
+        out, u = {}, {}
+        get = out.get
         for gamma, v in entries.items():
             case = _epsilon_case(gamma, p)
-            _add(out, _divide(gamma, psq), v)
-            _add(out, _scale(gamma, psq), v)
-            _add(out, gamma, weights.mid[case] * v)
+            beta = _divide(gamma, psq)
+            if beta is not None:
+                out[beta] = get(beta, 0) + v
+            beta = _scale(gamma, psq)
+            out[beta] = get(beta, 0) + v
+            out[gamma] = get(gamma, 0) + mid[case] * v // cube
             if case == 0:
-                u[gamma] = inv_sqrt_p * v
-        ind = weights.ind
+                u[gamma] = inv_sqrt(v)
         for beta, v in _conj_sum(2, p, entries, mats).items():
-            low = inv_sqrt_p * (ind[0] * v)
+            low = inv_sqrt(low_w * v // cube)
             if beta[0] % p or beta[1] % p or beta[2] % p:
-                _add(out, beta, low)
+                out[beta] = get(beta, 0) + low
             else:
-                _add(out, beta, inv_sqrt_p * (ind[1] * v))
-                _add(out, _divide(beta, psq), low)
-                _add(u, beta, weights.inv_p * v)
+                out[beta] = get(beta, 0) + inv_sqrt(high_w * v // cube)
+                below = _divide(beta, psq)
+                if below is not None:
+                    out[below] = get(below, 0) + low
+                u[beta] = u.get(beta, 0) + inv_p * v // cube
         for beta, v in _conj_sum(0, p, u, mats).items():
-            _add(out, beta, v)
-    return {beta: value for beta, value in out.items() if value}
+            out[beta] = get(beta, 0) + v
+    return {beta: v for beta, v in out.items() if v}
 
 
 # -- the integer domain of the exact operators ---------------------------------
 #
 # A field over Q(sqrt p) is converted once, and keeps the result: with D the
 # lcm of its entry denominators, each entry becomes four ints, the re/im x
-# rational/sqrt(p) parts, as numerators over the per-field denominator D.  An
-# operator reads them over D p^3.  Divisibility invariant: every input
-# numerator is a multiple of p^3.  A weight n/p^k (k <= 3) acts as "times
-# n p^(3-k), then // p^3", exact on a multiple of p^k, and p^(-1/2) maps a + b sqrt(p) to b + (a/p) sqrt(p), exact on a
-# multiple of p.  _apply weights single numerators and also sums of them,
-# and a sum of multiples of p^k is again one: E, mid and p^(-1/2) act on
-# inputs, 1/p and 1_p - 1/p on H_3's T_2 A (a multiple of p^3), and the
-# p^(-1/2) after them on a multiple of p^2.  An H_1 output is a multiple of
-# p^2, which is why verify_hecke_relation rescales it by p before applying
-# H_1 again.
+# rational/sqrt(p) parts, as numerators over the per-field denominator D
+# (_numerator_arrays).  An operator reads them over D p^3.  Divisibility
+# invariant: every input numerator is a multiple of p^3.  A weight n/p^k
+# (k <= 3) acts as "times n p^(3-k), then // p^3", exact on a multiple of p^k,
+# and p^(-1/2) maps a + b sqrt(p) to b + (a/p) sqrt(p), exact on a multiple of
+# p.  _apply weights single numerators and also sums of them, and a sum of
+# multiples of p^k is again one: E, mid and p^(-1/2) act on inputs, 1/p and
+# 1_p - 1/p on H_3's T_2 A (a multiple of p^3), and the p^(-1/2) after them on
+# a multiple of p^2.  An H_1 output is a multiple of p^2, which is why
+# verify_hecke_relation rescales it by p before applying H_1 again.
+#
+# Lanes.  The four numerators of (ra + rb sqrt p) + (ia + ib sqrt p) i are held
+# as one Python int, each a signed lane of w bits:
+#
+#     v = X + Y 2^(2w),   X = ra + ia 2^w,   Y = rb + ib 2^w.
+#
+# v = sum_k l_k 2^(kw) is Z-linear in its lanes, so adding two values is one
+# int +.  A rational weight m/q is m v // q, exact lane by lane: the invariant
+# makes every lane a multiple l_k = q n_k, so m v = q sum_k m n_k 2^(kw), whatever
+# size m v has on the way.  p^(-1/2) is the one operation that takes v apart:
+# X is the balanced residue of v mod 2^(2w) (|X| < 2^(2w-1) below), read as
+# ((v + 2^(2w-1)) mod 2^(2w)) - 2^(2w-1), Y = (v - X) / 2^(2w), and the image is
+# Y + (X/p) 2^(2w), with X/p exact since p divides ra and ia.  _unpacker reads
+# each lane the same way.
+#
+# Lane width.  Let M be the largest |numerator| of the field over D, and ||v||
+# the largest |lane| of v.  p^(-1/2) never raises ||.||, since (a, b) -> (b, a/p);
+# a weighted sum raises it by at most the sum of the weights' absolute values,
+# and bounds every partial sum by that same sum.  No beta gets more than one
+# term of a T_k per C_i, |E| < 1, and |mid| < 1 (2/p, 1/p, (2p+1)/p^2 and 1/p^2
+# in the four cases).  Term by term through the formulas, H_1 raises ||.|| by at
+# most g1 = 2 + (p+1) = p + 3, H_2 by g2 = 1 + 2(p+1) = 2p + 3, and H_3 by
+# g3 = 3 + 2(p+1) + (p+1)/p + (p+1)^2/p <= 3p + 9 (A(p^2 .), mid A, A(./p^2);
+# T_0(1_p A) and (1_p - 1/p) T_2 A; (1/p) T_0 A; p^(-1) T_0(1_p T_2 A)); H_3's
+# u holds partial sums of its last two terms.  An operator reads numerators of
+# norm at most M p^3, and the relation's residual over D p^4 is
+# H_1(p H_1 A) - (p+1) H_2 A - p H_3 A - (1 + 1/p + 1/p^2 + 1/p^3) p A, so every
+# value that apply_hecke or verify_hecke_relation forms has ||v|| <= B with
+#
+#     B = M p^4 G(p),   G(p) = (p+3)^2 + 5p + 17 >= g1^2 + (1 + 1/p) g2 + g3 + 2.
+#
+# _lane_width takes w = bitlength(B) + 2, a sign bit and a guard bit: every lane
+# has |l| <= B < 2^(w-2), and |X| <= B (1 + 2^w) < 2^(2w-1).  At p <= MAX_PRIME
+# = 1000 a lane is at most 62 bits wider than the input's largest numerator.
 
 
-class _Num:
-    """(ra + rb sqrt p) + (ia + ib sqrt p) i as integer numerators over one shared denominator."""
-
-    __slots__ = ("ra", "rb", "ia", "ib")
-
-    def __init__(self, ra: int, rb: int, ia: int, ib: int):
-        self.ra = ra
-        self.rb = rb
-        self.ia = ia
-        self.ib = ib
-
-    def __add__(self, other):
-        return _Num(self.ra + other.ra, self.rb + other.rb, self.ia + other.ia, self.ib + other.ib)
-
-    def __bool__(self) -> bool:
-        return bool(self.ra or self.rb or self.ia or self.ib)
+def _lane_width(p: int, peak: int) -> int:
+    """w for numerators up to `peak` over D at p: the bit length of B = peak p^4 G(p), plus 2."""
+    return (peak * p ** 4 * ((p + 3) ** 2 + 5 * p + 17)).bit_length() + 2
 
 
-class _IntWeight:
-    """The rational m/q acting on numerators: times m, then // q, exact by the invariant."""
+def _unpacker(w: int) -> Callable[[int], tuple[int, int, int, int]]:
+    """The decoder of packed values of lane width w: v -> (ra, rb, ia, ib), each lane read as the balanced
+    residue of its w bits."""
+    half, mask = 1 << w - 1, (1 << w) - 1
+    bias = half * (1 + (1 << w) + (1 << 2 * w) + (1 << 3 * w))  # half added to every lane
 
-    __slots__ = ("m", "q")
-
-    def __init__(self, m: int, q: int = 1):
-        self.m = m
-        self.q = q
-
-    def __mul__(self, v):
-        m, q = self.m, self.q
-        return _Num(m * v.ra // q, m * v.rb // q, m * v.ia // q, m * v.ib // q)
+    def unpack(v: int) -> tuple[int, int, int, int]:
+        t = v + bias
+        return (t & mask) - half, (t >> 2 * w & mask) - half, (t >> w & mask) - half, (t >> 3 * w) - half
+    return unpack
 
 
-class _IntInvSqrt:
-    """p^(-1/2) acting on numerators: a + b sqrt(p) -> b + (a/p) sqrt(p)."""
+def _inv_sqrt(p: int, w: int) -> Callable[[int], int]:
+    """p^(-1/2) on packed values of lane width w: X + Y 2^(2w) -> Y + (X/p) 2^(2w)."""
+    shift, mask, bias = 2 * w, (1 << 2 * w) - 1, 1 << 2 * w - 1
 
-    __slots__ = ("p",)
-
-    def __init__(self, p: int):
-        self.p = p
-
-    def __mul__(self, v):
-        p = self.p
-        return _Num(v.rb, v.ra // p, v.ib, v.ia // p)
+    def inv_sqrt(v: int) -> int:
+        t = v + bias  # X + bias = t mod 2^(2w), which lies in [0, 2^(2w)), and Y = t >> 2w
+        return (t >> shift) + (((t & mask) - bias) // p << shift)
+    return inv_sqrt
 
 
 @lru_cache(maxsize=128)
 def _int_weights(p: int) -> _HeckeWeights:
+    """Every rational weight of H_2 and H_3 at p as its numerator over p^3."""
     cube = p ** 3
-    return _hecke_weights(p, lambda fr: _IntWeight(fr.numerator * (cube // fr.denominator), cube))
+    return _hecke_weights(p, lambda fr: fr.numerator * (cube // fr.denominator))
 
 
-def _numerators(A: CoefficientField, scale: int) -> tuple[int, dict[LatticeVector, _Num]]:
-    """(D scale, {beta: numerators of A(beta) over D scale}), D the lcm of the entry denominators.
+def _packed(A: CoefficientField, p: int) -> tuple[int, int, dict[LatticeVector, int]]:
+    """(D p^3, w, {beta: A(beta) packed over D p^3}): the input of the exact operators at p.
 
-    One integer rescale of the field's _numerator_arrays, on Python ints.
+    D is the lcm of the entry denominators and w the lane width of the field's
+    largest numerator (_lane_width); each packed value is its numerators over D
+    packed, times p^3.
     """
     arrays = _numerator_arrays(A)
-    return arrays.den * scale, {beta: _Num(ra * scale, rb * scale, ia * scale, ib * scale)
-                                for beta, (ra, rb, ia, ib) in zip(A.entries, arrays.nums.tolist())}
+    w = _lane_width(p, arrays.num_peak)
+    cube = p ** 3
+    return arrays.den * cube, w, {beta: (ra + (ia << w) + (rb << 2 * w) + (ib << 3 * w)) * cube
+                                  for beta, (ra, rb, ia, ib) in zip(A.entries, arrays.nums.tolist())}
 
 
 class _NumeratorArrays(NamedTuple):
@@ -811,12 +839,15 @@ def _numerator_arrays(A: CoefficientField) -> _NumeratorArrays:
     return A._arrays
 
 
-def _field(p: int, nums: Mapping[LatticeVector, _Num], den: int) -> CoefficientField:
-    return CoefficientField(p, {
-        beta: QComplex(QuadExt(p, Fraction(v.ra, den), Fraction(v.rb, den)),
-                       QuadExt(p, Fraction(v.ia, den), Fraction(v.ib, den)))
-        for beta, v in nums.items()
-    })
+def _field(p: int, packed: Mapping[LatticeVector, int], den: int, w: int) -> CoefficientField:
+    """The field of packed values over den, each decoded once into its four Fractions."""
+    unpack = _unpacker(w)
+    entries = {}
+    for beta, v in packed.items():
+        ra, rb, ia, ib = unpack(v)
+        entries[beta] = QComplex(QuadExt(p, Fraction(ra, den), Fraction(rb, den)),
+                                 QuadExt(p, Fraction(ia, den), Fraction(ib, den)))
+    return CoefficientField(p, entries)
 
 
 def apply_hecke(ell: int, p: int, A: CoefficientField, *, representatives=None) -> CoefficientField:
@@ -830,26 +861,27 @@ def apply_hecke(ell: int, p: int, A: CoefficientField, *, representatives=None) 
 
     The operator runs on Python ints: A's integer numerators, converted
     once per field, are read over D p^3 (D the lcm of its entry
-    denominators), each a multiple of p^3, so each weight n/p^k and
-    p^(-1/2) divides exactly (see the integer-domain note); only the
-    outputs are converted back to Fractions.
+    denominators), each a multiple of p^3, and the four of each entry are
+    packed into one int, so each weight n/p^k and p^(-1/2) divides exactly
+    (see the integer-domain note); only the outputs are converted back to
+    Fractions.
     """
     A = A.with_prime(p)
-    den, nums = _numerators(A, p ** 3)
-    return _field(p, _apply(ell, p, nums, _int_weights(p), _IntInvSqrt(p), representatives), den)
+    den, w, packed = _packed(A, p)
+    return _field(p, _apply(ell, p, packed, w, representatives), den, w)
 
 
 # -- the float twin on arrays ----------------------------------------------------
 #
 # A float field is an (n, 3) key array and a complex128 value array.  _apply_float
-# adds the terms of the dict _apply in the same order, so its outputs equal the
-# dict path's, keys and values (np.add.at starts each sum from +0.0, so only the
-# sign of a zero part can differ): each loop of _add calls over rows is one
-# _interleave, and each merge of equal keys (_merge, also every _conj_sum) adds in
-# input order and keeps the keys in first-occurrence order, as a dict would.  The
-# exact operators stay on the dict _apply: on object arrays of _Num, the same
-# array code took 0.76-0.86 ms for the four applies of a relation on 8-entry
-# fields, against 0.44-0.47 ms on dicts.
+# adds the terms of the exact _apply in the same order, so its outputs equal those
+# of the same loops on a dict of complex doubles, keys and values (np.add.at starts
+# each sum from +0.0, so only the sign of a zero part can differ): each loop of
+# dict adds over rows is one _interleave, and each merge of equal keys (_merge, also
+# every _conj_sum) adds in input order and keeps the keys in first-occurrence
+# order, as a dict would.  The exact operators stay on dicts: on object arrays of
+# per-value numerator objects, the same array code took 0.76-0.86 ms for the four
+# applies of a relation on 8-entry fields, against 0.44-0.47 ms on dicts.
 
 # The largest bound on the rows of the outer float scatters of a commutator
 # (_commutator_rows: len(A)(p+1)(q+1), and more for H_3).  One [H_2(p), H_2(q)] takes about
@@ -1086,28 +1118,23 @@ def verify_hecke_relation(p: int, A: CoefficientField) -> CoefficientField:
     relation between the three operators holds on A; a structured
     nonzero residual is a reportable finding, not an error.
 
-    The whole chain runs on the integer numerators of apply_hecke, over
-    D p^3.  An H_1 output is a multiple of p^2, so it is rescaled by p
-    (to numerators over D p^4) before the outer H_1; the other three terms
-    are brought over D p^4 by their weights times p, which are exact on
+    The whole chain runs on the packed integer numerators of apply_hecke,
+    over D p^3, in one lane width for all of it (see the integer-domain
+    note).  An H_1 output is a multiple of p^2, so it is rescaled by p (to
+    numerators over D p^4) before the outer H_1; the other three terms are
+    brought over D p^4 by their weights times p, which are exact on
     multiples of p^3, and only the residual is converted back.
     """
     A = A.with_prime(p)
-    den, nums = _numerators(A, p ** 3)
-    weights, inv_sqrt_p = _int_weights(p), _IntInvSqrt(p)
-
-    def op(ell, entries):
-        return _apply(ell, p, entries, weights, inv_sqrt_p)
-
-    to_p = _IntWeight(p)
-    residual = op(1, {beta: to_p * v for beta, v in op(1, nums).items()})
-    for terms, weight in ((op(2, nums), (1 + Fraction(1, p)) * p), (op(3, nums), Fraction(p)),
-                          (nums, hecke_relation_constant(p) * p)):
-        weight = _IntWeight(-weight.numerator, weight.denominator)
+    den, w, packed = _packed(A, p)
+    residual = _apply(1, p, {beta: p * v for beta, v in _apply(1, p, packed, w).items()}, w)
+    get = residual.get
+    constant = hecke_relation_constant(p) * p
+    for terms, m, q in ((_apply(2, p, packed, w), -p - 1, 1), (_apply(3, p, packed, w), -p, 1),
+                        (packed, -constant.numerator, constant.denominator)):  # each weight times p, as m/q
         for beta, v in terms.items():
-            v = weight * v
-            residual[beta] = residual[beta] + v if beta in residual else v
-    return _field(p, {beta: v for beta, v in residual.items() if v}, den * p)
+            residual[beta] = get(beta, 0) + m * v // q
+    return _field(p, {beta: v for beta, v in residual.items() if v}, den * p, w)
 
 
 def _commutator_rows(p: int, q: int, ell: int, m: int, A: CoefficientField) -> tuple[int, str]:

@@ -14,7 +14,11 @@ from h4hecke.geometry import (
     _MAX_ITER, _TOL, IsometryMatrix, PointH4, ReductionError, as_point, inversion, is_in_region, pseudo_det, rotation,
     translation,
 )
-from h4hecke.quaternions import UNIT_FLIPS, Quaternion, hamilton_product, lattice_norm
+from h4hecke.hecke import _conj_sum, _epsilon_case
+from h4hecke.quaternions import (
+    UNIT_FLIPS, Quaternion, conjugation_matrices, conjugation_matrix, divide_lattice as _divide, hamilton_product,
+    lattice_norm, scale_lattice as _scale,
+)
 
 
 def apply_matrix(mat, beta):
@@ -73,9 +77,10 @@ def act_reference(g: IsometryMatrix, z) -> PointH4:
     """g . z through Quaternion objects and an exact Fraction pseudo-determinant: the reference for
     ``geometry.act``, with the same float operations in the same order and the same errors.
 
-    Where that evaluation refuses but for an entry past the double range, g @ diag(2^j, 2^-j) is
-    evaluated at z / 4^j, with 2^j the square root of |z|'s power of two; the first refusal stands
-    if j = 0 or that refuses too."""
+    Where that evaluation refuses but for an entry past the double range, g @ diag(2^(j-k), 2^(-j-k))
+    is evaluated at z / 4^j, with 2^j the square root of |z|'s power of two and 2^k the power of two
+    of g's largest entry (by the bit lengths of its numerator and denominator); the first refusal
+    stands if j = k = 0 or that refuses too."""
     mu = pseudo_det(g)
     if not mu > 0:
         raise ValueError(f"action requires positive pseudo-determinant, got {mu}")
@@ -88,9 +93,11 @@ def act_reference(g: IsometryMatrix, z) -> PointH4:
         first = err
     try:
         j = math.frexp(math.hypot(*z.as_tuple()))[1] // 2
-        if j != 0:
-            scale = IsometryMatrix(Quaternion(Fraction(2) ** j, 0, 0, 0), Quaternion(0, 0, 0, 0),
-                                   Quaternion(0, 0, 0, 0), Quaternion(Fraction(2) ** -j, 0, 0, 0))
+        k = max(abs(f.numerator).bit_length() - f.denominator.bit_length()
+                for f in (Fraction(x) for q in g.entries() for x in q.coords()) if f)
+        if j != 0 or k != 0:
+            scale = IsometryMatrix(Quaternion(Fraction(2) ** (j - k), 0, 0, 0), Quaternion(0, 0, 0, 0),
+                                   Quaternion(0, 0, 0, 0), Quaternion(Fraction(2) ** (-j - k), 0, 0, 0))
             return _evaluate(g @ scale, PointH4(*(math.ldexp(c, -2 * j) for c in z.as_tuple())))
     except (ArithmeticError, ValueError, AssertionError):
         pass
@@ -297,11 +304,70 @@ def write_coefficient_field_json(field, path) -> None:
         fh.write("\n")
 
 
+def _add(acc: dict, beta, value) -> None:
+    if beta is not None:
+        acc[beta] = acc[beta] + value if beta in acc else value
+
+
+def apply_dict(ell: int, p: int, entries, weights, inv_sqrt_p, representatives=None) -> dict:
+    """H_ell on a dict of scalars of one domain, adding each term by the domain's own `+`: every nonzero
+    (H_ell A)(beta).  The term order of ``hecke._apply_float``, zero signs included.
+
+    The hecke module docstring's T_k form.  Weights of gamma (p^(-1/2), 1_p(gamma))
+    go onto the entries before a _conj_sum, weights of beta (1_p(beta) - 1/p)
+    onto its sums.  One pass serves T_0 and T_2 of one input, since
+    (T_0 A)(beta) = (T_2 A)(p^2 beta).  H_3 scatters A itself: its last term
+    needs p^(-1) T_2 A, and in doubles p^(-1/2) p^(-1/2) is not 1/p, which
+    would leave rounding residue where that term cancels the mid term.  Its
+    two T_0(1_p .) terms share one pass, T_0(1_p (p^(-1/2) A + p^(-1) T_2 A)).
+    A shift off the lattice (gamma/p with p not dividing gamma) reaches no
+    beta and is skipped.
+    """
+    if ell not in (1, 2, 3):
+        raise ValueError(f"ell must be 1, 2, or 3, got {ell}")
+    mats = conjugation_matrices(p) if representatives is None else tuple(map(conjugation_matrix, representatives))
+    psq = p * p
+    if ell == 1:
+        out = _conj_sum(1, p, {gamma: inv_sqrt_p * v for gamma, v in entries.items()}, mats)
+        for gamma, v in entries.items():
+            _add(out, _divide(gamma, p), v)
+            _add(out, _scale(gamma, p), v)
+    elif ell == 2:
+        t = _conj_sum(2, p, {gamma: inv_sqrt_p * v for gamma, v in entries.items()}, mats)
+        out = dict(t)
+        for beta, v in t.items():
+            _add(out, _divide(beta, psq), v)
+        for gamma, v in entries.items():
+            _add(out, gamma, weights.eps[_epsilon_case(gamma, p)] * v)
+    else:
+        out = {}
+        u = {}
+        for gamma, v in entries.items():
+            case = _epsilon_case(gamma, p)
+            _add(out, _divide(gamma, psq), v)
+            _add(out, _scale(gamma, psq), v)
+            _add(out, gamma, weights.mid[case] * v)
+            if case == 0:
+                u[gamma] = inv_sqrt_p * v
+        ind = weights.ind
+        for beta, v in _conj_sum(2, p, entries, mats).items():
+            low = inv_sqrt_p * (ind[0] * v)
+            if beta[0] % p or beta[1] % p or beta[2] % p:
+                _add(out, beta, low)
+            else:
+                _add(out, beta, inv_sqrt_p * (ind[1] * v))
+                _add(out, _divide(beta, psq), low)
+                _add(u, beta, weights.inv_p * v)
+        for beta, v in _conj_sum(0, p, u, mats).items():
+            _add(out, beta, v)
+    return {beta: value for beta, value in out.items() if value}
+
+
 def apply_hecke_float_dict(ell, p, entries) -> dict:
-    """H_ell on a dict of complex doubles through the dict hecke._apply: the reference for
+    """H_ell on a dict of complex doubles through apply_dict: the reference for
     ``hecke.apply_hecke_float``, which adds the same terms in the same order on arrays."""
     quaternions.require_odd_prime(p)
-    return hecke._apply(ell, p, dict(entries), hecke._hecke_weights(p, float), 1.0 / math.sqrt(p))
+    return apply_dict(ell, p, dict(entries), hecke._hecke_weights(p, float), 1.0 / math.sqrt(p))
 
 
 def commutator_dict(p, q, ell, m, A) -> float:

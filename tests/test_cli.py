@@ -282,9 +282,11 @@ class TestCliCommands:
         ("1 0 0 0 0 0 0 0 0 0 0 0 1 0 0 0", "0,0,0,1e308", "0,0,0,1e+308"),
         ("1 0 0 0 0 0 0 0 0 0 0 0 1 0 0 0", "0.1,0,0,2e154", "0.1,0,0,2e+154"),
         ("0 0 0 0 1 0 0 0 -1 0 0 0 0 0 0 0", "0,0,0,1e-200", "0,0,0,1e+200"),
+        pytest.param(f"{10 ** 200} 0 0 0 0 0 0 0 0 0 0 0 {10 ** 200} 0 0 0", "0,0,0,0.5", "0,0,0,0.5",
+                     id="diag(10^200, 10^200)"),  # |a|^2 and |d|^2 leave it
     ])
     def test_geom_act_past_the_square_range(self, matrix, point, printed, capsys):
-        # y^2 or |cz + d|^2 leaves the double range, the image does not: these once exited 2
+        # y^2, |cz + d|^2 or a product of entries leaves the double range, the image does not: these once exited 2
         assert main(["geom", "act", "--matrix", *matrix.split(), "--point", point]) == 0
         assert capsys.readouterr().out == printed + "\n"
 
@@ -297,12 +299,12 @@ class TestCliCommands:
         assert len(err) == 1 and "not a similitude" in err[0]
 
     def test_geom_act_overflow_is_named(self, capsys):
-        # this once blamed the point: "point must have y > 0, got y = nan"
-        big = str(10 ** 200)
-        argv = ["geom", "act", "--matrix", big, *["0"] * 11, big, "0", "0", "0", "--point", "0,0,0,0.5"]
+        # this once blamed the point: "point must have y > 0, got y = nan"; the image y = 10^310 is past
+        # the double range, scaled or not
+        argv = ["geom", "act", "--matrix", str(10 ** 300), *["0"] * 11, "1", "0", "0", "0", "--point", "0,0,0,1e10"]
         assert main(argv) == 2
         assert capsys.readouterr().err == ("usage error: the action overflows the double range: "
-                                           "g . z computes to (0.0, 0.0, 0.0, nan)\n")
+                                           "g . z computes to (0.0, 0.0, 0.0, inf)\n")
 
     def test_geom_act_non_invertible_denominator_exits_2(self, capsys):
         # this once ended in a traceback: ArithmeticError from act, which main did not catch

@@ -361,7 +361,8 @@ _ACT_CASES = [
     (IsometryMatrix(Quaternion(Fraction(-1, 2), 0, 0, 0), _ZERO, _ZERO, _ONE), (0, 0, 0, 1)),  # mu = -1/2
     (IsometryMatrix(Quaternion(_BIG, 0, 0, 0), _ZERO, _ZERO, Quaternion(Fraction(1, _BIG), 0, 0, 0)),
      (0, 0, 0, 1.0)),  # N = 1e-200: D underflows
-    (IsometryMatrix(Quaternion(_BIG, 0, 0, 0), _ZERO, _ZERO, Quaternion(_BIG, 0, 0, 0)), (0, 0, 0, 0.5)),
+    (IsometryMatrix(Quaternion(_BIG, 0, 0, 0), _ZERO, _ZERO, Quaternion(_BIG, 0, 0, 0)),
+     (0, 0, 0, 0.5)),  # |a|^2 overflows, and g / 2^k maps z to z
     (IsometryMatrix(Quaternion(_BIG ** 2, 0, 0, 0), _ZERO, _ZERO, _ONE), (0, 0, 0, 0.5)),  # past float
     (IsometryMatrix(Quaternion(10 ** 300, 0, 0, 0), _ZERO, _ZERO, _ONE), (0, 0, 0, 1e10)),  # y overflows
     (inversion(), (math.nan, 0, 0, 1)),
@@ -484,6 +485,13 @@ class TestClosedFormMatrixLayer:
     @pytest.mark.parametrize("g,z", _ACT_CASES)
     def test_act_errors_and_edges(self, g, z):
         assert _outcome(act, g, z) == _outcome(act_reference, g, z)
+
+    def test_scalar_matrices_past_the_square_range_act_as_the_identity(self):
+        # the first evaluation leaves the double range in |a|^2 and |d|^2, the one divided by 2^k does not
+        for top in (_BIG, 10 ** 300, Fraction(1, _BIG)):
+            for z in ((0, 0, 0, 0.5), (0.25, -0.5, 0.125, 3.0)):
+                g = IsometryMatrix(Quaternion(top, 0, 0, 0), _ZERO, _ZERO, Quaternion(top, 0, 0, 0))
+                assert act(g, z) == act_reference(g, z) == PointH4(*z)
 
     def test_act_cases_reach_every_error(self):
         messages = {_outcome(act, g, z)[1].split(":")[0].split(" (")[0] for g, z in _ACT_CASES}

@@ -38,7 +38,7 @@ from h4hecke.quaternions import (
     orbit_representatives,
     scale_lattice,
 )
-from reference import apply_hecke_float_dict, apply_matrix, commutator_dict
+from reference import apply_dict, apply_hecke_float_dict, apply_matrix, commutator_dict
 
 
 class TestQuadExt:
@@ -772,9 +772,10 @@ class TestNumeratorCache:
         assert arrays.den == 12 and arrays.keys.tolist() == [[1, 0, 0], [0, 2, 1]] and arrays.nums.tolist() == rows
         assert hecke._numerator_arrays(A) is arrays
         assert not arrays.keys.flags.writeable and not arrays.nums.flags.writeable
-        big_den, big = hecke._numerators(A, p ** 3)
-        assert big_den == 12 * p ** 3
-        assert {beta: (v.ra, v.rb, v.ia, v.ib) for beta, v in big.items()} == {
+        big_den, w, big = hecke._packed(A, p)
+        assert big_den == 12 * p ** 3 and w == hecke._lane_width(p, 24)
+        unpack = hecke._unpacker(w)
+        assert {beta: unpack(v) for beta, v in big.items()} == {
             (1, 0, 0): tuple(c * p ** 3 for c in rows[0]), (0, 2, 1): tuple(c * p ** 3 for c in rows[1])}
         assert hecke._numerator_arrays(A) is arrays and arrays.den == 12 and arrays.nums.tolist() == rows
 
@@ -782,6 +783,88 @@ class TestNumeratorCache:
         A = CoefficientField.delta((1, 2, 3), 2, p=7)
         assert A.with_prime(7) is A
         assert CoefficientField.delta((1, 2, 3), 2).with_prime(7) == A
+
+
+def _lane_bound(p, peak):
+    """B = peak p^4 ((p+3)^2 + 5p + 17): the bound on every lane that the hecke integer-domain note proves."""
+    return peak * p ** 4 * ((p + 3) ** 2 + 5 * p + 17)
+
+
+def _pack(ra, rb, ia, ib, w):
+    """The lane layout v = X + Y 2^(2w), with X = ra + ia 2^w and Y = rb + ib 2^w."""
+    return ra + (ia << w) + (rb << 2 * w) + (ib << 3 * w)
+
+
+def _quadext_scatter(ell, p, A):
+    """H_ell A by the dict scatter on QuadExt/QComplex scalars: Fraction arithmetic throughout, like
+    _quadext_apply, for primes where the gather form's (p+1)^2 products per point take too long."""
+    A = A.with_prime(p)
+    weights = _hecke_weights(p, lambda fr: QuadExt.of(fr, p))
+    return CoefficientField(p, apply_dict(ell, p, A.entries, weights, QuadExt(p, Fraction(0), Fraction(1, p))))
+
+
+class TestLanes:
+    """The four numerators of a value packed into one int (the hecke integer-domain note)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from([3, 5, 7, 997]), st.integers(1, 2 ** 80), st.data())
+    def test_inv_sqrt_round_trip_at_the_bound(self, p, peak, data):
+        # every lane up to +-B, the rational lanes multiples of p as the divisibility invariant keeps them
+        bound = _lane_bound(p, peak)
+        w = hecke._lane_width(p, peak)
+        assert bound < 2 ** (w - 2)
+
+        def lane(step):
+            top = bound // step
+            return step * data.draw(st.one_of(st.sampled_from([-top, top, 0, 1, -1]), st.integers(-top, top)))
+
+        ra, rb, ia, ib = lane(p), lane(1), lane(p), lane(1)
+        v = _pack(ra, rb, ia, ib, w)
+        unpack = hecke._unpacker(w)
+        assert unpack(v) == (ra, rb, ia, ib)
+        root = QuadExt(p, Fraction(0), Fraction(1, p))  # 1/sqrt(p)
+        re, im = QuadExt(p, Fraction(ra), Fraction(rb)) * root, QuadExt(p, Fraction(ia), Fraction(ib)) * root
+        assert unpack(hecke._inv_sqrt(p, w)(v)) == (re.a, re.b, im.a, im.b)
+
+    def test_weights_divide_exactly_lane_by_lane(self):
+        # m v // q on a packed value is m l // q on each lane when q divides every lane, at any sign
+        p = 7
+        peak = 2 ** 70 + 3
+        w = hecke._lane_width(p, peak)
+        unpack = hecke._unpacker(w)
+        lanes = (p ** 3 * peak, -p ** 3 * peak, -p ** 3, 0)
+        for m in hecke._int_weights(p).mid + hecke._int_weights(p).ind + (-1, p ** 3 - 1):
+            assert unpack(m * _pack(*lanes, w) // p ** 3) == tuple(m * x // p ** 3 for x in lanes)
+
+    @pytest.mark.parametrize("p,radius", [(3, 12), (997, 2)])
+    def test_worst_case_growth_field(self, p, radius):
+        # every part at +-peak and the same value on a sign-symmetric ball: the terms of a sum share
+        # their signs and the most of them collide.  At p = 997 only H_1 is compared with the gather
+        # form; H_2 and H_3 are compared with the same scatter on QuadExt scalars
+        peak = 2 ** 64 + 1
+        value = QComplex(QuadExt(p, Fraction(peak), Fraction(peak)), QuadExt(p, Fraction(-peak), Fraction(-peak)))
+        A = CoefficientField(p, {beta: value for beta in CoefficientField.ones_ball(radius).entries})
+        assert A.symmetrized() == A
+        for ell in (1, 2, 3):
+            got = apply_hecke(ell, p, A)
+            expected = _quadext_apply(ell, p, A) if p < 100 or ell == 1 else _quadext_scatter(ell, p, A)
+            assert got == expected and _snapshot(got) == _snapshot(expected), ell
+        assert verify_hecke_relation(p, A).is_zero
+
+    def test_numerators_past_2_to_the_64(self):
+        # test_cli.py's huge_numerators field: numerators up to 10^60 over a denominator of 3 10^30
+        p, huge = 5, 10 ** 30
+        A = CoefficientField(p, {
+            (1, 1, 0): QComplex(QuadExt(p, Fraction(huge), Fraction(-huge - 7)),
+                                QuadExt.of(Fraction(huge ** 2 + 1, 3), p)),
+            (2, 0, 0): QComplex(QuadExt.of(-(10 ** 40), p), QuadExt(p, Fraction(0), Fraction(1, huge))),
+        })
+        assert hecke._numerator_arrays(A).nums.dtype == object
+        for ell in (1, 2, 3):
+            got = apply_hecke(ell, p, A)
+            expected = _quadext_apply(ell, p, A)
+            assert got == expected and _snapshot(got) == _snapshot(expected), ell
+        assert verify_hecke_relation(p, A).is_zero
 
 
 def _double_conjugation_hits(p, A, h3):
