@@ -33,7 +33,6 @@ import numpy as np
 from .asymptotics import DecayParams, SampledFunction
 from .hecke import CoefficientField, EigenvalueTriple, QComplex, QuadExt
 from .numerics import SpectralForm
-from .quaternions import lattice_norm
 
 SCHEMA_VERSION = 1
 
@@ -119,23 +118,28 @@ def write_coefficient_field(field: CoefficientField, path: Union[str, Path]) -> 
     The text is the one json.dump(doc, fh, indent=1) plus a newline gives:
     each value is an int or the str of a Fraction, which needs no JSON
     escaping, while the stdlib encoder runs its pure-Python path for indent.
-    Rows go out one at a time, so no copy of the whole text is held.
+    Each part is a numerator of the field over its denominator, put in
+    lowest terms by one gcd as str(Fraction) writes it.  Rows go out one at
+    a time, so no copy of the whole text is held.
     """
+    den = field.den
+    parts = [str(n // g) if (g := math.gcd(n, den)) == den else f"{n // g}/{den // g}"
+             for n in field.nums.ravel().tolist()]  # ra, rb, ia, ib of each row in turn
     if field.p is None:
-        def scalar(s: QuadExt) -> str:
-            return f'[\n    "{s.a!s}"\n   ]'
+        def scalar(i: int) -> str:
+            return f'[\n    "{parts[i]}"\n   ]'
     else:
-        def scalar(s: QuadExt) -> str:
-            return f'[\n    "{s.a!s}",\n    "{s.b!s}"\n   ]'
+        def scalar(i: int) -> str:
+            return f'[\n    "{parts[i]}",\n    "{parts[i + 1]}"\n   ]'
 
-    rows = sorted(field.entries.items(), key=lambda item: (lattice_norm(item[0]), item[0]))
+    rows = sorted(zip(field.norms.tolist(), map(tuple, field.keys.tolist()), range(len(field.keys))))
     seps = ("\n", ",\n")
     with open(path, "w") as fh:
         fh.write(f'{{\n "schema": {SCHEMA_VERSION},\n' + ("" if field.p is None else f' "p": {field.p},\n')
                  + ' "entries": [')
         fh.writelines(f'{seps[i > 0]}  {{\n   "beta": [\n    {b[0]},\n    {b[1]},\n    {b[2]}\n   ],\n'
-                      f'   "re": {scalar(v.re)},\n   "im": {scalar(v.im)}\n  }}'
-                      for i, (b, v) in enumerate(rows))
+                      f'   "re": {scalar(4 * k)},\n   "im": {scalar(4 * k + 2)}\n  }}'
+                      for i, (_, b, k) in enumerate(rows))
         fh.write("\n ]\n}\n" if rows else "]\n}\n")
 
 

@@ -47,15 +47,17 @@ so a term is one int product or sum and builds no object, and every
 division is exact (see the integer-domain note below).  Only they read
 the dict _conj_sum.  The lattice sums of the sums module (R^{p,l}_d and
 the L6.4 double sum) read T_l off _conj_sum_rows, the same scatter on
-arrays, with the integer numerators of equal betas summed.  A field
-converts once, and keeps each result: to integer numerator arrays over
-one per-field denominator (_numerator_arrays), which the exact operators
-pack into a dict (_packed), and to complex128 arrays (_float_field).
-Every merge of equal keys, on int64 or on Python ints, sorts them once
-(_runs).  The float twin _apply_float runs the same formulas on
-(keys, values) arrays, and apply_hecke_float returns a read-only mapping
-backed by those arrays, so verify_commutativity and eigen_residual chain
-operators without building dicts (see the float-twin note below).
+arrays, with the integer numerators of equal betas summed.  A field is
+integer numerator arrays over one denominator (CoefficientField); the
+exact operators pack them into a dict (_packed) and decode their outputs
+straight back into rows (_unpacked), and the float operators read
+complex128 arrays made once per field (_float_field).  Every merge of
+equal keys, on int64 or on Python ints, sorts them once (_runs).  The
+float twin _apply_float runs the same formulas on (keys, values) arrays,
+and apply_hecke_float returns a read-only mapping backed by those arrays
+(_ArrayMap, as a field's entries are), so verify_commutativity and
+eigen_residual chain operators without building dicts (see the
+float-twin note below).
 
 Two finer properties need the Klein-group sign symmetry
 A(-b0,-b1,b2) = A(-b0,b1,-b2) = A(b0,-b1,-b2) = A(b0,b1,b2) that
@@ -72,7 +74,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import chain
 from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Union
 
@@ -84,7 +86,6 @@ from .quaternions import (
     conjugation_matrices,
     conjugation_matrix,
     divide_lattice as _divide,
-    lattice_norm,
     require_odd_prime,
     scale_lattice as _scale,
 )
@@ -98,6 +99,18 @@ def _join_primes(p1: Optional[int], p2: Optional[int]) -> Optional[int]:
     if p2 is None or p1 == p2:
         return p1
     raise ValueError(f"mixed sqrt-extensions: sqrt({p1}) vs sqrt({p2})")
+
+
+def _quad_float(a: int, b: int, den: int, p: Optional[int]) -> float:
+    """(a + b sqrt(p)) / den as the nearest double to a few ulps, also when a and b sqrt(p) nearly cancel:
+    for opposite signs the value is (a^2 - p b^2) / (den (a - b sqrt(p))), the numerator formed exactly
+    and the denominator adding like signs.  Each int / int is correctly rounded."""
+    if not b:
+        return a / den
+    root = math.sqrt(p)
+    if (a < 0) == (b < 0) or not a:
+        return a / den + b / den * root
+    return (a * a - p * b * b) / (den * den) / (a / den - b / den * root)
 
 
 @dataclass(frozen=True, slots=True)
@@ -190,17 +203,10 @@ class QuadExt:
         return hash((self.p, self.a, self.b))
 
     def __float__(self) -> float:
-        """The nearest double to a few ulps, also when a and b sqrt(p) nearly cancel.
-
-        For opposite signs the value is (a^2 - p b^2) / (a - b sqrt(p)): the
-        numerator is formed exactly and the denominator adds like signs.
-        """
-        if self.b == 0:
-            return float(self.a)
-        root = math.sqrt(self.p)
-        if (self.a < 0) == (self.b < 0) or self.a == 0:
-            return float(self.a) + float(self.b) * root
-        return float(self.a * self.a - self.p * self.b * self.b) / (float(self.a) - float(self.b) * root)
+        """The nearest double to a few ulps, also when a and b sqrt(p) nearly cancel (_quad_float)."""
+        a, b = self.a, self.b
+        den = math.lcm(a.denominator, b.denominator)
+        return _quad_float(a.numerator * (den // a.denominator), b.numerator * (den // b.denominator), den, self.p)
 
     def with_prime(self, p: Optional[int]) -> "QuadExt":
         return QuadExt(_join_primes(self.p, p), self.a, self.b)
@@ -318,8 +324,44 @@ def epsilon_factor(beta: Iterable[int], p: int) -> Fraction:
 _SIGN_PATTERNS = ((1, 1, 1), *(flip for _, flip in UNIT_FLIPS.values()))
 
 
+class _ArrayMap(Mapping):
+    """A read-only map beta -> value held as (n, 3) keys and n rows: a field's entries (numerator rows,
+    each decoded into a QComplex) and a float field (complex128 rows).  len reads the arrays; the first
+    lookup or iteration builds an index from tuple keys to rows, and each lookup decodes its row, so no
+    value is kept."""
+
+    __slots__ = ("_keys", "_rows", "_decode", "_index")
+
+    def __init__(self, keys: np.ndarray, rows: np.ndarray, decode: Callable[[np.ndarray], object] = complex):
+        keys.flags.writeable = rows.flags.writeable = False
+        self._keys, self._rows, self._decode, self._index = keys, rows, decode, None
+
+    def _rows_by_key(self) -> dict:
+        if self._index is None:
+            self._index = dict(zip(map(tuple, self._keys.tolist()), range(len(self._rows))))
+        return self._index
+
+    def __getitem__(self, beta):
+        return self._decode(self._rows[self._rows_by_key()[beta]])
+
+    def __contains__(self, beta) -> bool:
+        return beta in self._rows_by_key()
+
+    def __iter__(self):
+        return iter(self._rows_by_key())
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+
+def _decoded(p: Optional[int], den: int, row: np.ndarray) -> QComplex:
+    """The value of the numerator row (ra, rb, ia, ib) over den."""
+    ra, rb, ia, ib = row.tolist()
+    return QComplex(QuadExt(p, Fraction(ra, den), Fraction(rb, den)), QuadExt(p, Fraction(ia, den), Fraction(ib, den)))
+
+
 class CoefficientField:
-    """Finitely supported map V3(Z) -> C with exact Q(sqrt p) entries.
+    """Finitely supported map V3(Z) -> C with exact Q(sqrt p) entries, held as integer arrays.
 
     Entries at beta = 0 are forbidden, zero values are dropped, and the
     lookup `at` follows the total-extension convention (0 off the
@@ -327,14 +369,17 @@ class CoefficientField:
     declared prime joined with the primes of their parts, and every entry not
     already over it is promoted to it; two primes, or one that is not odd,
     raise ValueError.
-    A field is not changed after construction: it keeps its support radius
-    and each of two conversions of its entries once first read, to the
-    integer numerator arrays of the lattice sums and the exact operators
-    (_numerator_arrays) and to the complex128 arrays of the float operators
-    (_float_field).
+
+    The constructor converts the entries once into read-only arrays: `keys`,
+    the (n, 3) support, and `nums`, the (n, 4) numerators (ra, rb, ia, ib) of
+    each (ra + rb sqrt p) + (ia + ib sqrt p) i over `den`, the lcm of the
+    reduced denominators (int64, or Python ints where they may not fit);
+    `norms`, N(beta) per key; `key_peak` and `num_peak`, max|coordinate| and
+    max|numerator|.  `entries` maps beta -> QComplex in support order,
+    decoding each value when it is read.
     """
 
-    __slots__ = ("p", "entries", "_radius", "_arrays", "_floats")
+    __slots__ = ("p", "den", "keys", "nums", "norms", "key_peak", "num_peak", "entries", "_floats")
 
     def __init__(self, p: Optional[int], entries: Mapping[LatticeVector, QComplex]):
         if p is None:
@@ -342,7 +387,7 @@ class CoefficientField:
                 p = _join_primes(_join_primes(p, value.re.p), value.im.p)
         if p is not None:
             require_odd_prime(p)
-        clean: dict[LatticeVector, QComplex] = {}
+        keys, parts = [], []
         for beta, value in entries.items():
             beta = (int(beta[0]), int(beta[1]), int(beta[2]))
             if beta == (0, 0, 0):
@@ -350,10 +395,30 @@ class CoefficientField:
             if value.re.p != p or value.im.p != p:
                 value = value.with_prime(p)
             if value:
-                clean[beta] = value
-        self.p = p
-        self.entries = clean
-        self._radius = self._arrays = self._floats = None
+                keys.append(beta)
+                parts += (value.re.a, value.re.b, value.im.a, value.im.b)
+        ratios = [x.as_integer_ratio() for x in parts]
+        den = math.lcm(*{d for _, d in ratios})
+        self._set(p, den, _support_array(keys, 1), _int_array([n * (den // d) for n, d in ratios], 4))
+
+    def _set(self, p: Optional[int], den: int, keys: np.ndarray, nums: np.ndarray) -> None:
+        key_peak = _peak(keys)
+        wide = keys if keys.dtype == object or 3 * key_peak ** 2 < 2 ** 63 else keys.astype(object)
+        self.norms = (wide * wide).sum(axis=1)
+        self.norms.flags.writeable = False
+        self.p, self.den, self.keys, self.nums = p, den, keys, nums
+        self.key_peak, self.num_peak = key_peak, _peak(nums)
+        self.entries = _ArrayMap(keys, nums, partial(_decoded, p, den))
+        self._floats = None
+
+    @classmethod
+    def _from_rows(cls, p: Optional[int], den: int, keys: np.ndarray, nums: np.ndarray) -> "CoefficientField":
+        """The field of nonzero numerator rows over den, for library outputs: den is reduced by one
+        gcd, and nothing is checked."""
+        g = math.gcd(den, *nums.ravel().tolist())  # den itself when there is no row
+        field = object.__new__(cls)
+        field._set(p, den // g, keys, nums // g if g > 1 and len(nums) else nums)
+        return field
 
     @classmethod
     def zero(cls, p: Optional[int] = None) -> "CoefficientField":
@@ -419,17 +484,15 @@ class CoefficientField:
         genuine Fourier-coefficient data; the conjugation sums in the
         operators are independent of the orbit-representative choice
         (and the operators at different primes commute) exactly on this
-        symmetric subspace.  Idempotent projection, exact arithmetic.
+        symmetric subspace.  Idempotent projection, exact arithmetic: each
+        key times the four patterns, key-major, with its row, and the rows
+        of equal keys summed (_merge) over 4 den, and the sums that cancel dropped.
         """
-        quarter = Fraction(1, 4)
-        out: dict[LatticeVector, QComplex] = {}
-        for beta, value in self.entries.items():
-            share = value * quarter
-            for s in _SIGN_PATTERNS:
-                key = (s[0] * beta[0], s[1] * beta[1], s[2] * beta[2])
-                acc = out.get(key)
-                out[key] = share if acc is None else acc + share
-        return CoefficientField(self.p, {b: v for b, v in out.items() if v})
+        keys = (self.keys[:, None, :] * np.array(_SIGN_PATTERNS, dtype=self.keys.dtype)).reshape(-1, 3)
+        nums = self.nums if self.nums.dtype == object or 4 * self.num_peak < 2 ** 63 else self.nums.astype(object)
+        keys, sums = _merge((keys, np.repeat(nums, 4, axis=0)))
+        kept = (sums != 0).any(axis=1)
+        return CoefficientField._from_rows(self.p, 4 * self.den, keys.compress(kept, axis=0), sums.compress(kept, axis=0))
 
     def at(self, beta: Optional[Iterable[int]]) -> QComplex:
         """Total lookup: zero off the support, off the lattice, and at 0."""
@@ -440,20 +503,18 @@ class CoefficientField:
 
     @property
     def support_radius(self) -> int:
-        if self._radius is None:
-            self._radius = max((lattice_norm(b) for b in self.entries), default=0)
-        return self._radius
+        return int(self.norms.max()) if len(self.norms) else 0
 
     @property
     def is_zero(self) -> bool:
-        return not self.entries
+        return not len(self.nums)
 
     def with_prime(self, p: int) -> "CoefficientField":
         if self.p == p:
             return self
         if self.p is not None:
             raise ValueError(f"field over Q(sqrt {self.p}) cannot be promoted to Q(sqrt {p})")
-        return CoefficientField(p, self.entries)
+        return CoefficientField._from_rows(require_odd_prime(p), self.den, self.keys, self.nums)  # same arrays
 
     def scale(self, factor) -> "CoefficientField":
         return CoefficientField(self.p, {b: v * factor for b, v in self.entries.items()})
@@ -478,7 +539,7 @@ class CoefficientField:
         return {b: complex(v) for b, v in self.entries.items()}
 
     def __repr__(self):
-        return f"CoefficientField(p={self.p}, support={len(self.entries)}, radius={self.support_radius})"
+        return f"CoefficientField(p={self.p}, support={len(self.keys)}, radius={self.support_radius})"
 
 
 # -- the operators -----------------------------------------------------------
@@ -517,13 +578,17 @@ def _star_block(mats) -> tuple[np.ndarray, int]:
     return block, 3 * int(np.abs(stack).max())
 
 
+def _int_array(flat: list, width: int) -> np.ndarray:
+    """The ints of `flat` as an (n, width) array: int64 when every one fits, else Python ints."""
+    try:
+        return np.fromiter(flat, np.int64, len(flat)).reshape(-1, width)
+    except OverflowError:
+        return np.array(flat, dtype=object).reshape(-1, width)
+
+
 def _support_array(points: list, growth: int) -> np.ndarray:
     """The points as an (n, 3) array: int64 when max|coordinate| * growth < 2^62, else Python ints."""
-    try:
-        arr = np.fromiter(chain.from_iterable(points), np.int64, 3 * len(points)).reshape(-1, 3)
-    except OverflowError:
-        return np.array(points, dtype=object).reshape(-1, 3)
-    return _widened(arr, growth)
+    return _widened(_int_array(list(chain.from_iterable(points)), 3), growth)
 
 
 def _peak(arr: np.ndarray) -> int:
@@ -625,7 +690,7 @@ def _conj_sum_rows(k: int, p: int, keys: np.ndarray, rows: np.ndarray, mats,
     scatter exact, and the rows of each beta are summed.  A beta gets at most one term per
     C_i, so each sum stays in int64 when max|row entry| len(mats) < 2^63; past that the rows
     are summed on Python ints.  Sums that cancel to zero are kept.  `peaks` bounds
-    (max|key coordinate|, max|row entry|), as a field's _NumeratorArrays keeps them, so
+    (max|key coordinate|, max|row entry|), as a field keeps them (key_peak, num_peak), so
     neither array is scanned here.
     """
     if not len(keys):  # no support point: no image
@@ -712,10 +777,11 @@ def _apply(ell: int, p: int, entries: Mapping[LatticeVector, int], w: int, repre
 
 # -- the integer domain of the exact operators ---------------------------------
 #
-# A field over Q(sqrt p) is converted once, and keeps the result: with D the
-# lcm of its entry denominators, each entry becomes four ints, the re/im x
-# rational/sqrt(p) parts, as numerators over the per-field denominator D
-# (_numerator_arrays).  An operator reads them over D p^3.  Divisibility
+# A field over Q(sqrt p) holds each entry as four ints, the re/im x
+# rational/sqrt(p) parts, as numerators over its denominator D, the lcm of
+# the reduced entry denominators (CoefficientField).  An operator reads them
+# over D p^3, and its outputs come back as numerator rows over D p^3 (or
+# D p^4), with D reduced again by one gcd (_unpacked).  Divisibility
 # invariant: every input numerator is a multiple of p^3.  A weight n/p^k
 # (k <= 3) acts as "times n p^(3-k), then // p^3", exact on a multiple of p^k,
 # and p^(-1/2) maps a + b sqrt(p) to b + (a/p) sqrt(p), exact on a multiple of
@@ -797,57 +863,19 @@ def _int_weights(p: int) -> _HeckeWeights:
 def _packed(A: CoefficientField, p: int) -> tuple[int, int, dict[LatticeVector, int]]:
     """(D p^3, w, {beta: A(beta) packed over D p^3}): the input of the exact operators at p.
 
-    D is the lcm of the entry denominators and w the lane width of the field's
-    largest numerator (_lane_width); each packed value is its numerators over D
-    packed, times p^3.
+    D is the field's denominator and w the lane width of its largest numerator
+    (_lane_width); each packed value is its numerator row packed, times p^3.
     """
-    arrays = _numerator_arrays(A)
-    w = _lane_width(p, arrays.num_peak)
+    w = _lane_width(p, A.num_peak)
     cube = p ** 3
-    return arrays.den * cube, w, {beta: (ra + (ia << w) + (rb << 2 * w) + (ib << 3 * w)) * cube
-                                  for beta, (ra, rb, ia, ib) in zip(A.entries, arrays.nums.tolist())}
+    return A.den * cube, w, {beta: (ra + (ia << w) + (rb << 2 * w) + (ib << 3 * w)) * cube
+                             for beta, (ra, rb, ia, ib) in zip(map(tuple, A.keys.tolist()), A.nums.tolist())}
 
 
-class _NumeratorArrays(NamedTuple):
-    """A field as arrays: its support, the numerators of its entries over one denominator, and their norms."""
-
-    den: int  # D, the lcm of the entry denominators
-    keys: np.ndarray  # (n, 3) support points, int64 when they fit, else Python ints
-    nums: np.ndarray  # (n, 4) numerators (ra, rb, ia, ib) over D, int64 when they fit, else Python ints
-    norms: np.ndarray  # N(beta) of each key, int64 when 3 max|coordinate|^2 < 2^63, else Python ints
-    key_peak: int  # max|coordinate| of the keys
-    num_peak: int  # max|numerator|
-
-
-def _numerator_arrays(A: CoefficientField) -> _NumeratorArrays:
-    """The field's _NumeratorArrays, converted once per field and kept on it (read-only)."""
-    if A._arrays is None:
-        ratios = [x.as_integer_ratio() for v in A.entries.values() for x in (v.re.a, v.re.b, v.im.a, v.im.b)]
-        den = math.lcm(*{d for _, d in ratios})
-        flat = [n * (den // d) for n, d in ratios]
-        keys = _support_array(list(A.entries), 1)
-        try:
-            nums = np.fromiter(flat, np.int64, len(flat)).reshape(-1, 4)
-        except OverflowError:
-            nums = np.array(flat, dtype=object).reshape(-1, 4)
-        key_peak = _peak(keys)
-        wide = keys if keys.dtype == object or 3 * key_peak ** 2 < 2 ** 63 else keys.astype(object)
-        norms = (wide * wide).sum(axis=1)
-        for arr in (keys, nums, norms):
-            arr.flags.writeable = False
-        A._arrays = _NumeratorArrays(den, keys, nums, norms, key_peak, _peak(nums))
-    return A._arrays
-
-
-def _field(p: int, packed: Mapping[LatticeVector, int], den: int, w: int) -> CoefficientField:
-    """The field of packed values over den, each decoded once into its four Fractions."""
-    unpack = _unpacker(w)
-    entries = {}
-    for beta, v in packed.items():
-        ra, rb, ia, ib = unpack(v)
-        entries[beta] = QComplex(QuadExt(p, Fraction(ra, den), Fraction(rb, den)),
-                                 QuadExt(p, Fraction(ia, den), Fraction(ib, den)))
-    return CoefficientField(p, entries)
+def _unpacked(p: int, packed: Mapping[LatticeVector, int], den: int, w: int) -> CoefficientField:
+    """The field of nonzero packed values of lane width w over den: each value's lanes are its row."""
+    flat = list(chain.from_iterable(map(_unpacker(w), packed.values())))
+    return CoefficientField._from_rows(p, den, _support_array(list(packed), 1), _int_array(flat, 4))
 
 
 def apply_hecke(ell: int, p: int, A: CoefficientField, *, representatives=None) -> CoefficientField:
@@ -859,16 +887,15 @@ def apply_hecke(ell: int, p: int, A: CoefficientField, *, representatives=None) 
     is the canonical one unless an alternative representative set is
     supplied (the output is the same for any valid choice).
 
-    The operator runs on Python ints: A's integer numerators, converted
-    once per field, are read over D p^3 (D the lcm of its entry
-    denominators), each a multiple of p^3, and the four of each entry are
-    packed into one int, so each weight n/p^k and p^(-1/2) divides exactly
-    (see the integer-domain note); only the outputs are converted back to
-    Fractions.
+    The operator runs on Python ints: A's integer numerators are read over
+    D p^3 (D its denominator), each a multiple of p^3, and the four of each
+    entry are packed into one int, so each weight n/p^k and p^(-1/2) divides
+    exactly (see the integer-domain note); the lanes of each output are the
+    numerator row of the result.
     """
     A = A.with_prime(p)
     den, w, packed = _packed(A, p)
-    return _field(p, _apply(ell, p, packed, w, representatives), den, w)
+    return _unpacked(p, _apply(ell, p, packed, w, representatives), den, w)
 
 
 # -- the float twin on arrays ----------------------------------------------------
@@ -879,7 +906,8 @@ def apply_hecke(ell: int, p: int, A: CoefficientField, *, representatives=None) 
 # each sum from +0.0, so only the sign of a zero part can differ): each loop of
 # dict adds over rows is one _interleave, and each merge of equal keys (_merge, also
 # every _conj_sum) adds in input order and keeps the keys in first-occurrence
-# order, as a dict would.  The exact operators stay on dicts: on object arrays of
+# order, as a dict would.  The exact operators run on dicts of packed ints, read off
+# the field's numerator arrays and decoded back into them: on object arrays of
 # per-value numerator objects, the same array code took 0.76-0.86 ms for the four
 # applies of a relation on 8-entry fields, against 0.44-0.47 ms on dicts.
 
@@ -981,10 +1009,10 @@ def _groups(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _merge(*parts: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """The (keys, values) parts concatenated, with the values of equal keys summed.
+    """The (keys, values) parts concatenated, with the values (or value rows) of equal keys summed.
 
     Keys come out in order of first occurrence, and each sum adds its terms in input
-    order (np.add.at does), starting from +0.0.
+    order (np.add.at does), starting from 0 (+0.0 for doubles).
     """
     if len(parts) == 1:
         keys, vals = parts[0]
@@ -994,7 +1022,7 @@ def _merge(*parts: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarra
     if not len(keys):
         return keys, vals
     inv, first = _groups(keys)
-    out = np.zeros(len(first), vals.dtype)
+    out = np.zeros((len(first), *vals.shape[1:]), vals.dtype)
     np.add.at(out, inv, vals)
     return keys.take(first, axis=0), out
 
@@ -1052,44 +1080,13 @@ def _apply_float(ell: int, p: int, keys: np.ndarray, vals: np.ndarray) -> tuple[
     return out[0].compress(keep, axis=0), out[1].compress(keep)
 
 
-class _FloatField(Mapping):
-    """A read-only map beta -> complex held as arrays: (n, 3) keys and complex128 values.
-
-    apply_hecke_float returns one and reads one without conversion, so chained
-    float operators stay on arrays.  A dict of tuple keys is built on the first lookup.
-    """
-
-    __slots__ = ("_keys", "_vals", "_dict")
-
-    def __init__(self, keys: np.ndarray, vals: np.ndarray):
-        keys.flags.writeable = vals.flags.writeable = False
-        self._keys, self._vals, self._dict = keys, vals, None
-
-    @classmethod
-    def of(cls, entries: Mapping[LatticeVector, complex]) -> "_FloatField":
-        if isinstance(entries, cls):
-            return entries
-        return cls(_support_array(list(entries), 1), np.fromiter(entries.values(), complex, len(entries)))
-
-    def _lookup(self) -> dict:
-        if self._dict is None:
-            self._dict = dict(zip(map(tuple, self._keys.tolist()), self._vals.tolist()))
-        return self._dict
-
-    def __getitem__(self, beta):
-        return self._lookup()[beta]
-
-    def __iter__(self):
-        return iter(self._lookup())
-
-    def __len__(self) -> int:
-        return len(self._vals)
-
-
-def _float_field(A: CoefficientField) -> _FloatField:
-    """A.as_complex_dict() as a _FloatField, converted once per field and kept on it."""
+def _float_field(A: CoefficientField) -> _ArrayMap:
+    """A's values as complex doubles on A's keys, each part as float(QuadExt) rounds it (_quad_float),
+    converted once per field and kept on it."""
     if A._floats is None:
-        A._floats = _FloatField.of(A.as_complex_dict())
+        p, den = A.p, A.den
+        vals = [complex(_quad_float(ra, rb, den, p), _quad_float(ia, ib, den, p)) for ra, rb, ia, ib in A.nums.tolist()]
+        A._floats = _ArrayMap(A.keys, np.array(vals, complex))
     return A._floats
 
 
@@ -1103,8 +1100,9 @@ def apply_hecke_float(ell: int, p: int, entries: Mapping[LatticeVector, complex]
     require_odd_prime(p)
     if ell not in (1, 2, 3):
         raise ValueError(f"ell must be 1, 2, or 3, got {ell}")
-    field = _FloatField.of(entries)
-    return _FloatField(*_apply_float(ell, p, field._keys, field._vals))
+    if not (isinstance(entries, _ArrayMap) and entries._rows.dtype == complex):  # else one returned here
+        entries = _ArrayMap(_support_array(list(entries), 1), np.fromiter(entries.values(), complex, len(entries)))
+    return _ArrayMap(*_apply_float(ell, p, entries._keys, entries._rows))
 
 
 def hecke_relation_constant(p: int) -> Fraction:
@@ -1123,7 +1121,7 @@ def verify_hecke_relation(p: int, A: CoefficientField) -> CoefficientField:
     note).  An H_1 output is a multiple of p^2, so it is rescaled by p (to
     numerators over D p^4) before the outer H_1; the other three terms are
     brought over D p^4 by their weights times p, which are exact on
-    multiples of p^3, and only the residual is converted back.
+    multiples of p^3, and only the residual is decoded, into numerator rows.
     """
     A = A.with_prime(p)
     den, w, packed = _packed(A, p)
@@ -1134,7 +1132,7 @@ def verify_hecke_relation(p: int, A: CoefficientField) -> CoefficientField:
                         (packed, -constant.numerator, constant.denominator)):  # each weight times p, as m/q
         for beta, v in terms.items():
             residual[beta] = get(beta, 0) + m * v // q
-    return _field(p, {beta: v for beta, v in residual.items() if v}, den * p, w)
+    return _unpacked(p, {beta: v for beta, v in residual.items() if v}, den * p, w)
 
 
 def _commutator_rows(p: int, q: int, ell: int, m: int, A: CoefficientField) -> tuple[int, str]:
@@ -1148,11 +1146,11 @@ def _commutator_rows(p: int, q: int, ell: int, m: int, A: CoefficientField) -> t
     inner operator at the other prime keeps whether p divides a key, so with n_p
     the entries of A that p divides, H_3 at p adds (p+1)(q+1)(2 len(A) + p n_p) rows.
     """
-    n = len(A.entries)
+    n = len(A.keys)
     rows, formula = n * (p + 1) * (q + 1), "len(A)(p+1)(q+1)"
     for k, r, name in ((ell, p, "p"), (m, q, "q")):
         if k == 3:
-            n_r = sum(1 for beta in A.entries if not (beta[0] % r or beta[1] % r or beta[2] % r))
+            n_r = int(_divisible(A.keys, r).sum())
             rows += (p + 1) * (q + 1) * (2 * n + r * n_r)
             formula += f" + (p+1)(q+1)(2 len(A) + {name} n_{name}) with n_{name} = {n_r}"
     return rows, formula
@@ -1170,18 +1168,18 @@ def verify_commutativity(p: int, q: int, ell: int, m: int, A: CoefficientField) 
         raise ValueError("commutativity check needs distinct primes")
     rows, formula = _commutator_rows(p, q, ell, m, A)
     if rows > MAX_SCATTER_ROWS:
-        raise ValueError(f"a commutator at p = {p} and q = {q} on {len(A.entries)} entries scatters up to "
+        raise ValueError(f"a commutator at p = {p} and q = {q} on {len(A.keys)} entries scatters up to "
                          f"{formula} = {rows} rows, past {MAX_SCATTER_ROWS}, the largest supported")
     entries = _float_field(A)
-    pq = _FloatField.of(apply_hecke_float(ell, p, apply_hecke_float(m, q, entries)))
-    qp = _FloatField.of(apply_hecke_float(m, q, apply_hecke_float(ell, p, entries)))
+    pq = apply_hecke_float(ell, p, apply_hecke_float(m, q, entries))
+    qp = apply_hecke_float(m, q, apply_hecke_float(ell, p, entries))
     keys = np.concatenate((pq._keys, qp._keys))
     if not len(keys):
         return 0.0
     # Each side holds a key once, so a key's difference is its pq value, -qp, or pq - qp,
     # which reduceat forms over the sorted runs; the largest |difference| needs no key order.
     order, new = _runs(keys)
-    diff = np.add.reduceat(np.concatenate((pq._vals, -qp._vals))[order], new.nonzero()[0])
+    diff = np.add.reduceat(np.concatenate((pq._rows, -qp._rows))[order], new.nonzero()[0])
     return float(np.abs(diff).max())
 
 
@@ -1254,13 +1252,13 @@ def eigen_residual(A: CoefficientField, lam: EigenvalueTriple) -> EigenResidualR
         return EigenResidualReport(safe_radius, 0, None, empty_safe_support=True)
     entries = _float_field(A)
     near = _in_ball(entries._keys, max_norm)
-    own = entries._keys.compress(near, axis=0), entries._vals.compress(near)
+    own = entries._keys.compress(near, axis=0), entries._rows.compress(near)
     residuals = []
     checked = 0
     for ell, lam_ell in zip((1, 2, 3), (lam.lam1, lam.lam2, lam.lam3)):
-        h = _FloatField.of(apply_hecke_float(ell, p, entries))
+        h = apply_hecke_float(ell, p, entries)
         inside = _in_ball(h._keys, max_norm)
-        points, diff = _merge((h._keys.compress(inside, axis=0), h._vals.compress(inside)),
+        points, diff = _merge((h._keys.compress(inside, axis=0), h._rows.compress(inside)),
                               (own[0], -(lam_ell * own[1])))
         checked = max(checked, len(points))
         residuals.append(max(map(abs, diff.tolist()), default=0.0))  # Python's abs, as the dict form took it

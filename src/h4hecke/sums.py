@@ -17,13 +17,13 @@ two-sided empirical reports for the comparison inequalities the decay
 argument chains together.
 
 Every exact sum (S_d, R, the L6.4 double sum, the sharp/flat split and
-the amplified sum) runs on integer arrays: a field is converted once, and
-keeps the result (hecke._numerator_arrays), to an (n, 3) key array, an
-(n, 4) array of integer numerators (ra, rb, ia, ib) over one per-field
-denominator D, and the norms of its keys.  Each condition on beta (the
-ball, d | beta, p not dividing beta, membership in M_l(K)) is one mask,
-_square_sum takes every |v|^2 as one vector expression on the numerator
-columns, and only a total becomes an element of Q(sqrt p) over D^2, p
+the amplified sum) runs on the integer arrays that a field is
+(hecke.CoefficientField): an (n, 3) key array, an (n, 4) array of
+integer numerators (ra, rb, ia, ib) over one per-field denominator D,
+and the norms of its keys.  Each condition on beta (the ball, d | beta,
+p not dividing beta, membership in M_l(K)) is one mask, _square_sum
+takes every |v|^2 as one vector expression on the numerator columns,
+and only a total becomes an element of Q(sqrt p) over D^2, p
 the field's own prime (or its float).  The arrays are int64 only while a
 bound proves that no sum or product can leave it, and Python ints in
 object arrays otherwise.  The inner sums sum_i A(conj_i(beta) / p^l) of
@@ -51,10 +51,8 @@ from .hecke import (
     CoefficientField,
     EigenvalueTriple,
     QuadExt,
-    _NumeratorArrays,
     _conj_sum_rows,
     _divisible,
-    _numerator_arrays,
     hecke_relation_constant,
 )
 from .quaternions import MAX_PRIME, LatticeVector, conjugation_matrices, odd_primes_in, require_odd_prime
@@ -91,7 +89,7 @@ def _mass(q: Optional[int], nums: np.ndarray, den: int, peak: int) -> QuadExt:
     return QuadExt(q, Fraction(int(a), den), Fraction(int(b), den))
 
 
-def _conj_ball(arrays: _NumeratorArrays, p: int, ell: int, z: int) -> tuple[np.ndarray, np.ndarray, int]:
+def _conj_ball(A: CoefficientField, p: int, ell: int, z: int) -> tuple[np.ndarray, np.ndarray, int]:
     """(betas, numerators, peak): sum_i v(conj_i(beta) / p^ell) at every beta with N(beta) <= z
     that the field reaches, and a bound on max|numerator| of those sums.
 
@@ -101,14 +99,14 @@ def _conj_ball(arrays: _NumeratorArrays, p: int, ell: int, z: int) -> tuple[np.n
     p^2 N(gamma); so p^2 | N(gamma), and the other gamma are dropped before the scatter.
     """
     mats = conjugation_matrices(p)
-    keys, nums = arrays.keys, arrays.nums
-    near = arrays.norms <= z * p * p // p ** (2 * ell)  # exact against any Python int
+    keys, nums = A.keys, A.nums
+    near = A.norms <= z * p * p // p ** (2 * ell)  # exact against any Python int
     if ell == 0:
-        near &= arrays.norms % (p * p) == 0
+        near &= A.norms % (p * p) == 0
     if not near.all():
         keys, nums = keys.compress(near, axis=0), nums.compress(near, axis=0)
-    betas, sums = _conj_sum_rows(ell, p, keys, nums, mats, (arrays.key_peak, arrays.num_peak))
-    return betas, sums, arrays.num_peak * len(mats)  # each sum adds at most one numerator per C_i
+    betas, sums = _conj_sum_rows(ell, p, keys, nums, mats, (A.key_peak, A.num_peak))
+    return betas, sums, A.num_peak * len(mats)  # each sum adds at most one numerator per C_i
 
 
 def sum_S_d(A: CoefficientField, d: int, z) -> QuadExt:
@@ -116,22 +114,20 @@ def sum_S_d(A: CoefficientField, d: int, z) -> QuadExt:
     if d < 1:
         raise ValueError("d must be a positive integer")
     z = math.floor(Fraction(z))  # N(beta) is an integer
-    arrays = _numerator_arrays(A)
-    kept = arrays.norms <= z
+    kept = A.norms <= z
     if d > 1:
-        kept &= _divisible(arrays.keys, d)
-    return _mass(A.p, arrays.nums.compress(kept, axis=0), arrays.den ** 2, arrays.num_peak)
+        kept &= _divisible(A.keys, d)
+    return _mass(A.p, A.nums.compress(kept, axis=0), A.den ** 2, A.num_peak)
 
 
 def sum_R(A: CoefficientField, p: int, ell: int, d: int, z) -> QuadExt:
     """R^{p,ell}_d(z), computed over the finitely many beta that can contribute."""
     if ell < 0 or d < 1:
         raise ValueError("need ell >= 0 and d >= 1")
-    arrays = _numerator_arrays(A)
-    betas, inners, peak = _conj_ball(arrays, p, ell, math.floor(Fraction(z)))
+    betas, inners, peak = _conj_ball(A, p, ell, math.floor(Fraction(z)))
     if d > 1:
         inners = inners.compress(_divisible(betas, d), axis=0)
-    return _mass(A.p, inners, p * arrays.den ** 2, peak)
+    return _mass(A.p, inners, p * A.den ** 2, peak)
 
 
 class ShiftIdentityError(AssertionError):
@@ -214,12 +210,11 @@ class SharpFlatSplit:
 
 def split_sharp_flat(A: CoefficientField, specs: Sequence[MultiplicitySpec], z) -> SharpFlatSplit:
     """S^sharp over the intersection of the M_ell(K_ell), and each S_ell^flat over its complement."""
-    arrays = _numerator_arrays(A)
-    kept = arrays.norms <= math.floor(Fraction(z))
-    keys, nums, den2 = arrays.keys.compress(kept, axis=0), arrays.nums.compress(kept, axis=0), arrays.den ** 2
+    kept = A.norms <= math.floor(Fraction(z))
+    keys, nums, den2 = A.keys.compress(kept, axis=0), A.nums.compress(kept, axis=0), A.den ** 2
     inside = [s.members(keys) for s in specs]
     sharp = np.logical_and.reduce(inside, axis=0) if inside else np.ones(len(keys), bool)
-    peak = arrays.num_peak
+    peak = A.num_peak
     return SharpFlatSplit(sharp=_mass(A.p, nums.compress(sharp, axis=0), den2, peak),
                           flats=tuple(_mass(A.p, nums.compress(~m, axis=0), den2, peak) for m in inside),
                           total=_mass(A.p, nums, den2, peak))
@@ -248,15 +243,14 @@ def amplified_sum(
     support order, each weight in window order.
     """
     _require_window_rows(lam_table, window)
-    arrays = _numerator_arrays(A)
-    kept = arrays.norms <= math.floor(Fraction(z))
+    kept = A.norms <= math.floor(Fraction(z))
     for s in specs:
-        kept &= s.members(arrays.keys)
-    keys, den2 = arrays.keys.compress(kept, axis=0), arrays.den ** 2
+        kept &= s.members(A.keys)
+    keys, den2 = A.keys.compress(kept, axis=0), A.den ** 2
     weights = np.zeros(len(keys))
     for p in window.primes:
         weights += np.where(_divisible(keys, p), 0.0, getattr(lam_table[p], f"lam{ell}") ** 2)
-    a, b = _square_sum(arrays.nums.compress(kept, axis=0), A.p, arrays.num_peak)
+    a, b = _square_sum(A.nums.compress(kept, axis=0), A.p, A.num_peak)
     total = 0.0
     for ai, bi, weight in zip(a.tolist(), b.tolist(), weights.tolist()):
         total += float(QuadExt(A.p, Fraction(ai, den2), Fraction(bi, den2))) * weight
@@ -426,17 +420,16 @@ def _conj_square_sum(A: CoefficientField, window: PrimeWindow, K: float, ell: in
     """
     z = math.floor(Fraction(z))
     spec = MultiplicitySpec(1, K, window)
-    arrays = _numerator_arrays(A)
     common = math.prod(window.primes)  # the 1/p weights over one denominator
     a = b = 0
     for i, p in enumerate(window.primes):
-        betas, inners, peak = _conj_ball(arrays, p, ell, z)
+        betas, inners, peak = _conj_ball(A, p, ell, z)
         hits = spec.hits(betas)  # hits[i] is the mask of p | beta
         kept = inners.compress(spec.members(betas, hits) & ~hits[i], axis=0)
         pa, pb = _square_sum(kept, A.p, peak, total=True)
         a += int(pa) * (common // p)
         b += int(pb) * (common // p)
-    den = common * arrays.den ** 2
+    den = common * A.den ** 2
     return float(QuadExt(A.p, Fraction(a, den), Fraction(b, den)))
 
 

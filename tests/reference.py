@@ -376,3 +376,13 @@ def commutator_dict(p, q, ell, m, A) -> float:
     pq = apply_hecke_float_dict(ell, p, apply_hecke_float_dict(m, q, entries))
     qp = apply_hecke_float_dict(m, q, apply_hecke_float_dict(ell, p, entries))
     return max((abs(pq.get(k, 0j) - qp.get(k, 0j)) for k in set(pq) | set(qp)), default=0.0)
+
+
+def symmetrized_dict(A):
+    """The average of A over the four coordinate sign patterns by a loop over QComplex values, adding
+    quarter shares in key order: the reference for ``CoefficientField.symmetrized`` on numerator rows."""
+    out = {}
+    for beta, value in A.entries.items():
+        for s in ((1, 1, 1), *(flip for _, flip in UNIT_FLIPS.values())):
+            _add(out, (s[0] * beta[0], s[1] * beta[1], s[2] * beta[2]), value * Fraction(1, 4))
+    return hecke.CoefficientField(A.p, {beta: v for beta, v in out.items() if v})

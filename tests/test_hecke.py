@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import re
 from collections.abc import Mapping
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from h4hecke import hecke, sums
+from h4hecke.files import write_coefficient_field
 from h4hecke.hecke import (
     CoefficientField,
     EigenResidualReport,
@@ -38,7 +40,7 @@ from h4hecke.quaternions import (
     orbit_representatives,
     scale_lattice,
 )
-from reference import apply_dict, apply_hecke_float_dict, apply_matrix, commutator_dict
+from reference import apply_dict, apply_hecke_float_dict, apply_matrix, commutator_dict, symmetrized_dict
 
 
 class TestQuadExt:
@@ -767,17 +769,17 @@ class TestNumeratorCache:
         p = 5
         A = CoefficientField(p, {(1, 0, 0): QComplex(QuadExt(p, Fraction(1, 2), Fraction(1, 3)), QuadExt.of(0)),
                                  (0, 2, 1): QComplex.of(Fraction(-3, 4), 2, p=p)})
-        arrays = hecke._numerator_arrays(A)
+        keys, nums = A.keys, A.nums
         rows = [[6, 4, 0, 0], [-9, 0, 24, 0]]
-        assert arrays.den == 12 and arrays.keys.tolist() == [[1, 0, 0], [0, 2, 1]] and arrays.nums.tolist() == rows
-        assert hecke._numerator_arrays(A) is arrays
-        assert not arrays.keys.flags.writeable and not arrays.nums.flags.writeable
+        assert A.den == 12 and keys.tolist() == [[1, 0, 0], [0, 2, 1]] and nums.tolist() == rows
+        assert A.num_peak == 24 and A.key_peak == 2 and A.norms.tolist() == [1, 5]
+        assert not keys.flags.writeable and not nums.flags.writeable and not A.norms.flags.writeable
         big_den, w, big = hecke._packed(A, p)
         assert big_den == 12 * p ** 3 and w == hecke._lane_width(p, 24)
         unpack = hecke._unpacker(w)
         assert {beta: unpack(v) for beta, v in big.items()} == {
             (1, 0, 0): tuple(c * p ** 3 for c in rows[0]), (0, 2, 1): tuple(c * p ** 3 for c in rows[1])}
-        assert hecke._numerator_arrays(A) is arrays and arrays.den == 12 and arrays.nums.tolist() == rows
+        assert A.keys is keys and A.nums is nums and A.den == 12 and nums.tolist() == rows
 
     def test_with_prime_keeps_the_field(self):
         A = CoefficientField.delta((1, 2, 3), 2, p=7)
@@ -859,7 +861,7 @@ class TestLanes:
                                 QuadExt.of(Fraction(huge ** 2 + 1, 3), p)),
             (2, 0, 0): QComplex(QuadExt.of(-(10 ** 40), p), QuadExt(p, Fraction(0), Fraction(1, huge))),
         })
-        assert hecke._numerator_arrays(A).nums.dtype == object
+        assert A.nums.dtype == object
         for ell in (1, 2, 3):
             got = apply_hecke(ell, p, A)
             expected = _quadext_apply(ell, p, A)
@@ -1222,6 +1224,97 @@ class TestFieldContainer:
                                                         QuadExt(5, Fraction(0), Fraction(1)))})
         with pytest.raises(ValueError, match="mixed"):
             CoefficientField(5, {(1, 0, 0): QComplex(QuadExt(3, Fraction(0), Fraction(1)), QuadExt.of(0))})
+
+
+    def test_symmetrized_rows_match_the_dict_loop(self):
+        # keys and numerators on both sides of int64, denominators that the quarter shares reduce
+        rng = random.Random(17)
+        huge, wide = 2 ** 64 + 1, 10 ** 30
+        fields = [CoefficientField.random(rng, p=p, support=k, coord_bound=3, sqrt_parts=p is not None)
+                  for p in (None, 3, 7) for k in (1, 6, 20)]
+        fields.append((CoefficientField.random(random.Random(29), support=5, coord_bound=2, entry_bound=4)
+                       + CoefficientField(None, {(wide, 3, 0): QComplex.of(1, 2)})))
+        fields.append(CoefficientField(5, {
+            (1, 1, 0): QComplex(QuadExt(5, Fraction(huge, 3), Fraction(-huge)), QuadExt.of(Fraction(1, 2), 5)),
+            (-1, 1, 0): QComplex(QuadExt(5, Fraction(-huge, 3), Fraction(huge)), QuadExt.of(Fraction(1, 2), 5)),
+            (2 ** 62, 0, -1): QComplex.of(Fraction(3, 4), -huge, p=5), (0, wide, 1): QComplex.of(2 ** 63 - 1, p=5)}))
+        near = 2 ** 62 + 1  # int64 numerators whose sums of shares leave int64
+        fields.append(CoefficientField(3, {(1, 1, 1): QComplex.of(near, p=3), (-1, -1, 1): QComplex.of(near, -near, p=3),
+                                           (2, 0, 0): QComplex.of(-near, p=3)}))
+        fields.append(CoefficientField.zero(3))
+        for A in fields:
+            got, expected = A.symmetrized(), symmetrized_dict(A)
+            assert got == expected and _snapshot(got) == _snapshot(expected) and repr(got) == repr(expected)
+            assert list(got.entries) == list(expected.entries) and got.p == expected.p
+            parts = [x for v in expected.entries.values() for x in (v.re.a, v.re.b, v.im.a, v.im.b)]
+            assert got.den == math.lcm(*(x.denominator for x in parts))  # D stays canonical
+            assert got.symmetrized() == got
+        assert fields[-4].keys.dtype == fields[-3].keys.dtype == fields[-3].nums.dtype == object
+        assert fields[-2].nums.dtype == np.int64 and fields[-2].symmetrized().nums.dtype == object
+
+    def test_float_view_matches_complex_of_each_entry(self):
+        # bit for bit by float.hex: opposite-sign parts that nearly cancel (powers of Pell units, with
+        # numerators past 2^64), denominators past 1, and fields over plain Q
+        def power(p, x, y, n):
+            u = QuadExt(p, Fraction(1), Fraction(0))
+            for _ in range(n):
+                u = u * QuadExt(p, Fraction(x), Fraction(y))
+            return u
+
+        fields = []
+        for p, x, y in ((3, 2, 1), (5, 9, 4), (7, 8, 3)):
+            entries = {}
+            for n in (1, 5, 40):
+                u = power(p, x, y, n)
+                assert u.a > 2 ** 64 or n < 40
+                entries[(n, 1, 0)] = QComplex(QuadExt(p, u.a, -u.b), QuadExt(p, -u.a / 3, u.b / 3))
+                entries[(0, n, 2)] = QComplex(QuadExt(p, u.a / 7, u.b), QuadExt(p, Fraction(-1, 6), Fraction(0)))
+            fields.append(CoefficientField(p, entries))
+        fields.append(CoefficientField(None, {(1, 0, 0): QComplex.of(Fraction(2 ** 70 + 1, 3), Fraction(-5, 7)),
+                                              (0, 2, 0): QComplex.of(-(10 ** 40), 1), (0, 0, 3): QComplex.of(0, 3)}))
+        fields.append(CoefficientField.random(random.Random(4), p=5, support=12, sqrt_parts=True).symmetrized())
+        for A in fields:
+            view = hecke._float_field(A)
+            assert list(view) == list(A.entries) and hecke._float_field(A) is view
+            for beta, value in A.entries.items():
+                x, ref = view[beta], complex(value)
+                assert (x.real.hex(), x.imag.hex()) == (ref.real.hex(), ref.imag.hex()), (beta, value)
+        assert fields[0].nums.dtype == object and fields[0].den > 1
+
+    def test_len_and_the_row_paths_decode_nothing(self, monkeypatch, tmp_path):
+        A = CoefficientField.random(random.Random(6), p=5, support=8, sqrt_parts=True)
+
+        def refuse(*args):
+            raise AssertionError("a QComplex value was decoded")
+
+        monkeypatch.setattr(hecke, "QComplex", refuse)
+        for field in (A, apply_hecke(2, 5, A), A.symmetrized(), verify_hecke_relation(5, A)):
+            assert len(field.entries) == len(field.keys) and repr(field) and field.support_radius >= 0
+            write_coefficient_field(field, tmp_path / "field.json")
+            assert len(hecke._float_field(field)) == len(field.keys) and sums.sum_S_d(field, 1, 10 ** 6) is not None
+            assert field.entries._index is None, field  # no key tuple has been built either
+        monkeypatch.undo()
+        assert list(A.entries) and A.entries._index is not None
+
+    def test_promotion_shares_the_arrays(self):
+        A = CoefficientField.random(random.Random(8), support=6)
+        B = A.with_prime(7)
+        assert B.p == 7 and B.keys is A.keys and B.nums is A.nums and B.den == A.den
+        assert B == CoefficientField(7, dict(A.entries)) == A
+        assert _snapshot(B) == _snapshot(CoefficientField(7, dict(A.entries)))
+        assert all(v.re.p == v.im.p == 7 for v in B.entries.values()) and A.p is None
+        with pytest.raises(ValueError, match="odd prime"):
+            A.with_prime(9)
+
+    def test_equal_rows_at_different_primes(self):
+        # QuadExt equality: a nonzero sqrt lane tells the primes apart, and a rational value does not
+        value = {(1, 0, 0): (Fraction(1, 2), Fraction(2)), (0, 1, 1): (Fraction(3), Fraction(0))}
+        at = {p: CoefficientField(p, {beta: QComplex(QuadExt(p, a, b), QuadExt.of(1, p))
+                                      for beta, (a, b) in value.items()}) for p in (3, 5)}
+        assert at[3].nums.tolist() == at[5].nums.tolist() and at[3].den == at[5].den == 2
+        assert at[3] != at[5]
+        rational = {p: CoefficientField(p, {(1, 0, 0): QComplex.of(Fraction(1, 2), 3, p=p)}) for p in (3, 5)}
+        assert rational[3] == rational[5] == CoefficientField(None, {(1, 0, 0): QComplex.of(Fraction(1, 2), 3)})
 
 
 class TestEigenvalueTriple:

@@ -379,13 +379,12 @@ class TestInt64Boundary:
 
     def fields(self, peak):
         A = boundary_field(self.Q, peak, self.SUPPORT, seed=peak % 1000)
-        arrays = hecke._numerator_arrays(A)
-        assert max(abs(c) for row in arrays.nums.tolist() for c in row) == peak
+        assert max(abs(c) for row in A.nums.tolist() for c in row) == peak
         return A
 
     def test_square_totals_equal_the_row_sums(self):
         for M in self.PEAKS:
-            nums = hecke._numerator_arrays(self.fields(M)).nums
+            nums = self.fields(M).nums
             a, b = sums._square_sum(nums, self.Q, M)
             for peak in (M, 2 ** 70):  # a bound past the true peak only widens the dtype
                 ta, tb = sums._square_sum(nums, self.Q, peak, total=True)
@@ -394,19 +393,18 @@ class TestInt64Boundary:
         assert [int(x) for x in sums._square_sum(empty, self.Q, 0, total=True)] == [0, 0]
 
     def test_the_peaks_straddle_the_guards(self):
-        square_dtypes = [sums._square_sum(hecke._numerator_arrays(self.fields(M)).nums, self.Q, M)[0].dtype
+        square_dtypes = [sums._square_sum(self.fields(M).nums, self.Q, M)[0].dtype
                          for M in self.PEAKS]
         assert square_dtypes == [np.int64] + [object] * (len(self.PEAKS) - 1)
         mats = conjugation_matrices(3)
         sum_dtypes = []
         for M in self.PEAKS:
-            arrays = hecke._numerator_arrays(self.fields(M))
-            sum_dtypes.append(hecke._conj_sum_rows(1, 3, arrays.keys, arrays.nums, mats,
-                                                   (arrays.key_peak, arrays.num_peak))[1].dtype)
+            A = self.fields(M)
+            sum_dtypes.append(hecke._conj_sum_rows(1, 3, A.keys, A.nums, mats, (A.key_peak, A.num_peak))[1].dtype)
         assert sum_dtypes == [np.int64] * 4 + [object] * 3
-        assert hecke._numerator_arrays(self.fields(2 ** 63 + 5)).nums.dtype == object
+        assert self.fields(2 ** 63 + 5).nums.dtype == object
         _, variants = far_variants(self.fields(10 ** 12))
-        dtypes = [(hecke._numerator_arrays(B).keys.dtype, hecke._numerator_arrays(B).norms.dtype) for B, _ in variants]
+        dtypes = [(B.keys.dtype, B.norms.dtype) for B, _ in variants]
         assert dtypes == [(np.int64, np.int64), (np.int64, object), (object, object)]
 
     @pytest.mark.parametrize("peak", PEAKS)
@@ -470,7 +468,7 @@ class TestInt64Boundary:
         A = self.fields(10 ** 12)
         huge = 3 ** 40
         B = CoefficientField(A.p, {**A.entries, (huge, 0, -huge): A.entries[next(iter(A.entries))]})
-        assert hecke._numerator_arrays(A).keys.dtype == np.int64 and hecke._numerator_arrays(B).keys.dtype == object
+        assert A.keys.dtype == np.int64 and B.keys.dtype == object
         for d in (2 ** 63 + 1, huge):
             for field in (A, B):
                 expected = A.entries[next(iter(A.entries))].abs_sq() if field is B and d == huge else 0
