@@ -397,9 +397,7 @@ class CoefficientField:
             if value:
                 keys.append(beta)
                 parts += (value.re.a, value.re.b, value.im.a, value.im.b)
-        ratios = [x.as_integer_ratio() for x in parts]
-        den = math.lcm(*{d for _, d in ratios})
-        self._set(p, den, _support_array(keys, 1), _int_array([n * (den // d) for n, d in ratios], 4))
+        self._set(p, *_over_lcm(keys, [x.as_integer_ratio() for x in parts]))
 
     def _set(self, p: Optional[int], den: int, keys: np.ndarray, nums: np.ndarray) -> None:
         key_peak = _peak(keys)
@@ -418,6 +416,16 @@ class CoefficientField:
         g = math.gcd(den, *nums.ravel().tolist())  # den itself when there is no row
         field = object.__new__(cls)
         field._set(p, den // g, keys, nums // g if g > 1 and len(nums) else nums)
+        return field
+
+    @classmethod
+    def _zero_rows(cls, p: Optional[int]) -> "CoefficientField":
+        """The zero field over p on shared empty arrays: what _from_rows gives for no rows, without its
+        array work (1.6 against 9 us in one process), since every relation that holds returns one."""
+        field = object.__new__(cls)
+        field.p, field.den, field.keys, field.nums, field.norms = p, 1, _NO_KEYS, _NO_NUMS, _NO_NORMS
+        field.key_peak = field.num_peak = 0
+        field.entries, field._floats = _ArrayMap(_NO_KEYS, _NO_NUMS), None
         return field
 
     @classmethod
@@ -531,9 +539,18 @@ class CoefficientField:
         return self + other.scale(Fraction(-1))
 
     def __eq__(self, other) -> bool:
+        """Equal values at the same keys, in any order, compared on the arrays: den is canonical, so
+        equal fields have equal den and equal rows key by key.  Fields over different primes are
+        equal only when no value has a sqrt part, as QuadExt compares."""
         if not isinstance(other, CoefficientField):
             return NotImplemented
-        return self.entries == other.entries
+        if self.den != other.den or len(self.keys) != len(other.keys):
+            return False
+        mine, theirs = np.lexsort(self.keys.T), np.lexsort(other.keys.T)  # one order for equal key sets
+        if not (np.array_equal(self.keys[mine], other.keys[theirs])
+                and np.array_equal(self.nums[mine], other.nums[theirs])):
+            return False
+        return self.p == other.p or not self.nums[:, 1::2].any()
 
     def as_complex_dict(self) -> dict[LatticeVector, complex]:
         return {b: complex(v) for b, v in self.entries.items()}
@@ -589,6 +606,22 @@ def _int_array(flat: list, width: int) -> np.ndarray:
 def _support_array(points: list, growth: int) -> np.ndarray:
     """The points as an (n, 3) array: int64 when max|coordinate| * growth < 2^62, else Python ints."""
     return _widened(_int_array(list(chain.from_iterable(points)), 3), growth)
+
+
+def _over_lcm(points: list, ratios: list) -> tuple[int, np.ndarray, np.ndarray]:
+    """(den, keys, nums) of points whose values are given as (n, d) pairs, d > 0, four per point in row
+    order (ra, rb, ia, ib): den is the lcm of the reduced denominators, found by one gcd when a pair is
+    not in lowest terms, and the numerators over it are int64 wherever they fit."""
+    den = math.lcm(*{d for _, d in ratios})
+    flat = [n * (den // d) for n, d in ratios]
+    g = math.gcd(den, *flat)  # 1 when every pair is in lowest terms, or there is none
+    if g > 1:
+        den, flat = den // g, [n // g for n in flat]
+    return den, _support_array(points, 1), _int_array(flat, 4)
+
+
+_NO_KEYS, _NO_NUMS, _NO_NORMS = np.empty((0, 3), np.int64), np.empty((0, 4), np.int64), np.empty(0, np.int64)
+_NO_KEYS.flags.writeable = _NO_NUMS.flags.writeable = _NO_NORMS.flags.writeable = False  # every zero field shares them
 
 
 def _peak(arr: np.ndarray) -> int:
@@ -874,6 +907,8 @@ def _packed(A: CoefficientField, p: int) -> tuple[int, int, dict[LatticeVector, 
 
 def _unpacked(p: int, packed: Mapping[LatticeVector, int], den: int, w: int) -> CoefficientField:
     """The field of nonzero packed values of lane width w over den: each value's lanes are its row."""
+    if not packed:
+        return CoefficientField._zero_rows(p)
     flat = list(chain.from_iterable(map(_unpacker(w), packed.values())))
     return CoefficientField._from_rows(p, den, _support_array(list(packed), 1), _int_array(flat, 4))
 

@@ -9,7 +9,7 @@ import numpy as np
 
 from h4hecke import geometry, hecke, quaternions
 from h4hecke.clifford import CliffordElement
-from h4hecke.files import SCHEMA_VERSION
+from h4hecke.files import SCHEMA_VERSION, FileFormatError, _entries, _is_integer, _parse_rational
 from h4hecke.geometry import (
     _MAX_ITER, _TOL, IsometryMatrix, PointH4, ReductionError, as_point, inversion, is_in_region, pseudo_det, rotation,
     translation,
@@ -386,3 +386,40 @@ def symmetrized_dict(A):
         for s in ((1, 1, 1), *(flip for _, flip in UNIT_FLIPS.values())):
             _add(out, (s[0] * beta[0], s[1] * beta[1], s[2] * beta[2]), value * Fraction(1, 4))
     return hecke.CoefficientField(A.p, {beta: v for beta, v in out.items() if v})
+
+
+def _parse_scalar_quad(raw, p):
+    if isinstance(raw, str):
+        raw = [raw]
+    if not isinstance(raw, list) or not 1 <= len(raw) <= 2:
+        raise FileFormatError(f"scalar must be a 1- or 2-element list of rationals, got {raw!r}")
+    a = _parse_rational(raw[0])
+    b = _parse_rational(raw[1]) if len(raw) == 2 else Fraction(0)
+    if b != 0 and p is None:
+        raise FileFormatError("sqrt component present but no prime p declared")
+    return hecke.QuadExt(p if (b != 0 or p is not None) else None, a, b)
+
+
+def parse_coefficient_field_quad(path):
+    """A coefficient file read through Fraction, QuadExt and QComplex into the public constructor: the
+    reference for ``files.parse_coefficient_field``, which reads the rationals straight into numerator rows."""
+    with open(path) as fh:
+        data = json.load(fh)
+    rows = _entries(data, "coefficient file")
+    p = data.get("p")
+    if p is not None:
+        if not _is_integer(p):
+            raise FileFormatError(f"p must be an integer, got {p!r}")
+        p = int(p)
+    entries = {}
+    for beta, row in rows.items():
+        if beta == (0, 0, 0):
+            raise FileFormatError("entry at beta = 0 is not allowed")
+        re, im = (_parse_scalar_quad(row.get(part, "0"), p) for part in ("re", "im"))
+        entries[beta] = hecke.QComplex(re, im)
+    return hecke.CoefficientField(p, entries)
+
+
+def fields_equal_by_entries(A, B) -> bool:
+    """A == B as QComplex values key by key, each decoded: the reference for ``CoefficientField.__eq__``."""
+    return dict(A.entries.items()) == dict(B.entries.items())

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import random
 import re
 import subprocess
@@ -28,7 +29,9 @@ from h4hecke.files import (
 from h4hecke.hecke import CoefficientField, EigenvalueTriple, QComplex, QuadExt, apply_hecke
 from h4hecke.numerics import SpectralForm
 from h4hecke.quaternions import LemmaSweepError
-from reference import write_coefficient_field_json, write_lambda_table, write_spectral_form
+from reference import (
+    parse_coefficient_field_quad, write_coefficient_field_json, write_lambda_table, write_spectral_form,
+)
 
 
 @st.composite
@@ -149,6 +152,83 @@ class TestCoefficientFiles:
         path.write_text('{"p": 3.0, "entries": [{"beta": [1, 0, 0], "re": ["1", "1"]}]}')
         assert parse_coefficient_field(path).p == 3
 
+    @pytest.mark.parametrize("text", ["1/0", "1/-2", "a", "", "1//2", "3/ 4", "3/+4", "0x10"])
+    def test_malformed_rational_message(self, tmp_path, text):
+        # the fast path for "n" and "n/d" hands every other text to Fraction, which refuses these
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"p": 5, "entries": [{"beta": [1, 0, 0], "re": ["1", text]}]}))
+        message = f"malformed rational {text!r}"
+        with pytest.raises(FileFormatError, match=f"^{re.escape(message)}$"):
+            parse_coefficient_field(path)
+        with pytest.raises(FileFormatError, match=f"^{re.escape(message)}$"):
+            parse_coefficient_field_quad(path)
+
+    def test_past_the_int_digit_limit_is_malformed(self, tmp_path):
+        # int() refuses more digits than sys.get_int_max_str_digits(), and so does Fraction()
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if not limit:
+            pytest.skip("this interpreter has no digit limit")
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps({"entries": [{"beta": [1, 0, 0], "re": ["1/" + "7" * (limit + 1)]}]}))
+        with pytest.raises(FileFormatError, match="^malformed rational"):
+            parse_coefficient_field(path)
+
+    def test_unreduced_parts_give_the_constructors_arrays(self, tmp_path):
+        # 2^63/2 over the lcm 2 has the numerator 2^63, past int64; in lowest terms it is 2^62, which fits
+        path = tmp_path / "unreduced.json"
+        path.write_text(json.dumps({"p": 3, "entries": [{"beta": [1, 0, 0], "re": [f"{2 ** 63}/2", "0/5"]},
+                                                        {"beta": [0, 2, 0], "im": ["-0", f"{2 ** 62}/2"]}]}))
+        got, expected = parse_coefficient_field(path), parse_coefficient_field_quad(path)
+        assert got == expected and got.den == expected.den == 1
+        assert got.nums.tolist() == expected.nums.tolist() and got.nums.dtype == expected.nums.dtype == np.int64
+
+    @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(st.data())
+    def test_matches_the_quad_ext_route(self, data):
+        # the parse of any file, canonical or in a form only Fraction reads, is the field (or the error)
+        # of the old route through Fraction, QuadExt and QComplex: ==, den, nums and its dtype, key order
+        p = data.draw(st.sampled_from([None, 3, 5, 7, 3.0, 9]))
+        numerators = st.integers(-9, 9) | st.builds(int.__mul__, st.sampled_from([1000, 2 ** 62, 2 ** 70]),
+                                                    st.sampled_from([1, -1]))
+        rationals = st.builds(Fraction, numerators, st.sampled_from([1, 2, 3, 4, 6, 12, 2 ** 63 + 1]))
+
+        def text(x: Fraction):
+            n, d = x.numerator, x.denominator
+            k = data.draw(st.sampled_from([1, 1, 2, 7]))
+            forms = [str(x), f"{n * k}/{d * k}", f"0{n}/00{d}" if n >= 0 else f"-0{-n}/0{d}",
+                     f" {x} ", f"+{x}" if n >= 0 else str(x), n if d == 1 else str(x)]
+            if d in (1, 2, 4):
+                forms += [float(x) if abs(n) < 2 ** 50 else str(x), f"{float(x)}" if abs(n) < 2 ** 50 else str(x)]
+            return data.draw(st.sampled_from(forms + [" 3/4 ", "+2", "1.5", "1e3", "-0", "07/014", "2/4", "0/5", 0]))
+
+        def scalar():
+            parts = [text(data.draw(rationals))]
+            if data.draw(st.booleans()):
+                parts.append(text(data.draw(rationals) if data.draw(st.booleans()) else Fraction(0)))
+            return parts[0] if len(parts) == 1 and data.draw(st.booleans()) else parts
+
+        betas = data.draw(st.lists(st.tuples(*[st.integers(-4, 4)] * 3).filter(any), max_size=8, unique=True))
+        doc = {"entries": [{"beta": list(b), "re": scalar(), "im": scalar()} for b in betas]}
+        if p is not None:
+            doc["p"] = p
+
+        def outcome(parse, path):
+            try:
+                return parse(path)
+            except ValueError as exc:  # FileFormatError is one
+                return type(exc), str(exc)
+
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "field.json"
+            path.write_text(json.dumps(doc))
+            got, expected = outcome(parse_coefficient_field, path), outcome(parse_coefficient_field_quad, path)
+        if isinstance(expected, tuple):
+            assert got == expected
+            return
+        assert got == expected and got.p == expected.p and got.den == expected.den and repr(got) == repr(expected)
+        assert got.keys.tolist() == expected.keys.tolist() and got.keys.dtype == expected.keys.dtype
+        assert got.nums.tolist() == expected.nums.tolist() and got.nums.dtype == expected.nums.dtype
+
 
 def _layout_cases():
     """Named fields for the layout test: empty, plain Q, huge numerators, negative coordinates, operator outputs."""
@@ -200,6 +280,61 @@ class TestCoefficientFileLayout:
         field = _LAYOUT_CASES[name]
         assert name.startswith("empty") or field.entries
         self._assert_same_bytes(field)
+
+
+class TestWriterTarget:
+    """The writers write over an existing file in place and cut it to length: the bytes are those of a fresh
+    write whatever the old file held, and the target is opened as open(path, "w") opens it."""
+
+    FIELD = _LAYOUT_CASES["H3_p7"]
+
+    @staticmethod
+    def _fresh(write, obj, tmp_path):
+        path = tmp_path / "fresh"
+        write(obj, path)
+        return path.read_bytes()
+
+    @pytest.mark.parametrize("writer", ["field", "function"])
+    @pytest.mark.parametrize("old", ["longer", "shorter", "same_length", "empty"])
+    def test_overwrite_equals_a_fresh_write(self, tmp_path, writer, old):
+        write, obj = {"field": (write_coefficient_field, self.FIELD),
+                      "function": (write_sampled_function, power_law_function(0.125, y_max=50.0))}[writer]
+        fresh = self._fresh(write, obj, tmp_path)
+        old_bytes = {"longer": fresh + b"x" * 5000, "shorter": fresh[: len(fresh) // 3], "empty": b"",
+                     "same_length": bytes(reversed(fresh))}[old]
+        target = tmp_path / "target"
+        target.write_bytes(old_bytes)
+        write(obj, target)
+        assert target.read_bytes() == fresh
+
+    def test_dev_null(self, tmp_path, capsys):
+        if not os.path.exists(os.devnull):
+            pytest.skip("no null device")
+        write_coefficient_field(self.FIELD, os.devnull)
+        write_sampled_function(power_law_function(0.125, y_max=50.0), os.devnull)
+        src = tmp_path / "in.json"
+        write_coefficient_field(CoefficientField.random(random.Random(4), p=3, support=4, sqrt_parts=True), src)
+        assert main(["hecke", "apply", "--op", "1", "--p", "3", "--in", str(src), "--out", os.devnull]) == 0
+
+    def test_symlink_is_written_through(self, tmp_path):
+        fresh = self._fresh(write_coefficient_field, self.FIELD, tmp_path)
+        real, link = tmp_path / "real.json", tmp_path / "link.json"
+        real.write_bytes(b"y" * (2 * len(fresh)))
+        link.symlink_to(real)
+        write_coefficient_field(self.FIELD, link)
+        assert link.is_symlink() and real.read_bytes() == fresh
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+    def test_new_file_mode(self, tmp_path, umask):
+        previous = os.umask(umask)
+        try:
+            write_coefficient_field(self.FIELD, tmp_path / "new.json")
+            with open(tmp_path / "by_open.json", "w"):
+                pass
+        finally:
+            os.umask(previous)
+        mode = (tmp_path / "new.json").stat().st_mode & 0o777
+        assert mode == 0o666 & ~umask == (tmp_path / "by_open.json").stat().st_mode & 0o777
 
 
 class TestOtherFiles:

@@ -40,7 +40,9 @@ from h4hecke.quaternions import (
     orbit_representatives,
     scale_lattice,
 )
-from reference import apply_dict, apply_hecke_float_dict, apply_matrix, commutator_dict, symmetrized_dict
+from reference import (
+    apply_dict, apply_hecke_float_dict, apply_matrix, commutator_dict, fields_equal_by_entries, symmetrized_dict,
+)
 
 
 class TestQuadExt:
@@ -1315,6 +1317,61 @@ class TestFieldContainer:
         assert at[3] != at[5]
         rational = {p: CoefficientField(p, {(1, 0, 0): QComplex.of(Fraction(1, 2), 3, p=p)}) for p in (3, 5)}
         assert rational[3] == rational[5] == CoefficientField(None, {(1, 0, 0): QComplex.of(Fraction(1, 2), 3)})
+
+    def test_equality_matches_the_decoded_entries(self):
+        # == on the arrays against == on decoded QComplex values, over pairs that differ in one way each:
+        # key order, prime (p = None against p), one part, one denominator, one key, int64 against
+        # Python-int numerators (past 2^63), and none
+        rng = random.Random(23)
+        huge = 2 ** 64 + 3
+
+        def variants(A):
+            entries = list(A.entries.items())
+            rng.shuffle(entries)
+            yield CoefficientField(A.p, dict(entries))
+            if A.p is None:
+                yield A.with_prime(rng.choice((3, 5)))
+            else:  # the same rows over another prime: equal only when no sqrt lane is nonzero
+                yield CoefficientField._from_rows(next(q for q in (3, 5, 7) if q != A.p), A.den, A.keys, A.nums)
+                if not A.nums[:, 1::2].any():
+                    yield CoefficientField(None, {b: QComplex(QuadExt.of(v.re.a), QuadExt.of(v.im.a))
+                                                  for b, v in entries})
+            if entries:
+                beta, value = entries[0]
+                for changed in (value * 2, value * Fraction(1, 3), value + QComplex.of(huge, p=A.p),
+                                QComplex(value.re, value.im + QuadExt(A.p, Fraction(0), Fraction(A.p is not None)))):
+                    yield CoefficientField(A.p, {**dict(entries), beta: changed})
+                yield CoefficientField(A.p, dict(entries[1:]))
+                yield CoefficientField(A.p, {(beta[0] + 9, *beta[1:]) if b == beta else b: v for b, v in entries})
+
+        seen = {True: 0, False: 0}
+        for trial in range(60):
+            p = rng.choice((None, 3, 5, 7))
+            A = CoefficientField.random(rng, p=p, support=rng.randint(0, 9), coord_bound=3,
+                                        sqrt_parts=p is not None and rng.random() < 0.5)
+            if trial % 3 == 0:
+                A = A.scale(Fraction(huge, rng.choice((1, 2, 6))))
+            if trial % 4 == 1:
+                A = A.symmetrized()
+            for B in variants(A):
+                expected = fields_equal_by_entries(A, B)
+                assert (A == B) == (B == A) == expected, (A, B)
+                seen[expected] += 1
+        assert min(seen.values()) > 50, seen
+
+    def test_zero_residual_is_the_zero_field(self):
+        # the relation that holds returns its zero field without building arrays, equal to the public one
+        for p in (3, 7):
+            zero = CoefficientField(p, {})
+            for got in (verify_hecke_relation(p, CoefficientField.random(random.Random(p), p=p, sqrt_parts=True)),
+                        hecke._unpacked(p, {}, 5 * p ** 4, 40)):
+                assert got == zero and repr(got) == repr(zero) and got.p == p and got.den == zero.den == 1
+                for name in ("keys", "nums", "norms"):
+                    mine, public = getattr(got, name), getattr(zero, name)
+                    assert mine.shape == public.shape and mine.dtype == public.dtype and not mine.flags.writeable
+                assert got.key_peak == got.num_peak == got.support_radius == 0 and got.is_zero
+                assert len(got.entries) == 0 and list(got.entries) == [] and got.at((1, 0, 0)) == QComplex.of(0)
+                assert not hecke._float_field(got) and apply_hecke(1, p, got) == zero
 
 
 class TestEigenvalueTriple:
