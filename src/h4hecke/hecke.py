@@ -44,8 +44,14 @@ below 2^62, and on Python ints in an object array otherwise.  The exact
 operators run the formulas above in _apply, on dicts of plain Python
 ints: the four integer numerators of each value are packed into one int,
 so a term is one int product or sum and builds no object, and every
-division is exact (see the integer-domain note below).  Only they read
-the dict _conj_sum.  The lattice sums of the sums module (R^{p,l}_d and
+division is exact (see the integer-domain note below).  _apply scatters
+the values along the (beta, row) pairs of its input's _Support, where one
+star product gives T_0, T_1 and T_2; verify_hecke_relation runs H_1, H_2
+and H_3 on one _Support of A, so A's support is scattered once, and H_2
+and H_3 add their terms straight into the residual.  The dict _conj_sum is
+the same scatter on a dict of scalars of any domain, for the test suite's
+generic dict loops of the operators (tests/reference.py, apply_dict).
+The lattice sums of the sums module (R^{p,l}_d and
 the L6.4 double sum) read T_l off _conj_sum_rows, the same scatter on
 arrays, with the integer numerators of equal betas summed.  A field is
 integer numerator arrays over one denominator (CoefficientField); the
@@ -702,16 +708,76 @@ def _conj_sum(k: int, p: int, entries: Mapping[LatticeVector, object], mats) -> 
     max|gamma_i| 3 max|C_i entry| p^max(k-2, 0) < 2^62, else on Python ints
     in an object array, so it is exact either way.  The values are added
     by the domain's own `+`, gamma-major and then star, as a loop over the
-    pairs would add them.
+    pairs would add them (_scatter).
     """
     _, reach = _star_block(mats)
     images, rows = _star_images(k, p, _support_array(list(entries), reach * p ** max(k - 2, 0)), mats)
-    values = list(entries.values())
-    acc = {}
-    for beta, g in zip(map(tuple, images.tolist()), rows.tolist()):
-        v = values[g]
+    return _scatter((map(tuple, images.tolist()), rows.tolist()), list(entries.values()), {})
+
+
+def _scatter(pairs: tuple, values: list, acc: dict) -> dict:
+    """acc with values[row] added at beta for each (beta, row) of the pairs (betas, rows), in pair
+    order, by the values' own `+`; a beta new to acc takes its first value as it is."""
+    betas, rows = pairs
+    for beta, v in zip(betas, map(values.__getitem__, rows)):
         acc[beta] = acc[beta] + v if beta in acc else v
     return acc
+
+
+class _Support:
+    """The points of an input of the exact operators, and what _apply reads off them, each made
+    when it is first read: the (betas, rows) pairs of T_0, T_1 and T_2 (_scatter), and the
+    _epsilon_case of each point.
+
+    verify_hecke_relation builds one for A and runs H_1, H_2 and H_3 on it, so A's support is
+    scattered once.  `keys`, when the caller holds it, is the points as an (n, 3) array with
+    max|coordinate| `peak` (a field's keys and key_peak); else the array is built from the points.
+    """
+
+    __slots__ = ("p", "mats", "points", "_keys", "_peak", "_pairs", "_cases")
+
+    def __init__(self, p: int, mats, points: list, keys: Optional[np.ndarray] = None, peak: int = 0):
+        self.p, self.mats, self.points = p, mats, points
+        self._keys, self._peak = keys, peak
+        self._pairs = [None, None, None]
+        self._cases = None
+
+    def pairs(self, k: int) -> tuple[list, list]:
+        """T_k's pairs (beta, row), k = 0, 1 or 2: each integral p^(k-2) S_i gamma, gamma the point of the row.
+
+        Since (T_k A)(beta) = (T_j A)(p^(j-k) beta), the pairs of a T_j above T_k that are already
+        made give T_k's: those whose beta p^(j-k) divides, beta divided, a few tuple tests where a
+        mask of the star products (_star_images) costs about ten numpy calls.
+        """
+        pairs = self._pairs[k]
+        if pairs is None:
+            made = [j for j in range(k + 1, 3) if self._pairs[j] is not None]
+            if made:
+                d = self.p ** (made[0] - k)
+                betas, rows = [], []
+                for b, g in zip(*self._pairs[made[0]]):
+                    if not (b[0] % d or b[1] % d or b[2] % d):
+                        betas.append((b[0] // d, b[1] // d, b[2] // d))
+                        rows.append(g)
+                pairs = betas, rows
+            else:
+                _, reach = _star_block(self.mats)
+                keys = self._keys
+                if keys is None:
+                    keys = _support_array(self.points, reach)
+                elif keys.dtype != object and self._peak * reach >= 2 ** 62:  # as _widened
+                    keys = keys.astype(object)
+                images, rows = _star_images(k, self.p, keys, self.mats)
+                pairs = list(map(tuple, images.tolist())), rows.tolist()
+            self._pairs[k] = pairs
+        return pairs
+
+    @property
+    def cases(self) -> list:
+        if self._cases is None:
+            p = self.p
+            self._cases = [_epsilon_case(gamma, p) for gamma in self.points]
+        return self._cases
 
 
 def _conj_sum_rows(k: int, p: int, keys: np.ndarray, rows: np.ndarray, mats,
@@ -742,26 +808,32 @@ def _conj_sum_rows(k: int, p: int, keys: np.ndarray, rows: np.ndarray, mats,
     return images.take(order[starts], axis=0), np.add.reduceat(rows.take(src[order], axis=0), starts)
 
 
-def _apply(ell: int, p: int, entries: Mapping[LatticeVector, int], w: int, representatives=None) -> dict:
-    """H_ell on a dict of packed values of lane width w: every nonzero (H_ell A)(beta), packed.
+def _apply(ell: int, support: _Support, values: list, w: int, into: Optional[dict] = None) -> dict:
+    """H_ell on packed values of lane width w at the points of `support`: every nonzero (H_ell A)(beta),
+    packed, in a new dict; or, given `into`, every term added into that dict, which is returned with
+    any sums that cancel kept.
 
-    The module docstring's T_k form, on the integer domain below.  Weights of
-    gamma (p^(-1/2), 1_p(gamma)) go onto the entries before a _conj_sum,
-    weights of beta (1_p(beta) - 1/p) onto its sums.  One pass serves T_0 and
-    T_2 of one input, since (T_0 A)(beta) = (T_2 A)(p^2 beta).  H_3 scatters A
-    itself, and its two T_0(1_p .) terms share one pass,
-    T_0(1_p (p^(-1/2) A + p^(-1) T_2 A)).  A shift off the lattice (gamma/p
-    with p not dividing gamma) reaches no beta and is skipped.
+    The module docstring's T_k form, on the integer domain below.  Each T_k scatters the
+    values from the pairs of `support` (_scatter): weights of gamma (p^(-1/2), 1_p(gamma))
+    go onto the values first, weights of beta onto the sums.  Since
+    (T_0 A)(beta) = (T_2 A)(p^2 beta) and (T_1 A)(beta) = (T_2 A)(p beta), one star product
+    serves every T_k of one support.  H_2 is E A + p^(-1/2) (T_0 A + T_2 A) as written.  H_3
+    adds its (1_p - 1/p) T_2 A as -(1/p) T_2 A and then 1_p T_2 A, the T_1 sums moved to
+    p beta, and its two T_0(1_p .) terms in one scatter of u = 1_p (p^(-1/2) A + p^(-1) T_2 A):
+
+        H_3 A = A(p^2 .) + mid A + A(./p^2) - p^(-1/2) (1/p) (T_0 A + T_2 A)
+                + p^(-1/2) 1_p T_2 A + T_0 u.
+
+    A shift off the lattice (gamma/p with p not dividing gamma) reaches no beta and is skipped.
     """
-    if ell not in (1, 2, 3):
-        raise ValueError(f"ell must be 1, 2, or 3, got {ell}")
-    mats = conjugation_matrices(p) if representatives is None else tuple(map(conjugation_matrix, representatives))
+    p = support.p
     psq, cube = p * p, p ** 3
     inv_sqrt = _inv_sqrt(p, w)
+    out = {} if into is None else into
+    get = out.get
     if ell == 1:
-        out = _conj_sum(1, p, {gamma: inv_sqrt(v) for gamma, v in entries.items()}, mats)
-        get = out.get
-        for gamma, v in entries.items():
+        _scatter(support.pairs(1), [inv_sqrt(v) for v in values], out)
+        for gamma, v in zip(support.points, values):
             beta = _divide(gamma, p)
             if beta is not None:
                 out[beta] = get(beta, 0) + v
@@ -769,22 +841,16 @@ def _apply(ell: int, p: int, entries: Mapping[LatticeVector, int], w: int, repre
             out[beta] = get(beta, 0) + v
     elif ell == 2:
         eps = _int_weights(p).eps
-        t = _conj_sum(2, p, {gamma: inv_sqrt(v) for gamma, v in entries.items()}, mats)
-        out = dict(t)
-        get = out.get
-        for beta, v in t.items():
-            beta = _divide(beta, psq)
-            if beta is not None:
-                out[beta] = get(beta, 0) + v
-        for gamma, v in entries.items():
-            out[gamma] = get(gamma, 0) + eps[_epsilon_case(gamma, p)] * v // cube
-    else:
+        scaled = [inv_sqrt(v) for v in values]
+        _scatter(support.pairs(2), scaled, out)
+        _scatter(support.pairs(0), scaled, out)
+        for gamma, case, v in zip(support.points, support.cases, values):
+            out[gamma] = get(gamma, 0) + eps[case] * v // cube
+    elif ell == 3:
         weights = _int_weights(p)
-        mid, (low_w, high_w), inv_p = weights.mid, weights.ind, weights.inv_p
-        out, u = {}, {}
-        get = out.get
-        for gamma, v in entries.items():
-            case = _epsilon_case(gamma, p)
+        mid, inv_p = weights.mid, weights.inv_p
+        u = {}
+        for gamma, case, v in zip(support.points, support.cases, values):
             beta = _divide(gamma, psq)
             if beta is not None:
                 out[beta] = get(beta, 0) + v
@@ -793,19 +859,17 @@ def _apply(ell: int, p: int, entries: Mapping[LatticeVector, int], w: int, repre
             out[gamma] = get(gamma, 0) + mid[case] * v // cube
             if case == 0:
                 u[gamma] = inv_sqrt(v)
-        for beta, v in _conj_sum(2, p, entries, mats).items():
-            low = inv_sqrt(low_w * v // cube)
-            if beta[0] % p or beta[1] % p or beta[2] % p:
-                out[beta] = get(beta, 0) + low
-            else:
-                out[beta] = get(beta, 0) + inv_sqrt(high_w * v // cube)
-                below = _divide(beta, psq)
-                if below is not None:
-                    out[below] = get(below, 0) + low
-                u[beta] = u.get(beta, 0) + inv_p * v // cube
-        for beta, v in _conj_sum(0, p, u, mats).items():
-            out[beta] = get(beta, 0) + v
-    return {beta: v for beta, v in out.items() if v}
+        low = [inv_sqrt(-inv_p * v // cube) for v in values]
+        _scatter(support.pairs(2), low, out)
+        _scatter(support.pairs(0), low, out)
+        for beta, v in _scatter(support.pairs(1), values, {}).items():
+            beta = _scale(beta, p)  # (T_2 A)(p beta) is this T_1 sum
+            out[beta] = get(beta, 0) + inv_sqrt(v)
+            u[beta] = u.get(beta, 0) + inv_p * v // cube
+        _scatter(_Support(p, support.mats, list(u)).pairs(0), list(u.values()), out)
+    else:
+        raise ValueError(f"ell must be 1, 2, or 3, got {ell}")
+    return out if into is not None else {beta: v for beta, v in out.items() if v}
 
 
 # -- the integer domain of the exact operators ---------------------------------
@@ -819,10 +883,12 @@ def _apply(ell: int, p: int, entries: Mapping[LatticeVector, int], w: int, repre
 # (k <= 3) acts as "times n p^(3-k), then // p^3", exact on a multiple of p^k,
 # and p^(-1/2) maps a + b sqrt(p) to b + (a/p) sqrt(p), exact on a multiple of
 # p.  _apply weights single numerators and also sums of them, and a sum of
-# multiples of p^k is again one: E, mid and p^(-1/2) act on inputs, 1/p and
-# 1_p - 1/p on H_3's T_2 A (a multiple of p^3), and the p^(-1/2) after them on
-# a multiple of p^2.  An H_1 output is a multiple of p^2, which is why
-# verify_hecke_relation rescales it by p before applying H_1 again.
+# multiples of p^k is again one: E, mid, p^(-1/2) and -1/p act on inputs, 1/p
+# and p^(-1/2) on H_3's T_1 sums (multiples of p^3), and the p^(-1/2) after
+# -1/p on a multiple of p^2.  An H_1 output is a multiple of p^2, which is why
+# verify_hecke_relation applies the inner H_1 to p A: an integer multiple of an
+# input is again an input, and every step is exact, so H(m A) = m H(A) value by
+# value, and the outer H_1 reads multiples of p^3.
 #
 # Lanes.  The four numerators of (ra + rb sqrt p) + (ia + ib sqrt p) i are held
 # as one Python int, each a signed lane of w bits:
@@ -847,10 +913,17 @@ def _apply(ell: int, p: int, entries: Mapping[LatticeVector, int], w: int, repre
 # most g1 = 2 + (p+1) = p + 3, H_2 by g2 = 1 + 2(p+1) = 2p + 3, and H_3 by
 # g3 = 3 + 2(p+1) + (p+1)/p + (p+1)^2/p <= 3p + 9 (A(p^2 .), mid A, A(./p^2);
 # T_0(1_p A) and (1_p - 1/p) T_2 A; (1/p) T_0 A; p^(-1) T_0(1_p T_2 A)); H_3's
-# u holds partial sums of its last two terms.  An operator reads numerators of
-# norm at most M p^3, and the relation's residual over D p^4 is
-# H_1(p H_1 A) - (p+1) H_2 A - p H_3 A - (1 + 1/p + 1/p^2 + 1/p^3) p A, so every
-# value that apply_hecke or verify_hecke_relation forms has ||v|| <= B with
+# u holds partial sums of its last two terms.  H_3 adds (1_p - 1/p) T_2 A at
+# beta as the terms of -(1/p) T_2 A and then, where p | beta, (T_2 A)(beta) as
+# one sum, so each partial sum of that group is -1/p times a partial sum of
+# (T_2 A)(beta) or (1 - 1/p) (T_2 A)(beta), both within (p+1) times the input's
+# norm.  An operator reads numerators of norm at most M p^3 times the integer
+# it is weighted by, and the relation's residual over D p^4 is
+# H_1(p H_1 A) - H_2((p+1) A) - H_3(p A) - (1 + 1/p + 1/p^2 + 1/p^3) p A, whose
+# four parts add into one dict: every partial sum there is at most the sum of
+# the four parts' bounds, p g1^2, (p+1) g2, p g3 and 2p, times M p^3.  So every
+# value that apply_hecke or verify_hecke_relation forms, inputs, partial sums,
+# H_3's u and T_1 sums and the inner H_1 included, has ||v|| <= B with
 #
 #     B = M p^4 G(p),   G(p) = (p+3)^2 + 5p + 17 >= g1^2 + (1 + 1/p) g2 + g3 + 2.
 #
@@ -930,13 +1003,16 @@ def apply_hecke(ell: int, p: int, A: CoefficientField, *, representatives=None) 
     """
     A = A.with_prime(p)
     den, w, packed = _packed(A, p)
-    return _unpacked(p, _apply(ell, p, packed, w, representatives), den, w)
+    mats = conjugation_matrices(p) if representatives is None else tuple(map(conjugation_matrix, representatives))
+    support = _Support(p, mats, list(packed), A.keys, A.key_peak)
+    return _unpacked(p, _apply(ell, support, list(packed.values()), w), den, w)
 
 
 # -- the float twin on arrays ----------------------------------------------------
 #
 # A float field is an (n, 3) key array and a complex128 value array.  _apply_float
-# adds the terms of the exact _apply in the same order, so its outputs equal those
+# adds the terms of the module docstring's T_k form in the order of the generic dict
+# loops over _conj_sum (tests/reference.py, apply_dict), so its outputs equal those
 # of the same loops on a dict of complex doubles, keys and values (np.add.at starts
 # each sum from +0.0, so only the sign of a zero part can differ): each loop of
 # dict adds over rows is one _interleave, and each merge of equal keys (_merge, also
@@ -1141,7 +1217,8 @@ def apply_hecke_float(ell: int, p: int, entries: Mapping[LatticeVector, complex]
 
 
 def hecke_relation_constant(p: int) -> Fraction:
-    return 1 + Fraction(1, p) + Fraction(1, p * p) + Fraction(1, p ** 3)
+    """1 + 1/p + 1/p^2 + 1/p^3, as one Fraction over p^3."""
+    return Fraction(p ** 3 + p * p + p + 1, p ** 3)
 
 
 def verify_hecke_relation(p: int, A: CoefficientField) -> CoefficientField:
@@ -1153,20 +1230,29 @@ def verify_hecke_relation(p: int, A: CoefficientField) -> CoefficientField:
 
     The whole chain runs on the packed integer numerators of apply_hecke,
     over D p^3, in one lane width for all of it (see the integer-domain
-    note).  An H_1 output is a multiple of p^2, so it is rescaled by p (to
-    numerators over D p^4) before the outer H_1; the other three terms are
-    brought over D p^4 by their weights times p, which are exact on
-    multiples of p^3, and only the residual is decoded, into numerator rows.
+    note), and the three operators on A share one _Support, so A's support
+    is scattered once.  The residual is formed over D p^4 as
+    H_1(p H_1 A) - H_2((p+1) A) - H_3(p A) - (1 + 1/p + 1/p^2 + 1/p^3) p A:
+    each operator reads its input already weighted, which is exact since every
+    output is, and the outer H_1, H_2 and H_3 add their terms straight into one
+    dict.  An H_1 output is a multiple of p^2, so the inner H_1 reads p A to give
+    the outer one numerators that p^3 divides.  Only the residual is decoded,
+    into numerator rows.
     """
     A = A.with_prime(p)
     den, w, packed = _packed(A, p)
-    residual = _apply(1, p, {beta: p * v for beta, v in _apply(1, p, packed, w).items()}, w)
+    mats = conjugation_matrices(p)
+    support = _Support(p, mats, list(packed), A.keys, A.key_peak)
+    values = list(packed.values())
+    residual = _apply(2, support, [-(p + 1) * v for v in values], w, into={})
+    _apply(3, support, [-p * v for v in values], w, into=residual)
+    inner = _apply(1, support, [p * v for v in values], w)
+    _apply(1, _Support(p, mats, list(inner)), list(inner.values()), w, into=residual)
+    constant = hecke_relation_constant(p)
+    m, q = -constant.numerator * p, constant.denominator  # its weight times p, as m/q
     get = residual.get
-    constant = hecke_relation_constant(p) * p
-    for terms, m, q in ((_apply(2, p, packed, w), -p - 1, 1), (_apply(3, p, packed, w), -p, 1),
-                        (packed, -constant.numerator, constant.denominator)):  # each weight times p, as m/q
-        for beta, v in terms.items():
-            residual[beta] = get(beta, 0) + m * v // q
+    for beta, v in packed.items():
+        residual[beta] = get(beta, 0) + m * v // q
     return _unpacked(p, {beta: v for beta, v in residual.items() if v}, den * p, w)
 
 

@@ -363,6 +363,16 @@ def apply_dict(ell: int, p: int, entries, weights, inv_sqrt_p, representatives=N
     return {beta: value for beta, value in out.items() if value}
 
 
+def relation_residual_by_applies(p, A):
+    """H_1(H_1 A) - (1 + 1/p) H_2 A - H_3 A - (1 + 1/p + 1/p^2 + 1/p^3) A from four public apply_hecke calls and
+    the field's own + and scale: the reference for ``hecke.verify_hecke_relation``, which runs the three operators
+    on one shared support of A and adds their terms into one residual."""
+    A = A.with_prime(p)
+    outer = hecke.apply_hecke(1, p, hecke.apply_hecke(1, p, A))
+    return (outer + hecke.apply_hecke(2, p, A).scale(-(1 + Fraction(1, p))) + hecke.apply_hecke(3, p, A).scale(-1)
+            + A.scale(-hecke.hecke_relation_constant(p)))
+
+
 def apply_hecke_float_dict(ell, p, entries) -> dict:
     """H_ell on a dict of complex doubles through apply_dict: the reference for
     ``hecke.apply_hecke_float``, which adds the same terms in the same order on arrays."""

@@ -41,7 +41,8 @@ from h4hecke.quaternions import (
     scale_lattice,
 )
 from reference import (
-    apply_dict, apply_hecke_float_dict, apply_matrix, commutator_dict, fields_equal_by_entries, symmetrized_dict,
+    apply_dict, apply_hecke_float_dict, apply_matrix, commutator_dict, fields_equal_by_entries,
+    relation_residual_by_applies, symmetrized_dict,
 )
 
 
@@ -959,6 +960,63 @@ class TestRelation:
             expected = A.scale(QuadExt.of(Fraction(5, p ** 3), p))
             residual = verify_hecke_relation(p, A)
             assert residual == expected and _snapshot(residual) == _snapshot(expected)
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_matches_four_public_applies(self, p):
+        # the shared support and the terms added straight into the residual against four apply_hecke
+        # calls and the field's + and scale: over Q(sqrt p), over plain Q, with D > 1, past 2^63
+        rng = random.Random(60 + p)
+        huge = 10 ** 25
+        fields = [
+            CoefficientField.random(rng, p=p, support=8, sqrt_parts=True),
+            CoefficientField.random(rng, p=None, support=8, symmetric=True),
+            CoefficientField(p, {(1, 2, 0): QComplex(QuadExt(p, Fraction(1, 6), Fraction(-2, 3)), QuadExt.of(5, p)),
+                                 (3, 0, -1): QComplex.of(Fraction(-7, 4), Fraction(1, p * p), p=p)}),
+            CoefficientField(p, {(2, -1, 1): QComplex(QuadExt(p, Fraction(huge), Fraction(-huge - 1, 3)),
+                                                      QuadExt.of(Fraction(huge ** 2, 7), p)),
+                                 (p, 0, p): QComplex.of(-(10 ** 20), p=p)}),
+        ]
+        assert fields[1].p is None and fields[2].den > 1 and fields[3].nums.dtype == object
+        for A in fields:
+            residual = verify_hecke_relation(p, A)
+            expected = relation_residual_by_applies(p, A)
+            assert residual.is_zero and residual == expected and _snapshot(residual) == _snapshot(expected)
+
+    def test_nonzero_residual_matches_four_public_applies(self, monkeypatch):
+        # both read the patched constant, so both leave 5/p^3 A, with D > 1
+        constant = hecke.hecke_relation_constant
+        monkeypatch.setattr(hecke, "hecke_relation_constant", lambda p: constant(p) - Fraction(5, p ** 3))
+        rng = random.Random(43)
+        for p in (3, 5, 7):
+            A = CoefficientField.random(rng, p=p, support=6, sqrt_parts=True)
+            A = A + A.scale(QuadExt.of(Fraction(1, 6), p))
+            residual = verify_hecke_relation(p, A)
+            expected = relation_residual_by_applies(p, A)
+            assert not residual.is_zero and residual.den > 1
+            assert residual == expected and _snapshot(residual) == _snapshot(expected)
+
+    @pytest.mark.parametrize("part", ["eps", "mid"])
+    def test_relation_runs_the_operators_own_code(self, monkeypatch, part):
+        # one weight numerator of H_2 (eps) or H_3 (mid) off by one moves that operator and the
+        # relation, by exactly the term it weighs: a private copy of the operator in the relation
+        # would leave the residual zero
+        p = 5
+        A = CoefficientField.random(random.Random(9), p=p, support=8, sqrt_parts=True)
+        case = _epsilon_case(next(iter(A.entries)), p)
+        before = {ell: apply_hecke(ell, p, A) for ell in (1, 2, 3)}
+        weights = hecke._int_weights(p)
+        bumped = list(getattr(weights, part))
+        bumped[case] += 1
+        changed = weights._replace(**{part: tuple(bumped)})
+        monkeypatch.setattr(hecke, "_int_weights", lambda q: changed if q == p else weights)
+        moved = 2 if part == "eps" else 3
+        on_case = CoefficientField(p, {b: v for b, v in A.entries.items() if _epsilon_case(b, p) == case})
+        assert apply_hecke(moved, p, A) == before[moved] + on_case.scale(Fraction(1, p ** 3))
+        assert all(apply_hecke(ell, p, A) == before[ell] for ell in (1, 2, 3) if ell != moved)
+        weight = -(1 + Fraction(1, p)) if part == "eps" else Fraction(-1)
+        residual = verify_hecke_relation(p, A)
+        expected = on_case.scale(weight / p ** 3)
+        assert not residual.is_zero and residual == expected and _snapshot(residual) == _snapshot(expected)
 
     @settings(max_examples=10, deadline=None)
     @given(st.integers(0, 2 ** 31), st.sampled_from([3, 5]))
