@@ -190,7 +190,7 @@ def _cmd_hecke_commute(args) -> int:
     for _ in range(args.trials):
         # sign-symmetric fields: the subspace where cross-prime commutativity holds
         field = hecke.CoefficientField.random(rng, p=None, support=args.support,
-                                              coord_bound=3, entry_bound=10, symmetric=True)
+                                              coord_bound=3, entry_bound=10).symmetrized()
         for ell in (1, 2):
             for m in (1, 2):
                 worst = max(worst, hecke.verify_commutativity(args.p, args.q, ell, m, field))

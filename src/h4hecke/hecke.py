@@ -35,35 +35,36 @@ as an exact operator identity on arbitrary fields (any fixed orbit
 table); verify_hecke_relation computes the residual of that identity
 without rounding.
 
-_conj_sum computes T_k by scattering from the support; its docstring
-holds the transposition argument that makes this exact.  Every image
-S_i gamma of the support comes from one integer matrix product with a
-cached star block, the S_i side by side (_star_images); it runs in int64
-when the largest coordinate times 3 max|C_i entry| p^max(k-2, 0) stays
-below 2^62, and on Python ints in an object array otherwise.  The exact
-operators run the formulas above in _apply, on dicts of plain Python
-ints: the four integer numerators of each value are packed into one int,
-so a term is one int product or sum and builds no object, and every
-division is exact (see the integer-domain note below).  _apply scatters
-the values along the (beta, row) pairs of its input's _Support, where one
-star product gives T_0, T_1 and T_2; verify_hecke_relation runs H_1, H_2
-and H_3 on one _Support of A, so A's support is scattered once, and H_2
-and H_3 add their terms straight into the residual.  The dict _conj_sum is
-the same scatter on a dict of scalars of any domain, for the test suite's
-generic dict loops of the operators (tests/reference.py, apply_dict).
-The lattice sums of the sums module (R^{p,l}_d and
-the L6.4 double sum) read T_l off _conj_sum_rows, the same scatter on
-arrays, with the integer numerators of equal betas summed.  A field is
-integer numerator arrays over one denominator (CoefficientField); the
-exact operators pack them into a dict (_packed) and decode their outputs
-straight back into rows (_unpacked), and the float operators read
-complex128 arrays made once per field (_float_field).  Every merge of
-equal keys, on int64 or on Python ints, sorts them once (_runs).  The
-float twin _apply_float runs the same formulas on (keys, values) arrays,
-and apply_hecke_float returns a read-only mapping backed by those arrays
-(_ArrayMap, as a field's entries are), so verify_commutativity and
-eigen_residual chain operators without building dicts (see the
-float-twin note below).
+T_k is computed by scattering from the support: _star_images holds the
+transposition argument that makes this exact, and forms every image S_i
+gamma of the support by one integer matrix product with a cached star
+block, the S_i side by side.  Whether an array is computed on int64 or
+on Python ints in an object array is decided in one place, _exact, from
+the caller's bound on every int it forms, for this module and for sums;
+an int64 key array keeps every coordinate below 2^62 in absolute value
+(_support_array).  The exact operators run the formulas above in _apply,
+on dicts of plain Python ints: the four integer numerators of each value
+are packed into one int, so a term is one int product or sum and builds
+no object, and every division is exact (see the integer-domain note
+below).  _apply scatters the values along the (beta, row) pairs of its
+input's _Support, where one star product gives T_0, T_1 and T_2;
+verify_hecke_relation runs H_1, H_2 and H_3 on one _Support of A, so A's
+support is scattered once, and H_2 and H_3 add their terms straight into
+the residual.  The test suite's generic dict loops of the operators
+(tests/reference.py, apply_dict) scatter by an independent loop over the
+(point, representative) pairs.  The lattice sums of the sums module
+(R^{p,l}_d and the L6.4 double sum) read T_l off _conj_sum_rows, the
+same scatter on arrays, with the integer numerators of equal betas
+summed.  A field is integer numerator arrays over one denominator
+(CoefficientField); the exact operators pack them into a dict (_packed)
+and decode their outputs straight back into rows (_unpacked), and the
+float operators read complex128 arrays made once per field
+(_float_field).  Every merge of equal keys, on int64 or on Python ints,
+sorts them once (_runs).  The float twin _apply_float runs the same
+formulas on (keys, values) arrays, and apply_hecke_float returns a
+read-only mapping backed by those arrays (_ArrayMap, as a field's
+entries are), so verify_commutativity and eigen_residual chain operators
+without building dicts (see the float-twin note below).
 
 Two finer properties need the Klein-group sign symmetry
 A(-b0,-b1,b2) = A(-b0,b1,-b2) = A(b0,-b1,-b2) = A(b0,b1,b2) that
@@ -407,7 +408,7 @@ class CoefficientField:
 
     def _set(self, p: Optional[int], den: int, keys: np.ndarray, nums: np.ndarray) -> None:
         key_peak = _peak(keys)
-        wide = keys if keys.dtype == object or 3 * key_peak ** 2 < 2 ** 63 else keys.astype(object)
+        wide = _exact(keys, 3 * key_peak ** 2)
         self.norms = (wide * wide).sum(axis=1)
         self.norms.flags.writeable = False
         self.p, self.den, self.keys, self.nums = p, den, keys, nums
@@ -464,7 +465,6 @@ class CoefficientField:
         coord_bound: int = 3,
         entry_bound: int = 10,
         sqrt_parts: bool = False,
-        symmetric: bool = False,
     ) -> "CoefficientField":
         """Random sparse field with integer (or integer + integer*sqrt(p)) entries."""
         if sqrt_parts and p is None:
@@ -486,8 +486,7 @@ class CoefficientField:
             value = QComplex(scalar(), scalar())
             if value:
                 entries[beta] = value
-        field = cls(p, entries)
-        return field.symmetrized() if symmetric else field
+        return cls(p, entries)
 
     # -- lookup and linear structure ------------------------------------
 
@@ -503,7 +502,7 @@ class CoefficientField:
         of equal keys summed (_merge) over 4 den, and the sums that cancel dropped.
         """
         keys = (self.keys[:, None, :] * np.array(_SIGN_PATTERNS, dtype=self.keys.dtype)).reshape(-1, 3)
-        nums = self.nums if self.nums.dtype == object or 4 * self.num_peak < 2 ** 63 else self.nums.astype(object)
+        nums = _exact(self.nums, 4 * self.num_peak)
         keys, sums = _merge((keys, np.repeat(nums, 4, axis=0)))
         kept = (sums != 0).any(axis=1)
         return CoefficientField._from_rows(self.p, 4 * self.den, keys.compress(kept, axis=0), sums.compress(kept, axis=0))
@@ -609,9 +608,10 @@ def _int_array(flat: list, width: int) -> np.ndarray:
         return np.array(flat, dtype=object).reshape(-1, width)
 
 
-def _support_array(points: list, growth: int) -> np.ndarray:
-    """The points as an (n, 3) array: int64 when max|coordinate| * growth < 2^62, else Python ints."""
-    return _widened(_int_array(list(chain.from_iterable(points)), 3), growth)
+def _support_array(points: list) -> np.ndarray:
+    """The points as an (n, 3) key array: int64 while every |coordinate| < 2^62 (_exact), else Python ints."""
+    keys = _int_array(list(chain.from_iterable(points)), 3)
+    return _exact(keys, 2 * _peak(keys))
 
 
 def _over_lcm(points: list, ratios: list) -> tuple[int, np.ndarray, np.ndarray]:
@@ -623,7 +623,7 @@ def _over_lcm(points: list, ratios: list) -> tuple[int, np.ndarray, np.ndarray]:
     g = math.gcd(den, *flat)  # 1 when every pair is in lowest terms, or there is none
     if g > 1:
         den, flat = den // g, [n // g for n in flat]
-    return den, _support_array(points, 1), _int_array(flat, 4)
+    return den, _support_array(points), _int_array(flat, 4)
 
 
 _NO_KEYS, _NO_NUMS, _NO_NORMS = np.empty((0, 3), np.int64), np.empty((0, 4), np.int64), np.empty(0, np.int64)
@@ -639,20 +639,38 @@ def _peak(arr: np.ndarray) -> int:
     return int(np.abs(arr).view(np.uint64).max())  # |x| read as uint64 is exact for every int64, -2^63 included
 
 
-def _widened(arr: np.ndarray, growth: int) -> np.ndarray:
-    """arr itself when it is on Python ints or max|coordinate| * growth < 2^62, else arr on Python ints."""
-    if arr.dtype == object or _peak(arr) * growth < 2 ** 62:
+def _exact(arr: np.ndarray, bound: int) -> np.ndarray:
+    """arr, or arr on Python ints when `bound` reaches 2^63: the one place that picks int64 or Python ints.
+
+    `bound` is the caller's proven bound on every |int| it forms from arr.  An int64 key array also
+    keeps every |coordinate| < 2^62, which _mod needs, so a caller that forms keys passes twice the
+    largest |coordinate| it can form.
+    """
+    if arr.dtype == object or bound < 2 ** 63:
         return arr
     return arr.astype(object)
 
 
-def _star_images(k: int, p: int, gammas: np.ndarray, mats) -> tuple[np.ndarray, np.ndarray]:
+def _star_images(k: int, p: int, gammas: np.ndarray, mats, peak: int) -> tuple[np.ndarray, np.ndarray]:
     """(images, rows): every integral p^(k-2) S_i gamma of the rows of `gammas`, gamma-major and
-    then star, and the row of gamma that each image comes from.
+    then star, and the row of gamma that each image comes from; `peak` bounds max|coordinate| of
+    `gammas`.  These are the (beta, row) pairs that scatter T_k A from the support.
 
-    The caller sizes `gammas` (_support_array, _widened) so that the product cannot leave int64.
+    (T_k A)(beta) = sum_i A(C_i beta / p^k), with C_1..C_{p+1} the conjugation matrices `mats`
+    (conj_i(beta) = C_i beta).  Each C_i has C_i S_i = p^2 I with S_i = C_i^T, so
+    C_i beta / p^k = gamma exactly when beta = p^(k-2) S_i gamma.  The terms that read A at
+    gamma are therefore the pairs (gamma, i) with p^(k-2) S_i gamma integral, one term per pair:
+    adding A(gamma) into the sum at that beta for each pair visits every term once, and no
+    lookup misses.  N(beta) = p^(2k-2) N(gamma), so a caller that needs a ball of beta drops
+    gamma first.
+
+    Every S_i gamma comes from one integer product of the support with the star block, and
+    divisibility by p^(2-k) is one array mask.  An image coordinate is at most
+    peak 3 max|C_i entry| p^max(k-2, 0), so the product runs on Python ints when that could
+    reach 2^62 (_exact) and is exact either way.
     """
-    block, _ = _star_block(mats)
+    block, reach = _star_block(mats)
+    gammas = _exact(gammas, 2 * peak * reach * p ** max(k - 2, 0))
     if gammas.dtype == object:
         block = block.astype(object)
     images = (gammas @ block).reshape(-1, 3)  # row g (p+1) + i is S_i gamma_g
@@ -670,15 +688,14 @@ def _mod(keys: np.ndarray, d: int) -> np.ndarray:
     numpy divides int64 by a scalar several times faster than it takes the
     remainder, so the remainder is keys - (keys // d) d.  The product lies in
     (keys - d, keys], which stays in int64 while |key| < 2^62 and d < 2^63: every
-    int64 key array here keeps the first (_widened), and _divided the second.
+    int64 key array here keeps the first (_exact), and _divided the second.
     """
     return keys - keys // d * d
 
 
 def _divided(keys: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
     """(keys // d, the mask of the rows of the (n, 3) key array that the positive integer d divides)."""
-    if d >= 2 ** 63 and keys.dtype != object:  # past int64: the quotients are taken on Python ints
-        keys = keys.astype(object)
+    keys = _exact(keys, d)  # |key| < 2^62 and d < 2^63 keep every int formed in int64 (_mod)
     quo = keys // d
     rest = keys - quo * d  # _mod(keys, d): each in [0, d), so the OR of a row is 0 when all three are
     return quo, (rest[:, 0] | rest[:, 1] | rest[:, 2]) == 0
@@ -687,32 +704,6 @@ def _divided(keys: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
 def _divisible(keys: np.ndarray, d: int) -> np.ndarray:
     """The mask of the rows of an (n, 3) key array that the positive integer d divides."""
     return _divided(keys, d)[1]
-
-
-def _conj_sum(k: int, p: int, entries: Mapping[LatticeVector, object], mats) -> dict:
-    """T_k A on a dict of scalars: beta -> sum_i A(C_i beta / p^k) at every beta with a support hit.
-
-    C_1..C_{p+1} are the conjugation matrices `mats` (conj_i(beta) = C_i beta),
-    and the sums are scattered from the support.  Each C_i has C_i S_i = p^2 I
-    with S_i = C_i^T, so C_i beta / p^k = gamma exactly when
-    beta = p^(k-2) S_i gamma.  The terms that read A at gamma are therefore
-    the pairs (gamma, i) with p^(k-2) S_i gamma integral, one term per pair:
-    adding A(gamma) into the sum at that beta for each pair visits every
-    term once, and no lookup misses.  N(beta) = p^(2k-2) N(gamma), so a
-    caller that needs a ball of beta drops gamma first.  Sums that cancel
-    to zero are kept.
-
-    Every S_i gamma comes from one integer matrix product of the (n, 3)
-    support with the star block (_star_images), and divisibility by p^(2-k)
-    is one array mask.  The product runs in int64 when
-    max|gamma_i| 3 max|C_i entry| p^max(k-2, 0) < 2^62, else on Python ints
-    in an object array, so it is exact either way.  The values are added
-    by the domain's own `+`, gamma-major and then star, as a loop over the
-    pairs would add them (_scatter).
-    """
-    _, reach = _star_block(mats)
-    images, rows = _star_images(k, p, _support_array(list(entries), reach * p ** max(k - 2, 0)), mats)
-    return _scatter((map(tuple, images.tolist()), rows.tolist()), list(entries.values()), {})
 
 
 def _scatter(pairs: tuple, values: list, acc: dict) -> dict:
@@ -761,13 +752,11 @@ class _Support:
                         rows.append(g)
                 pairs = betas, rows
             else:
-                _, reach = _star_block(self.mats)
-                keys = self._keys
-                if keys is None:
-                    keys = _support_array(self.points, reach)
-                elif keys.dtype != object and self._peak * reach >= 2 ** 62:  # as _widened
-                    keys = keys.astype(object)
-                images, rows = _star_images(k, self.p, keys, self.mats)
+                keys, peak = self._keys, self._peak
+                if keys is None:  # _star_images sizes the array
+                    keys = _int_array(list(chain.from_iterable(self.points)), 3)
+                    peak = _peak(keys)
+                images, rows = _star_images(k, self.p, keys, self.mats, peak)
                 pairs = list(map(tuple, images.tolist())), rows.tolist()
             self._pairs[k] = pairs
         return pairs
@@ -785,27 +774,21 @@ def _conj_sum_rows(k: int, p: int, keys: np.ndarray, rows: np.ndarray, mats,
     """T_k on an array field: (betas, sums), one beta per key with a support hit, in no fixed order.
 
     `keys` is the (n, 3) support and `rows` its (n, m) integer values, numerators say.  The
-    images are _conj_sum's (_star_images), so the same transposition argument makes the
-    scatter exact, and the rows of each beta are summed.  A beta gets at most one term per
-    C_i, so each sum stays in int64 when max|row entry| len(mats) < 2^63; past that the rows
-    are summed on Python ints.  Sums that cancel to zero are kept.  `peaks` bounds
+    pairs are _star_images', whose docstring makes the scatter exact, and the rows of each
+    beta are summed (_run_sums).  A beta gets at most one term per C_i, so each sum is at most
+    max|row entry| len(mats) (_exact).  Sums that cancel to zero are kept.  `peaks` bounds
     (max|key coordinate|, max|row entry|), as a field keeps them (key_peak, num_peak), so
     neither array is scanned here.
     """
     if not len(keys):  # no support point: no image
         return keys, rows
-    _, reach = _star_block(mats)
     key_peak, row_peak = peaks
-    if keys.dtype != object and key_peak * reach * p ** max(k - 2, 0) >= 2 ** 62:  # as _widened
-        keys = keys.astype(object)
-    images, src = _star_images(k, p, keys, mats)
-    if rows.dtype != object and row_peak * len(mats) >= 2 ** 63:
-        rows = rows.astype(object)
+    images, src = _star_images(k, p, keys, mats, key_peak)
+    rows = _exact(rows, row_peak * len(mats)).take(src, axis=0)
     if not len(images):
-        return images, rows.take(src, axis=0)
-    order, new = _runs(images)
-    starts = new.nonzero()[0]
-    return images.take(order[starts], axis=0), np.add.reduceat(rows.take(src[order], axis=0), starts)
+        return images, rows
+    first, sums = _run_sums(images, rows)
+    return images.take(first, axis=0), sums
 
 
 def _apply(ell: int, support: _Support, values: list, w: int, into: Optional[dict] = None) -> dict:
@@ -983,7 +966,7 @@ def _unpacked(p: int, packed: Mapping[LatticeVector, int], den: int, w: int) -> 
     if not packed:
         return CoefficientField._zero_rows(p)
     flat = list(chain.from_iterable(map(_unpacker(w), packed.values())))
-    return CoefficientField._from_rows(p, den, _support_array(list(packed), 1), _int_array(flat, 4))
+    return CoefficientField._from_rows(p, den, _support_array(list(packed)), _int_array(flat, 4))
 
 
 def apply_hecke(ell: int, p: int, A: CoefficientField, *, representatives=None) -> CoefficientField:
@@ -1012,12 +995,12 @@ def apply_hecke(ell: int, p: int, A: CoefficientField, *, representatives=None) 
 #
 # A float field is an (n, 3) key array and a complex128 value array.  _apply_float
 # adds the terms of the module docstring's T_k form in the order of the generic dict
-# loops over _conj_sum (tests/reference.py, apply_dict), so its outputs equal those
-# of the same loops on a dict of complex doubles, keys and values (np.add.at starts
-# each sum from +0.0, so only the sign of a zero part can differ): each loop of
-# dict adds over rows is one _interleave, and each merge of equal keys (_merge, also
-# every _conj_sum) adds in input order and keeps the keys in first-occurrence
-# order, as a dict would.  The exact operators run on dicts of packed ints, read off
+# loops of tests/reference.py (apply_dict), so its outputs equal those of the same
+# loops on a dict of complex doubles, keys and values (np.add.at starts each sum
+# from +0.0, so only the sign of a zero part can differ): each loop of dict adds
+# over rows is one _interleave, and each merge of equal keys (_merge, also every
+# T_k scatter) adds in input order and keeps the keys in first-occurrence order,
+# as a dict would.  The exact operators run on dicts of packed ints, read off
 # the field's numerator arrays and decoded back into them: on object arrays of
 # per-value numerator objects, the same array code took 0.76-0.86 ms for the four
 # applies of a relation on 8-entry fields, against 0.44-0.47 ms on dicts.
@@ -1041,7 +1024,7 @@ class _FloatTables(NamedTuple):
     inv_p: float
     inv_sqrt_p: float
     residue: np.ndarray  # residue[r]: r is a nonzero square mod p
-    growth: int  # bounds max|coordinate| of every key one operator forms, over that of its input
+    reach: int  # 3 max|C_i entry|, over p's conjugation matrices (_star_block)
 
 
 @lru_cache(maxsize=128)
@@ -1052,9 +1035,8 @@ def _float_tables(p: int) -> _FloatTables:
     arrays = (np.array(weights.eps), np.array(weights.mid), np.array(weights.ind), residue)
     for arr in arrays:
         arr.flags.writeable = False  # one cached table serves every caller
-    _, reach = _star_block(conjugation_matrices(p))
-    # S_i S_j gamma (H_3's T_0(1_p T_2 A)) and p^2 gamma are the largest keys formed
-    return _FloatTables(*arrays[:3], weights.inv_p, 1.0 / math.sqrt(p), residue, reach * max(reach, p * p))
+    reach = _star_block(conjugation_matrices(p))[1]
+    return _FloatTables(*arrays[:3], weights.inv_p, 1.0 / math.sqrt(p), residue, reach)
 
 
 def _epsilon_cases(keys: np.ndarray, p: int, residue: np.ndarray) -> np.ndarray:
@@ -1101,6 +1083,14 @@ def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ordered = keys.take(order, axis=0)
     np.any(ordered[1:] != ordered[:-1], axis=1, out=new[1:])
     return order, new
+
+
+def _run_sums(keys: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(first, sums): for each run of equal keys of a nonempty key array (_runs), its least row and
+    the sum of its values (or value rows), runs in no fixed key order."""
+    order, new = _runs(keys)
+    starts = new.nonzero()[0]
+    return order.take(starts), np.add.reduceat(vals.take(order, axis=0), starts)
 
 
 def _groups(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -1154,23 +1144,25 @@ def _interleave(*groups: tuple) -> tuple[np.ndarray, np.ndarray]:
     return keys.reshape(-1, 3).compress(mask, axis=0), vals.reshape(-1).compress(mask)
 
 
-def _star_terms(k: int, p: int, keys: np.ndarray, vals: np.ndarray, mats) -> tuple[np.ndarray, np.ndarray]:
+def _star_terms(k: int, p: int, keys: np.ndarray, vals: np.ndarray, mats, peak: int) -> tuple[np.ndarray, np.ndarray]:
     """The terms of T_k on a float field, unmerged: each image with the value of its gamma."""
-    images, rows = _star_images(k, p, keys, mats)
+    images, rows = _star_images(k, p, keys, mats, peak)
     return images, vals[rows]
 
 
 def _apply_float(ell: int, p: int, keys: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """H_ell on a float field: the keys and values of its nonzero outputs, as _apply adds them."""
     t = _float_tables(p)
-    keys = _widened(keys, t.growth)
+    peak = _peak(keys)
+    keys = _exact(keys, 2 * peak * p * p)  # p^2 gamma is the largest key formed outside _star_images
     mats = conjugation_matrices(p)
     psq, s = p * p, t.inv_sqrt_p
     if ell == 1:
         quo, hit = _divided(keys, p)
-        out = _merge(_star_terms(1, p, keys, s * vals, mats), _interleave((quo, vals, hit), (keys * p, vals, None)))
+        out = _merge(_star_terms(1, p, keys, s * vals, mats, peak),
+                     _interleave((quo, vals, hit), (keys * p, vals, None)))
     elif ell == 2:
-        tk, tv = _merge(_star_terms(2, p, keys, s * vals, mats))
+        tk, tv = _merge(_star_terms(2, p, keys, s * vals, mats, peak))
         quo, on = _divided(tk, psq)
         out = _merge((tk, tv), (quo.compress(on, axis=0), tv.compress(on)),
                      (keys, t.eps[_epsilon_cases(keys, p, t.residue)] * vals))
@@ -1178,7 +1170,7 @@ def _apply_float(ell: int, p: int, keys: np.ndarray, vals: np.ndarray) -> tuple[
         cases = _epsilon_cases(keys, p, t.residue)
         quo, hit = _divided(keys, psq)
         own = _interleave((quo, vals, hit), (keys * psq, vals, None), (keys, t.mid[cases] * vals, None))
-        tk, tv = _merge(_star_terms(2, p, keys, vals, mats))
+        tk, tv = _merge(_star_terms(2, p, keys, vals, mats, peak))
         by_p = _divisible(tk, p)
         low = s * (t.ind[0] * tv)
         quo, hit = _divided(tk, psq)
@@ -1186,7 +1178,7 @@ def _apply_float(ell: int, p: int, keys: np.ndarray, vals: np.ndarray) -> tuple[
         zero = cases == 0
         u = _merge((keys.compress(zero, axis=0), s * vals.compress(zero)),
                    (tk.compress(by_p, axis=0), t.inv_p * tv.compress(by_p)))
-        out = _merge(own, conj, _merge(_star_terms(0, p, *u, mats)))
+        out = _merge(own, conj, _merge(_star_terms(0, p, *u, mats, peak * t.reach)))  # u holds keys and T_2 images
     keep = out[1] != 0
     return out[0].compress(keep, axis=0), out[1].compress(keep)
 
@@ -1212,7 +1204,7 @@ def apply_hecke_float(ell: int, p: int, entries: Mapping[LatticeVector, complex]
     if ell not in (1, 2, 3):
         raise ValueError(f"ell must be 1, 2, or 3, got {ell}")
     if not (isinstance(entries, _ArrayMap) and entries._rows.dtype == complex):  # else one returned here
-        entries = _ArrayMap(_support_array(list(entries), 1), np.fromiter(entries.values(), complex, len(entries)))
+        entries = _ArrayMap(_support_array(list(entries)), np.fromiter(entries.values(), complex, len(entries)))
     return _ArrayMap(*_apply_float(ell, p, entries._keys, entries._rows))
 
 
@@ -1298,9 +1290,8 @@ def verify_commutativity(p: int, q: int, ell: int, m: int, A: CoefficientField) 
     if not len(keys):
         return 0.0
     # Each side holds a key once, so a key's difference is its pq value, -qp, or pq - qp,
-    # which reduceat forms over the sorted runs; the largest |difference| needs no key order.
-    order, new = _runs(keys)
-    diff = np.add.reduceat(np.concatenate((pq._rows, -qp._rows))[order], new.nonzero()[0])
+    # summed over its run; the largest |difference| needs no key order.
+    _, diff = _run_sums(keys, np.concatenate((pq._rows, -qp._rows)))
     return float(np.abs(diff).max())
 
 
@@ -1341,8 +1332,7 @@ class EigenResidualReport:
 def _in_ball(keys: np.ndarray, bound: int) -> np.ndarray:
     """The mask of the rows beta of an (n, 3) key array with N(beta) <= bound."""
     r = math.isqrt(bound)
-    if r > 2 ** 30 and keys.dtype != object:  # 3 r^2 must stay below 2^63
-        keys = keys.astype(object)
+    keys = _exact(keys, 3 * r * r)  # the norm of a key with every |coordinate| <= r
     small = (np.abs(keys) <= r).all(axis=1)
     c = keys.compress(small, axis=0)
     mask = small.copy()

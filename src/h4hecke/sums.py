@@ -26,7 +26,7 @@ takes every |v|^2 as one vector expression on the numerator columns,
 and only a total becomes an element of Q(sqrt p) over D^2, p
 the field's own prime (or its float).  The arrays are int64 only while a
 bound proves that no sum or product can leave it, and Python ints in
-object arrays otherwise.  The inner sums sum_i A(conj_i(beta) / p^l) of
+object arrays otherwise, as hecke._exact decides for both modules.  The inner sums sum_i A(conj_i(beta) / p^l) of
 R and L6.4 are the map T_l of the Hecke operators, scattered from the
 support by hecke._conj_sum_rows (the star images of hecke._star_images,
 one integer matrix product, with the numerators of equal betas summed).
@@ -53,6 +53,7 @@ from .hecke import (
     QuadExt,
     _conj_sum_rows,
     _divisible,
+    _exact,
     hecke_relation_constant,
 )
 from .quaternions import MAX_PRIME, LatticeVector, conjugation_matrices, odd_primes_in, require_odd_prime
@@ -68,11 +69,10 @@ def _square_sum(nums: np.ndarray, q: Optional[int], peak: int, total: bool = Fal
     With M = `peak`, a bound on max|numerator|, each |a| <= (2 + 2q) M^2
     and each |b| <= 4 M^2, so the n rows are squared in int64 only while
     n (4 + 2q) M^2 < 2^63, which also keeps every column sum and both totals in int64;
-    otherwise on Python ints.
+    otherwise on Python ints (_exact).
     """
     q = q or 0  # plain Q: every sqrt part is zero
-    if nums.dtype != object and len(nums) * (4 + 2 * q) * peak ** 2 >= 2 ** 63:
-        nums = nums.astype(object)
+    nums = _exact(nums, len(nums) * (4 + 2 * q) * peak ** 2)
     squares, cross = nums * nums, nums[:, 0::2] * nums[:, 1::2]  # ra^2 rb^2 ia^2 ib^2, and ra rb, ia ib
     if total:
         squares, cross = squares.sum(axis=0), cross.sum(axis=0)

@@ -14,7 +14,7 @@ from h4hecke.geometry import (
     _MAX_ITER, _TOL, IsometryMatrix, PointH4, ReductionError, as_point, inversion, is_in_region, pseudo_det, rotation,
     translation,
 )
-from h4hecke.hecke import _conj_sum, _epsilon_case
+from h4hecke.hecke import _epsilon_case
 from h4hecke.quaternions import (
     UNIT_FLIPS, Quaternion, conjugation_matrices, conjugation_matrix, divide_lattice as _divide, hamilton_product,
     lattice_norm, scale_lattice as _scale,
@@ -309,12 +309,30 @@ def _add(acc: dict, beta, value) -> None:
         acc[beta] = acc[beta] + value if beta in acc else value
 
 
+def pair_conj_sum(k, p, entries, mats) -> dict:
+    """T_k A by one apply_matrix per (support point, representative) pair: the reference for the
+    conjugate-sum scatter of ``hecke`` (``_Support.pairs``, ``_conj_sum_rows``).
+
+    Adds A(gamma) at beta = p^(k-2) S_i gamma for every pair whose beta is
+    integral, gamma-major and then i, on the domain's own `+`.
+    """
+    shift = p ** abs(k - 2)
+    acc = {}
+    for gamma, v in entries.items():
+        for mat in mats:
+            beta = apply_matrix(tuple(zip(*mat)), gamma)
+            beta = _scale(beta, shift) if k > 2 else _divide(beta, shift)
+            if beta is not None:
+                acc[beta] = acc[beta] + v if beta in acc else v
+    return acc
+
+
 def apply_dict(ell: int, p: int, entries, weights, inv_sqrt_p, representatives=None) -> dict:
     """H_ell on a dict of scalars of one domain, adding each term by the domain's own `+`: every nonzero
     (H_ell A)(beta).  The term order of ``hecke._apply_float``, zero signs included.
 
     The hecke module docstring's T_k form.  Weights of gamma (p^(-1/2), 1_p(gamma))
-    go onto the entries before a _conj_sum, weights of beta (1_p(beta) - 1/p)
+    go onto the entries before a pair_conj_sum, weights of beta (1_p(beta) - 1/p)
     onto its sums.  One pass serves T_0 and T_2 of one input, since
     (T_0 A)(beta) = (T_2 A)(p^2 beta).  H_3 scatters A itself: its last term
     needs p^(-1) T_2 A, and in doubles p^(-1/2) p^(-1/2) is not 1/p, which
@@ -328,12 +346,12 @@ def apply_dict(ell: int, p: int, entries, weights, inv_sqrt_p, representatives=N
     mats = conjugation_matrices(p) if representatives is None else tuple(map(conjugation_matrix, representatives))
     psq = p * p
     if ell == 1:
-        out = _conj_sum(1, p, {gamma: inv_sqrt_p * v for gamma, v in entries.items()}, mats)
+        out = pair_conj_sum(1, p, {gamma: inv_sqrt_p * v for gamma, v in entries.items()}, mats)
         for gamma, v in entries.items():
             _add(out, _divide(gamma, p), v)
             _add(out, _scale(gamma, p), v)
     elif ell == 2:
-        t = _conj_sum(2, p, {gamma: inv_sqrt_p * v for gamma, v in entries.items()}, mats)
+        t = pair_conj_sum(2, p, {gamma: inv_sqrt_p * v for gamma, v in entries.items()}, mats)
         out = dict(t)
         for beta, v in t.items():
             _add(out, _divide(beta, psq), v)
@@ -350,7 +368,7 @@ def apply_dict(ell: int, p: int, entries, weights, inv_sqrt_p, representatives=N
             if case == 0:
                 u[gamma] = inv_sqrt_p * v
         ind = weights.ind
-        for beta, v in _conj_sum(2, p, entries, mats).items():
+        for beta, v in pair_conj_sum(2, p, entries, mats).items():
             low = inv_sqrt_p * (ind[0] * v)
             if beta[0] % p or beta[1] % p or beta[2] % p:
                 _add(out, beta, low)
@@ -358,7 +376,7 @@ def apply_dict(ell: int, p: int, entries, weights, inv_sqrt_p, representatives=N
                 _add(out, beta, inv_sqrt_p * (ind[1] * v))
                 _add(out, _divide(beta, psq), low)
                 _add(u, beta, weights.inv_p * v)
-        for beta, v in _conj_sum(0, p, u, mats).items():
+        for beta, v in pair_conj_sum(0, p, u, mats).items():
             _add(out, beta, v)
     return {beta: value for beta, value in out.items() if value}
 

@@ -111,8 +111,7 @@ def test_accept_05_cross_prime_commutativity():
     worst = 0.0
     for seed in range(20):
         rng = random.Random(2000 + seed)
-        field = CoefficientField.random(rng, support=6, coord_bound=2, entry_bound=8,
-                                        symmetric=True)
+        field = CoefficientField.random(rng, support=6, coord_bound=2, entry_bound=8).symmetrized()
         for (p, q) in ((3, 5), (3, 7), (5, 7)):
             for ell in (1, 2):
                 for m in (1, 2):

@@ -796,6 +796,7 @@ class TestBadInputsExit2:
         ["maass", "cusp", "--form", "{form}", "--T", "1e308"],
         ["maass", "eval", "--form", "{form}", "--point", "0,0,0,1e308"],
         ["maass", "laplace-check", "--beta", "1,0,0", "--r", "nan"],
+        ["maass", "laplace-check", "--beta", "1,0,0", "--r", "100000"],
         ["maass", "laplace-check", "--beta", "1,0,0", "--r", "1", "--h", "nan"],
         ["maass", "laplace-check", "--beta", "1,0,0", "--r", "1", "--h", "0"],
         ["maass", "eval", "--form", "{nan_r}", "--point", "0.1,0.2,0.3,1"],

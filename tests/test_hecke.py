@@ -41,7 +41,7 @@ from h4hecke.quaternions import (
     scale_lattice,
 )
 from reference import (
-    apply_dict, apply_hecke_float_dict, apply_matrix, commutator_dict, fields_equal_by_entries,
+    apply_dict, apply_hecke_float_dict, apply_matrix, commutator_dict, fields_equal_by_entries, pair_conj_sum,
     relation_residual_by_applies, symmetrized_dict,
 )
 
@@ -466,8 +466,7 @@ class TestFloatPath:
         # so the two round differently but agree to a few ulps, key for key
         rng = random.Random(100 + p)
         for support, bound in ((6, 2), (12, 3), (20, 4)):
-            entries = CoefficientField.random(rng, support=support, coord_bound=bound,
-                                              symmetric=True).as_complex_dict()
+            entries = CoefficientField.random(rng, support=support, coord_bound=bound).symmetrized().as_complex_dict()
             for ell in (1, 2, 3):
                 got = apply_hecke_float(ell, p, entries)
                 expected = _float_apply(ell, p, entries)
@@ -524,10 +523,11 @@ class TestFloatArrayPath:
             out = apply_hecke_float(ell, 5, {})
             assert len(out) == 0 and out == {} and apply_hecke_float_dict(ell, 5, {}) == {}
 
-    @pytest.mark.parametrize("top", [2 ** 25, 2 ** 40, 2 ** 58, 10 ** 30])
+    @pytest.mark.parametrize("top", [2 ** 25, 2 ** 40, 2 ** 53, 2 ** 58, 10 ** 30])
     def test_coordinates_past_the_int64_packing(self, top):
-        # from 2^25 on, keys span too wide to pack three into one int64; at 2^58 the keys fit
-        # int64 but the images of one operator do not; 10^30 leaves int64 itself
+        # from 2^25 on, keys span too wide to pack three into one int64; at 2^53 the keys and the
+        # T_2 images fit int64 but H_3's second scatter at p = 5, 7 runs on Python ints; at 2^58
+        # the keys fit int64 but the images of one operator do not; 10^30 leaves int64 itself
         entries = {(top, 3, 0): 1 + 2j, (9 * top, 0, 9): -1.0 + 0j, (1, 0, 0): 0.5j, (3, 6, 9): 2.0 + 0j,
                    (0, top, -top): 0.25 - 1j}
         for p in (3, 5, 7):
@@ -621,7 +621,7 @@ class TestFloatArrayPath:
                                                                              for b in huge.tolist()]
 
     def test_returned_mapping(self):
-        entries = CoefficientField.random(random.Random(3), support=6, symmetric=True).as_complex_dict()
+        entries = CoefficientField.random(random.Random(3), support=6).symmetrized().as_complex_dict()
         out = apply_hecke_float(2, 3, entries)
         expected = apply_hecke_float_dict(2, 3, entries)
         assert isinstance(out, Mapping) and not isinstance(out, dict)
@@ -638,23 +638,6 @@ class TestFloatArrayPath:
         assert not hasattr(out, "update") and not hasattr(out, "pop")
 
 
-def _pair_conj_sum(k, p, entries, mats):
-    """T_k A by one apply_matrix per (support point, representative) pair: the reference for _conj_sum.
-
-    Adds A(gamma) at beta = p^(k-2) S_i gamma for every pair whose beta is
-    integral, gamma-major and then i, on the domain's own `+`.
-    """
-    shift = p ** abs(k - 2)
-    acc = {}
-    for gamma, v in entries.items():
-        for mat in mats:
-            beta = apply_matrix(tuple(zip(*mat)), gamma)
-            beta = scale_lattice(beta, shift) if k > 2 else divide_lattice(beta, shift)
-            if beta is not None:
-                acc[beta] = acc[beta] + v if beta in acc else v
-    return acc
-
-
 def _alternative_reps(p, seed):
     """The canonical representatives times seeded non-identity units, shuffled."""
     rng = random.Random(seed)
@@ -663,10 +646,27 @@ def _alternative_reps(p, seed):
     return tuple(reps)
 
 
+def _scattered(support, k, entries):
+    """T_k A as _apply scatters it: the values of `entries` along the pairs of a _Support of its points."""
+    return hecke._scatter(support.pairs(k), list(entries.values()), {})
+
+
+def _row_sums(k, p, ints, mats):
+    """T_k A of int values through _conj_sum_rows, as a dict beta -> sum."""
+    keys, rows = hecke._support_array(list(ints)), hecke._int_array(list(ints.values()), 1)
+    betas, sums_ = hecke._conj_sum_rows(k, p, keys, rows, mats, (hecke._peak(keys), hecke._peak(rows)))
+    return {tuple(b): r for b, (r,) in zip(betas.tolist(), sums_.tolist())}
+
+
 class TestConjSum:
+    # the scatters the library runs against the pair loop reference.pair_conj_sum: the pairs of a
+    # _Support (T_0, T_1, T_2, each from its own star product or derived from a higher T_k's pairs)
+    # and _conj_sum_rows (T_3, T_4)
+
     @pytest.mark.parametrize("p", [3, 5, 7])
     def test_matches_pair_reference(self, p):
-        # equal dicts in equal order: the float sums then add in the same order, bit for bit
+        # equal dicts in equal order, in every order of requests: the float sums then add in the
+        # same order, bit for bit
         rng = random.Random(200 + p)
         for table in (conjugation_matrices(p), tuple(map(conjugation_matrix, _alternative_reps(p, p)))):
             for support, bound in ((1, 1), (8, 2), (30, 4), (60, 2 * p * p)):
@@ -674,14 +674,25 @@ class TestConjSum:
                 points.discard((0, 0, 0))
                 ints = {beta: rng.randint(-9, 9) for beta in points}
                 floats = {beta: complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for beta in points}
-                for k in range(5):
-                    for entries in (ints, floats):
-                        got = hecke._conj_sum(k, p, entries, table)
-                        expected = _pair_conj_sum(k, p, entries, table)
-                        assert list(got.items()) == list(expected.items()), (k, support, bound)
+                expected = {(k, kind): list(pair_conj_sum(k, p, entries, table).items())
+                            for k in range(3) for kind, entries in (("int", ints), ("float", floats))}
+                keys = hecke._support_array(list(ints))
+                for order in itertools.permutations(range(3)):
+                    for made in (hecke._Support(p, table, list(ints)),
+                                 hecke._Support(p, table, list(ints), keys, hecke._peak(keys))):
+                        for k in order:
+                            for kind, entries in (("int", ints), ("float", floats)):
+                                got = list(_scattered(made, k, entries).items())
+                                assert got == expected[k, kind], (k, order, support, bound)
+                for k in (3, 4):
+                    assert _row_sums(k, p, ints, table) == pair_conj_sum(k, p, ints, table), (k, support, bound)
 
     def test_zero_support(self):
-        assert hecke._conj_sum(0, 3, {}, conjugation_matrices(3)) == {}
+        mats = conjugation_matrices(3)
+        for k in range(3):
+            assert hecke._Support(3, mats, []).pairs(k) == ([], [])
+        for k in (3, 4):
+            assert _row_sums(k, 3, {}, mats) == {}
 
     @pytest.mark.parametrize("p", [3, 7])
     def test_object_path_past_int64_matches_pair_reference(self, p):
@@ -689,15 +700,20 @@ class TestConjSum:
         reach = hecke._star_block(mats)[1]
         assert reach <= 3 * p
         for k in range(5):
-            growth = reach * p ** max(k - 2, 0)
-            edge = 2 ** 62 // growth
-            assert hecke._support_array([(edge - 1, 0, 1)], growth).dtype == np.int64
+            edge = 2 ** 62 // (reach * p ** max(k - 2, 0))  # _star_images keeps images below 2^62 on int64
+            inside = np.array([(edge - 1, 0, 1)], dtype=np.int64)
+            assert hecke._star_images(k, p, inside, mats, edge - 1)[0].dtype == np.int64
             for top in (edge + 1, 10 ** 30):
-                assert hecke._support_array([(-top, 0, 1)], growth).dtype == object
+                past = hecke._support_array([(-top, 0, 1)])
+                assert hecke._star_images(k, p, past, mats, top)[0].dtype == object
                 entries = {(top, 3, 0): 5, (-top, p * p, 2 * p): -2, (p * top, 1, -1): 7, (1, 2, 3): 1}
-                got = hecke._conj_sum(k, p, entries, mats)
-                expected = _pair_conj_sum(k, p, entries, mats)
-                assert list(got.items()) == list(expected.items()), (k, top)
+                expected = pair_conj_sum(k, p, entries, mats)
+                if k < 3:
+                    got = _scattered(hecke._Support(p, mats, list(entries)), k, entries)
+                    assert list(got.items()) == list(expected.items()), (k, top)
+                else:
+                    got = _row_sums(k, p, entries, mats)
+                    assert got == expected, (k, top)
                 assert all(type(c) is int for beta in got for c in beta)
 
     @pytest.mark.parametrize("top", ["edge", 10 ** 30])
@@ -727,12 +743,12 @@ class TestConjSum:
             points = {tuple(rng.randint(-4, 4) for _ in range(3)) for _ in range(40)} | {(top, 0, p), (p, top, 0)}
             points.discard((0, 0, 0))
             ints = {beta: rng.randint(-value, value) for beta in points}
-            keys = hecke._support_array(list(ints), 1)
+            keys = hecke._support_array(list(ints))
             rows = np.array([[v, -v] for v in ints.values()], dtype=object if keys.dtype == object else np.int64)
             for k in range(4):
                 betas, sums_ = hecke._conj_sum_rows(k, p, keys, rows, mats, (hecke._peak(keys), hecke._peak(rows)))
                 got = {tuple(b): tuple(r) for b, r in zip(betas.tolist(), sums_.tolist())}
-                expected = _pair_conj_sum(k, p, ints, mats)
+                expected = pair_conj_sum(k, p, ints, mats)
                 assert len(got) == len(betas) and got == {b: (v, -v) for b, v in expected.items()}, (top, value, k)
                 assert all(type(c) is int for row in got.values() for c in row)
 
@@ -742,14 +758,15 @@ class TestConjSum:
         assert betas.shape == (0, 3) and rows.shape == (0, 4)
 
     def test_representatives_path_reads_its_own_block(self):
-        # an alternative table builds its own star block: its _conj_sum follows that table
+        # an alternative table builds its own star block: its _Support pairs follow that table
         p = 5
         reps = _alternative_reps(p, 11)
         alternative = tuple(map(conjugation_matrix, reps))
         assert alternative != conjugation_matrices(p)
         entries = {(1, 2, 0): 1, (0, 1, 1): 2, (3, -1, 4): -3}
         for k in range(3):
-            assert hecke._conj_sum(k, p, entries, alternative) == _pair_conj_sum(k, p, entries, alternative)
+            assert _scattered(hecke._Support(p, alternative, list(entries)), k, entries) == pair_conj_sum(
+                k, p, entries, alternative)
         A = CoefficientField(None, {beta: QComplex.of(v) for beta, v in entries.items()})
         for ell in (1, 2, 3):
             assert apply_hecke(ell, p, A, representatives=reps) == _quadext_apply(ell, p, A, reps)
@@ -891,7 +908,7 @@ class TestRepresentativeIndependence:
         from h4hecke.quaternions import orbit_representatives
         rng = random.Random(17)
         p = 3
-        A = CoefficientField.random(rng, p=p, support=5, sqrt_parts=True, symmetric=True)
+        A = CoefficientField.random(rng, p=p, support=5, sqrt_parts=True).symmetrized()
         assert A.symmetrized() == A
         baseline = [apply_hecke(ell, p, A) for ell in (1, 2, 3)]
         canonical = orbit_representatives(p).representatives
@@ -955,7 +972,7 @@ class TestRelation:
         monkeypatch.setattr(hecke, "hecke_relation_constant", lambda p: constant(p) - Fraction(5, p ** 3))
         rng = random.Random(41)
         for p in (3, 5, 7):
-            A = CoefficientField.random(rng, p=p, support=5, sqrt_parts=True, symmetric=True)
+            A = CoefficientField.random(rng, p=p, support=5, sqrt_parts=True).symmetrized()
             A = A + A.scale(QuadExt.of(Fraction(1, 3), p))
             expected = A.scale(QuadExt.of(Fraction(5, p ** 3), p))
             residual = verify_hecke_relation(p, A)
@@ -969,7 +986,7 @@ class TestRelation:
         huge = 10 ** 25
         fields = [
             CoefficientField.random(rng, p=p, support=8, sqrt_parts=True),
-            CoefficientField.random(rng, p=None, support=8, symmetric=True),
+            CoefficientField.random(rng, p=None, support=8).symmetrized(),
             CoefficientField(p, {(1, 2, 0): QComplex(QuadExt(p, Fraction(1, 6), Fraction(-2, 3)), QuadExt.of(5, p)),
                                  (3, 0, -1): QComplex.of(Fraction(-7, 4), Fraction(1, p * p), p=p)}),
             CoefficientField(p, {(2, -1, 1): QComplex(QuadExt(p, Fraction(huge), Fraction(-huge - 1, 3)),
@@ -1036,7 +1053,7 @@ class TestCommutativity:
 
     def test_symmetric_random_fields(self):
         rng = random.Random(77)
-        A = CoefficientField.random(rng, support=5, coord_bound=2, entry_bound=4, symmetric=True)
+        A = CoefficientField.random(rng, support=5, coord_bound=2, entry_bound=4).symmetrized()
         for (ell, m) in ((1, 2), (2, 1), (2, 2)):
             assert verify_commutativity(3, 7, ell, m, A) < 1e-9
 
@@ -1065,7 +1082,7 @@ class TestCommutativity:
         def unreachable(*args):
             raise AssertionError("operator work before the ceiling check")
 
-        A = CoefficientField.random(random.Random(0), support=6, symmetric=True)
+        A = CoefficientField.random(random.Random(0), support=6).symmetrized()
         rows = len(A.entries) * 212 * 224
         assert rows > hecke.MAX_SCATTER_ROWS
         monkeypatch.setattr(hecke, "apply_hecke_float", unreachable)
@@ -1113,10 +1130,10 @@ class TestCommutativity:
         rows = []
         star_images = hecke._star_images
 
-        def counting(k, p_, gammas, mats):
+        def counting(k, p_, gammas, mats, peak):
             if k == 0:
                 rows.append(len(gammas))
-            return star_images(k, p_, gammas, mats)
+            return star_images(k, p_, gammas, mats, peak)
 
         monkeypatch.setattr(hecke, "_star_images", counting)
         keys = [b for b in itertools.product(range(-p, p + 1), repeat=3) if any(b)]
@@ -1165,7 +1182,7 @@ class TestEigenResidual:
         lam = EigenvalueTriple.from_lam12(p, rng.uniform(-2, 2), rng.uniform(-2, 2))
         fields = []
         for _ in range(3):
-            A = CoefficientField.random(rng, p=None, support=12, coord_bound=3, symmetric=True)
+            A = CoefficientField.random(rng, p=None, support=12, coord_bound=3).symmetrized()
             far = CoefficientField.random(rng, p=None, support=2, coord_bound=3).entries
             wide = {**A.entries, **{(p * p * (k + 1), b[1], b[2]): v for k, (b, v) in enumerate(far.items())}}
             fields += [A, CoefficientField(None, wide).symmetrized()]
@@ -1182,6 +1199,36 @@ class TestEigenResidual:
             assert repr(rep) == repr(_eigen_residual_full(A, lam))
             empty += rep.empty_safe_support
         assert 0 < empty < len(fields)
+
+    @pytest.mark.parametrize("p", [3, 5])
+    def test_python_int_ball_matches_dict_reference(self, p):
+        # a support point of coordinate 2^40 p^2 makes isqrt(z0 / p^4) about 2^40, so the ball's
+        # norms leave int64 and _in_ball takes them on Python ints; the reference applies the
+        # dict operators and reads the ball off Python-int norms
+        A = CoefficientField(None, {(2 ** 40 * p * p, 1, 0): QComplex.of(1), (3, 1, 0): QComplex.of(2, -1),
+                                    (p, 0, 0): QComplex.of(0, 5), (1, 1, 1): QComplex.of(1, 1)}).symmetrized()
+        lam = EigenvalueTriple.from_lam12(p, 0.75, -0.5)
+        max_norm = A.support_radius // p ** 4
+        assert 3 * math.isqrt(max_norm) ** 2 >= 2 ** 63
+        entries = A.as_complex_dict()
+        own = {b: v for b, v in entries.items() if lattice_norm(b) <= max_norm}
+        residuals, checked = [], 0
+        for ell, lam_ell in zip((1, 2, 3), (lam.lam1, lam.lam2, lam.lam3)):
+            h = {b: v for b, v in apply_hecke_float_dict(ell, p, entries).items() if lattice_norm(b) <= max_norm}
+            points = set(h) | set(own)
+            checked = max(checked, len(points))
+            residuals.append(max(abs(h.get(b, 0j) - lam_ell * own.get(b, 0j)) for b in points))
+        rep = eigen_residual(A, lam)
+        assert (rep.points_checked, rep.residuals) == (checked, tuple(residuals)) and checked > len(own) > 0
+
+    @pytest.mark.parametrize("r", [2 ** 30 + 5, 2 ** 31, 2 ** 40])
+    def test_ball_mask_matches_python_norms(self, r):
+        # int64 norms while 3 r^2 < 2^63 (r = 2^30 + 5), Python-int norms past it
+        bound = r * r + 5
+        h = r // 2
+        rows = [(r, 0, 0), (r, 2, 1), (r, 3, 0), (-r, 0, 2), (r + 1, 0, 0), (h, h, h), (h + 1, h, h), (1, 2, 3)]
+        assert hecke._in_ball(np.array(rows, dtype=np.int64), bound).tolist() == [
+            lattice_norm(b) <= bound for b in rows]
 
     def test_zero_field(self):
         rep = eigen_residual(CoefficientField.zero(3), EigenvalueTriple(3, 0.0, 0.0, 0.0))

@@ -9,6 +9,7 @@ import pytest
 
 from h4hecke.geometry import PointH4
 from h4hecke.numerics import (
+    MAX_SPECTRAL_R,
     SpectralForm,
     bessel_k_imag_order,
     cusp_sum_I,
@@ -325,6 +326,19 @@ class TestNonFiniteInputs:
     def test_bessel_rejects(self, r, x, time_limit):
         with time_limit(5), pytest.raises(ValueError, match="finite"):
             bessel_k_imag_order(r, x)
+
+    @pytest.mark.parametrize("r", [MAX_SPECTRAL_R + 0.5, -MAX_SPECTRAL_R - 0.5, 1e5, 1e308])
+    def test_spectral_parameter_past_the_ceiling_rejected(self, r, time_limit):
+        # K_ir takes time linear in r: r = 1e5 once ran for 8.5 s per evaluation
+        with time_limit(1):
+            for call in (lambda: bessel_k_imag_order(r, 2 * math.pi), lambda: SpectralForm(r, (((1, 0, 0), 1.0),)),
+                         lambda: laplace_eigen_residual((1, 0, 0), r, (0.1, 0.2, 0.3, 0.3))):
+                with pytest.raises(ValueError, match=r"finite with \|r\| <= 500, got"):
+                    call()
+
+    def test_spectral_parameter_at_the_ceiling_accepted(self):
+        assert SpectralForm(-MAX_SPECTRAL_R, ()).r == -MAX_SPECTRAL_R
+        assert math.isfinite(bessel_k_imag_order(MAX_SPECTRAL_R, 2 * math.pi))
 
     @pytest.mark.parametrize("r,coeff", [(math.nan, 1.0), (-math.inf, 1.0), (1.0, complex(math.nan, 0.0)),
                                          (1.0, complex(0.0, math.inf))])
