@@ -416,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--d", type=int, default=1)
     p.add_argument("--p", type=int)
-    p.add_argument("--ell", type=int, default=0)
+    p.add_argument("--ell", type=int, default=0, help=f"at most sums.MAX_EXPONENT = {sums.MAX_EXPONENT}")
     p.add_argument("--z", type=_parse_fraction, required=True)
     p.set_defaults(func=_cmd_sums_compute)
     p = sm.add_parser("report", help="two-sided inequality report", parents=common)
@@ -428,9 +428,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=int)
     p.add_argument("--d", type=int)
     p.add_argument("--c", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--ell", type=int)
-    p.add_argument("--K", type=_parse_finite)
+    p.add_argument("--k", type=int, help=f"at most sums.MAX_EXPONENT = {sums.MAX_EXPONENT}")
+    p.add_argument("--ell", type=int, help=f"at most sums.MAX_EXPONENT = {sums.MAX_EXPONENT}")
+    p.add_argument("--K", type=_parse_finite, help="cutoff of M_ell(K), at least 0")
     p.add_argument("--window-P", type=_parse_finite, help="prime window upper bound P")
     p.add_argument("--const-A", type=_parse_finite, default=1.0)
     p.add_argument("--const-B", type=_parse_finite, default=1.0)
@@ -472,7 +472,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", type=_parse_beta, required=True)
     p.add_argument("--r", type=_parse_finite, required=True)
     p.add_argument("--point", type=_parse_point)
-    p.add_argument("--h", type=_parse_positive, default=1e-3)
+    p.add_argument("--h", type=_parse_positive, default=1e-3,
+                   help="difference step; refused when a stencil coordinate c + h or c - h rounds back to c")
     p.set_defaults(func=_cmd_maass_laplace)
 
     return parser

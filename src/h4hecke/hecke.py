@@ -25,8 +25,20 @@ where E(beta, p) is the four-case rational factor driven by p | beta,
 p | N(beta), and the Legendre symbol (-N(beta) | p), 1_p is the
 indicator of p dividing every coordinate, and mid = 1_p - (p+1)/p E
 - (p^2+p+1)/p^3.  Written out, p^{-1} T_0(1_p T_2 A) at beta is
-p^{-1} sum_i 1_p(conj_i(beta)) sum_j A(conj_j(conj_i(beta))/p^2).  On
-eigenvector data the three operators reproduce the normalized
+p^{-1} sum_i 1_p(conj_i(beta)) sum_j A(conj_j(conj_i(beta))/p^2).
+
+Both copies of the operators, the exact _apply and the float _apply_float,
+add the same terms in the same groups and order.  H_1 adds p^{-1/2} T_1 A,
+then A(p .), then A(./p); H_2 adds p^{-1/2} T_2 A, p^{-1/2} T_0 A, then E A;
+and H_3 is arranged as
+
+  H_3 A = A(p^2 .) + A(./p^2) + mid A - p^{-1/2} (1/p) (T_2 A + T_0 A)
+          + p^{-1/2} 1_p T_2 A + T_0 u,     u = 1_p (p^{-1/2} A + p^{-1} T_2 A),
+
+where (1_p T_2 A)(p beta) = (T_1 A)(beta), so both 1_p T_2 A terms are T_1
+sums moved to p beta.
+
+On eigenvector data the three operators reproduce the normalized
 eigenvalue triple, and they satisfy
 
     H_1^2 - (1 + 1/p) H_2 - H_3 = (1 + 1/p + 1/p^2 + 1/p^3) Id
@@ -60,8 +72,8 @@ summed.  A field is integer numerator arrays over one denominator
 and decode their outputs straight back into rows (_unpacked), and the
 float operators read complex128 arrays made once per field
 (_float_field).  Every merge of equal keys, on int64 or on Python ints,
-sorts them once (_runs).  The float twin _apply_float runs the same
-formulas on (keys, values) arrays, and apply_hecke_float returns a
+sorts them once (_runs).  The float twin _apply_float adds the same
+terms on (keys, values) arrays, and apply_hecke_float returns a
 read-only mapping backed by those arrays (_ArrayMap, as a field's
 entries are), so verify_commutativity and eigen_residual chain operators
 without building dicts (see the float-twin note below).
@@ -571,7 +583,6 @@ class _HeckeWeights(NamedTuple):
 
     eps: tuple  # E(beta, p), indexed by _epsilon_case
     mid: tuple  # H_3 weight of A(beta), indexed by _epsilon_case (case 0 is 1_p(beta) = 1)
-    ind: tuple  # 1_p - 1/p, indexed by the indicator
     inv_p: object  # 1/p
 
 
@@ -581,8 +592,7 @@ def _hecke_weights(p: int, lift: Callable) -> _HeckeWeights:
     eps = _epsilon_values(p)
     mid = tuple(Fraction(case == 0) - (1 + inv_p) * e - Fraction(p * p + p + 1, p ** 3)
                 for case, e in enumerate(eps))
-    return _HeckeWeights(tuple(map(lift, eps)), tuple(map(lift, mid)),
-                         (lift(-inv_p), lift(1 - inv_p)), lift(inv_p))
+    return _HeckeWeights(tuple(map(lift, eps)), tuple(map(lift, mid)), lift(inv_p))
 
 
 @lru_cache(maxsize=128)
@@ -796,16 +806,12 @@ def _apply(ell: int, support: _Support, values: list, w: int, into: Optional[dic
     packed, in a new dict; or, given `into`, every term added into that dict, which is returned with
     any sums that cancel kept.
 
-    The module docstring's T_k form, on the integer domain below.  Each T_k scatters the
-    values from the pairs of `support` (_scatter): weights of gamma (p^(-1/2), 1_p(gamma))
-    go onto the values first, weights of beta onto the sums.  Since
+    The module docstring's arranged form, on the integer domain below, its terms in the
+    order given there.  Each T_k scatters the values from the pairs of `support` (_scatter):
+    weights of gamma (p^(-1/2), -1/p, 1_p(gamma)) go onto the values first.  Since
     (T_0 A)(beta) = (T_2 A)(p^2 beta) and (T_1 A)(beta) = (T_2 A)(p beta), one star product
-    serves every T_k of one support.  H_2 is E A + p^(-1/2) (T_0 A + T_2 A) as written.  H_3
-    adds its (1_p - 1/p) T_2 A as -(1/p) T_2 A and then 1_p T_2 A, the T_1 sums moved to
-    p beta, and its two T_0(1_p .) terms in one scatter of u = 1_p (p^(-1/2) A + p^(-1) T_2 A):
-
-        H_3 A = A(p^2 .) + mid A + A(./p^2) - p^(-1/2) (1/p) (T_0 A + T_2 A)
-                + p^(-1/2) 1_p T_2 A + T_0 u.
+    serves every T_k of one support.  H_3's 1_p T_2 A terms read the T_1 sums moved to
+    p beta, and its T_0 u scatters u = 1_p (p^(-1/2) A + p^(-1) T_2 A) once.
 
     A shift off the lattice (gamma/p with p not dividing gamma) reaches no beta and is skipped.
     """
@@ -994,16 +1000,19 @@ def apply_hecke(ell: int, p: int, A: CoefficientField, *, representatives=None) 
 # -- the float twin on arrays ----------------------------------------------------
 #
 # A float field is an (n, 3) key array and a complex128 value array.  _apply_float
-# adds the terms of the module docstring's T_k form in the order of the generic dict
-# loops of tests/reference.py (apply_dict), so its outputs equal those of the same
-# loops on a dict of complex doubles, keys and values (np.add.at starts each sum
-# from +0.0, so only the sign of a zero part can differ): each loop of dict adds
-# over rows is one _interleave, and each merge of equal keys (_merge, also every
-# T_k scatter) adds in input order and keeps the keys in first-occurrence order,
-# as a dict would.  The exact operators run on dicts of packed ints, read off
-# the field's numerator arrays and decoded back into them: on object arrays of
-# per-value numerator objects, the same array code took 0.76-0.86 ms for the four
-# applies of a relation on 8-entry fields, against 0.44-0.47 ms on dicts.
+# adds the terms that _apply adds, in the module docstring's arranged form: each
+# term is one group of (key, value) rows, the groups in _apply's order, and one
+# star product of the input gives every T_k (T_1's and T_0's pairs are the T_2
+# images that p and p^2 divide, as in _Support.pairs); H_3 makes one more, on u.
+# Each merge of equal keys (_merge) adds in input order and keeps the keys in
+# first-occurrence order, as a dict would, so the outputs equal those of the same
+# terms added by one dict loop per term on complex doubles (tests/reference.py,
+# apply_dict), keys and values (np.add.at starts each sum from +0.0, so only the
+# sign of a zero part can differ).  The exact operators run on dicts of packed
+# ints, read off the field's numerator arrays and decoded back into them: on
+# object arrays of per-value numerator objects, the same array code took
+# 0.76-0.86 ms for the four applies of a relation on 8-entry fields, against
+# 0.44-0.47 ms on dicts.
 
 # The largest bound on the rows of the outer float scatters of a commutator
 # (_commutator_rows: len(A)(p+1)(q+1), and more for H_3).  One [H_2(p), H_2(q)] takes about
@@ -1020,7 +1029,6 @@ class _FloatTables(NamedTuple):
 
     eps: np.ndarray  # E(beta, p), indexed by _epsilon_case
     mid: np.ndarray  # H_3 weight of A(beta), indexed by _epsilon_case
-    ind: np.ndarray  # 1_p - 1/p, indexed by the indicator
     inv_p: float
     inv_sqrt_p: float
     residue: np.ndarray  # residue[r]: r is a nonzero square mod p
@@ -1032,11 +1040,11 @@ def _float_tables(p: int) -> _FloatTables:
     weights = _hecke_weights(p, float)
     residue = np.zeros(p, bool)
     residue[np.arange(1, p) ** 2 % p] = True
-    arrays = (np.array(weights.eps), np.array(weights.mid), np.array(weights.ind), residue)
+    arrays = (np.array(weights.eps), np.array(weights.mid), residue)
     for arr in arrays:
         arr.flags.writeable = False  # one cached table serves every caller
     reach = _star_block(conjugation_matrices(p))[1]
-    return _FloatTables(*arrays[:3], weights.inv_p, 1.0 / math.sqrt(p), residue, reach)
+    return _FloatTables(*arrays[:2], weights.inv_p, 1.0 / math.sqrt(p), residue, reach)
 
 
 def _epsilon_cases(keys: np.ndarray, p: int, residue: np.ndarray) -> np.ndarray:
@@ -1128,57 +1136,43 @@ def _merge(*parts: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarra
     return keys.take(first, axis=0), out
 
 
-def _interleave(*groups: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """The terms of (keys, values, mask or None) groups of one length, row by row: row 0
-    of each group where its mask holds, then row 1, as a loop of _add calls over rows."""
-    n, width = len(groups[0][1]), len(groups)
-    keys = np.empty((n, width, 3), np.result_type(*(g[0] for g in groups)))
-    vals = np.empty((n, width), complex)
-    mask = np.ones((n, width), bool)
-    for j, (k, v, m) in enumerate(groups):
-        keys[:, j] = k
-        vals[:, j] = v
-        if m is not None:
-            mask[:, j] = m
-    mask = mask.reshape(-1)
-    return keys.reshape(-1, 3).compress(mask, axis=0), vals.reshape(-1).compress(mask)
-
-
-def _star_terms(k: int, p: int, keys: np.ndarray, vals: np.ndarray, mats, peak: int) -> tuple[np.ndarray, np.ndarray]:
-    """The terms of T_k on a float field, unmerged: each image with the value of its gamma."""
-    images, rows = _star_images(k, p, keys, mats, peak)
-    return images, vals[rows]
-
-
 def _apply_float(ell: int, p: int, keys: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """H_ell on a float field: the keys and values of its nonzero outputs, as _apply adds them."""
+    """H_ell on a float field: the keys and values of its nonzero outputs, the terms that _apply adds,
+    each term of the module docstring's arranged form one group, in _apply's order."""
     t = _float_tables(p)
     peak = _peak(keys)
     keys = _exact(keys, 2 * peak * p * p)  # p^2 gamma is the largest key formed outside _star_images
     mats = conjugation_matrices(p)
     psq, s = p * p, t.inv_sqrt_p
+    images, rows = _star_images(2, p, keys, mats, peak)  # T_2's pairs
+
+    def divided(betas: np.ndarray, src: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
+        """The pairs whose beta d divides, beta divided: T_k's from T_j's with d = p^(j-k) (_Support.pairs)."""
+        quo, hit = _divided(betas, d)
+        return quo.compress(hit, axis=0), src.compress(hit)
+
     if ell == 1:
+        t1, r1 = divided(images, rows, p)
         quo, hit = _divided(keys, p)
-        out = _merge(_star_terms(1, p, keys, s * vals, mats, peak),
-                     _interleave((quo, vals, hit), (keys * p, vals, None)))
+        out = _merge((t1, s * vals[r1]), (quo.compress(hit, axis=0), vals.compress(hit)), (keys * p, vals))
     elif ell == 2:
-        tk, tv = _merge(_star_terms(2, p, keys, s * vals, mats, peak))
-        quo, on = _divided(tk, psq)
-        out = _merge((tk, tv), (quo.compress(on, axis=0), tv.compress(on)),
+        scaled = s * vals
+        t0, r0 = divided(images, rows, psq)
+        out = _merge((images, scaled[rows]), (t0, scaled[r0]),
                      (keys, t.eps[_epsilon_cases(keys, p, t.residue)] * vals))
     else:
         cases = _epsilon_cases(keys, p, t.residue)
         quo, hit = _divided(keys, psq)
-        own = _interleave((quo, vals, hit), (keys * psq, vals, None), (keys, t.mid[cases] * vals, None))
-        tk, tv = _merge(_star_terms(2, p, keys, vals, mats, peak))
-        by_p = _divisible(tk, p)
-        low = s * (t.ind[0] * tv)
-        quo, hit = _divided(tk, psq)
-        conj = _interleave((tk, s * (t.ind[by_p.astype(np.intp)] * tv), None), (quo, low, hit))
+        low = s * (-t.inv_p * vals)
+        t1, r1 = divided(images, rows, p)
+        t0, r0 = divided(t1, r1, p)
+        t1, sums = _merge((t1, vals[r1]))
+        moved = t1 * p  # (T_2 A)(p beta) is the T_1 sum at beta
         zero = cases == 0
-        u = _merge((keys.compress(zero, axis=0), s * vals.compress(zero)),
-                   (tk.compress(by_p, axis=0), t.inv_p * tv.compress(by_p)))
-        out = _merge(own, conj, _merge(_star_terms(0, p, *u, mats, peak * t.reach)))  # u holds keys and T_2 images
+        u_keys, u_vals = _merge((keys.compress(zero, axis=0), s * vals.compress(zero)), (moved, t.inv_p * sums))
+        u_images, u_rows = _star_images(0, p, u_keys, mats, peak * t.reach)  # u holds keys and T_2 images
+        out = _merge((quo.compress(hit, axis=0), vals.compress(hit)), (keys * psq, vals), (keys, t.mid[cases] * vals),
+                     (images, low[rows]), (t0, low[r0]), (moved, s * sums), (u_images, u_vals[u_rows]))
     keep = out[1] != 0
     return out[0].compress(keep, axis=0), out[1].compress(keep)
 

@@ -265,13 +265,17 @@ def laplace_eigen_residual(beta, r: float, z, h: float = 1e-3) -> float:
     Delta = y^2 (d^2/dx0^2 + d^2/dx1^2 + d^2/dx2^2 + d^2/dy^2) - 2y d/dy;
     the mode satisfies Delta u = -(9/4 + r^2) u exactly, so the returned
     ratio is pure discretization error, O(h^2).  K_{ir} is taken to 1e-14,
-    since the second difference divides its error by h^2.
+    since the second difference divides its error by h^2.  An h for which
+    some stencil coordinate c + h or c - h rounds back to c is refused.
     """
     x0, x1, x2, y = point = (z.as_tuple() if hasattr(z, "as_tuple") else tuple(map(float, z)))
     if not (math.isfinite(h) and h > 0):
         raise ValueError(f"step h must be finite and positive, got {h}")
     if y - h <= 0:
         raise ValueError("step h must keep y - h positive")
+    if any(c + h == c or c - h == c for c in point):  # a difference of equal points: 0 or nan, not a residual
+        raise ValueError(f"step h = {h:g} is below the resolution of the point {point}: some coordinate c "
+                         f"has c + h or c - h equal to c in doubles")
     beta = tuple(int(b) for b in beta)
     if beta == (0, 0, 0):
         raise ValueError("beta must be nonzero: spectral modes carry no beta = 0 term")

@@ -43,7 +43,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -57,6 +57,20 @@ from .hecke import (
     hecke_relation_constant,
 )
 from .quaternions import MAX_PRIME, LatticeVector, conjugation_matrices, odd_primes_in, require_odd_prime
+
+
+# The largest exponent k or ell that the reports, sum_R and eigen_power_sum take.
+# eigen_power_sum adds about ell^2/4 terms: 0.034 s at ell = 1,000, 0.14 s at 2,000,
+# 0.32 s at 3,000 and 4.6 s at 10,000 (2-vCPU host), and L6.5 takes one per window
+# prime.  Past ell = 646 a |lambda| >= 3 already leaves the double range.
+MAX_EXPONENT = 1000
+
+
+def _require_exponent(name: str, value: int) -> int:
+    """value when it is an exponent in [0, MAX_EXPONENT]; a ValueError naming it otherwise."""
+    if not 0 <= value <= MAX_EXPONENT:
+        raise ValueError(f"{name} = {value} is outside [0, MAX_EXPONENT = {MAX_EXPONENT}]")
+    return value
 
 
 def _square_sum(nums: np.ndarray, q: Optional[int], peak: int, total: bool = False) -> tuple[np.ndarray, np.ndarray]:
@@ -122,8 +136,9 @@ def sum_S_d(A: CoefficientField, d: int, z) -> QuadExt:
 
 def sum_R(A: CoefficientField, p: int, ell: int, d: int, z) -> QuadExt:
     """R^{p,ell}_d(z), computed over the finitely many beta that can contribute."""
-    if ell < 0 or d < 1:
-        raise ValueError("need ell >= 0 and d >= 1")
+    _require_exponent("ell", ell)
+    if d < 1:
+        raise ValueError("need d >= 1")
     betas, inners, peak = _conj_ball(A, p, ell, math.floor(Fraction(z)))
     if d > 1:
         inners = inners.compress(_divisible(betas, d), axis=0)
@@ -182,6 +197,10 @@ class MultiplicitySpec:
     ell: int
     K: float
     window: PrimeWindow
+
+    def __post_init__(self):
+        if not self.K >= 0:  # NaN included
+            raise ValueError(f"the cutoff K of M_ell(K) must be >= 0, got {self.K}")
 
     def count(self, beta: LatticeVector) -> int:
         return sum(1 for p in self.window.primes if not any(c % p ** self.ell for c in beta))
@@ -258,7 +277,8 @@ def amplified_sum(
 
 
 def eigen_power_sum(lam: EigenvalueTriple, ell: int) -> float:
-    """sum over a, b >= 0 with a + 2b <= ell of |lambda_1|^{2a} |lambda_2|^{2b}."""
+    """sum over a, b >= 0 with a + 2b <= ell of |lambda_1|^{2a} |lambda_2|^{2b}, for 0 <= ell <= MAX_EXPONENT."""
+    _require_exponent("ell", ell)
     total = 0.0
     for b in range(ell // 2 + 1):
         for a in range(ell - 2 * b + 1):
@@ -406,7 +426,19 @@ class SumReport:
         return self
 
 
-def _report(name: str, left: float, right: float, params: dict) -> SumReport:
+def _report(name: str, left: Callable[[], float], right: Callable[[], float], params: dict) -> SumReport:
+    """The report of the two sides, each given as a function and evaluated in turn, left first: a side
+    whose evaluation overflows, or that computes to inf or nan, raises one ValueError that names it."""
+    sides = []
+    for side, value in (("left", left), ("right", right)):
+        try:
+            value = value()
+        except OverflowError:
+            value = math.inf
+        if not math.isfinite(value):
+            raise ValueError(f"{name}: the {side} side leaves the double range")
+        sides.append(value)
+    left, right = sides
     vacuous = right == 0
     ratio = None if vacuous else left / right
     return SumReport(name=name, left=left, right=right, ratio=ratio, params=params,
@@ -446,14 +478,15 @@ def inequality_report(which: str, **kw) -> SumReport:
     z = kw["z"]
 
     if which == "Prop6.1":
-        p, k, c = kw["p"], kw["k"], kw.get("c", 1)
+        p, k, c = kw["p"], _require_exponent("k", kw["k"]), kw.get("c", 1)
         lam: EigenvalueTriple = kw["lam"]
         const_A = kw.get("const_A", 1.0)
         if c % p == 0:
             raise ValueError("c must be coprime to p")
-        left = float(sum_S_d(A, c * p ** k, z))
-        right = const_A ** k * eigen_power_sum(lam, k) * float(sum_S_d(A, c, Fraction(z) / p ** (2 * k)))
-        return _report(which, left, right, {"p": p, "k": k, "c": c, "A": const_A})
+        return _report(which, lambda: float(sum_S_d(A, c * p ** k, z)),
+                       lambda: (const_A ** k * eigen_power_sum(lam, k)
+                                * float(sum_S_d(A, c, Fraction(z) / p ** (2 * k)))),
+                       {"p": p, "k": k, "c": c, "A": const_A})
 
     if which == "Cor6.2":
         d = kw["d"]
@@ -461,7 +494,7 @@ def inequality_report(which: str, **kw) -> SumReport:
         const_A = kw.get("const_A", 1.0)
         if d % 2 == 0:
             raise ValueError("d must be odd")
-        prod, top = 1.0, max(lam_table, default=0)
+        powers, top = [], max(lam_table, default=0)  # (v, lambda) for each p^v exactly dividing d
         rest, p = d, 3
         while rest > 1:  # trial division up to sqrt(rest) or past the table's largest prime
             if p * p > rest:
@@ -476,68 +509,64 @@ def inequality_report(which: str, **kw) -> SumReport:
             if v:
                 if p not in lam_table:
                     raise KeyError(f"eigenvalue table missing the prime {p} of d = {d}")
-                prod *= const_A ** v * eigen_power_sum(lam_table[p], v)
+                powers.append((v, lam_table[p]))
             p += 2
-        left = float(sum_S_d(A, d, z))
-        right = prod * float(sum_S_d(A, 1, Fraction(z) / (d * d)))
-        return _report(which, left, right, {"d": d, "A": const_A})
+        return _report(which, lambda: float(sum_S_d(A, d, z)),
+                       lambda: (math.prod(const_A ** v * eigen_power_sum(lam, v) for v, lam in powers)
+                                * float(sum_S_d(A, 1, Fraction(z) / (d * d)))),
+                       {"d": d, "A": const_A})
 
     if which == "L6.3i":
         p, d = kw["p"], kw["d"]
         lam: EigenvalueTriple = kw["lam"]
-        left = float(sum_S_d(A, d * p, z))
         zf = Fraction(z)
-        right = (
-            lam.lam1 ** 2 * float(sum_S_d(A, d, zf / p ** 2))
-            + float(sum_S_d(A, d // math.gcd(d, p), zf / p ** 4))
-            + float(sum_R(A, p, 1, d, zf / p ** 2))
-        )
-        return _report(which, left, right, {"p": p, "d": d})
+        return _report(which, lambda: float(sum_S_d(A, d * p, z)),
+                       lambda: (lam.lam1 ** 2 * float(sum_S_d(A, d, zf / p ** 2))
+                                + float(sum_S_d(A, d // math.gcd(d, p), zf / p ** 4))
+                                + float(sum_R(A, p, 1, d, zf / p ** 2))),
+                       {"p": p, "d": d})
 
     if which == "L6.3ii":
-        p, d, ell = kw["p"], kw["d"], kw["ell"]
+        p, d, ell = kw["p"], kw["d"], _require_exponent("ell", kw["ell"])
         lam: EigenvalueTriple = kw["lam"]
         zf = Fraction(z)
-        left = float(sum_R(A, p, ell, d * p ** ell, z))
-        right = (lam.lam2 ** 2 + 1) * float(sum_S_d(A, d, zf / p ** (2 * ell))) + float(
-            sum_R(A, p, 2, d, zf / p ** (2 * ell))
-        )
-        return _report(which, left, right, {"p": p, "d": d, "ell": ell})
+        return _report(which, lambda: float(sum_R(A, p, ell, d * p ** ell, z)),
+                       lambda: ((lam.lam2 ** 2 + 1) * float(sum_S_d(A, d, zf / p ** (2 * ell)))
+                                + float(sum_R(A, p, 2, d, zf / p ** (2 * ell)))),
+                       {"p": p, "d": d, "ell": ell})
 
     if which == "L6.3iii":
-        p, c, k, ell = kw["p"], kw["c"], kw["k"], kw["ell"]
+        p, c, k, ell = kw["p"], kw["c"], _require_exponent("k", kw["k"]), _require_exponent("ell", kw["ell"])
         if c % p == 0:
             raise ValueError("c must be coprime to p")
         zf = Fraction(z)
-        left = float(sum_R(A, p, ell, c * p ** k, z))
-        right = float(sum_S_d(A, c * p ** max(0, k - ell), zf / Fraction(p) ** (2 * (ell - 1))))
-        return _report(which, left, right, {"p": p, "c": c, "k": k, "ell": ell})
+        return _report(which, lambda: float(sum_R(A, p, ell, c * p ** k, z)),
+                       lambda: float(sum_S_d(A, c * p ** max(0, k - ell), zf / Fraction(p) ** (2 * (ell - 1)))),
+                       {"p": p, "c": c, "k": k, "ell": ell})
 
     if which in ("L6.4a", "L6.4b"):
         window: PrimeWindow = kw["window"]
         K = kw["K"]
         ell = 1 if which == "L6.4a" else 2
-        left = _conj_square_sum(A, window, K, ell, z)
-        if which == "L6.4a":
-            right = K * float(sum_S_d(A, 1, z))
-        else:
-            right = len(window) * float(sum_S_d(A, 1, Fraction(z) / Fraction(window.P / 2) ** 2))
-        return _report(which, left, right, {"K": K, "window": window.primes})
+        return _report(which, lambda: _conj_square_sum(A, window, K, ell, z),
+                       lambda: (K * float(sum_S_d(A, 1, z)) if ell == 1 else
+                                len(window) * float(sum_S_d(A, 1, Fraction(z) / Fraction(window.P / 2) ** 2))),
+                       {"K": K, "window": window.primes})
 
     if which == "L6.5":
         window: PrimeWindow = kw["window"]
-        K, ell = kw["K"], kw["ell"]
+        K, ell = kw["K"], _require_exponent("ell", kw["ell"])
         lam_table = kw["lam_table"]
         _require_window_rows(lam_table, window)
         const_B = kw.get("const_B", 1.0)
         spec = MultiplicitySpec(ell, K, window)
-        split = split_sharp_flat(A, [spec], z)
-        left = float(split.flats[0])
-        sup_L = max(eigen_power_sum(lam_table[p], ell) for p in window.primes)
-        half_P = Fraction(window.P) / 2
-        right = (const_B ** ell * len(window) * sup_L / (K + 1)) ** (K + 1) * float(
-            sum_S_d(A, 1, Fraction(z) / half_P ** (2 * ell * (K + 1)))
-        )
-        return _report(which, left, right, {"K": K, "ell": ell, "B": const_B, "window": window.primes})
+
+        def right():
+            sup_L = max(eigen_power_sum(lam_table[p], ell) for p in window.primes)
+            half_P = Fraction(window.P) / 2
+            return (const_B ** ell * len(window) * sup_L / (K + 1)) ** (K + 1) * float(
+                sum_S_d(A, 1, Fraction(z) / half_P ** (2 * ell * (K + 1))))
+        return _report(which, lambda: float(split_sharp_flat(A, [spec], z).flats[0]), right,
+                       {"K": K, "ell": ell, "B": const_B, "window": window.primes})
 
     raise ValueError(f"unknown inequality {which!r}")

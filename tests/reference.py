@@ -309,15 +309,16 @@ def _add(acc: dict, beta, value) -> None:
         acc[beta] = acc[beta] + value if beta in acc else value
 
 
-def pair_conj_sum(k, p, entries, mats) -> dict:
+def pair_conj_sum(k, p, entries, mats, acc=None) -> dict:
     """T_k A by one apply_matrix per (support point, representative) pair: the reference for the
     conjugate-sum scatter of ``hecke`` (``_Support.pairs``, ``_conj_sum_rows``).
 
     Adds A(gamma) at beta = p^(k-2) S_i gamma for every pair whose beta is
-    integral, gamma-major and then i, on the domain's own `+`.
+    integral, gamma-major and then i, on the domain's own `+`: into a new dict,
+    or, given `acc`, term by term into that dict, which is returned.
     """
     shift = p ** abs(k - 2)
-    acc = {}
+    acc = {} if acc is None else acc
     for gamma, v in entries.items():
         for mat in mats:
             beta = apply_matrix(tuple(zip(*mat)), gamma)
@@ -329,55 +330,50 @@ def pair_conj_sum(k, p, entries, mats) -> dict:
 
 def apply_dict(ell: int, p: int, entries, weights, inv_sqrt_p, representatives=None) -> dict:
     """H_ell on a dict of scalars of one domain, adding each term by the domain's own `+`: every nonzero
-    (H_ell A)(beta).  The term order of ``hecke._apply_float``, zero signs included.
+    (H_ell A)(beta).  The terms and term order of ``hecke._apply_float``, zero signs included.
 
-    The hecke module docstring's T_k form.  Weights of gamma (p^(-1/2), 1_p(gamma))
-    go onto the entries before a pair_conj_sum, weights of beta (1_p(beta) - 1/p)
-    onto its sums.  One pass serves T_0 and T_2 of one input, since
-    (T_0 A)(beta) = (T_2 A)(p^2 beta).  H_3 scatters A itself: its last term
-    needs p^(-1) T_2 A, and in doubles p^(-1/2) p^(-1/2) is not 1/p, which
-    would leave rounding residue where that term cancels the mid term.  Its
-    two T_0(1_p .) terms share one pass, T_0(1_p (p^(-1/2) A + p^(-1) T_2 A)).
-    A shift off the lattice (gamma/p with p not dividing gamma) reaches no
-    beta and is skipped.
+    The hecke module docstring's arranged form, one dict loop per term in the order
+    that ``hecke._apply`` adds them.  Weights of gamma (p^(-1/2), -1/p, 1_p(gamma))
+    go onto the entries before a pair_conj_sum, which adds each term straight into
+    the output.  H_3 moves the T_1 sums to p beta, where they are (1_p T_2 A)(p beta),
+    and scatters T_0 u with u = 1_p (p^(-1/2) A + p^(-1) T_2 A): in doubles
+    p^(-1/2) p^(-1/2) is not 1/p, which would leave rounding residue where that
+    term cancels the mid term.  A shift off the lattice (gamma/p with p not
+    dividing gamma) reaches no beta and is skipped.
     """
     if ell not in (1, 2, 3):
         raise ValueError(f"ell must be 1, 2, or 3, got {ell}")
     mats = conjugation_matrices(p) if representatives is None else tuple(map(conjugation_matrix, representatives))
     psq = p * p
+    out = {}
     if ell == 1:
-        out = pair_conj_sum(1, p, {gamma: inv_sqrt_p * v for gamma, v in entries.items()}, mats)
+        pair_conj_sum(1, p, {gamma: inv_sqrt_p * v for gamma, v in entries.items()}, mats, out)
         for gamma, v in entries.items():
             _add(out, _divide(gamma, p), v)
+        for gamma, v in entries.items():
             _add(out, _scale(gamma, p), v)
     elif ell == 2:
-        t = pair_conj_sum(2, p, {gamma: inv_sqrt_p * v for gamma, v in entries.items()}, mats)
-        out = dict(t)
-        for beta, v in t.items():
-            _add(out, _divide(beta, psq), v)
+        scaled = {gamma: inv_sqrt_p * v for gamma, v in entries.items()}
+        pair_conj_sum(2, p, scaled, mats, out)
+        pair_conj_sum(0, p, scaled, mats, out)
         for gamma, v in entries.items():
             _add(out, gamma, weights.eps[_epsilon_case(gamma, p)] * v)
     else:
-        out = {}
-        u = {}
         for gamma, v in entries.items():
-            case = _epsilon_case(gamma, p)
             _add(out, _divide(gamma, psq), v)
+        for gamma, v in entries.items():
             _add(out, _scale(gamma, psq), v)
-            _add(out, gamma, weights.mid[case] * v)
-            if case == 0:
-                u[gamma] = inv_sqrt_p * v
-        ind = weights.ind
-        for beta, v in pair_conj_sum(2, p, entries, mats).items():
-            low = inv_sqrt_p * (ind[0] * v)
-            if beta[0] % p or beta[1] % p or beta[2] % p:
-                _add(out, beta, low)
-            else:
-                _add(out, beta, inv_sqrt_p * (ind[1] * v))
-                _add(out, _divide(beta, psq), low)
-                _add(u, beta, weights.inv_p * v)
-        for beta, v in pair_conj_sum(0, p, u, mats).items():
-            _add(out, beta, v)
+        for gamma, v in entries.items():
+            _add(out, gamma, weights.mid[_epsilon_case(gamma, p)] * v)
+        low = {gamma: inv_sqrt_p * (-weights.inv_p * v) for gamma, v in entries.items()}
+        pair_conj_sum(2, p, low, mats, out)
+        pair_conj_sum(0, p, low, mats, out)
+        u = {gamma: inv_sqrt_p * v for gamma, v in entries.items() if _epsilon_case(gamma, p) == 0}
+        for beta, v in pair_conj_sum(1, p, entries, mats).items():
+            beta = _scale(beta, p)
+            _add(out, beta, inv_sqrt_p * v)
+            _add(u, beta, weights.inv_p * v)
+        pair_conj_sum(0, p, u, mats, out)
     return {beta: value for beta, value in out.items() if value}
 
 

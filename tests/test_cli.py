@@ -762,6 +762,8 @@ def bad_files(tmp_path):
         "lam_3_primes.csv": "p,lambda1,lambda2,lambda3\n3,1.0,0.5,0.1\n5,0.2,0.1,1.5\n7,0.3,0.4,1.2\n",
         "lam_one_row.csv": "p,lambda1,lambda2,lambda3\n3,1.0,0.5,0.1\n",
         "lam_inf_row.csv": "p,lambda1,lambda2,lambda3\n3,1.0,0.5,0.1\n5,inf,0.1,1.5\n7,0.3,0.4,1.2\n",
+        "lam_big_lam1.csv": "p,lambda1,lambda2,lambda3\n3,3.0,0.5,0.1\n5,0.2,0.1,1.5\n7,0.3,0.4,1.2\n"
+                            "11,0.5,0.2,1.1\n13,0.1,0.3,1.3\n",
         "params.json": '{"delta": 0.5, "eps": 0.5, "A": 10}',
         "params_list.json": "[0.5, 0.5, 10]",
         "params_a_5.json": '{"delta": 0.5, "eps": 0.5, "A": 10, "a": 5}',
@@ -864,6 +866,22 @@ class TestBadInputsExit2:
         ["quat", "verify-lemmas", "--p", "23", "--bound", "64"],
         ["hecke", "apply", "--op", "1", "--p", "3", "--in", "{coeff_float_p}", "--out", "{out}"],
         ["hecke", "apply", "--op", "1", "--p", "3", "--in", "{coeff_str_p}", "--out", "{out}"],
+        # an overflow in a report side, K < 0, an exponent past sums.MAX_EXPONENT, and a step h below the
+        # resolution of the point: each once ended in a traceback, ran past 30 s, or printed inf or nan
+        *[["sums", "report", "--which", which, "--in", "{coeff}", "--z", "200", "--lambda-table", table, *extra]
+          for which, table, extra in [
+              ("Prop6.1", "{lam_big_lam1}", ["--p", "3", "--k", "400"]),
+              ("L6.5", "{lam_big_lam1}", ["--K", "1", "--ell", "400", "--window-P", "6"]),
+              ("Prop6.1", "{lam_big_lam1}", ["--p", "3", "--k", "2", "--const-A", "1e300"]),
+              ("L6.5", "{lam_big_lam1}", ["--K", "400", "--ell", "1", "--window-P", "14", "--const-B", "5"]),
+              ("L6.5", "{lam_big_lam1}", ["--K", "1e300", "--ell", "1", "--window-P", "14", "--const-B", "5"]),
+              ("L6.5", "{lam_big_lam1}", ["--K=-1", "--ell", "1", "--window-P", "14"]),
+              ("L6.4a", "{lam_big_lam1}", ["--K", "1e308", "--window-P", "14"]),
+              ("Prop6.1", "{lam_3_primes}", ["--p", "3", "--k", "100000"]),
+          ]],
+        ["sums", "compute", "--kind", "R", "--in", "{coeff}", "--p", "3", "--ell", "1000000000", "--z", "9"],
+        ["maass", "laplace-check", "--beta", "1,0,0", "--r", "1", "--h", "1e-160"],
+        ["maass", "laplace-check", "--beta", "1,0,0", "--r", "1", "--h", "1e-300"],
     ])
     def test_exits_2_with_one_error_line(self, argv, form_files, bad_files, capsys, time_limit):
         assert _exit_code([a.format(**form_files, **bad_files) for a in argv], time_limit) == 2

@@ -221,8 +221,6 @@ class TestEpsilonFactor:
                     assert (case == 0) == ind
                     assert weights.eps[case] == lift(eps) and floats.eps[case] == float(eps)
                     assert weights.mid[case] == lift(mid) and floats.mid[case] == float(mid)
-                    assert weights.ind[ind] == lift(ind - one_over_p)
-                    assert floats.ind[ind] == float(ind - one_over_p)
 
 
 class TestApply:
@@ -304,7 +302,7 @@ def _hecke_terms(ell, p, weights, inv_sqrt_p, beta, conj_mats):
         return ([(weights.eps[_epsilon_case(beta, p)], beta)] + [(inv_sqrt_p, conj) for conj in conjs]
                 + [(inv_sqrt_p, divide_lattice(conj, psq)) for conj in conjs])
     case = _epsilon_case(beta, p)
-    ind = weights.ind
+    ind = (-weights.inv_p, 1 - weights.inv_p)  # 1_p - 1/p, indexed by the indicator
     terms = [(1, scale_lattice(beta, psq)), (weights.mid[case], beta), (1, divide_lattice(beta, psq))]
     for conj in conjs:
         ind_conj = all(c % p == 0 for c in conj)
@@ -855,7 +853,7 @@ class TestLanes:
         w = hecke._lane_width(p, peak)
         unpack = hecke._unpacker(w)
         lanes = (p ** 3 * peak, -p ** 3 * peak, -p ** 3, 0)
-        for m in hecke._int_weights(p).mid + hecke._int_weights(p).ind + (-1, p ** 3 - 1):
+        for m in hecke._int_weights(p).mid + (-p ** 2, p ** 3 - p ** 2, -1, p ** 3 - 1):
             assert unpack(m * _pack(*lanes, w) // p ** 3) == tuple(m * x // p ** 3 for x in lanes)
 
     @pytest.mark.parametrize("p,radius", [(3, 12), (997, 2)])

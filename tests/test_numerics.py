@@ -313,6 +313,17 @@ class TestLaplaceResidual:
         with pytest.raises(ValueError, match="beta must be nonzero"):
             laplace_eigen_residual((0, 0, 0), 1.0, (0.1, 0.2, 0.3, 0.3))
 
+    @pytest.mark.parametrize("h", [1e-160, 1e-300, 1e-17])
+    def test_step_below_the_resolution_of_the_point_refused(self, h):
+        # h = 1e-160 once printed a residual of nan: c + h == c makes every difference 0
+        with pytest.raises(ValueError, match="below the resolution of the point"):
+            laplace_eigen_residual((1, 0, 0), 1.0, (0.1, 0.2, 0.3, 0.3), h)
+
+    def test_step_just_above_the_resolution_accepted(self):
+        # every coordinate moves at h = 1e-16, and the point (0, 0, 0, y) takes any h below y
+        assert math.isfinite(laplace_eigen_residual((1, 0, 0), 1.0, (0.1, 0.2, 0.3, 0.3), 1e-16))
+        assert math.isfinite(laplace_eigen_residual((1, 0, 0), 1.0, (0.0, 0.0, 0.0, 0.3), 1e-16))
+
     def test_step_must_keep_y_positive(self):
         with pytest.raises(ValueError):
             laplace_eigen_residual((1, 0, 0), 1.0, (0, 0, 0, 0.0005), 1e-3)

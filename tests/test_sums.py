@@ -535,6 +535,58 @@ class TestParameters:
         with pytest.raises(ValueError):
             choose_parameters(1.0, w, 1.0, 1, 1.5)
 
+    def test_exponents_past_the_ceiling_refused_and_the_ceiling_accepted(self, time_limit):
+        # eigen_power_sum adds about ell^2/4 terms: Prop6.1 at k = 100000 once ran past 30 s
+        top = sums.MAX_EXPONENT
+        lam = EigenvalueTriple(3, 1.0, 0.5, 0.1)
+        A = CoefficientField.ones_ball(9, p=7)
+        window = PrimeWindow.from_bound(6.0)
+        table = {p: lam for p in window.primes}
+        calls = {
+            "eigen_power_sum": lambda e: eigen_power_sum(lam, e),
+            "sum_R": lambda e: sum_R(A, 3, e, 1, 9),
+            "Prop6.1": lambda e: inequality_report("Prop6.1", A=A, z=9, p=3, k=e, lam=lam),
+            "L6.3ii": lambda e: inequality_report("L6.3ii", A=A, z=9, p=3, d=1, ell=e, lam=lam),
+            "L6.3iii k": lambda e: inequality_report("L6.3iii", A=A, z=9, p=3, c=1, k=e, ell=1),
+            "L6.3iii ell": lambda e: inequality_report("L6.3iii", A=A, z=9, p=3, c=1, k=1, ell=e),
+            "L6.5": lambda e: inequality_report("L6.5", A=A, z=9, window=window, K=1, ell=e, lam_table=table),
+        }
+        with time_limit(10):
+            for name, call in calls.items():
+                for bad in (top + 1, 10 ** 5, -1):
+                    with pytest.raises(ValueError, match=rf"= {bad} is outside \[0, MAX_EXPONENT = {top}\]"):
+                        call(bad)
+                assert call(top) is not None, name
+
+    @pytest.mark.parametrize("which,kw", [
+        ("Prop6.1", {"p": 3, "k": 400}),  # |lambda_1|^800
+        ("Prop6.1", {"p": 3, "k": 2, "const_A": 1e300}),
+        ("L6.5", {"K": 1, "ell": 400}),
+        ("L6.5", {"K": 400.0, "ell": 1, "const_B": 5.0}),  # (P/2)^(2 (K + 1)) in doubles: K is a float, as read
+        ("L6.5", {"K": 1e300, "ell": 1, "const_B": 5.0}),
+        ("L6.4a", {"K": 1e308}),  # K S(z) is inf
+        ("Cor6.2", {"d": 9, "const_A": 1e300}),
+    ])
+    def test_side_past_the_double_range_named(self, which, kw):
+        # each once raised OverflowError, or printed right=inf
+        lam = EigenvalueTriple(3, 3.0, 0.5, 0.1)
+        window = PrimeWindow.from_bound(6.0)
+        A = CoefficientField.ones_ball(9, p=7)
+        with pytest.raises(ValueError, match=rf"^{which}: the right side leaves the double range$"):
+            inequality_report(which, A=A, z=9, lam=lam, lam_table={3: lam, 5: lam}, window=window, **kw)
+
+    @pytest.mark.parametrize("K", [-1, -0.5, math.nan])
+    def test_negative_cutoff_refused(self, K):
+        # K = -1 once divided by K + 1 = 0 in L6.5
+        window = PrimeWindow.from_bound(6.0)
+        lam = EigenvalueTriple(3, 1.0, 0.5, 0.1)
+        with pytest.raises(ValueError, match="the cutoff K of M_ell"):
+            MultiplicitySpec(1, K, window)
+        for which in ("L6.4a", "L6.4b", "L6.5"):
+            with pytest.raises(ValueError, match="the cutoff K of M_ell"):
+                inequality_report(which, A=CoefficientField.ones_ball(9), z=9, window=window, K=K, ell=1,
+                                  lam_table={3: lam, 5: lam})
+
     def test_missing_window_primes_named(self):
         # this once raised a bare KeyError(7)
         lam = {3: EigenvalueTriple(3, 0.1, 0.1, 0.1)}
