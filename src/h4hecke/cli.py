@@ -209,13 +209,19 @@ def _cmd_sums_compute(args) -> int:
     field = files.parse_coefficient_field(args.infile)
     if args.kind == "S":
         value = sums.sum_S_d(field, args.d, args.z)
-        human = f"S_{args.d}({args.z}) = {float(value)}"
+        name = f"S_{args.d}({args.z})"
     else:
         if args.p is None:
             raise ValueError("sums compute --kind R requires --p")
         value = sums.sum_R(field, args.p, args.ell, args.d, args.z)
-        human = f"R^({args.p},{args.ell})_{args.d}({args.z}) = {float(value)}"
-    _emit(args, {"value": float(value), "exact": str(value)}, human)
+        name = f"R^({args.p},{args.ell})_{args.d}({args.z})"
+    try:
+        approx = float(value)
+    except OverflowError:  # the int / int divisions of _quad_float past the double range
+        approx = math.inf
+    if not math.isfinite(approx):
+        raise ValueError(f"{name} leaves the double range")
+    _emit(args, {"value": approx, "exact": str(value)}, f"{name} = {approx}")
     return 0
 
 

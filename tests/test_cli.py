@@ -619,6 +619,16 @@ class TestCliCommands:
         assert main(["maass", "parseval", "--form", str(fpath), "--y", "1.0"]) == 0
         assert main(["maass", "cusp", "--form", str(fpath), "--T", "2"]) == 0
         assert main(["maass", "laplace-check", "--beta", "1,0,0", "--r", "1"]) == 0
+        # r = 17 and 20 were once refused as a vanishing mode, since |u| ~ e^(-pi r/2) fell under 1e-12
+        assert main(["maass", "laplace-check", "--beta", "1,0,0", "--r", "20"]) == 0
+
+    @pytest.mark.parametrize("r", [0.0, 1.0])
+    def test_maass_eval_at_subnormal_height(self, r, tmp_path, capsys, time_limit):
+        # K_ir at x = 2 pi 1e-310 once never returned at r = 0 and raised a math domain error at r = 1
+        fpath = tmp_path / "form.json"
+        write_spectral_form(SpectralForm.from_dict(r, {(1, 0, 0): 1.0}), fpath)
+        assert _exit_code(["maass", "eval", "--form", str(fpath), "--point", "0,0,0,1e-310"], time_limit, 10) == 0
+        assert capsys.readouterr().out.strip() == "phi(z) = 0 + 0i"
 
     def test_asym_compute_R_tiny_eps(self, capsys):
         assert main(["asym", "compute-R", "--A", "20", "--M", "3", "--eps", "1e-9"]) == 0
@@ -748,6 +758,7 @@ def bad_files(tmp_path):
         "coeff_frac_beta.json": '{"entries": [{"beta": [1.5, 0, 0], "re": ["1"]}]}',
         "coeff_float_p.json": '{"p": 3.5, "entries": [{"beta": [1, 0, 0], "re": ["1", "1"]}]}',
         "coeff_str_p.json": '{"p": "3", "entries": [{"beta": [1, 0, 0], "re": ["1", "1"]}]}',
+        "coeff_huge.json": '{"p": 7, "entries": [{"beta": [1, 0, 0], "re": ["%d", "0"]}]}' % 10 ** 400,
         "form_frac_beta.json": '{"r": 1.0, "entries": [{"beta": [1.5, 0, 0], "re": 1.0, "im": 0.0}]}',
         "form_huge_beta.json": '{"r": 1.0, "entries": [{"beta": [1e300, 0, 0], "re": 1.0, "im": 0.0}]}',
         "form_list.json": '[{"r": 1.0}]',
@@ -882,6 +893,8 @@ class TestBadInputsExit2:
         ["sums", "compute", "--kind", "R", "--in", "{coeff}", "--p", "3", "--ell", "1000000000", "--z", "9"],
         ["maass", "laplace-check", "--beta", "1,0,0", "--r", "1", "--h", "1e-160"],
         ["maass", "laplace-check", "--beta", "1,0,0", "--r", "1", "--h", "1e-300"],
+        # an exact sum past the double range once ended in OverflowError from float()
+        ["sums", "compute", "--kind", "S", "--d", "1", "--z", "9", "--in", "{coeff_huge}"],
     ])
     def test_exits_2_with_one_error_line(self, argv, form_files, bad_files, capsys, time_limit):
         assert _exit_code([a.format(**form_files, **bad_files) for a in argv], time_limit) == 2

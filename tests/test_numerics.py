@@ -25,6 +25,29 @@ def mp_bessel(r, x):
     return float(mp.besselk(1j * r, x).real)
 
 
+def mp_bessel_scale(r, x):
+    """K_{ir}(x) and the size to hold an error against, from mpmath at 40 digits: |K|, or where x < r
+    and K oscillates, the larger of |K| and the envelope sqrt(K^2 + x^2 K'^2 / (r^2 - x^2)), so that
+    near a zero of K the error is relative to the size of K around it."""
+    with mp.workdps(40):
+        k = mp.besselk(1j * r, x).real
+        if x >= r:
+            return float(k), abs(float(k))
+        dk = -(mp.besselk(1j * r - 1, x) + mp.besselk(1j * r + 1, x)).real / 2  # K'_nu = -(K_{nu-1} + K_{nu+1})/2
+        return float(k), max(abs(float(k)), float(mp.sqrt(k ** 2 + (x * dk) ** 2 / (r * r - x * x))))
+
+
+def _kernel_grid():
+    """(r, x) points: the six of the spectral layer's accuracy table, x = 345 and 700, a product grid
+    of small r and x, and 40 seeded points with r in [0, 60] and x log-uniform in [0.05, 200]."""
+    points = [(1.0, 20.0), (1.0, 60.0), (20.0, 0.5), (20.0, 2 * math.pi), (20.0, 20.0), (200.0, 2 * math.pi),
+              (0.0, 345.0), (1.0, 345.0), (60.0, 345.0), (200.0, 345.0), (5.0, 700.0)]
+    points += [(r, x) for r in (0.0, 0.5, 1.0, 2.0, 5.0, 10.0) for x in (0.1, 0.7, 1.0, 3.0, 5.0, 6.0, 12.0, 20.0)]
+    rng = random.Random(31)
+    points += [(60 * rng.random(), math.exp(rng.uniform(math.log(0.05), math.log(200)))) for _ in range(40)]
+    return points
+
+
 def grid_box_integral(form, y, nodes):
     """Reference box rule: W |phi|^2 summed over the whole nodes^3 tensor Gauss-Legendre grid at height y.
 
@@ -61,14 +84,24 @@ def mp_cusp_mass(form, T, nodes=16):
 
 class TestBessel:
     def test_classical_K0(self):
-        assert bessel_k_imag_order(0.0, 1.0) == pytest.approx(0.4210244382407083, abs=1e-9)
+        assert bessel_k_imag_order(0.0, 1.0) == pytest.approx(0.4210244382407083, rel=1e-14)
 
     def test_against_reference_values(self):
-        for r in (0.0, 0.5, 1.0, 2.0, 5.0, 10.0):
-            for x in (0.1, 0.7, 1.0, 3.0, 5.0, 6.0, 12.0, 20.0):
-                mine = bessel_k_imag_order(r, x)
-                ref = mp_bessel(r, x)
-                assert mine == pytest.approx(ref, abs=1e-10), (r, x)
+        # an absolute 1e-10 once passed here while the error reached 0.19 relative at (1, 60), 370 at
+        # (20, 20) and 1e125 at (200, 2 pi): |K| ~ e^(-pi r/2) falls below any absolute bound
+        for r, x in _kernel_grid():
+            ref, scale = mp_bessel_scale(r, x)
+            assert abs(bessel_k_imag_order(r, x) - ref) <= 1e-12 * scale, (r, x)
+
+    @pytest.mark.parametrize("x", [5e-324, 1e-310, 1.7e308])
+    @pytest.mark.parametrize("r", [0.0, 1.0, MAX_SPECTRAL_R])
+    def test_extreme_arguments(self, r, x, time_limit):
+        # below x of about 2e-307 the cut of the old quadrature was inf: at r = 0 it bisected without
+        # end, and at r = 1 it raised a math domain error.  K_500 is 0 in doubles at all three x.
+        with time_limit(5):
+            value = bessel_k_imag_order(r, x)
+        ref, scale = mp_bessel_scale(r, x)
+        assert math.isfinite(value) and abs(value - ref) <= 1e-12 * scale, (value, ref)
 
     def test_monotone_decay_in_x(self):
         for r in (0.0, 1.0, 5.0):
@@ -92,6 +125,21 @@ class TestEvaluateForm:
         value = evaluate_form(form, (0.0, 0.0, 0.0, 1.0))
         assert value.real == pytest.approx(bessel_k_imag_order(1.0, 2 * math.pi), rel=1e-12)
         assert value.imag == pytest.approx(0.0, abs=1e-15)
+
+    def test_large_r_against_mpmath(self):
+        # at r = 20, |K| ~ e^(-10 pi) ~ 2e-14, under the old kernel's absolute tolerance 1e-12; Parseval
+        # passed there only because both of its sides took the same wrong K
+        form = SpectralForm.from_dict(20.0, {(1, 0, 0): 1.0, (1, 1, 0): 0.5 - 2j, (2, 1, 1): -0.7j})
+        for z in ((0.1, 0.2, 0.3, 0.3), (0.4, -0.1, 0.25, 0.8), (0.0, 0.0, 0.0, 2.5)):
+            with mp.workdps(40):
+                radial = [mp_bessel(20.0, 2 * math.pi * math.sqrt(sum(b * b for b in beta)) * z[3])
+                          for beta, _ in form.entries]
+            terms = [coeff * z[3] ** 1.5 * k * cmath.exp(2j * math.pi * (b0 * z[0] - b1 * z[1] - b2 * z[2]))
+                     for ((b0, b1, b2), coeff), k in zip(form.entries, radial)]
+            assert abs(evaluate_form(form, z) - sum(terms)) <= 1e-12 * sum(map(abs, terms)), z
+            report = parseval_check(form, z[3])
+            assert report.coefficient_sum == pytest.approx(sum(abs(t) ** 2 for t in terms), rel=1e-12)
+            assert report.rel_error < 1e-12
 
     def test_periodicity(self):
         form = SpectralForm.from_dict(1.0, {(1, 0, 0): 0.3 + 1j, (1, 1, 0): -2.0 + 0j})
@@ -218,7 +266,7 @@ class TestGramBoxRule:
             gram = _gram(form, nodes)
             for y in (0.3, 1.0, 3.0, 12.0, 56.0):
                 ref = grid_box_integral(form, y, nodes)
-                value = _box_integral(_amplitudes(form, y, 1e-12), gram)
+                value = _box_integral(_amplitudes(form, y), gram)
                 assert abs(value - ref) <= 1e-12 * ref, (form, y, value, ref)
                 checked += ref > 0
         assert checked >= 40
@@ -296,7 +344,7 @@ class TestLaplaceResidual:
     def test_vanishing_mode_reported(self):
         # the outermost zero of K_i sits near x = 0.064, i.e. y ~ 0.0102
         def f(y):
-            return bessel_k_imag_order(1.0, 2 * math.pi * y, 1e-14)
+            return bessel_k_imag_order(1.0, 2 * math.pi * y)
 
         a, b = 0.0098, 0.0106
         assert f(a) * f(b) < 0
@@ -308,6 +356,18 @@ class TestLaplaceResidual:
                 a = m
         with pytest.raises(ValueError, match="vanishes"):
             laplace_eigen_residual((1, 0, 0), 1.0, (0.1, 0.2, 0.3, 0.5 * (a + b)), 1e-3)
+
+    @pytest.mark.parametrize("r", [15.0, 17.0, 20.0])
+    def test_large_r_is_second_order(self, r):
+        # the absolute test |u| < 1e-12 once refused r = 17 and 20 here, where |u| ~ e^(-pi r/2); at r = 15
+        # the old kernel's error, divided by h^2, read 4.3e-2 at h = 1e-3 and 14.6 at h = 1e-4
+        res = [laplace_eigen_residual((1, 0, 0), r, (0.1, 0.2, 0.3, 0.3), h) for h in (1e-3, 1e-4)]
+        assert 95.0 <= res[0] / res[1] <= 105.0, res
+
+    def test_underflowed_mode_refused(self):
+        # at r = 500 the mode underflows to 0 at every stencil point
+        with pytest.raises(ValueError, match="vanishes"):
+            laplace_eigen_residual((1, 0, 0), MAX_SPECTRAL_R, (0.1, 0.2, 0.3, 0.3))
 
     def test_zero_beta_rejected(self):
         with pytest.raises(ValueError, match="beta must be nonzero"):
