@@ -21,6 +21,7 @@ All logs are natural.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -28,10 +29,15 @@ import numpy as np
 
 
 def r_conditions_hold(A: float, M: int, eps: float, R: int) -> bool:
-    """R >= A and both damping inequalities 2 A (log A)^(A - R) <= 1/4, 2 A M (1 - eps/2)^R <= 1/4."""
+    """R >= A and both damping inequalities 2 A (log A)^(A - R) <= 1/4, 2 A M (1 - eps/2)^R <= 1/4.
+
+    A - R is formed as (floor(A) - R) + (A - floor(A)), its integer part exact, so R is not
+    rounded to a double past 2^53; for R < 2^53 this is the double A - R.
+    """
+    whole = math.floor(A)
     return (
         R >= A
-        and 2 * A * math.log(A) ** (A - R) <= 0.25
+        and 2 * A * math.log(A) ** ((whole - R) + (A - whole)) <= 0.25
         and 2 * A * M * (1 - eps / 2) ** R <= 0.25
     )
 
@@ -43,7 +49,8 @@ def compute_R(A: float, M: int, eps: float) -> int:
     predicate is monotone in R: the search doubles a step until the
     predicate holds and then bisects back, O(log R) evaluations.  When
     M > 0 and 1 - eps/2 rounds to 1.0 in floating point the second
-    inequality never holds, and ValueError is raised.
+    inequality never holds, and ValueError is raised; so it is when
+    2 A max(M, 1) is not a finite double, where the predicate reads inf.
     """
     if not 10 <= A < math.inf:
         raise ValueError("A must be a finite number of at least 10")
@@ -51,6 +58,9 @@ def compute_R(A: float, M: int, eps: float) -> int:
         raise ValueError("eps must lie in (0, 1)")
     if M < 0:
         raise ValueError("M must be a non-negative integer")
+    big = sys.float_info.max  # A and M clamped to it, so each converts to a double
+    if not 2.0 * min(A, big) * min(max(M, 1), big) < math.inf:
+        raise ValueError("2 A max(M, 1) is past the double range, so no R can be found")
     if M > 0 and 1 - eps / 2 == 1.0:
         raise ValueError(f"eps = {eps} is too small: 1 - eps/2 rounds to 1, so no R exists")
     lo = math.ceil(A)

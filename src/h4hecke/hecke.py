@@ -72,11 +72,12 @@ summed.  A field is integer numerator arrays over one denominator
 and decode their outputs straight back into rows (_unpacked), and the
 float operators read complex128 arrays made once per field
 (_float_field).  Every merge of equal keys, on int64 or on Python ints,
-sorts them once (_runs).  The float twin _apply_float adds the same
-terms on (keys, values) arrays, and apply_hecke_float returns a
-read-only mapping backed by those arrays (_ArrayMap, as a field's
-entries are), so verify_commutativity and eigen_residual chain operators
-without building dicts (see the float-twin note below).
+is _merge, which sorts them once (_runs) and returns them in key order.
+The float twin _apply_float adds the same terms on (keys, values)
+arrays, and apply_hecke_float returns a read-only mapping backed by
+those arrays (_ArrayMap, as a field's entries are), so
+verify_commutativity and eigen_residual chain operators without building
+dicts (see the float-twin note below).
 
 Two finer properties need the Klein-group sign symmetry
 A(-b0,-b1,b2) = A(-b0,b1,-b2) = A(b0,-b1,-b2) = A(b0,b1,b2) that
@@ -510,8 +511,9 @@ class CoefficientField:
         operators are independent of the orbit-representative choice
         (and the operators at different primes commute) exactly on this
         symmetric subspace.  Idempotent projection, exact arithmetic: each
-        key times the four patterns, key-major, with its row, and the rows
-        of equal keys summed (_merge) over 4 den, and the sums that cancel dropped.
+        key times the four patterns with its row, the rows of equal keys
+        summed (_merge) over 4 den, keys in key order, and the sums that
+        cancel dropped.
         """
         keys = (self.keys[:, None, :] * np.array(_SIGN_PATTERNS, dtype=self.keys.dtype)).reshape(-1, 3)
         nums = _exact(self.nums, 4 * self.num_peak)
@@ -781,11 +783,11 @@ class _Support:
 
 def _conj_sum_rows(k: int, p: int, keys: np.ndarray, rows: np.ndarray, mats,
                    peaks: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
-    """T_k on an array field: (betas, sums), one beta per key with a support hit, in no fixed order.
+    """T_k on an array field: (betas, sums), one beta per key with a support hit, in key order.
 
     `keys` is the (n, 3) support and `rows` its (n, m) integer values, numerators say.  The
     pairs are _star_images', whose docstring makes the scatter exact, and the rows of each
-    beta are summed (_run_sums).  A beta gets at most one term per C_i, so each sum is at most
+    beta are summed (_merge).  A beta gets at most one term per C_i, so each sum is at most
     max|row entry| len(mats) (_exact).  Sums that cancel to zero are kept.  `peaks` bounds
     (max|key coordinate|, max|row entry|), as a field keeps them (key_peak, num_peak), so
     neither array is scanned here.
@@ -794,11 +796,7 @@ def _conj_sum_rows(k: int, p: int, keys: np.ndarray, rows: np.ndarray, mats,
         return keys, rows
     key_peak, row_peak = peaks
     images, src = _star_images(k, p, keys, mats, key_peak)
-    rows = _exact(rows, row_peak * len(mats)).take(src, axis=0)
-    if not len(images):
-        return images, rows
-    first, sums = _run_sums(images, rows)
-    return images.take(first, axis=0), sums
+    return _merge((images, _exact(rows, row_peak * len(mats)).take(src, axis=0)))
 
 
 def _apply(ell: int, support: _Support, values: list, w: int, into: Optional[dict] = None) -> dict:
@@ -1004,15 +1002,15 @@ def apply_hecke(ell: int, p: int, A: CoefficientField, *, representatives=None) 
 # term is one group of (key, value) rows, the groups in _apply's order, and one
 # star product of the input gives every T_k (T_1's and T_0's pairs are the T_2
 # images that p and p^2 divide, as in _Support.pairs); H_3 makes one more, on u.
-# Each merge of equal keys (_merge) adds in input order and keeps the keys in
-# first-occurrence order, as a dict would, so the outputs equal those of the same
-# terms added by one dict loop per term on complex doubles (tests/reference.py,
-# apply_dict), keys and values (np.add.at starts each sum from +0.0, so only the
-# sign of a zero part can differ).  The exact operators run on dicts of packed
-# ints, read off the field's numerator arrays and decoded back into them: on
-# object arrays of per-value numerator objects, the same array code took
-# 0.76-0.86 ms for the four applies of a relation on 8-entry fields, against
-# 0.44-0.47 ms on dicts.
+# Each merge of equal keys (_merge) adds in input order and returns the keys in
+# key order, so the outputs equal those of the same terms added by one dict loop
+# per term on complex doubles, H_3's u scattered and the output read in key
+# order (tests/reference.py, apply_dict), keys and values (np.add.at starts each
+# sum from +0.0, so only the sign of a zero part can differ).  The exact
+# operators run on dicts of packed ints, read off the field's numerator arrays
+# and decoded back into them: on object arrays of per-value numerator objects,
+# the same array code took 0.76-0.86 ms for the four applies of a relation on
+# 8-entry fields, against 0.44-0.47 ms on dicts.
 
 # The largest bound on the rows of the outer float scatters of a commutator
 # (_commutator_rows: len(A)(p+1)(q+1), and more for H_3).  One [H_2(p), H_2(q)] takes about
@@ -1093,35 +1091,14 @@ def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return order, new
 
 
-def _run_sums(keys: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(first, sums): for each run of equal keys of a nonempty key array (_runs), its least row and
-    the sum of its values (or value rows), runs in no fixed key order."""
-    order, new = _runs(keys)
-    starts = new.nonzero()[0]
-    return order.take(starts), np.add.reduceat(vals.take(order, axis=0), starts)
-
-
-def _groups(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(inv, first): the group of equal keys of each row, groups numbered in order of first
-    occurrence, and the first row of each group.
-
-    The keys are sorted once (_runs), which leads each run with the least row of its key.
-    """
-    order, new = _runs(keys)
-    by_key = order.compress(new)  # the first row of each group, groups in key order
-    first = np.sort(by_key)  # groups in order of first occurrence
-    rank = np.empty(len(keys), np.intp)
-    rank[first] = np.arange(len(first))  # at a first row: its group's number
-    inv = np.empty(len(keys), np.intp)
-    inv[order] = rank[by_key][np.cumsum(new) - 1]
-    return inv, first
-
-
 def _merge(*parts: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """The (keys, values) parts concatenated, with the values (or value rows) of equal keys summed.
+    """The (keys, values) parts concatenated, with the values (or value rows) of equal keys summed,
+    keys in key order: lexicographic in (b0, b1, b2), as both sorts of _runs give it.
 
-    Keys come out in order of first occurrence, and each sum adds its terms in input
-    order (np.add.at does), starting from 0 (+0.0 for doubles).
+    A float sum adds its terms in input order, starting from +0.0 (np.add.at), so it equals a
+    dict loop over the terms bit for bit but for the sign of a zero part.  An integer or object
+    sum is exact in any order and takes np.add.reduceat: on the T_k rows of 48-88-entry fields it
+    took 27-31 us per merge, against 38-42 us by np.add.at (2-vCPU host).
     """
     if len(parts) == 1:
         keys, vals = parts[0]
@@ -1130,10 +1107,15 @@ def _merge(*parts: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarra
         vals = np.concatenate([v for _, v in parts])
     if not len(keys):
         return keys, vals
-    inv, first = _groups(keys)
-    out = np.zeros((len(first), *vals.shape[1:]), vals.dtype)
-    np.add.at(out, inv, vals)
-    return keys.take(first, axis=0), out
+    order, new = _runs(keys)
+    starts = new.nonzero()[0]
+    vals = vals.take(order, axis=0)
+    if vals.dtype.kind in "fc":
+        sums = np.zeros((len(starts), *vals.shape[1:]), vals.dtype)
+        np.add.at(sums, np.cumsum(new) - 1, vals)
+    else:
+        sums = np.add.reduceat(vals, starts)
+    return keys.take(order.take(starts), axis=0), sums
 
 
 def _apply_float(ell: int, p: int, keys: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -1191,8 +1173,8 @@ def apply_hecke_float(ell: int, p: int, entries: Mapping[LatticeVector, complex]
     """Floating-point twin of apply_hecke for cross-prime experiments.
 
     The nonzero outputs come back as a read-only mapping held as arrays, in
-    the order the dict form of the operator inserts them; passing it to
-    another call chains operators without building dicts.
+    key order; passing it to another call chains operators without building
+    dicts.
     """
     require_odd_prime(p)
     if ell not in (1, 2, 3):
@@ -1280,13 +1262,8 @@ def verify_commutativity(p: int, q: int, ell: int, m: int, A: CoefficientField) 
     entries = _float_field(A)
     pq = apply_hecke_float(ell, p, apply_hecke_float(m, q, entries))
     qp = apply_hecke_float(m, q, apply_hecke_float(ell, p, entries))
-    keys = np.concatenate((pq._keys, qp._keys))
-    if not len(keys):
-        return 0.0
-    # Each side holds a key once, so a key's difference is its pq value, -qp, or pq - qp,
-    # summed over its run; the largest |difference| needs no key order.
-    _, diff = _run_sums(keys, np.concatenate((pq._rows, -qp._rows)))
-    return float(np.abs(diff).max())
+    _, diff = _merge((pq._keys, pq._rows), (qp._keys, -qp._rows))
+    return float(np.abs(diff).max()) if len(diff) else 0.0
 
 
 # -- eigenvalue data ----------------------------------------------------------

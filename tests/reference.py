@@ -330,7 +330,7 @@ def pair_conj_sum(k, p, entries, mats, acc=None) -> dict:
 
 def apply_dict(ell: int, p: int, entries, weights, inv_sqrt_p, representatives=None) -> dict:
     """H_ell on a dict of scalars of one domain, adding each term by the domain's own `+`: every nonzero
-    (H_ell A)(beta).  The terms and term order of ``hecke._apply_float``, zero signs included.
+    (H_ell A)(beta), in key order.  The terms and term order of ``hecke._apply_float``, zero signs included.
 
     The hecke module docstring's arranged form, one dict loop per term in the order
     that ``hecke._apply`` adds them.  Weights of gamma (p^(-1/2), -1/p, 1_p(gamma))
@@ -338,8 +338,9 @@ def apply_dict(ell: int, p: int, entries, weights, inv_sqrt_p, representatives=N
     the output.  H_3 moves the T_1 sums to p beta, where they are (1_p T_2 A)(p beta),
     and scatters T_0 u with u = 1_p (p^(-1/2) A + p^(-1) T_2 A): in doubles
     p^(-1/2) p^(-1/2) is not 1/p, which would leave rounding residue where that
-    term cancels the mid term.  A shift off the lattice (gamma/p with p not
-    dividing gamma) reaches no beta and is skipped.
+    term cancels the mid term.  u is scattered in key order, as the array path
+    merges it, so each T_0 u sum adds its terms in the same order.  A shift off
+    the lattice (gamma/p with p not dividing gamma) reaches no beta and is skipped.
     """
     if ell not in (1, 2, 3):
         raise ValueError(f"ell must be 1, 2, or 3, got {ell}")
@@ -373,8 +374,8 @@ def apply_dict(ell: int, p: int, entries, weights, inv_sqrt_p, representatives=N
             beta = _scale(beta, p)
             _add(out, beta, inv_sqrt_p * v)
             _add(u, beta, weights.inv_p * v)
-        pair_conj_sum(0, p, u, mats, out)
-    return {beta: value for beta, value in out.items() if value}
+        pair_conj_sum(0, p, dict(sorted(u.items())), mats, out)
+    return {beta: value for beta, value in sorted(out.items()) if value}
 
 
 def relation_residual_by_applies(p, A):
@@ -404,12 +405,12 @@ def commutator_dict(p, q, ell, m, A) -> float:
 
 def symmetrized_dict(A):
     """The average of A over the four coordinate sign patterns by a loop over QComplex values, adding
-    quarter shares in key order: the reference for ``CoefficientField.symmetrized`` on numerator rows."""
+    quarter shares, keys in key order: the reference for ``CoefficientField.symmetrized`` on numerator rows."""
     out = {}
     for beta, value in A.entries.items():
         for s in ((1, 1, 1), *(flip for _, flip in UNIT_FLIPS.values())):
             _add(out, (s[0] * beta[0], s[1] * beta[1], s[2] * beta[2]), value * Fraction(1, 4))
-    return hecke.CoefficientField(A.p, {beta: v for beta, v in out.items() if v})
+    return hecke.CoefficientField(A.p, {beta: v for beta, v in sorted(out.items()) if v})
 
 
 def _parse_scalar_quad(raw, p):

@@ -2,6 +2,7 @@ import math
 import random
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -57,6 +58,25 @@ class TestComputeR:
         with pytest.raises(ValueError, match="rounds to 1"):
             compute_R(20, 3, 1e-17)
         assert compute_R(20, 0, 1e-17) == compute_R(20, 0, 0.5)
+
+    @pytest.mark.parametrize("A", [1e15, 2.0 ** 53, 1e17, 1e20, 1e100])
+    def test_large_A_matches_exact_minimum(self, A):
+        # A - R was once rounded to a double, so R came out A + 9 at 1e17 (A + 12 is least), A + 8193
+        # at 1e20 and about 1e84 off at 1e100.  Each A here is an integer, so the least R is A plus the
+        # least k >= log(8A) / log(log A), and the second inequality holds far below A.
+        M, eps = 3, 0.5
+        with mpmath.workdps(60):
+            a = mpmath.mpf(A)
+            k = int(mpmath.ceil(mpmath.log(8 * a) / mpmath.log(mpmath.log(a))))
+            assert mpmath.log(8 * a * M) / -mpmath.log(1 - mpmath.mpf(eps) / 2) < a
+        assert compute_R(A, M, eps) == int(A) + k
+
+    @pytest.mark.parametrize("A,M", [(1e308, 3), (8.99e307, 1), (1e300, 10 ** 30), (10, 10 ** 400), (10 ** 400, 0)],
+                             ids=["A=1e308", "A=8.99e307", "A=1e300,M=1e30", "M=1e400", "A=1e400"])
+    def test_2A_max_M_past_the_double_range_is_refused(self, A, M):
+        # the predicate read inf there, so the search ran R out of the double range: OverflowError
+        with pytest.raises(ValueError, match="past the double range"):
+            compute_R(A, M, 0.5)
 
 
 class TestSampledFunction:

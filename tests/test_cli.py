@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import os
@@ -780,6 +781,7 @@ def bad_files(tmp_path):
         "params_a_5.json": '{"delta": 0.5, "eps": 0.5, "A": 10, "a": 5}',
         "params_nan_delta.json": '{"delta": NaN, "eps": 0.5, "A": 10}',
         "params_nan_b.json": '{"delta": 0.5, "eps": 0.5, "A": 10, "b": [NaN]}',
+        "params_huge_A.json": '{"delta": 0.5, "eps": 0.5, "A": 1e308}',
     }
     paths = {"out": str(tmp_path / "out.json")}
     for name, text in texts.items():
@@ -895,6 +897,11 @@ class TestBadInputsExit2:
         ["maass", "laplace-check", "--beta", "1,0,0", "--r", "1", "--h", "1e-300"],
         # an exact sum past the double range once ended in OverflowError from float()
         ["sums", "compute", "--kind", "S", "--d", "1", "--z", "9", "--in", "{coeff_huge}"],
+        # 2 A max(M, 1) past the double range once sent compute_R's search past it: OverflowError
+        ["asym", "compute-R", "--A", "1e308", "--M", "3", "--eps", "0.01"],
+        ["asym", "compute-R", "--A", "1e300", "--M", str(10 ** 30), "--eps", "0.5"],
+        ["asym", "compute-R", "--A", "10", "--M", _HUGE, "--eps", "0.5"],
+        ["asym", "verify", "--f", "{csv_to_32}", "--params", "{params_huge_A}"],
     ])
     def test_exits_2_with_one_error_line(self, argv, form_files, bad_files, capsys, time_limit):
         assert _exit_code([a.format(**form_files, **bad_files) for a in argv], time_limit) == 2
@@ -945,7 +952,7 @@ class TestCuspCrossCheck:
 _FUZZ_FLOATS = ["nan", "inf", "-inf", "-1", "0", "0.5", "1e308", "x"]
 _FUZZ_COUNTS = ["-1", "0", "1"]
 # (fixed arguments, float flags, count flags) of every maass, hecke and geom
-# command that takes a float or count flag
+# command that takes a float or count flag, and of asym compute-R and two sums commands
 _FUZZ_COMMANDS = [
     (["maass", "parseval", "--form", "{form}"], ["--y"], []),
     (["maass", "cusp", "--form", "{form}"], ["--T"], []),
@@ -954,20 +961,23 @@ _FUZZ_COMMANDS = [
     (["hecke", "verify-relation", "--p", "3"], [], ["--trials", "--support"]),
     (["hecke", "commute", "--p", "3", "--q", "5"], ["--tol"], ["--trials", "--support"]),
     (["geom", "verify-cusp"], ["--T"], ["--samples"]),
+    (["asym", "compute-R"], ["--A", "--eps"], ["--M"]),
+    (["sums", "partition", "--lambda-table", "{lam_3_primes}"], ["--y"], []),
+    (["sums", "report", "--which", "L6.4a", "--in", "{coeff}", "--z", "9", "--window-P", "14"], ["--K"], []),
 ]
 
 
 class TestCliFuzz:
-    @settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(data=st.data())
-    def test_exit_codes_without_traceback(self, data, form_files, capsys, time_limit):
-        fixed, floats, counts = data.draw(st.sampled_from(_FUZZ_COMMANDS))
-        argv = [a.format(**form_files) for a in fixed]
-        # the flag=value form lets a value start with "-"
-        argv += [f"{flag}={data.draw(st.sampled_from(_FUZZ_FLOATS))}" for flag in floats]
-        argv += [f"{flag}={data.draw(st.sampled_from(_FUZZ_COUNTS))}" for flag in counts]
-        capsys.readouterr()
-        code = _exit_code(argv, time_limit)
-        err = capsys.readouterr().err
-        assert code in (0, 1, 2), (argv, code, err)
-        assert "Traceback" not in err, (argv, err)
+    def test_exit_codes_without_traceback(self, form_files, bad_files, capsys, time_limit):
+        # every command with every combination of its pools' values, about 400 calls in 0.1 s: a
+        # random draw of 120 seldom met compute-R's two overflowing inputs (A = 1e308, eps = 0.5, M = 0, 1)
+        for fixed, floats, counts in _FUZZ_COMMANDS:
+            for values in itertools.product(*[_FUZZ_FLOATS] * len(floats), *[_FUZZ_COUNTS] * len(counts)):
+                # the flag=value form lets a value start with "-"
+                argv = [a.format(**form_files, **bad_files) for a in fixed] + [
+                    f"{flag}={value}" for flag, value in zip(floats + counts, values)]
+                capsys.readouterr()
+                code = _exit_code(argv, time_limit)
+                err = capsys.readouterr().err
+                assert code in (0, 1, 2), (argv, code, err)
+                assert "Traceback" not in err, (argv, err)

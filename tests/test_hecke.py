@@ -563,18 +563,35 @@ class TestFloatArrayPath:
                 assert abs(got - expected) <= 1e-15 * expected, (p, q, ell, m)
 
     @pytest.mark.parametrize("top", [2 ** 20, 2 ** 21, 2 ** 40, 2 ** 62])
-    def test_groups_sort_any_int64_span_as_the_dict_does(self, top):
-        # int64 keys of any span, and the same keys on Python ints, then keys past 2^63
+    def test_merge_equals_dict_loop_in_key_order(self, top):
+        # int64 keys of any span, and the same keys on Python ints, then keys past 2^63, as one part
+        # and as three with an empty one between: the keys come out as sorted(set(keys)); complex
+        # sums equal a dict loop from +0j bit for bit, zero signs included, which np.add.reduceat's
+        # pairwise sums would not; int64 and Python-int rows sum exactly
         rng = random.Random(top)
         picks = [(rng.choice((-top, 0, 5, top - 1)), rng.randint(-3, 3), rng.choice((0, top - 1))) for _ in range(300)]
         wide = [(b0 * 2 ** 64 + 1, b1, -b2 * 10 ** 30) for b0, b1, b2 in picks]
+        values = (np.array([complex(rng.choice((-0.0, rng.uniform(-1, 1) * 10.0 ** rng.randint(0, 16))),
+                                    rng.choice((-0.0, rng.uniform(-1, 1)))) for _ in picks]),
+                  np.array([[rng.randint(-2 ** 50, 2 ** 50) for _ in range(2)] for _ in picks], dtype=np.int64),
+                  np.array([[rng.randint(-10 ** 30, 10 ** 30) for _ in range(2)] for _ in picks], dtype=object))
         for rows, keys in ((picks, np.array(picks, dtype=np.int64)), (picks, np.array(picks, dtype=object)),
                            (wide, np.array(wide, dtype=object))):
-            inv, first = hecke._groups(keys)
-            seen = {}
-            ref_inv = [seen.setdefault(k, len(seen)) for k in rows]
-            assert inv.tolist() == ref_inv
-            assert first.tolist() == sorted({k: i for i, k in reversed(list(enumerate(rows)))}.values())
+            for vals in values:
+                loop = {}
+                for k, v in zip(rows, vals.tolist()):
+                    loop[k] = loop.get(k, 0j) + v if vals.ndim == 1 else [a + b for a, b in zip(loop.get(k, (0, 0)), v)]
+                expected = [loop[k] for k in sorted(set(rows))]
+                for parts in (((keys, vals),), ((keys[:100], vals[:100]), (keys[:0], vals[:0]), (keys[100:], vals[100:]))):
+                    got_keys, sums = hecke._merge(*parts)
+                    assert list(map(tuple, got_keys.tolist())) == sorted(set(rows)) and sums.dtype == vals.dtype
+                    if vals.ndim == 1:
+                        assert [(x.real.hex(), x.imag.hex()) for x in sums.tolist()] == [
+                            (x.real.hex(), x.imag.hex()) for x in expected]
+                    else:
+                        assert sums.tolist() == expected
+                got_keys, sums = hecke._merge((keys[:0], vals[:0]))
+                assert got_keys.shape == (0, 3) and sums.shape == vals[:0].shape
 
     @pytest.mark.parametrize("top", [5, 2 ** 20, 2 ** 40, 2 ** 62 - 1])
     def test_runs_keep_rows_of_a_key_in_input_order(self, top):
