@@ -205,7 +205,7 @@ def parse_lambda_table(path: Union[str, Path]) -> dict[int, EigenvalueTriple]:
         for row in reader:
             if len(row) != 4 or None in row.values():
                 raise FileFormatError(f"lambda table line {reader.line_num} must have 4 fields")
-            p = int(row["p"])
+            p = _number(int, row["p"], f"lambda table line {reader.line_num}: p")
             lams = [_number(float, row[key], key) for key in expected[1:]]
             if not all(map(math.isfinite, lams)):
                 raise FileFormatError(f"lambda table line {reader.line_num} has a non-finite eigenvalue: {lams}")
@@ -224,8 +224,8 @@ def parse_sampled_function(path: Union[str, Path]) -> SampledFunction:
         for row in reader:
             if len(row) != 2:
                 raise FileFormatError(f"function file line {reader.line_num} must be y,value, got {row!r}")
-            ys.append(float(row[0]))
-            vals.append(float(row[1]))
+            ys.append(_number(float, row[0], f"function file line {reader.line_num}: y"))
+            vals.append(_number(float, row[1], f"function file line {reader.line_num}: value"))
     if not ys:
         raise FileFormatError("function file has no y,value rows")
     return SampledFunction(grid=np.array(ys), values=np.array(vals))

@@ -283,9 +283,6 @@ class QComplex:
             return NotImplemented
         return QComplex(self.re * other, self.im * other)
 
-    def conjugate(self) -> "QComplex":
-        return QComplex(self.re, -self.im)
-
     def abs_sq(self) -> QuadExt:
         return self.re * self.re + self.im * self.im
 
@@ -390,13 +387,15 @@ class CoefficientField:
     already over it is promoted to it; two primes, or one that is not odd,
     raise ValueError.
 
-    The constructor converts the entries once into read-only arrays: `keys`,
-    the (n, 3) support, and `nums`, the (n, 4) numerators (ra, rb, ia, ib) of
-    each (ra + rb sqrt p) + (ia + ib sqrt p) i over `den`, the lcm of the
-    reduced denominators (int64, or Python ints where they may not fit);
-    `norms`, N(beta) per key; `key_peak` and `num_peak`, max|coordinate| and
-    max|numerator|.  `entries` maps beta -> QComplex in support order,
-    decoding each value when it is read.
+    A field is read-only arrays: `keys`, the (n, 3) support, and `nums`, the
+    (n, 4) numerators (ra, rb, ia, ib) of each (ra + rb sqrt p) + (ia + ib sqrt p) i
+    over `den`, the lcm of the reduced denominators (int64, or Python ints where
+    they may not fit); `norms`, N(beta) per key; `key_peak` and `num_peak`,
+    max|coordinate| and max|numerator|.  `entries` maps beta -> QComplex in
+    support order, decoding each value when it is read.  The constructor takes a
+    mapping of QComplex values apart once (delta, scale, + and - use it); the
+    builders zero, ones_ball and random, the file parser and every library
+    output write their numerator rows straight into _from_rows.
     """
 
     __slots__ = ("p", "den", "keys", "nums", "norms", "key_peak", "num_peak", "entries", "_floats")
@@ -405,8 +404,7 @@ class CoefficientField:
         if p is None:
             for value in entries.values():
                 p = _join_primes(_join_primes(p, value.re.p), value.im.p)
-        if p is not None:
-            require_odd_prime(p)
+        p = p if p is None else require_odd_prime(p)
         keys, parts = [], []
         for beta, value in entries.items():
             beta = (int(beta[0]), int(beta[1]), int(beta[2]))
@@ -431,26 +429,23 @@ class CoefficientField:
 
     @classmethod
     def _from_rows(cls, p: Optional[int], den: int, keys: np.ndarray, nums: np.ndarray) -> "CoefficientField":
-        """The field of nonzero numerator rows over den, for library outputs: den is reduced by one
-        gcd, and nothing is checked."""
-        g = math.gcd(den, *nums.ravel().tolist())  # den itself when there is no row
+        """The field of nonzero numerator rows over den, for library outputs and the builders: den is
+        reduced by one gcd, and nothing is checked.  No rows give the zero field over p on shared empty
+        arrays, without the array work (1.6 against 9 us in one process): every relation that holds
+        returns one."""
         field = object.__new__(cls)
-        field._set(p, den // g, keys, nums // g if g > 1 and len(nums) else nums)
-        return field
-
-    @classmethod
-    def _zero_rows(cls, p: Optional[int]) -> "CoefficientField":
-        """The zero field over p on shared empty arrays: what _from_rows gives for no rows, without its
-        array work (1.6 against 9 us in one process), since every relation that holds returns one."""
-        field = object.__new__(cls)
-        field.p, field.den, field.keys, field.nums, field.norms = p, 1, _NO_KEYS, _NO_NUMS, _NO_NORMS
-        field.key_peak = field.num_peak = 0
-        field.entries, field._floats = _ArrayMap(_NO_KEYS, _NO_NUMS), None
+        if not len(nums):
+            field.p, field.den, field.keys, field.nums, field.norms = p, 1, _NO_KEYS, _NO_NUMS, _NO_NORMS
+            field.key_peak = field.num_peak = 0
+            field.entries, field._floats = _ArrayMap(_NO_KEYS, _NO_NUMS), None
+            return field
+        g = math.gcd(den, *nums.ravel().tolist())
+        field._set(p, den // g, keys, nums // g if g > 1 else nums)
         return field
 
     @classmethod
     def zero(cls, p: Optional[int] = None) -> "CoefficientField":
-        return cls(p, {})
+        return cls._from_rows(p if p is None else require_odd_prime(p), 1, _NO_KEYS, _NO_NUMS)
 
     @classmethod
     def delta(cls, beta: LatticeVector, value: Rational = 1, p: Optional[int] = None) -> "CoefficientField":
@@ -458,15 +453,13 @@ class CoefficientField:
 
     @classmethod
     def ones_ball(cls, radius: int, p: Optional[int] = None) -> "CoefficientField":
-        """A(beta) = 1 on every nonzero beta with N(beta) <= radius."""
-        entries = {}
+        """A(beta) = 1 on every nonzero beta with N(beta) <= radius, keys in key order."""
         m = math.isqrt(radius)
-        for b0 in range(-m, m + 1):
-            for b1 in range(-m, m + 1):
-                for b2 in range(-m, m + 1):
-                    if (b0, b1, b2) != (0, 0, 0) and b0 * b0 + b1 * b1 + b2 * b2 <= radius:
-                        entries[(b0, b1, b2)] = QComplex.of(1, p=p)
-        return cls(p, entries)
+        box = np.indices((2 * m + 1,) * 3, dtype=np.int64).reshape(3, -1).T - m  # b0, b1, b2 in key order
+        norms = (box * box).sum(axis=1)
+        keys = box[(norms > 0) & (norms <= radius)]
+        nums = np.repeat(np.array([[1, 0, 0, 0]], np.int64), len(keys), axis=0)
+        return cls._from_rows(p if p is None else require_odd_prime(p), 1, keys, nums)
 
     @classmethod
     def random(
@@ -479,27 +472,23 @@ class CoefficientField:
         entry_bound: int = 10,
         sqrt_parts: bool = False,
     ) -> "CoefficientField":
-        """Random sparse field with integer (or integer + integer*sqrt(p)) entries."""
+        """Random sparse field with integer (or integer + integer*sqrt(p)) entries: per point, its three
+        coordinates (drawn again at 0 or a point kept), then its value's parts (dropped when all are 0)."""
         if sqrt_parts and p is None:
             raise ValueError("sqrt parts require a prime context")
         if support > (2 * coord_bound + 1) ** 3 - 1 or (support > 0 and entry_bound < 1):
             raise ValueError(f"cannot draw {support} nonzero entries at distinct points with "
                              f"|b_i| <= {coord_bound} and entry_bound {entry_bound}")
-        entries: dict[LatticeVector, QComplex] = {}
-        while len(entries) < support:
+        p, draw = (p if p is None else require_odd_prime(p)), partial(rng.randint, -entry_bound, entry_bound)
+        rows: dict[LatticeVector, list] = {}
+        while len(rows) < support:
             beta = tuple(rng.randint(-coord_bound, coord_bound) for _ in range(3))
-            if beta == (0, 0, 0) or beta in entries:
+            if beta == (0, 0, 0) or beta in rows:
                 continue
-
-            def scalar():
-                a = Fraction(rng.randint(-entry_bound, entry_bound))
-                b = Fraction(rng.randint(-entry_bound, entry_bound)) if sqrt_parts else Fraction(0)
-                return QuadExt(p if sqrt_parts else None, a, b)
-
-            value = QComplex(scalar(), scalar())
-            if value:
-                entries[beta] = value
-        return cls(p, entries)
+            row = [draw(), draw(), draw(), draw()] if sqrt_parts else [draw(), 0, draw(), 0]  # ra, rb, ia, ib
+            if any(row):
+                rows[beta] = row
+        return cls._from_rows(p, 1, _support_array(list(rows)), _int_array(list(chain.from_iterable(rows.values())), 4))
 
     # -- lookup and linear structure ------------------------------------
 
@@ -572,7 +561,7 @@ class CoefficientField:
         return self.p == other.p or not self.nums[:, 1::2].any()
 
     def as_complex_dict(self) -> dict[LatticeVector, complex]:
-        return {b: complex(v) for b, v in self.entries.items()}
+        return dict(_float_field(self))
 
     def __repr__(self):
         return f"CoefficientField(p={self.p}, support={len(self.keys)}, radius={self.support_radius})"
@@ -967,8 +956,8 @@ def _packed(A: CoefficientField, p: int) -> tuple[int, int, dict[LatticeVector, 
 
 def _unpacked(p: int, packed: Mapping[LatticeVector, int], den: int, w: int) -> CoefficientField:
     """The field of nonzero packed values of lane width w over den: each value's lanes are its row."""
-    if not packed:
-        return CoefficientField._zero_rows(p)
+    if not packed:  # every relation that holds: _from_rows on no rows makes no array
+        return CoefficientField._from_rows(p, den, _NO_KEYS, _NO_NUMS)
     flat = list(chain.from_iterable(map(_unpacker(w), packed.values())))
     return CoefficientField._from_rows(p, den, _support_array(list(packed)), _int_array(flat, 4))
 

@@ -181,9 +181,11 @@ class PrimeWindow:
 
     @classmethod
     def from_bound(cls, P: float) -> "PrimeWindow":
-        """Every odd prime in [P/2, P]."""
+        """Every odd prime in [P/2, P]: one at least for each P from 3 to MAX_PRIME (Bertrand's postulate)."""
         if not P <= MAX_PRIME:
             raise ValueError(f"window bound P = {P:g} is past {MAX_PRIME}, the largest supported prime")
+        if not P >= 3:
+            raise ValueError(f"window bound P = {P:g} is below 3: [P/2, P] holds no odd prime")
         return cls(P=float(P), primes=tuple(odd_primes_in(P / 2, P)))
 
     def __len__(self) -> int:
@@ -478,7 +480,7 @@ def inequality_report(which: str, **kw) -> SumReport:
     z = kw["z"]
 
     if which == "Prop6.1":
-        p, k, c = kw["p"], _require_exponent("k", kw["k"]), kw.get("c", 1)
+        p, k, c = require_odd_prime(kw["p"]), _require_exponent("k", kw["k"]), kw.get("c", 1)
         lam: EigenvalueTriple = kw["lam"]
         const_A = kw.get("const_A", 1.0)
         if c % p == 0:
@@ -517,7 +519,7 @@ def inequality_report(which: str, **kw) -> SumReport:
                        {"d": d, "A": const_A})
 
     if which == "L6.3i":
-        p, d = kw["p"], kw["d"]
+        p, d = require_odd_prime(kw["p"]), kw["d"]
         lam: EigenvalueTriple = kw["lam"]
         zf = Fraction(z)
         return _report(which, lambda: float(sum_S_d(A, d * p, z)),
@@ -527,7 +529,7 @@ def inequality_report(which: str, **kw) -> SumReport:
                        {"p": p, "d": d})
 
     if which == "L6.3ii":
-        p, d, ell = kw["p"], kw["d"], _require_exponent("ell", kw["ell"])
+        p, d, ell = require_odd_prime(kw["p"]), kw["d"], _require_exponent("ell", kw["ell"])
         lam: EigenvalueTriple = kw["lam"]
         zf = Fraction(z)
         return _report(which, lambda: float(sum_R(A, p, ell, d * p ** ell, z)),
@@ -536,7 +538,8 @@ def inequality_report(which: str, **kw) -> SumReport:
                        {"p": p, "d": d, "ell": ell})
 
     if which == "L6.3iii":
-        p, c, k, ell = kw["p"], kw["c"], _require_exponent("k", kw["k"]), _require_exponent("ell", kw["ell"])
+        p, c, k, ell = (require_odd_prime(kw["p"]), kw["c"], _require_exponent("k", kw["k"]),
+                        _require_exponent("ell", kw["ell"]))
         if c % p == 0:
             raise ValueError("c must be coprime to p")
         zf = Fraction(z)

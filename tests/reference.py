@@ -448,3 +448,34 @@ def parse_coefficient_field_quad(path):
 def fields_equal_by_entries(A, B) -> bool:
     """A == B as QComplex values key by key, each decoded: the reference for ``CoefficientField.__eq__``."""
     return dict(A.entries.items()) == dict(B.entries.items())
+
+
+def random_field_quad(rng, *, p=None, support=8, coord_bound=3, entry_bound=10, sqrt_parts=False):
+    """A random field drawn as QComplex values into the public constructor: the reference for
+    ``CoefficientField.random``, which writes the same draws straight into numerator rows."""
+    if sqrt_parts and p is None:
+        raise ValueError("sqrt parts require a prime context")
+    entries = {}
+    while len(entries) < support:
+        beta = tuple(rng.randint(-coord_bound, coord_bound) for _ in range(3))
+        if beta == (0, 0, 0) or beta in entries:
+            continue
+
+        def scalar():
+            a = Fraction(rng.randint(-entry_bound, entry_bound))
+            b = Fraction(rng.randint(-entry_bound, entry_bound)) if sqrt_parts else Fraction(0)
+            return hecke.QuadExt(p if sqrt_parts else None, a, b)
+
+        value = hecke.QComplex(scalar(), scalar())
+        if value:
+            entries[beta] = value
+    return hecke.CoefficientField(p, entries)
+
+
+def ones_ball_loop(radius, p=None):
+    """A(beta) = 1 on the nonzero lattice ball N(beta) <= radius by a loop over the coordinate box, in
+    loop order: the reference for ``CoefficientField.ones_ball``."""
+    m = math.isqrt(radius)
+    box = range(-m, m + 1)
+    return hecke.CoefficientField(p, {(b0, b1, b2): hecke.QComplex.of(1, p=p) for b0 in box for b1 in box for b2 in box
+                                      if (b0, b1, b2) != (0, 0, 0) and b0 * b0 + b1 * b1 + b2 * b2 <= radius})

@@ -771,6 +771,10 @@ def bad_files(tmp_path):
         "csv_nan_row.csv": "y,value\n1,1\n2,nan\n3,0.5\n",
         "csv_to_32.csv": "y,value\n1,1\n2,0.9\n4,0.8\n8,0.7\n16,0.6\n32,0.5\n",
         "lam_short_row.csv": "p,lambda1,lambda2,lambda3\n3,1.0,0.5\n",
+        "lam_x_p.csv": "p,lambda1,lambda2,lambda3\nx,1,1,1\n",
+        "lam_row_4.csv": "p,lambda1,lambda2,lambda3\n3,1.0,0.5,0.1\n4,0.2,0.1,1.5\n",
+        "csv_x_y.csv": "y,value\n1,1\nx,2\n",
+        "csv_x_value.csv": "y,value\n1,1\n2,x\n",
         "lam_3_primes.csv": "p,lambda1,lambda2,lambda3\n3,1.0,0.5,0.1\n5,0.2,0.1,1.5\n7,0.3,0.4,1.2\n",
         "lam_one_row.csv": "p,lambda1,lambda2,lambda3\n3,1.0,0.5,0.1\n",
         "lam_inf_row.csv": "p,lambda1,lambda2,lambda3\n3,1.0,0.5,0.1\n5,inf,0.1,1.5\n7,0.3,0.4,1.2\n",
@@ -799,6 +803,30 @@ _REPORT_MISSING_OPTION = [
 
 
 _HUGE = str(10 ** 400)  # past the double range
+
+_NO_ODD_PRIME = "is below 3: [P/2, P] holds no odd prime"
+# refused input, and the one error line that names it
+_REFUSED_WITH_MESSAGE = [
+    (["sums", "report", "--which", "L6.4b", "--in", "{coeff}", "--z", "9", "--K", "1", "--window-P", "0"],
+     f"window bound P = 0 {_NO_ODD_PRIME}"),
+    (["sums", "report", "--which", "L6.5", "--in", "{coeff}", "--z", "9", "--K", "1", "--ell", "1",
+      "--window-P", "0", "--lambda-table", "{lam_3_primes}"], f"window bound P = 0 {_NO_ODD_PRIME}"),
+    (["sums", "report", "--which", "L6.4a", "--in", "{coeff}", "--z", "9", "--K", "1", "--window-P=-5"],
+     f"window bound P = -5 {_NO_ODD_PRIME}"),
+    (["sums", "report", "--which", "L6.4a", "--in", "{coeff}", "--z", "9", "--K", "1", "--window-P", "2.5"],
+     f"window bound P = 2.5 {_NO_ODD_PRIME}"),
+    (["sums", "report", "--which", "L6.3iii", "--in", "{coeff}", "--z", "9", "--p", "0", "--c", "1", "--k", "1",
+      "--ell", "1"], "p must be an odd prime, got 0"),
+    (["sums", "report", "--which", "Prop6.1", "--in", "{coeff}", "--z", "9", "--p", "4", "--k", "1",
+      "--lambda-table", "{lam_row_4}"], "p must be an odd prime, got 4"),
+    (["sums", "report", "--which", "L6.3ii", "--in", "{coeff}", "--z", "9", "--p", "1", "--d", "1", "--ell", "1",
+      "--lambda-table", "{lam_row_4}"], "p must be an odd prime, got 1"),
+    (["asym", "verify", "--f", "{csv_x_y}", "--params", "{params}"], "function file line 3: y must be a number, got 'x'"),
+    (["asym", "verify", "--f", "{csv_x_value}", "--params", "{params}"],
+     "function file line 3: value must be a number, got 'x'"),
+    (["sums", "partition", "--y", "1e6", "--lambda-table", "{lam_x_p}"],
+     "lambda table line 2: p must be a number, got 'x'"),
+]
 
 
 class TestBadInputsExit2:
@@ -902,6 +930,9 @@ class TestBadInputsExit2:
         ["asym", "compute-R", "--A", "1e300", "--M", str(10 ** 30), "--eps", "0.5"],
         ["asym", "compute-R", "--A", "10", "--M", _HUGE, "--eps", "0.5"],
         ["asym", "verify", "--f", "{csv_to_32}", "--params", "{params_huge_A}"],
+        # each once ended in a traceback, exited 0 on an empty window or a p that is not prime, or named
+        # neither the field nor the line it could not read
+        *[argv for argv, _ in _REFUSED_WITH_MESSAGE],
     ])
     def test_exits_2_with_one_error_line(self, argv, form_files, bad_files, capsys, time_limit):
         assert _exit_code([a.format(**form_files, **bad_files) for a in argv], time_limit) == 2
@@ -916,6 +947,11 @@ class TestBadInputsExit2:
         assert _exit_code([a.format(**bad_files) for a in argv], time_limit) == 2
         err = capsys.readouterr().err.strip()
         assert err == f"usage error: sums report --which {argv[3]} needs {flag}", err
+
+    @pytest.mark.parametrize("argv,message", _REFUSED_WITH_MESSAGE)
+    def test_refusal_names_the_input(self, argv, message, bad_files, capsys, time_limit):
+        assert _exit_code([a.format(**bad_files) for a in argv], time_limit) == 2
+        assert capsys.readouterr().err.strip() == f"usage error: {message}"
 
     def test_missing_window_prime_is_named(self, bad_files, capsys, time_limit):
         # this once printed only "usage error: 7", the first prime of the window [7, 14]
@@ -952,7 +988,8 @@ class TestCuspCrossCheck:
 _FUZZ_FLOATS = ["nan", "inf", "-inf", "-1", "0", "0.5", "1e308", "x"]
 _FUZZ_COUNTS = ["-1", "0", "1"]
 # (fixed arguments, float flags, count flags) of every maass, hecke and geom
-# command that takes a float or count flag, and of asym compute-R and two sums commands
+# command that takes a float or count flag, of asym compute-R, of sums partition, and of the
+# sums reports that read --K, --window-P or --p
 _FUZZ_COMMANDS = [
     (["maass", "parseval", "--form", "{form}"], ["--y"], []),
     (["maass", "cusp", "--form", "{form}"], ["--T"], []),
@@ -964,6 +1001,11 @@ _FUZZ_COMMANDS = [
     (["asym", "compute-R"], ["--A", "--eps"], ["--M"]),
     (["sums", "partition", "--lambda-table", "{lam_3_primes}"], ["--y"], []),
     (["sums", "report", "--which", "L6.4a", "--in", "{coeff}", "--z", "9", "--window-P", "14"], ["--K"], []),
+    (["sums", "report", "--which", "L6.4b", "--in", "{coeff}", "--z", "9", "--K", "1"], ["--window-P"], []),
+    (["sums", "report", "--which", "L6.5", "--in", "{coeff}", "--z", "9", "--K", "1", "--ell", "1",
+      "--lambda-table", "{lam_3_primes}"], ["--window-P"], []),
+    (["sums", "report", "--which", "L6.3iii", "--in", "{coeff}", "--z", "9", "--c", "1", "--k", "1", "--ell", "1"],
+     [], ["--p"]),
 ]
 
 

@@ -41,8 +41,8 @@ from h4hecke.quaternions import (
     scale_lattice,
 )
 from reference import (
-    apply_dict, apply_hecke_float_dict, apply_matrix, commutator_dict, fields_equal_by_entries, pair_conj_sum,
-    relation_residual_by_applies, symmetrized_dict,
+    apply_dict, apply_hecke_float_dict, apply_matrix, commutator_dict, fields_equal_by_entries, ones_ball_loop,
+    pair_conj_sum, random_field_quad, relation_residual_by_applies, symmetrized_dict,
 )
 
 
@@ -455,6 +455,77 @@ class TestRandomFields:
 
     def test_full_box_is_drawn(self):
         assert len(CoefficientField.random(random.Random(0), support=26, coord_bound=1).entries) == 26
+
+
+def _arrays(field):
+    """A field array for array: prime, den, dtypes, and keys, numerators and norms in their order."""
+    return (field.p, field.den, field.keys.dtype, field.nums.dtype, field.keys.tolist(), field.nums.tolist(),
+            field.norms.tolist(), field.key_peak, field.num_peak)
+
+
+# the shapes that hecke verify-relation and hecke commute, the hecke_exact and conj_sums benchmark
+# set-ups and the demos draw; then a prime without sqrt parts, values past 2^63, coordinates past 2^62,
+# the whole box |b_i| <= 1 at entry bound 1, and no support
+_DRAWS = [
+    *[dict(p=p, support=8, coord_bound=3, entry_bound=10, sqrt_parts=True) for p in (3, 5, 7, 997)],
+    dict(p=997, support=342, coord_bound=3, entry_bound=10, sqrt_parts=True),
+    *[dict(p=None, support=k, coord_bound=b, entry_bound=10) for k, b in ((22, 3), (12, 3), (18, 4), (24, 4))],
+    dict(p=None, support=5, coord_bound=2, entry_bound=4), dict(p=None, support=6, coord_bound=4),
+    dict(p=7, support=20), dict(p=5, support=9, entry_bound=2 ** 70, sqrt_parts=True),
+    dict(p=None, support=7, coord_bound=10 ** 20), dict(p=None, support=26, coord_bound=1, entry_bound=1),
+    dict(p=3, support=0), dict(p=None, support=0),
+]
+
+
+class TestBuilders:
+    @pytest.mark.parametrize("kw", _DRAWS)
+    def test_random_draws_what_the_qcomplex_drawer_draws(self, kw):
+        for seed in (1, 7, 401):
+            rng, ref_rng = random.Random(seed), random.Random(seed)
+            for _ in range(4):
+                assert _arrays(CoefficientField.random(rng, **kw)) == _arrays(random_field_quad(ref_rng, **kw))
+            assert rng.getstate() == ref_rng.getstate()  # the same ints, drawn in the same order
+
+    @pytest.mark.parametrize("radius", [0, 1, 2, 9, 81, 250])
+    @pytest.mark.parametrize("p", [None, 7])
+    def test_ones_ball_is_the_lattice_ball_loop(self, radius, p):
+        assert _arrays(CoefficientField.ones_ball(radius, p)) == _arrays(ones_ball_loop(radius, p))
+
+    def test_zero_is_the_field_of_no_entries(self):
+        for p in (None, 3):
+            zero = CoefficientField.zero(p)
+            assert _arrays(zero) == _arrays(CoefficientField(p, {})) and zero.keys is hecke._NO_KEYS
+
+    @pytest.mark.parametrize("build", [lambda: CoefficientField.zero(9), lambda: CoefficientField.ones_ball(9, 4),
+                                       lambda: CoefficientField.random(random.Random(0), p=2),
+                                       lambda: CoefficientField.random(random.Random(0), p=15, sqrt_parts=True)])
+    def test_a_prime_that_is_not_odd_is_refused(self, build):
+        with pytest.raises(ValueError, match="odd prime"):
+            build()
+
+    def test_no_rows_share_the_empty_arrays(self):
+        for dtype in (np.int64, object):
+            got = CoefficientField._from_rows(7, 5 * 7 ** 4, np.empty((0, 3), dtype), np.empty((0, 4), dtype))
+            assert got.keys is hecke._NO_KEYS and got.nums is hecke._NO_NUMS and got.norms is hecke._NO_NORMS
+            assert not got.keys.flags.writeable and got.den == 1 and got.p == 7 and got.is_zero
+
+    def test_as_complex_dict_is_complex_of_each_entry(self):
+        # by repr, keys and order included: numerators and denominators past 2^63, parts that nearly
+        # cancel, coordinates past 2^63, and fields over plain Q
+        huge = 2 ** 64 + 3
+        unit = QuadExt(7, Fraction(8), Fraction(3))
+        for _ in range(5):  # (8 + 3 sqrt 7)^32, whose parts pass 2^120
+            unit = unit * unit
+        fields = [CoefficientField.random(random.Random(seed), p=p, support=30, sqrt_parts=p is not None)
+                  for seed, p in ((1, None), (2, 3), (3, 997))]
+        fields.append(CoefficientField(7, {(1, 0, 0): QComplex(QuadExt(7, unit.a, -unit.b), QuadExt(7, -unit.a / 3, unit.b / 3)),
+                                           (2 ** 64, 1, 0): QComplex.of(Fraction(huge, 7), -huge, p=7),
+                                           (0, -3, 1): QComplex(QuadExt(7, Fraction(1, huge), Fraction(-huge, 5)),
+                                                                QuadExt.of(0, 7))}))
+        fields.append(CoefficientField(None, {(1, 1, 1): QComplex.of(Fraction(-(10 ** 40), 3), Fraction(1, huge))}))
+        for A in fields:
+            assert repr(A.as_complex_dict()) == repr({b: complex(v) for b, v in A.entries.items()})
+        assert fields[3].nums.dtype == fields[3].keys.dtype == object and fields[3].den > 2 ** 63
 
 
 class TestFloatPath:
