@@ -52,8 +52,8 @@ lam = {p: EigenvalueTriple.from_lam12(p, 0.6, 0.4) for p in window.primes}
 amp = amplified_sum(big, window, lam, 1, [MultiplicitySpec(1, 1, window)], 225)
 print(f"amplifier mass with |lambda_1|^2 weights: {amp:.3f}")
 w32 = PrimeWindow.from_bound(32.0)
-choice = choose_parameters(1.0, w32, 1.0, 1, 0.125, lam_table=None)
-print(f"window [16, 32] holds {w32.primes}; K_1 = {choice.K}")
+K = choose_parameters(1.0, w32, 1.0, 1, 0.125)
+print(f"window [16, 32] holds {w32.primes}; K_1 = {K}")
 
 print()
 print("== two-sided inequality reports (informational ratios) ==")

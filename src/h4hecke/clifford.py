@@ -96,10 +96,6 @@ class CliffordElement:
         return cls(n, {(h,): Fraction(1)})
 
     @classmethod
-    def blade(cls, n: int, indices: Iterable[int], value=1) -> "CliffordElement":
-        return cls(n, {tuple(indices): _as_fraction(value)})
-
-    @classmethod
     def vector(cls, coords: Iterable) -> "CliffordElement":
         """Vector x0 + x1*e1 + ... + xn*en from n+1 coordinates."""
         coords = [_as_fraction(c) for c in coords]
@@ -113,9 +109,6 @@ class CliffordElement:
         return cls(n, coeffs)
 
     # -- accessors ---------------------------------------------------
-
-    def __getitem__(self, blade: Iterable[int]) -> Fraction:
-        return self.coeffs.get(tuple(blade), Fraction(0))
 
     @property
     def real_part(self) -> Fraction:
@@ -167,11 +160,6 @@ class CliffordElement:
                 sign, blade = _blade_mul(bl, br)
                 out[blade] = out.get(blade, Fraction(0)) + sign * vl * vr
         return CliffordElement(self.n, out)
-
-    def __rmul__(self, other) -> "CliffordElement":
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        return NotImplemented
 
     def scale(self, value) -> "CliffordElement":
         value = _as_fraction(value)

@@ -19,7 +19,12 @@ and this module reduces arbitrary points into F by translations,
 sign-flip rotations, and the inversion s: z -> -bar(z)/|z|^2, returning
 the generator word alongside the reduced point.  The cusp region
 |x_i| <= 1/2, y >= T decomposes into four rotated copies of its
-intersection with F; verify_cusp_decomposition samples that tiling.
+intersection with F; verify_cusp_decomposition samples that tiling, in
+blocks so that memory stays flat in the sample count, and refuses more
+than MAX_CUSP_SAMPLES samples.  The rotations, the reduction's sign flips
+and the tiling's copies all come from quaternions.UNIT_FLIPS.  No function
+takes a tolerance: the boundary slack 1e-9 and the reduction's iteration
+cap 10,000 are module constants.
 """
 
 from __future__ import annotations
@@ -313,9 +318,12 @@ def act(g: IsometryMatrix, z) -> PointH4:
     entries alone leaving the double range: then z is evaluated once more
     at z / 4^j with g diag(2^j, 2^-j) / 2^k, for |z| near 4^j and the
     largest entry of g near 2^k, which has the same image, and the first
-    refusal stands if that fails too.  Whether g is a similitude is
-    not checked exactly here; callers taking matrices from outside the
-    program test is_similitude first.
+    refusal stands if that fails too: so act maps (0, 0, 0, 1e308)
+    by the identity, (0, 0, 0, 1e-200) by the inversion and (0, 0, 0, 0.5)
+    by diag(10^200, 10^200).  mu(g) > 0 is checked exactly on the entries'
+    coordinates, with a Fraction built only for the refusal's message.
+    Whether g is a similitude is not checked exactly here; callers taking
+    matrices from outside the program test is_similitude first.
     """
     entries = g._coords
     mu = _pseudo_det(entries)
@@ -446,7 +454,8 @@ def reduce_to_fundamental_domain(z) -> tuple[GeneratorWord, PointH4]:
     rotations diag(u, u') to force x1, x2 >= 0; invert when |z| < 1.
     Each inversion strictly increases y, so the loop terminates; the
     iteration cap guards the float boundary cases.  A point with an
-    infinite or NaN coordinate raises ValueError.
+    infinite or NaN coordinate raises ValueError.  The loop steps four
+    local floats and builds one point, at the end.
     """
     x0, x1, x2, y = as_point(z).as_tuple()
     isfinite = math.isfinite

@@ -267,21 +267,12 @@ class QComplex:
             return NotImplemented
         return QComplex(self.re - other.re, self.im - other.im)
 
-    def __neg__(self) -> "QComplex":
-        return QComplex(-self.re, -self.im)
-
     def __mul__(self, other):
-        if isinstance(other, QComplex):
-            return QComplex(
-                self.re * other.re - self.im * other.im,
-                self.re * other.im + self.im * other.re,
-            )
-        return self.__rmul__(other)
-
-    def __rmul__(self, other):
         if not isinstance(other, _SCALARS):
             return NotImplemented
         return QComplex(self.re * other, self.im * other)
+
+    __rmul__ = __mul__
 
     def abs_sq(self) -> QuadExt:
         return self.re * self.re + self.im * self.im
@@ -542,9 +533,6 @@ class CoefficientField:
             acc = out.get(beta)
             out[beta] = value if acc is None else acc + value
         return CoefficientField(p, {b: v for b, v in out.items() if v})
-
-    def __sub__(self, other: "CoefficientField") -> "CoefficientField":
-        return self + other.scale(Fraction(-1))
 
     def __eq__(self, other) -> bool:
         """Equal values at the same keys, in any order, compared on the arrays: den is canonical, so

@@ -116,12 +116,6 @@ class Quaternion:
     c: Union[int, Fraction]
     d: Union[int, Fraction]
 
-    def __add__(self, other: "Quaternion") -> "Quaternion":
-        return Quaternion(self.a + other.a, self.b + other.b, self.c + other.c, self.d + other.d)
-
-    def __sub__(self, other: "Quaternion") -> "Quaternion":
-        return Quaternion(self.a - other.a, self.b - other.b, self.c - other.c, self.d - other.d)
-
     def __neg__(self) -> "Quaternion":
         return Quaternion(-self.a, -self.b, -self.c, -self.d)
 
@@ -130,11 +124,6 @@ class Quaternion:
             return Quaternion(*hamilton_product(self.coords(), other.coords()))
         if isinstance(other, (int, Fraction)):
             return Quaternion(self.a * other, self.b * other, self.c * other, self.d * other)
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self * other
         return NotImplemented
 
     def norm(self):
@@ -263,7 +252,8 @@ def conjugation_matrix(alpha: Quaternion) -> tuple[tuple[int, int, int], ...]:
 
 
 # name -> (u, flip) for the units u = i, j, k, in that order: conjugation by u multiplies
-# beta_r by flip[r], the diagonal of conjugation_matrix(u).  The one table of these flips.
+# beta_r by flip[r], the diagonal of conjugation_matrix(u).  The one table of these flips, read by
+# the sign symmetry of coefficient fields (hecke) and by geometry.
 UNIT_FLIPS = {name: (u, tuple(conjugation_matrix(u)[r][r] for r in range(3))) for name, u in zip("ijk", UNITS[2::2])}
 
 

@@ -288,40 +288,17 @@ def eigen_power_sum(lam: EigenvalueTriple, ell: int) -> float:
     return total
 
 
-@dataclass(frozen=True)
-class ParameterChoice:
-    power_sums: dict[int, float]
-    K: int
-    used_L: bool
-
-
-def choose_parameters(
-    B: float,
-    window: PrimeWindow,
-    L: float,
-    ell: int,
-    nu: float,
-    lam_table: Optional[Mapping[int, EigenvalueTriple]] = None,
-    *,
-    use_L: bool = True,
-) -> ParameterChoice:
+def choose_parameters(B: float, window: PrimeWindow, L: float, ell: int, nu: float) -> int:
     """Amplifier cutoff K_ell = ceil(e * B * L * |window| / (P/2)^{2 ell nu}) - 1.
 
-    The variant without the L factor (use_L=False) matches the
-    small-eigenvalue branch of the decay argument.  Per-prime eigenvalue
-    power sums are tabulated when a table is supplied.
+    The variant without the L factor, which matches the small-eigenvalue
+    branch of the decay argument, is the K of L = 1.
     """
     if B < 1:
         raise ValueError("B must be at least 1")
     if not 0 < nu < 1:
         raise ValueError("nu must lie in (0, 1)")
-    scale = L if use_L else 1.0
-    K = math.ceil(math.e * B * scale * len(window) / (window.P / 2) ** (2 * ell * nu)) - 1
-    table = {}
-    if lam_table is not None:
-        _require_window_rows(lam_table, window)
-        table = {p: eigen_power_sum(lam_table[p], ell) for p in window.primes}
-    return ParameterChoice(power_sums=table, K=K, used_L=use_L)
+    return math.ceil(math.e * B * L * len(window) / (window.P / 2) ** (2 * ell * nu)) - 1
 
 
 # -- dyadic prime partition -----------------------------------------------------

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from h4hecke import geometry
+from h4hecke import cli, geometry
 from h4hecke.asymptotics import power_law_function
 from h4hecke.cli import main
 from h4hecke.files import (
@@ -28,7 +28,7 @@ from h4hecke.files import (
     write_sampled_function,
 )
 from h4hecke.hecke import CoefficientField, EigenvalueTriple, QComplex, QuadExt, apply_hecke
-from h4hecke.numerics import SpectralForm
+from h4hecke.numerics import SpectralForm, evaluate_form
 from h4hecke.quaternions import LemmaSweepError
 from reference import (
     parse_coefficient_field_quad, write_coefficient_field_json, write_lambda_table, write_spectral_form,
@@ -617,6 +617,12 @@ class TestCliCommands:
         fpath = tmp_path / "form.json"
         write_spectral_form(form, fpath)
         assert main(["maass", "eval", "--form", str(fpath), "--point", "0.1,0.2,0.3,1.0"]) == 0
+        capsys.readouterr()
+        assert main(["--json", "maass", "eval", "--form", str(fpath), "--point", "0.1,0.2,0.3,1.0"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        value = evaluate_form(parse_spectral_form(fpath), geometry.PointH4(0.1, 0.2, 0.3, 1.0))
+        assert sorted(report) == ["schema", "value"] and report["schema"] == 1
+        assert {k: repr(v) for k, v in report["value"].items()} == {"im": repr(value.imag), "re": repr(value.real)}
         assert main(["maass", "parseval", "--form", str(fpath), "--y", "1.0"]) == 0
         assert main(["maass", "cusp", "--form", str(fpath), "--T", "2"]) == 0
         assert main(["maass", "laplace-check", "--beta", "1,0,0", "--r", "1"]) == 0
@@ -685,6 +691,24 @@ class TestCliCommands:
         assert main(argv) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("FAIL: "), err
+
+    def test_nonzero_relation_residual_exits_1_with_the_witness(self, monkeypatch, capsys):
+        witness = CoefficientField.delta((1, 0, 0), Fraction(1, 3), p=3)
+        monkeypatch.setattr("h4hecke.hecke.verify_hecke_relation", lambda p, field: witness)
+        assert main(["hecke", "verify-relation", "--p", "3", "--trials", "2"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == ["FAIL trial 0: nonzero residual with 1 entries; "
+                                    "witness ((1, 0, 0), QComplex(re=QuadExt(1/3), im=QuadExt(0)))"]
+
+    def test_commutator_past_the_bound_exits_1(self, monkeypatch, capsys):
+        # the bound of acceptance 5, fixed: hecke commute takes no tolerance
+        assert cli.COMMUTE_BOUND == 1e-9
+        monkeypatch.setattr("h4hecke.hecke.verify_commutativity", lambda *args: 2e-9)
+        assert main(["--json", "hecke", "commute", "--p", "3", "--q", "5", "--trials", "1"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == ["FAIL: commutator residual 2e-09 >= 1e-09"]
 
     def test_malformed_file_exits_2(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -848,9 +872,6 @@ class TestBadInputsExit2:
         ["maass", "parseval", "--form", "{nan_coeff}", "--y", "1"],
         ["hecke", "verify-relation", "--p", "3", "--support", "400"],
         ["hecke", "commute", "--p", "3", "--q", "5", "--support", "400"],
-        ["hecke", "commute", "--p", "3", "--q", "5", "--tol", "nan"],
-        ["hecke", "commute", "--p", "3", "--q", "5", "--tol", "0"],
-        ["hecke", "commute", "--p", "3", "--q", "5", "--tol=-1"],
         ["hecke", "verify-relation", "--p", "3", "--trials", "0"],
         ["hecke", "verify-relation", "--p", "3", "--support", "0"],
         ["hecke", "commute", "--p", "3", "--q", "5", "--trials=-1"],
@@ -996,7 +1017,7 @@ _FUZZ_COMMANDS = [
     (["maass", "cusp", "--form", "{form}", "--cross-check"], ["--T"], []),
     (["maass", "laplace-check", "--beta", "1,0,0"], ["--r", "--h"], []),
     (["hecke", "verify-relation", "--p", "3"], [], ["--trials", "--support"]),
-    (["hecke", "commute", "--p", "3", "--q", "5"], ["--tol"], ["--trials", "--support"]),
+    (["hecke", "commute", "--p", "3", "--q", "5"], [], ["--trials", "--support"]),
     (["geom", "verify-cusp"], ["--T"], ["--samples"]),
     (["asym", "compute-R"], ["--A", "--eps"], ["--M"]),
     (["sums", "partition", "--lambda-table", "{lam_3_primes}"], ["--y"], []),

@@ -1048,8 +1048,14 @@ class TestRelation:
         # delta_beta with |b_i| <= 2 proves it for every field supported there
         box = [beta for beta in itertools.product(range(-2, 3), repeat=3) if any(beta)]
         assert len(box) == 124
-        for beta in box:
+        # no key of the box is divisible by p^2, so only these deltas reach H_3's A(beta/p^2) term
+        far = [(p * p, 0, 0), (p * p, p * p, 0), (0, 0, p ** 4)]
+        for beta in box + far:
             assert verify_hecke_relation(p, CoefficientField.delta(beta, 1, p=p)).is_zero
+        for beta in far:
+            A = CoefficientField.delta(beta, 1, p=p)
+            expected = _quadext_scatter(3, p, A)
+            assert apply_hecke(3, p, A) == expected and expected.entries, beta
 
     def test_nonzero_residual_is_exact(self, monkeypatch):
         # a relation constant off by 5/p^3 leaves exactly 5/p^3 A, on a

@@ -518,15 +518,12 @@ class TestParameters:
     def test_K_selection_example(self):
         w = PrimeWindow.from_bound(32.0)
         assert w.primes == (17, 19, 23, 29, 31)
-        choice = choose_parameters(1.0, w, 1.0, 1, 0.125)
-        assert choice.K == 6
+        assert choose_parameters(1.0, w, 1.0, 1, 0.125) == 6
 
     def test_K_variant_without_L(self):
+        # the small-eigenvalue variant without the L factor is the K of L = 1
         w = PrimeWindow.from_bound(32.0)
-        with_L = choose_parameters(1.0, w, 10.0, 1, 0.125, use_L=True)
-        without = choose_parameters(1.0, w, 10.0, 1, 0.125, use_L=False)
-        assert without.K < with_L.K
-        assert not without.used_L
+        assert choose_parameters(1.0, w, 1.0, 1, 0.125) < choose_parameters(1.0, w, 10.0, 1, 0.125)
 
     def test_parameter_validation(self):
         w = PrimeWindow.from_bound(32.0)
@@ -590,8 +587,9 @@ class TestParameters:
     def test_missing_window_primes_named(self):
         # this once raised a bare KeyError(7)
         lam = {3: EigenvalueTriple(3, 0.1, 0.1, 0.1)}
+        window = PrimeWindow.from_bound(14)
         with pytest.raises(KeyError, match=r"missing primes \[7, 11, 13\]"):
-            choose_parameters(1.0, PrimeWindow.from_bound(14), 1.0, 1, 0.125, lam)
+            amplified_sum(CoefficientField.ones_ball(9), window, lam, 1, [MultiplicitySpec(1, 1, window)], 9)
 
 
 class TestPartition:
