@@ -34,15 +34,19 @@ MAX_PRIME = 1000
 # at least MAX_PRIME.  The cubic loop takes about 0.05 s at n = 1009, 0.4 s at 5003 and 1.1 s at
 # 10007 (2-vCPU host).
 MAX_NORM = 10_000
-# The largest coordinate bound of a lemma sweep.  Peak RSS grows by about 57 bytes per beta over
-# the 30 MB of the imported package: 34 MB at bound 20, 44 MB at bound 30 and 150 MB at bound 64,
-# with 129^3 betas (p = 3; 195 MB at p = 13 and 19, whose products need int16).
+# The largest coordinate bound of a lemma sweep.  A passing sweep walks the octant of
+# (bound + 1)^3 - 1 betas and a failing one the whole box of (2 bound + 1)^3 - 1, to name its
+# witness (see verify_conjugation_lemmas).  Peak RSS grows by about 58 bytes per beta walked over
+# the 32 MB of the imported package: at bound 64 a passing sweep peaks at 47 MB and a failing one
+# at 151 MB (p = 3; 53 and 196 MB at p = 13 and 19, whose products need int16).
 MAX_SWEEP_BOUND = 64
-# The largest work (p+1)(2 bound + 1)^3 of a lemma sweep: one pass over the (2 bound + 1)^3 betas
-# for each of the p+1 classes.  At p = 997 a sweep takes about 0.3 s at bound 10 (work 9.2e6),
-# 0.7 s at bound 17 (4.3e7, the largest admitted; 1.5 s with the 45 odd primes up to 200 as q) and
-# 9.3 s at bound 32 (2.7e8), so about 70 s at bound 64; p = 3 at bound 64 (8.6e6) takes 0.4 s and
-# p = 19 at bound 64 (4.3e7) 1.6 s (2-vCPU host, after the orbit table is built).
+# The largest work (p+1)(2 bound + 1)^3 of a lemma sweep: one pass over the box for each of the
+# p+1 classes, the walk of a failing sweep; a passing one walks the octant, about an eighth of it.
+# At p = 997 a passing sweep takes about 0.09 s at bound 10 (work 9.2e6), 0.14 s at bound 17
+# (4.3e7, the largest admitted; 0.19 s with the 45 odd primes up to 200 as q) and 0.52 s at
+# bound 32 (2.7e8), and a walk of the box 0.15 s, 0.7 s (1.2 s) and 7 s, so about 55 s at
+# bound 64; at bound 64, p = 3 (8.6e6) takes 0.03 s and its box 0.26 s, p = 19 (4.3e7) 0.10 s
+# and its box 0.9 s (2-vCPU host, after the orbit table is built).
 MAX_SWEEP_WORK = 50_000_000
 
 
@@ -253,7 +257,8 @@ def conjugation_matrix(alpha: Quaternion) -> tuple[tuple[int, int, int], ...]:
 
 # name -> (u, flip) for the units u = i, j, k, in that order: conjugation by u multiplies
 # beta_r by flip[r], the diagonal of conjugation_matrix(u).  The one table of these flips, read by
-# the sign symmetry of coefficient fields (hecke) and by geometry.
+# the sign symmetry of coefficient fields (hecke), by geometry and by the octant reduction of the
+# lemma sweep (verify_conjugation_lemmas).
 UNIT_FLIPS = {name: (u, tuple(conjugation_matrix(u)[r][r] for r in range(3))) for name, u in zip("ijk", UNITS[2::2])}
 
 
@@ -393,13 +398,18 @@ def _narrowest_int(m: int) -> type:
 
 
 @lru_cache(maxsize=8)
-def _beta_grid(bound: int, dtype: type) -> np.ndarray:
-    """The nonzero integer vectors with |coords| <= bound, as the columns of a read-only 3 x n array."""
-    rng = np.arange(-bound, bound + 1, dtype=dtype)
+def _beta_grid(lo: int, bound: int, dtype: type) -> np.ndarray:
+    """The nonzero integer vectors with lo <= coords <= bound, as the columns of a read-only 3 x n array."""
+    rng = np.arange(lo, bound + 1, dtype=dtype)
     grid = np.stack(np.meshgrid(rng, rng, rng, indexing="ij")).reshape(3, -1)
     grid = np.ascontiguousarray(grid[:, np.any(grid != 0, axis=0)])
     grid.flags.writeable = False
     return grid
+
+
+def _row_sign_form(mat: Sequence[Sequence[int]]) -> tuple:
+    """Each row of mat times the sign of its first nonzero entry, r[0] or r[1] or r[2]."""
+    return tuple((-r[0], -r[1], -r[2]) if (r[0] or r[1] or r[2]) < 0 else tuple(r) for r in mat)
 
 
 def _sweep_classes(table: NormPOrbitTable) -> list[tuple]:
@@ -409,12 +419,18 @@ def _sweep_classes(table: NormPOrbitTable) -> list[tuple]:
     classes: dict[tuple, list] = {}
     for alpha in table.all_elements:
         mat = conjugation_matrix(alpha)
-        # each row times the sign of its first nonzero entry, r[0] or r[1] or r[2]
-        form = tuple((-r[0], -r[1], -r[2]) if (r[0] or r[1] or r[2]) < 0 else tuple(r) for r in mat)
-        cls = classes.setdefault(form, [alpha, mat, 0, 0])
+        cls = classes.setdefault(_row_sign_form(mat), [alpha, mat, 0, 0])
         cls[2] += 1
         cls[3] += alpha in representatives
     return [tuple(cls) for cls in classes.values()]
+
+
+def _closed_under_flips(classes: Sequence[tuple]) -> bool:
+    """Whether, for each flip of UNIT_FLIPS, every class matrix times the flip diagonal on the right
+    has the row-sign form of a class with the same (size, representatives) weights."""
+    weights = {_row_sign_form(mat): (size, reps) for _, mat, size, reps in classes}
+    return all(weights.get(_row_sign_form([[x * f for x, f in zip(row, flip)] for row in mat])) == (size, reps)
+               for _, mat, size, reps in classes for _, flip in UNIT_FLIPS.values())
 
 
 def verify_conjugation_lemmas(
@@ -424,7 +440,7 @@ def verify_conjugation_lemmas(
 ) -> ConjugationSweepReport:
     """Exhaustive check of the conjugation valuation lemmas over a coordinate box.
 
-    Sweeps every nonzero beta with |coords| <= coordinate_bound against
+    Covers every nonzero beta with |coords| <= coordinate_bound against
     every norm-p alpha, asserting:
 
       (i)   v_p(beta) <= v_p(alpha' beta bar(alpha)) <= v_p(beta) + 2;
@@ -445,9 +461,37 @@ def verify_conjugation_lemmas(
     member, which is the first failing alpha of the table's order.  Since
     C(u alpha) = C(u) C(alpha) with C(u) a sign diagonal for the 8 units u,
     there are p+1 classes of 8, one representative in each.
-    pairs_checked counts the (beta, alpha) pairs the classes cover,
-    beta_count * 8(p+1).  The work (p+1)(2 bound + 1)^3 is refused past
-    MAX_SWEEP_WORK before anything is built.
+    beta_count and pairs_checked count the betas of the box and the
+    (beta, alpha) pairs the classes cover, beta_count * 8(p+1), whichever
+    betas are swept (below).  The work (p+1)(2 bound + 1)^3 of the box is
+    refused past MAX_SWEEP_WORK before anything is built: a failing sweep
+    walks the whole box to name its witness.
+
+    Only the octant b0, b1, b2 >= 0, (bound + 1)^3 - 1 betas, is swept
+    when that suffices, and it does because every check and every report
+    field takes the same value at all eight sign patterns of beta:
+      - the global sign, always: C(-beta) = -C(alpha) beta, and every
+        valuation reads |C(alpha) beta|;
+      - the four Klein signs, the identity and the three flip diagonals
+        D(u) of UNIT_FLIPS (u = i, j, k).  alpha -> alpha' is an
+        automorphism and bar an anti-automorphism, so
+        C(alpha u) = C(alpha) C(u) = C(alpha) D(u), and C(alpha) D(u) beta
+        is C(alpha u) beta.  Right multiplication by u permutes the 8(p+1)
+        alpha and their row-sign classes, keeping each class's size and
+        number of representatives (it maps left unit orbits to left unit
+        orbits), so the weighed counts at D(u) beta are those at beta.
+    Each flip negates two coordinates and -1 negates all three, so together
+    they give all eight sign diagonals.  The sweep does not assume the second fact: it checks it on
+    the classes it built, exactly (``_closed_under_flips``).  For each
+    class and each flip it forms the row-sign form of the class matrix
+    times D(u) on the right, 3(p+1) forms for the true matrices, and asks
+    that it be the form of a class with the same weights.  That map of
+    forms is an involution, so it then permutes the classes with their
+    weights.  If the check fails, which only a conjugation_matrix other
+    than the true one can make happen, the whole box is swept.  If the
+    octant sweep raises LemmaSweepError, the box is swept to raise it
+    again, so the witness is always the first in box order that a sweep
+    of the whole box names.
 
     The betas are the columns of one 3 x n array, so each class costs a
     few passes over three contiguous coordinate rows.  A valuation is the
@@ -503,9 +547,6 @@ def verify_conjugation_lemmas(
     # Every |entry|, |beta_i| and |(C beta)_i| is at most m, so no product or sum wraps.
     dtype = _narrowest_int(m)
     mats = mats.astype(dtype)
-    betas = _beta_grid(coordinate_bound, dtype)
-    n_beta = betas.shape[1]
-    b0, b1, b2 = betas
     div = _DivisibilityTable((p, *q_primes), m)
     # The q bits of each word: v_q is kept for every q != p when these agree.
     q_masks = [0] * len(div.words)
@@ -513,64 +554,81 @@ def verify_conjugation_lemmas(
         word, offset, width = div.fields[q]
         q_masks[word] |= ((1 << width) - 1) << offset
 
-    def beta_at(idx: int) -> LatticeVector:
-        return tuple(int(c) for c in betas[:, idx])
+    def sweep(betas: np.ndarray) -> tuple[int, int, int]:
+        """max_vp_jump, max_unequal_reps and squared_divisibility_max_small over the columns of betas."""
+        n_beta = betas.shape[1]
+        b0, b1, b2 = betas
 
-    words_beta = div.lookup(np.abs(betas))
-    f_beta = div.field(words_beta, p)
-    jump_past_2 = f_beta << 2 | 3  # f_c > this <=> v_p(conj) > v_p(beta) + 2
-    jump_past_1 = f_beta << 1 | 1
+        def beta_at(idx: int) -> LatticeVector:
+            return tuple(int(c) for c in betas[:, idx])
 
-    max_jump = 0
-    unequal = np.zeros(n_beta, dtype=np.int64)
-    counts = np.zeros(n_beta, dtype=np.int64)
+        words_beta = div.lookup(np.abs(betas))
+        f_beta = div.field(words_beta, p)
+        jump_past_2 = f_beta << 2 | 3  # f_c > this <=> v_p(conj) > v_p(beta) + 2
+        jump_past_1 = f_beta << 1 | 1
 
-    for (alpha, _, size, reps), mat in zip(classes, mats):
-        # (i) + (ii); conjugation is linear in beta.
-        words = div.lookup([np.abs(r[0] * b0 + r[1] * b1 + r[2] * b2) for r in mat])
-        f_conj = div.field(words, p)
-        high = f_conj > jump_past_2
-        if high.any():
-            idx = int(np.argmax(high))
+        max_jump = 0
+        unequal = np.zeros(n_beta, dtype=np.int64)
+        counts = np.zeros(n_beta, dtype=np.int64)
+
+        for (alpha, _, size, reps), mat in zip(classes, mats):
+            # (i) + (ii); conjugation is linear in beta.
+            words = div.lookup([np.abs(r[0] * b0 + r[1] * b1 + r[2] * b2) for r in mat])
+            f_conj = div.field(words, p)
+            high = f_conj > jump_past_2
+            if high.any():
+                idx = int(np.argmax(high))
+                raise LemmaSweepError(
+                    "two-sided v_p bound failed",
+                    (beta_at(idx), alpha, div.valuation_at(words_beta, p, idx), div.valuation_at(words, p, idx)),
+                )
+            # v_p(conj) >= v_p(beta) always (see the docstring), so the jump is 0, 1 or 2.
+            changed = f_conj != f_beta
+            if max_jump < 2 and (f_conj > jump_past_1).any():
+                max_jump = 2
+            elif max_jump < 1 and changed.any():
+                max_jump = 1
+            if any(((w ^ wb) & mask).any() for w, wb, mask in zip(words, words_beta, q_masks) if mask):
+                for q in q_primes:
+                    bad = div.field(words, q) != div.field(words_beta, q)
+                    if bad.any():
+                        idx = int(np.argmax(bad))
+                        raise LemmaSweepError(
+                            f"v_{q} not preserved under conjugation",
+                            (beta_at(idx), alpha, div.valuation_at(words_beta, q, idx),
+                             div.valuation_at(words, q, idx)),
+                        )
+            # (iii) counts over the p+1 representatives, checked after the loop.
+            unequal += reps * changed
+            # (iv), counted over bar(alpha): see the docstring.  v_p >= 2 <=> f > 1.
+            counts += size * (f_conj > 1)
+
+        if int(unequal.max()) > 2:
+            idx = int(np.argmax(unequal))
+            raise LemmaSweepError("more than two orbits changed v_p", (beta_at(idx), int(unequal[idx])))
+
+        # (iv): p^2 divides a nonzero delta exactly when v_p(delta) >= 2.
+        bad = (counts > 16) & (f_beta <= 1)
+        if bad.any():
+            idx = int(np.argmax(bad))
             raise LemmaSweepError(
-                "two-sided v_p bound failed",
-                (beta_at(idx), alpha, div.valuation_at(words_beta, p, idx), div.valuation_at(words, p, idx)),
+                "more than 16 conjugates divisible by p^2 without p^2 | delta",
+                (beta_at(idx), int(counts[idx])),
             )
-        # v_p(conj) >= v_p(beta) always (see the docstring), so the jump is 0, 1 or 2.
-        changed = f_conj != f_beta
-        if max_jump < 2 and (f_conj > jump_past_1).any():
-            max_jump = 2
-        elif max_jump < 1 and changed.any():
-            max_jump = 1
-        if any(((w ^ wb) & mask).any() for w, wb, mask in zip(words, words_beta, q_masks) if mask):
-            for q in q_primes:
-                bad = div.field(words, q) != div.field(words_beta, q)
-                if bad.any():
-                    idx = int(np.argmax(bad))
-                    raise LemmaSweepError(
-                        f"v_{q} not preserved under conjugation",
-                        (beta_at(idx), alpha, div.valuation_at(words_beta, q, idx), div.valuation_at(words, q, idx)),
-                    )
-        # (iii) counts over the p+1 representatives, checked after the loop.
-        unequal += reps * changed
-        # (iv), counted over bar(alpha): see the docstring.  v_p >= 2 <=> f > 1.
-        counts += size * (f_conj > 1)
+        # Diagnostic: among delta with v_p(delta) = 0, the largest count observed.
+        small = f_beta == 0
+        return max_jump, int(unequal.max()), int(counts[small].max()) if small.any() else 0
 
-    if int(unequal.max()) > 2:
-        idx = int(np.argmax(unequal))
-        raise LemmaSweepError("more than two orbits changed v_p", (beta_at(idx), int(unequal[idx])))
-
-    # (iv): p^2 divides a nonzero delta exactly when v_p(delta) >= 2.
-    bad = (counts > 16) & (f_beta <= 1)
-    if bad.any():
-        idx = int(np.argmax(bad))
-        raise LemmaSweepError(
-            "more than 16 conjugates divisible by p^2 without p^2 | delta",
-            (beta_at(idx), int(counts[idx])),
-        )
-    # Diagnostic: among delta with v_p(delta) = 0, the largest count observed.
-    small = f_beta == 0
-    max_small = int(counts[small].max()) if small.any() else 0
+    stats = None
+    if _closed_under_flips(classes):
+        try:
+            stats = sweep(_beta_grid(0, coordinate_bound, dtype))
+        except LemmaSweepError:
+            pass  # the box below raises it again, with the witness in box order
+    if stats is None:
+        stats = sweep(_beta_grid(-coordinate_bound, coordinate_bound, dtype))
+    max_jump, max_unequal, max_small = stats
+    n_beta = (2 * coordinate_bound + 1) ** 3 - 1
 
     return ConjugationSweepReport(
         p=p,
@@ -580,7 +638,7 @@ def verify_conjugation_lemmas(
         alpha_count=len(table.all_elements),
         pairs_checked=n_beta * len(table.all_elements),
         max_vp_jump=max_jump,
-        max_unequal_reps=int(unequal.max()),
-        max_exceptional_set=int(unequal.max()),
+        max_unequal_reps=max_unequal,
+        max_exceptional_set=max_unequal,
         squared_divisibility_max_small=max_small,
     )

@@ -1,6 +1,7 @@
 """Reference helpers that only the tests need: plain-loop twins of library paths and test-data writers."""
 
 import csv
+import itertools
 import json
 import math
 from fractions import Fraction
@@ -169,8 +170,9 @@ def reduce_reference(z):
 
 
 def sweep_per_alpha(p, coordinate_bound, q_primes=None):
-    """The lemma sweep with one pass per norm-p alpha: the reference for the per-class sweep of
-    ``quaternions.verify_conjugation_lemmas``, reading ``quaternions.conjugation_matrix`` at call time."""
+    """The lemma sweep with one pass per norm-p alpha over the whole box: the reference for the per-class
+    octant sweep of ``quaternions.verify_conjugation_lemmas``, reading ``quaternions.conjugation_matrix`` at
+    call time.  It builds its own box of betas, in the same order, so it shares no grid code with the sweep."""
     Q = quaternions
     if coordinate_bound < 1:
         raise ValueError(f"coordinate bound must be at least 1, got {coordinate_bound}")
@@ -188,7 +190,8 @@ def sweep_per_alpha(p, coordinate_bound, q_primes=None):
     m = 3 * coordinate_bound * int(np.abs(mats).max())
     dtype = Q._narrowest_int(m)
     mats = mats.astype(dtype)
-    betas = Q._beta_grid(coordinate_bound, dtype)
+    coords = range(-coordinate_bound, coordinate_bound + 1)
+    betas = np.array([beta for beta in itertools.product(coords, repeat=3) if any(beta)], dtype=dtype).T
     n_beta = betas.shape[1]
     b0, b1, b2 = betas
     div = Q._DivisibilityTable((p, *q_primes), m)

@@ -557,6 +557,39 @@ class TestSweepClasses:
                         "more than two orbits changed v_p",
                         "more than 16 conjugates divisible by p^2 without p^2 | delta"}
 
+    # the fakes whose classes stay closed under the UNIT_FLIPS, so their sweeps still take the octant
+    CLOSED_FAKES = {"rows negated on alternate elements", "p^2 on the representatives",
+                    "p^2 I off the representatives"}
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 101, 997])
+    def test_true_classes_closed_under_flips(self, p):
+        # C(alpha u) = C(alpha) D(u) and right multiplication by a unit permutes the unit orbits
+        assert quaternions._closed_under_flips(quaternions._sweep_classes(orbit_representatives(p)))
+
+    @pytest.mark.parametrize("fake", list(FAKES))
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_fakes_break_the_closure(self, monkeypatch, p, fake):
+        monkeypatch.setattr(quaternions, "conjugation_matrix", self._fake(p, functools.partial(self.FAKES[fake], p)))
+        closed = quaternions._closed_under_flips(quaternions._sweep_classes(orbit_representatives(p)))
+        assert closed == (fake in self.CLOSED_FAKES)
+
+    @pytest.mark.parametrize("fake, grids", [
+        (None, [0]),  # true matrices: the octant alone
+        ("rows negated on alternate elements", [0]),  # closed and passing
+        ("p^2 I off the representatives", [0, -3]),  # closed, fails in the octant: the box names the witness
+        ("p on every third element", [-3]),  # not closed: the box alone
+    ])
+    def test_grids_swept(self, monkeypatch, fake, grids):
+        p, bound = 3, 3
+        if fake is not None:
+            monkeypatch.setattr(quaternions, "conjugation_matrix",
+                                self._fake(p, functools.partial(self.FAKES[fake], p)))
+        seen = []
+        grid = quaternions._beta_grid
+        monkeypatch.setattr(quaternions, "_beta_grid", lambda lo, *args: seen.append(lo) or grid(lo, *args))
+        _outcome(verify_conjugation_lemmas, p, bound, None)
+        assert seen == grids
+
     @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 101, 997])
     def test_p_plus_one_classes_of_eight(self, p):
         # C(u alpha) = C(u) C(alpha) with C(u) a sign diagonal, so each class is one unit orbit
