@@ -337,8 +337,23 @@ def _cmd_maass_cusp(args) -> int:
 def _cmd_maass_laplace(args) -> int:
     point = args.point or geometry.PointH4(0.1, 0.2, 0.3, 0.3)
     residual = numerics.laplace_eigen_residual(args.beta, args.r, point, args.h)
-    _emit(args, {"residual": residual, "h": args.h},
-          f"relative residual of Delta u + (9/4 + r^2) u at h={args.h}: {residual:.3e}")
+    # Halving h divides an O(h^2) error by about 4; rounding noise, about 1e-16 |u| / h^2,
+    # grows instead, and an unresolved stencil gives no fixed ratio.
+    payload = {"residual": residual, "h": args.h, "residual_half_h": None, "order_ratio": None,
+               "half_h_refusal": None}
+    human = f"relative residual of Delta u + (9/4 + r^2) u at h={args.h}: {residual:.3e}"
+    try:
+        half = numerics.laplace_eigen_residual(args.beta, args.r, point, args.h / 2)
+    except ValueError as exc:
+        payload["half_h_refusal"] = str(exc)
+        human += f"; at h/2 refused: {exc}"
+    else:
+        payload["residual_half_h"] = half
+        human += f"; at h/2: {half:.3e}"
+        if half > 0:
+            payload["order_ratio"] = residual / half
+            human += f"; ratio {residual / half:.5g} (4 for an O(h^2) error)"
+    _emit(args, payload, human)
     return 0
 
 

@@ -346,7 +346,8 @@ class _DivisibilityTable:
     set: v(0) = infinity is the identity of min as all-ones is of AND.  So the AND of a
     vector's coordinate rows holds, in each field, the code of its least coordinate
     valuation, and the popcount of the field is that valuation.  The table is built by one
-    strided slice per prime power: bit o_q + e - 1 is set on the rows q^e, 2 q^e, ...
+    strided slice per prime power: bit o_q + e - 1 is set on the rows q^e, 2 q^e, ...,
+    and its words are read-only once built.
     """
 
     def __init__(self, primes: Sequence[int], m: int):
@@ -368,6 +369,8 @@ class _DivisibilityTable:
         for q, (word, offset, width) in self.fields.items():
             for e in range(1, width + 1):
                 self.words[word][q ** e::q ** e] |= 1 << (offset + e - 1)
+        for table in self.words:
+            table.flags.writeable = False
 
     def lookup(self, rows: Sequence[np.ndarray]) -> list[np.ndarray]:
         """The packed words of the vectors whose |coordinates| are rows[0], rows[1], rows[2].
@@ -390,6 +393,16 @@ class _DivisibilityTable:
     def valuation_at(self, words: Sequence[np.ndarray], q: int, idx: int) -> int:
         """v_q of vector idx of the packed words, the popcount of its field."""
         return int(self.field(words, q)[idx]).bit_count()
+
+
+@lru_cache(maxsize=8)
+def _divisibility_table(primes: tuple[int, ...], m: int, word_bits: int) -> _DivisibilityTable:
+    """The _DivisibilityTable of primes up to m, built once per key.
+
+    word_bits is the _WORD_BITS in force at the call, which the table reads: it keys the
+    cache, so a changed word width gets its own table.
+    """
+    return _DivisibilityTable(primes, m)
 
 
 def _narrowest_int(m: int) -> type:
@@ -433,6 +446,20 @@ def _closed_under_flips(classes: Sequence[tuple]) -> bool:
                for _, mat, size, reps in classes for _, flip in UNIT_FLIPS.values())
 
 
+@lru_cache(maxsize=8)
+def _sweep_plan(p: int, matrix_of) -> tuple[tuple[tuple, ...], bool, np.ndarray]:
+    """The row-sign classes of the norm-p alpha, whether they are closed under the flips, and
+    their matrices as a read-only int64 array of shape (classes, 3, 3), built once per key.
+
+    matrix_of is the conjugation_matrix in force at the call, which _sweep_classes reads: it
+    keys the cache, so a substituted map gets its own plan.
+    """
+    classes = tuple(_sweep_classes(orbit_representatives(p)))
+    mats = np.array([mat for _, mat, _, _ in classes], dtype=np.int64)
+    mats.flags.writeable = False
+    return classes, _closed_under_flips(classes), mats
+
+
 def verify_conjugation_lemmas(
     p: int,
     coordinate_bound: int,
@@ -454,13 +481,17 @@ def verify_conjugation_lemmas(
     absolute coordinates, so alpha whose matrices agree up to the sign of
     each row give the same answers.  The 8(p+1) alpha are grouped by the
     row-sign normal form of C(alpha) (each row times the sign of its first
-    nonzero entry), formed from the matrices at each call, and each class
-    is swept once with the matrix of its first member, in order of first
-    appearance: part (iii) weighs it by its number of representatives and
-    part (iv) by its size, and a failure of (i) or (ii) names its first
-    member, which is the first failing alpha of the table's order.  Since
-    C(u alpha) = C(u) C(alpha) with C(u) a sign diagonal for the 8 units u,
-    there are p+1 classes of 8, one representative in each.
+    nonzero entry), and each class is swept once with the matrix of its
+    first member, in order of first appearance: part (iii) weighs it by
+    its number of representatives and part (iv) by its size, and a failure
+    of (i) or (ii) names its first member, which is the first failing
+    alpha of the table's order.  Since C(u alpha) = C(u) C(alpha) with
+    C(u) a sign diagonal for the 8 units u, there are p+1 classes of 8,
+    one representative in each.  The classes, their matrices and the
+    closure check below are formed once per (p, conjugation map) from that
+    map's matrices (``_sweep_plan``), the conjugation_matrix in force at
+    the call keying the cache, and reused by every later sweep at p,
+    whatever its bound and primes.
     beta_count and pairs_checked count the betas of the box and the
     (beta, alpha) pairs the classes cover, beta_count * 8(p+1), whichever
     betas are swept (below).  The work (p+1)(2 bound + 1)^3 of the box is
@@ -496,9 +527,10 @@ def verify_conjugation_lemmas(
     The betas are the columns of one 3 x n array, so each class costs a
     few passes over three contiguous coordinate rows.  A valuation is the
     least coordinate valuation, v_q(c) = min_i v_q(c_i) with
-    v_q(0) = infinity.  All of them come from one packed per-call table
-    of the prime powers dividing each n, 0 <= n <= m
-    (``_DivisibilityTable``): the AND of the rows of |c_0|, |c_1|, |c_2|
+    v_q(0) = infinity.  All of them come from one packed table of the
+    prime powers dividing each n, 0 <= n <= m (``_DivisibilityTable``),
+    built once per (primes, m, word width _WORD_BITS) and kept read-only
+    (``_divisibility_table``): the AND of the rows of |c_0|, |c_1|, |c_2|
     holds 2^v - 1 in each prime's bit field, so one class makes three
     lookups per word (one word for the default primes at every allowed p
     and bound), whatever the number of primes.  On the p-field f,
@@ -541,13 +573,12 @@ def verify_conjugation_lemmas(
     if p in q_primes:
         raise ValueError(f"q primes must differ from p: {q_primes}")
 
-    classes = _sweep_classes(table)
-    mats = np.array([mat for _, mat, _, _ in classes], dtype=np.int64)
+    classes, closed, mats = _sweep_plan(p, conjugation_matrix)
     m = 3 * coordinate_bound * int(np.abs(mats).max())
     # Every |entry|, |beta_i| and |(C beta)_i| is at most m, so no product or sum wraps.
     dtype = _narrowest_int(m)
     mats = mats.astype(dtype)
-    div = _DivisibilityTable((p, *q_primes), m)
+    div = _divisibility_table((p, *q_primes), m, _WORD_BITS)
     # The q bits of each word: v_q is kept for every q != p when these agree.
     q_masks = [0] * len(div.words)
     for q in q_primes:
@@ -620,7 +651,7 @@ def verify_conjugation_lemmas(
         return max_jump, int(unequal.max()), int(counts[small].max()) if small.any() else 0
 
     stats = None
-    if _closed_under_flips(classes):
+    if closed:
         try:
             stats = sweep(_beta_grid(0, coordinate_bound, dtype))
         except LemmaSweepError:

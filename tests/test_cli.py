@@ -629,6 +629,33 @@ class TestCliCommands:
         # r = 17 and 20 were once refused as a vanishing mode, since |u| ~ e^(-pi r/2) fell under 1e-12
         assert main(["maass", "laplace-check", "--beta", "1,0,0", "--r", "20"]) == 0
 
+    @pytest.mark.parametrize("h, resolved", [
+        (None, True),  # the default h = 1e-3: the O(h^2) error dominates
+        ("1e-8", False),  # rounding noise, about 1e-16 |u| / h^2, grows as h halves
+    ])
+    def test_laplace_check_order_ratio(self, h, resolved, capsys):
+        argv = ["maass", "laplace-check", "--beta", "1,0,0", "--r", "1", *(["--h", h] if h else [])]
+        assert main(["--json", *argv]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert sorted(report) == ["h", "half_h_refusal", "order_ratio", "residual", "residual_half_h", "schema"]
+        assert report["schema"] == 1 and report["half_h_refusal"] is None
+        ratio = report["order_ratio"]
+        assert ratio == report["residual"] / report["residual_half_h"]
+        assert 3.5 < ratio < 4.5 if resolved else not 3 < ratio < 5
+        assert main(argv) == 0
+        assert f"ratio {ratio:.5g}" in capsys.readouterr().out
+
+    def test_laplace_check_half_step_refused(self, capsys):
+        # h = 4e-17 resolves every coordinate of the default point, h/2 does not resolve 0.3 + h/2
+        argv = ["maass", "laplace-check", "--beta", "1,0,0", "--r", "1", "--h", "4e-17"]
+        assert main(["--json", *argv]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["residual_half_h"] is None and report["order_ratio"] is None
+        assert report["half_h_refusal"].startswith("step h = 2e-17 is below the resolution of the point")
+        assert math.isfinite(report["residual"])
+        assert main(argv) == 0
+        assert "at h/2 refused: step h = 2e-17" in capsys.readouterr().out
+
     @pytest.mark.parametrize("r", [0.0, 1.0])
     def test_maass_eval_at_subnormal_height(self, r, tmp_path, capsys, time_limit):
         # K_ir at x = 2 pi 1e-310 once never returned at r = 0 and raised a math domain error at r = 1

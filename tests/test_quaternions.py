@@ -614,6 +614,68 @@ class TestSweepClasses:
             (table.all_elements[0], signed[0], 24), (table.all_elements[3], signed[3], 8)]
 
 
+class TestSweepPlan:
+    """The classes and the divisibility table are built once per key, and the key holds what they read."""
+
+    P, BOUND, QS = 3, 2, (5, 7, 11)
+    FIRST = orbit_representatives(P).all_elements[0]
+
+    def _table(self, word_bits):
+        """The cached divisibility table of the sweep at P, BOUND and QS, and whether it was a hit."""
+        mats = np.array([conjugation_matrix(a) for a in orbit_representatives(self.P).all_elements])
+        hits = quaternions._divisibility_table.cache_info().hits
+        table = quaternions._divisibility_table((self.P, *self.QS), 3 * self.BOUND * int(np.abs(mats).max()),
+                                                word_bits)
+        return table, quaternions._divisibility_table.cache_info().hits == hits + 1
+
+    @pytest.mark.parametrize("c, message, witness", [
+        (3 ** 3, "two-sided v_p bound failed", (FIRST, 0, 3)),
+        (3 ** 10, "two-sided v_p bound failed", (FIRST, 0, 10)),
+        (5, "v_5 not preserved under conjugation", (FIRST, 0, 1)),
+        (3 ** 2, "more than two orbits changed v_p", (P + 1,)),
+    ])
+    def test_substituted_map_gets_its_own_plan(self, monkeypatch, c, message, witness):
+        # the true sweep warms the plan at P; the fake map must neither reuse it nor leave its own behind
+        expected = verify_conjugation_lemmas(self.P, self.BOUND, q_primes=(5,))
+        monkeypatch.setattr(quaternions, "conjugation_matrix", TestSweepChecksFire._scalar(c))
+        with pytest.raises(LemmaSweepError) as exc:
+            verify_conjugation_lemmas(self.P, self.BOUND, q_primes=(5,))
+        assert message in str(exc.value)
+        assert exc.value.witness == (TestSweepChecksFire.CORNER, *witness)
+        monkeypatch.setattr(quaternions, "conjugation_matrix", conjugation_matrix)
+        assert verify_conjugation_lemmas(self.P, self.BOUND, q_primes=(5,)) == expected
+
+    def test_changed_word_width_gets_its_own_table(self, monkeypatch):
+        expected = verify_conjugation_lemmas(self.P, self.BOUND, q_primes=self.QS)
+        monkeypatch.setattr(quaternions, "_WORD_BITS", 6)
+        assert verify_conjugation_lemmas(self.P, self.BOUND, q_primes=self.QS) == expected
+        table, hit = self._table(6)
+        assert hit  # the table the sweep just used
+        assert len(table.words) >= 2
+        monkeypatch.undo()
+        assert verify_conjugation_lemmas(self.P, self.BOUND, q_primes=self.QS) == expected
+        table, hit = self._table(quaternions._WORD_BITS)
+        assert hit and len(table.words) == 1
+
+    def test_warm_sweep_builds_nothing(self):
+        verify_conjugation_lemmas(self.P, self.BOUND, q_primes=self.QS)
+        misses = quaternions._sweep_plan.cache_info().misses, quaternions._divisibility_table.cache_info().misses
+        verify_conjugation_lemmas(self.P, self.BOUND, q_primes=self.QS)
+        assert (quaternions._sweep_plan.cache_info().misses,
+                quaternions._divisibility_table.cache_info().misses) == misses
+
+    def test_cached_arrays_are_read_only(self):
+        verify_conjugation_lemmas(self.P, self.BOUND, q_primes=self.QS)
+        classes, closed, mats = quaternions._sweep_plan(self.P, conjugation_matrix)
+        assert closed and len(classes) == self.P + 1 and mats.dtype == np.int64
+        table, hit = self._table(quaternions._WORD_BITS)
+        assert hit
+        for array in (mats, *table.words):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[(0,) * array.ndim] = 0
+
+
 class TestOddPrimeGuard:
     # every entry point that needs an odd prime refuses 2, 1, 9 and -3 with the same message
     @pytest.mark.parametrize("n", [2, 1, 9, -3])
