@@ -334,6 +334,10 @@ def _cmd_maass_cusp(args) -> int:
     return 0
 
 
+# h r / y at and past which laplace-check reports its stencil as unresolved
+_UNRESOLVED_H_R_OVER_Y = 0.1
+
+
 def _cmd_maass_laplace(args) -> int:
     point = args.point or geometry.PointH4(0.1, 0.2, 0.3, 0.3)
     residual = numerics.laplace_eigen_residual(args.beta, args.r, point, args.h)
@@ -353,6 +357,11 @@ def _cmd_maass_laplace(args) -> int:
         if half > 0:
             payload["order_ratio"] = residual / half
             human += f"; ratio {residual / half:.5g} (4 for an O(h^2) error)"
+    # The mode oscillates in y on a scale of about y/r, which a step of h r / y past 0.1 does not resolve.
+    payload["h_r_over_y"] = ratio = args.h * abs(args.r) / point.y
+    human += f"; h r / y = {ratio:.2g}"
+    if ratio >= _UNRESOLVED_H_R_OVER_Y:
+        human += " (unresolved: the mode oscillates on the scale y/r)"
     _emit(args, payload, human)
     return 0
 

@@ -96,10 +96,12 @@ def hamilton_product(p: Sequence, q: Sequence) -> tuple:
     cannot change a sum there), and the tests check them bit for bit against
     evaluations through this function.  On the reduction words of 2,000 points drawn as
     in acceptance 13 (mean length 1.8; 2-vCPU Xeon host, best and median of
-    30 runs), ``word_to_matrix`` takes 1.7-1.9 us per word and ``act``
-    4.2-4.4; through this function on coordinate tuples they took 2.8-2.9
-    and 7.2-7.6, with four ``Quaternion`` entries per matrix 7.1-8.7 and
-    8.4-10.7, and on ``Quaternion`` objects throughout 11-20 and 36-62.
+    30 runs), ``word_to_matrix`` builds a word's matrix in 1.4-1.5 us and
+    returns a memoized one in 0.25, and ``act`` takes 4.1-4.3 us on its
+    first call on a matrix and 2.8-2.9 on later calls, which reuse the
+    entries' floats; through this function on coordinate tuples they took
+    2.8-2.9 and 7.2-7.6, with four ``Quaternion`` entries per matrix 7.1-8.7
+    and 8.4-10.7, and on ``Quaternion`` objects throughout 11-20 and 36-62.
     """
     a1, b1, c1, d1 = p
     a2, b2, c2, d2 = q
@@ -144,11 +146,6 @@ class Quaternion:
     def star(self) -> "Quaternion":
         """Reversal: fix i and j, negate k."""
         return Quaternion(self.a, self.b, self.c, -self.d)
-
-    @property
-    def is_integral(self) -> bool:
-        return all(isinstance(v, int) or (isinstance(v, Fraction) and v.denominator == 1)
-                   for v in (self.a, self.b, self.c, self.d))
 
     def coords(self) -> tuple:
         return (self.a, self.b, self.c, self.d)

@@ -637,13 +637,33 @@ class TestCliCommands:
         argv = ["maass", "laplace-check", "--beta", "1,0,0", "--r", "1", *(["--h", h] if h else [])]
         assert main(["--json", *argv]) == 0
         report = json.loads(capsys.readouterr().out)
-        assert sorted(report) == ["h", "half_h_refusal", "order_ratio", "residual", "residual_half_h", "schema"]
+        assert sorted(report) == ["h", "h_r_over_y", "half_h_refusal", "order_ratio", "residual", "residual_half_h",
+                                  "schema"]
         assert report["schema"] == 1 and report["half_h_refusal"] is None
         ratio = report["order_ratio"]
         assert ratio == report["residual"] / report["residual_half_h"]
         assert 3.5 < ratio < 4.5 if resolved else not 3 < ratio < 5
         assert main(argv) == 0
         assert f"ratio {ratio:.5g}" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("r, shown, unresolved", [
+        ("1", "0.0033", False),  # h r / y = 1e-3 / 0.3 at the default point
+        ("100", "0.33", True),  # the residual reads about 1e2, still O(h^2): order ratio near 4
+    ])
+    def test_laplace_check_reports_steps_per_oscillation(self, r, shown, unresolved, capsys):
+        argv = ["maass", "laplace-check", "--beta", "1,0,0", "--r", r]
+        assert main(["--json", *argv]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["schema"] == 1 and report["h_r_over_y"] == 1e-3 * float(r) / 0.3
+        assert 3.5 < report["order_ratio"] < 4.5
+        assert main(argv) == 0
+        line = capsys.readouterr().out
+        assert f"; h r / y = {shown}" in line and ("unresolved" in line) == unresolved
+
+    def test_laplace_check_unresolved_from_r_30_at_the_default_point(self, capsys):
+        for r, unresolved in (("29", False), ("30", True), ("-30", True)):
+            assert main(["maass", "laplace-check", "--beta", "1,0,0", "--r", r]) == 0
+            assert ("unresolved" in capsys.readouterr().out) == unresolved, r
 
     def test_laplace_check_half_step_refused(self, capsys):
         # h = 4e-17 resolves every coordinate of the default point, h/2 does not resolve 0.3 + h/2

@@ -166,6 +166,21 @@ class TestIntegralMembership:
         for _ in range(20):
             assert is_integral_sv2(random_integral_matrix(rng))
 
+    @pytest.mark.parametrize("g", [inversion(), translation((1, -2, 0)), rotation("k"),
+                                   word_to_matrix((("translate", (2, 0, -1)), ("inversion",), ("rot_j",)))])
+    def test_fraction_and_float_coords(self, g):
+        # a coordinate is integral as an int or as a Fraction with denominator 1, never as a float
+        assert is_integral_sv2(_with_fraction_coords(g))
+        assert not is_integral_sv2(IsometryMatrix(*(Quaternion(*map(float, q)) for q in g.coords())))
+        half = IsometryMatrix(*(Quaternion(*(Fraction(2 * x + 1, 2) for x in q)) for q in g.coords()))
+        assert not is_integral_sv2(half)
+
+    def test_builds_no_quaternion(self, monkeypatch):
+        g = word_to_matrix((("translate", (1, -2, 3)), ("inversion",), ("rot_i",)))
+        k_shift = IsometryMatrix(_ONE, Quaternion(0, 0, 0, 1), _ZERO, _ONE)
+        monkeypatch.setattr(geometry, "Quaternion", None)  # any Quaternion built in geometry now fails
+        assert is_integral_sv2(g) and not is_integral_sv2(k_shift)
+
 
 class TestAction:
     def test_inversion_at_low_point(self):
@@ -451,6 +466,77 @@ class TestMatrixContract:
     def test_pickle_and_copy_round_trip(self, path, g):
         for twin in (pickle.loads(pickle.dumps(g)), copy.copy(g), copy.deepcopy(g)):
             assert twin == g and repr(twin) == repr(g) and twin.coords() == g.coords()
+
+
+class TestWordCacheAndActFloats:
+    """word_to_matrix's memo and the floats act keeps on a matrix change no result, bit for bit."""
+
+    @pytest.mark.parametrize("seed", [13, 4000, 71])
+    def test_round_trip_bit_identical_to_the_generator_products(self, seed):
+        def bits(z):
+            return [c.hex() for c in z.as_tuple()]
+        for z in _acceptance_points(600, seed):
+            word, reduced = reduce_to_fundamental_domain(z)
+            ref_word, ref_reduced = reduce_reference(z)
+            assert word == ref_word and bits(reduced) == bits(ref_reduced)
+            g, expected = word_to_matrix(word), word_matrix(word)
+            assert g == expected and g.coords() == expected.coords()
+            fresh = IsometryMatrix(*g.entries())  # a copy that act has never seen
+            images = [act(g, z), act(g, z), act(fresh, z), act(expected, z), act_reference(g, z)]
+            assert all(bits(image) == bits(images[-1]) for image in images), (word, z)
+
+    def test_equal_words_share_one_matrix(self):
+        word = (("translate", (1, -2, 3)), ("inversion",), ("rot_k",), ("translate", (0, 1, 0)))
+        twin = pickle.loads(pickle.dumps(word))
+        assert twin == word and twin is not word and twin[0] is not word[0]
+        assert word_to_matrix(twin) is word_to_matrix(word)
+        assert word_to_matrix((("translate", (1.0, -2, 3)),)) is word_to_matrix((("translate", (1, -2, 3)),))
+
+    @pytest.mark.parametrize("word", [
+        [("translate", (1, -2, 3)), ("inversion",), ("rot_j",)],
+        (("translate", [1, -2, 3]), ("inversion",), ("rot_j",)),
+        [["translate", [1, -2, 3]], ["inversion"], ["rot_j"]],
+    ])
+    def test_unhashable_words_computed_uncached(self, word):
+        as_tuple = (("translate", (1, -2, 3)), ("inversion",), ("rot_j",))
+        g = word_to_matrix(word)
+        assert g == word_to_matrix(as_tuple) == word_matrix(as_tuple)
+        assert g is not word_to_matrix(word)
+        assert all(type(x) is int for q in g.coords() for x in q)
+
+    def test_errors_of_a_word_repeat(self):
+        for word in ((("rot_x",),), (("translate", (1, None, 0)),), (("translate", [math.nan, 0, 0]),)):
+            first = _outcome(word_to_matrix, word)
+            assert first == _outcome(word_to_matrix, word) == _outcome(word_matrix, word)
+            assert isinstance(first, tuple), word
+
+    @pytest.mark.parametrize("g,message", [
+        (IsometryMatrix(Quaternion(-1, 0, 0, 0), _ZERO, _ZERO, _ONE),
+         "action requires positive pseudo-determinant, got -1"),
+        (IsometryMatrix(_ZERO, _ZERO, _ZERO, _ZERO), "action requires positive pseudo-determinant, got 0"),
+        (IsometryMatrix(_ONE, _ZERO, _ZERO, Quaternion(0, 1, 0, 0)), "not a similitude"),
+    ])
+    def test_refused_matrix_refused_on_every_call(self, g, message):
+        for _ in range(3):
+            with pytest.raises(ValueError, match=message):
+                act(g, (0.1, 0.2, 0.3, 1.0))
+
+    def test_overflowing_entries_refused_on_every_call(self):
+        g = IsometryMatrix(Quaternion(_BIG ** 2, 0, 0, 0), _ZERO, _ZERO, _ONE)
+        for _ in range(3):
+            assert _outcome(act, g, (0, 0, 0, 0.5)) == (OverflowError, "int too large to convert to float")
+
+    def test_kept_floats_leave_equality_hash_pickle_and_repr_alone(self):
+        g = word_to_matrix((("translate", (2, -1, 0)), ("inversion",), ("rot_i",), ("translate", (0, 1, 1))))
+        fresh = IsometryMatrix(*g.entries())
+        before = (pickle.dumps(fresh), repr(fresh), hash(fresh))
+        act(fresh, (0.3, -0.2, 0.1, 0.7))
+        assert (pickle.dumps(fresh), repr(fresh), hash(fresh)) == before
+        assert fresh == g and g == fresh
+        for twin in (pickle.loads(pickle.dumps(fresh)), copy.copy(fresh), copy.deepcopy(fresh)):
+            assert twin == fresh and repr(twin) == repr(fresh)
+        with pytest.raises(AttributeError):
+            fresh._floats = ()
 
 
 class TestClosedFormMatrixLayer:
