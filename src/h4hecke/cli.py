@@ -115,7 +115,7 @@ def _cmd_quat_verify(args) -> int:
 def _cmd_geom_reduce(args) -> int:
     word, point = geometry.reduce_to_fundamental_domain(args.point)
     tokens = [f"translate{t[1]}" if t[0] == "translate" else t[0] for t in word]
-    _emit(args, {"word": [list(map(str, t)) for t in word], "point": point.as_tuple()},
+    _emit(args, {"word": word, "point": point.as_tuple()},  # a translation is ["translate", [s0, s1, s2]]
           f"word: [{', '.join(tokens)}]\n"
           f"point: {point.x0:.12g},{point.x1:.12g},{point.x2:.12g},{point.y:.12g}")
     return 0

@@ -73,11 +73,12 @@ and decode their outputs straight back into rows (_unpacked), and the
 float operators read complex128 arrays made once per field
 (_float_field).  Every merge of equal keys, on int64 or on Python ints,
 is _merge, which sorts them once (_runs) and returns them in key order.
-The float twin _apply_float adds the same terms on (keys, values)
-arrays, and apply_hecke_float returns a read-only mapping backed by
-those arrays (_ArrayMap, as a field's entries are), so
-verify_commutativity and eigen_residual chain operators without building
-dicts (see the float-twin note below).
+The float twin _apply_float merges the same terms (_float_terms) on
+(keys, values) arrays, and apply_hecke_float returns a read-only mapping
+backed by those arrays (_ArrayMap, as a field's entries are), so
+eigen_residual chains operators without building dicts, and
+verify_commutativity sends the outer terms of both orders into one merge
+(see the float-twin note below).
 
 Two finer properties need the Klein-group sign symmetry
 A(-b0,-b1,b2) = A(-b0,b1,-b2) = A(b0,-b1,-b2) = A(b0,b1,b2) that
@@ -988,14 +989,23 @@ def apply_hecke(ell: int, p: int, A: CoefficientField, *, representatives=None) 
 # and decoded back into them: on object arrays of per-value numerator objects,
 # the same array code took 0.76-0.86 ms for the four applies of a relation on
 # 8-entry fields, against 0.44-0.47 ms on dicts.
+#
+# The operators are linear, so a commutator needs no merge of each outer operator on its
+# own: verify_commutativity merges the term groups (_float_terms) of H_ell(p) on H_m(q) A and
+# of H_m(q) on -H_ell(p) A once, which drops the merge of each outer operator, the two largest
+# sorts of a commutator (on conj_sums fields, 300-600 keys each against about 66 for an inner
+# one).  Negating an input negates every term exactly, so each key sums the H_ell(p) terms in
+# input order and then the negated H_m(q) terms.  The inner operators stay apply_hecke_float calls: their
+# outputs are merged, which keeps _commutator_rows' count of the outer operator's keys.
 
 # The largest bound on the rows of the outer float scatters of a commutator
-# (_commutator_rows: len(A)(p+1)(q+1), and more for H_3).  One [H_2(p), H_2(q)] takes about
-# 0.17 s and 75 MB peak at 1.2e5 (p = 97, q = 101, 12 entries), 0.35 s and 120 MB at 2.4e5
-# (24 entries), 0.8 s and 230 MB at 5.7e5 and 1.7 s and 440 MB at 1.1e6 (p = 211, q = 223).
-# [H_3, H_3] at (97, 101) counts 5 len(A)(p+1)(q+1) on keys that neither prime divides: 5
-# entries, 2.5e5 rows, take 0.48 s and 81 MB, where 24 entries took 2.7 s.  H_1 is cheaper,
-# since T_1 keeps only the images that p divides (2-vCPU host).
+# (_commutator_rows: len(A)(p+1)(q+1), and more for H_3).  One [H_2(p), H_2(q)], the first call
+# in a fresh process on CoefficientField.random(Random(0), support=n), takes about 0.14 s and 67 MB
+# peak RSS at 1.2e5 (p = 97, q = 101, 12 entries), 0.3 s and 100 MB at 2.4e5 (24 entries), 0.85 s
+# and 190 MB at 5.7e5 and 1.9 s and 345 MB at 1.1e6 (p = 211, q = 223).  [H_3, H_3] at (97, 101)
+# counts 5 len(A)(p+1)(q+1) on keys that neither prime divides: 5 entries, 2.5e5 rows, take 0.1 s
+# and 48 MB, 24 entries 0.44 s and 100 MB.  H_1 is cheaper, since T_1 keeps only the images that
+# p divides (2-vCPU host).
 MAX_SCATTER_ROWS = 250_000
 
 
@@ -1095,8 +1105,8 @@ def _merge(*parts: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarra
     return keys.take(order.take(starts), axis=0), sums
 
 
-def _apply_float(ell: int, p: int, keys: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """H_ell on a float field: the keys and values of its nonzero outputs, the terms that _apply adds,
+def _float_terms(ell: int, p: int, keys: np.ndarray, vals: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """H_ell on a float field, unmerged: the (keys, values) groups of the terms that _apply adds,
     each term of the module docstring's arranged form one group, in _apply's order."""
     t = _float_tables(p)
     peak = _peak(keys)
@@ -1113,27 +1123,30 @@ def _apply_float(ell: int, p: int, keys: np.ndarray, vals: np.ndarray) -> tuple[
     if ell == 1:
         t1, r1 = divided(images, rows, p)
         quo, hit = _divided(keys, p)
-        out = _merge((t1, s * vals[r1]), (quo.compress(hit, axis=0), vals.compress(hit)), (keys * p, vals))
-    elif ell == 2:
+        return [(t1, s * vals[r1]), (quo.compress(hit, axis=0), vals.compress(hit)), (keys * p, vals)]
+    if ell == 2:
         scaled = s * vals
         t0, r0 = divided(images, rows, psq)
-        out = _merge((images, scaled[rows]), (t0, scaled[r0]),
-                     (keys, t.eps[_epsilon_cases(keys, p, t.residue)] * vals))
-    else:
-        cases = _epsilon_cases(keys, p, t.residue)
-        quo, hit = _divided(keys, psq)
-        low = s * (-t.inv_p * vals)
-        t1, r1 = divided(images, rows, p)
-        t0, r0 = divided(t1, r1, p)
-        t1, sums = _merge((t1, vals[r1]))
-        moved = t1 * p  # (T_2 A)(p beta) is the T_1 sum at beta
-        zero = cases == 0
-        u_keys, u_vals = _merge((keys.compress(zero, axis=0), s * vals.compress(zero)), (moved, t.inv_p * sums))
-        u_images, u_rows = _star_images(0, p, u_keys, mats, peak * t.reach)  # u holds keys and T_2 images
-        out = _merge((quo.compress(hit, axis=0), vals.compress(hit)), (keys * psq, vals), (keys, t.mid[cases] * vals),
-                     (images, low[rows]), (t0, low[r0]), (moved, s * sums), (u_images, u_vals[u_rows]))
-    keep = out[1] != 0
-    return out[0].compress(keep, axis=0), out[1].compress(keep)
+        return [(images, scaled[rows]), (t0, scaled[r0]), (keys, t.eps[_epsilon_cases(keys, p, t.residue)] * vals)]
+    cases = _epsilon_cases(keys, p, t.residue)
+    quo, hit = _divided(keys, psq)
+    low = s * (-t.inv_p * vals)
+    t1, r1 = divided(images, rows, p)
+    t0, r0 = divided(t1, r1, p)
+    t1, sums = _merge((t1, vals[r1]))
+    moved = t1 * p  # (T_2 A)(p beta) is the T_1 sum at beta
+    zero = cases == 0
+    u_keys, u_vals = _merge((keys.compress(zero, axis=0), s * vals.compress(zero)), (moved, t.inv_p * sums))
+    u_images, u_rows = _star_images(0, p, u_keys, mats, peak * t.reach)  # u holds keys and T_2 images
+    return [(quo.compress(hit, axis=0), vals.compress(hit)), (keys * psq, vals), (keys, t.mid[cases] * vals),
+            (images, low[rows]), (t0, low[r0]), (moved, s * sums), (u_images, u_vals[u_rows])]
+
+
+def _apply_float(ell: int, p: int, keys: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """H_ell on a float field: the keys and values of its nonzero outputs, its terms merged."""
+    out_keys, out_vals = _merge(*_float_terms(ell, p, keys, vals))
+    keep = out_vals != 0
+    return out_keys.compress(keep, axis=0), out_vals.compress(keep)
 
 
 def _float_field(A: CoefficientField) -> _ArrayMap:
@@ -1226,7 +1239,10 @@ def verify_commutativity(p: int, q: int, ell: int, m: int, A: CoefficientField) 
     """Max-abs entry of [H_ell(p), H_m(q)] A evaluated in doubles.
 
     A bound on the rows of the outer scatters (_commutator_rows) is refused
-    past MAX_SCATTER_ROWS before any operator work.
+    past MAX_SCATTER_ROWS before any operator work.  The inner operators are
+    public apply_hecke_float calls, merged as usual; the outer terms of both
+    orders, H_ell(p) on H_m(q) A and H_m(q) on -H_ell(p) A, meet in one merge,
+    so each key is one sum over both orders, not the difference of two sums.
     """
     require_odd_prime(p, "p")
     require_odd_prime(q, "q")
@@ -1237,9 +1253,8 @@ def verify_commutativity(p: int, q: int, ell: int, m: int, A: CoefficientField) 
         raise ValueError(f"a commutator at p = {p} and q = {q} on {len(A.keys)} entries scatters up to "
                          f"{formula} = {rows} rows, past {MAX_SCATTER_ROWS}, the largest supported")
     entries = _float_field(A)
-    pq = apply_hecke_float(ell, p, apply_hecke_float(m, q, entries))
-    qp = apply_hecke_float(m, q, apply_hecke_float(ell, p, entries))
-    _, diff = _merge((pq._keys, pq._rows), (qp._keys, -qp._rows))
+    a, b = apply_hecke_float(m, q, entries), apply_hecke_float(ell, p, entries)
+    _, diff = _merge(*_float_terms(ell, p, a._keys, a._rows), *_float_terms(m, q, b._keys, -b._rows))
     return float(np.abs(diff).max()) if len(diff) else 0.0
 
 

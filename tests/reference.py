@@ -331,9 +331,10 @@ def pair_conj_sum(k, p, entries, mats, acc=None) -> dict:
     return acc
 
 
-def apply_dict(ell: int, p: int, entries, weights, inv_sqrt_p, representatives=None) -> dict:
+def apply_dict(ell: int, p: int, entries, weights, inv_sqrt_p, representatives=None, out=None) -> dict:
     """H_ell on a dict of scalars of one domain, adding each term by the domain's own `+`: every nonzero
     (H_ell A)(beta), in key order.  The terms and term order of ``hecke._apply_float``, zero signs included.
+    Given `out`, the terms are added into that dict after what it holds.
 
     The hecke module docstring's arranged form, one dict loop per term in the order
     that ``hecke._apply`` adds them.  Weights of gamma (p^(-1/2), -1/p, 1_p(gamma))
@@ -349,7 +350,7 @@ def apply_dict(ell: int, p: int, entries, weights, inv_sqrt_p, representatives=N
         raise ValueError(f"ell must be 1, 2, or 3, got {ell}")
     mats = conjugation_matrices(p) if representatives is None else tuple(map(conjugation_matrix, representatives))
     psq = p * p
-    out = {}
+    out = {} if out is None else out
     if ell == 1:
         pair_conj_sum(1, p, {gamma: inv_sqrt_p * v for gamma, v in entries.items()}, mats, out)
         for gamma, v in entries.items():
@@ -391,19 +392,23 @@ def relation_residual_by_applies(p, A):
             + A.scale(-hecke.hecke_relation_constant(p)))
 
 
-def apply_hecke_float_dict(ell, p, entries) -> dict:
+def apply_hecke_float_dict(ell, p, entries, out=None) -> dict:
     """H_ell on a dict of complex doubles through apply_dict: the reference for
     ``hecke.apply_hecke_float``, which adds the same terms in the same order on arrays."""
     quaternions.require_odd_prime(p)
-    return apply_dict(ell, p, dict(entries), hecke._hecke_weights(p, float), 1.0 / math.sqrt(p))
+    return apply_dict(ell, p, dict(entries), hecke._hecke_weights(p, float), 1.0 / math.sqrt(p), out=out)
 
 
 def commutator_dict(p, q, ell, m, A) -> float:
-    """Max-abs entry of [H_ell(p), H_m(q)] A on dicts: the reference for ``hecke.verify_commutativity``."""
+    """Max-abs entry of [H_ell(p), H_m(q)] A on dicts: the reference for ``hecke.verify_commutativity``.
+
+    The terms of H_ell(p) on H_m(q) A, then those of H_m(q) on -H_ell(p) A, are added into one dict,
+    so each key sums both orders' terms in the order that the array path merges them."""
     entries = A.as_complex_dict()
-    pq = apply_hecke_float_dict(ell, p, apply_hecke_float_dict(m, q, entries))
-    qp = apply_hecke_float_dict(m, q, apply_hecke_float_dict(ell, p, entries))
-    return max((abs(pq.get(k, 0j) - qp.get(k, 0j)) for k in set(pq) | set(qp)), default=0.0)
+    acc = {}
+    apply_hecke_float_dict(ell, p, apply_hecke_float_dict(m, q, entries), acc)
+    apply_hecke_float_dict(m, q, {k: -v for k, v in apply_hecke_float_dict(ell, p, entries).items()}, acc)
+    return max(map(abs, acc.values()), default=0.0)
 
 
 def symmetrized_dict(A):

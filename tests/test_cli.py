@@ -408,6 +408,17 @@ class TestCliCommands:
         out = capsys.readouterr().out
         assert "inversion" in out
 
+    def test_geom_reduce_json_word_rebuilds_the_matrix(self, capsys):
+        # a translation once printed as ["translate", "(-3, 1, 0)"], Python tuple syntax inside a string
+        z = geometry.as_point((2.7, -1.3, 0.4, 0.02))
+        word, _ = geometry.reduce_to_fundamental_domain(z)
+        assert main(["--json", "geom", "reduce", "--point", "2.7,-1.3,0.4,0.02"]) == 0
+        printed = json.loads(capsys.readouterr().out)["word"]
+        rebuilt = tuple((t[0], tuple(t[1])) if t[0] == "translate" else tuple(t) for t in printed)
+        assert ["inversion"] in printed and rebuilt == word
+        assert all(type(c) is int for t in printed if t[0] == "translate" for c in t[1]), printed
+        assert geometry.word_to_matrix(rebuilt) == geometry.word_to_matrix(word)
+
     def test_geom_act(self, capsys):
         argv = ["geom", "act", "--matrix"] + ["0", "0", "0", "0", "1", "0", "0", "0",
                                               "-1", "0", "0", "0", "0", "0", "0", "0"]

@@ -1160,11 +1160,12 @@ class TestCommutativity:
             verify_commutativity(3, 3, 1, 1, CoefficientField.zero())
 
     def test_matches_dict_commutator(self):
-        # the same sums as the dict path; only np.abs and Python's abs may differ in the last bit
+        # the same sums as the dict path, both orders' outer terms in one sum; only np.abs and Python's abs
+        # may differ in the last bit
         rng = random.Random(21)
         fields = _conj_sums_fields(rng, 4) + [CoefficientField.random(rng, support=8, coord_bound=3)]
         for A in fields:
-            for p, q in ((3, 5), (3, 7), (5, 7)):
+            for p, q in ((3, 5), (3, 7), (5, 7), (7, 11)):
                 for ell, m in itertools.product((1, 2, 3), repeat=2):
                     got, expected = verify_commutativity(p, q, ell, m, A), commutator_dict(p, q, ell, m, A)
                     assert type(got) is float
