@@ -63,10 +63,9 @@ def compute_R(A: float, M: int, eps: float) -> int:
         raise ValueError("2 A max(M, 1) is past the double range, so no R can be found")
     if M > 0 and 1 - eps / 2 == 1.0:
         raise ValueError(f"eps = {eps} is too small: 1 - eps/2 rounds to 1, so no R exists")
+    # Invariant: the predicate fails at lo and holds at hi.  It fails at ceil(A): there
+    # 0 <= R - A < 1, so the first inequality reads at least 2 A / log A >= 8.6 > 1/4.
     lo = math.ceil(A)
-    if r_conditions_hold(A, M, eps, lo):
-        return lo
-    # Invariant: the predicate fails at lo and holds at hi.
     step = 1
     hi = lo + step
     while not r_conditions_hold(A, M, eps, hi):

@@ -47,9 +47,6 @@ GeneratorWord = tuple[Token, ...]
 _TOL = 1e-9
 _MAX_ITER = 10_000
 
-_Q_ZERO = Quaternion(0, 0, 0, 0)
-_Q_ONE = Quaternion(1, 0, 0, 0)
-
 
 @dataclass(frozen=True, slots=True)
 class PointH4:
@@ -241,20 +238,23 @@ def is_integral_sv2(g: IsometryMatrix) -> bool:
 
 # -- generators -------------------------------------------------------------
 
+_ZERO, _ONE = (0, 0, 0, 0), (1, 0, 0, 0)
+
+
 def translation(beta: Sequence[int]) -> IsometryMatrix:
     """t_beta = [[1, beta], [0, 1]]: z -> z + beta for beta in V3."""
-    return IsometryMatrix(_Q_ONE, Quaternion(int(beta[0]), int(beta[1]), int(beta[2]), 0), _Q_ZERO, _Q_ONE)
+    return IsometryMatrix._from_coords((_ONE, (int(beta[0]), int(beta[1]), int(beta[2]), 0), _ZERO, _ONE))
 
 
 def inversion() -> IsometryMatrix:
     """s = [[0, 1], [-1, 0]]: z -> -bar(z)/|z|^2."""
-    return IsometryMatrix(_Q_ZERO, _Q_ONE, -_Q_ONE, _Q_ZERO)
+    return IsometryMatrix._from_coords((_ZERO, _ONE, (-1, 0, 0, 0), _ZERO))
 
 
 def rotation(axis: str) -> IsometryMatrix:
     """diag(u, u') for u in {i, j, k}: the three sign-flip rotations."""
-    u = UNIT_FLIPS[axis][0]
-    return IsometryMatrix(u, _Q_ZERO, _Q_ZERO, u.main())
+    a, b, c, d = UNIT_FLIPS[axis][0].coords()
+    return IsometryMatrix._from_coords(((a, b, c, d), _ZERO, _ZERO, (a, -b, -c, d)))  # u' negates i and j
 
 
 def _left_unit(u) -> tuple:

@@ -80,6 +80,12 @@ eigen_residual chains operators without building dicts, and
 verify_commutativity sends the outer terms of both orders into one merge
 (see the float-twin note below).
 
+Two more formulas have one home each.  The quadratic residues mod p are one
+cached table (_residues), which legendre_symbol and both case maps of E,
+_epsilon_case and _epsilon_cases, read.  Every exact value becomes a double
+through _quad_float on its integer numerators: float(QuadExt), the float
+fields (_float_field) and the float totals of the sums module.
+
 Two finer properties need the Klein-group sign symmetry
 A(-b0,-b1,b2) = A(-b0,b1,-b2) = A(b0,-b1,-b2) = A(b0,b1,b2) that
 unit-rotation isometries force on genuine Fourier-coefficient data:
@@ -167,10 +173,11 @@ class QuadExt:
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self + (-self._coerce(other))
+        other = self._coerce(other)
+        return NotImplemented if other is NotImplemented else self + (-other)
 
     def __rsub__(self, other):
-        return (-self) + other
+        return (-self).__add__(other)
 
     def __neg__(self):
         return QuadExt(self.p, -self.a, -self.b)
@@ -288,13 +295,21 @@ class QComplex:
         return QComplex(self.re.with_prime(p), self.im.with_prime(p))
 
 
+@lru_cache(maxsize=128)
+def _residues(p: int) -> np.ndarray:
+    """Entry r, 0 <= r < p, says whether r is a nonzero square mod the odd prime p: the one table of
+    quadratic residues, which legendre_symbol, _epsilon_case and _epsilon_cases read."""
+    residue = np.isin(np.arange(p), np.arange(1, p) ** 2 % p)
+    residue.flags.writeable = False  # one cached table serves every caller
+    return residue
+
+
 def legendre_symbol(a: int, p: int) -> int:
-    """(a | p) by Euler's criterion for an odd prime p."""
+    """(a | p) for an odd prime p, read off the table of squares mod p (_residues)."""
     a %= require_odd_prime(p)
     if a == 0:
         return 0
-    val = pow(a, (p - 1) // 2, p)
-    return 1 if val == 1 else -1
+    return 1 if _residues(p)[a] else -1
 
 
 def _epsilon_case(beta: LatticeVector, p: int) -> int:
@@ -306,7 +321,7 @@ def _epsilon_case(beta: LatticeVector, p: int) -> int:
     n = b0 * b0 + b1 * b1 + b2 * b2
     if n % p == 0:
         return 1
-    return 2 if pow(-n % p, (p - 1) // 2, p) == 1 else 3
+    return 2 if _residues(p)[-n % p] else 3
 
 
 def _epsilon_values(p: int) -> tuple[Fraction, ...]:
@@ -1016,27 +1031,23 @@ class _FloatTables(NamedTuple):
     mid: np.ndarray  # H_3 weight of A(beta), indexed by _epsilon_case
     inv_p: float
     inv_sqrt_p: float
-    residue: np.ndarray  # residue[r]: r is a nonzero square mod p
     reach: int  # 3 max|C_i entry|, over p's conjugation matrices (_star_block)
 
 
 @lru_cache(maxsize=128)
 def _float_tables(p: int) -> _FloatTables:
     weights = _hecke_weights(p, float)
-    residue = np.zeros(p, bool)
-    residue[np.arange(1, p) ** 2 % p] = True
-    arrays = (np.array(weights.eps), np.array(weights.mid), residue)
-    for arr in arrays:
-        arr.flags.writeable = False  # one cached table serves every caller
+    eps, mid = np.array(weights.eps), np.array(weights.mid)
+    eps.flags.writeable = mid.flags.writeable = False  # one cached table serves every caller
     reach = _star_block(conjugation_matrices(p))[1]
-    return _FloatTables(*arrays[:2], weights.inv_p, 1.0 / math.sqrt(p), residue, reach)
+    return _FloatTables(eps, mid, weights.inv_p, 1.0 / math.sqrt(p), reach)
 
 
-def _epsilon_cases(keys: np.ndarray, p: int, residue: np.ndarray) -> np.ndarray:
+def _epsilon_cases(keys: np.ndarray, p: int) -> np.ndarray:
     """_epsilon_case of every row of an (n, 3) key array."""
     r = _mod(keys, p).astype(np.int64)
     n = _mod((r * r).sum(axis=1), p)
-    cases = np.where(residue[-n], 2, 3)  # residue[-n] is residue[p - n], the residue of -n mod p
+    cases = np.where(_residues(p)[-n], 2, 3)  # entry -n is entry p - n, the residue of -n mod p
     cases[n == 0] = 1
     cases[~r.any(axis=1)] = 0
     return cases
@@ -1127,8 +1138,8 @@ def _float_terms(ell: int, p: int, keys: np.ndarray, vals: np.ndarray) -> list[t
     if ell == 2:
         scaled = s * vals
         t0, r0 = divided(images, rows, psq)
-        return [(images, scaled[rows]), (t0, scaled[r0]), (keys, t.eps[_epsilon_cases(keys, p, t.residue)] * vals)]
-    cases = _epsilon_cases(keys, p, t.residue)
+        return [(images, scaled[rows]), (t0, scaled[r0]), (keys, t.eps[_epsilon_cases(keys, p)] * vals)]
+    cases = _epsilon_cases(keys, p)
     quo, hit = _divided(keys, psq)
     low = s * (-t.inv_p * vals)
     t1, r1 = divided(images, rows, p)

@@ -15,6 +15,8 @@ mass integral_{y >= T, x in box} |phi|^2 dvol both from the coefficient
 side and by direct 4-d quadrature, and verifies the mode annihilation
 Delta u = -(9/4 + r^2) u by central finite differences.  Box integrals are
 tensor Gauss-Legendre rules applied through the mode Gram matrix (_gram).
+Both cusp integrals cut the y-range at one module constant above T,
+_CUSP_Y_RANGE, which the kernel decay fixes for every mode.
 No public function takes a tolerance: every rule, the kernel's included, is fixed.
 """
 
@@ -31,6 +33,10 @@ import numpy as np
 from .quaternions import lattice_norm
 
 TWO_PI = 2.0 * math.pi
+# The length of the y-range that cusp_sum_I and direct_cusp_integral keep above a lower end.
+# |K_{ir}(2 pi sqrt(n) y)|^2 falls like exp(-4 pi sqrt(n) y), so by 1e-10 e^-5 within
+# (ln 10^10 + 5) / (4 pi sqrt(n)) <= 2.23 of that end, since every mode has norm n >= 1.
+_CUSP_Y_RANGE = 3.0
 _SIMPSON_MAX_DEPTH = 60  # bisection depth at which _adaptive_simpson accepts an interval
 # The largest |r| of a spectral parameter.  |K_ir| is at most about e^(-pi r/2), below the smallest
 # subnormal double from r of about 475 on, so no K_ir refused here is one that a double can hold.
@@ -219,12 +225,6 @@ def parseval_check(form: SpectralForm, y: float) -> ParsevalReport:
     return ParsevalReport(y=y, box_integral=box, coefficient_sum=coeff, rel_error=abs(box - coeff) / coeff)
 
 
-def _cusp_tail(n: int) -> float:
-    """Length of the y-range kept above a cusp integral's lower end, for modes of norm >= n:
-    |K_{ir}(2 pi sqrt(n) y)|^2 falls like exp(-4 pi sqrt(n) y), so past it by 1e-10 e^-5."""
-    return max(3.0, (math.log(1e10) + 5.0) / (4.0 * math.pi * math.sqrt(n)))
-
-
 def cusp_sum_I(form: SpectralForm, T: float) -> float:
     """Coefficient-side cusp mass: integral over the box times [T, oo) of |phi|^2 dvol.
 
@@ -242,7 +242,7 @@ def cusp_sum_I(form: SpectralForm, T: float) -> float:
     total = 0.0
     for beta, coeff in form.entries:
         a = T * math.sqrt(lattice_norm(beta))
-        total += abs(coeff) ** 2 * _adaptive_simpson(integrand, a, a + _cusp_tail(1), 1e-12)
+        total += abs(coeff) ** 2 * _adaptive_simpson(integrand, a, a + _CUSP_Y_RANGE, 1e-12)
     return total
 
 
@@ -254,7 +254,7 @@ def direct_cusp_integral(form: SpectralForm, T: float) -> float:
     """
     if not (math.isfinite(T) and T >= 1):
         raise ValueError(f"T must be finite and >= 1, got {T}")
-    Y = T + _cusp_tail(min(lattice_norm(b) for b, _ in form.entries))
+    Y = T + _CUSP_Y_RANGE
     gram = _gram(form, 24)
     ypts, ywts = np.polynomial.legendre.leggauss(12)
     edges = np.linspace(T, Y, 12 + 1)

@@ -165,7 +165,8 @@ def lattice_norm(beta: Sequence[int]) -> int:
 
 
 def enumerate_norm(n: int) -> list[Quaternion]:
-    """All integral quaternions of norm n <= MAX_NORM, in lexicographic coordinate order.
+    """All integral quaternions of norm n <= MAX_NORM, in lexicographic coordinate order: the loops
+    emit that order, since a, b and c ascend and -d comes before +d.
 
     The ceiling is checked first, so a huge n is refused before the cubic loop.
     """
@@ -192,7 +193,7 @@ def enumerate_norm(n: int) -> list[Quaternion]:
                     else:
                         out.append(Quaternion(a, b, c, -d))
                         out.append(Quaternion(a, b, c, d))
-    return sorted(out, key=Quaternion.coords)
+    return out
 
 
 def canonical_orbit_representative(alpha: Quaternion) -> Quaternion:
@@ -272,9 +273,9 @@ def star_conjugation_matrices(p: int) -> tuple[tuple[tuple[int, int, int], ...],
     Each is the transpose of the conjugation matrix C(alpha): the two maps
     compose to p^2 on V3 (alpha^* alpha' = bar(alpha) alpha = p), and
     conjugation scales norms by p^2, so C^T C = p^2 I and the matrix is
-    p^2 C^{-1} = C^T.
+    p^2 C^{-1} = C^T.  The transposes are taken of the cached conjugation_matrices(p).
     """
-    return tuple(tuple(zip(*conjugation_matrix(a))) for a in orbit_representatives(p).representatives)
+    return tuple(tuple(zip(*c)) for c in conjugation_matrices(p))
 
 
 def divide_lattice(beta: Sequence[int], m: int) -> Optional[LatticeVector]:

@@ -54,6 +54,7 @@ from .hecke import (
     _conj_sum_rows,
     _divisible,
     _exact,
+    _quad_float,
     hecke_relation_constant,
 )
 from .quaternions import MAX_PRIME, LatticeVector, conjugation_matrices, odd_primes_in, require_odd_prime
@@ -260,8 +261,9 @@ def amplified_sum(
 ) -> float:
     """sum over beta in M(K) of |A(beta)|^2 * sum_{p in window, p not dividing beta} |lambda_ell(p)|^2.
 
-    Each |A(beta)|^2 is the float of its exact value, and the terms are added in
-    support order, each weight in window order.
+    Each |A(beta)|^2 is the float of its exact value (hecke._quad_float on its numerators,
+    which rounds as float(QuadExt) does), and the terms are added in support order, each
+    weight in window order.
     """
     _require_window_rows(lam_table, window)
     kept = A.norms <= math.floor(Fraction(z))
@@ -274,7 +276,7 @@ def amplified_sum(
     a, b = _square_sum(A.nums.compress(kept, axis=0), A.p, A.num_peak)
     total = 0.0
     for ai, bi, weight in zip(a.tolist(), b.tolist(), weights.tolist()):
-        total += float(QuadExt(A.p, Fraction(ai, den2), Fraction(bi, den2))) * weight
+        total += _quad_float(ai, bi, den2, A.p) * weight
     return total
 
 
@@ -380,11 +382,10 @@ def lambda3_lower_bound_sq(p: int) -> Fraction:
 
     From the quadratic relation, |lambda_3| >= (1 + 1/p + 1/p^2 + 1/p^3)
     - 1/100 - (1 + 1/p)/10; the square of that bound is returned as an
-    exact rational (it exceeds 1/2 for every odd prime).
+    exact rational.  The bound is 89/100 + 9/(10p) + 1/p^2 + 1/p^3 > 0.89, so
+    its square exceeds 1/2 for every odd prime p.
     """
-    bound = hecke_relation_constant(p) - Fraction(1, 100) - (1 + Fraction(1, p)) * Fraction(1, 10)
-    if bound < 0:
-        return Fraction(0)
+    bound = hecke_relation_constant(require_odd_prime(p)) - Fraction(1, 100) - (1 + Fraction(1, p)) * Fraction(1, 10)
     return bound * bound
 
 
@@ -427,7 +428,7 @@ def _report(name: str, left: Callable[[], float], right: Callable[[], float], pa
 def _conj_square_sum(A: CoefficientField, window: PrimeWindow, K: float, ell: int, z) -> float:
     """sum_{beta in M_1(K), N <= z} sum_{p in window, p nmid beta} (1/p) |sum_i A(conj_i(beta)/p^ell)|^2.
 
-    The double sum is exact, and only its value is rounded to a float.
+    The double sum is exact, and only its value is rounded to a float (hecke._quad_float).
     """
     z = math.floor(Fraction(z))
     spec = MultiplicitySpec(1, K, window)
@@ -440,8 +441,7 @@ def _conj_square_sum(A: CoefficientField, window: PrimeWindow, K: float, ell: in
         pa, pb = _square_sum(kept, A.p, peak, total=True)
         a += int(pa) * (common // p)
         b += int(pb) * (common // p)
-    den = common * A.den ** 2
-    return float(QuadExt(A.p, Fraction(a, den), Fraction(b, den)))
+    return _quad_float(a, b, common * A.den ** 2, A.p)
 
 
 def inequality_report(which: str, **kw) -> SumReport:

@@ -44,6 +44,15 @@ class TestComputeR:
             assert r_conditions_hold(A, M, eps, R)
             assert not r_conditions_hold(A, M, eps, R - 1)
 
+    def test_search_start_always_fails(self):
+        # compute_R starts its search at lo = ceil(A) as a point where the predicate fails, with no test:
+        # there 0 <= R - A < 1, so 2 A (log A)^(A - R) >= 2 A / log A >= 8.6 > 1/4
+        grid = [*np.geomspace(10, 1e300, 61).tolist(), 10.5, 11, 12.3, 1e20, 2.0 ** 53 + 2]
+        for A in grid:
+            for M in (0, 1, 1000):
+                for eps in (1e-12, 0.01, 0.3, 0.5, 0.99):
+                    assert not r_conditions_hold(A, M, eps, math.ceil(A)), (A, M, eps)
+
     def test_monotone_in_M(self):
         for M in range(4):
             assert compute_R(10, M + 1, 0.05) >= compute_R(10, M, 0.05)

@@ -1012,6 +1012,11 @@ class TestBadInputsExit2:
         # each once ended in a traceback, exited 0 on an empty window or a p that is not prime, or named
         # neither the field nor the line it could not read
         *[argv for argv, _ in _REFUSED_WITH_MESSAGE],
+        # a point of three coordinates, a beta of two and a count that is not an integer
+        ["maass", "eval", "--form", "{form}", "--point", "1,2,3"],
+        ["geom", "reduce", "--point", "1,2,3"],
+        ["maass", "laplace-check", "--beta", "1,2", "--r", "1"],
+        ["hecke", "verify-relation", "--p", "3", "--trials", "1.5"],
     ])
     def test_exits_2_with_one_error_line(self, argv, form_files, bad_files, capsys, time_limit):
         assert _exit_code([a.format(**form_files, **bad_files) for a in argv], time_limit) == 2

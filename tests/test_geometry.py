@@ -67,6 +67,7 @@ class TestPseudoDet:
                            Quaternion(0, 0, 0, 0), Quaternion(0, 1, 0, 0))
         with pytest.raises(ValueError, match="not a similitude"):
             pseudo_det(g)
+        assert not is_similitude(g)  # the pseudo-determinant 0 + 1i is not real
 
     def test_hecke_style_similitude(self):
         g = IsometryMatrix(Quaternion(1, 0, 0, 0), Quaternion(0, 0, 0, 0),
@@ -273,8 +274,13 @@ class TestRegions:
         assert not is_in_region((-0.6, 0.0, 0.0, 2.5), "S~_T", T=2)
 
     def test_T_below_one_rejected(self):
-        with pytest.raises(ValueError):
-            is_in_region((0, 0, 0, 2), "S_T", T=0.5)
+        for region in ("S_T", "S~_T"):
+            with pytest.raises(ValueError, match="^cusp regions require T >= 1$"):
+                is_in_region((0, 0, 0, 2), region, T=0.5)
+
+    def test_unknown_region_rejected(self):
+        with pytest.raises(ValueError, match="^unknown region 'G'$"):
+            is_in_region((0, 0, 0, 2), "G")
 
 
 class TestReduction:

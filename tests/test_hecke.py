@@ -28,7 +28,6 @@ from h4hecke.hecke import (
     verify_hecke_relation,
     _epsilon_case,
     _epsilon_cases,
-    _float_tables,
     _hecke_weights,
 )
 from h4hecke.quaternions import (
@@ -105,6 +104,36 @@ class TestQuadExt:
             assert abs(float(QuadExt(5, Fraction(1860498), Fraction(-832040))) - exact) <= 4 * 2.0 ** -52 * exact
         assert float(QuadExt(5, Fraction(-7, 3), Fraction(0))) == float(Fraction(-7, 3))
 
+    def test_rational_values_hash_alike_over_any_prime(self):
+        # equal values hash equal: a rational value compares equal over every prime, so a set holds one
+        values = [QuadExt.of(Fraction(3, 4)), QuadExt.of(Fraction(3, 4), 5), QuadExt(7, Fraction(3, 4), Fraction(0))]
+        assert len({hash(v) for v in values}) == 1 and len(set(values)) == 1
+        assert hash(QuadExt(5, Fraction(1), Fraction(2))) == hash(QuadExt(5, Fraction(1), Fraction(2)))
+
+    def test_str(self):
+        assert str(QuadExt(3, 1, -2)) == "1 - 2*sqrt(3)"
+        assert str(QuadExt(3, Fraction(1, 2), Fraction(2, 3))) == "1/2 + 2/3*sqrt(3)"
+        assert str(QuadExt.of(Fraction(-5, 2), 3)) == "-5/2"
+
+    def test_quad_float_on_unreduced_numerators(self):
+        # the sums module rounds (a + b sqrt(p)) / den with _quad_float on numerators that share
+        # factors with den, where float(QuadExt) first reduces both Fractions
+        rng = random.Random(5)
+        rows = []
+        for p in (3, 5, 7, 13, 997):
+            x, y = 1, 0  # near-cancelling rows: x - y sqrt(p) tiny, from powers of a unit of Q(sqrt p)
+            unit = {3: (2, 1), 5: (9, 4), 7: (8, 3), 13: (649, 180), 997: None}[p]
+            for _ in range(8 if unit else 0):
+                x, y = x * unit[0] + p * y * unit[1], x * unit[1] + y * unit[0]
+                for g in (1, 6, 2 ** 40):
+                    rows += [(g * x, -g * y, g * 35, p), (-g * x, g * y, g, p)]
+            for _ in range(200):
+                g, den = rng.randint(1, 10 ** 6), rng.randint(1, 10 ** 6)
+                rows.append((g * rng.randint(-10 ** 12, 10 ** 12), g * rng.randint(-10 ** 12, 10 ** 12), g * den, p))
+        rows += [(0, 0, 9, 3), (6, 0, 4, None), (-10 ** 400, 0, 3 * 10 ** 399, None), (0, -4, 6, 5)]
+        for a, b, den, p in rows:
+            assert hecke._quad_float(a, b, den, p) == float(QuadExt(p, Fraction(a, den), Fraction(b, den))), (a, b, den)
+
     def test_sqrt_part_needs_prime(self):
         with pytest.raises(ValueError):
             QuadExt(None, Fraction(1), Fraction(1))
@@ -129,11 +158,20 @@ class TestQuadExt:
 
 class TestQComplex:
     def test_foreign_operands_raise_type_error(self):
-        z = QComplex.of(1)
+        # QuadExt - 1.5 once negated NotImplemented ("bad operand type for unary -"), and 1.5 - QuadExt
+        # named + as the operator
+        z, x = QComplex.of(1), QuadExt.of(1, 3)
         for op in (lambda: z + 1, lambda: 1 + z, lambda: z - 1, lambda: 1 - z,
-                   lambda: z * 1.5, lambda: 1.5 * z):
-            with pytest.raises(TypeError):
+                   lambda: z * 1.5, lambda: 1.5 * z, lambda: x - 1.5, lambda: x - "x"):
+            with pytest.raises(TypeError, match=r"^unsupported operand type\(s\) for [-+*]:"):
                 op()
+        with pytest.raises(TypeError, match=r"for -: 'float' and 'QuadExt'$"):
+            1.5 - x
+
+    def test_difference(self):
+        z, w = QComplex.of(1, 2, p=3), QComplex(QuadExt(3, Fraction(1, 2), Fraction(-1)), QuadExt.of(5, 3))
+        assert z - w == QComplex(QuadExt(3, Fraction(1, 2), Fraction(1)), QuadExt.of(-3, 3))
+        assert (z - w) + w == z and z - z == QComplex.of(0, p=3)
 
     def test_scalar_multiples(self):
         z = QComplex.of(1, 2, p=3)
@@ -158,10 +196,13 @@ class TestLegendre:
         assert legendre_symbol(6, 3) == 0
 
     def test_euler_criterion_against_squares(self):
-        for p in (3, 5, 7, 11, 13):
+        # every a mod p, for every odd prime p <= 97: the residue table against Euler's criterion
+        for p in [p for p in range(3, 98, 2) if all(p % q for q in range(3, p, 2))]:
             squares = {(x * x) % p for x in range(1, p)}
-            for a in range(1, p):
-                assert legendre_symbol(a, p) == (1 if a in squares else -1)
+            for a in range(-p, 2 * p):
+                euler = pow(a, (p - 1) // 2, p)
+                assert legendre_symbol(a, p) == (0 if a % p == 0 else 1 if euler == 1 else -1), (a, p)
+                assert (legendre_symbol(a, p) == 1) == (a % p in squares)
 
 
 class TestEpsilonFactor:
@@ -261,6 +302,12 @@ class TestApply:
         A = CoefficientField.delta((1, 0, 0), 1, p=3)
         with pytest.raises(ValueError):
             apply_hecke(1, 5, A)
+
+    @pytest.mark.parametrize("apply", [apply_hecke, lambda ell, p, A: apply_hecke_float(ell, p, A.as_complex_dict())])
+    @pytest.mark.parametrize("ell", [0, 4])
+    def test_ell_outside_one_to_three_rejected(self, apply, ell):
+        with pytest.raises(ValueError, match=f"^ell must be 1, 2, or 3, got {ell}$"):
+            apply(ell, 3, CoefficientField.delta((1, 0, 0), 1, p=3))
 
     def test_plain_rational_field_promoted(self):
         A = CoefficientField.delta((1, 0, 0), 1)
@@ -452,6 +499,10 @@ class TestRandomFields:
         # 342 nonzero points in |b_i| <= 3, 26 in |b_i| <= 1; entries in [0, 0] are all zero
         with time_limit(5), pytest.raises(ValueError, match="cannot draw"):
             CoefficientField.random(random.Random(0), **kw)
+
+    def test_sqrt_parts_need_a_prime(self):
+        with pytest.raises(ValueError, match="^sqrt parts require a prime context$"):
+            CoefficientField.random(random.Random(0), sqrt_parts=True)
 
     def test_full_box_is_drawn(self):
         assert len(CoefficientField.random(random.Random(0), support=26, coord_bound=1).entries) == 26
@@ -698,13 +749,19 @@ class TestFloatArrayPath:
 
     @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
     def test_vectorized_epsilon_case(self, p):
+        def by_euler(beta):  # the four cases with (-N(beta) | p) by Euler's criterion, not the residue table
+            if all(c % p == 0 for c in beta):
+                return 0
+            n = lattice_norm(beta)
+            return 1 if n % p == 0 else 2 if pow(-n, (p - 1) // 2, p) == 1 else 3
+
         box = [beta for beta in itertools.product(range(-p - 2, p + 3), repeat=3) if beta != (0, 0, 0)]
-        cases = _epsilon_cases(np.array(box, dtype=np.int64), p, _float_tables(p).residue)
-        assert cases.tolist() == [_epsilon_case(beta, p) for beta in box]
+        cases = _epsilon_cases(np.array(box, dtype=np.int64), p)
+        assert cases.tolist() == [_epsilon_case(beta, p) for beta in box] == list(map(by_euler, box))
         assert set(cases.tolist()) == {0, 1, 2, 3}
-        huge = np.array([(10 ** 30 * p, 0, p), (10 ** 30 + 1, 2, 0)], dtype=object)
-        assert _epsilon_cases(huge, p, _float_tables(p).residue).tolist() == [_epsilon_case(tuple(b), p)
-                                                                             for b in huge.tolist()]
+        huge = [(10 ** 30 * p, 0, p), (10 ** 30 + 1, 2, 0)]
+        assert (_epsilon_cases(np.array(huge, dtype=object), p).tolist() == [_epsilon_case(b, p) for b in huge]
+                == list(map(by_euler, huge)))
 
     def test_returned_mapping(self):
         entries = CoefficientField.random(random.Random(3), support=6).symmetrized().as_complex_dict()

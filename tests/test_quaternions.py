@@ -50,9 +50,11 @@ class TestEnumeration:
         assert len(enumerate_norm(n)) == jacobi_r4(n)
 
     def test_norms_and_order(self):
-        qs = enumerate_norm(5)
-        assert all(q.norm() == 5 for q in qs)
-        assert [q.coords() for q in qs] == sorted(q.coords() for q in qs)
+        # the loops emit lexicographic order with no sort: a, b and c ascend, and -d comes before +d
+        for n in range(1, 201):
+            qs = enumerate_norm(n)
+            assert all(q.norm() == n for q in qs)
+            assert [q.coords() for q in qs] == sorted(q.coords() for q in qs), n
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from h4hecke import hecke, sums
-from h4hecke.hecke import CoefficientField, EigenvalueTriple, QComplex, QuadExt
+from h4hecke.hecke import CoefficientField, EigenvalueTriple, QComplex, QuadExt, hecke_relation_constant
 from h4hecke.quaternions import (
     conjugate_action,
     conjugation_matrices,
@@ -532,6 +532,18 @@ class TestParameters:
         with pytest.raises(ValueError):
             choose_parameters(1.0, w, 1.0, 1, 1.5)
 
+    @pytest.mark.parametrize("call,message", [
+        (lambda A, lam: sum_S_d(A, 0, 9), "^d must be a positive integer$"),
+        (lambda A, lam: sum_R(A, 3, 1, 0, 9), "^need d >= 1$"),
+        (lambda A, lam: PrimeWindow(10.0, (3,)), r"^prime 3 outside window \[5.0, 10.0\]$"),
+        (lambda A, lam: inequality_report("Cor6.2", A=A, z=9, d=4, lam_table={3: lam}), "^d must be odd$"),
+        (lambda A, lam: inequality_report("Prop6.1", A=A, z=9, p=3, k=1, c=6, lam=lam), "^c must be coprime to p$"),
+        (lambda A, lam: inequality_report("L6.3iii", A=A, z=9, p=3, c=3, k=1, ell=1), "^c must be coprime to p$"),
+    ])
+    def test_refused_input_named(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call(CoefficientField.ones_ball(9, p=3), EigenvalueTriple(3, 1.0, 0.5, 0.1))
+
     def test_exponents_past_the_ceiling_refused_and_the_ceiling_accepted(self, time_limit):
         # eigen_power_sum adds about ell^2/4 terms: Prop6.1 at k = 100000 once ran past 30 s
         top = sums.MAX_EXPONENT
@@ -653,6 +665,16 @@ class TestLambda3Bound:
         # |lambda_3|^2 <= 1/100 contradicts the exact lower bound
         for p in (3, 5, 97):
             assert lambda3_lower_bound_sq(p) > Fraction(1, 100)
+
+    def test_bound_is_positive_and_p_must_be_an_odd_prime(self):
+        # the bound 89/100 + 9/(10p) + 1/p^2 + 1/p^3 is above 0.89 at every odd prime, so it is never clamped
+        for p in (3, 5, 97, 997):
+            bound = hecke_relation_constant(p) - Fraction(1, 100) - (1 + Fraction(1, p)) / 10
+            assert bound == Fraction(89, 100) + Fraction(9, 10 * p) + Fraction(1, p * p) + Fraction(1, p ** 3)
+            assert lambda3_lower_bound_sq(p) == bound * bound > Fraction(89, 100) ** 2
+        for p in (1, 2, 9, 1009):
+            with pytest.raises(ValueError, match=f"^p = {p} is past|^p must be an odd prime, got {p}$"):
+                lambda3_lower_bound_sq(p)
 
 
 class TestInequalityReports:
