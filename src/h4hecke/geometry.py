@@ -128,8 +128,10 @@ class IsometryMatrix:
     matrix layer and the action compute on: the Quaternion entries are built
     only when read through .a-.d or entries().  Equality and hashing are those
     of the entries, so int and integral Fraction coordinates compare equal.
-    A second slot, None until act first accepts the matrix, holds its 16
-    entries converted to floats; equality, hashing, pickling and the reprs
+    A second slot, _floats, is None until act first accepts the matrix, and
+    then holds what act reads of it (``_float_terms``): its 16 entries
+    converted to floats, then the point-free sums |c|^2 and the four parts
+    of a bar(c) on those floats.  Equality, hashing, pickling and the reprs
     ignore it.
     """
 
@@ -274,7 +276,8 @@ _ROTATION_TOKENS = {(flip[1] < 0, flip[2] < 0): ((f"rot_{name}",), flip) for nam
 # The most words word_to_matrix keeps.  8,000 points of acceptance 13's distribution (x in [-3, 3]^3,
 # y in [0.05, 50]) reduce by about 1,140 distinct words, 200 of them by about 180; x in [-30, 30]^3
 # gives about 7,950 of 8,000, and there the cache only adds its cost.  A word kept with its matrix
-# and act's floats takes about 1.3 KB, so a full cache holds about 2.6 MB.
+# and act's _float_terms takes about 1.4 KB (1,435 bytes by tracemalloc over 1,345 such words), so a
+# full cache holds about 2.9 MB.
 _WORD_CACHE_SIZE = 2048
 
 
@@ -359,8 +362,10 @@ def act(g: IsometryMatrix, z) -> PointH4:
     Whether g is a similitude is not checked exactly here; callers taking
     matrices from outside the program test is_similitude first.
 
-    The first call that passes the mu check stores the 16 entries as floats
-    on g, and later calls on g skip both the check and the conversions; a
+    The first call that passes the mu check stores on g, in its _floats
+    slot, the 16 entries as floats followed by the five sums that do not
+    depend on z, |c|^2 and the four parts of a bar(c) (``_float_terms``),
+    and later calls on g skip the check, the conversions and those sums; a
     refused matrix, or one with an entry past the double range, stores
     nothing and is refused again on every call.
     """
@@ -376,12 +381,9 @@ def act(g: IsometryMatrix, z) -> PointH4:
         x0, x1, x2, y = as_point(z).as_tuple()
     try:
         if floats is None:
-            (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), (d0, d1, d2, d3) = entries
-            floats = (float(a0), float(a1), float(a2), float(a3), float(b0), float(b1), float(b2), float(b3),
-                      float(c0), float(c1), float(c2), float(c3), float(d0), float(d1), float(d2), float(d3))
+            floats = _float_terms(entries)
             _set_floats(g, floats)
-        a0, a1, a2, a3, b0, b1, b2, b3, c0, c1, c2, c3, d0, d1, d2, d3 = floats  # faster than a *floats call
-        return _moebius(a0, a1, a2, a3, b0, b1, b2, b3, c0, c1, c2, c3, d0, d1, d2, d3, x0, x1, x2, y)
+        return _moebius(floats, x0, x1, x2, y)
     except OverflowError:  # an entry or coordinate past the double range
         raise
     except (ArithmeticError, ValueError):
@@ -391,8 +393,30 @@ def act(g: IsometryMatrix, z) -> PointH4:
         return out
 
 
-def _moebius(a0, a1, a2, a3, b0, b1, b2, b3, c0, c1, c2, c3, d0, d1, d2, d3, x0, x1, x2, y):
-    """act's closed form on float entries and a point's coordinates, with its three refusals.
+def _float_terms(entries):
+    """The tuple _moebius reads of the coordinate tuples of [[a, b], [c, d]]: the 16 entries
+    converted to floats, then |c|^2 and the four parts of a bar(c) on those floats.
+
+    Those five sums do not depend on the point, so a matrix's tuple is formed
+    once; each is bracketed as _moebius's D and q multiply it by y^2, so the
+    image is the same bit for bit as when they were summed on every call.  An
+    entry past the double range raises OverflowError.
+    """
+    (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), (d0, d1, d2, d3) = entries
+    a0, a1, a2, a3, b0, b1, b2, b3 = (float(a0), float(a1), float(a2), float(a3),
+                                      float(b0), float(b1), float(b2), float(b3))
+    c0, c1, c2, c3, d0, d1, d2, d3 = (float(c0), float(c1), float(c2), float(c3),
+                                      float(d0), float(d1), float(d2), float(d3))
+    return (a0, a1, a2, a3, b0, b1, b2, b3, c0, c1, c2, c3, d0, d1, d2, d3,
+            c0 * c0 + c1 * c1 + c2 * c2 + c3 * c3,
+            a0 * c0 + a1 * c1 + a2 * c2 + a3 * c3,
+            -a0 * c1 + a1 * c0 - a2 * c3 + a3 * c2,
+            -a0 * c2 + a1 * c3 + a2 * c0 - a3 * c1,
+            -a0 * c3 - a1 * c2 + a2 * c1 + a3 * c0)
+
+
+def _moebius(floats, x0, x1, x2, y):
+    """act's closed form on a matrix's _float_terms and a point's coordinates, with its three refusals.
 
     Each quaternion product is written as hamilton_product evaluates it;
     a factor's negated coordinate is moved to the sign of its term, which
@@ -401,6 +425,7 @@ def _moebius(a0, a1, a2, a3, b0, b1, b2, b3, c0, c1, c2, c3, d0, d1, d2, d3, x0,
     zero, which can only flip the sign of a zero partial sum, and each sum
     then adds b_r or d_r, the float of an exact value and never -0.0.
     """
+    a0, a1, a2, a3, b0, b1, b2, b3, c0, c1, c2, c3, d0, d1, d2, d3, cc, ac0, ac1, ac2, ac3 = floats
     y2 = y * y
     # P = a v + b and N = c v + d, v = (x0, x1, x2, 0.0)
     P0 = a0 * x0 - a1 * x1 - a2 * x2 + b0
@@ -411,15 +436,15 @@ def _moebius(a0, a1, a2, a3, b0, b1, b2, b3, c0, c1, c2, c3, d0, d1, d2, d3, x0,
     N1 = c0 * x1 + c1 * x0 - c3 * x2 + d1
     N2 = c0 * x2 + c2 * x0 + c3 * x1 + d2
     N3 = c1 * x2 - c2 * x1 + c3 * x0 + d3
-    D = N0 * N0 + N1 * N1 + N2 * N2 + N3 * N3 + y2 * (c0 * c0 + c1 * c1 + c2 * c2 + c3 * c3)
+    D = N0 * N0 + N1 * N1 + N2 * N2 + N3 * N3 + y2 * cc
     # mu > 0 rules out c = d = 0, so D vanishes only by underflow.
     if D < 1e-309:
         raise ArithmeticError("c z + d is numerically non-invertible")
     # q = P bar(N) + y^2 a bar(c) and w = y (a N^* - P c^*)
-    q0 = P0 * N0 + P1 * N1 + P2 * N2 + P3 * N3 + y2 * (a0 * c0 + a1 * c1 + a2 * c2 + a3 * c3)
-    q1 = -P0 * N1 + P1 * N0 - P2 * N3 + P3 * N2 + y2 * (-a0 * c1 + a1 * c0 - a2 * c3 + a3 * c2)
-    q2 = -P0 * N2 + P1 * N3 + P2 * N0 - P3 * N1 + y2 * (-a0 * c2 + a1 * c3 + a2 * c0 - a3 * c1)
-    q3 = -P0 * N3 - P1 * N2 + P2 * N1 + P3 * N0 + y2 * (-a0 * c3 - a1 * c2 + a2 * c1 + a3 * c0)
+    q0 = P0 * N0 + P1 * N1 + P2 * N2 + P3 * N3 + y2 * ac0
+    q1 = -P0 * N1 + P1 * N0 - P2 * N3 + P3 * N2 + y2 * ac1
+    q2 = -P0 * N2 + P1 * N3 + P2 * N0 - P3 * N1 + y2 * ac2
+    q3 = -P0 * N3 - P1 * N2 + P2 * N1 + P3 * N0 + y2 * ac3
     w0 = y * (a0 * N0 - a1 * N1 - a2 * N2 + a3 * N3 - (P0 * c0 - P1 * c1 - P2 * c2 + P3 * c3))
     w1 = y * (a0 * N1 + a1 * N0 - a2 * N3 - a3 * N2 - (P0 * c1 + P1 * c0 - P2 * c3 - P3 * c2))
     w2 = y * (a0 * N2 + a1 * N3 + a2 * N0 + a3 * N1 - (P0 * c2 + P1 * c3 + P2 * c0 + P3 * c1))
@@ -452,8 +477,8 @@ def _rescaled(entries, x0, x1, x2, y):
         if j == 0 and k == 0:
             return None
         up, down = Fraction(2) ** (j - k), Fraction(2) ** (-j - k)
-        return _moebius(*(float(x * up) for x in a), *(float(x * down) for x in b),
-                        *(float(x * up) for x in c), *(float(x * down) for x in d),
+        scaled = ([x * up for x in a], [x * down for x in b], [x * up for x in c], [x * down for x in d])
+        return _moebius(_float_terms(scaled),
                         math.ldexp(x0, -2 * j), math.ldexp(x1, -2 * j), math.ldexp(x2, -2 * j), math.ldexp(y, -2 * j))
     except (ArithmeticError, ValueError, AssertionError):
         return None
@@ -518,8 +543,9 @@ def reduce_to_fundamental_domain(z) -> tuple[GeneratorWord, PointH4]:
         if s0 or s1 or s2:
             word.append(("translate", (s0, s1, s2)))
             x0, x1, x2 = x0 + s0, x1 + s1, x2 + s2
-        if x1 < -tol or x2 < -tol:
-            token, (f0, f1, f2) = _ROTATION_TOKENS[x1 < -tol, x2 < -tol]
+        flip1, flip2 = x1 < -tol, x2 < -tol
+        if flip1 or flip2:
+            token, (f0, f1, f2) = _ROTATION_TOKENS[flip1, flip2]
             word.append(token)
             x0, x1, x2 = f0 * x0, f1 * x1, f2 * x2
         if x0 * x0 + x1 * x1 + x2 * x2 + y * y < 1.0 - tol:
@@ -544,10 +570,10 @@ def reduce_to_fundamental_domain(z) -> tuple[GeneratorWord, PointH4]:
 # z lies in u.S_T exactly when its flip lies in S_T.
 _CUSP_COPIES = (("identity", (1, 1, 1)), *((f"rot_{name}", flip) for name, (_, flip) in UNIT_FLIPS.items()))
 # Samples per array pass of verify_cusp_decomposition: about 1 MB of working arrays, and
-# faster than larger blocks (200,000 samples: 0.09 s in blocks of 4,096, 0.11 s of 65,536).
+# faster than larger blocks (200,000 samples: 0.05 s in blocks of 4,096, 0.07-0.09 s of 65,536).
 _CUSP_BLOCK = 4_096
 # The largest sample count of verify_cusp_decomposition, whose time is linear in it: about
-# 0.09 s per 200,000 samples and 0.5 s per million (2-vCPU host), so about 5 s at the ceiling.
+# 0.05 s per 200,000 samples and 0.26 s per million (2-vCPU host), so about 2.6 s at the ceiling.
 MAX_CUSP_SAMPLES = 10 ** 7
 
 
@@ -569,6 +595,19 @@ def _cusp_hits(x: np.ndarray, T: float) -> np.ndarray:
         return (y >= T - _TOL) & _in_F(x0, x1, x2, y)
 
 
+def _uniforms(rng: random.Random, count: int) -> np.ndarray:
+    """The next count values of rng.random(), from one getrandbits draw of 64 bits each.
+
+    Each value decodes two 32-bit words (a, b) of the draw, low words first,
+    as ((a >> 5) 2^26 + (b >> 6)) / 2^53, which is exact in doubles.
+    """
+    words = np.frombuffer(rng.getrandbits(64 * count).to_bytes(8 * count, "little"), dtype="<u4")
+    high = (words[0::2] >> 5).astype(np.uint64)
+    high <<= 26
+    high |= words[1::2] >> 6
+    return high * 2.0 ** -53
+
+
 def verify_cusp_decomposition(T: float, sample_count: int, *, seed: int = 0) -> CuspDecompositionReport:
     """Sample the cusp box y >= T and check the four-fold tiling by copies of S_T.
 
@@ -582,7 +621,13 @@ def verify_cusp_decomposition(T: float, sample_count: int, *, seed: int = 0) -> 
 
     The samples are drawn as random.Random(seed).uniform would draw them,
     x0, x1, x2 and y for each in turn, and tested on arrays in blocks of
-    _CUSP_BLOCK, so memory stays flat in sample_count.  The first interior
+    _CUSP_BLOCK, so memory stays flat in sample_count.  A block's 4n
+    uniforms come from one rng.getrandbits(256 n) (``_uniforms``): random()
+    reads two 32-bit words a, b of the Mersenne Twister and returns
+    ((a >> 5) 2^26 + (b >> 6)) / 2^53, and getrandbits returns the next
+    words in the same order as the little-endian digits of one integer, so
+    decoding each pair as random() does gives its values bit for bit and
+    leaves the generator where 4n random() calls would.  The first interior
     sample not in exactly one copy raises AssertionError naming it and the
     copies it is in.
     """
@@ -601,8 +646,7 @@ def verify_cusp_decomposition(T: float, sample_count: int, *, seed: int = 0) -> 
     ties = 0
     for start in range(0, sample_count, _CUSP_BLOCK):
         n = min(_CUSP_BLOCK, sample_count - start)
-        u = np.fromiter(iter(rng.random, None), dtype=float, count=4 * n)  # 4n rng.random() calls, in order
-        x = low + width * u.reshape(n, 4).T
+        x = low + width * _uniforms(rng, 4 * n).reshape(n, 4).T
         hits = _cusp_hits(x, T)
         near_boundary = np.minimum(np.abs(x[1]), np.abs(x[2])) <= _TOL
         bad = ~near_boundary & (hits.sum(axis=0) != 1)

@@ -373,7 +373,8 @@ class _DivisibilityTable:
     def lookup(self, rows: Sequence[np.ndarray]) -> list[np.ndarray]:
         """The packed words of the vectors whose |coordinates| are rows[0], rows[1], rows[2].
 
-        A coordinate past m raises IndexError.
+        Each row is taken on its own: a take converts its indices to intp first, so one take
+        of a (3, n) array would hold 3n of them at once.  A coordinate past m raises IndexError.
         """
         out = []
         for table in self.words:
@@ -523,7 +524,9 @@ def verify_conjugation_lemmas(
     of the whole box names.
 
     The betas are the columns of one 3 x n array, so each class costs a
-    few passes over three contiguous coordinate rows.  A valuation is the
+    few passes over three contiguous coordinate rows: its rows |C beta| are
+    one matrix product into a 3 x n buffer that every class reuses, and
+    their absolute values are taken in place.  A valuation is the
     least coordinate valuation, v_q(c) = min_i v_q(c_i) with
     v_q(0) = infinity.  All of them come from one packed table of the
     prime powers dividing each n, 0 <= n <= m (``_DivisibilityTable``),
@@ -586,7 +589,6 @@ def verify_conjugation_lemmas(
     def sweep(betas: np.ndarray) -> tuple[int, int, int]:
         """max_vp_jump, max_unequal_reps and squared_divisibility_max_small over the columns of betas."""
         n_beta = betas.shape[1]
-        b0, b1, b2 = betas
 
         def beta_at(idx: int) -> LatticeVector:
             return tuple(int(c) for c in betas[:, idx])
@@ -600,9 +602,10 @@ def verify_conjugation_lemmas(
         unequal = np.zeros(n_beta, dtype=np.int64)
         counts = np.zeros(n_beta, dtype=np.int64)
 
+        rows = np.empty_like(betas)  # |C beta| of one class at a time, formed in place
         for (alpha, _, size, reps), mat in zip(classes, mats):
             # (i) + (ii); conjugation is linear in beta.
-            words = div.lookup([np.abs(r[0] * b0 + r[1] * b1 + r[2] * b2) for r in mat])
+            words = div.lookup(np.abs(np.einsum("ij,jn->in", mat, betas, out=rows), out=rows))
             f_conj = div.field(words, p)
             high = f_conj > jump_past_2
             if high.any():

@@ -844,12 +844,48 @@ class TestCuspDecomposition:
         count = geometry._CUSP_BLOCK + 1001
         assert verify_cusp_decomposition(1.0, count, seed=3) == _reference_cusp_report(1.0, count, 3)
 
+    @pytest.mark.parametrize("count", [0, 1, 4_095, 4_096, 4_097, 2 * 4_096 + 3])
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2 ** 31 - 1])
+    def test_bulk_draw_is_random_bit_for_bit(self, monkeypatch, seed, count):
+        # the uniforms the tiling reads, one draw per block, against a twin generator's random() calls
+        twin = random.Random(seed)
+        generators, drawn = [], []
+        uniforms = geometry._uniforms
+
+        class Recorded(random.Random):
+            def __init__(self, seed):
+                super().__init__(seed)
+                generators.append(self)
+
+        def recorded_uniforms(rng, k):
+            u = uniforms(rng, k)
+            drawn.append(u.tolist())
+            return u
+
+        monkeypatch.setattr(random, "Random", Recorded)
+        monkeypatch.setattr(geometry, "_uniforms", recorded_uniforms)
+        verify_cusp_decomposition(2.0, count, seed=seed)
+        assert len(drawn) == -(-count // geometry._CUSP_BLOCK)
+        assert [u.hex() for block in drawn for u in block] == [twin.random().hex() for _ in range(4 * count)]
+        [generator] = generators
+        assert generator.getstate() == twin.getstate()
+
     def test_boundary_ties_match_per_sample_loop(self, monkeypatch):
         # draws within 2e-9 of 0.5 put x1 and x2 within 2e-9 of the sign boundaries, so about
         # three samples in four are ties
         class NearHalf(random.Random):
             def random(self):
-                return 0.5 + (super().random() - 0.5) * 4e-9
+                # a multiple of 2^-53 in [0, 1), as every value random() returns is
+                return round((0.5 + (super().random() - 0.5) * 4e-9) * 2 ** 53) / 2 ** 53
+
+            def getrandbits(self, k):
+                # k/64 of this generator's values, each as the two 32-bit words random() decodes it from,
+                # low word first, so the library's bulk draw reads the stream the reference reads
+                bits = 0
+                for i in range(k // 64):
+                    m = int(self.random() * 2 ** 53)
+                    bits |= ((m >> 26) << 5 | (m & (2 ** 26 - 1)) << 38) << (64 * i)
+                return bits
 
         monkeypatch.setattr(random, "Random", NearHalf)  # for the reference too
         report = verify_cusp_decomposition(2.0, 200, seed=5)

@@ -559,6 +559,23 @@ class TestSweepClasses:
                         "more than two orbits changed v_p",
                         "more than 16 conjugates divisible by p^2 without p^2 | delta"}
 
+    @pytest.mark.parametrize("first, last, message", [
+        (5, 3 ** 3, "v_5 not preserved under conjugation"),  # (ii) fails in the first class, (i) in the last
+        (3 ** 3, 5, "two-sided v_p bound failed"),  # (i) fails in the first class, (ii) in the last
+    ])
+    def test_first_failing_class_names_the_witness(self, monkeypatch, first, last, message):
+        p, bound, qs = 3, 2, (5,)
+        n = 8 * (p + 1)
+        fake_of = self._fake(p, lambda i, a, m: _scaled(m, first) if i == 0 else _scaled(m, last) if i == n - 1 else m)
+        monkeypatch.setattr(quaternions, "conjugation_matrix", fake_of)
+        classes = quaternions._sweep_classes(orbit_representatives(p))
+        alphas = orbit_representatives(p).all_elements
+        assert (classes[0][0], classes[-1][0]) == (alphas[0], alphas[n - 1])
+        expected = _outcome(sweep_per_alpha, p, bound, qs)
+        assert expected[0] is LemmaSweepError and expected[1].startswith(message)
+        assert expected[2][1] == alphas[0]
+        assert _outcome(verify_conjugation_lemmas, p, bound, qs) == expected
+
     # the fakes whose classes stay closed under the UNIT_FLIPS, so their sweeps still take the octant
     CLOSED_FAKES = {"rows negated on alternate elements", "p^2 on the representatives",
                     "p^2 I off the representatives"}
