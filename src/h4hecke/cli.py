@@ -339,6 +339,12 @@ _UNRESOLVED_H_R_OVER_Y = 0.1
 
 
 def _cmd_maass_laplace(args) -> int:
+    """The relative residual of one mode at h and at h/2, their ratio, and h r / y.
+
+    From h r / y = 0.1 up the report says `unresolved`, and the default h = 1e-3 stays: h is not
+    scaled to y/r.  The residual reported there measures the unresolved stencil, not the mode, and
+    a smaller --h resolves it.
+    """
     point = args.point or geometry.PointH4(0.1, 0.2, 0.3, 0.3)
     residual = numerics.laplace_eigen_residual(args.beta, args.r, point, args.h)
     # Halving h divides an O(h^2) error by about 4; rounding noise, about 1e-16 |u| / h^2,

@@ -27,8 +27,8 @@ indicator of p dividing every coordinate, and mid = 1_p - (p+1)/p E
 - (p^2+p+1)/p^3.  Written out, p^{-1} T_0(1_p T_2 A) at beta is
 p^{-1} sum_i 1_p(conj_i(beta)) sum_j A(conj_j(conj_i(beta))/p^2).
 
-Both copies of the operators, the exact _apply and the float _apply_float,
-add the same terms in the same groups and order.  H_1 adds p^{-1/2} T_1 A,
+Both value types run the operators through one term builder, _terms, which
+adds the same terms in the same groups and order.  H_1 adds p^{-1/2} T_1 A,
 then A(p .), then A(./p); H_2 adds p^{-1/2} T_2 A, p^{-1/2} T_0 A, then E A;
 and H_3 is arranged as
 
@@ -36,7 +36,8 @@ and H_3 is arranged as
           + p^{-1/2} 1_p T_2 A + T_0 u,     u = 1_p (p^{-1/2} A + p^{-1} T_2 A),
 
 where (1_p T_2 A)(p beta) = (T_1 A)(beta), so both 1_p T_2 A terms are T_1
-sums moved to p beta.
+terms moved to p beta.  Each T_1 term goes to p beta and into u on its own:
+T_0 is linear, so no term of u is summed before it is scattered.
 
 On eigenvector data the three operators reproduce the normalized
 eigenvalue triple, and they satisfy
@@ -54,31 +55,30 @@ block, the S_i side by side.  Whether an array is computed on int64 or
 on Python ints in an object array is decided in one place, _exact, from
 the caller's bound on every int it forms, for this module and for sums;
 an int64 key array keeps every coordinate below 2^62 in absolute value
-(_support_array).  The exact operators run the formulas above in _apply,
-on dicts of plain Python ints: the four integer numerators of each value
-are packed into one int, so a term is one int product or sum and builds
-no object, and every division is exact (see the integer-domain note
-below).  _apply scatters the values along the (beta, row) pairs of its
-input's _Support, where one star product gives T_0, T_1 and T_2;
-verify_hecke_relation runs H_1, H_2 and H_3 on one _Support of A, so A's
-support is scattered once, and H_2 and H_3 add their terms straight into
-the residual.  The test suite's generic dict loops of the operators
+(_support_array).  _terms returns each term as one (keys, values) group and
+reads the (beta, row) pairs of T_2, T_1 and T_0 off one star product of its
+input's keys (_Pairs).  Its values are of either type: complex doubles (the
+float operators) or (n, 4) integer numerator rows (ra, rb, ia, ib) over D p^3,
+D the field's denominator (the exact operators).  Only p^{-1/2} and the
+weights depend on the type, and on rows both are exact integer operations
+(see the integer-domain note below).  apply_hecke merges the groups once
+and keeps the nonzero sums as the output rows, in key order;
+verify_hecke_relation runs H_1, H_2 and H_3 on one _Pairs of A, so A's
+support is scattered once, and the terms of the whole residual meet in one
+merge.  The test suite's generic dict loops of the operators
 (tests/reference.py, apply_dict) scatter by an independent loop over the
 (point, representative) pairs.  The lattice sums of the sums module
 (R^{p,l}_d and the L6.4 double sum) read T_l off _conj_sum_rows, the
 same scatter on arrays, with the integer numerators of equal betas
 summed.  A field is integer numerator arrays over one denominator
-(CoefficientField); the exact operators pack them into a dict (_packed)
-and decode their outputs straight back into rows (_unpacked), and the
-float operators read complex128 arrays made once per field
-(_float_field).  Every merge of equal keys, on int64 or on Python ints,
-is _merge, which sorts them once (_runs) and returns them in key order.
-The float twin _apply_float merges the same terms (_float_terms) on
-(keys, values) arrays, and apply_hecke_float returns a read-only mapping
-backed by those arrays (_ArrayMap, as a field's entries are), so
-eigen_residual chains operators without building dicts, and
-verify_commutativity sends the outer terms of both orders into one merge
-(see the float-twin note below).
+(CoefficientField), and the float operators read complex128 arrays made
+once per field (_float_field).  Every merge of equal keys, on int64 or on
+Python ints, is _merge, which sorts them once (_runs) and returns them in
+key order.  apply_hecke_float returns a read-only mapping backed by its
+merged arrays (_ArrayMap, as a field's entries are), so eigen_residual
+chains operators without building dicts, and verify_commutativity sends
+the outer terms of both orders into one merge (see the note on the float
+operators below).
 
 Two more formulas have one home each.  The quadratic residues mod p are one
 cached table (_residues), which legendre_symbol and both case maps of E,
@@ -112,9 +112,7 @@ from .quaternions import (
     LatticeVector,
     conjugation_matrices,
     conjugation_matrix,
-    divide_lattice as _divide,
     require_odd_prime,
-    scale_lattice as _scale,
 )
 
 Rational = Union[int, Fraction]
@@ -514,8 +512,7 @@ class CoefficientField:
         keys = (self.keys[:, None, :] * np.array(_SIGN_PATTERNS, dtype=self.keys.dtype)).reshape(-1, 3)
         nums = _exact(self.nums, 4 * self.num_peak)
         keys, sums = _merge((keys, np.repeat(nums, 4, axis=0)))
-        kept = (sums != 0).any(axis=1)
-        return CoefficientField._from_rows(self.p, 4 * self.den, keys.compress(kept, axis=0), sums.compress(kept, axis=0))
+        return _nonzero_field(self.p, 4 * self.den, keys, sums)
 
     def at(self, beta: Optional[Iterable[int]]) -> QComplex:
         """Total lookup: zero off the support, off the lattice, and at 0."""
@@ -711,66 +708,45 @@ def _divisible(keys: np.ndarray, d: int) -> np.ndarray:
     return _divided(keys, d)[1]
 
 
-def _scatter(pairs: tuple, values: list, acc: dict) -> dict:
-    """acc with values[row] added at beta for each (beta, row) of the pairs (betas, rows), in pair
-    order, by the values' own `+`; a beta new to acc takes its first value as it is."""
-    betas, rows = pairs
-    for beta, v in zip(betas, map(values.__getitem__, rows)):
-        acc[beta] = acc[beta] + v if beta in acc else v
-    return acc
+class _Pairs:
+    """The (beta, row) pairs of T_2, T_1 and T_0 on an operator input's keys, and the _epsilon_case of
+    each key, each made when it is first read: what _terms reads off its input.
 
-
-class _Support:
-    """The points of an input of the exact operators, and what _apply reads off them, each made
-    when it is first read: the (betas, rows) pairs of T_0, T_1 and T_2 (_scatter), and the
-    _epsilon_case of each point.
-
-    verify_hecke_relation builds one for A and runs H_1, H_2 and H_3 on it, so A's support is
-    scattered once.  `keys`, when the caller holds it, is the points as an (n, 3) array with
-    max|coordinate| `peak` (a field's keys and key_peak); else the array is built from the points.
+    T_2's pairs are one star product (_star_images).  Since (T_k A)(beta) = (T_j A)(p^(j-k) beta),
+    T_k's pairs are those of a T_j above it whose beta p^(j-k) divides, beta divided, in the same
+    order: T_1's are read off T_2's, and T_0's off T_1's when those are made, else off T_2's.
+    verify_hecke_relation builds one for A, so H_1, H_2 and H_3 share A's scatter.  `keys` goes onto
+    Python ints when p^2 times `peak`, its largest |coordinate|, could leave int64 (_exact), since H_3
+    forms p^2 gamma.
     """
 
-    __slots__ = ("p", "mats", "points", "_keys", "_peak", "_pairs", "_cases")
+    __slots__ = ("p", "mats", "keys", "peak", "_made", "_cases")
 
-    def __init__(self, p: int, mats, points: list, keys: Optional[np.ndarray] = None, peak: int = 0):
-        self.p, self.mats, self.points = p, mats, points
-        self._keys, self._peak = keys, peak
-        self._pairs = [None, None, None]
+    def __init__(self, p: int, keys: np.ndarray, mats=None, peak: Optional[int] = None):
+        self.p = p
+        self.mats = conjugation_matrices(p) if mats is None else mats
+        self.peak = _peak(keys) if peak is None else peak
+        self.keys = _exact(keys, 2 * self.peak * p * p)
+        self._made = {}
         self._cases = None
 
-    def pairs(self, k: int) -> tuple[list, list]:
-        """T_k's pairs (beta, row), k = 0, 1 or 2: each integral p^(k-2) S_i gamma, gamma the point of the row.
-
-        Since (T_k A)(beta) = (T_j A)(p^(j-k) beta), the pairs of a T_j above T_k that are already
-        made give T_k's: those whose beta p^(j-k) divides, beta divided, a few tuple tests where a
-        mask of the star products (_star_images) costs about ten numpy calls.
-        """
-        pairs = self._pairs[k]
-        if pairs is None:
-            made = [j for j in range(k + 1, 3) if self._pairs[j] is not None]
-            if made:
-                d = self.p ** (made[0] - k)
-                betas, rows = [], []
-                for b, g in zip(*self._pairs[made[0]]):
-                    if not (b[0] % d or b[1] % d or b[2] % d):
-                        betas.append((b[0] // d, b[1] // d, b[2] // d))
-                        rows.append(g)
-                pairs = betas, rows
+    def pairs(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """T_k's pairs (betas, rows), k = 0, 1 or 2: each integral p^(k-2) S_i gamma, gamma the key of the row."""
+        made = self._made
+        if k not in made:
+            if k == 2:
+                made[2] = _star_images(2, self.p, self.keys, self.mats, self.peak)
             else:
-                keys, peak = self._keys, self._peak
-                if keys is None:  # _star_images sizes the array
-                    keys = _int_array(list(chain.from_iterable(self.points)), 3)
-                    peak = _peak(keys)
-                images, rows = _star_images(k, self.p, keys, self.mats, peak)
-                pairs = list(map(tuple, images.tolist())), rows.tolist()
-            self._pairs[k] = pairs
-        return pairs
+                j = 1 if k == 0 and 1 in made else 2
+                betas, rows = self.pairs(j)
+                quo, hit = _divided(betas, self.p ** (j - k))
+                made[k] = quo.compress(hit, axis=0), rows.compress(hit)
+        return made[k]
 
     @property
-    def cases(self) -> list:
+    def cases(self) -> np.ndarray:
         if self._cases is None:
-            p = self.p
-            self._cases = [_epsilon_case(gamma, p) for gamma in self.points]
+            self._cases = _epsilon_cases(self.keys, self.p)
         return self._cases
 
 
@@ -792,151 +768,54 @@ def _conj_sum_rows(k: int, p: int, keys: np.ndarray, rows: np.ndarray, mats,
     return _merge((images, _exact(rows, row_peak * len(mats)).take(src, axis=0)))
 
 
-def _apply(ell: int, support: _Support, values: list, w: int, into: Optional[dict] = None) -> dict:
-    """H_ell on packed values of lane width w at the points of `support`: every nonzero (H_ell A)(beta),
-    packed, in a new dict; or, given `into`, every term added into that dict, which is returned with
-    any sums that cancel kept.
-
-    The module docstring's arranged form, on the integer domain below, its terms in the
-    order given there.  Each T_k scatters the values from the pairs of `support` (_scatter):
-    weights of gamma (p^(-1/2), -1/p, 1_p(gamma)) go onto the values first.  Since
-    (T_0 A)(beta) = (T_2 A)(p^2 beta) and (T_1 A)(beta) = (T_2 A)(p beta), one star product
-    serves every T_k of one support.  H_3's 1_p T_2 A terms read the T_1 sums moved to
-    p beta, and its T_0 u scatters u = 1_p (p^(-1/2) A + p^(-1) T_2 A) once.
-
-    A shift off the lattice (gamma/p with p not dividing gamma) reaches no beta and is skipped.
-    """
-    p = support.p
-    psq, cube = p * p, p ** 3
-    inv_sqrt = _inv_sqrt(p, w)
-    out = {} if into is None else into
-    get = out.get
-    if ell == 1:
-        _scatter(support.pairs(1), [inv_sqrt(v) for v in values], out)
-        for gamma, v in zip(support.points, values):
-            beta = _divide(gamma, p)
-            if beta is not None:
-                out[beta] = get(beta, 0) + v
-            beta = _scale(gamma, p)
-            out[beta] = get(beta, 0) + v
-    elif ell == 2:
-        eps = _int_weights(p).eps
-        scaled = [inv_sqrt(v) for v in values]
-        _scatter(support.pairs(2), scaled, out)
-        _scatter(support.pairs(0), scaled, out)
-        for gamma, case, v in zip(support.points, support.cases, values):
-            out[gamma] = get(gamma, 0) + eps[case] * v // cube
-    elif ell == 3:
-        weights = _int_weights(p)
-        mid, inv_p = weights.mid, weights.inv_p
-        u = {}
-        for gamma, case, v in zip(support.points, support.cases, values):
-            beta = _divide(gamma, psq)
-            if beta is not None:
-                out[beta] = get(beta, 0) + v
-            beta = _scale(gamma, psq)
-            out[beta] = get(beta, 0) + v
-            out[gamma] = get(gamma, 0) + mid[case] * v // cube
-            if case == 0:
-                u[gamma] = inv_sqrt(v)
-        low = [inv_sqrt(-inv_p * v // cube) for v in values]
-        _scatter(support.pairs(2), low, out)
-        _scatter(support.pairs(0), low, out)
-        for beta, v in _scatter(support.pairs(1), values, {}).items():
-            beta = _scale(beta, p)  # (T_2 A)(p beta) is this T_1 sum
-            out[beta] = get(beta, 0) + inv_sqrt(v)
-            u[beta] = u.get(beta, 0) + inv_p * v // cube
-        _scatter(_Support(p, support.mats, list(u)).pairs(0), list(u.values()), out)
-    else:
-        raise ValueError(f"ell must be 1, 2, or 3, got {ell}")
-    return out if into is not None else {beta: v for beta, v in out.items() if v}
-
-
 # -- the integer domain of the exact operators ---------------------------------
 #
 # A field over Q(sqrt p) holds each entry as four ints, the re/im x
 # rational/sqrt(p) parts, as numerators over its denominator D, the lcm of
-# the reduced entry denominators (CoefficientField).  An operator reads them
-# over D p^3, and its outputs come back as numerator rows over D p^3 (or
-# D p^4), with D reduced again by one gcd (_unpacked).  Divisibility
-# invariant: every input numerator is a multiple of p^3.  A weight n/p^k
-# (k <= 3) acts as "times n p^(3-k), then // p^3", exact on a multiple of p^k,
-# and p^(-1/2) maps a + b sqrt(p) to b + (a/p) sqrt(p), exact on a multiple of
-# p.  _apply weights single numerators and also sums of them, and a sum of
-# multiples of p^k is again one: E, mid, p^(-1/2) and -1/p act on inputs, 1/p
-# and p^(-1/2) on H_3's T_1 sums (multiples of p^3), and the p^(-1/2) after
-# -1/p on a multiple of p^2.  An H_1 output is a multiple of p^2, which is why
+# the reduced entry denominators (CoefficientField).  The exact operators read
+# them as rows (ra, rb, ia, ib) over D p^3 (_rows), and their outputs come back
+# as rows over D p^3 (or D p^4), with D reduced again by one gcd
+# (CoefficientField._from_rows).  Divisibility invariant: every input numerator
+# is a multiple of p^3.  A weight n/p^k (k <= 3) acts as "times n p^(3-k), then
+# // p^3", exact on a multiple of p^k, and p^(-1/2) maps the row (ra, rb, ia, ib)
+# to (rb, ra/p, ib, ia/p), exact on a multiple of p.  _terms weights only single
+# input numerators: E, mid, 1/p, -1/p and p^(-1/2) act on input rows (H_3's T_1
+# terms and the zero-case part of u are input rows too), and the p^(-1/2) after
+# -1/p on a multiple of p^2.  An H_1 term is a multiple of p^2, which is why
 # verify_hecke_relation applies the inner H_1 to p A: an integer multiple of an
-# input is again an input, and every step is exact, so H(m A) = m H(A) value by
-# value, and the outer H_1 reads multiples of p^3.
+# input is again an input, and every step is exact, so H(m A) = m H(A) term by
+# term, and the outer H_1 reads multiples of p^3.
 #
-# Lanes.  The four numerators of (ra + rb sqrt p) + (ia + ib sqrt p) i are held
-# as one Python int, each a signed lane of w bits:
-#
-#     v = X + Y 2^(2w),   X = ra + ia 2^w,   Y = rb + ib 2^w.
-#
-# v = sum_k l_k 2^(kw) is Z-linear in its lanes, so adding two values is one
-# int +.  A rational weight m/q is m v // q, exact lane by lane: the invariant
-# makes every lane a multiple l_k = q n_k, so m v = q sum_k m n_k 2^(kw), whatever
-# size m v has on the way.  p^(-1/2) is the one operation that takes v apart:
-# X is the balanced residue of v mod 2^(2w) (|X| < 2^(2w-1) below), read as
-# ((v + 2^(2w-1)) mod 2^(2w)) - 2^(2w-1), Y = (v - X) / 2^(2w), and the image is
-# Y + (X/p) 2^(2w), with X/p exact since p divides ra and ia.  _unpacker reads
-# each lane the same way.
-#
-# Lane width.  Let M be the largest |numerator| of the field over D, and ||v||
-# the largest |lane| of v.  p^(-1/2) never raises ||.||, since (a, b) -> (b, a/p);
-# a weighted sum raises it by at most the sum of the weights' absolute values,
-# and bounds every partial sum by that same sum.  No beta gets more than one
-# term of a T_k per C_i, |E| < 1, and |mid| < 1 (2/p, 1/p, (2p+1)/p^2 and 1/p^2
-# in the four cases).  Term by term through the formulas, H_1 raises ||.|| by at
-# most g1 = 2 + (p+1) = p + 3, H_2 by g2 = 1 + 2(p+1) = 2p + 3, and H_3 by
+# Bound.  Let M be the largest |numerator| of the field over D, and |v| the
+# largest |entry| of a row v.  p^(-1/2) never raises |.|, since (a, b) -> (b, a/p).
+# A sum of weighted terms is at most the sum of its terms' |weight| |v|, and that
+# bounds every partial sum, in any order.  No beta gets more than one term of a
+# T_k per C_i, |E| < 1, and |mid| < 1 (2/p, 1/p, (2p+1)/p^2 and 1/p^2 in the four
+# cases).  Term by term through the formulas, H_1 raises |.| by at most
+# g1 = 2 + (p+1) = p + 3, H_2 by g2 = 1 + 2(p+1) = 2p + 3, and H_3 by
 # g3 = 3 + 2(p+1) + (p+1)/p + (p+1)^2/p <= 3p + 9 (A(p^2 .), mid A, A(./p^2);
-# T_0(1_p A) and (1_p - 1/p) T_2 A; (1/p) T_0 A; p^(-1) T_0(1_p T_2 A)); H_3's
-# u holds partial sums of its last two terms.  H_3 adds (1_p - 1/p) T_2 A at
-# beta as the terms of -(1/p) T_2 A and then, where p | beta, (T_2 A)(beta) as
-# one sum, so each partial sum of that group is -1/p times a partial sum of
-# (T_2 A)(beta) or (1 - 1/p) (T_2 A)(beta), both within (p+1) times the input's
-# norm.  An operator reads numerators of norm at most M p^3 times the integer
-# it is weighted by, and the relation's residual over D p^4 is
+# T_0(1_p A) and (1_p - 1/p) T_2 A; (1/p) T_0 A; p^(-1) T_0(1_p T_2 A)); each
+# term of u is one input entry, weighted.  H_3 adds (1_p - 1/p) T_2 A at beta as
+# the terms of -(1/p) T_2 A and then, where p | beta, the terms of (T_2 A)(beta)
+# one at a time, the same pairs in the same order: a partial sum of that group
+# weighs each input entry it reads by -1/p, 1 - 1/p or 0, so it stays within
+# p + 1 times the input's bound.  An operator reads numerators of at most M p^3
+# times the integer it is weighted by, and the relation's residual over D p^4 is
 # H_1(p H_1 A) - H_2((p+1) A) - H_3(p A) - (1 + 1/p + 1/p^2 + 1/p^3) p A, whose
-# four parts add into one dict: every partial sum there is at most the sum of
-# the four parts' bounds, p g1^2, (p+1) g2, p g3 and 2p, times M p^3.  So every
-# value that apply_hecke or verify_hecke_relation forms, inputs, partial sums,
-# H_3's u and T_1 sums and the inner H_1 included, has ||v|| <= B with
+# four parts meet in one merge: every partial sum there is at most the sum of the
+# four parts' bounds, p g1^2, (p+1) g2, p g3 and 2p, times M p^3.  The inner H_1's
+# terms enter the outer one unmerged, and g1 bounds the outer H_1 on the sum of
+# their |v| as well.  So every entry and partial sum that apply_hecke or
+# verify_hecke_relation forms, H_3's u and the inner H_1 included, is at most
 #
 #     B = M p^4 G(p),   G(p) = (p+3)^2 + 5p + 17 >= g1^2 + (1 + 1/p) g2 + g3 + 2.
 #
-# _lane_width takes w = bitlength(B) + 2, a sign bit and a guard bit: every lane
-# has |l| <= B < 2^(w-2), and |X| <= B (1 + 2^w) < 2^(2w-1).  At p <= MAX_PRIME
-# = 1000 a lane is at most 62 bits wider than the input's largest numerator.
-
-
-def _lane_width(p: int, peak: int) -> int:
-    """w for numerators up to `peak` over D at p: the bit length of B = peak p^4 G(p), plus 2."""
-    return (peak * p ** 4 * ((p + 3) ** 2 + 5 * p + 17)).bit_length() + 2
-
-
-def _unpacker(w: int) -> Callable[[int], tuple[int, int, int, int]]:
-    """The decoder of packed values of lane width w: v -> (ra, rb, ia, ib), each lane read as the balanced
-    residue of its w bits."""
-    half, mask = 1 << w - 1, (1 << w) - 1
-    bias = half * (1 + (1 << w) + (1 << 2 * w) + (1 << 3 * w))  # half added to every lane
-
-    def unpack(v: int) -> tuple[int, int, int, int]:
-        t = v + bias
-        return (t & mask) - half, (t >> 2 * w & mask) - half, (t >> w & mask) - half, (t >> 3 * w) - half
-    return unpack
-
-
-def _inv_sqrt(p: int, w: int) -> Callable[[int], int]:
-    """p^(-1/2) on packed values of lane width w: X + Y 2^(2w) -> Y + (X/p) 2^(2w)."""
-    shift, mask, bias = 2 * w, (1 << 2 * w) - 1, 1 << 2 * w - 1
-
-    def inv_sqrt(v: int) -> int:
-        t = v + bias  # X + bias = t mod 2^(2w), which lies in [0, 2^(2w)), and Y = t >> 2w
-        return (t >> shift) + (((t & mask) - bias) // p << shift)
-    return inv_sqrt
+# A weight multiplies an entry before its // p^3, and every weight numerator n of
+# the operators has |n| < p^3, so such a product is at most B p^3; the relation's
+# constant, n = (p^3 + p^2 + p + 1) p on an input row, stays within it too.  _rows
+# keeps the rows on int64 while B p^3 = M p^7 G(p) < 2^63, and puts them on Python
+# ints otherwise (_exact).  With M = 10, the fields that `hecke verify-relation`
+# draws, that is int64 up to p = 97 and Python ints from p = 101.
 
 
 @lru_cache(maxsize=128)
@@ -946,67 +825,37 @@ def _int_weights(p: int) -> _HeckeWeights:
     return _hecke_weights(p, lambda fr: fr.numerator * (cube // fr.denominator))
 
 
-def _packed(A: CoefficientField, p: int) -> tuple[int, int, dict[LatticeVector, int]]:
-    """(D p^3, w, {beta: A(beta) packed over D p^3}): the input of the exact operators at p.
-
-    D is the field's denominator and w the lane width of its largest numerator
-    (_lane_width); each packed value is its numerator row packed, times p^3.
-    """
-    w = _lane_width(p, A.num_peak)
-    cube = p ** 3
-    return A.den * cube, w, {beta: (ra + (ia << w) + (rb << 2 * w) + (ib << 3 * w)) * cube
-                             for beta, (ra, rb, ia, ib) in zip(map(tuple, A.keys.tolist()), A.nums.tolist())}
+def _rows(A: CoefficientField, p: int) -> np.ndarray:
+    """A's numerator rows over D p^3, the input of the exact operators at p: on int64 while B p^3, the
+    bound of the integer-domain note on every int the operators form from them, stays below 2^63."""
+    return _exact(A.nums, A.num_peak * p ** 7 * ((p + 3) ** 2 + 5 * p + 17)) * p ** 3
 
 
-def _unpacked(p: int, packed: Mapping[LatticeVector, int], den: int, w: int) -> CoefficientField:
-    """The field of nonzero packed values of lane width w over den: each value's lanes are its row."""
-    if not packed:  # every relation that holds: _from_rows on no rows makes no array
-        return CoefficientField._from_rows(p, den, _NO_KEYS, _NO_NUMS)
-    flat = list(chain.from_iterable(map(_unpacker(w), packed.values())))
-    return CoefficientField._from_rows(p, den, _support_array(list(packed)), _int_array(flat, 4))
+def _nonzero_field(p: int, den: int, keys: np.ndarray, sums: np.ndarray) -> CoefficientField:
+    """The field of the rows of `sums` over den that are not zero, at their keys: each array goes back onto
+    int64 where it fits, as a field holds it, when it was formed on Python ints."""
+    kept = (sums != 0).any(axis=1)
+    keys, sums = keys.compress(kept, axis=0), sums.compress(kept, axis=0)
+    if keys.dtype == object:
+        keys = _support_array(keys.tolist())
+    if sums.dtype == object:
+        sums = _int_array(sums.ravel().tolist(), 4)
+    return CoefficientField._from_rows(p, den, keys, sums)
 
 
-def apply_hecke(ell: int, p: int, A: CoefficientField, *, representatives=None) -> CoefficientField:
-    """H_ell A in exact arithmetic.
-
-    The support radius grows by a factor of at most p^2 (ell = 1, 2) or
-    p^4 (ell = 3).  Fields over plain Q are promoted to Q(sqrt p); a
-    field over a different sqrt-extension is rejected.  The orbit table
-    is the canonical one unless an alternative representative set is
-    supplied (the output is the same for any valid choice).
-
-    The operator runs on Python ints: A's integer numerators are read over
-    D p^3 (D its denominator), each a multiple of p^3, and the four of each
-    entry are packed into one int, so each weight n/p^k and p^(-1/2) divides
-    exactly (see the integer-domain note); the lanes of each output are the
-    numerator row of the result.
-    """
-    A = A.with_prime(p)
-    den, w, packed = _packed(A, p)
-    mats = conjugation_matrices(p) if representatives is None else tuple(map(conjugation_matrix, representatives))
-    support = _Support(p, mats, list(packed), A.keys, A.key_peak)
-    return _unpacked(p, _apply(ell, support, list(packed.values()), w), den, w)
-
-
-# -- the float twin on arrays ----------------------------------------------------
+# -- the float operators ----------------------------------------------------------
 #
-# A float field is an (n, 3) key array and a complex128 value array.  _apply_float
-# adds the terms that _apply adds, in the module docstring's arranged form: each
-# term is one group of (key, value) rows, the groups in _apply's order, and one
-# star product of the input gives every T_k (T_1's and T_0's pairs are the T_2
-# images that p and p^2 divide, as in _Support.pairs); H_3 makes one more, on u.
-# Each merge of equal keys (_merge) adds in input order and returns the keys in
-# key order, so the outputs equal those of the same terms added by one dict loop
-# per term on complex doubles, H_3's u scattered and the output read in key
-# order (tests/reference.py, apply_dict), keys and values (np.add.at starts each
-# sum from +0.0, so only the sign of a zero part can differ).  The exact
-# operators run on dicts of packed ints, read off the field's numerator arrays
-# and decoded back into them: on object arrays of per-value numerator objects,
-# the same array code took 0.76-0.86 ms for the four applies of a relation on
-# 8-entry fields, against 0.44-0.47 ms on dicts.
+# A float field is an (n, 3) key array and a complex128 value array, and the float operators run
+# the term builder of the exact ones on it (_terms): each term is one group of (key, value) rows,
+# the groups in the module docstring's order, and one star product of the input gives every T_k
+# (_Pairs); H_3 makes one more, on u.  Each merge of equal keys (_merge) adds in input order and
+# returns the keys in key order, so the outputs equal those of the same terms added by one dict
+# loop per term on complex doubles, each term of u scattered on its own and the output read in key
+# order (tests/reference.py, apply_dict), keys and values (np.add.at starts each sum from +0.0, so
+# only the sign of a zero part can differ).
 #
 # The operators are linear, so a commutator needs no merge of each outer operator on its
-# own: verify_commutativity merges the term groups (_float_terms) of H_ell(p) on H_m(q) A and
+# own: verify_commutativity merges the term groups (_terms) of H_ell(p) on H_m(q) A and
 # of H_m(q) on -H_ell(p) A once, which drops the merge of each outer operator, the two largest
 # sorts of a commutator (on conj_sums fields, 300-600 keys each against about 66 for an inner
 # one).  Negating an input negates every term exactly, so each key sums the H_ell(p) terms in
@@ -1031,7 +880,6 @@ class _FloatTables(NamedTuple):
     mid: np.ndarray  # H_3 weight of A(beta), indexed by _epsilon_case
     inv_p: float
     inv_sqrt_p: float
-    reach: int  # 3 max|C_i entry|, over p's conjugation matrices (_star_block)
 
 
 @lru_cache(maxsize=128)
@@ -1039,8 +887,7 @@ def _float_tables(p: int) -> _FloatTables:
     weights = _hecke_weights(p, float)
     eps, mid = np.array(weights.eps), np.array(weights.mid)
     eps.flags.writeable = mid.flags.writeable = False  # one cached table serves every caller
-    reach = _star_block(conjugation_matrices(p))[1]
-    return _FloatTables(eps, mid, weights.inv_p, 1.0 / math.sqrt(p), reach)
+    return _FloatTables(eps, mid, weights.inv_p, 1.0 / math.sqrt(p))
 
 
 def _epsilon_cases(keys: np.ndarray, p: int) -> np.ndarray:
@@ -1116,48 +963,83 @@ def _merge(*parts: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarra
     return keys.take(order.take(starts), axis=0), sums
 
 
-def _float_terms(ell: int, p: int, keys: np.ndarray, vals: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """H_ell on a float field, unmerged: the (keys, values) groups of the terms that _apply adds,
-    each term of the module docstring's arranged form one group, in _apply's order."""
-    t = _float_tables(p)
-    peak = _peak(keys)
-    keys = _exact(keys, 2 * peak * p * p)  # p^2 gamma is the largest key formed outside _star_images
-    mats = conjugation_matrices(p)
-    psq, s = p * p, t.inv_sqrt_p
-    images, rows = _star_images(2, p, keys, mats, peak)  # T_2's pairs
+def _terms(ell: int, pairs: _Pairs, vals: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """H_ell on the values `vals` at the keys of `pairs`, unmerged: the (keys, values) groups of the
+    module docstring's arranged form, one group per term, in its order.
 
-    def divided(betas: np.ndarray, src: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
-        """The pairs whose beta d divides, beta divided: T_k's from T_j's with d = p^(j-k) (_Support.pairs)."""
-        quo, hit = _divided(betas, d)
-        return quo.compress(hit, axis=0), src.compress(hit)
+    The values are complex doubles, or (n, 4) integer numerator rows over D p^3 that keep the
+    integer-domain note's divisibility invariant.  Only p^(-1/2) and the weights depend on the type:
+    on doubles each is a product with a double; on rows p^(-1/2) maps (ra, rb, ia, ib) to
+    (rb, ra/p, ib, ia/p), and a weight w is v n // p^3 with n = w p^3 read from _int_weights(p), both
+    exact.  The star images, the T_1 and T_0 pairs and the shifts read only the keys.
+    """
+    if ell not in (1, 2, 3):
+        raise ValueError(f"ell must be 1, 2, or 3, got {ell}")
+    p, keys = pairs.p, pairs.keys
+    if vals.dtype.kind == "c":
+        t = _float_tables(p)
+        s, eps, mid, inv_p = t.inv_sqrt_p, t.eps, t.mid, t.inv_p
+
+        def inv_sqrt(v):
+            return s * v
+
+        def weigh(v, w):
+            return w * v
+    else:
+        weights, cube = _int_weights(p), p ** 3
+        eps, mid = (np.array(table, vals.dtype)[:, None] for table in (weights.eps, weights.mid))
+        inv_p = weights.inv_p
+
+        def inv_sqrt(v):
+            out = v[:, [1, 0, 3, 2]]  # (a + b sqrt p) / sqrt p = b + (a/p) sqrt p
+            out[:, 1::2] //= p
+            return out
+
+        def weigh(v, w):
+            return v * w // cube
 
     if ell == 1:
-        t1, r1 = divided(images, rows, p)
+        t1, r1 = pairs.pairs(1)
         quo, hit = _divided(keys, p)
-        return [(t1, s * vals[r1]), (quo.compress(hit, axis=0), vals.compress(hit)), (keys * p, vals)]
+        return [(t1, inv_sqrt(vals[r1])), (quo.compress(hit, axis=0), vals.compress(hit, axis=0)), (keys * p, vals)]
+    images, rows = pairs.pairs(2)
     if ell == 2:
-        scaled = s * vals
-        t0, r0 = divided(images, rows, psq)
-        return [(images, scaled[rows]), (t0, scaled[r0]), (keys, t.eps[_epsilon_cases(keys, p)] * vals)]
-    cases = _epsilon_cases(keys, p)
-    quo, hit = _divided(keys, psq)
-    low = s * (-t.inv_p * vals)
-    t1, r1 = divided(images, rows, p)
-    t0, r0 = divided(t1, r1, p)
-    t1, sums = _merge((t1, vals[r1]))
-    moved = t1 * p  # (T_2 A)(p beta) is the T_1 sum at beta
-    zero = cases == 0
-    u_keys, u_vals = _merge((keys.compress(zero, axis=0), s * vals.compress(zero)), (moved, t.inv_p * sums))
-    u_images, u_rows = _star_images(0, p, u_keys, mats, peak * t.reach)  # u holds keys and T_2 images
-    return [(quo.compress(hit, axis=0), vals.compress(hit)), (keys * psq, vals), (keys, t.mid[cases] * vals),
-            (images, low[rows]), (t0, low[r0]), (moved, s * sums), (u_images, u_vals[u_rows])]
+        t0, r0 = pairs.pairs(0)
+        scaled = inv_sqrt(vals)
+        return [(images, scaled[rows]), (t0, scaled[r0]), (keys, weigh(vals, eps[pairs.cases]))]
+    t1, r1 = pairs.pairs(1)
+    t0, r0 = pairs.pairs(0)
+    quo, hit = _divided(keys, p * p)
+    low = inv_sqrt(weigh(vals, -inv_p))
+    moved, once = t1 * p, vals[r1]  # (T_2 A)(p beta) is the T_1 sum at beta: its terms, one per pair
+    zero = pairs.cases == 0
+    u_keys = np.concatenate((keys.compress(zero, axis=0), moved))
+    u_vals = np.concatenate((inv_sqrt(vals.compress(zero, axis=0)), weigh(once, inv_p)))
+    u_images, u_rows = _star_images(0, p, u_keys, pairs.mats, pairs.peak * _star_block(pairs.mats)[1])
+    return [(quo.compress(hit, axis=0), vals.compress(hit, axis=0)), (keys * (p * p), vals),
+            (keys, weigh(vals, mid[pairs.cases])), (images, low[rows]), (t0, low[r0]), (moved, inv_sqrt(once)),
+            (u_images, u_vals[u_rows])]
 
 
-def _apply_float(ell: int, p: int, keys: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """H_ell on a float field: the keys and values of its nonzero outputs, its terms merged."""
-    out_keys, out_vals = _merge(*_float_terms(ell, p, keys, vals))
-    keep = out_vals != 0
-    return out_keys.compress(keep, axis=0), out_vals.compress(keep)
+def apply_hecke(ell: int, p: int, A: CoefficientField, *, representatives=None) -> CoefficientField:
+    """H_ell A in exact arithmetic.
+
+    The support radius grows by a factor of at most p^2 (ell = 1, 2) or
+    p^4 (ell = 3).  Fields over plain Q are promoted to Q(sqrt p); a
+    field over a different sqrt-extension is rejected.  The orbit table
+    is the canonical one unless an alternative representative set is
+    supplied (the output is the same for any valid choice).
+
+    The operator runs the float operators' term builder (_terms) on A's
+    integer numerator rows over D p^3 (_rows, D its denominator), where
+    p^(-1/2) and every weight divide exactly (see the integer-domain note).
+    Its terms are summed in one merge, and the nonzero sums are the output's
+    numerator rows, in key order.
+    """
+    A = A.with_prime(p)
+    mats = conjugation_matrices(p) if representatives is None else tuple(map(conjugation_matrix, representatives))
+    keys, sums = _merge(*_terms(ell, _Pairs(p, A.keys, mats, A.key_peak), _rows(A, p)))
+    return _nonzero_field(p, A.den * p ** 3, keys, sums)
 
 
 def _float_field(A: CoefficientField) -> _ArrayMap:
@@ -1178,11 +1060,11 @@ def apply_hecke_float(ell: int, p: int, entries: Mapping[LatticeVector, complex]
     dicts.
     """
     require_odd_prime(p)
-    if ell not in (1, 2, 3):
-        raise ValueError(f"ell must be 1, 2, or 3, got {ell}")
     if not (isinstance(entries, _ArrayMap) and entries._rows.dtype == complex):  # else one returned here
         entries = _ArrayMap(_support_array(list(entries)), np.fromiter(entries.values(), complex, len(entries)))
-    return _ArrayMap(*_apply_float(ell, p, entries._keys, entries._rows))
+    keys, vals = _merge(*_terms(ell, _Pairs(p, entries._keys), entries._rows))
+    keep = vals != 0
+    return _ArrayMap(keys.compress(keep, axis=0), vals.compress(keep))
 
 
 def hecke_relation_constant(p: int) -> Fraction:
@@ -1197,32 +1079,27 @@ def verify_hecke_relation(p: int, A: CoefficientField) -> CoefficientField:
     relation between the three operators holds on A; a structured
     nonzero residual is a reportable finding, not an error.
 
-    The whole chain runs on the packed integer numerators of apply_hecke,
-    over D p^3, in one lane width for all of it (see the integer-domain
-    note), and the three operators on A share one _Support, so A's support
-    is scattered once.  The residual is formed over D p^4 as
-    H_1(p H_1 A) - H_2((p+1) A) - H_3(p A) - (1 + 1/p + 1/p^2 + 1/p^3) p A:
+    The whole chain runs on A's numerator rows over D p^3 (_rows) through the
+    operators' own term builder (_terms), and the three operators on A share
+    one _Pairs, so A's support is scattered once.  The residual is formed over
+    D p^4 as H_1(p H_1 A) - H_2((p+1) A) - H_3(p A) - (1 + 1/p + 1/p^2 + 1/p^3) p A:
     each operator reads its input already weighted, which is exact since every
-    output is, and the outer H_1, H_2 and H_3 add their terms straight into one
-    dict.  An H_1 output is a multiple of p^2, so the inner H_1 reads p A to give
-    the outer one numerators that p^3 divides.  Only the residual is decoded,
-    into numerator rows.
+    term is, and the terms of all four parts meet in one merge.  The inner H_1's
+    terms go into the outer H_1 unmerged, since H_1 is linear; an H_1 term is a
+    multiple of p^2, so the inner H_1 reads p A to give the outer one numerators
+    that p^3 divides.
     """
     A = A.with_prime(p)
-    den, w, packed = _packed(A, p)
-    mats = conjugation_matrices(p)
-    support = _Support(p, mats, list(packed), A.keys, A.key_peak)
-    values = list(packed.values())
-    residual = _apply(2, support, [-(p + 1) * v for v in values], w, into={})
-    _apply(3, support, [-p * v for v in values], w, into=residual)
-    inner = _apply(1, support, [p * v for v in values], w)
-    _apply(1, _Support(p, mats, list(inner)), list(inner.values()), w, into=residual)
+    rows = _rows(A, p)
+    pairs = _Pairs(p, A.keys, peak=A.key_peak)
+    inner = _terms(1, pairs, p * rows)
+    inner_keys = np.concatenate([k for k, _ in inner])
+    outer = _terms(1, _Pairs(p, inner_keys, pairs.mats), np.concatenate([v for _, v in inner]))
     constant = hecke_relation_constant(p)
     m, q = -constant.numerator * p, constant.denominator  # its weight times p, as m/q
-    get = residual.get
-    for beta, v in packed.items():
-        residual[beta] = get(beta, 0) + m * v // q
-    return _unpacked(p, {beta: v for beta, v in residual.items() if v}, den * p, w)
+    keys, sums = _merge(*_terms(2, pairs, -(p + 1) * rows), *_terms(3, pairs, -p * rows), *outer,
+                        (pairs.keys, m * rows // q))
+    return _nonzero_field(p, A.den * p ** 4, keys, sums)
 
 
 def _commutator_rows(p: int, q: int, ell: int, m: int, A: CoefficientField) -> tuple[int, str]:
@@ -1230,8 +1107,8 @@ def _commutator_rows(p: int, q: int, ell: int, m: int, A: CoefficientField) -> t
 
     The outer operator reads about len(A)(q+1) keys (or (p+1)), and its T_2 or T_1
     pass scatters each to p+1 rows: len(A)(p+1)(q+1).  An H_3 at p adds its
-    T_0(1_p T_2 A) pass, which scatters again every key of 1_p T_2 A: the gammas
-    that p divides and their p+1 images, and at most 2 of the p+1 images of any
+    T_0 u pass, which scatters again every term of u = 1_p (p^(-1/2) A + p^(-1) T_2 A):
+    the gammas that p divides and their p+1 images, and at most 2 of the p+1 images of any
     other gamma (the isotropic lines mod p in the plane orthogonal to it).  The
     inner operator at the other prime keeps whether p divides a key, so with n_p
     the entries of A that p divides, H_3 at p adds (p+1)(q+1)(2 len(A) + p n_p) rows.
@@ -1265,7 +1142,7 @@ def verify_commutativity(p: int, q: int, ell: int, m: int, A: CoefficientField) 
                          f"{formula} = {rows} rows, past {MAX_SCATTER_ROWS}, the largest supported")
     entries = _float_field(A)
     a, b = apply_hecke_float(m, q, entries), apply_hecke_float(ell, p, entries)
-    _, diff = _merge(*_float_terms(ell, p, a._keys, a._rows), *_float_terms(m, q, b._keys, -b._rows))
+    _, diff = _merge(*_terms(ell, _Pairs(p, a._keys), a._rows), *_terms(m, _Pairs(q, b._keys), -b._rows))
     return float(np.abs(diff).max()) if len(diff) else 0.0
 
 

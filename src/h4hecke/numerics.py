@@ -277,6 +277,11 @@ def laplace_eigen_residual(beta, r: float, z, h: float = 1e-3) -> float:
     ratio is discretization error, O(h^2).  An h for which some stencil
     coordinate c + h or c - h rounds back to c is refused, and so is a point
     where |u| is 0 or under 1e-12 of the largest |u| of the stencil.
+
+    The mode oscillates in y on a scale of about y/r.  Where h r / y >= 0.1
+    the stencil does not resolve it, and the default h = 1e-3 stays there:
+    the residual then measures the unresolved stencil, not the mode, and a
+    smaller h resolves it (`maass laplace-check` says `unresolved`).
     """
     x0, x1, x2, y = point = (z.as_tuple() if hasattr(z, "as_tuple") else tuple(map(float, z)))
     if not (math.isfinite(h) and h > 0):

@@ -599,8 +599,11 @@ def verify_conjugation_lemmas(
         jump_past_1 = f_beta << 1 | 1
 
         max_jump = 0
-        unequal = np.zeros(n_beta, dtype=np.int64)
-        counts = np.zeros(n_beta, dtype=np.int64)
+        # The counters of (iii) and (iv) reach at most p + 1 <= 1,001 and 8(p + 1) <= 8,008, which int16
+        # holds; each class forms its increment in one reused int16 buffer, so counting makes no int64 array.
+        unequal = np.zeros(n_beta, dtype=np.int16)
+        counts = np.zeros(n_beta, dtype=np.int16)
+        step = np.empty(n_beta, dtype=np.int16)
 
         rows = np.empty_like(betas)  # |C beta| of one class at a time, formed in place
         for (alpha, _, size, reps), mat in zip(classes, mats):
@@ -631,9 +634,9 @@ def verify_conjugation_lemmas(
                              div.valuation_at(words, q, idx)),
                         )
             # (iii) counts over the p+1 representatives, checked after the loop.
-            unequal += reps * changed
+            unequal += np.multiply(changed, reps, out=step, dtype=np.int16)
             # (iv), counted over bar(alpha): see the docstring.  v_p >= 2 <=> f > 1.
-            counts += size * (f_conj > 1)
+            counts += np.multiply(f_conj > 1, size, out=step, dtype=np.int16)
 
         if int(unequal.max()) > 2:
             idx = int(np.argmax(unequal))

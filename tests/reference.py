@@ -312,39 +312,47 @@ def _add(acc: dict, beta, value) -> None:
         acc[beta] = acc[beta] + value if beta in acc else value
 
 
+def _pair_terms(k, p, terms, mats):
+    """(beta, v) for each term (gamma, v) and each representative whose beta = p^(k-2) S_i gamma is
+    integral, by one apply_matrix per pair, term-major and then i."""
+    shift = p ** abs(k - 2)
+    for gamma, v in terms:
+        for mat in mats:
+            beta = apply_matrix(tuple(zip(*mat)), gamma)
+            beta = _scale(beta, shift) if k > 2 else _divide(beta, shift)
+            if beta is not None:
+                yield beta, v
+
+
 def pair_conj_sum(k, p, entries, mats, acc=None) -> dict:
     """T_k A by one apply_matrix per (support point, representative) pair: the reference for the
-    conjugate-sum scatter of ``hecke`` (``_Support.pairs``, ``_conj_sum_rows``).
+    conjugate-sum scatter of ``hecke`` (``_Pairs.pairs``, ``_conj_sum_rows``).
 
     Adds A(gamma) at beta = p^(k-2) S_i gamma for every pair whose beta is
     integral, gamma-major and then i, on the domain's own `+`: into a new dict,
     or, given `acc`, term by term into that dict, which is returned.
     """
-    shift = p ** abs(k - 2)
     acc = {} if acc is None else acc
-    for gamma, v in entries.items():
-        for mat in mats:
-            beta = apply_matrix(tuple(zip(*mat)), gamma)
-            beta = _scale(beta, shift) if k > 2 else _divide(beta, shift)
-            if beta is not None:
-                acc[beta] = acc[beta] + v if beta in acc else v
+    for beta, v in _pair_terms(k, p, entries.items(), mats):
+        acc[beta] = acc[beta] + v if beta in acc else v
     return acc
 
 
 def apply_dict(ell: int, p: int, entries, weights, inv_sqrt_p, representatives=None, out=None) -> dict:
     """H_ell on a dict of scalars of one domain, adding each term by the domain's own `+`: every nonzero
-    (H_ell A)(beta), in key order.  The terms and term order of ``hecke._apply_float``, zero signs included.
+    (H_ell A)(beta), in key order.  The terms and term order of ``hecke._terms``, zero signs included.
     Given `out`, the terms are added into that dict after what it holds.
 
     The hecke module docstring's arranged form, one dict loop per term in the order
-    that ``hecke._apply`` adds them.  Weights of gamma (p^(-1/2), -1/p, 1_p(gamma))
+    that ``hecke._terms`` groups them.  Weights of gamma (p^(-1/2), -1/p, 1_p(gamma))
     go onto the entries before a pair_conj_sum, which adds each term straight into
-    the output.  H_3 moves the T_1 sums to p beta, where they are (1_p T_2 A)(p beta),
-    and scatters T_0 u with u = 1_p (p^(-1/2) A + p^(-1) T_2 A): in doubles
-    p^(-1/2) p^(-1/2) is not 1/p, which would leave rounding residue where that
-    term cancels the mid term.  u is scattered in key order, as the array path
-    merges it, so each T_0 u sum adds its terms in the same order.  A shift off
-    the lattice (gamma/p with p not dividing gamma) reaches no beta and is skipped.
+    the output.  H_3 moves each T_1 term to p beta, where it is a term of
+    (1_p T_2 A)(p beta), and scatters T_0 u with u = 1_p (p^(-1/2) A + p^(-1) T_2 A):
+    in doubles p^(-1/2) p^(-1/2) is not 1/p, which would leave rounding residue where
+    that term cancels the mid term.  u is a list of terms, the entries that p divides
+    and then the T_1 terms one by one, scattered term by term, as the array path
+    scatters it.  A shift off the lattice (gamma/p with p not dividing gamma) reaches
+    no beta and is skipped.
     """
     if ell not in (1, 2, 3):
         raise ValueError(f"ell must be 1, 2, or 3, got {ell}")
@@ -373,19 +381,20 @@ def apply_dict(ell: int, p: int, entries, weights, inv_sqrt_p, representatives=N
         low = {gamma: inv_sqrt_p * (-weights.inv_p * v) for gamma, v in entries.items()}
         pair_conj_sum(2, p, low, mats, out)
         pair_conj_sum(0, p, low, mats, out)
-        u = {gamma: inv_sqrt_p * v for gamma, v in entries.items() if _epsilon_case(gamma, p) == 0}
-        for beta, v in pair_conj_sum(1, p, entries, mats).items():
+        u = [(gamma, inv_sqrt_p * v) for gamma, v in entries.items() if _epsilon_case(gamma, p) == 0]
+        for beta, v in _pair_terms(1, p, entries.items(), mats):
             beta = _scale(beta, p)
             _add(out, beta, inv_sqrt_p * v)
-            _add(u, beta, weights.inv_p * v)
-        pair_conj_sum(0, p, dict(sorted(u.items())), mats, out)
+            u.append((beta, weights.inv_p * v))
+        for beta, v in _pair_terms(0, p, u, mats):
+            _add(out, beta, v)
     return {beta: value for beta, value in sorted(out.items()) if value}
 
 
 def relation_residual_by_applies(p, A):
     """H_1(H_1 A) - (1 + 1/p) H_2 A - H_3 A - (1 + 1/p + 1/p^2 + 1/p^3) A from four public apply_hecke calls and
     the field's own + and scale: the reference for ``hecke.verify_hecke_relation``, which runs the three operators
-    on one shared support of A and adds their terms into one residual."""
+    on one shared scatter of A and merges their terms into one residual."""
     A = A.with_prime(p)
     outer = hecke.apply_hecke(1, p, hecke.apply_hecke(1, p, A))
     return (outer + hecke.apply_hecke(2, p, A).scale(-(1 + Fraction(1, p))) + hecke.apply_hecke(3, p, A).scale(-1)

@@ -316,8 +316,8 @@ class TestApply:
         assert out.at((3, 0, 0)) == QComplex.of(1, p=3)
 
     def test_float_twin_matches_exact(self):
-        # the exact operators run the dict _apply on integer numerators and the
-        # float twin _apply_float on arrays, so this cross-checks the two copies
+        # the exact operators run the term builder on integer numerator rows and the
+        # float operators run it on doubles, so this cross-checks the two value types
         rng = random.Random(8)
         for p in (3, 5, 7):
             double_hits = 0
@@ -380,10 +380,10 @@ def _hecke_candidates(ell, p, support, star_mats):
 
 
 def _gather_apply(ell, p, entries, zero, weights, inv_sqrt_p, representatives=None):
-    """The independent reference for hecke._apply: the gather form over the candidates.
+    """The independent reference for hecke._terms: the gather form over the candidates.
 
     Every candidate beta is evaluated from its own list of terms, each a
-    lookup that may miss the support; hecke._apply instead scatters each
+    lookup that may miss the support; hecke._terms instead scatters each
     term from the support point it reads.
     """
     reps = orbit_representatives(p).representatives if representatives is None else representatives
@@ -789,9 +789,14 @@ def _alternative_reps(p, seed):
     return tuple(reps)
 
 
-def _scattered(support, k, entries):
-    """T_k A as _apply scatters it: the values of `entries` along the pairs of a _Support of its points."""
-    return hecke._scatter(support.pairs(k), list(entries.values()), {})
+def _scattered(pairs, k, entries):
+    """T_k A as the operators read it: the values of `entries` added along the array pairs of a _Pairs of
+    its points, in pair order."""
+    values, acc = list(entries.values()), {}
+    betas, rows = pairs.pairs(k)
+    for beta, row in zip(map(tuple, betas.tolist()), rows.tolist()):
+        acc[beta] = acc[beta] + values[row] if beta in acc else values[row]
+    return acc
 
 
 def _row_sums(k, p, ints, mats):
@@ -802,9 +807,9 @@ def _row_sums(k, p, ints, mats):
 
 
 class TestConjSum:
-    # the scatters the library runs against the pair loop reference.pair_conj_sum: the pairs of a
-    # _Support (T_0, T_1, T_2, each from its own star product or derived from a higher T_k's pairs)
-    # and _conj_sum_rows (T_3, T_4)
+    # the scatters the library runs against the pair loop reference.pair_conj_sum: the array pairs of
+    # a _Pairs (T_2 from the star product, T_1 and T_0 derived from a higher T_k's pairs) and
+    # _conj_sum_rows (T_3, T_4)
 
     @pytest.mark.parametrize("p", [3, 5, 7])
     def test_matches_pair_reference(self, p):
@@ -821,8 +826,7 @@ class TestConjSum:
                             for k in range(3) for kind, entries in (("int", ints), ("float", floats))}
                 keys = hecke._support_array(list(ints))
                 for order in itertools.permutations(range(3)):
-                    for made in (hecke._Support(p, table, list(ints)),
-                                 hecke._Support(p, table, list(ints), keys, hecke._peak(keys))):
+                    for made in (hecke._Pairs(p, keys, table), hecke._Pairs(p, keys, table, hecke._peak(keys))):
                         for k in order:
                             for kind, entries in (("int", ints), ("float", floats)):
                                 got = list(_scattered(made, k, entries).items())
@@ -833,7 +837,8 @@ class TestConjSum:
     def test_zero_support(self):
         mats = conjugation_matrices(3)
         for k in range(3):
-            assert hecke._Support(3, mats, []).pairs(k) == ([], [])
+            betas, rows = hecke._Pairs(3, hecke._support_array([]), mats).pairs(k)
+            assert betas.shape == (0, 3) and rows.shape == (0,)
         for k in (3, 4):
             assert _row_sums(k, 3, {}, mats) == {}
 
@@ -852,7 +857,7 @@ class TestConjSum:
                 entries = {(top, 3, 0): 5, (-top, p * p, 2 * p): -2, (p * top, 1, -1): 7, (1, 2, 3): 1}
                 expected = pair_conj_sum(k, p, entries, mats)
                 if k < 3:
-                    got = _scattered(hecke._Support(p, mats, list(entries)), k, entries)
+                    got = _scattered(hecke._Pairs(p, hecke._support_array(list(entries)), mats), k, entries)
                     assert list(got.items()) == list(expected.items()), (k, top)
                 else:
                     got = _row_sums(k, p, entries, mats)
@@ -901,15 +906,15 @@ class TestConjSum:
         assert betas.shape == (0, 3) and rows.shape == (0, 4)
 
     def test_representatives_path_reads_its_own_block(self):
-        # an alternative table builds its own star block: its _Support pairs follow that table
+        # an alternative table builds its own star block: its _Pairs pairs follow that table
         p = 5
         reps = _alternative_reps(p, 11)
         alternative = tuple(map(conjugation_matrix, reps))
         assert alternative != conjugation_matrices(p)
         entries = {(1, 2, 0): 1, (0, 1, 1): 2, (3, -1, 4): -3}
+        pairs = hecke._Pairs(p, hecke._support_array(list(entries)), alternative)
         for k in range(3):
-            assert _scattered(hecke._Support(p, alternative, list(entries)), k, entries) == pair_conj_sum(
-                k, p, entries, alternative)
+            assert _scattered(pairs, k, entries) == pair_conj_sum(k, p, entries, alternative)
         A = CoefficientField(None, {beta: QComplex.of(v) for beta, v in entries.items()})
         for ell in (1, 2, 3):
             assert apply_hecke(ell, p, A, representatives=reps) == _quadext_apply(ell, p, A, reps)
@@ -937,11 +942,8 @@ class TestNumeratorCache:
         assert A.den == 12 and keys.tolist() == [[1, 0, 0], [0, 2, 1]] and nums.tolist() == rows
         assert A.num_peak == 24 and A.key_peak == 2 and A.norms.tolist() == [1, 5]
         assert not keys.flags.writeable and not nums.flags.writeable and not A.norms.flags.writeable
-        big_den, w, big = hecke._packed(A, p)
-        assert big_den == 12 * p ** 3 and w == hecke._lane_width(p, 24)
-        unpack = hecke._unpacker(w)
-        assert {beta: unpack(v) for beta, v in big.items()} == {
-            (1, 0, 0): tuple(c * p ** 3 for c in rows[0]), (0, 2, 1): tuple(c * p ** 3 for c in rows[1])}
+        big = hecke._rows(A, p)  # the exact operators' input rows over 12 p^3
+        assert big.dtype == np.int64 and big.tolist() == [[c * p ** 3 for c in row] for row in rows]
         assert A.keys is keys and A.nums is nums and A.den == 12 and nums.tolist() == rows
 
     def test_with_prime_keeps_the_field(self):
@@ -950,14 +952,14 @@ class TestNumeratorCache:
         assert CoefficientField.delta((1, 2, 3), 2).with_prime(7) == A
 
 
-def _lane_bound(p, peak):
-    """B = peak p^4 ((p+3)^2 + 5p + 17): the bound on every lane that the hecke integer-domain note proves."""
+def _row_bound(p, peak):
+    """B = peak p^4 ((p+3)^2 + 5p + 17): the bound on every entry of a row that the hecke integer-domain note proves."""
     return peak * p ** 4 * ((p + 3) ** 2 + 5 * p + 17)
 
 
-def _pack(ra, rb, ia, ib, w):
-    """The lane layout v = X + Y 2^(2w), with X = ra + ia 2^w and Y = rb + ib 2^w."""
-    return ra + (ia << w) + (rb << 2 * w) + (ib << 3 * w)
+def _int64_edge(p):
+    """The largest numerator peak M whose rows the exact operators keep on int64: B p^3 = M p^7 G(p) < 2^63."""
+    return (2 ** 63 - 1) // (p ** 7 * ((p + 3) ** 2 + 5 * p + 17))
 
 
 def _quadext_scatter(ell, p, A):
@@ -969,37 +971,52 @@ def _quadext_scatter(ell, p, A):
 
 
 class TestLanes:
-    """The four numerators of a value packed into one int (the hecke integer-domain note)."""
+    """The four numerators of a value as one row (ra, rb, ia, ib), its lanes, through the exact
+    operators' own term builder (the hecke integer-domain note)."""
 
     @settings(max_examples=300, deadline=None)
     @given(st.sampled_from([3, 5, 7, 997]), st.integers(1, 2 ** 80), st.data())
     def test_inv_sqrt_round_trip_at_the_bound(self, p, peak, data):
-        # every lane up to +-B, the rational lanes multiples of p as the divisibility invariant keeps them
-        bound = _lane_bound(p, peak)
-        w = hecke._lane_width(p, peak)
-        assert bound < 2 ** (w - 2)
+        # every lane up to +-B, the rational lanes multiples of p as the divisibility invariant keeps them,
+        # on the dtype that the operators pick for numerators up to peak; H_2's first group is
+        # p^(-1/2) of each row, once per star image
+        bound = _row_bound(p, peak)
 
         def lane(step):
             top = bound // step
             return step * data.draw(st.one_of(st.sampled_from([-top, top, 0, 1, -1]), st.integers(-top, top)))
 
         ra, rb, ia, ib = lane(p), lane(1), lane(p), lane(1)
-        v = _pack(ra, rb, ia, ib, w)
-        unpack = hecke._unpacker(w)
-        assert unpack(v) == (ra, rb, ia, ib)
+        dtype = hecke._rows(CoefficientField.delta((1, 0, 0), peak, p=p), p).dtype
+        assert dtype == (np.int64 if peak <= _int64_edge(p) else object)
+        row = np.array([[ra, rb, ia, ib]], dtype=dtype)
+        _, scaled = hecke._terms(2, hecke._Pairs(p, np.array([[1, 0, 0]])), row)[0]
         root = QuadExt(p, Fraction(0), Fraction(1, p))  # 1/sqrt(p)
         re, im = QuadExt(p, Fraction(ra), Fraction(rb)) * root, QuadExt(p, Fraction(ia), Fraction(ib)) * root
-        assert unpack(hecke._inv_sqrt(p, w)(v)) == (re.a, re.b, im.a, im.b)
+        assert scaled.dtype == dtype and scaled[0].tolist() == [re.a, re.b, im.a, im.b]
 
     def test_weights_divide_exactly_lane_by_lane(self):
-        # m v // q on a packed value is m l // q on each lane when q divides every lane, at any sign
-        p = 7
-        peak = 2 ** 70 + 3
-        w = hecke._lane_width(p, peak)
-        unpack = hecke._unpacker(w)
-        lanes = (p ** 3 * peak, -p ** 3 * peak, -p ** 3, 0)
-        for m in hecke._int_weights(p).mid + (-p ** 2, p ** 3 - p ** 2, -1, p ** 3 - 1):
-            assert unpack(m * _pack(*lanes, w) // p ** 3) == tuple(m * x // p ** 3 for x in lanes)
+        # v n // p^3 on a row is n l // p^3 on each lane when p^3 divides every lane, at any sign: E and mid
+        # on one key of each _epsilon_case, with lanes at +-B for the largest peak on int64, where the
+        # products reach B p^3, and one past it, on Python ints.  Numerators up to 10, as `hecke
+        # verify-relation` draws them, stay on int64 up to p = 97 and go onto Python ints from p = 101
+        for p in (3, 7, 97, 101):
+            assert hecke._rows(CoefficientField.delta((1, 0, 0), 10, p=p), p).dtype == (np.int64 if p < 100 else object)
+            cube = p ** 3
+            keys = [next(b for b in itertools.product(range(p + 1), repeat=3) if any(b) and _epsilon_case(b, p) == case)
+                    for case in range(4)]
+            pairs = hecke._Pairs(p, np.array(keys))
+            weights = hecke._int_weights(p)
+            for peak, dtype in ((_int64_edge(p), np.int64), (_int64_edge(p) + 1, object)):
+                assert hecke._rows(CoefficientField.delta((1, 0, 0), peak, p=p), p).dtype == dtype
+                top = _row_bound(p, peak) // cube * cube
+                lanes = [[top, -top, -cube, 0], [-top, top, cube, 0], [top, top, -top, -top], [0, -cube, top, cube]]
+                rows = np.array(lanes, dtype=dtype)
+                for ell, table in ((2, weights.eps), (3, weights.mid)):
+                    group_keys, weighed = hecke._terms(ell, pairs, rows)[2]
+                    assert group_keys.tolist() == [list(b) for b in keys]
+                    expected = [[x * table[case] // cube for x in row] for case, row in enumerate(lanes)]
+                    assert weighed.tolist() == expected
 
     @pytest.mark.parametrize("p,radius", [(3, 12), (997, 2)])
     def test_worst_case_growth_field(self, p, radius):
@@ -1030,6 +1047,24 @@ class TestLanes:
             expected = _quadext_apply(ell, p, A)
             assert got == expected and _snapshot(got) == _snapshot(expected), ell
         assert verify_hecke_relation(p, A).is_zero
+
+    @pytest.mark.parametrize("p", [3, 5])
+    def test_rows_leave_int64_where_the_bound_reaches_2_to_the_63(self, p):
+        # the worst-case field of test_worst_case_growth_field at the largest peak that the proven bound
+        # keeps on int64, and at one more, on Python ints: exact outputs and a zero relation on both sides
+        edge = _int64_edge(p)
+        growth = p ** 7 * ((p + 3) ** 2 + 5 * p + 17)
+        assert edge * growth < 2 ** 63 <= (edge + 1) * growth
+        for peak, dtype in ((edge, np.int64), (edge + 1, object)):
+            value = QComplex(QuadExt(p, Fraction(peak), Fraction(peak)), QuadExt(p, Fraction(-peak), Fraction(-peak)))
+            A = CoefficientField(p, {beta: value for beta in CoefficientField.ones_ball(3).entries})
+            assert A.num_peak == peak and A.nums.dtype == np.int64 and hecke._rows(A, p).dtype == dtype
+            for ell in (1, 2, 3):
+                got = apply_hecke(ell, p, A)
+                expected = _quadext_scatter(ell, p, A)
+                assert got == expected and _snapshot(got) == _snapshot(expected), (peak, ell)
+                assert got.keys.dtype == got.nums.dtype == np.int64  # outputs that fit int64 come back on it
+            assert verify_hecke_relation(p, A).is_zero
 
 
 def _double_conjugation_hits(p, A, h3):
@@ -1618,8 +1653,9 @@ class TestFieldContainer:
         # the relation that holds returns its zero field without building arrays, equal to the public one
         for p in (3, 7):
             zero = CoefficientField(p, {})
+            cancelled = hecke._nonzero_field(p, 5 * p ** 4, np.array([[1, 0, 0]]), np.zeros((1, 4), np.int64))
             for got in (verify_hecke_relation(p, CoefficientField.random(random.Random(p), p=p, sqrt_parts=True)),
-                        hecke._unpacked(p, {}, 5 * p ** 4, 40)):
+                        cancelled):
                 assert got == zero and repr(got) == repr(zero) and got.p == p and got.den == zero.den == 1
                 for name in ("keys", "nums", "norms"):
                     mine, public = getattr(got, name), getattr(zero, name)

@@ -115,6 +115,58 @@ class TestBessel:
             bessel_k_imag_order(1.0, 0.0)
 
 
+# The first odd Maass cusp form on SL2(Z): its spectral parameter (D. A. Hejhal, IMA Vol. 109, 1999;
+# H. Then, Math. Comp. 74, 2005; Booker, Strombergsson & Venkatesh, IMRN 2006).
+FIRST_ODD_SL2Z_R = 9.53369526135355755434
+
+
+def _sl2z_pullback(x, y):
+    """x + iy moved into the SL2(Z) fundamental domain |x| <= 1/2, |z| >= 1 by x -> x + n and z -> -1/z."""
+    while True:
+        x -= math.floor(x + 0.5)
+        norm = x * x + y * y
+        if norm >= 1:
+            return x, y
+        x, y = -x / norm, y / norm
+
+
+def _hejhal_coefficients(r, height, terms=22, points=60):
+    """c(1..terms) of an odd form sum_n c(n) sqrt(y) K_ir(2 pi n y) sin(2 pi n x) on SL2(Z) with c(1) = 1,
+    from Hejhal's collocation at one height: the sine coefficients of phi at the points
+    x_m = (m - 1/2) / (2 points), m = 1..points, of the line y = height, where phi is read at each
+    point's pullback into the fundamental domain."""
+    n = np.arange(1, terms + 1)
+    xs = (np.arange(1, points + 1) - 0.5) / (2 * points)
+    stars = [_sl2z_pullback(x, height) for x in xs]
+    # column k: the k-th term of phi at each pullback
+    pulled = np.array([[math.sqrt(y) * bessel_k_imag_order(r, 2 * math.pi * k * y) * math.sin(2 * math.pi * k * x)
+                        for k in n] for x, y in stars])
+    direct = np.array([math.sqrt(height) * bessel_k_imag_order(r, 2 * math.pi * k * height) for k in n])
+    system = np.diag(direct) - (2 / points) * np.sin(2 * math.pi * np.outer(n, xs)) @ pulled
+    rest = np.linalg.solve(system[1:, 1:], -system[1:, 0])
+    return np.concatenate(([1.0], rest))
+
+
+class TestHejhalRehearsal:
+    def test_first_odd_sl2z_form(self):
+        # the kernel at scale, against a published eigenvalue rather than mpmath: c(2) read at two
+        # heights agrees only at an eigenvalue, so a secant on the difference finds r; the solve does
+        # not impose the Hecke relations, so they check the coefficients independently
+        def gap(r):
+            return _hejhal_coefficients(r, 0.48)[1] - _hejhal_coefficients(r, 0.43)[1]
+
+        r0, r1 = 9.5, 9.55
+        g0, g1 = gap(r0), gap(r1)
+        for _ in range(30):
+            r0, r1, g0 = r1, r1 - g1 * (r1 - r0) / (g1 - g0), g1
+            if abs(r1 - r0) < 1e-13:
+                break
+            g1 = gap(r1)
+        assert abs(r1 - FIRST_ODD_SL2Z_R) < 1e-10, r1
+        c = _hejhal_coefficients(r1, 0.48)
+        assert abs(c[1] * c[2] - c[5]) < 1e-10 and abs(c[1] ** 2 - 1 - c[3]) < 1e-10, c[:6]
+
+
 class TestEvaluateForm:
     def test_empty_form_is_zero(self):
         form = SpectralForm(r=1.0, entries=())
