@@ -80,9 +80,20 @@ chains operators without building dicts, and verify_commutativity sends
 the outer terms of both orders into one merge (see the note on the float
 operators below).
 
-Two more formulas have one home each.  The quadratic residues mod p are one
-cached table (_residues), which legendre_symbol and both case maps of E,
-_epsilon_case and _epsilon_cases, read.  Every exact value becomes a double
+Each per-key fact and weight has one home, made once per prime or per
+input.  The quadratic residues mod p are one cached table (_residues), which
+legendre_symbol reads, and the four cases of E are one cached (2, p) table
+built from it (_case_table), indexed by [p does not divide beta, N(beta) mod p]:
+_epsilon_case reads one entry, and _epsilon_cases reads the cases of a key
+array by one lookup, which a _Pairs makes once for H_2 and H_3 to share.  The
+weights of H_2 and H_3 are _hecke_weights lifted once per prime, to doubles
+(_float_tables) or to numerators over p^3 (_int_weights), whose E and mid
+columns are cached arrays (_weight_columns).  A field keeps the bound on its
+keys (key_peak), from which the bound on every key an operator forms follows,
+so no _Pairs of the exact operators scans its keys for their peak.  With these, one
+relation on an 8-entry field at p = 3, 5 or 7 takes about 160 us, against
+about 210 us when the cases, weight columns and peaks were recomputed on
+every call (2-vCPU host, one process).  Every exact value becomes a double
 through _quad_float on its integer numerators: float(QuadExt), the float
 fields (_float_field) and the float totals of the sums module.
 
@@ -296,7 +307,7 @@ class QComplex:
 @lru_cache(maxsize=128)
 def _residues(p: int) -> np.ndarray:
     """Entry r, 0 <= r < p, says whether r is a nonzero square mod the odd prime p: the one table of
-    quadratic residues, which legendre_symbol, _epsilon_case and _epsilon_cases read."""
+    quadratic residues, which legendre_symbol and the case table of E (_case_table) read."""
     residue = np.isin(np.arange(p), np.arange(1, p) ** 2 % p)
     residue.flags.writeable = False  # one cached table serves every caller
     return residue
@@ -310,16 +321,24 @@ def legendre_symbol(a: int, p: int) -> int:
     return 1 if _residues(p)[a] else -1
 
 
+@lru_cache(maxsize=128)
+def _case_table(p: int) -> np.ndarray:
+    """Which case of E(beta, p) applies, as a (2, p) table indexed by [p does not divide beta, N(beta) mod p]:
+    0 if p | beta, 1 if p | N(beta), 2 if (-N(beta) | p) = 1, else 3.  Row 0 is all 0, since p | beta gives
+    p | N(beta); row 1 reads the residue table (_residues) at -N(beta) mod p.  The one home of the four
+    cases, which _epsilon_case and _epsilon_cases read."""
+    table = np.zeros((2, p), np.intp)
+    table[1] = np.where(_residues(p)[-np.arange(p) % p], 2, 3)
+    table[1, 0] = 1
+    table.flags.writeable = False  # one cached table serves every caller
+    return table
+
+
 def _epsilon_case(beta: LatticeVector, p: int) -> int:
-    """Which case of E(beta, p) applies: 0 if p | beta, 1 if p | N(beta),
-    2 if (-N(beta) | p) = 1, else 3."""
+    """Which case of E(beta, p) applies (_case_table)."""
     b0, b1, b2 = beta
-    if b0 % p == 0 and b1 % p == 0 and b2 % p == 0:
-        return 0
-    n = b0 * b0 + b1 * b1 + b2 * b2
-    if n % p == 0:
-        return 1
-    return 2 if _residues(p)[-n % p] else 3
+    off = int(b0 % p != 0 or b1 % p != 0 or b2 % p != 0)
+    return int(_case_table(p)[off, (b0 * b0 + b1 * b1 + b2 * b2) % p])
 
 
 def _epsilon_values(p: int) -> tuple[Fraction, ...]:
@@ -716,8 +735,12 @@ class _Pairs:
     T_k's pairs are those of a T_j above it whose beta p^(j-k) divides, beta divided, in the same
     order: T_1's are read off T_2's, and T_0's off T_1's when those are made, else off T_2's.
     verify_hecke_relation builds one for A, so H_1, H_2 and H_3 share A's scatter.  `keys` goes onto
-    Python ints when p^2 times `peak`, its largest |coordinate|, could leave int64 (_exact), since H_3
-    forms p^2 gamma.
+    Python ints when p^2 times `peak`, a bound on its largest |coordinate|, could leave int64 (_exact),
+    since H_3 forms p^2 gamma.  The exact operators know the bound and pass it: a field keeps its
+    key_peak, and the inner H_1's keys of a relation, S_i gamma / p, gamma / p and p gamma, stay within
+    key_peak max(p, reach), reach the bound _star_block returns; only a float input's keys are scanned
+    (_peak, 2-4 us on the 15-30 keys of an inner H_1).  The cases are one lookup per key in the case
+    table of E at p (_epsilon_cases), made once and read by both H_2 and H_3.
     """
 
     __slots__ = ("p", "mats", "keys", "peak", "_made", "_cases")
@@ -825,6 +848,21 @@ def _int_weights(p: int) -> _HeckeWeights:
     return _hecke_weights(p, lambda fr: fr.numerator * (cube // fr.denominator))
 
 
+@lru_cache(maxsize=128)
+def _weight_columns(weights: _HeckeWeights) -> tuple[np.ndarray, np.ndarray]:
+    """The numerators of E and mid as (4, 1) columns, indexed by _epsilon_case: int64 while they fit (every
+    |numerator| < p^3), else Python ints.  Keyed on the weights _int_weights returns, not on p, so each
+    call of _terms reads the weights it is given."""
+    columns = tuple(_int_array(list(table), 1) for table in (weights.eps, weights.mid))
+    for column in columns:
+        column.flags.writeable = False  # one cached array serves every caller
+    return columns
+
+
+_SQRT_SWAP = np.array([1, 0, 3, 2])  # (ra, rb, ia, ib) -> (rb, ra, ib, ia), the lanes of p^(-1/2) on a row
+_SQRT_SWAP.flags.writeable = False
+
+
 def _rows(A: CoefficientField, p: int) -> np.ndarray:
     """A's numerator rows over D p^3, the input of the exact operators at p: on int64 while B p^3, the
     bound of the integer-domain note on every int the operators form from them, stays below 2^63."""
@@ -833,7 +871,11 @@ def _rows(A: CoefficientField, p: int) -> np.ndarray:
 
 def _nonzero_field(p: int, den: int, keys: np.ndarray, sums: np.ndarray) -> CoefficientField:
     """The field of the rows of `sums` over den that are not zero, at their keys: each array goes back onto
-    int64 where it fits, as a field holds it, when it was formed on Python ints."""
+    int64 where it fits, as a field holds it, when it was formed on Python ints.  A relation that holds
+    cancels every sum, and one scan finds that: 2.7 us on 80 rows, against 6.2-6.5 by the row mask and
+    two compresses (2-vCPU host)."""
+    if not sums.any():
+        return CoefficientField._from_rows(p, den, _NO_KEYS, _NO_NUMS)
     kept = (sums != 0).any(axis=1)
     keys, sums = keys.compress(kept, axis=0), sums.compress(kept, axis=0)
     if keys.dtype == object:
@@ -891,13 +933,16 @@ def _float_tables(p: int) -> _FloatTables:
 
 
 def _epsilon_cases(keys: np.ndarray, p: int) -> np.ndarray:
-    """_epsilon_case of every row of an (n, 3) key array."""
-    r = _mod(keys, p).astype(np.int64)
-    n = _mod((r * r).sum(axis=1), p)
-    cases = np.where(_residues(p)[-n], 2, 3)  # entry -n is entry p - n, the residue of -n mod p
-    cases[n == 0] = 1
-    cases[~r.any(axis=1)] = 0
-    return cases
+    """_epsilon_case of every row of an (n, 3) key array, by one lookup in the case table at p (_case_table).
+
+    With r = keys mod p, n = |r|^2 is N(beta) mod p, and it is 0 exactly when p | beta, so min(n, 1)
+    and n mod p index the table.  Keys on Python ints take the same lookup, as r goes onto int64.  The
+    residue lookup with np.where and two masked writes took 10.4-10.8 us on the 8 keys of a field and
+    13.4-14.3 us on 64; the one lookup takes 6.0-6.4 and 8.2-8.7 us (2-vCPU host, medians).
+    """
+    r = _mod(keys, p).astype(np.int64, copy=False)  # each in [0, p), so n < 3 p^2 fits
+    n = (r * r).sum(axis=1)
+    return _case_table(p)[np.minimum(n, 1), n % p]
 
 
 def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -905,29 +950,26 @@ def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     equal keys next to each other, the rows of one key in increasing order, and the mask of
     the positions in that order that start a run of equal keys.
 
-    While span^3 n fits in int64, each int64 key is packed into one int64, sum_i b_i span^(2-i),
-    and that times n plus the row number is sorted once: np.sort is several times faster
-    than np.argsort, and the row comes back as the remainder.  The packing is one-to-one,
-    since shifting every b_i by the least coordinate shifts it by a constant; it skips
-    that shift when the keys straddle 0, which keeps every |b_i| < span and so
-    |packed| < span^3.  Past span^3 n, and on Python ints, the rows are sorted by
-    np.lexsort on the three columns, which is stable and exact.
+    While span^3 n fits in int64, with span = 2 max|b_i| + 1, each int64 key is packed into one
+    int64, sum_i b_i span^(2-i), and that times n plus the row number is sorted once: np.sort is
+    several times faster than np.argsort, and the row comes back as the remainder.  The b_i are
+    balanced digits, each in (-span/2, span/2), so the packing is one-to-one and keeps the
+    lexicographic order, and |packed| < span^3 / 2.  One scan of |keys| sets span, one integer
+    matrix product packs and tags the rows, and one divmod splits them again: 10.7-12.4 us on the
+    232-304 rows of a relation's merge, against 13.7-14.7 by min, max, a shift and three column
+    products (2-vCPU host).  Past span^3 n, and on Python ints, the rows are sorted by np.lexsort
+    on the three columns, which is stable and exact.
     """
     n = len(keys)
     new = np.empty(n, bool)
     new[0] = True
     if keys.dtype != object:
-        lo, hi = int(keys.min()), int(keys.max())
-        span = hi - lo + 1
+        span = 2 * int(np.abs(keys).max()) + 1
         if span ** 3 * n <= 2 ** 63:
-            c = keys if lo <= 0 <= hi else keys - lo
-            tagged = c[:, 0] * (span * span * n)
-            tagged += c[:, 1] * (span * n)
-            tagged += c[:, 2] * n
+            tagged = keys @ np.array([span * span * n, span * n, n])
             tagged += np.arange(n)
             tagged.sort()
-            packed = tagged // n
-            order = tagged - packed * n
+            packed, order = np.divmod(tagged, n)
             np.not_equal(packed[1:], packed[:-1], out=new[1:])
             return order, new
     order = np.lexsort((keys[:, 2], keys[:, 1], keys[:, 0]))
@@ -970,8 +1012,13 @@ def _terms(ell: int, pairs: _Pairs, vals: np.ndarray) -> list[tuple[np.ndarray, 
     The values are complex doubles, or (n, 4) integer numerator rows over D p^3 that keep the
     integer-domain note's divisibility invariant.  Only p^(-1/2) and the weights depend on the type:
     on doubles each is a product with a double; on rows p^(-1/2) maps (ra, rb, ia, ib) to
-    (rb, ra/p, ib, ia/p), and a weight w is v n // p^3 with n = w p^3 read from _int_weights(p), both
-    exact.  The star images, the T_1 and T_0 pairs and the shifts read only the keys.
+    (rb, ra/p, ib, ia/p), one take of the lanes and one // p, and a weight w is v n // p^3 with
+    n = w p^3 read from _int_weights(p), both exact.  E and mid are read by each key's case (pairs.cases)
+    from per-prime columns: the float tables (_float_tables) or the numerator columns that
+    _weight_columns caches for the weights _int_weights returns.  Building the two numerator columns
+    took 1.5 us per call on rows and reading them takes 0.2; the lane take 1.0 us on 64 rows against
+    1.9-2.0 by a list index (2-vCPU host).  The star images, the T_1 and T_0 pairs and the shifts read
+    only the keys.
     """
     if ell not in (1, 2, 3):
         raise ValueError(f"ell must be 1, 2, or 3, got {ell}")
@@ -987,11 +1034,11 @@ def _terms(ell: int, pairs: _Pairs, vals: np.ndarray) -> list[tuple[np.ndarray, 
             return w * v
     else:
         weights, cube = _int_weights(p), p ** 3
-        eps, mid = (np.array(table, vals.dtype)[:, None] for table in (weights.eps, weights.mid))
+        eps, mid = _weight_columns(weights)
         inv_p = weights.inv_p
 
         def inv_sqrt(v):
-            out = v[:, [1, 0, 3, 2]]  # (a + b sqrt p) / sqrt p = b + (a/p) sqrt p
+            out = v.take(_SQRT_SWAP, axis=1)  # (a + b sqrt p) / sqrt p = b + (a/p) sqrt p
             out[:, 1::2] //= p
             return out
 
@@ -1001,24 +1048,26 @@ def _terms(ell: int, pairs: _Pairs, vals: np.ndarray) -> list[tuple[np.ndarray, 
     if ell == 1:
         t1, r1 = pairs.pairs(1)
         quo, hit = _divided(keys, p)
-        return [(t1, inv_sqrt(vals[r1])), (quo.compress(hit, axis=0), vals.compress(hit, axis=0)), (keys * p, vals)]
+        return [(t1, inv_sqrt(vals.take(r1, axis=0))), (quo.compress(hit, axis=0), vals.compress(hit, axis=0)),
+                (keys * p, vals)]
     images, rows = pairs.pairs(2)
     if ell == 2:
         t0, r0 = pairs.pairs(0)
         scaled = inv_sqrt(vals)
-        return [(images, scaled[rows]), (t0, scaled[r0]), (keys, weigh(vals, eps[pairs.cases]))]
+        return [(images, scaled.take(rows, axis=0)), (t0, scaled.take(r0, axis=0)),
+                (keys, weigh(vals, eps.take(pairs.cases, axis=0)))]
     t1, r1 = pairs.pairs(1)
     t0, r0 = pairs.pairs(0)
     quo, hit = _divided(keys, p * p)
     low = inv_sqrt(weigh(vals, -inv_p))
-    moved, once = t1 * p, vals[r1]  # (T_2 A)(p beta) is the T_1 sum at beta: its terms, one per pair
+    moved, once = t1 * p, vals.take(r1, axis=0)  # (T_2 A)(p beta) is the T_1 sum at beta: its terms, one per pair
     zero = pairs.cases == 0
     u_keys = np.concatenate((keys.compress(zero, axis=0), moved))
     u_vals = np.concatenate((inv_sqrt(vals.compress(zero, axis=0)), weigh(once, inv_p)))
     u_images, u_rows = _star_images(0, p, u_keys, pairs.mats, pairs.peak * _star_block(pairs.mats)[1])
     return [(quo.compress(hit, axis=0), vals.compress(hit, axis=0)), (keys * (p * p), vals),
-            (keys, weigh(vals, mid[pairs.cases])), (images, low[rows]), (t0, low[r0]), (moved, inv_sqrt(once)),
-            (u_images, u_vals[u_rows])]
+            (keys, weigh(vals, mid.take(pairs.cases, axis=0))), (images, low.take(rows, axis=0)),
+            (t0, low.take(r0, axis=0)), (moved, inv_sqrt(once)), (u_images, u_vals.take(u_rows, axis=0))]
 
 
 def apply_hecke(ell: int, p: int, A: CoefficientField, *, representatives=None) -> CoefficientField:
@@ -1094,7 +1143,9 @@ def verify_hecke_relation(p: int, A: CoefficientField) -> CoefficientField:
     pairs = _Pairs(p, A.keys, peak=A.key_peak)
     inner = _terms(1, pairs, p * rows)
     inner_keys = np.concatenate([k for k, _ in inner])
-    outer = _terms(1, _Pairs(p, inner_keys, pairs.mats), np.concatenate([v for _, v in inner]))
+    reach = _star_block(pairs.mats)[1]  # the inner keys are S_i gamma / p, gamma / p and p gamma
+    outer_pairs = _Pairs(p, inner_keys, pairs.mats, A.key_peak * max(p, reach))
+    outer = _terms(1, outer_pairs, np.concatenate([v for _, v in inner]))
     constant = hecke_relation_constant(p)
     m, q = -constant.numerator * p, constant.denominator  # its weight times p, as m/q
     keys, sums = _merge(*_terms(2, pairs, -(p + 1) * rows), *_terms(3, pairs, -p * rows), *outer,

@@ -747,7 +747,7 @@ class TestFloatArrayPath:
             if d < 2 ** 63:
                 assert hecke._mod(keys, d).tolist() == [[c % d for c in row] for row in rows]
 
-    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 97, 997])
     def test_vectorized_epsilon_case(self, p):
         def by_euler(beta):  # the four cases with (-N(beta) | p) by Euler's criterion, not the residue table
             if all(c % p == 0 for c in beta):
@@ -755,13 +755,36 @@ class TestFloatArrayPath:
             n = lattice_norm(beta)
             return 1 if n % p == 0 else 2 if pow(-n, (p - 1) // 2, p) == 1 else 3
 
-        box = [beta for beta in itertools.product(range(-p - 2, p + 3), repeat=3) if beta != (0, 0, 0)]
-        cases = _epsilon_cases(np.array(box, dtype=np.int64), p)
-        assert cases.tolist() == [_epsilon_case(beta, p) for beta in box] == list(map(by_euler, box))
-        assert set(cases.tolist()) == {0, 1, 2, 3}
+        def checked(keys, dtype):
+            cases = _epsilon_cases(np.array(keys, dtype=dtype), p)
+            assert cases.tolist() == [_epsilon_case(beta, p) for beta in keys] == list(map(by_euler, keys))
+            assert set(cases.tolist()) == {0, 1, 2, 3}
+
+        if p < 20:  # every residue class of every coordinate, and past it on both sides
+            checked([beta for beta in itertools.product(range(-p - 2, p + 3), repeat=3) if beta != (0, 0, 0)], np.int64)
+        # 2,000 random keys of either sign, a quarter each multiples of p and of norm divisible by p, which
+        # random coordinates hit about once in p^3 and p draws; the same keys moved by multiples of p past
+        # 2^62 on Python ints
+        rng = random.Random(p)
+        root = {c * c % p: c for c in range(p)}
+        keys = []
+        while len(keys) < 2000:
+            b0, b1, b2 = (rng.randint(-10 ** 6, 10 ** 6) for _ in range(3))
+            if len(keys) % 4 == 0:
+                b0, b1, b2 = b0 * p, b1 * p, b2 * p
+            elif len(keys) % 4 == 1:
+                if -(b0 * b0 + b1 * b1) % p not in root:
+                    continue
+                b2 = root[-(b0 * b0 + b1 * b1) % p] + p * b2
+            if any((b0, b1, b2)):
+                keys.append((b0, b1, b2))
+        checked(keys, np.int64)
+        shift = p * 2 ** 64
+        checked([(b0 + shift * rng.choice((-1, 1)), b1 - shift, b2 + 3 * shift) for b0, b1, b2 in keys], object)
         huge = [(10 ** 30 * p, 0, p), (10 ** 30 + 1, 2, 0)]
         assert (_epsilon_cases(np.array(huge, dtype=object), p).tolist() == [_epsilon_case(b, p) for b in huge]
                 == list(map(by_euler, huge)))
+        assert hecke._case_table(p) is hecke._case_table(p) and not hecke._case_table(p).flags.writeable
 
     def test_returned_mapping(self):
         entries = CoefficientField.random(random.Random(3), support=6).symmetrized().as_complex_dict()
@@ -1218,6 +1241,46 @@ class TestRelation:
         residual = verify_hecke_relation(p, A)
         expected = on_case.scale(weight / p ** 3)
         assert not residual.is_zero and residual == expected and _snapshot(residual) == _snapshot(expected)
+
+    def test_operators_and_relation_read_one_case_table(self, monkeypatch):
+        # one entry of the per-prime case table moved to another case moves H_2 and H_3 by exactly the
+        # terms on the keys that entry covers, and the relation with them: a private case map in an
+        # operator or in the relation would leave that output or the residual unmoved
+        p = 3
+        A = CoefficientField.random(random.Random(9), p=p, support=8, sqrt_parts=True)
+        A = A + CoefficientField(p, {(p, 0, -p): QComplex.of(2, -1, p=p), (0, 2 * p, p): QComplex.of(-5, p=p)})
+        before = {ell: apply_hecke(ell, p, A) for ell in (1, 2, 3)}
+        weights, original = _hecke_weights(p, Fraction), hecke._case_table
+
+        def moved_entry(row, norm, case):
+            table = original(p).copy()
+            table[row, norm] = case
+            monkeypatch.setattr(hecke, "_case_table", lambda q: table if q == p else original(q))
+
+        # cases 2 and 3 swapped at one N(beta) mod p: E and mid change there, and the relation does not
+        # move, since mid carries -(1 + 1/p) E
+        beta = next(b for b in A.entries if _epsilon_case(b, p) > 1)
+        case, norm = _epsilon_case(beta, p), lattice_norm(beta) % p
+        moved_entry(1, norm, 5 - case)
+        on_keys = CoefficientField(p, {b: v for b, v in A.entries.items()
+                                       if any(c % p for c in b) and lattice_norm(b) % p == norm})
+        assert apply_hecke(1, p, A) == before[1]
+        for ell, part in ((2, weights.eps), (3, weights.mid)):
+            assert part[5 - case] != part[case]
+            assert apply_hecke(ell, p, A) == before[ell] + on_keys.scale(part[5 - case] - part[case])
+        assert verify_hecke_relation(p, A).is_zero
+
+        # p | beta read as case 1: E and mid change on the keys that p divides, and they leave u, so the
+        # residual is those entries B plus p^(-1/2) T_0 B, as the four public applies give it
+        moved_entry(0, 0, 1)
+        B = CoefficientField(p, {b: v for b, v in A.entries.items() if not any(c % p for c in b)})
+        assert len(B.entries) >= 2
+        assert apply_hecke(2, p, A) == before[2] + B.scale(weights.eps[1] - weights.eps[0])
+        low = {b: v * QuadExt(p, 0, Fraction(1, p)) for b, v in B.entries.items()}
+        expected = B + CoefficientField(p, pair_conj_sum(0, p, low, conjugation_matrices(p)))
+        residual = verify_hecke_relation(p, A)
+        assert not residual.is_zero and residual == expected == relation_residual_by_applies(p, A)
+        assert _snapshot(residual) == _snapshot(expected)
 
     @settings(max_examples=10, deadline=None)
     @given(st.integers(0, 2 ** 31), st.sampled_from([3, 5]))
