@@ -68,10 +68,10 @@ support is scattered once, and the terms of the whole residual meet in one
 merge.  The test suite's generic dict loops of the operators
 (tests/reference.py, apply_dict) scatter by an independent loop over the
 (point, representative) pairs.  The lattice sums of the sums module
-(R^{p,l}_d and the L6.4 double sum) read T_l off _conj_sum_rows, the
-same scatter on arrays, with the integer numerators of equal betas
-summed.  A field is integer numerator arrays over one denominator
-(CoefficientField), and the float operators read complex128 arrays made
+(R^{p,l}_d and the L6.4 double sum) read T_l off the same star images,
+test them, and sum the integer numerators of equal betas by _merge
+(sums._conj_rows).  A field is integer numerator arrays over one
+denominator (CoefficientField), and the float operators read complex128 arrays made
 once per field (_float_field).  Every merge of equal keys, on int64 or on
 Python ints, is _merge, which sorts them once (_runs) and returns them in
 key order.  apply_hecke_float returns a read-only mapping backed by its
@@ -606,9 +606,9 @@ def _hecke_weights(p: int, lift: Callable) -> _HeckeWeights:
     return _HeckeWeights(tuple(map(lift, eps)), tuple(map(lift, mid)), lift(inv_p))
 
 
-@lru_cache(maxsize=128)
 def _star_block(mats) -> tuple[np.ndarray, int]:
-    """The S_i side by side as one (3, 3(p+1)) int64 block, and 3 max|C_i entry|.
+    """The star of a table of conjugation matrices: the S_i side by side as one (3, 3(p+1)) int64
+    block, and 3 max|C_i entry|.
 
     Columns 3i..3i+2 of the block are C_i itself: gamma^T C_i = (S_i gamma)^T,
     so one row gamma^T of the support times the block holds every S_i gamma.
@@ -617,8 +617,15 @@ def _star_block(mats) -> tuple[np.ndarray, int]:
     """
     stack = np.array(mats, dtype=np.int64)
     block = stack.transpose(1, 0, 2).reshape(3, -1)
-    block.flags.writeable = False  # one cached array serves every caller
+    block.flags.writeable = False  # a cached star serves every caller
     return block, 3 * int(np.abs(stack).max())
+
+
+@lru_cache(maxsize=128)
+def _canonical_star(p: int) -> tuple[np.ndarray, int]:
+    """_star_block of the canonical table conjugation_matrices(p), keyed on p.  A lookup hashes one int:
+    keyed on the p + 1 matrices, a cached call took 0.86, 8.6 and 88 us at p = 7, 97 and 997 (2-vCPU host)."""
+    return _star_block(conjugation_matrices(p))
 
 
 def _int_array(flat: list, width: int) -> np.ndarray:
@@ -664,7 +671,7 @@ def _exact(arr: np.ndarray, bound: int) -> np.ndarray:
     """arr, or arr on Python ints when `bound` reaches 2^63: the one place that picks int64 or Python ints.
 
     `bound` is the caller's proven bound on every |int| it forms from arr.  An int64 key array also
-    keeps every |coordinate| < 2^62, which _mod needs, so a caller that forms keys passes twice the
+    keeps every |coordinate| < 2^62, which _divided needs, so a caller that forms keys passes twice the
     largest |coordinate| it can form.
     """
     if arr.dtype == object or bound < 2 ** 63:
@@ -672,14 +679,15 @@ def _exact(arr: np.ndarray, bound: int) -> np.ndarray:
     return arr.astype(object)
 
 
-def _star_images(k: int, p: int, gammas: np.ndarray, mats, peak: int) -> tuple[np.ndarray, np.ndarray]:
+def _star_images(k: int, p: int, gammas: np.ndarray, star: tuple[np.ndarray, int],
+                 peak: int) -> tuple[np.ndarray, np.ndarray]:
     """(images, rows): every integral p^(k-2) S_i gamma of the rows of `gammas`, gamma-major and
     then star, and the row of gamma that each image comes from; `peak` bounds max|coordinate| of
     `gammas`.  These are the (beta, row) pairs that scatter T_k A from the support.
 
-    (T_k A)(beta) = sum_i A(C_i beta / p^k), with C_1..C_{p+1} the conjugation matrices `mats`
-    (conj_i(beta) = C_i beta).  Each C_i has C_i S_i = p^2 I with S_i = C_i^T, so
-    C_i beta / p^k = gamma exactly when beta = p^(k-2) S_i gamma.  The terms that read A at
+    (T_k A)(beta) = sum_i A(C_i beta / p^k), with C_1..C_{p+1} the conjugation matrices whose
+    star (_star_block) is `star` (conj_i(beta) = C_i beta).  Each C_i has C_i S_i = p^2 I with
+    S_i = C_i^T, so C_i beta / p^k = gamma exactly when beta = p^(k-2) S_i gamma.  The terms that read A at
     gamma are therefore the pairs (gamma, i) with p^(k-2) S_i gamma integral, one term per pair:
     adding A(gamma) into the sum at that beta for each pair visits every term once, and no
     lookup misses.  N(beta) = p^(2k-2) N(gamma), so a caller that needs a ball of beta drops
@@ -690,12 +698,12 @@ def _star_images(k: int, p: int, gammas: np.ndarray, mats, peak: int) -> tuple[n
     peak 3 max|C_i entry| p^max(k-2, 0), so the product runs on Python ints when that could
     reach 2^62 (_exact) and is exact either way.
     """
-    block, reach = _star_block(mats)
+    block, reach = star
     gammas = _exact(gammas, 2 * peak * reach * p ** max(k - 2, 0))
     if gammas.dtype == object:
         block = block.astype(object)
     images = (gammas @ block).reshape(-1, 3)  # row g (p+1) + i is S_i gamma_g
-    m = len(mats)
+    m = block.shape[1] // 3
     if k < 2:
         quo, hit = _divided(images, p ** (2 - k))
         rows = hit.nonzero()[0]
@@ -703,22 +711,16 @@ def _star_images(k: int, p: int, gammas: np.ndarray, mats, peak: int) -> tuple[n
     return (images * p ** (k - 2) if k > 2 else images), np.arange(len(images)) // m
 
 
-def _mod(keys: np.ndarray, d: int) -> np.ndarray:
-    """keys % d for a positive integer d, each in [0, d).
-
-    numpy divides int64 by a scalar several times faster than it takes the
-    remainder, so the remainder is keys - (keys // d) d.  The product lies in
-    (keys - d, keys], which stays in int64 while |key| < 2^62 and d < 2^63: every
-    int64 key array here keeps the first (_exact), and _divided the second.
-    """
-    return keys - keys // d * d
-
-
 def _divided(keys: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """(keys // d, the mask of the rows of the (n, 3) key array that the positive integer d divides)."""
-    keys = _exact(keys, d)  # |key| < 2^62 and d < 2^63 keep every int formed in int64 (_mod)
+    """(keys // d, the mask of the rows of the (n, 3) key array that the positive integer d divides).
+
+    The remainder is keys - (keys // d) d, from the quotient already formed.  The product lies in
+    (keys - d, keys], which stays in int64 while |key| < 2^62 and d < 2^63: every int64 key array
+    keeps the first (_exact), and the guard below the second.
+    """
+    keys = _exact(keys, d)
     quo = keys // d
-    rest = keys - quo * d  # _mod(keys, d): each in [0, d), so the OR of a row is 0 when all three are
+    rest = keys - quo * d  # each in [0, d), so the OR of a row is 0 when all three are
     return quo, (rest[:, 0] | rest[:, 1] | rest[:, 2]) == 0
 
 
@@ -740,14 +742,15 @@ class _Pairs:
     key_peak, and the inner H_1's keys of a relation, S_i gamma / p, gamma / p and p gamma, stay within
     key_peak max(p, reach), reach the bound _star_block returns; only a float input's keys are scanned
     (_peak, 2-4 us on the 15-30 keys of an inner H_1).  The cases are one lookup per key in the case
-    table of E at p (_epsilon_cases), made once and read by both H_2 and H_3.
+    table of E at p (_epsilon_cases), made once and read by both H_2 and H_3.  The star of the table is
+    read once, by p for the canonical table (_canonical_star), and built from `mats` for any other.
     """
 
-    __slots__ = ("p", "mats", "keys", "peak", "_made", "_cases")
+    __slots__ = ("p", "star", "keys", "peak", "_made", "_cases")
 
     def __init__(self, p: int, keys: np.ndarray, mats=None, peak: Optional[int] = None):
         self.p = p
-        self.mats = conjugation_matrices(p) if mats is None else mats
+        self.star = _canonical_star(p) if mats is None else _star_block(mats)
         self.peak = _peak(keys) if peak is None else peak
         self.keys = _exact(keys, 2 * self.peak * p * p)
         self._made = {}
@@ -758,7 +761,7 @@ class _Pairs:
         made = self._made
         if k not in made:
             if k == 2:
-                made[2] = _star_images(2, self.p, self.keys, self.mats, self.peak)
+                made[2] = _star_images(2, self.p, self.keys, self.star, self.peak)
             else:
                 j = 1 if k == 0 and 1 in made else 2
                 betas, rows = self.pairs(j)
@@ -771,24 +774,6 @@ class _Pairs:
         if self._cases is None:
             self._cases = _epsilon_cases(self.keys, self.p)
         return self._cases
-
-
-def _conj_sum_rows(k: int, p: int, keys: np.ndarray, rows: np.ndarray, mats,
-                   peaks: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
-    """T_k on an array field: (betas, sums), one beta per key with a support hit, in key order.
-
-    `keys` is the (n, 3) support and `rows` its (n, m) integer values, numerators say.  The
-    pairs are _star_images', whose docstring makes the scatter exact, and the rows of each
-    beta are summed (_merge).  A beta gets at most one term per C_i, so each sum is at most
-    max|row entry| len(mats) (_exact).  Sums that cancel to zero are kept.  `peaks` bounds
-    (max|key coordinate|, max|row entry|), as a field keeps them (key_peak, num_peak), so
-    neither array is scanned here.
-    """
-    if not len(keys):  # no support point: no image
-        return keys, rows
-    key_peak, row_peak = peaks
-    images, src = _star_images(k, p, keys, mats, key_peak)
-    return _merge((images, _exact(rows, row_peak * len(mats)).take(src, axis=0)))
 
 
 # -- the integer domain of the exact operators ---------------------------------
@@ -938,9 +923,11 @@ def _epsilon_cases(keys: np.ndarray, p: int) -> np.ndarray:
     With r = keys mod p, n = |r|^2 is N(beta) mod p, and it is 0 exactly when p | beta, so min(n, 1)
     and n mod p index the table.  Keys on Python ints take the same lookup, as r goes onto int64.  The
     residue lookup with np.where and two masked writes took 10.4-10.8 us on the 8 keys of a field and
-    13.4-14.3 us on 64; the one lookup takes 6.0-6.4 and 8.2-8.7 us (2-vCPU host, medians).
+    13.4-14.3 us on 64; the one lookup takes 6.0-6.4 and 8.2-8.7 us (2-vCPU host, medians).  On so few
+    keys one remainder, keys % p, is cheaper than keys - (keys // p) p: 7.1 -> 5.0 us on 8 keys and
+    7.3 -> 6.6 on 64 (same host, minima).
     """
-    r = _mod(keys, p).astype(np.int64, copy=False)  # each in [0, p), so n < 3 p^2 fits
+    r = (keys % p).astype(np.int64, copy=False)  # each in [0, p), so n < 3 p^2 fits
     n = (r * r).sum(axis=1)
     return _case_table(p)[np.minimum(n, 1), n % p]
 
@@ -1064,7 +1051,7 @@ def _terms(ell: int, pairs: _Pairs, vals: np.ndarray) -> list[tuple[np.ndarray, 
     zero = pairs.cases == 0
     u_keys = np.concatenate((keys.compress(zero, axis=0), moved))
     u_vals = np.concatenate((inv_sqrt(vals.compress(zero, axis=0)), weigh(once, inv_p)))
-    u_images, u_rows = _star_images(0, p, u_keys, pairs.mats, pairs.peak * _star_block(pairs.mats)[1])
+    u_images, u_rows = _star_images(0, p, u_keys, pairs.star, pairs.peak * pairs.star[1])
     return [(quo.compress(hit, axis=0), vals.compress(hit, axis=0)), (keys * (p * p), vals),
             (keys, weigh(vals, mid.take(pairs.cases, axis=0))), (images, low.take(rows, axis=0)),
             (t0, low.take(r0, axis=0)), (moved, inv_sqrt(once)), (u_images, u_vals.take(u_rows, axis=0))]
@@ -1086,7 +1073,7 @@ def apply_hecke(ell: int, p: int, A: CoefficientField, *, representatives=None) 
     numerator rows, in key order.
     """
     A = A.with_prime(p)
-    mats = conjugation_matrices(p) if representatives is None else tuple(map(conjugation_matrix, representatives))
+    mats = None if representatives is None else tuple(map(conjugation_matrix, representatives))
     keys, sums = _merge(*_terms(ell, _Pairs(p, A.keys, mats, A.key_peak), _rows(A, p)))
     return _nonzero_field(p, A.den * p ** 3, keys, sums)
 
@@ -1143,8 +1130,8 @@ def verify_hecke_relation(p: int, A: CoefficientField) -> CoefficientField:
     pairs = _Pairs(p, A.keys, peak=A.key_peak)
     inner = _terms(1, pairs, p * rows)
     inner_keys = np.concatenate([k for k, _ in inner])
-    reach = _star_block(pairs.mats)[1]  # the inner keys are S_i gamma / p, gamma / p and p gamma
-    outer_pairs = _Pairs(p, inner_keys, pairs.mats, A.key_peak * max(p, reach))
+    reach = pairs.star[1]  # the inner keys are S_i gamma / p, gamma / p and p gamma
+    outer_pairs = _Pairs(p, inner_keys, peak=A.key_peak * max(p, reach))
     outer = _terms(1, outer_pairs, np.concatenate([v for _, v in inner]))
     constant = hecke_relation_constant(p)
     m, q = -constant.numerator * p, constant.denominator  # its weight times p, as m/q

@@ -24,18 +24,33 @@ and the norms of its keys.  Each condition on beta (the ball, d | beta,
 p not dividing beta, membership in M_l(K)) is one mask, _square_sum
 takes every |v|^2 as one vector expression on the numerator columns,
 and only a total becomes an element of Q(sqrt p) over D^2, p
-the field's own prime (or its float).  The arrays are int64 only while a
+the field's own prime (or its float).  A total on int64 is one product
+G = nums^T nums of the rows, a = G00 + G22 + q (G11 + G33) and
+b = 2 (G01 + G23): every entry of G and every partial sum of it is at
+most n M^2 for n rows of numerators at most M, inside the n (4 + 2q) M^2
+bound that keeps the rows on int64.  The arrays are int64 only while a
 bound proves that no sum or product can leave it, and Python ints in
-object arrays otherwise, as hecke._exact decides for both modules.  The inner sums sum_i A(conj_i(beta) / p^l) of
-R and L6.4 are the map T_l of the Hecke operators, scattered from the
-support by hecke._conj_sum_rows (the star images of hecke._star_images,
-one integer matrix product, with the numerators of equal betas summed).
-_conj_ball holds their one condition N(beta) <= z: since
-N(beta) = p^(2l-2) N(gamma) for the beta a support point gamma reaches,
-it drops every gamma with p^(2l) N(gamma) > z p^2 first (and at l = 0
-every gamma whose norm p^2 does not divide, which reaches no beta).  A field
-keeps bounds on its largest coordinate and numerator with its arrays,
-so the int64 guards scan no array per call.
+object arrays otherwise, as hecke._exact decides for both modules.
+
+The inner sums sum_i A(conj_i(beta) / p^l) of R and L6.4 are the map
+T_l of the Hecke operators, scattered from the support: the star images
+of hecke._star_images (one integer matrix product) give the pairs
+(beta, gamma), beta = p^(l-2) S_i gamma, and hecke._merge sums the
+numerators of equal betas.  _conj_rows tests each condition on beta
+where it costs least.  On the support gamma, before the scatter: the
+ball, since N(beta) = p^(2l-2) N(gamma), so every gamma with
+p^(2l) N(gamma) > z p^2 goes (and at l = 0 every gamma whose norm p^2
+does not divide, which reaches no beta); and, for L6.4, the count of the
+window primes q other than p that divide beta.  That count is gamma's
+own: C_i S_i = p^2 I, so q | S_i gamma gives q | p^2 gamma and q | gamma
+for q prime to p, and q | gamma gives q | S_i gamma; dividing by a power
+of p changes nothing mod q.  So the window is tested once per call on
+the n support points, and L6.4 drops every gamma whose count passes K.
+On the star images, before the merge: d | beta (R) and p not dividing
+beta (L6.4).  Every image of one beta is beta, so an image test keeps
+or drops all the terms of a beta together, and the sums it keeps are the
+same.  A field keeps bounds on its largest coordinate and numerator with
+its arrays, so the int64 guards scan no array per call.
 """
 
 from __future__ import annotations
@@ -51,13 +66,16 @@ from .hecke import (
     CoefficientField,
     EigenvalueTriple,
     QuadExt,
-    _conj_sum_rows,
+    _canonical_star,
     _divisible,
     _exact,
+    _merge,
     _quad_float,
+    _star_images,
     hecke_relation_constant,
 )
-from .quaternions import MAX_PRIME, LatticeVector, conjugation_matrices, odd_primes_in, require_odd_prime
+# conjugation_matrices is read through this namespace by perfbench/tracing.py, which counts its calls
+from .quaternions import MAX_PRIME, LatticeVector, conjugation_matrices, odd_primes_in, require_odd_prime  # noqa: F401
 
 
 # The largest exponent k or ell that the reports, sum_R and eigen_power_sum take.
@@ -74,22 +92,28 @@ def _require_exponent(name: str, value: int) -> int:
     return value
 
 
-def _square_sum(nums: np.ndarray, q: Optional[int], peak: int, total: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """(a, b) with |v|^2 = a + b sqrt(q) for each numerator row v, both over the squared
-    denominator; with `total`, (a, b) of the sum of |v|^2 over the rows, as two scalars.
+def _square_sum(nums: np.ndarray, q: Optional[int], peak: int, total: bool = False):
+    """(a, b) with |v|^2 = a + b sqrt(q) for each numerator row v, as two arrays over the squared
+    denominator; with `total`, (a, b) of the sum of |v|^2 over the rows, as two Python ints.
 
     |(ra + rb sqrt q) + (ia + ib sqrt q) i|^2
         = (ra^2 + q rb^2 + ia^2 + q ib^2) + 2 (ra rb + ia ib) sqrt(q).
 
     With M = `peak`, a bound on max|numerator|, each |a| <= (2 + 2q) M^2
     and each |b| <= 4 M^2, so the n rows are squared in int64 only while
-    n (4 + 2q) M^2 < 2^63, which also keeps every column sum and both totals in int64;
-    otherwise on Python ints (_exact).
+    n (4 + 2q) M^2 < 2^63, which also keeps every entry of the total's product
+    G = nums^T nums in int64; otherwise on Python ints (_exact).  An int64 total
+    reads its columns off G: 2.8 against 8.7 us on 66 rows, and 5.6 against 20.5 on
+    382, by column sums of the squares.  On Python ints the six column sums cost less
+    than the sixteen entries of G (38 against 85 us on 66 rows; 2-vCPU host).
     """
     q = q or 0  # plain Q: every sqrt part is zero
     nums = _exact(nums, len(nums) * (4 + 2 * q) * peak ** 2)
+    if total and nums.dtype != object:
+        g = (nums.T @ nums).tolist()
+        return g[0][0] + g[2][2] + q * (g[1][1] + g[3][3]), 2 * (g[0][1] + g[2][3])
     squares, cross = nums * nums, nums[:, 0::2] * nums[:, 1::2]  # ra^2 rb^2 ia^2 ib^2, and ra rb, ia ib
-    if total:
+    if total:  # Python ints, as the object arrays sum them
         squares, cross = squares.sum(axis=0), cross.sum(axis=0)
     return (squares[..., 0] + squares[..., 2] + q * (squares[..., 1] + squares[..., 3]),
             2 * (cross[..., 0] + cross[..., 1]))
@@ -101,27 +125,41 @@ def _mass(q: Optional[int], nums: np.ndarray, den: int, peak: int) -> QuadExt:
     if not len(nums):
         return QuadExt(q, Fraction(0), Fraction(0))
     a, b = _square_sum(nums, q, peak, total=True)
-    return QuadExt(q, Fraction(int(a), den), Fraction(int(b), den))
+    return QuadExt(q, Fraction(a, den), Fraction(b, den))
 
 
-def _conj_ball(A: CoefficientField, p: int, ell: int, z: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """(betas, numerators, peak): sum_i v(conj_i(beta) / p^ell) at every beta with N(beta) <= z
-    that the field reaches, and a bound on max|numerator| of those sums.
+def _conj_rows(A: CoefficientField, p: int, ell: int, z: int, near: Optional[np.ndarray] = None, d: int = 1,
+               coprime: bool = False) -> tuple[np.ndarray, int]:
+    """(sums, peak): the numerator rows of sum_i v(conj_i(beta) / p^ell) at every beta with N(beta) <= z
+    that d divides and, with `coprime`, that p does not, summed over the support points that the
+    mask `near` keeps (all of them when it is None); and a bound on max|numerator| of those sums.
 
-    N(gamma) p^(2 ell) <= z p^2 holds for an integer N(gamma) exactly when
-    N(gamma) <= floor(z p^2 / p^(2 ell)), so no product of the norms is formed.  At
-    ell = 0 a gamma reaches a beta only when p^2 divides some S_i gamma, whose norm is
-    p^2 N(gamma); so p^2 | N(gamma), and the other gamma are dropped before the scatter.
+    The conditions on the support go before the scatter, those on beta onto the images before the
+    merge (see the module docstring).  N(gamma) p^(2 ell) <= z p^2 holds for an integer N(gamma)
+    exactly when N(gamma) <= floor(z p^2 / p^(2 ell)), so no product of the norms is formed.  At
+    ell = 0 a gamma reaches a beta only when p^2 divides some S_i gamma, whose norm is p^2 N(gamma).
     """
-    mats = conjugation_matrices(p)
-    keys, nums = A.keys, A.nums
-    near = A.norms <= z * p * p // p ** (2 * ell)  # exact against any Python int
+    kept = A.norms <= z * p * p // p ** (2 * ell)  # exact against any Python int
+    if near is not None:
+        kept &= near
     if ell == 0:
-        near &= A.norms % (p * p) == 0
-    if not near.all():
-        keys, nums = keys.compress(near, axis=0), nums.compress(near, axis=0)
-    betas, sums = _conj_sum_rows(ell, p, keys, nums, mats, (A.key_peak, A.num_peak))
-    return betas, sums, A.num_peak * len(mats)  # each sum adds at most one numerator per C_i
+        kept &= A.norms % (p * p) == 0
+    keys, nums = A.keys, A.nums
+    if not kept.all():
+        keys, nums = keys.compress(kept, axis=0), nums.compress(kept, axis=0)
+    peak = A.num_peak * (p + 1)  # each sum adds at most one numerator per C_i
+    if not len(keys):  # no support point: no image
+        return nums, peak
+    images, src = _star_images(ell, p, keys, _canonical_star(p), A.key_peak)
+    hit = _divisible(images, d) if d > 1 else None
+    if coprime:
+        free = ~_divisible(images, p)
+        hit = free if hit is None else hit & free
+    if hit is not None:
+        images, src = images.compress(hit, axis=0), src.compress(hit)
+        if not len(images):  # no image left: no term
+            return nums[:0], peak
+    return _merge((images, _exact(nums, peak).take(src, axis=0)))[1], peak
 
 
 def sum_S_d(A: CoefficientField, d: int, z) -> QuadExt:
@@ -140,9 +178,7 @@ def sum_R(A: CoefficientField, p: int, ell: int, d: int, z) -> QuadExt:
     _require_exponent("ell", ell)
     if d < 1:
         raise ValueError("need d >= 1")
-    betas, inners, peak = _conj_ball(A, p, ell, math.floor(Fraction(z)))
-    if d > 1:
-        inners = inners.compress(_divisible(betas, d), axis=0)
+    inners, peak = _conj_rows(A, p, ell, math.floor(Fraction(z)), d=d)
     return _mass(A.p, inners, p * A.den ** 2, peak)
 
 
@@ -215,10 +251,10 @@ class MultiplicitySpec:
         """For each prime p of the window in turn, the mask of the rows of an (n, 3) key array that p^ell divides."""
         return [_divisible(keys, p ** self.ell) for p in self.window.primes]
 
-    def members(self, keys: np.ndarray, hits: Optional[list[np.ndarray]] = None) -> np.ndarray:
-        """member of each row of an (n, 3) key array, as one mask; `hits` is self.hits(keys) when the caller has it."""
+    def members(self, keys: np.ndarray) -> np.ndarray:
+        """member of each row of an (n, 3) key array, as one mask."""
         count = np.zeros(len(keys), np.intp)
-        for hit in self.hits(keys) if hits is None else hits:
+        for hit in self.hits(keys):
             count += hit
         return count <= self.K
 
@@ -428,19 +464,21 @@ def _report(name: str, left: Callable[[], float], right: Callable[[], float], pa
 def _conj_square_sum(A: CoefficientField, window: PrimeWindow, K: float, ell: int, z) -> float:
     """sum_{beta in M_1(K), N <= z} sum_{p in window, p nmid beta} (1/p) |sum_i A(conj_i(beta)/p^ell)|^2.
 
-    The double sum is exact, and only its value is rounded to a float (hecke._quad_float).
+    The double sum is exact, and only its value is rounded to a float (hecke._quad_float).  A beta
+    that p does not divide is in M_1(K) when at most K window primes q other than p divide it, and
+    that count is the count of every support point gamma that reaches beta (module docstring): the
+    window primes are tested once, on the support.
     """
     z = math.floor(Fraction(z))
-    spec = MultiplicitySpec(1, K, window)
+    hits = MultiplicitySpec(1, K, window).hits(A.keys)  # refuses K < 0 and NaN
+    count = sum(hits)
     common = math.prod(window.primes)  # the 1/p weights over one denominator
     a = b = 0
-    for i, p in enumerate(window.primes):
-        betas, inners, peak = _conj_ball(A, p, ell, z)
-        hits = spec.hits(betas)  # hits[i] is the mask of p | beta
-        kept = inners.compress(spec.members(betas, hits) & ~hits[i], axis=0)
-        pa, pb = _square_sum(kept, A.p, peak, total=True)
-        a += int(pa) * (common // p)
-        b += int(pb) * (common // p)
+    for p, hit in zip(window.primes, hits):
+        inners, peak = _conj_rows(A, p, ell, z, near=count - hit <= K, coprime=True)
+        pa, pb = _square_sum(inners, A.p, peak, total=True)
+        a += pa * (common // p)
+        b += pb * (common // p)
     return _quad_float(a, b, common * A.den ** 2, A.p)
 
 

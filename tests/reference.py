@@ -326,7 +326,7 @@ def _pair_terms(k, p, terms, mats):
 
 def pair_conj_sum(k, p, entries, mats, acc=None) -> dict:
     """T_k A by one apply_matrix per (support point, representative) pair: the reference for the
-    conjugate-sum scatter of ``hecke`` (``_Pairs.pairs``, ``_conj_sum_rows``).
+    conjugate-sum scatter of ``hecke`` (``_Pairs.pairs``, ``_star_images``).
 
     Adds A(gamma) at beta = p^(k-2) S_i gamma for every pair whose beta is
     integral, gamma-major and then i, on the domain's own `+`: into a new dict,

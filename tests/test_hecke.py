@@ -744,8 +744,6 @@ class TestFloatArrayPath:
             assert quo.tolist() == [[c // d for c in row] for row in rows]
             assert hit.tolist() == [all(c % d == 0 for c in row) for row in rows]
             assert hecke._divisible(keys, d).tolist() == hit.tolist()
-            if d < 2 ** 63:
-                assert hecke._mod(keys, d).tolist() == [[c % d for c in row] for row in rows]
 
     @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 97, 997])
     def test_vectorized_epsilon_case(self, p):
@@ -822,17 +820,24 @@ def _scattered(pairs, k, entries):
     return acc
 
 
+def _row_scatter(k, p, keys, rows, mats):
+    """T_k of the value rows `rows` at `keys` as the lattice sums scatter it: the star images of
+    `mats` and one merge of their rows, (betas, sums)."""
+    images, src = hecke._star_images(k, p, keys, hecke._star_block(mats), hecke._peak(keys))
+    return hecke._merge((images, rows.take(src, axis=0)))
+
+
 def _row_sums(k, p, ints, mats):
-    """T_k A of int values through _conj_sum_rows, as a dict beta -> sum."""
+    """T_k A of int values through _row_scatter, as a dict beta -> sum."""
     keys, rows = hecke._support_array(list(ints)), hecke._int_array(list(ints.values()), 1)
-    betas, sums_ = hecke._conj_sum_rows(k, p, keys, rows, mats, (hecke._peak(keys), hecke._peak(rows)))
+    betas, sums_ = _row_scatter(k, p, keys, rows, mats)
     return {tuple(b): r for b, (r,) in zip(betas.tolist(), sums_.tolist())}
 
 
 class TestConjSum:
     # the scatters the library runs against the pair loop reference.pair_conj_sum: the array pairs of
     # a _Pairs (T_2 from the star product, T_1 and T_0 derived from a higher T_k's pairs) and
-    # _conj_sum_rows (T_3, T_4)
+    # the star images with one merge, as the lattice sums read them (T_3, T_4)
 
     @pytest.mark.parametrize("p", [3, 5, 7])
     def test_matches_pair_reference(self, p):
@@ -868,15 +873,16 @@ class TestConjSum:
     @pytest.mark.parametrize("p", [3, 7])
     def test_object_path_past_int64_matches_pair_reference(self, p):
         mats = conjugation_matrices(p)
-        reach = hecke._star_block(mats)[1]
+        star = hecke._star_block(mats)
+        reach = star[1]
         assert reach <= 3 * p
         for k in range(5):
             edge = 2 ** 62 // (reach * p ** max(k - 2, 0))  # _star_images keeps images below 2^62 on int64
             inside = np.array([(edge - 1, 0, 1)], dtype=np.int64)
-            assert hecke._star_images(k, p, inside, mats, edge - 1)[0].dtype == np.int64
+            assert hecke._star_images(k, p, inside, star, edge - 1)[0].dtype == np.int64
             for top in (edge + 1, 10 ** 30):
                 past = hecke._support_array([(-top, 0, 1)])
-                assert hecke._star_images(k, p, past, mats, top)[0].dtype == object
+                assert hecke._star_images(k, p, past, star, top)[0].dtype == object
                 entries = {(top, 3, 0): 5, (-top, p * p, 2 * p): -2, (p * top, 1, -1): 7, (1, 2, 3): 1}
                 expected = pair_conj_sum(k, p, entries, mats)
                 if k < 3:
@@ -904,8 +910,9 @@ class TestConjSum:
 
     @pytest.mark.parametrize("p", [3, 5, 7])
     def test_rows_scatter_matches_pair_reference(self, p):
-        # _conj_sum_rows sums the same terms as the pair reference, on int64 and on Python ints:
-        # coordinates past the images' int64 guard, and values past the sums' guard
+        # the star images and one merge sum the same terms as the pair reference, on int64 and on
+        # Python ints: coordinates past the images' int64 guard, and values whose sums leave int64
+        # (on Python-int rows, as sums._conj_rows puts them past its guard)
         mats = conjugation_matrices(p)
         rng = random.Random(300 + p)
         widest = 2 ** 62 // hecke._star_block(mats)[1] + 1
@@ -915,18 +922,27 @@ class TestConjSum:
             points.discard((0, 0, 0))
             ints = {beta: rng.randint(-value, value) for beta in points}
             keys = hecke._support_array(list(ints))
-            rows = np.array([[v, -v] for v in ints.values()], dtype=object if keys.dtype == object else np.int64)
+            wide = keys.dtype == object or value >= past_sums
+            rows = np.array([[v, -v] for v in ints.values()], dtype=object if wide else np.int64)
             for k in range(4):
-                betas, sums_ = hecke._conj_sum_rows(k, p, keys, rows, mats, (hecke._peak(keys), hecke._peak(rows)))
+                betas, sums_ = _row_scatter(k, p, keys, rows, mats)
                 got = {tuple(b): tuple(r) for b, r in zip(betas.tolist(), sums_.tolist())}
                 expected = pair_conj_sum(k, p, ints, mats)
                 assert len(got) == len(betas) and got == {b: (v, -v) for b, v in expected.items()}, (top, value, k)
                 assert all(type(c) is int for row in got.values() for c in row)
 
     def test_rows_scatter_on_an_empty_support(self):
-        betas, rows = hecke._conj_sum_rows(1, 3, np.zeros((0, 3), np.int64), np.zeros((0, 4), np.int64),
-                                           conjugation_matrices(3), (0, 0))
+        betas, rows = _row_scatter(1, 3, np.zeros((0, 3), np.int64), np.zeros((0, 4), np.int64),
+                                   conjugation_matrices(3))
         assert betas.shape == (0, 3) and rows.shape == (0, 4)
+
+    def test_canonical_star_is_read_by_prime(self):
+        # the canonical table's star is cached by p, so a lookup hashes no matrix
+        for p in (3, 997):
+            star = hecke._canonical_star(p)
+            assert hecke._Pairs(p, hecke._support_array([(1, 0, 0)])).star is star
+            block, reach = hecke._star_block(conjugation_matrices(p))
+            assert np.array_equal(star[0], block) and star[1] == reach and not star[0].flags.writeable
 
     def test_representatives_path_reads_its_own_block(self):
         # an alternative table builds its own star block: its _Pairs pairs follow that table

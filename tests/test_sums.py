@@ -29,7 +29,7 @@ from h4hecke.sums import (
     sum_S_d,
     verify_R_shift_identity,
 )
-from reference import apply_matrix
+from reference import apply_matrix, pair_conj_sum
 
 
 def ball_points(radius):
@@ -119,6 +119,38 @@ def brute_force_split(A, specs, z):
     return sharp, flats, total
 
 
+# For each (p, d): a support point gamma whose T_2 image S_i gamma is a multiple of d, and its norm.
+# At ell = 0 and 1 the point C_1 (d, 0, 0) / p^ell reaches (d, 0, 0) itself, since p divides d.
+ELL2_REACH = {(3, 15): ((-5, -5, 0), 450), (5, 10): ((-2, 0, 0), 100), (7, 21): ((-3, -3, -3), 1323)}
+
+
+def divisor_field(rng, p, d, ells, symmetric=False):
+    """(A, z): a Q(sqrt 7) field whose support reaches a multiple of d in T_ell for each ell of `ells`
+    and holds a multiple of d's coprime part and one of its p-part, and the least z that takes in
+    every multiple of d reached that way."""
+    extra, z = [(d // p, 0, 0), (0, p, p)], 0
+    for ell in ells:
+        if ell < 2:
+            gamma, norm = tuple(c // p ** ell for c in apply_matrix(conjugation_matrices(p)[0], (d, 0, 0))), d * d
+        else:
+            gamma, norm = ELL2_REACH[p, d]
+        extra.append(gamma)
+        z = max(z, norm)
+    return fractional_field(rng, 7, support=6, coord_bound=3, symmetric=symmetric, extra=extra), z
+
+
+def pair_L64_left(A, window, K, ell, z):
+    """The L6.4 double sum with T_ell read off the pair loop reference.pair_conj_sum, and each condition
+    (the ball, p not dividing beta, at most K window primes dividing beta) tested on the summed beta."""
+    total = QuadExt.of(0, A.p)
+    for p in window.primes:
+        for beta, inner in pair_conj_sum(ell, p, A.entries, conjugation_matrices(p)).items():
+            count = sum(1 for q in window.primes if all(c % q == 0 for c in beta))
+            if lattice_norm(beta) <= z and any(c % p for c in beta) and count <= K:
+                total = total + inner.abs_sq() * Fraction(1, p)
+    return total
+
+
 class TestSumS:
     def test_ones_ball_examples(self):
         A = CoefficientField.ones_ball(9)
@@ -195,6 +227,47 @@ class TestSumR:
             ref = brute_force_R(A, p, ell, d, z)
             assert mine == ref and repr(mine) == repr(ref)
             assert mine != 0
+
+
+    @pytest.mark.parametrize("ell", [0, 1, 2])
+    @pytest.mark.parametrize("p,d", [(3, 15), (5, 10), (7, 21)])
+    def test_divisor_with_a_p_part_and_a_coprime_part(self, p, d, ell):
+        # d | beta is tested on the star images before the merge: the support reaches a multiple of d,
+        # and holds points whose images only d's p-part or only its coprime part divides
+        rng = random.Random(1000 * p + 10 * d + ell)
+        for symmetric in (False, True):
+            A, z = divisor_field(rng, p, d, [ell], symmetric)
+            mine = sum_R(A, p, ell, d, z)
+            ref = brute_force_R(A, p, ell, d, z)
+            assert mine == ref and repr(mine) == repr(ref)
+            assert mine != 0
+
+
+class TestConjRows:
+    @pytest.mark.parametrize("p", [3, 5, 7, 13])
+    def test_other_primes_divide_an_image_exactly_when_they_divide_gamma(self, p):
+        # C_i S_i = p^2 I: for a prime q other than p, q | p^(k-2) S_i gamma exactly when q | gamma, so
+        # the window count of L6.4 is read on the support
+        rng = random.Random(40 + p)
+        primes = [q for q in (3, 5, 7, 11, 13, 2 ** 61 - 1) if q != p]
+        for top, dtype in ((60, np.int64), (10 ** 30, object)):
+            points = set()
+            while len(points) < 80:
+                factor = math.prod(rng.sample(primes[:4], rng.randint(0, 2))) * rng.choice((1, p, p * p))
+                points.add(tuple(factor * rng.randint(-top, top) for _ in range(3)))
+            points = [b for b in points if any(b)]
+            keys = hecke._support_array(points)
+            assert keys.dtype == dtype
+            for k in (0, 1, 2):
+                images, rows = hecke._star_images(k, p, keys, hecke._canonical_star(p), hecke._peak(keys))
+                gammas = [points[r] for r in rows.tolist()]
+                assert len(gammas) > 0
+                for q in primes:
+                    on_images = [all(c % q == 0 for c in beta) for beta in images.tolist()]
+                    assert on_images == [all(c % q == 0 for c in gamma) for gamma in gammas], (k, q)
+                    assert hecke._divisible(images, q).tolist() == on_images
+                    if q < 14 and k == 2:
+                        assert any(on_images) and not all(on_images)
 
 
 class TestShiftIdentity:
@@ -397,11 +470,7 @@ class TestInt64Boundary:
         square_dtypes = [sums._square_sum(self.fields(M).nums, self.Q, M)[0].dtype
                          for M in self.PEAKS]
         assert square_dtypes == [np.int64] + [object] * (len(self.PEAKS) - 1)
-        mats = conjugation_matrices(3)
-        sum_dtypes = []
-        for M in self.PEAKS:
-            A = self.fields(M)
-            sum_dtypes.append(hecke._conj_sum_rows(1, 3, A.keys, A.nums, mats, (A.key_peak, A.num_peak))[1].dtype)
+        sum_dtypes = [sums._conj_rows(self.fields(M), 3, 1, 10 ** 30)[0].dtype for M in self.PEAKS]
         assert sum_dtypes == [np.int64] * 4 + [object] * 3
         assert self.fields(2 ** 63 + 5).nums.dtype == object
         _, variants = far_variants(self.fields(10 ** 12))
@@ -453,6 +522,21 @@ class TestInt64Boundary:
                     left = inequality_report(which, A=field, z=z, window=window, K=K).left
                     assert left == float(sum(parts[1:k], parts[0])), (z, K, k)
 
+    @pytest.mark.parametrize("p,d", [(3, 15), (5, 10)])
+    def test_R_divisor_with_a_p_part_and_a_coprime_part(self, p, d):
+        # the image test d | beta on Python-int keys and norms: M is prime to d, so M beta is a
+        # multiple of d exactly when beta is
+        A, _ = divisor_field(random.Random(p * d), p, d, [1, 2])
+        far, variants = far_variants(A)
+        assert variants[-1][0].keys.dtype == object
+        for ell in (1, 2):
+            for z in self.ZS:
+                parts = by_norm_classes(lambda C, y: brute_force_R(C, p, ell, d, y), A, far, z,
+                                        Fraction(p) ** (2 * ell - 2))
+                for field, k in variants:
+                    got, expected = sum_R(field, p, ell, d, z), sum(parts[1:k], parts[0])
+                    assert got == expected and repr(got) == repr(expected), (ell, z, k)
+
     @pytest.mark.parametrize("peak", PEAKS[::3])
     def test_amplified(self, peak):
         lam = {3: EigenvalueTriple(3, 0.7, -1.1, 0.3), 5: EigenvalueTriple(5, -0.2, 0.9, 1.7)}
@@ -497,7 +581,6 @@ class TestInt64Boundary:
                 hits = spec.hits(keys)
                 assert [h.tolist() for h in hits] == [[all(c % p ** ell == 0 for c in beta) for beta in ball + far]
                                                       for p in window.primes]
-                assert spec.members(keys, hits).tolist() == spec.members(keys).tolist()
         assert not all(MultiplicitySpec(ell, 0, WINDOW).members(hecke._support_array(ball)))
 
 
@@ -723,6 +806,45 @@ class TestInequalityReports:
                 assert rep.left == float(exact)
                 if K == 1:
                     assert exact != 0
+
+    @pytest.mark.parametrize("which", ["L6.4a", "L6.4b"])
+    def test_L64_left_on_multiples_of_window_primes(self, which):
+        # the window count is read on the support and p not dividing beta on the images: points that 3
+        # or 5 divides reach betas that the other window prime divides, which K = 0 drops
+        # (at l = 2 the least such beta has norm 3^2 5^2, and the brute-force ball there takes about
+        # 3 s per K, so L6.4b checks one field at K = 0, where the count bites)
+        w = PrimeWindow.from_bound(6.0)  # primes 3 and 5
+        ell = 1 if which == "L6.4a" else 2
+        z = 50 if ell == 1 else 225
+        rng = random.Random(29)
+        extra = [(3, 0, 0), (0, 5, 0), (3, 3, 3), (0, 3, -3), (5, 0, 5)]
+        fields = [fractional_field(rng, 3, support=6, coord_bound=2, symmetric=True, extra=extra),
+                  fractional_field(rng, 7, support=6, coord_bound=2, extra=extra)]
+        for A in fields[:2 if ell == 1 else 1]:
+            for K in (0, 1) if ell == 1 else (0,):
+                exact = brute_force_L64_left(A, w, K, ell, z)
+                assert inequality_report(which, A=A, z=z, window=w, K=K).left == float(exact)
+            lefts = [inequality_report(which, A=A, z=z, window=w, K=K).left for K in (0, 1)]
+            assert lefts[0] < lefts[1]
+
+    @pytest.mark.parametrize("which", ["L6.4a", "L6.4b"])
+    def test_L64_left_drops_betas_that_two_other_window_primes_divide(self, which):
+        # window 7, 11, 13: points that 77, 91, 143 or 1001 divide reach betas that two window primes
+        # other than p divide, which K = 1 drops; with and without coordinates past int64
+        w = PrimeWindow.from_bound(14.0)
+        ell = 1 if which == "L6.4a" else 2
+        rng = random.Random(31)
+        extra = [(1001, 0, 0), (77, 0, 77), (0, 91, 0), (0, 143, 143), (7, 0, 7), (0, 11, 0), (13, 13, 13)]
+        near = fractional_field(rng, 7, support=8, coord_bound=3, extra=extra)
+        far = CoefficientField(7, {**near.entries, (77 * 10 ** 25, 0, 0): near.entries[(77, 0, 77)],
+                                   (10 ** 30 + 1, 3, 0): near.entries[(0, 11, 0)]})
+        assert near.keys.dtype == np.int64 and far.keys.dtype == object
+        for A in (near, far):
+            z = 10 ** 70
+            for K in (0, 1):
+                expected = pair_L64_left(A, w, K, ell, z)
+                assert inequality_report(which, A=A, z=z, window=w, K=K).left == float(expected), (K, A.keys.dtype)
+            assert pair_L64_left(A, w, 1, ell, z) != pair_L64_left(A, w, 2, ell, z)
 
     def test_L65_asserts_with_generous_constant(self):
         rng = random.Random(11)
